@@ -92,6 +92,9 @@ MEMOIZE_THRESHOLD_DEFAULT: int = 1_000_000
 #: Index-block length used by chunked enumeration, counting and masking.
 _CHUNK: int = 1 << 17
 
+#: Largest cardinality an int64 mixed-radix index can address.
+_MAX_CARDINALITY: int = 2**63 - 1
+
 #: Largest rejection-sampling block checked through the scalar constraint path.
 #: Below this row count the per-row scalar code objects are cheaper than spinning up
 #: the batch evaluators (crossover sits around a dozen rows on the kernel spaces).
@@ -146,6 +149,11 @@ class SearchSpace:
             place[i] = place[i + 1] * cards[i + 1]
         self._place_values: tuple[int, ...] = tuple(place)
         self._cardinality: int = math.prod(cards)
+        if self._cardinality > _MAX_CARDINALITY:
+            # Indices are int64 throughout the columnar engine.
+            raise InvalidConfigurationError(
+                f"search space {name!r} has {self._cardinality} points, more than the "
+                f"2**63 - 1 = {_MAX_CARDINALITY} an int64 index can address")
         # Columnar engine state: radix/place vectors and per-parameter value columns.
         self._radices = np.asarray(cards, dtype=np.int64)
         self._places = np.asarray(place, dtype=np.int64)

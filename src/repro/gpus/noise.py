@@ -15,6 +15,12 @@ Two kinds of noise are provided:
   fitness-flow-graph / centrality analysis, which counts local minima);
 * *measurement jitter* (default ~0.3% lognormal): per-repetition timing noise, applied
   when a caller asks for repeated observations of the same configuration.
+
+Batches are hashed through *configuration keys*: the UTF-8 bytes :func:`stable_hash`
+renders a configuration mapping into.  :func:`config_keys` renders a whole digit
+matrix from per-value fragments, and :func:`keyed_hashes` feeds each key to a copy of
+a hash state that already holds the common prefix -- the same bytes, hashed once per
+row instead of re-rendered per part.
 """
 
 from __future__ import annotations
@@ -22,9 +28,30 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
-__all__ = ["stable_hash", "lognormal_factor", "config_noise", "measurement_jitter"]
+import numpy as np
+
+__all__ = [
+    "stable_hash",
+    "config_key",
+    "config_keys",
+    "keyed_hashes",
+    "lognormal_factor",
+    "lognormal_factors",
+    "config_noise",
+    "config_noise_columns",
+    "measurement_jitter",
+]
+
+_SEPARATOR = b"\x1f"
+
+
+def _render(part: Any) -> bytes:
+    """The bytes :func:`stable_hash` feeds for one part (before the separator)."""
+    if isinstance(part, Mapping):
+        return config_key(part)
+    return repr(part).encode("utf-8")
 
 
 def stable_hash(*parts: Any) -> int:
@@ -33,15 +60,44 @@ def stable_hash(*parts: Any) -> int:
     Python's built-in ``hash`` is salted per process, so it cannot be used for
     reproducible noise.  Configurations are rendered as sorted ``key=value`` strings.
     """
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        if isinstance(part, Mapping):
-            rendered = ",".join(f"{k}={part[k]}" for k in sorted(part))
-        else:
-            rendered = repr(part)
-        h.update(rendered.encode("utf-8"))
-        h.update(b"\x1f")
-    return struct.unpack("<Q", h.digest())[0]
+    *prefix, last = parts
+    return keyed_hashes(prefix, (_render(last),))[0]
+
+
+def config_key(config: Mapping[str, Any]) -> bytes:
+    """The key of one configuration mapping: its sorted ``key=value`` rendering."""
+    return ",".join(f"{k}={config[k]}" for k in sorted(config)).encode("utf-8")
+
+
+def config_keys(parameters: Sequence[Any], digits: np.ndarray) -> list[bytes]:
+    """Keys of the configurations in a digit matrix (``digits[:, j]`` indexes
+    ``parameters[j].values``); ``config_key(config)`` of each row's mapping."""
+    fragments = []
+    for j in sorted(range(len(parameters)), key=lambda j: parameters[j].name):
+        p = parameters[j]
+        table = np.array([f"{p.name}={v}".encode("utf-8") for v in p.values],
+                         dtype=object)
+        fragments.append(table[digits[:, j]].tolist())
+    return [b",".join(row) for row in zip(*fragments)]
+
+
+def keyed_hashes(prefix: Sequence[Any], keys: Iterable[bytes]) -> list[int]:
+    """``stable_hash(*prefix, config)`` for the configuration behind each key.
+
+    The prefix is hashed once; each key is fed to a copy of that state.
+    """
+    state = hashlib.blake2b(digest_size=8)
+    for part in prefix:
+        state.update(_render(part))
+        state.update(_SEPARATOR)
+    copy = state.copy
+    digests = []
+    for key in keys:
+        h = copy()
+        h.update(key)
+        h.update(_SEPARATOR)
+        digests.append(h.digest())
+    return list(struct.unpack(f"<{len(digests)}Q", b"".join(digests)))
 
 
 def _uniform_from_hash(value: int) -> float:
@@ -49,18 +105,38 @@ def _uniform_from_hash(value: int) -> float:
     return (value % (2**53)) / float(2**53) or 0.5 / float(2**53)
 
 
-def lognormal_factor(seed_hash: int, sigma: float) -> float:
-    """A deterministic lognormal(0, sigma) multiplicative factor from a hash.
+def lognormal_factors(seed_hashes: Iterable[int], sigma: float) -> list[float]:
+    """Deterministic lognormal(0, sigma) multiplicative factors, one per hash.
 
-    Uses the Box-Muller transform on two uniforms derived from the hash, so the
-    factor's distribution matches ``exp(N(0, sigma))`` over the space of inputs.
+    Uses the Box-Muller transform on two uniforms derived from each hash, so the
+    factors' distribution matches ``exp(N(0, sigma))`` over the space of inputs.  The
+    transcendentals run in scalar :mod:`math` per hash: NumPy's ``log``/``cos``/``exp``
+    round differently on a fraction of inputs.
     """
     if sigma <= 0:
-        return 1.0
-    u1 = _uniform_from_hash(seed_hash)
-    u2 = _uniform_from_hash(stable_hash(seed_hash, "second"))
-    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    return math.exp(sigma * z)
+        return [1.0 for _ in seed_hashes]
+    blake2b = hashlib.blake2b
+    out = []
+    for seed_hash in seed_hashes:
+        u1 = _uniform_from_hash(seed_hash)
+        # stable_hash(seed_hash, "second"), rendered in one update.
+        second = blake2b(b"%d\x1f'second'\x1f" % seed_hash, digest_size=8).digest()
+        u2 = _uniform_from_hash(struct.unpack("<Q", second)[0])
+        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        out.append(math.exp(sigma * z))
+    return out
+
+
+def lognormal_factor(seed_hash: int, sigma: float) -> float:
+    """A deterministic lognormal(0, sigma) multiplicative factor from a hash."""
+    return lognormal_factors((seed_hash,), sigma)[0]
+
+
+def config_noise_columns(gpu_name: str, benchmark: str, keys: Sequence[bytes],
+                         sigma: float = 0.015) -> np.ndarray:
+    """Persistent model-error factors of the configurations behind ``keys``."""
+    return np.asarray(lognormal_factors(
+        keyed_hashes(("config", gpu_name, benchmark), keys), sigma), dtype=np.float64)
 
 
 def config_noise(gpu_name: str, benchmark: str, config: Mapping[str, Any],

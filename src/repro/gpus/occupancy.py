@@ -14,18 +14,24 @@ limit, shared-memory limit), and occupancy is then resident warps over maximum w
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Any
+
+import numpy as np
 
 from repro.core.errors import ResourceLimitError
+from repro.gpus.columns import at
 from repro.gpus.specs import GPUSpec
 
-__all__ = ["OccupancyResult", "compute_occupancy"]
+__all__ = ["OccupancyResult", "occupancy_columns", "compute_occupancy"]
+
+#: The four CUDA limits on resident blocks, in tie-breaking order.
+_LIMITS = np.array(["blocks", "warps", "registers", "shared_memory"])
 
 
 @dataclass(frozen=True)
 class OccupancyResult:
-    """Outcome of an occupancy calculation for one launch configuration.
+    """Outcome of an occupancy calculation, for one launch or as columns of many.
 
     Attributes
     ----------
@@ -37,22 +43,32 @@ class OccupancyResult:
         ``active_warps / max_warps_per_sm`` in ``[0, 1]``.
     limiting_factor:
         Which resource bound the block count (``"blocks"``, ``"warps"``,
-        ``"registers"``, ``"shared_memory"`` or ``"launch_bounds"``).
+        ``"registers"`` or ``"shared_memory"``).
     warps_per_block:
         Warps needed by one block (ceil of threads / warp size).
     """
 
-    blocks_per_sm: int
-    active_warps: int
-    occupancy: float
-    limiting_factor: str
-    warps_per_block: int
+    blocks_per_sm: Any
+    active_warps: Any
+    occupancy: Any
+    limiting_factor: Any
+    warps_per_block: Any
+
+    def row(self, i: int) -> "OccupancyResult":
+        """Row ``i`` of a column result, as Python scalars."""
+        return OccupancyResult(
+            blocks_per_sm=int(at(self.blocks_per_sm, i)),
+            active_warps=int(at(self.active_warps, i)),
+            occupancy=float(at(self.occupancy, i)),
+            limiting_factor=str(at(self.limiting_factor, i)),
+            warps_per_block=int(at(self.warps_per_block, i)),
+        )
 
 
-def compute_occupancy(gpu: GPUSpec, threads_per_block: int, registers_per_thread: float,
-                      shared_mem_per_block_bytes: float,
-                      max_blocks_per_sm_hint: int = 0) -> OccupancyResult:
-    """Compute the occupancy of a launch configuration on ``gpu``.
+def occupancy_columns(gpu: GPUSpec, threads_per_block: Any, registers_per_thread: Any,
+                      shared_mem_per_block_bytes: Any
+                      ) -> tuple[OccupancyResult, list[str]]:
+    """Occupancy of many launch configurations on ``gpu``.
 
     Parameters
     ----------
@@ -65,69 +81,82 @@ def compute_occupancy(gpu: GPUSpec, threads_per_block: int, registers_per_thread
         unroll/tile factors).
     shared_mem_per_block_bytes:
         Static + dynamic shared memory requested per block.
-    max_blocks_per_sm_hint:
-        The ``__launch_bounds__`` / ``blocks_per_sm`` tuning parameter.  Note that the
-        hint asks the compiler to *target* this many resident blocks (by limiting
-        register usage); it does not limit how many blocks the hardware may keep
-        resident, so it does not appear as a scheduling cap here -- its register
-        effect is handled by the caller.  Zero means "no hint".
+
+    ``threads_per_block`` is a column; the other two are columns of the same length
+    or scalars that broadcast.  A
+    ``__launch_bounds__`` hint does not appear here: it asks the compiler to cut
+    register usage, which the caller folds into ``registers_per_thread``.
+
+    Returns the occupancy columns and one error string per row: empty when the block
+    can launch, otherwise why not (too few or too many threads per block, or more
+    shared memory than the per-block limit), checked in that order.  The occupancy
+    columns of failing rows are meaningless.
+    """
+    threads = np.asarray(threads_per_block, dtype=np.int64)
+    n = threads.size
+    shared = np.broadcast_to(np.asarray(shared_mem_per_block_bytes, dtype=np.float64), n)
+    shared_limit = gpu.shared_mem_per_block_kb * 1024
+
+    errors = [""] * n
+    no_threads = threads <= 0
+    too_many = ~no_threads & (threads > gpu.max_threads_per_block)
+    too_shared = ~no_threads & ~too_many & (shared > shared_limit)
+    for i in np.flatnonzero(no_threads).tolist():
+        errors[i] = "thread block must contain at least one thread"
+    for i in np.flatnonzero(too_many).tolist():
+        errors[i] = (f"{int(threads[i])} threads per block exceeds the device limit "
+                     f"of {gpu.max_threads_per_block}")
+    for i in np.flatnonzero(too_shared).tolist():
+        errors[i] = (f"{float(shared[i]) / 1024:.1f} KiB shared memory per block exceeds "
+                     f"the device limit of {gpu.shared_mem_per_block_kb} KiB")
+
+    # Real compilers spill to local memory instead of failing; the per-kernel models
+    # apply a spill penalty.  Here we clamp so occupancy stays defined.
+    registers = np.minimum(np.maximum(registers_per_thread, 1.0),
+                           float(gpu.max_registers_per_thread))
+
+    # Clamped to one warp so that failing rows stay finite.
+    warps_per_block = np.maximum(np.ceil(threads / gpu.warp_size).astype(np.int64), 1)
+
+    # The four CUDA limits on resident blocks per SM.
+    limit_blocks = np.full(n, gpu.max_blocks_per_sm, dtype=np.int64)
+    limit_warps = gpu.max_warps_per_sm // warps_per_block
+    regs_per_block = registers * warps_per_block * gpu.warp_size
+    limit_registers = (gpu.registers_per_sm // regs_per_block).astype(np.int64)
+    has_shared = shared > 0
+    limit_shared = np.where(
+        has_shared,
+        ((gpu.shared_mem_per_sm_kb * 1024) // np.where(has_shared, shared, 1.0)
+         ).astype(np.int64),
+        limit_blocks)
+
+    limits = np.stack([limit_blocks, limit_warps, limit_registers, limit_shared], axis=1)
+    choice = np.argmin(limits, axis=1)
+    blocks_per_sm = np.maximum(limits[np.arange(n), choice], 0)
+    active_warps = blocks_per_sm * warps_per_block
+    occupancy = np.minimum(active_warps / gpu.max_warps_per_sm, 1.0)
+
+    return OccupancyResult(
+        blocks_per_sm=blocks_per_sm,
+        active_warps=active_warps,
+        occupancy=occupancy,
+        limiting_factor=_LIMITS[choice],
+        warps_per_block=warps_per_block,
+    ), errors
+
+
+def compute_occupancy(gpu: GPUSpec, threads_per_block: int, registers_per_thread: float,
+                      shared_mem_per_block_bytes: float) -> OccupancyResult:
+    """Occupancy of one launch configuration (a batch of one of :func:`occupancy_columns`).
 
     Raises
     ------
     ResourceLimitError
-        If the block can never launch on this device: too many threads per block,
-        more shared memory than the per-block limit, or more registers per thread
-        than the hardware cap.
+        If the block can never launch on this device: too many threads per block or
+        more shared memory than the per-block limit.
     """
-    if threads_per_block <= 0:
-        raise ResourceLimitError("thread block must contain at least one thread",
-                                 resource="threads", requested=threads_per_block, limit=1)
-    if threads_per_block > gpu.max_threads_per_block:
-        raise ResourceLimitError(
-            f"{threads_per_block} threads per block exceeds the device limit "
-            f"of {gpu.max_threads_per_block}",
-            resource="threads_per_block", requested=threads_per_block,
-            limit=gpu.max_threads_per_block)
-    if shared_mem_per_block_bytes > gpu.shared_mem_per_block_kb * 1024:
-        raise ResourceLimitError(
-            f"{shared_mem_per_block_bytes / 1024:.1f} KiB shared memory per block exceeds "
-            f"the device limit of {gpu.shared_mem_per_block_kb} KiB",
-            resource="shared_memory", requested=shared_mem_per_block_bytes,
-            limit=gpu.shared_mem_per_block_kb * 1024)
-    registers_per_thread = max(registers_per_thread, 1.0)
-    if registers_per_thread > gpu.max_registers_per_thread:
-        # Real compilers spill to local memory instead of failing; the per-kernel
-        # models apply a spill penalty.  Here we clamp so occupancy stays defined.
-        registers_per_thread = float(gpu.max_registers_per_thread)
-
-    warps_per_block = math.ceil(threads_per_block / gpu.warp_size)
-
-    # The four CUDA limits on resident blocks per SM.
-    limit_blocks = gpu.max_blocks_per_sm
-    limit_warps = gpu.max_warps_per_sm // warps_per_block
-    regs_per_block = registers_per_thread * warps_per_block * gpu.warp_size
-    limit_registers = int(gpu.registers_per_sm // regs_per_block) if regs_per_block > 0 else limit_blocks
-    if shared_mem_per_block_bytes > 0:
-        limit_shared = int((gpu.shared_mem_per_sm_kb * 1024) // shared_mem_per_block_bytes)
-    else:
-        limit_shared = limit_blocks
-
-    limits = {
-        "blocks": limit_blocks,
-        "warps": limit_warps,
-        "registers": limit_registers,
-        "shared_memory": limit_shared,
-    }
-
-    limiting_factor = min(limits, key=lambda k: limits[k])
-    blocks_per_sm = max(limits[limiting_factor], 0)
-    active_warps = blocks_per_sm * warps_per_block
-    occupancy = min(active_warps / gpu.max_warps_per_sm, 1.0)
-
-    return OccupancyResult(
-        blocks_per_sm=int(blocks_per_sm),
-        active_warps=int(active_warps),
-        occupancy=float(occupancy),
-        limiting_factor=limiting_factor,
-        warps_per_block=int(warps_per_block),
-    )
+    occ, errors = occupancy_columns(gpu, [threads_per_block], [registers_per_thread],
+                                    [shared_mem_per_block_bytes])
+    if errors[0]:
+        raise ResourceLimitError(errors[0], resource="occupancy")
+    return occ.row(0)

@@ -6,6 +6,15 @@ performance model and its functional reference implementation -- and can mint
 :class:`~repro.core.problem.TuningProblem` instances for any simulated GPU.  This is
 the class a new benchmark has to provide to join the suite, mirroring the paper's
 "kernel handler classes providing for easy integration".
+
+The model is a column model (:class:`~repro.gpus.perfmodel.AnalyticalKernelModel`):
+a new kernel implements ``launch_config``, ``flops``, ``traffic`` and
+``compute_efficiency`` over value columns (one NumPy array per parameter) and
+follows the bit-exactness rules in :mod:`repro.gpus.perfmodel`.  The benchmark
+feeds it whole batches: :meth:`KernelBenchmark.evaluate_batch` maps configurations
+to their digit matrix, gathers the value columns and configuration keys from the
+search space, and evaluates them in one call; launch feasibility (Table VIII
+'Valid') reads the same failure mask.
 """
 
 from __future__ import annotations
@@ -16,10 +25,15 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.core.cache import EvaluationCache
-from repro.core.errors import ResourceLimitError
 from repro.core.problem import TuningProblem
 from repro.core.searchspace import SearchSpace
-from repro.gpus.perfmodel import AnalyticalKernelModel, ModelEstimate
+from repro.gpus.noise import config_keys
+from repro.gpus.perfmodel import (
+    AnalyticalKernelModel,
+    ModelColumns,
+    ModelEstimate,
+    failure_mask,
+)
 from repro.gpus.specs import GPUSpec
 
 __all__ = ["Workload", "KernelBenchmark"]
@@ -112,15 +126,22 @@ class KernelBenchmark:
 
     # ------------------------------------------------------------------- validity
 
+    def _columns_and_keys(self, digits: np.ndarray
+                          ) -> tuple[dict[str, np.ndarray], list[bytes]]:
+        """Model inputs of the configurations in a digit matrix."""
+        space = self.space
+        return space.columns_at(None, digits=digits), config_keys(space.parameters, digits)
+
+    def _launchable(self, gpu: GPUSpec, digits: np.ndarray) -> np.ndarray:
+        """Launch-feasibility mask of the configurations in a digit matrix."""
+        columns, keys = self._columns_and_keys(digits)
+        return ~failure_mask(self.model.launch_errors(columns, keys, gpu))
+
     def is_valid_on(self, config: Mapping[str, Any], gpu: GPUSpec) -> bool:
         """Static constraints plus device-launch feasibility (Table VIII 'Valid')."""
         if not self.space.is_valid(config):
             return False
-        try:
-            self.model.occupancy(config, gpu)
-        except ResourceLimitError:
-            return False
-        return True
+        return bool(self._launchable(gpu, self.space.digits_of_configs([config]))[0])
 
     def count_valid(self, gpu: GPUSpec, limit: int | None = 200_000,
                     seed: int = 99) -> int:
@@ -131,27 +152,16 @@ class KernelBenchmark:
         Cartesian product, matching how the paper leaves the huge spaces as "N/A" or
         estimates them.
         """
-        def _count_launchable(configs: Sequence[Mapping[str, Any]]) -> int:
-            count = 0
-            for config in configs:
-                try:
-                    self.model.occupancy(config, gpu)
-                except ResourceLimitError:
-                    continue
-                count += 1
-            return count
-
         space = self.space
         if limit is None or space.cardinality <= limit:
             # Static constraints are resolved by the vectorized mask (via the
-            # feasible-index blocks); only the survivors pay the per-config
-            # occupancy-model call.
-            return sum(_count_launchable(space.configs_at(block))
+            # feasible-index blocks); the survivors go through the launch mask.
+            return sum(int(self._launchable(gpu, space.indices_to_digits(block)).sum())
                        for block in space.enumerate_chunked(valid_only=True))
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, space.cardinality, size=limit)
         feasible = idx[space.satisfied_mask(idx)]
-        hits = _count_launchable(space.configs_at(feasible))
+        hits = int(self._launchable(gpu, space.indices_to_digits(feasible)).sum())
         return int(round(space.cardinality * hits / limit))
 
     # ---------------------------------------------------------------- measurements
@@ -161,6 +171,12 @@ class KernelBenchmark:
         """Full model estimate (time plus breakdown) of one configuration."""
         return self.model.estimate(config, gpu, with_noise=with_noise)
 
+    def evaluate_digits(self, gpu: GPUSpec, digits: np.ndarray,
+                        with_noise: bool = True) -> ModelColumns:
+        """One column evaluation of the configurations in a digit matrix."""
+        columns, keys = self._columns_and_keys(digits)
+        return self.model.evaluate(columns, keys, gpu, with_noise=with_noise)
+
     def evaluate_batch(self, gpu: GPUSpec, configs: Sequence[Mapping[str, Any]],
                        with_noise: bool = True) -> list[tuple[float, bool, str]]:
         """Evaluate many configurations and return ``(value, valid, error)`` rows.
@@ -168,18 +184,15 @@ class KernelBenchmark:
         This is the batched kernel-model call shared by :meth:`build_cache` and the
         shard workers of :mod:`repro.exec`: configurations that cannot launch on the
         device become ``(inf, False, reason)`` rows, exactly the shape
-        :meth:`~repro.core.cache.EvaluationCache.add` stores.  Keeping the loop (and
-        in particular the error strings) in one place is what makes parallel shard
-        evaluation byte-identical to the serial path.
+        :meth:`~repro.core.cache.EvaluationCache.add` stores.  Keeping the evaluation
+        (and in particular the error strings) in one place is what makes parallel
+        shard evaluation byte-identical to the serial path.
         """
-        rows: list[tuple[float, bool, str]] = []
-        for config in configs:
-            try:
-                rows.append((self.model.time_ms(config, gpu, with_noise=with_noise),
-                             True, ""))
-            except ResourceLimitError as exc:
-                rows.append((float("inf"), False, str(exc)))
-        return rows
+        if not configs:
+            return []
+        batch = self.evaluate_digits(gpu, self.space.digits_of_configs(configs),
+                                     with_noise=with_noise)
+        return list(zip(batch.time_ms.tolist(), (~batch.failed).tolist(), batch.errors))
 
     def new_cache(self, gpu: GPUSpec, sample_size: int | None = None) -> EvaluationCache:
         """An empty campaign cache with the canonical metadata for this benchmark.

@@ -22,16 +22,18 @@ from __future__ import annotations
 import math
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.core.constraints import ConstraintSet
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
+from repro.gpus.columns import int_column, per_value
 from repro.gpus.memory import (
     MemoryTraffic,
     bank_conflict_factor,
     coalescing_efficiency,
     read_only_cache_factor,
 )
-from repro.gpus.occupancy import OccupancyResult
 from repro.gpus.perfmodel import AnalyticalKernelModel, KernelLaunchConfig
 from repro.gpus.specs import GPUSpec
 from repro.kernels.base import KernelBenchmark, Workload
@@ -68,31 +70,32 @@ class ConvolutionModel(AnalyticalKernelModel):
 
     # ------------------------------------------------------------------- helpers
 
-    def _tile_dims(self, config: Mapping[str, Any]) -> tuple[int, int]:
-        return (int(config["block_size_x"]) * int(config["tile_size_x"]),
-                int(config["block_size_y"]) * int(config["tile_size_y"]))
+    def _tile_dims(self, columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        return (int_column(columns, "block_size_x") * int_column(columns, "tile_size_x"),
+                int_column(columns, "block_size_y") * int_column(columns, "tile_size_y"))
 
-    def _shared_tile_bytes(self, config: Mapping[str, Any]) -> float:
-        tile_x, tile_y = self._tile_dims(config)
+    def _shared_tile_bytes(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        tile_x, tile_y = self._tile_dims(columns)
         halo = self.filter_size - 1
-        pad = 1 if int(config["use_padding"]) else 0
-        return float((tile_x + halo + pad) * (tile_y + halo) * 4)
+        pad = np.where(int_column(columns, "use_padding") != 0, 1, 0)
+        return ((tile_x + halo + pad) * (tile_y + halo) * 4).astype(np.float64)
 
     # ---------------------------------------------------------------- launch shape
 
-    def launch_config(self, config: Mapping[str, Any], gpu: GPUSpec) -> KernelLaunchConfig:
-        bx = int(config["block_size_x"])
-        by = int(config["block_size_y"])
-        tx = int(config["tile_size_x"])
-        ty = int(config["tile_size_y"])
+    def launch_config(self, columns: Mapping[str, np.ndarray],
+                      gpu: GPUSpec) -> KernelLaunchConfig:
+        bx = int_column(columns, "block_size_x")
+        by = int_column(columns, "block_size_y")
+        tx = int_column(columns, "tile_size_x")
+        ty = int_column(columns, "tile_size_y")
 
-        tile_x, tile_y = self._tile_dims(config)
+        tile_x, tile_y = self._tile_dims(columns)
         out = self.image_size - self.filter_size + 1
-        grid = math.ceil(out / tile_x) * math.ceil(out / tile_y)
+        grid = np.ceil(out / tile_x) * np.ceil(out / tile_y)
 
         # One accumulator per output pixel of the thread plus input staging registers.
         registers = 16 + 2.0 * tx * ty + 0.5 * (tx + ty)
-        shared_bytes = self._shared_tile_bytes(config)
+        shared_bytes = self._shared_tile_bytes(columns)
 
         return KernelLaunchConfig(
             threads_per_block=bx * by,
@@ -104,22 +107,23 @@ class ConvolutionModel(AnalyticalKernelModel):
 
     # -------------------------------------------------------------------- work
 
-    def flops(self, config: Mapping[str, Any], gpu: GPUSpec) -> float:
+    def flops(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> float:
         out = self.image_size - self.filter_size + 1
         return 2.0 * float(out) * float(out) * self.filter_size * self.filter_size
 
-    def traffic(self, config: Mapping[str, Any], gpu: GPUSpec) -> MemoryTraffic:
-        bx = int(config["block_size_x"])
-        use_padding = bool(int(config["use_padding"]))
-        read_only = bool(int(config["read_only"]))
+    def traffic(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> MemoryTraffic:
+        bx = int_column(columns, "block_size_x")
+        use_padding = int_column(columns, "use_padding") != 0
+        read_only = int_column(columns, "read_only") != 0
 
-        tile_x, tile_y = self._tile_dims(config)
+        tile_x, tile_y = self._tile_dims(columns)
         halo = self.filter_size - 1
         out = self.image_size - self.filter_size + 1
 
         # Every block reads its output tile plus the halo; small tiles re-read the halo
         # many times over the whole image.
-        halo_overhead = ((tile_x + halo) * (tile_y + halo)) / float(tile_x * tile_y)
+        halo_overhead = (((tile_x + halo) * (tile_y + halo))
+                         / (tile_x * tile_y).astype(np.float64))
         reads = float(out) * float(out) * 4.0 * halo_overhead
         reads += self.filter_size * self.filter_size * 4.0
         writes = float(out) * float(out) * 4.0
@@ -128,17 +132,16 @@ class ConvolutionModel(AnalyticalKernelModel):
         efficiency *= read_only_cache_factor(gpu, read_only)
         efficiency /= bank_conflict_factor(gpu, bx, use_padding)
         return MemoryTraffic(read_bytes=reads, write_bytes=writes,
-                             efficiency=min(efficiency, 1.0))
+                             efficiency=np.minimum(efficiency, 1.0))
 
     # ----------------------------------------------------------- compute efficiency
 
-    def compute_efficiency(self, config: Mapping[str, Any], gpu: GPUSpec,
-                           occupancy: OccupancyResult) -> float:
-        bx = int(config["block_size_x"])
-        by = int(config["block_size_y"])
-        tx = int(config["tile_size_x"])
-        ty = int(config["tile_size_y"])
-        use_padding = bool(int(config["use_padding"]))
+    def compute_efficiency(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> np.ndarray:
+        bx = int_column(columns, "block_size_x")
+        by = int_column(columns, "block_size_y")
+        tx = int_column(columns, "tile_size_x")
+        ty = int_column(columns, "tile_size_y")
+        use_padding = int_column(columns, "use_padding") != 0
 
         base = 0.52
         # Per-thread output tiles create register-level reuse of the filter and image
@@ -148,23 +151,27 @@ class ConvolutionModel(AnalyticalKernelModel):
         # requirements this makes the well-performing region a small corner of the
         # space, which is why the paper finds Convolution the hardest benchmark for
         # random search (Fig. 2d) and the hardest to model (lowest R^2).
-        work = tx * ty
         best_work = 16 if gpu.architecture == "Ampere" else 8
-        if work <= best_work:
-            work_factor = 0.62 + 0.38 * (math.log2(max(work, 1)) / math.log2(best_work))
-        else:
-            work_factor = max(1.0 - 0.10 * math.log2(work / best_work), 0.7)
+
+        def work_curve(work: int) -> float:
+            if work <= best_work:
+                return 0.62 + 0.38 * (math.log2(max(work, 1)) / math.log2(best_work))
+            return max(1.0 - 0.10 * math.log2(work / best_work), 0.7)
+
+        work_factor = per_value(work_curve, tx * ty)
 
         # Wide-and-flat blocks keep warps row-aligned for the shared-memory reads;
         # tall-and-narrow blocks serialise them.  The preferred aspect ratio differs
         # between the families (Ampere's wider L1 sectors reward wider rows).
         best_aspect = 16.0 if gpu.architecture == "Ampere" else 4.0
-        aspect = bx / max(by, 1)
-        aspect_factor = max(1.0 - 0.07 * abs(math.log2(max(aspect, 1e-3) / best_aspect)), 0.60)
+        aspect = bx / np.maximum(by, 1)
+        aspect_factor = per_value(
+            lambda a: max(1.0 - 0.07 * abs(math.log2(max(a, 1e-3) / best_aspect)), 0.60),
+            aspect)
 
         # The x-tile depth controls how many consecutive pixels a thread loads at once;
         # even values vectorise into float2/float4 accesses.
-        vector_factor = 1.04 if tx % 4 == 0 else (1.0 if tx % 2 == 0 else 0.93)
+        vector_factor = np.where(tx % 4 == 0, 1.04, np.where(tx % 2 == 0, 1.0, 0.93))
 
         # Shared-memory bank conflicts also slow the compute phase of the inner loop.
         conflict = bank_conflict_factor(gpu, bx, use_padding)

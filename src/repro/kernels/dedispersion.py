@@ -22,11 +22,13 @@ from __future__ import annotations
 import math
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.core.constraints import ConstraintSet
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
+from repro.gpus.columns import int_column, per_value
 from repro.gpus.memory import MemoryTraffic, coalescing_efficiency
-from repro.gpus.occupancy import OccupancyResult
 from repro.gpus.perfmodel import AnalyticalKernelModel, KernelLaunchConfig, ilp_factor
 from repro.gpus.specs import GPUSpec
 from repro.kernels.base import KernelBenchmark, Workload
@@ -77,23 +79,26 @@ class DedispersionModel(AnalyticalKernelModel):
 
     # ---------------------------------------------------------------- launch shape
 
-    def launch_config(self, config: Mapping[str, Any], gpu: GPUSpec) -> KernelLaunchConfig:
-        bx = int(config["block_size_x"])
-        by = int(config["block_size_y"])
-        tx = int(config["tile_size_x"])
-        ty = int(config["tile_size_y"])
-        unroll_c = int(config["loop_unroll_factor_channel"])
-        bpsm = int(config["blocks_per_sm"])
+    def launch_config(self, columns: Mapping[str, np.ndarray],
+                      gpu: GPUSpec) -> KernelLaunchConfig:
+        bx = int_column(columns, "block_size_x")
+        by = int_column(columns, "block_size_y")
+        tx = int_column(columns, "tile_size_x")
+        ty = int_column(columns, "tile_size_y")
+        unroll_c = int_column(columns, "loop_unroll_factor_channel")
+        bpsm = int_column(columns, "blocks_per_sm")
 
-        grid = (math.ceil(self.num_samples / (bx * tx))
-                * math.ceil(self.num_dms / (by * ty)))
+        grid = (np.ceil(self.num_samples / (bx * tx))
+                * np.ceil(self.num_dms / (by * ty)))
 
         # Each thread keeps tx * ty running sums plus per-DM delay offsets; channel
         # unrolling keeps several loads in flight.  The compiler keeps the sums in a
         # blocked register tile, so pressure grows sub-linearly with the tile area.
-        registers = 20 + 1.0 * tx * ty + 1.0 * ty + 0.04 * max(unroll_c, 1)
-        if bpsm > 0:
-            registers = min(registers, gpu.registers_per_sm / max(bpsm * bx * by, 1))
+        registers = 20 + 1.0 * tx * ty + 1.0 * ty + 0.04 * np.maximum(unroll_c, 1)
+        registers = np.where(
+            bpsm > 0,
+            np.minimum(registers, gpu.registers_per_sm / np.maximum(bpsm * bx * by, 1)),
+            registers)
         shared_bytes = 0.0
 
         return KernelLaunchConfig(
@@ -107,16 +112,16 @@ class DedispersionModel(AnalyticalKernelModel):
 
     # -------------------------------------------------------------------- work
 
-    def flops(self, config: Mapping[str, Any], gpu: GPUSpec) -> float:
+    def flops(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> float:
         # One add per (DM, channel, sample); the shift's address arithmetic is hoisted
         # out of the inner loop by the compiler.
         return 1.0 * float(self.num_dms) * float(self.num_channels) * float(self.num_samples)
 
-    def traffic(self, config: Mapping[str, Any], gpu: GPUSpec) -> MemoryTraffic:
-        bx = int(config["block_size_x"])
-        by = int(config["block_size_y"])
-        ty = int(config["tile_size_y"])
-        tile_stride_x = int(config["tile_stride_x"])
+    def traffic(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> MemoryTraffic:
+        bx = int_column(columns, "block_size_x")
+        by = int_column(columns, "block_size_y")
+        ty = int_column(columns, "tile_size_y")
+        tile_stride_x = int_column(columns, "tile_stride_x")
 
         samples = float(self.num_samples)
         dms = float(self.num_dms)
@@ -129,34 +134,33 @@ class DedispersionModel(AnalyticalKernelModel):
         # Floor of 16: neighbouring DM blocks scheduled in the same wave hit the same
         # channel samples in L2 even when a single block covers few DMs.
         reuse_cap = 48 if gpu.architecture == "Ampere" else 24
-        dms_per_block = min(max(by * ty, 16), reuse_cap)
-        reuse_groups = math.ceil(dms / dms_per_block)
+        dms_per_block = np.minimum(np.maximum(by * ty, 16), reuse_cap)
+        reuse_groups = np.ceil(dms / dms_per_block)
         reads = channels * samples * 4.0 * reuse_groups
         writes = dms * samples * 4.0
 
         # Narrow blocks in x hurt coalescing, but far less than in a generic streaming
         # kernel: threads stacked in y read overlapping, slightly-shifted windows of
         # the same channel row, so the L1 serves most of the "wasted" sectors.
-        efficiency = max(coalescing_efficiency(gpu, bx), 0.55)
+        efficiency = np.maximum(coalescing_efficiency(gpu, bx), 0.55)
         # Strided sample assignment keeps neighbouring threads on neighbouring samples
         # and is slightly friendlier to the coalescer than long consecutive runs.
-        if tile_stride_x:
-            efficiency = min(efficiency * 1.05, 1.0)
+        efficiency = np.where(tile_stride_x != 0, np.minimum(efficiency * 1.05, 1.0),
+                              efficiency)
         return MemoryTraffic(read_bytes=reads, write_bytes=writes, efficiency=efficiency)
 
     # ----------------------------------------------------------- compute efficiency
 
-    def compute_efficiency(self, config: Mapping[str, Any], gpu: GPUSpec,
-                           occupancy: OccupancyResult) -> float:
-        unroll_c = int(config["loop_unroll_factor_channel"])
-        tile_stride_y = int(config["tile_stride_y"])
-        tx = int(config["tile_size_x"])
+    def compute_efficiency(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> np.ndarray:
+        unroll_c = int_column(columns, "loop_unroll_factor_channel")
+        tile_stride_y = int_column(columns, "tile_stride_y")
+        tx = int_column(columns, "tile_size_x")
 
         base = 0.40  # address arithmetic dominates; far from FMA peak
-        unroll_factor = ilp_factor(unroll_c, 32 if gpu.architecture == "Ampere" else 16,
-                                   falloff=0.03) ** 2
-        stride_factor = 0.97 if tile_stride_y else 1.0
-        work_factor = 1.0 + 0.03 * math.log2(max(tx, 1))
+        unroll_factor = per_value(lambda f: f ** 2, ilp_factor(
+            unroll_c, 32 if gpu.architecture == "Ampere" else 16, falloff=0.03))
+        stride_factor = np.where(tile_stride_y != 0, 0.97, 1.0)
+        work_factor = per_value(lambda t: 1.0 + 0.03 * math.log2(max(t, 1)), tx)
         return base * unroll_factor * stride_factor * work_factor
 
 

@@ -15,14 +15,15 @@ strategies for the model particle's localizations.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Mapping
+
+import numpy as np
 
 from repro.core.constraints import ConstraintSet
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
+from repro.gpus.columns import int_column, per_value
 from repro.gpus.memory import MemoryTraffic
-from repro.gpus.occupancy import OccupancyResult
 from repro.gpus.perfmodel import AnalyticalKernelModel, KernelLaunchConfig, ilp_factor
 from repro.gpus.specs import GPUSpec
 from repro.kernels.base import KernelBenchmark, Workload
@@ -72,53 +73,51 @@ class ExpdistModel(AnalyticalKernelModel):
 
     # ---------------------------------------------------------------- launch shape
 
-    def launch_config(self, config: Mapping[str, Any], gpu: GPUSpec) -> KernelLaunchConfig:
-        bx = int(config["block_size_x"])
-        by = int(config["block_size_y"])
-        tx = int(config["tile_size_x"])
-        ty = int(config["tile_size_y"])
-        use_shared = int(config["use_shared_mem"])
-        use_column = int(config["use_column"])
-        n_y_blocks = int(config["n_y_blocks"])
-        ux = int(config["loop_unroll_factor_x"])
-        uy = int(config["loop_unroll_factor_y"])
+    def launch_config(self, columns: Mapping[str, np.ndarray],
+                      gpu: GPUSpec) -> KernelLaunchConfig:
+        bx = int_column(columns, "block_size_x")
+        by = int_column(columns, "block_size_y")
+        tx = int_column(columns, "tile_size_x")
+        ty = int_column(columns, "tile_size_y")
+        use_shared = int_column(columns, "use_shared_mem")
+        use_column = int_column(columns, "use_column") != 0
+        n_y_blocks = int_column(columns, "n_y_blocks")
+        ux = int_column(columns, "loop_unroll_factor_x")
+        uy = int_column(columns, "loop_unroll_factor_y")
 
         k = self.num_localizations
-        grid_x = math.ceil(k / (bx * tx))
-        if use_column:
-            grid_y = min(n_y_blocks, max(math.ceil(k / (by * ty)), 1))
-        else:
-            grid_y = math.ceil(k / (by * ty))
-        grid = grid_x * max(grid_y, 1)
+        grid_x = np.ceil(k / (bx * tx))
+        rows = np.ceil(k / (by * ty))
+        grid_y = np.where(use_column, np.minimum(n_y_blocks, np.maximum(rows, 1)), rows)
+        grid = grid_x * np.maximum(grid_y, 1)
 
         registers = 22 + 2.0 * tx * ty + 1.0 * (ux + uy)
         # Staging strategies: 0 = none, 1 = model points, 2 = model points + sigmas.
-        per_point_bytes = {0: 0, 1: 12, 2: 16}[use_shared]
-        shared_bytes = float(by * ty * per_point_bytes * 8)
+        per_point_bytes = np.array([0, 12, 16])[use_shared]
+        shared_bytes = (by * ty * per_point_bytes * 8).astype(np.float64)
         # The column variant additionally reduces partial sums in shared memory.
-        if use_column:
-            shared_bytes += bx * by * 8.0
+        shared_bytes = np.where(use_column, shared_bytes + bx * by * 8.0, shared_bytes)
 
         return KernelLaunchConfig(
             threads_per_block=bx * by,
             grid_blocks=grid,
             registers_per_thread=registers,
             shared_mem_bytes=shared_bytes,
-            launches=1 + (1 if use_column else 0),   # second-stage reduction launch
+            launches=1 + np.where(use_column, 1, 0),   # second-stage reduction launch
         )
 
     # -------------------------------------------------------------------- work
 
-    def flops(self, config: Mapping[str, Any], gpu: GPUSpec) -> float:
+    def flops(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> float:
         k = float(self.num_localizations)
         return self.FLOPS_PER_PAIR * k * k
 
-    def traffic(self, config: Mapping[str, Any], gpu: GPUSpec) -> MemoryTraffic:
-        by = int(config["block_size_y"])
-        ty = int(config["tile_size_y"])
-        use_shared = int(config["use_shared_mem"])
-        use_column = int(config["use_column"])
-        n_y_blocks = int(config["n_y_blocks"])
+    def traffic(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> MemoryTraffic:
+        by = int_column(columns, "block_size_y")
+        ty = int_column(columns, "tile_size_y")
+        use_shared = int_column(columns, "use_shared_mem")
+        use_column = int_column(columns, "use_column") != 0
+        n_y_blocks = int_column(columns, "n_y_blocks")
 
         k = float(self.num_localizations)
         bytes_per_loc = 12.0  # x, y coordinates + sigma
@@ -127,22 +126,21 @@ class ExpdistModel(AnalyticalKernelModel):
         # localizations are streamed once per block row of the pair matrix -- staging
         # them in shared memory lets the whole block share one read, otherwise each
         # warp fetches its own copy and only the L2 limits the damage.
-        reuse = max(by * ty, 1.0) * (8.0 if use_shared else 2.0)
+        reuse = np.maximum(by * ty, 1.0) * np.where(use_shared != 0, 8.0, 2.0)
         reads = k * bytes_per_loc + (k * k / reuse) * bytes_per_loc / 16.0
-        writes = (n_y_blocks if use_column else 1) * 8.0 * max(k / 256.0, 1.0)
+        writes = np.where(use_column, n_y_blocks, 1) * 8.0 * max(k / 256.0, 1.0)
 
         return MemoryTraffic(read_bytes=reads, write_bytes=writes, efficiency=0.9)
 
     # ----------------------------------------------------------- compute efficiency
 
-    def compute_efficiency(self, config: Mapping[str, Any], gpu: GPUSpec,
-                           occupancy: OccupancyResult) -> float:
-        tx = int(config["tile_size_x"])
-        ty = int(config["tile_size_y"])
-        ux = int(config["loop_unroll_factor_x"])
-        uy = int(config["loop_unroll_factor_y"])
-        use_shared = int(config["use_shared_mem"])
-        use_column = int(config["use_column"])
+    def compute_efficiency(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> np.ndarray:
+        tx = int_column(columns, "tile_size_x")
+        ty = int_column(columns, "tile_size_y")
+        ux = int_column(columns, "loop_unroll_factor_x")
+        uy = int_column(columns, "loop_unroll_factor_y")
+        use_shared = int_column(columns, "use_shared_mem")
+        use_column = int_column(columns, "use_column") != 0
 
         # exp() goes through the SFU, capping the sustained FMA fraction.  The SFU
         # bottleneck also flattens the landscape: most tiling/unrolling choices end up
@@ -151,13 +149,13 @@ class ExpdistModel(AnalyticalKernelModel):
         # factor below is compressed towards 1.
         base = 0.48
 
-        work = tx * ty
         best_work = 8 if gpu.architecture == "Turing" else 16
-        work_factor = ilp_factor(work, best_work, falloff=0.03) ** 2
+        work_factor = per_value(lambda f: f ** 2,
+                                ilp_factor(tx * ty, best_work, falloff=0.03))
         unroll_factor = 0.75 + 0.125 * (ilp_factor(ux, 4) + ilp_factor(uy, 4))
 
-        staging_factor = {0: 0.96, 1: 1.0, 2: 1.01}[use_shared]
-        column_factor = 1.02 if use_column else 1.0
+        staging_factor = np.array([0.96, 1.0, 1.01])[use_shared]
+        column_factor = np.where(use_column, 1.02, 1.0)
 
         return base * work_factor * unroll_factor * staging_factor * column_factor
 

@@ -16,11 +16,13 @@ from __future__ import annotations
 import math
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.core.constraints import ConstraintSet
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
+from repro.gpus.columns import int_column, per_value
 from repro.gpus.memory import MemoryTraffic, vector_access_efficiency
-from repro.gpus.occupancy import OccupancyResult
 from repro.gpus.perfmodel import AnalyticalKernelModel, KernelLaunchConfig
 from repro.gpus.specs import GPUSpec
 from repro.kernels.base import KernelBenchmark, Workload
@@ -77,20 +79,21 @@ class GemmModel(AnalyticalKernelModel):
 
     # ---------------------------------------------------------------- launch shape
 
-    def launch_config(self, config: Mapping[str, Any], gpu: GPUSpec) -> KernelLaunchConfig:
-        mwg, nwg = int(config["MWG"]), int(config["NWG"])
-        mdimc, ndimc = int(config["MDIMC"]), int(config["NDIMC"])
-        vwm, vwn = int(config["VWM"]), int(config["VWN"])
-        sa, sb = int(config["SA"]), int(config["SB"])
+    def launch_config(self, columns: Mapping[str, np.ndarray],
+                      gpu: GPUSpec) -> KernelLaunchConfig:
+        mwg, nwg = int_column(columns, "MWG"), int_column(columns, "NWG")
+        mdimc, ndimc = int_column(columns, "MDIMC"), int_column(columns, "NDIMC")
+        vwm, vwn = int_column(columns, "VWM"), int_column(columns, "VWN")
+        sa, sb = int_column(columns, "SA"), int_column(columns, "SB")
 
         threads = mdimc * ndimc
-        grid = math.ceil(self.m / mwg) * math.ceil(self.n / nwg)
+        grid = np.ceil(self.m / mwg) * np.ceil(self.n / nwg)
 
-        mwi = max(mwg // mdimc, 1)           # per-thread tile in M
-        nwi = max(nwg // ndimc, 1)           # per-thread tile in N
+        mwi = np.maximum(mwg // mdimc, 1)    # per-thread tile in M
+        nwi = np.maximum(nwg // ndimc, 1)    # per-thread tile in N
         # Accumulators plus operand registers plus addressing/loop state.
         registers = 24 + mwi * nwi + 2.0 * (mwi + nwi) + 1.5 * (vwm + vwn)
-        shared_bytes = float((sa * mwg * KWG + sb * nwg * KWG) * 4)
+        shared_bytes = ((sa * mwg * KWG + sb * nwg * KWG) * 4).astype(np.float64)
 
         return KernelLaunchConfig(
             threads_per_block=threads,
@@ -103,20 +106,20 @@ class GemmModel(AnalyticalKernelModel):
 
     # -------------------------------------------------------------------- work
 
-    def flops(self, config: Mapping[str, Any], gpu: GPUSpec) -> float:
+    def flops(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> float:
         return 2.0 * self.m * self.n * self.k
 
-    def traffic(self, config: Mapping[str, Any], gpu: GPUSpec) -> MemoryTraffic:
-        mwg, nwg = int(config["MWG"]), int(config["NWG"])
-        vwm, vwn = int(config["VWM"]), int(config["VWN"])
-        sa, sb = int(config["SA"]), int(config["SB"])
+    def traffic(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> MemoryTraffic:
+        mwg, nwg = int_column(columns, "MWG"), int_column(columns, "NWG")
+        vwm, vwn = int_column(columns, "VWM"), int_column(columns, "VWN")
+        sa, sb = int_column(columns, "SA"), int_column(columns, "SB")
 
         # Each workgroup column re-reads the A panel; staging in shared memory reads it
         # exactly once per workgroup, without staging the hardware caches absorb part of
         # the re-reads but not all of them.  The 0.55 factor accounts for L2 capturing
         # re-reads between neighbouring workgroups of the same wave.
-        reads_a = 0.75 * self.m * self.k * 4.0 * (self.n / nwg) * (1.0 if sa else 1.45)
-        reads_b = 0.75 * self.k * self.n * 4.0 * (self.m / mwg) * (1.0 if sb else 1.45)
+        reads_a = 0.75 * self.m * self.k * 4.0 * (self.n / nwg) * np.where(sa != 0, 1.0, 1.45)
+        reads_b = 0.75 * self.k * self.n * 4.0 * (self.m / mwg) * np.where(sb != 0, 1.0, 1.45)
         writes_c = self.m * self.n * 4.0
 
         efficiency = 0.5 * (vector_access_efficiency(gpu, vwm)
@@ -126,13 +129,12 @@ class GemmModel(AnalyticalKernelModel):
 
     # ----------------------------------------------------------- compute efficiency
 
-    def compute_efficiency(self, config: Mapping[str, Any], gpu: GPUSpec,
-                           occupancy: OccupancyResult) -> float:
-        mwg, nwg = int(config["MWG"]), int(config["NWG"])
-        mdimc, ndimc = int(config["MDIMC"]), int(config["NDIMC"])
-        mdima, ndimb = int(config["MDIMA"]), int(config["NDIMB"])
-        mwi = max(mwg // mdimc, 1)
-        nwi = max(nwg // ndimc, 1)
+    def compute_efficiency(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> np.ndarray:
+        mwg, nwg = int_column(columns, "MWG"), int_column(columns, "NWG")
+        mdimc, ndimc = int_column(columns, "MDIMC"), int_column(columns, "NDIMC")
+        mdima, ndimb = int_column(columns, "MDIMA"), int_column(columns, "NDIMB")
+        mwi = np.maximum(mwg // mdimc, 1)
+        nwi = np.maximum(nwg // ndimc, 1)
 
         # Register-tile ILP: the per-thread tile size controls how many FMAs each load
         # amortises, which is THE first-order effect in register-blocked GEMM -- a
@@ -141,37 +143,39 @@ class GemmModel(AnalyticalKernelModel):
         # families.  The steep curve makes the top of the space a narrow corner (the
         # paper's Fig. 2a needs hundreds of random evaluations to reach 90%).
         best_tile = 64 if gpu.architecture == "Ampere" else 32
-        work = mwi * nwi
-        if work <= best_tile:
-            tile_factor = min(max((work / best_tile) ** 0.55, 0.15), 1.0)
-        else:
-            tile_factor = max(1.0 - 0.05 * math.log2(work / best_tile), 0.8)
+
+        def tile_curve(work: int) -> float:
+            if work <= best_tile:
+                return min(max((work / best_tile) ** 0.55, 0.15), 1.0)
+            return max(1.0 - 0.05 * math.log2(work / best_tile), 0.8)
+
+        tile_factor = per_value(tile_curve, mwi * nwi)
 
         # The per-thread tile should be roughly square: a skewed tile starves one of
         # the FMA operand pipes and wastes register bandwidth.
-        skew = max(mwi, nwi) / max(min(mwi, nwi), 1)
-        skew_factor = 1.0 / (1.0 + 0.06 * math.log2(skew)) if skew > 1 else 1.0
+        skew = np.maximum(mwi, nwi) / np.maximum(np.minimum(mwi, nwi), 1)
+        skew_factor = per_value(
+            lambda s: 1.0 / (1.0 + 0.06 * math.log2(s)) if s > 1 else 1.0, skew)
 
         # FMA-dominated inner loop sustains a high fraction of peak.
         base = 0.78
 
         # Staging the operand panels in shared memory keeps the inner loop free of
         # global-memory instructions; without it the FMA pipes stall on loads.
-        sa, sb = int(config["SA"]), int(config["SB"])
-        staging_factor = {0: 0.85, 1: 0.93, 2: 1.0}[sa + sb]
+        sa, sb = int_column(columns, "SA"), int_column(columns, "SB")
+        staging_factor = np.array([0.85, 0.93, 1.0])[sa + sb]
 
         # Wider vector accesses cut the number of load instructions competing with the
         # FMAs for issue slots; the benefit saturates at the device's preferred width.
-        vwm, vwn = int(config["VWM"]), int(config["VWN"])
-        vector_factor = 0.90 + 0.05 * min(math.log2(vwm * vwn) / 2.0, 2.0)
+        vwm, vwn = int_column(columns, "VWM"), int_column(columns, "VWN")
+        vector_factor = per_value(lambda w: 0.90 + 0.05 * min(math.log2(w) / 2.0, 2.0),
+                                  vwm * vwn)
 
         # Loader re-shaping: a mismatch between the compute grid and the load grid
         # costs a few percent (this is deliberately a small effect, matching Fig. 6a).
-        loader = 1.0
-        if mdima != mdimc:
-            loader *= 0.985
-        if ndimb != ndimc:
-            loader *= 0.985
+        loader = np.ones(len(mwg))
+        loader = np.where(mdima != mdimc, loader * 0.985, loader)
+        loader = np.where(ndimb != ndimc, loader * 0.985, loader)
 
         return base * tile_factor * skew_factor * staging_factor * vector_factor * loader
 

@@ -21,11 +21,13 @@ from __future__ import annotations
 import math
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.core.constraints import ConstraintSet
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
+from repro.gpus.columns import int_column, per_value
 from repro.gpus.memory import MemoryTraffic, coalescing_efficiency
-from repro.gpus.occupancy import OccupancyResult
 from repro.gpus.perfmodel import AnalyticalKernelModel, KernelLaunchConfig, ilp_factor
 from repro.gpus.specs import GPUSpec
 from repro.kernels.base import KernelBenchmark, Workload
@@ -77,43 +79,47 @@ class HotspotModel(AnalyticalKernelModel):
     # ------------------------------------------------------------------- helpers
 
     @staticmethod
-    def _tile_shape(config: Mapping[str, Any]) -> tuple[int, int, int]:
-        bx = int(config["block_size_x"])
-        by = int(config["block_size_y"])
-        tx = int(config["tile_size_x"])
-        ty = int(config["tile_size_y"])
-        ttf = int(config["temporal_tiling_factor"])
+    def _tile_shape(columns: Mapping[str, np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        bx = int_column(columns, "block_size_x")
+        by = int_column(columns, "block_size_y")
+        tx = int_column(columns, "tile_size_x")
+        ty = int_column(columns, "tile_size_y")
+        ttf = int_column(columns, "temporal_tiling_factor")
         return bx * tx, by * ty, ttf
 
     # ---------------------------------------------------------------- launch shape
 
-    def launch_config(self, config: Mapping[str, Any], gpu: GPUSpec) -> KernelLaunchConfig:
-        bx = int(config["block_size_x"])
-        by = int(config["block_size_y"])
-        tx = int(config["tile_size_x"])
-        ty = int(config["tile_size_y"])
-        ttf = int(config["temporal_tiling_factor"])
-        unroll_t = int(config["loop_unroll_factor_t"])
-        sh_power = int(config["sh_power"])
-        bpsm = int(config["blocks_per_sm"])
+    def launch_config(self, columns: Mapping[str, np.ndarray],
+                      gpu: GPUSpec) -> KernelLaunchConfig:
+        bx = int_column(columns, "block_size_x")
+        by = int_column(columns, "block_size_y")
+        tx = int_column(columns, "tile_size_x")
+        ty = int_column(columns, "tile_size_y")
+        ttf = int_column(columns, "temporal_tiling_factor")
+        unroll_t = int_column(columns, "loop_unroll_factor_t")
+        sh_power = int_column(columns, "sh_power")
+        bpsm = int_column(columns, "blocks_per_sm")
 
-        tile_x, tile_y, _ = self._tile_shape(config)
-        grid = math.ceil(self.grid_size / tile_x) * math.ceil(self.grid_size / tile_y)
-        launches = math.ceil(self.total_iterations / ttf)
+        tile_x, tile_y, _ = self._tile_shape(columns)
+        grid = np.ceil(self.grid_size / tile_x) * np.ceil(self.grid_size / tile_y)
+        launches = np.ceil(self.total_iterations / ttf)
 
         # Shared memory holds the temperature tile including the temporal halo
         # (updated in place between fused steps) and optionally the power tile.
         halo = 2 * ttf
         smem_elems = (tile_x + halo) * (tile_y + halo)
-        shared_bytes = float(smem_elems * 4 * (1 + sh_power))
+        shared_bytes = (smem_elems * 4 * (1 + sh_power)).astype(np.float64)
 
         # Registers grow with per-thread outputs and with the unrolled time loop.
         registers = 18 + 2.2 * tx * ty + 1.2 * unroll_t + 1.0 * ttf
 
         # The launch-bounds hint caps resident blocks but lets the compiler cut
         # register usage in exchange.
-        if bpsm > 0:
-            registers = min(registers, gpu.registers_per_sm / (bpsm * bx * by))
+        registers = np.where(
+            bpsm > 0,
+            np.minimum(registers, gpu.registers_per_sm / np.maximum(bpsm * bx * by, 1)),
+            registers)
 
         return KernelLaunchConfig(
             threads_per_block=bx * by,
@@ -126,28 +132,29 @@ class HotspotModel(AnalyticalKernelModel):
 
     # -------------------------------------------------------------------- work
 
-    def flops(self, config: Mapping[str, Any], gpu: GPUSpec) -> float:
-        tile_x, tile_y, ttf = self._tile_shape(config)
+    def flops(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> np.ndarray:
+        tile_x, tile_y, ttf = self._tile_shape(columns)
         # Temporal tiling recomputes the halo: each fused step processes a tile grown
         # by the remaining halo, so redundant work rises with the tiling factor.
-        redundancy = ((tile_x + ttf) * (tile_y + ttf)) / float(tile_x * tile_y)
+        redundancy = ((tile_x + ttf) * (tile_y + ttf)) / (tile_x * tile_y).astype(np.float64)
         cells = float(self.grid_size) * float(self.grid_size)
         return cells * self.total_iterations * self.FLOPS_PER_CELL * redundancy
 
-    def traffic(self, config: Mapping[str, Any], gpu: GPUSpec) -> MemoryTraffic:
-        bx = int(config["block_size_x"])
-        tile_x, tile_y, ttf = self._tile_shape(config)
-        sh_power = int(config["sh_power"])
+    def traffic(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> MemoryTraffic:
+        bx = int_column(columns, "block_size_x")
+        tile_x, tile_y, ttf = self._tile_shape(columns)
+        sh_power = int_column(columns, "sh_power")
 
         cells = float(self.grid_size) * float(self.grid_size)
-        launches = math.ceil(self.total_iterations / ttf)
+        launches = np.ceil(self.total_iterations / ttf)
         halo = 2 * ttf
-        halo_overhead = ((tile_x + halo) * (tile_y + halo)) / float(tile_x * tile_y)
+        halo_overhead = (((tile_x + halo) * (tile_y + halo))
+                         / (tile_x * tile_y).astype(np.float64))
 
         # Per launch: read temperature + power (with halo), write temperature.  Without
         # the shared-memory power cache the power grid is re-fetched on every fused
         # time step instead of once per launch.
-        power_factor = 1.0 if sh_power else 1.3
+        power_factor = np.where(sh_power != 0, 1.0, 1.3)
         reads = launches * cells * 4.0 * halo_overhead * (1.0 + power_factor)
         writes = launches * cells * 4.0
 
@@ -156,18 +163,17 @@ class HotspotModel(AnalyticalKernelModel):
 
     # ----------------------------------------------------------- compute efficiency
 
-    def compute_efficiency(self, config: Mapping[str, Any], gpu: GPUSpec,
-                           occupancy: OccupancyResult) -> float:
-        tx = int(config["tile_size_x"])
-        ty = int(config["tile_size_y"])
-        unroll_t = int(config["loop_unroll_factor_t"])
-        bx = int(config["block_size_x"])
+    def compute_efficiency(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> np.ndarray:
+        tx = int_column(columns, "tile_size_x")
+        ty = int_column(columns, "tile_size_y")
+        unroll_t = int_column(columns, "loop_unroll_factor_t")
+        bx = int_column(columns, "block_size_x")
 
         base = 0.45  # stencil arithmetic with neighbour shuffles sustains less of peak
         ilp = ilp_factor(unroll_t, 4 if gpu.architecture == "Turing" else 8)
-        work_per_thread = 1.0 + 0.04 * math.log2(max(tx * ty, 1))
+        work_per_thread = per_value(lambda w: 1.0 + 0.04 * math.log2(max(w, 1)), tx * ty)
         # Very narrow blocks in x serialise the shared-memory accesses.
-        narrow_penalty = 1.0 if bx >= 16 else 0.75
+        narrow_penalty = np.where(bx >= 16, 1.0, 0.75)
         return base * ilp * work_per_thread * narrow_penalty
 
 

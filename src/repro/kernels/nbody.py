@@ -21,11 +21,13 @@ from __future__ import annotations
 import math
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.core.constraints import ConstraintSet
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
+from repro.gpus.columns import int_column, per_value
 from repro.gpus.memory import MemoryTraffic, vector_access_efficiency
-from repro.gpus.occupancy import OccupancyResult
 from repro.gpus.perfmodel import AnalyticalKernelModel, KernelLaunchConfig, ilp_factor
 from repro.gpus.specs import GPUSpec
 from repro.kernels.base import KernelBenchmark, Workload
@@ -70,20 +72,22 @@ class NbodyModel(AnalyticalKernelModel):
 
     # ---------------------------------------------------------------- launch shape
 
-    def launch_config(self, config: Mapping[str, Any], gpu: GPUSpec) -> KernelLaunchConfig:
-        block = int(config["block_size"])
-        outer = int(config["outer_unroll_factor"])
-        inner1 = int(config["inner_unroll_factor1"])
-        inner2 = int(config["inner_unroll_factor2"])
-        local_mem = int(config["local_mem"])
-        vector = int(config["vector_type"])
+    def launch_config(self, columns: Mapping[str, np.ndarray],
+                      gpu: GPUSpec) -> KernelLaunchConfig:
+        block = int_column(columns, "block_size")
+        outer = int_column(columns, "outer_unroll_factor")
+        inner1 = int_column(columns, "inner_unroll_factor1")
+        inner2 = int_column(columns, "inner_unroll_factor2")
+        local_mem = int_column(columns, "local_mem")
+        vector = int_column(columns, "vector_type")
 
-        grid = math.ceil(self.n_bodies / (block * outer))
+        grid = np.ceil(self.n_bodies / (block * outer))
         # Each extra body per thread needs its own position/acceleration registers;
         # unrolling keeps more interaction temporaries alive.
-        registers = (26 + 8.0 * outer + 0.45 * max(inner1, 1) + 0.45 * max(inner2, 1)
-                     + 2.0 * vector)
-        shared_bytes = float(local_mem * block * 4 * 4)  # x, y, z, mass per cached body
+        registers = (26 + 8.0 * outer + 0.45 * np.maximum(inner1, 1)
+                     + 0.45 * np.maximum(inner2, 1) + 2.0 * vector)
+        # x, y, z, mass per cached body
+        shared_bytes = (local_mem * block * 4 * 4).astype(np.float64)
 
         return KernelLaunchConfig(
             threads_per_block=block,
@@ -95,46 +99,44 @@ class NbodyModel(AnalyticalKernelModel):
 
     # -------------------------------------------------------------------- work
 
-    def flops(self, config: Mapping[str, Any], gpu: GPUSpec) -> float:
+    def flops(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> float:
         return self.FLOPS_PER_INTERACTION * float(self.n_bodies) * float(self.n_bodies)
 
-    def traffic(self, config: Mapping[str, Any], gpu: GPUSpec) -> MemoryTraffic:
-        block = int(config["block_size"])
-        outer = int(config["outer_unroll_factor"])
-        local_mem = int(config["local_mem"])
-        use_soa = int(config["use_soa"])
-        vector = int(config["vector_type"])
+    def traffic(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> MemoryTraffic:
+        block = int_column(columns, "block_size")
+        outer = int_column(columns, "outer_unroll_factor")
+        local_mem = int_column(columns, "local_mem")
+        use_soa = int_column(columns, "use_soa")
+        vector = int_column(columns, "vector_type")
 
         n = float(self.n_bodies)
         bytes_per_body = 16.0  # float4: x, y, z, mass
-        if local_mem:
-            # Every block streams all bodies once through its shared-memory tile; the
-            # L2 serves most of those streams because concurrently resident blocks
-            # walk the same tiles in lockstep, so only a fraction reaches DRAM.
-            blocks = math.ceil(n / (block * outer))
-            reads = 0.25 * blocks * n * bytes_per_body
-        else:
-            # Without the software cache the tile reuse happens (imperfectly) in L1/L2:
-            # every thread's loop re-reads bodies, the caches absorb reuse within a warp.
-            reads = (n / max(outer, 1)) * n * bytes_per_body / gpu.warp_size * 1.8
+        # With the software cache every block streams all bodies once through its
+        # shared-memory tile; the L2 serves most of those streams because concurrently
+        # resident blocks walk the same tiles in lockstep, so only a fraction reaches
+        # DRAM.
+        blocks = np.ceil(n / (block * outer))
+        cached_reads = 0.25 * blocks * n * bytes_per_body
+        # Without the software cache the tile reuse happens (imperfectly) in L1/L2:
+        # every thread's loop re-reads bodies, the caches absorb reuse within a warp.
+        uncached_reads = (n / np.maximum(outer, 1)) * n * bytes_per_body / gpu.warp_size * 1.8
+        reads = np.where(local_mem != 0, cached_reads, uncached_reads)
         writes = n * bytes_per_body
 
         efficiency = vector_access_efficiency(gpu, vector)
-        if not use_soa:
-            # Array-of-structures loads of individual components waste part of each
-            # transaction unless the full float4 is consumed.
-            efficiency *= 0.9
+        # Array-of-structures loads of individual components waste part of each
+        # transaction unless the full float4 is consumed.
+        efficiency = np.where(use_soa != 0, efficiency, efficiency * 0.9)
         return MemoryTraffic(read_bytes=reads, write_bytes=writes, efficiency=efficiency)
 
     # ----------------------------------------------------------- compute efficiency
 
-    def compute_efficiency(self, config: Mapping[str, Any], gpu: GPUSpec,
-                           occupancy: OccupancyResult) -> float:
-        outer = int(config["outer_unroll_factor"])
-        inner1 = int(config["inner_unroll_factor1"])
-        inner2 = int(config["inner_unroll_factor2"])
-        local_mem = int(config["local_mem"])
-        use_soa = int(config["use_soa"])
+    def compute_efficiency(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> np.ndarray:
+        outer = int_column(columns, "outer_unroll_factor")
+        inner1 = int_column(columns, "inner_unroll_factor1")
+        inner2 = int_column(columns, "inner_unroll_factor2")
+        local_mem = int_column(columns, "local_mem")
+        use_soa = int_column(columns, "use_soa")
 
         # The interaction loop is an FMA/rsqrt mix; base sustained fraction of peak.
         base = 0.62
@@ -145,16 +147,16 @@ class NbodyModel(AnalyticalKernelModel):
         # configurations land close to the optimum, which is why random search reaches
         # 90% of optimal within about ten evaluations on this benchmark (Fig. 2f).
         best_unroll = 16 if gpu.architecture == "Ampere" else 8
-        active_inner = inner2 if local_mem else inner1
+        active_inner = np.where(local_mem != 0, inner2, inner1)
         unroll_factor = 0.75 + 0.25 * ilp_factor(active_inner, best_unroll, falloff=0.02)
 
         # Multiple bodies per thread amortise the loop overhead slightly.
-        outer_factor = 1.0 + 0.01 * math.log2(max(outer, 1))
+        outer_factor = per_value(lambda o: 1.0 + 0.01 * math.log2(max(o, 1)), outer)
 
         # Reading the body tile from shared memory instead of L2 keeps the FMA pipes fed.
-        cache_factor = 1.04 if local_mem else 0.94
+        cache_factor = np.where(local_mem != 0, 1.04, 0.94)
 
-        layout_factor = 1.0 if use_soa else 0.98
+        layout_factor = np.where(use_soa != 0, 1.0, 0.98)
 
         return base * unroll_factor * outer_factor * cache_factor * layout_factor
 

@@ -27,9 +27,8 @@ Scenario families
 Both families place their optimum *per device* (a deterministic shift derived from the
 GPU name via :func:`repro.gpus.noise.stable_hash`), so portability analyses see optima
 move between architectures just like the real kernels.  The failure model is equally
-deterministic: a configurable fraction of configurations raise
-:class:`~repro.core.errors.ResourceLimitError` with a stable error string, which is
-what keeps serial and parallel campaign caches byte-identical.
+deterministic: a configurable fraction of configurations fail to launch with a stable
+error string, which is what keeps serial and parallel campaign caches byte-identical.
 """
 
 from __future__ import annotations
@@ -40,13 +39,20 @@ import math
 import random
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.constraints import ConstraintSet
-from repro.core.errors import ReproError, ResourceLimitError
+from repro.core.errors import InvalidConfigurationError, ReproError
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
-from repro.gpus.noise import config_noise, stable_hash
+from repro.gpus.noise import keyed_hashes, stable_hash
 from repro.gpus.occupancy import OccupancyResult
-from repro.gpus.perfmodel import AnalyticalKernelModel, KernelLaunchConfig, ModelEstimate
+from repro.gpus.perfmodel import (
+    AnalyticalKernelModel,
+    KernelLaunchConfig,
+    ModelColumns,
+    failure_mask,
+)
 from repro.gpus.specs import GPUSpec
 from repro.kernels.base import KernelBenchmark, Workload
 
@@ -66,7 +72,8 @@ FAMILIES: tuple[str, ...] = ("separable", "coupled")
 #: plan manifests and ``--benchmark-spec`` arguments name.
 FACTORY_SPEC = "repro.kernels.synthetic:create_benchmark"
 
-#: Denominator of the deterministic failure draw (see :meth:`_failure_draw`).
+#: Denominator of the deterministic failure draw (see
+#: :meth:`SyntheticKernelModel.launch_errors`).
 _FAILURE_BUCKETS = 2**32
 
 
@@ -76,9 +83,9 @@ class SyntheticKernelModel(AnalyticalKernelModel):
     The model bypasses the roofline combiner: the simulated runtime is an explicit
     function of the configuration's normalized digit coordinates (family-dependent,
     see the module docstring), scaled to ``base_time_ms`` and perturbed by the same
-    deterministic lognormal noise the kernel models use.  ``occupancy`` and
-    ``estimate`` share one failure draw, so validity checks and measurements can
-    never disagree about which configurations fail.
+    deterministic lognormal noise the kernel models use.  Validity checks and
+    measurements share one failure draw (:meth:`launch_errors`), so they can never
+    disagree about which configurations fail.
 
     Parameters
     ----------
@@ -91,8 +98,7 @@ class SyntheticKernelModel(AnalyticalKernelModel):
     weights / ripples / frequencies:
         Per-parameter surface coefficients, generated once per seed.
     failure_rate:
-        Fraction of (configuration, device) pairs that raise
-        :class:`~repro.core.errors.ResourceLimitError`.
+        Fraction of (configuration, device) pairs that fail to launch.
     base_time_ms:
         Runtime scale of the scenario.
     device_shift:
@@ -112,25 +118,23 @@ class SyntheticKernelModel(AnalyticalKernelModel):
         self._weights = tuple(float(w) for w in weights)
         self._ripples = tuple(float(r) for r in ripples)
         self._frequencies = tuple(int(k) for k in frequencies)
-        self._names = tuple(p.name for p in parameters)
-        self._positions: tuple[dict[Any, int], ...] = tuple(
-            {value: j for j, value in enumerate(p.values)} for p in parameters)
-        self._spans = tuple(max(p.cardinality - 1, 1) for p in parameters)
+        self._parameters = tuple(parameters)
 
     # ----------------------------------------------------------------- coordinates
 
-    def _coordinates(self, config: Mapping[str, Any]) -> list[float]:
-        """Normalized digit coordinates in ``[0, 1]`` per parameter."""
-        coords = []
-        for name, positions, span in zip(self._names, self._positions, self._spans):
+    def _digits(self, columns: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+        """Digit column of every parameter (the coordinates before normalization)."""
+        digits = []
+        for p in self._parameters:
+            values = np.asarray(columns[p.name]).tolist()
             try:
-                digit = positions[config[name]]
-            except KeyError:
+                digits.append(p.digits_of(values))
+            except InvalidConfigurationError:
+                bad = next(v for v in values if v not in p.values)
                 raise ReproError(
-                    f"configuration value {config.get(name)!r} for {name!r} is not "
+                    f"configuration value {bad!r} for {p.name!r} is not "
                     f"part of scenario {self.name!r}") from None
-            coords.append(digit / span)
-        return coords
+        return digits
 
     def _device_center(self, gpu: GPUSpec, j: int) -> float:
         """Optimum location of parameter ``j`` on ``gpu`` (deterministic)."""
@@ -138,73 +142,77 @@ class SyntheticKernelModel(AnalyticalKernelModel):
         offset = (draw / _FAILURE_BUCKETS - 0.5) * 2.0 * self.device_shift
         return min(max(0.5 + offset, 0.0), 1.0)
 
-    # ---------------------------------------------------------------- failure model
-
-    def _failure_draw(self, config: Mapping[str, Any], gpu: GPUSpec) -> bool:
-        """Deterministic, process-stable failure verdict for one configuration."""
-        if self.failure_rate <= 0.0:
-            return False
-        draw = stable_hash("synthetic-fail", gpu.name, self.name, config)
-        return (draw % _FAILURE_BUCKETS) / _FAILURE_BUCKETS < self.failure_rate
-
-    def _check_launchable(self, config: Mapping[str, Any], gpu: GPUSpec) -> None:
-        if self._failure_draw(config, gpu):
-            raise ResourceLimitError(
-                f"synthetic scenario {self.name!r} rejects this configuration on "
-                f"{gpu.name} (deterministic failure model, "
-                f"rate {self.failure_rate:g})", resource="synthetic")
-
     # --------------------------------------------------------------- value surface
 
-    def surface(self, config: Mapping[str, Any], gpu: GPUSpec) -> float:
-        """Family value surface over the normalized coordinates (>= 0)."""
-        x = self._coordinates(config)
-        centers = [self._device_center(gpu, j) for j in range(len(x))]
+    def surface(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec) -> np.ndarray:
+        """Family value surface over the normalized coordinates (>= 0).
+
+        Each term is a function of one or two digits, so it is tabulated per digit
+        (pair) with scalar :mod:`math` and gathered.
+        """
+        digits = self._digits(columns)
+        coordinates = [[digit / max(p.cardinality - 1, 1) for digit in range(p.cardinality)]
+                       for p in self._parameters]
+        centers = [self._device_center(gpu, j) for j in range(len(digits))]
+        total: Any = 0.0
         if self.family == "separable":
-            total = 0.0
-            for xj, cj, w, amp, k in zip(x, centers, self._weights,
-                                         self._ripples, self._frequencies):
-                d = xj - cj
-                total += w * (d * d + amp * (1.0 - math.cos(2.0 * math.pi * k * d)))
+            for j, (x, cj, w, amp, k) in enumerate(zip(coordinates, centers, self._weights,
+                                                       self._ripples, self._frequencies)):
+                terms = []
+                for xj in x:
+                    d = xj - cj
+                    terms.append(w * (d * d + amp * (1.0 - math.cos(2.0 * math.pi * k * d))))
+                total = total + np.asarray(terms)[digits[j]]
             return total
         # Coupled (rosenbrock-like): consecutive coordinates share a curved valley
         # whose position shifts per device.
-        y = [0.15 + 0.7 * xj + 0.3 * (cj - 0.5) for xj, cj in zip(x, centers)]
-        total = 0.0
+        y = [[0.15 + 0.7 * xj + 0.3 * (cj - 0.5) for xj in x]
+             for x, cj in zip(coordinates, centers)]
+        if len(y) == 1:  # degenerate single-parameter scenario
+            w = self._weights[0]
+            return np.asarray([w * (1.0 - y0) ** 2 for y0 in y[0]])[digits[0]]
         for j in range(len(y) - 1):
             w = self._weights[j]
-            total += w * (4.0 * (y[j + 1] - y[j] * y[j]) ** 2
-                          + 0.25 * (1.0 - y[j]) ** 2)
-        if len(y) == 1:  # degenerate single-parameter scenario
-            total = self._weights[0] * (1.0 - y[0]) ** 2
+            terms = [[w * (4.0 * (y1 - y0 * y0) ** 2 + 0.25 * (1.0 - y0) ** 2)
+                      for y1 in y[j + 1]] for y0 in y[j]]
+            total = total + np.asarray(terms)[digits[j], digits[j + 1]]
         return total
 
     # ------------------------------------------------------------------ model API
 
-    def occupancy(self, config: Mapping[str, Any], gpu: GPUSpec) -> OccupancyResult:
-        """Launch feasibility check; raises for failure-model configurations."""
-        self._check_launchable(config, gpu)
-        return OccupancyResult(blocks_per_sm=4, active_warps=16, occupancy=0.5,
-                               limiting_factor="synthetic", warps_per_block=4)
+    def launch_errors(self, columns: Mapping[str, np.ndarray], keys: Sequence[bytes],
+                      gpu: GPUSpec) -> list[str]:
+        """The deterministic, process-stable failure model, one draw per key."""
+        if self.failure_rate <= 0.0:
+            return [""] * len(keys)
+        message = (f"synthetic scenario {self.name!r} rejects this configuration on "
+                   f"{gpu.name} (deterministic failure model, "
+                   f"rate {self.failure_rate:g})")
+        rate = self.failure_rate
+        return [message if (draw % _FAILURE_BUCKETS) / _FAILURE_BUCKETS < rate else ""
+                for draw in keyed_hashes(("synthetic-fail", gpu.name, self.name), keys)]
 
-    def estimate(self, config: Mapping[str, Any], gpu: GPUSpec,
-                 with_noise: bool = True) -> ModelEstimate:
-        """Simulated measurement of one configuration (see the class docstring)."""
-        self._check_launchable(config, gpu)
-        occ = OccupancyResult(blocks_per_sm=4, active_warps=16, occupancy=0.5,
-                              limiting_factor="synthetic", warps_per_block=4)
-        launch = KernelLaunchConfig(threads_per_block=128, grid_blocks=1024,
-                                    registers_per_thread=32.0, shared_mem_bytes=0.0)
-        surface = self.surface(config, gpu)
+    def evaluate(self, columns: Mapping[str, np.ndarray], keys: Sequence[bytes],
+                 gpu: GPUSpec, with_noise: bool = True) -> ModelColumns:
+        """Simulated measurements of a batch (see the class docstring)."""
+        errors = self.launch_errors(columns, keys, gpu)
+        failed = failure_mask(errors)
+        n = len(errors)
+        surface = self.surface(columns, gpu)
         total = self.base_time_ms * (0.2 + surface)
         factors = {"surface": surface}
         if with_noise:
-            noise = config_noise(gpu.name, self.name, config, sigma=self.noise_sigma)
-            total *= noise
+            noise = self._noise(keys, gpu, failed)
+            total = total * noise
             factors["noise"] = noise
-        return ModelEstimate(time_ms=float(total), compute_time_ms=float(total),
-                             memory_time_ms=0.0, occupancy=occ, launch=launch,
-                             factors=factors)
+        occupancy = OccupancyResult(blocks_per_sm=4, active_warps=16, occupancy=0.5,
+                                    limiting_factor="synthetic", warps_per_block=4)
+        launch = KernelLaunchConfig(threads_per_block=128, grid_blocks=1024,
+                                    registers_per_thread=32.0, shared_mem_bytes=0.0)
+        return ModelColumns(time_ms=np.where(failed, np.inf, total), failed=failed,
+                            errors=errors, compute_time_ms=total,
+                            memory_time_ms=np.zeros(n), occupancy=occupancy,
+                            launch=launch, factors=factors)
 
 
 # ----------------------------------------------------------------- space generation

@@ -467,6 +467,51 @@ def _json_hostile(node: ast.expr) -> str | None:
     return None
 
 
+# --------------------------------------------------------------------------- RPL008
+
+
+class NoNumpyTranscendentals(Rule):
+    """RPL008: the analytical model's transcendentals run in scalar ``math``.
+
+    Every campaign cache row is one row of the column model in ``repro.gpus`` and
+    ``repro.kernels``, and those rows are pinned byte for byte.  NumPy's ``exp``,
+    ``log`` and ``power`` ufuncs round differently from :mod:`math` on a few percent
+    of inputs, so a formula that calls them drifts from the pinned values in the
+    last bit.  The sanctioned form is :func:`repro.gpus.columns.per_value`: scalar
+    ``math`` on each distinct value, gathered back.  Flagged: any reference to a
+    NumPy transcendental ufunc, called or passed along, and importing one by name.
+    The functional references in ``repro.kernels.reference`` are exempt.
+    """
+
+    code = "RPL008"
+    name = "no-numpy-transcendentals"
+    contract = "Byte-identical campaign caches (bit-exact column model)"
+    scope = ("repro.gpus", "repro.kernels")
+    allowlist = {
+        "repro.kernels.reference":
+            "functional NumPy reference implementations; never feed a cache row",
+    }
+
+    _UFUNCS = frozenset({"exp", "log", "log2", "log10", "power", "cos", "sin",
+                         "float_power"})
+
+    def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[Violation]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                bad = sorted(a.name for a in node.names if a.name in self._UFUNCS)
+                if bad:
+                    yield (node.lineno, node.col_offset,
+                           f"importing {', '.join(bad)} from numpy brings ufuncs "
+                           f"that round differently from math into the model")
+            elif isinstance(node, ast.Attribute):
+                head, _, tail = _dotted(node).partition(".")
+                if head in ("np", "numpy") and tail in self._UFUNCS:
+                    yield (node.lineno, node.col_offset,
+                           f"{head}.{tail} rounds differently from scalar math on "
+                           f"some inputs; evaluate it with math per distinct value "
+                           f"(repro.gpus.columns.per_value)")
+
+
 # -------------------------------------------------------------------------- registry
 
 RULES: tuple[type[Rule], ...] = (
@@ -476,6 +521,7 @@ RULES: tuple[type[Rule], ...] = (
     ExecErrorTaxonomy,
     BudgetOverridePairs,
     SerializableSpecKwargs,
+    NoNumpyTranscendentals,
 )
 
 _BY_CODE = {rule.code: rule for rule in RULES}

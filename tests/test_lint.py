@@ -166,6 +166,28 @@ RULE_FIXTURES = {
                                    sizes=[16, 32], overwrite=True)
             """,
     },
+    "RPL008": {
+        "rel": "repro/kernels/model_example.py",
+        "bad": """
+            import numpy as np
+
+            def tile_factor(work, best):
+                return 1.0 - 0.05 * np.log2(work / best)
+            """,
+        "good": """
+            import math
+
+            import numpy as np
+
+            from repro.gpus.columns import per_value
+
+            def tile_factor(work, best):
+                return per_value(lambda w: 1.0 - 0.05 * math.log2(w / best), work)
+
+            def clamp(x):
+                return np.sqrt(np.minimum(x, 1.0))
+            """,
+    },
 }
 
 
@@ -255,6 +277,22 @@ class TestRuleFixtures:
                 return BenchmarkSpec("mod:factory", {"sizes": {1, 2, 3}})
             """)
         assert codes(result) == ["RPL006"]
+
+    def test_rpl008_flags_references_and_imports(self, tmp_path):
+        result = run_lint(tmp_path, "repro/gpus/curve.py", """
+            import numpy
+            from numpy import exp
+
+            def curves(x):
+                return list(map(numpy.cos, x)), exp(x)
+            """)
+        assert codes(result) == ["RPL008", "RPL008"]
+
+    def test_rpl008_scope_excludes_references_and_other_packages(self, tmp_path):
+        source = RULE_FIXTURES["RPL008"]["bad"]
+        assert run_lint(tmp_path, "repro/kernels/reference/example.py",
+                        source).findings == []
+        assert run_lint(tmp_path / "other", "repro/ml/example.py", source).findings == []
 
 
 class TestSuppressions:

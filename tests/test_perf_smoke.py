@@ -32,6 +32,7 @@ POPULATION_CAMPAIGN_CEILING_S = 3.0
 EVALUATE_INDEX_20K_CEILING_S = 2.0
 HASHED_BATCH_LOOKUP_CEILING_S = 10.0
 CACHE_REPLAY_OPEN_CEILING_S = 2.0
+MODEL_BATCH_GEMM_4GPU_CEILING_S = 1.5
 
 
 def _timed(fn):
@@ -262,4 +263,18 @@ def test_exact_constrained_count_gemm_under_ceiling(benchmarks):
     assert elapsed < COUNT_GEMM_CEILING_S, (
         f"exact GEMM constrained count took {elapsed:.2f}s "
         f"(ceiling {COUNT_GEMM_CEILING_S}s); the compiled constraint masks have "
+        f"likely regressed to per-config evaluation")
+
+
+def test_model_batch_gemm_on_four_gpus_under_ceiling(benchmarks, gpus):
+    # The analytical model over GEMM's whole feasible set on every GPU (71,824
+    # rows).  Per-config model calls take 2--5 s here; the column model well under 1.
+    benchmark = benchmarks["gemm"]
+    configs = benchmark.space.configs_at(benchmark.space.feasible_indices())
+    rows, elapsed = _timed(lambda: [benchmark.evaluate_batch(gpu, configs)
+                                    for gpu in gpus.values()])
+    assert sum(len(r) for r in rows) == 4 * 17_956
+    assert elapsed < MODEL_BATCH_GEMM_4GPU_CEILING_S, (
+        f"evaluate_batch over 4 x 17,956 GEMM configurations took {elapsed:.2f}s "
+        f"(ceiling {MODEL_BATCH_GEMM_4GPU_CEILING_S}s); the analytical model has "
         f"likely regressed to per-config evaluation")

@@ -25,6 +25,14 @@ class TestBasics:
         with pytest.raises(EmptySearchSpaceError):
             SearchSpace([])
 
+    def test_space_beyond_int64_indices_rejected(self):
+        # 10**22 points: the mixed-radix place values no longer fit an int64 index.
+        parameters = [Parameter(f"p{j}", tuple(range(10))) for j in range(22)]
+        with pytest.raises(InvalidConfigurationError, match=r"2\*\*63 - 1"):
+            SearchSpace(parameters)
+        # 10**18 points still fit.
+        assert SearchSpace(parameters[:18]).cardinality == 10**18
+
     def test_parameter_lookup(self, small_space):
         assert small_space.parameter("block").cardinality == 4
         with pytest.raises(InvalidConfigurationError):
