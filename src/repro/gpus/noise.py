@@ -40,7 +40,6 @@ __all__ = [
     "lognormal_factor",
     "lognormal_factors",
     "config_noise",
-    "config_noise_columns",
     "measurement_jitter",
 ]
 
@@ -130,13 +129,6 @@ def lognormal_factors(seed_hashes: Iterable[int], sigma: float) -> list[float]:
 def lognormal_factor(seed_hash: int, sigma: float) -> float:
     """A deterministic lognormal(0, sigma) multiplicative factor from a hash."""
     return lognormal_factors((seed_hash,), sigma)[0]
-
-
-def config_noise_columns(gpu_name: str, benchmark: str, keys: Sequence[bytes],
-                         sigma: float = 0.015) -> np.ndarray:
-    """Persistent model-error factors of the configurations behind ``keys``."""
-    return np.asarray(lognormal_factors(
-        keyed_hashes(("config", gpu_name, benchmark), keys), sigma), dtype=np.float64)
 
 
 def config_noise(gpu_name: str, benchmark: str, config: Mapping[str, Any],

@@ -69,7 +69,7 @@ import numpy as np
 from repro.core.errors import ResourceLimitError
 from repro.gpus.columns import at, per_value
 from repro.gpus.memory import MemoryTraffic, dram_time_ms
-from repro.gpus.noise import config_key, config_noise_columns
+from repro.gpus.noise import config_key, keyed_hashes, lognormal_factors
 from repro.gpus.occupancy import OccupancyResult, occupancy_columns
 from repro.gpus.specs import GPUSpec
 
@@ -186,11 +186,6 @@ class ModelColumns:
 def failure_mask(errors: Sequence[str]) -> np.ndarray:
     """Boolean mask of the rows with a non-empty error string."""
     return np.fromiter(map(bool, errors), dtype=bool, count=len(errors))
-
-
-def _rows(columns: Mapping[str, Any]) -> int:
-    """Number of configurations in a column mapping."""
-    return len(next(iter(columns.values())))
 
 
 # ----------------------------------------------------------------------- helper curves
@@ -322,7 +317,7 @@ class AnalyticalKernelModel:
     def _launch(self, columns: Mapping[str, np.ndarray], gpu: GPUSpec
                 ) -> tuple[KernelLaunchConfig, OccupancyResult, np.ndarray, list[str]]:
         """Launch shape, occupancy, spill fraction and launch errors of a batch."""
-        n = _rows(columns)
+        n = len(next(iter(columns.values())))
         launch = self.launch_config(columns, gpu)
         regs, spill_fraction = self._effective_registers(gpu, launch)
         occ, errors = occupancy_columns(gpu, np.broadcast_to(launch.threads_per_block, n),
@@ -414,14 +409,12 @@ class AnalyticalKernelModel:
         )
 
     def _noise(self, keys: Sequence[bytes], gpu: GPUSpec, failed: np.ndarray) -> np.ndarray:
-        """Per-row noise factors (1.0 on failed rows, which are never hashed)."""
-        if not failed.any():
-            return config_noise_columns(gpu.name, self.name, keys, sigma=self.noise_sigma)
+        """Per-row ``config_noise`` factors (1.0 on failed rows, which are not hashed)."""
+        rows = np.flatnonzero(~failed).tolist()
         noise = np.ones(len(keys))
-        rows = np.flatnonzero(~failed)
-        noise[rows] = config_noise_columns(gpu.name, self.name,
-                                           [keys[i] for i in rows.tolist()],
-                                           sigma=self.noise_sigma)
+        noise[rows] = lognormal_factors(
+            keyed_hashes(("config", gpu.name, self.name), [keys[i] for i in rows]),
+            self.noise_sigma)
         return noise
 
     # ---------------------------------------------------------------- scalar views
