@@ -93,11 +93,13 @@ def permutation_importance(model, X: np.ndarray, y: np.ndarray, n_repeats: int =
 
     n_features = X.shape[1]
     drops = np.zeros((n_features, n_repeats))
+    # One scratch copy of X: column j is overwritten per shuffle, restored after.
+    shuffled = X.copy()
     for j in range(n_features):
         for r in range(n_repeats):
-            shuffled = X.copy()
-            shuffled[:, j] = rng.permutation(shuffled[:, j])
+            shuffled[:, j] = rng.permutation(X[:, j])
             drops[j, r] = baseline - float(scoring(y, model.predict(shuffled)))
+        shuffled[:, j] = X[:, j]
 
     return PermutationImportanceResult(
         importances_mean=drops.mean(axis=1),

@@ -1,15 +1,37 @@
-"""Histogram-based regression tree.
+"""Histogram-based regression tree, grown level by level.
 
-The tree is the weak learner underneath :mod:`repro.ml.gbdt`.  Because every feature of
-a tuning configuration takes only a small number of distinct values (at most 37 across
-the whole suite), an exact histogram split search is both simple and fast: per node and
-feature the samples are bucketed into the feature's value bins with ``np.bincount``, the
-prefix sums give the left/right sums for *every* candidate split at once, and the best
-variance reduction is picked without any per-sample Python work.
+The tree is the weak learner underneath :mod:`repro.ml.gbdt`.  Every feature of a
+tuning configuration takes only a few distinct values (at most 37 across the whole
+suite), so the split search is exact over histograms: :func:`bin_features` maps
+each feature to bins once (halfway thresholds between unique values, or quantiles
+past ``max_bins``), and the prefix sums of per-bin weight, weighted target and
+weighted squared target give the left/right sums of *every* candidate split at once.
 
-The implementation is depth-first recursive with NumPy index arrays per node; trees are
-stored as parallel arrays so prediction is a vectorised loop over depth rather than a
-per-sample traversal.
+:meth:`DecisionTreeRegressor.grow` builds the tree one depth at a time over the
+binned matrix, with a fixed number of NumPy calls per level rather than per node
+and feature: one ``np.bincount`` fills the three histograms of every splittable
+node of the level, one ``cumsum`` along the bin axis and the variance-reduction
+formula score every (node, feature, bin) candidate, a flat ``argmax`` per node
+picks the split, and a stable sort partitions the rows into the children.
+
+The grower reproduces a depth-first per-node, per-feature builder bit for bit
+(``tests/test_ml_golden.py`` pins this), which fixes the order of every sum:
+
+1. Each histogram bucket adds its rows in ascending row order.
+2. Node totals and node values are per-node pairwise ``.sum()`` calls over the
+   node's rows in ascending order (``np.average(t, weights=w)`` is
+   ``(w * t).sum() / w.sum()``); they are never derived from the histograms,
+   which add sequentially.
+3. Candidates past a feature's own last bin are masked explicitly.
+4. The flat first maximum over (feature, bin) breaks ties towards the lowest
+   feature, then the lowest bin, and a split must gain more than 1e-12.
+5. ``feature_gains_`` accumulates in depth-first preorder of the split nodes, and
+   a split's gain is credited even when a child then holds fewer than
+   ``min_samples_leaf`` rows (weighted sizes passed, row counts did not) and the
+   node stays a leaf.
+
+Nodes are numbered breadth-first.  Trees are stored as parallel arrays so
+prediction is a vectorised loop over depth rather than a per-sample traversal.
 """
 
 from __future__ import annotations
@@ -22,6 +44,52 @@ import numpy as np
 __all__ = ["DecisionTreeRegressor"]
 
 _LEAF = -1
+
+#: A split must reduce the weighted squared error by more than this.
+_MIN_GAIN = 1e-12
+
+
+def check_finite(name: str, array: np.ndarray) -> None:
+    """Raise ``ValueError`` naming ``name`` if ``array`` holds NaN or infinity."""
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} contains NaN or infinite values")
+
+
+def check_training_data(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` as a finite float matrix and a matching finite float vector."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    if X.ndim != 2:
+        raise ValueError("X must be a 2D array")
+    if X.shape[0] != y.shape[0]:
+        raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit on zero samples")
+    check_finite("X", X)
+    check_finite("y", y)
+    return X, y
+
+
+def bin_features(X: np.ndarray, max_bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``(binned, edges)``: ``binned[j, i]`` is the bin of sample i in feature j.
+
+    ``edges[j][b]`` is the split threshold after bin b: halfway between consecutive
+    unique values, or quantiles when feature j has more than ``max_bins`` of them.
+    ``binned`` is feature-major so that gathering a node's rows reads each feature's
+    bins contiguously.
+    """
+    binned = np.empty(X.shape[::-1], dtype=np.int64)
+    edges = []
+    for j in range(X.shape[1]):
+        uniques = np.unique(X[:, j])
+        if len(uniques) > max_bins:
+            quantiles = np.linspace(0, 100, max_bins + 1)[1:-1]
+            feature_edges = np.unique(np.percentile(X[:, j], quantiles))
+        else:
+            feature_edges = (uniques[:-1] + uniques[1:]) / 2.0
+        edges.append(feature_edges)
+        binned[j] = np.searchsorted(feature_edges, X[:, j], side="left")
+    return binned, edges
 
 
 @dataclass
@@ -69,133 +137,166 @@ class DecisionTreeRegressor:
     def fit(self, X: np.ndarray, y: np.ndarray,
             sample_weight: np.ndarray | None = None) -> "DecisionTreeRegressor":
         """Fit the tree to ``(X, y)``; returns self."""
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if X.ndim != 2:
-            raise ValueError("X must be a 2D array")
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit a tree on zero samples")
+        X, y = check_training_data(X, y)
         if sample_weight is None:
             sample_weight = np.ones_like(y)
         else:
             sample_weight = np.asarray(sample_weight, dtype=float).ravel()
-
-        self.n_features_ = X.shape[1]
-        self.feature_gains_ = np.zeros(self.n_features_)
-
-        # Pre-bin every feature once: binned[i, j] is the bin index of sample i in
-        # feature j, and _bin_edges[j][b] is the numeric threshold of bin b.
-        binned = np.empty_like(X, dtype=np.int64)
-        self._bin_edges = []
-        for j in range(self.n_features_):
-            uniques = np.unique(X[:, j])
-            if len(uniques) > self.max_bins:
-                quantiles = np.linspace(0, 100, self.max_bins + 1)[1:-1]
-                edges = np.unique(np.percentile(X[:, j], quantiles))
-            else:
-                # Split thresholds halfway between consecutive unique values.
-                edges = (uniques[:-1] + uniques[1:]) / 2.0
-            self._bin_edges.append(edges)
-            binned[:, j] = np.searchsorted(edges, X[:, j], side="left")
-
-        nodes_feature: list[int] = []
-        nodes_threshold: list[float] = []
-        nodes_left: list[int] = []
-        nodes_right: list[int] = []
-        nodes_value: list[float] = []
-
-        def new_node() -> int:
-            nodes_feature.append(_LEAF)
-            nodes_threshold.append(0.0)
-            nodes_left.append(_LEAF)
-            nodes_right.append(_LEAF)
-            nodes_value.append(0.0)
-            return len(nodes_feature) - 1
-
-        def build(indices: np.ndarray, depth: int) -> int:
-            node = new_node()
-            w = sample_weight[indices]
-            t = y[indices]
-            total_w = w.sum()
-            node_value = float(np.average(t, weights=w)) if total_w > 0 else float(t.mean())
-            nodes_value[node] = node_value
-
-            if depth >= self.max_depth or len(indices) < self.min_samples_split:
-                return node
-            if np.all(t == t[0]):
-                return node
-
-            best = self._best_split(binned, indices, t, w)
-            if best is None:
-                return node
-            feature, bin_index, gain = best
-            self.feature_gains_[feature] += gain
-            threshold = float(self._bin_edges[feature][bin_index])
-            go_left = binned[indices, feature] <= bin_index
-            left_idx = indices[go_left]
-            right_idx = indices[~go_left]
-            if len(left_idx) < self.min_samples_leaf or len(right_idx) < self.min_samples_leaf:
-                return node
-
-            nodes_feature[node] = feature
-            nodes_threshold[node] = threshold
-            nodes_left[node] = build(left_idx, depth + 1)
-            nodes_right[node] = build(right_idx, depth + 1)
-            return node
-
-        build(np.arange(X.shape[0]), 0)
-        self._tree = _TreeArrays(
-            feature=np.asarray(nodes_feature, dtype=np.int64),
-            threshold=np.asarray(nodes_threshold, dtype=float),
-            left=np.asarray(nodes_left, dtype=np.int64),
-            right=np.asarray(nodes_right, dtype=np.int64),
-            value=np.asarray(nodes_value, dtype=float),
-        )
+            if sample_weight.shape != y.shape:
+                raise ValueError(f"sample_weight has {sample_weight.size} entries but y "
+                                 f"has {y.size}")
+            check_finite("sample_weight", sample_weight)
+        binned, edges = bin_features(X, self.max_bins)
+        self.grow(binned, edges, y, sample_weight)
         return self
 
-    def _best_split(self, binned: np.ndarray, indices: np.ndarray, t: np.ndarray,
-                    w: np.ndarray) -> tuple[int, int, float] | None:
-        """Best (feature, bin, gain) by weighted variance reduction, or None."""
-        best_gain = 1e-12
-        best: tuple[int, int, float] | None = None
-        total_w = w.sum()
-        total_wy = float((w * t).sum())
-        total_wyy = float((w * t * t).sum())
-        parent_sse = total_wyy - total_wy * total_wy / total_w
+    def grow(self, binned: np.ndarray, edges: list[np.ndarray], y: np.ndarray,
+             sample_weight: np.ndarray) -> np.ndarray:
+        """Grow the tree on a matrix binned by :func:`bin_features`, level by level.
 
-        for feature in range(binned.shape[1]):
-            edges = self._bin_edges[feature]
-            n_bins = len(edges) + 1
-            if n_bins < 2:
-                continue
-            bins = binned[indices, feature]
-            count_w = np.bincount(bins, weights=w, minlength=n_bins)
-            sum_wy = np.bincount(bins, weights=w * t, minlength=n_bins)
-            sum_wyy = np.bincount(bins, weights=w * t * t, minlength=n_bins)
+        Returns the fitted value of every row (the value of the leaf it lands in),
+        which equals ``predict`` on the unbinned rows because
+        ``searchsorted(edges, x, "left") <= b`` holds exactly when ``x <= edges[b]``.
+        """
+        n_features, n = binned.shape
+        self.n_features_ = n_features
+        self._bin_edges = edges
+        n_bins = np.asarray([len(e) + 1 for e in edges], dtype=np.int64)
+        width = int(n_bins.max(initial=1))
+        # Split candidate (feature f, bin b) sends bins <= b left; it exists for
+        # b < n_bins[f] - 1 only, the rest of the padded histogram is masked out.
+        candidate = np.arange(width - 1) < (n_bins - 1)[:, None]
+        # Histogram bucket of (slot, statistic, feature, bin) is
+        # ``slot * 3 * stride + statistic * stride + feature * width + bin``; the
+        # statistics are w, w*y and w*y*y.  Keys and weights run over the rows in
+        # data order, so each bucket adds its rows in ascending order.
+        stride = n_features * width
+        stat_bucket = binned + (np.arange(3)[:, None, None] * stride
+                                + (np.arange(n_features) * width)[:, None])
+        stats = np.stack((sample_weight, sample_weight * y, sample_weight * y * y))
+        weights = np.broadcast_to(stats[:, None], stat_bucket.shape).ravel()
+        min_leaf = self.min_samples_leaf
 
-            # Prefix sums over bins: split after bin b sends bins <= b to the left.
-            left_w = np.cumsum(count_w)[:-1]
-            left_wy = np.cumsum(sum_wy)[:-1]
-            left_wyy = np.cumsum(sum_wyy)[:-1]
-            right_w = total_w - left_w
-            right_wy = total_wy - left_wy
-            right_wyy = total_wyy - left_wyy
+        feature = [_LEAF]
+        bin_of = [0]
+        left = [_LEAF]
+        right = [_LEAF]
+        value = [0.0]
+        credited: dict[int, tuple[int, float]] = {}
+        leaf_of_row = np.zeros(n, dtype=np.int64)
 
-            valid = (left_w >= self.min_samples_leaf) & (right_w >= self.min_samples_leaf)
-            if not np.any(valid):
-                continue
+        # The frontier is one depth's nodes; ``order`` holds their rows grouped by
+        # node, ascending within each node, so every per-node sum adds the node's
+        # rows in the order they have in the data.
+        order = np.arange(n)
+        frontier = [0]
+        counts = np.asarray([n])
+        for depth in range(self.max_depth + 1):
+            if not frontier:
+                break
+            leaf_of_row[order] = np.repeat(frontier, counts)
+            y_level = y[order]
+            w_level = sample_weight[order]
+            wy_level = w_level * y_level
+            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            bounds = starts.tolist() + [len(order)]
+            splittable = (depth < self.max_depth) & (counts >= self.min_samples_split)
+            splittable &= (np.minimum.reduceat(y_level, starts)
+                           != np.maximum.reduceat(y_level, starts))
+            totals = []
+            for slot, node in enumerate(frontier):
+                lo, hi = bounds[slot], bounds[slot + 1]
+                total_w = w_level[lo:hi].sum()
+                total_wy = wy_level[lo:hi].sum()
+                value[node] = (float(total_wy / total_w) if total_w > 0
+                               else float(y_level[lo:hi].mean()))
+                if splittable[slot]:
+                    totals.append((total_w, total_wy,
+                                   (wy_level[lo:hi] * y_level[lo:hi]).sum()))
+            if not totals or width < 2:
+                break
+
+            # One bincount over every splittable node of the level; rows of the
+            # other nodes go to a spare slot that is never read.
+            n_split = len(totals)
+            slot_map = np.full(len(frontier), n_split)
+            slot_map[splittable] = np.arange(n_split)
+            slots = slot_map[np.repeat(np.arange(len(frontier)), counts)]
+            slot_of_row = np.full(n, n_split)
+            slot_of_row[order] = slots
+            hist = np.bincount((stat_bucket + slot_of_row * (3 * stride)).ravel(),
+                               weights=weights, minlength=(n_split + 1) * 3 * stride)
+            lefts = np.cumsum(hist.reshape(n_split + 1, 3, n_features, width)[:n_split],
+                              axis=3)[..., :-1]
+            totals = np.asarray(totals)[:, :, None, None]
+            side_w, side_wy, side_wyy = np.moveaxis(np.stack((lefts, totals - lefts)), 2, 0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                left_sse = left_wyy - np.where(left_w > 0, left_wy ** 2 / left_w, 0.0)
-                right_sse = right_wyy - np.where(right_w > 0, right_wy ** 2 / right_w, 0.0)
-            gain = parent_sse - (left_sse + right_sse)
-            gain[~valid] = -np.inf
-            b = int(np.argmax(gain))
-            if gain[b] > best_gain:
-                best_gain = float(gain[b])
-                best = (feature, b, float(gain[b]))
-        return best
+                sse = side_wyy - np.where(side_w > 0, side_wy ** 2 / side_w, 0.0)
+            total_w, total_wy, total_wyy = np.moveaxis(totals, 1, 0)
+            parent_sse = total_wyy - total_wy * total_wy / total_w
+            gain = (parent_sse - (sse[0] + sse[1])).reshape(n_split, -1)
+            valid = (side_w >= min_leaf).all(axis=0) & candidate
+            gain[~valid.reshape(n_split, -1)] = -np.inf
+            # First maximum over (feature, bin): lowest feature, then lowest bin.
+            best = gain.argmax(axis=1)
+            best_gain = gain[np.arange(n_split), best]
+            split = best_gain > _MIN_GAIN
+            best_feature, best_bin = np.divmod(best, width - 1)
+
+            keep = slots < n_split
+            rows, slots = order[keep], slots[keep]
+            go_right = binned[best_feature[slots], rows] > best_bin[slots]
+            n_left = np.bincount(slots[~go_right], minlength=n_split)
+            n_right = np.bincount(slots, minlength=n_split) - n_left
+            split_nodes = np.asarray(frontier)[splittable]
+            next_frontier: list[int] = []
+            child_counts: list[int] = []
+            for k in np.flatnonzero(split).tolist():
+                node = int(split_nodes[k])
+                f = int(best_feature[k])
+                # The gain counts even when a child then falls under min_samples_leaf
+                # (weighted sizes passed, row counts did not) and the node stays a leaf.
+                credited[node] = (f, float(best_gain[k]))
+                if n_left[k] < min_leaf or n_right[k] < min_leaf:
+                    split[k] = False
+                    continue
+                feature[node] = f
+                bin_of[node] = int(best_bin[k])
+                for side, count in ((left, n_left[k]), (right, n_right[k])):
+                    side[node] = len(feature)
+                    next_frontier.append(len(feature))
+                    child_counts.append(int(count))
+                    feature.append(_LEAF)
+                    bin_of.append(0)
+                    left.append(_LEAF)
+                    right.append(_LEAF)
+                    value.append(0.0)
+
+            move = split[slots]
+            order = rows[move][np.lexsort((go_right[move], slots[move]))]
+            frontier = next_frontier
+            counts = np.asarray(child_counts, dtype=np.int64)
+
+        # Credit split gains in depth-first preorder, the order they are summed in.
+        self.feature_gains_ = np.zeros(n_features)
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            if node in credited:
+                f, g = credited[node]
+                self.feature_gains_[f] += g
+            if feature[node] != _LEAF:
+                stack.extend((right[node], left[node]))
+
+        self._tree = _TreeArrays(
+            feature=np.asarray(feature, dtype=np.int64),
+            threshold=np.asarray([float(edges[f][b]) if f != _LEAF else 0.0
+                                  for f, b in zip(feature, bin_of)], dtype=float),
+            left=np.asarray(left, dtype=np.int64),
+            right=np.asarray(right, dtype=np.int64),
+            value=np.asarray(value, dtype=float),
+        )
+        return self._tree.value[leaf_of_row]
 
     # ------------------------------------------------------------------ prediction
 

@@ -103,6 +103,21 @@ class TestDecisionTree:
         with pytest.raises(ValueError):
             tree.predict(np.ones((5, 7)))
 
+    @pytest.mark.parametrize("bad", ["X", "y", "sample_weight"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad, value):
+        X, y = _make_regression(n=50)
+        arrays = {"X": X, "y": y, "sample_weight": np.ones_like(y)}
+        arrays[bad][3] = value
+        with pytest.raises(ValueError, match=bad):
+            DecisionTreeRegressor().fit(arrays["X"], arrays["y"],
+                                        sample_weight=arrays["sample_weight"])
+
+    def test_sample_weight_length_checked(self):
+        X, y = _make_regression(n=50)
+        with pytest.raises(ValueError, match="sample_weight"):
+            DecisionTreeRegressor().fit(X, y, sample_weight=np.ones(49))
+
 
 class TestGBDT:
     def test_outperforms_single_tree(self):
@@ -141,6 +156,17 @@ class TestGBDT:
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
             GradientBoostingRegressor().predict(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", ["X", "y"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_input_rejected(self, bad, value):
+        # A NaN target used to yield an all-NaN model of one-leaf trees, and a NaN
+        # feature value was silently binned.
+        X, y = _make_regression(n=50)
+        arrays = {"X": X, "y": y}
+        arrays[bad][7] = value
+        with pytest.raises(ValueError, match=bad):
+            GradientBoostingRegressor(n_estimators=3).fit(arrays["X"], arrays["y"])
 
 
 class TestPermutationImportance:

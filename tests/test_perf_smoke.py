@@ -33,6 +33,7 @@ EVALUATE_INDEX_20K_CEILING_S = 2.0
 HASHED_BATCH_LOOKUP_CEILING_S = 10.0
 CACHE_REPLAY_OPEN_CEILING_S = 2.0
 MODEL_BATCH_GEMM_4GPU_CEILING_S = 1.5
+GBDT_SURROGATE_FITS_CEILING_S = 3.0
 
 
 def _timed(fn):
@@ -278,3 +279,27 @@ def test_model_batch_gemm_on_four_gpus_under_ceiling(benchmarks, gpus):
         f"evaluate_batch over 4 x 17,956 GEMM configurations took {elapsed:.2f}s "
         f"(ceiling {MODEL_BATCH_GEMM_4GPU_CEILING_S}s); the analytical model has "
         f"likely regressed to per-config evaluation")
+
+
+def test_gbdt_surrogate_fits_under_ceiling():
+    # Twenty fits at SurrogateSearch's GBDT shape (60 trees, depth 4) on a small
+    # integer matrix, as the surrogate refits during a run.  The level-wise grower
+    # takes about a second and a half; per-node, per-feature split loops take
+    # about seven.
+    from repro.ml.gbdt import GradientBoostingRegressor
+
+    rng = np.random.default_rng(2023)
+    X = rng.integers(0, 8, size=(150, 6)).astype(float)
+    y = np.log1p(X[:, 0] * X[:, 1] + X[:, 2] ** 2 + 3.0 * X[:, 3])
+
+    def fits():
+        return [GradientBoostingRegressor(n_estimators=60, max_depth=4,
+                                          learning_rate=0.15, random_state=0).fit(X, y)
+                for _ in range(20)]
+
+    models, elapsed = _timed(fits)
+    assert models[-1].score(X, y) > 0.9
+    assert elapsed < GBDT_SURROGATE_FITS_CEILING_S, (
+        f"20 surrogate-shaped GBDT fits took {elapsed:.2f}s "
+        f"(ceiling {GBDT_SURROGATE_FITS_CEILING_S}s); the tree grower has likely "
+        f"regressed to per-node, per-feature split loops")
