@@ -178,7 +178,7 @@ class DecisionTreeRegressor:
         min_leaf = self.min_samples_leaf
 
         feature = [_LEAF]
-        bin_of = [0]
+        threshold = [0.0]
         left = [_LEAF]
         right = [_LEAF]
         value = [0.0]
@@ -261,13 +261,13 @@ class DecisionTreeRegressor:
                     split[k] = False
                     continue
                 feature[node] = f
-                bin_of[node] = int(best_bin[k])
+                threshold[node] = float(edges[f][best_bin[k]])
                 for side, count in ((left, n_left[k]), (right, n_right[k])):
                     side[node] = len(feature)
                     next_frontier.append(len(feature))
                     child_counts.append(int(count))
                     feature.append(_LEAF)
-                    bin_of.append(0)
+                    threshold.append(0.0)
                     left.append(_LEAF)
                     right.append(_LEAF)
                     value.append(0.0)
@@ -290,8 +290,7 @@ class DecisionTreeRegressor:
 
         self._tree = _TreeArrays(
             feature=np.asarray(feature, dtype=np.int64),
-            threshold=np.asarray([float(edges[f][b]) if f != _LEAF else 0.0
-                                  for f, b in zip(feature, bin_of)], dtype=float),
+            threshold=np.asarray(threshold, dtype=float),
             left=np.asarray(left, dtype=np.int64),
             right=np.asarray(right, dtype=np.int64),
             value=np.asarray(value, dtype=float),
