@@ -136,7 +136,10 @@ def neighbors_seed(space: SearchSpace, config: dict, strategy: str = "hamming") 
 class _SeedDictTuner(Tuner):
     """Base of the seed dict-path re-creations: config_key duplicate accounting."""
 
-    def _account(self, config, observation):
+    def evaluate(self, config):
+        if self._budget.exhausted:
+            return None
+        observation = self._problem.evaluate(config)
         key = config_key(config)
         new_config = key not in self._seen
         simulated_seconds = (observation.value / 1e3
@@ -144,6 +147,7 @@ class _SeedDictTuner(Tuner):
         self._budget.charge(simulated_seconds=simulated_seconds, new_config=new_config)
         self._seen.add(key)
         self._result.record(observation)
+        return observation
 
 
 class SeedLocalSearch(_SeedDictTuner):

@@ -31,7 +31,7 @@ import tempfile
 from pathlib import Path
 
 from repro import get_benchmark, register_benchmark, unregister_benchmark
-from repro.exec import ParallelExecutor, SerialExecutor, ShardPlanner
+from repro.exec import CheckpointStore, ParallelExecutor, SerialExecutor, ShardPlanner
 from repro.exec.cli import main as exec_cli
 from repro.kernels.synthetic import FACTORY_SPEC
 
@@ -89,11 +89,18 @@ def main() -> None:
         first = (Path(outdir) / f"demo_scn_{gpu}.json").read_bytes()
 
         # ------------------------------------------------- 4. "crash" and resume
-        fragments = sorted(Path(ckpt).glob("shard_*.json"))
-        for fragment in fragments[::2]:
-            os.unlink(fragment)
-        print(f"\nsimulated crash: deleted {len(fragments[::2])} of "
-              f"{len(fragments)} shard fragments")
+        store = CheckpointStore(ckpt)
+        shards = store.load_plan().shards
+        deleted = 0
+        for shard in shards[::2]:
+            if store.fragment_path(shard).exists():
+                os.unlink(store.fragment_path(shard))
+                deleted += 1
+        print(f"\nsimulated crash: deleted {deleted} of "
+              f"{len(shards)} shard fragments")
+        if not deleted:
+            raise SystemExit("found no shard fragments to delete; "
+                             "the resume below would test nothing")
         # Drop the registration entirely: resume must rebuild the scenario from
         # the spec stored in the checkpoint manifest.
         unregister_benchmark("demo_scn")

@@ -165,19 +165,13 @@ class TuningProblem:
 
     # ------------------------------------------------------------------- evaluation
 
-    def evaluate(self, config: Mapping[str, Any],
-                 _valid_hint: bool | None = None) -> Observation:
+    def evaluate(self, config: Mapping[str, Any]) -> Observation:
         """Measure one configuration and return the observation.
 
         Invalid configurations (constraint violations, device resource limits, or an
         objective function that raises/returns a non-finite value) yield an
         observation with ``valid=False`` and ``value=inf`` -- they still count as an
         evaluation, exactly as a failed compilation costs time on real hardware.
-
-        ``_valid_hint`` is the internal handshake with :meth:`evaluate_many`: the
-        batch path precomputes static validity for a whole block with the vectorized
-        constraint mask (element-wise equivalent to :meth:`is_valid` by the
-        compilation contract) so this method can skip the per-config scalar pass.
         """
         key = config_key(config)
         if self.memoize:
@@ -201,9 +195,7 @@ class TuningProblem:
         value: float
         valid = True
         error = ""
-        statically_valid = (self.space.is_valid(config) if _valid_hint is None
-                            else _valid_hint)
-        if not statically_valid:
+        if not self.space.is_valid(config):
             valid = False
             value = self.direction.worst_value
             error = "constraint violation: " + ", ".join(
@@ -237,10 +229,10 @@ class TuningProblem:
 
         The observation's configuration is a :class:`~repro.core.result.LazyConfig`
         that materialises from the space's value columns only if something reads it;
-        the hot loop itself touches no dictionary.  ``_valid_hint`` plays the same
-        role as in :meth:`evaluate`: tuners whose candidates already passed the
-        vectorized constraint mask (neighbourhood enumeration, valid sampling,
-        repair) pass ``True`` and skip the static check entirely.
+        the hot loop itself touches no dictionary.  Tuners whose candidates already
+        passed the vectorized constraint mask (neighbourhood enumeration, valid
+        sampling, repair) pass ``_valid_hint=True`` and skip the static check
+        entirely.
         """
         index = int(index)
         if self.memoize:
@@ -402,38 +394,6 @@ class TuningProblem:
             hints = [valid_hint] * idx.size
         return [self.evaluate_index(i, _valid_hint=hint)
                 for i, hint in zip(idx.tolist(), hints)]
-
-    def _batch_validity(self, configs: Sequence[Mapping[str, Any]]) -> list[bool | None]:
-        """Static validity of many configurations in one vectorized pass.
-
-        Returns one hint per configuration, or ``None`` hints (scalar fallback) when
-        the block cannot be validated as a whole -- a configuration with
-        missing/extra parameters or a value outside its parameter's list.
-        """
-        names = set(self.space.parameter_names)
-        if any(set(c) != names for c in configs):
-            return [None] * len(configs)
-        try:
-            digits = self.space.digits_of_configs(configs)
-        except ReproError:
-            return [None] * len(configs)
-        return self.space.satisfied_mask(None, digits=digits).tolist()
-
-    def evaluate_many(self, configs: Sequence[Mapping[str, Any]]) -> list[Observation]:
-        """Evaluate a batch of configurations in order.
-
-        Observation-for-observation identical to calling :meth:`evaluate` in a loop,
-        but the static validity check runs once over the whole batch through the
-        vectorized constraint mask instead of once per configuration -- the same
-        batching discipline the shard workers of :mod:`repro.exec` use for the
-        kernel-model calls.
-        """
-        configs = list(configs)
-        if len(configs) < 2:
-            return [self.evaluate(c) for c in configs]
-        hints = self._batch_validity(configs)
-        return [self.evaluate(c, _valid_hint=hint)
-                for c, hint in zip(configs, hints)]
 
     def objective(self, config: Mapping[str, Any]) -> float:
         """Scalar objective of a configuration (``inf`` for invalid ones)."""

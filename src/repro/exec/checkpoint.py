@@ -1,8 +1,8 @@
 """Resumable campaign checkpoints.
 
 A checkpoint directory makes an interrupted campaign cheap to finish: every completed
-shard is persisted immediately as a cache-file fragment (atomic write, deterministic
-bytes -- see :mod:`repro.io.cachefile`), and a manifest pins the exact shard plan the
+shard is persisted immediately as a columnar fragment (atomic write, deterministic
+bytes -- see :mod:`repro.io.columnar`), and a manifest pins the exact shard plan the
 fragments belong to.  Because writes are atomic, a killed campaign leaves only
 complete fragments; resuming re-evaluates exactly the missing shards and the merged
 result is byte-identical to an uninterrupted run.
@@ -12,17 +12,16 @@ Layout::
     <directory>/
         manifest.json        the serialized CampaignPlan
         health.json          retry / quarantine / repair history (optional)
-        shard_00000.json     rows of shard 0 (value/valid/error triples, checksummed)
-        shard_00001.json     ...
+        shard_00000.col      rows of shard 0 (value/code columns, checksummed)
+        shard_00001.col      ...
 
-Fragments come in two formats sharing one contract: the JSON files above
-(interchange, the default) and columnar ``shard_*.col`` files
-(:mod:`repro.io.columnar` -- fixed-width value/code columns behind a checksummed
-header, selected with ``fragment_format="columnar"`` / the ``--cache-format`` CLI
-flag).  A directory holds exactly one format; resumes auto-detect it from the
-manifest (or from the fragments already on disk) and refuse a conflicting explicit
-choice rather than mixing.  Row semantics, atomicity, shard validation and damage
-signalling are identical in both, so executors never care which one is underneath.
+Fragments are columnar only: fixed-width value/code columns behind a checksummed
+header, which the executors' merge concatenates without decoding a row.  Every
+manifest records ``"fragment_format": "columnar"``; a manifest without it belongs
+to a JSON-fragment checkpoint of an earlier release and is refused with a
+:class:`~repro.core.errors.SerializationError` (finish such a run with that
+release, or start a fresh directory).  JSON remains the interchange and export
+format of final caches (:mod:`repro.io.cachefile`).
 
 The store is deliberately dumb: it knows nothing about executors or kernel models,
 only about plans, shards and rows.  Validation is strict -- a manifest that does not
@@ -46,24 +45,19 @@ from typing import Any, Mapping, Sequence
 from repro.core.errors import SerializationError
 from repro.exec.planner import CampaignPlan, Shard
 from repro.io.cachefile import (
+    FRAGMENT_FORMAT,
     atomic_write_json,
-    load_fragment,
     load_manifest,
     read_json,
-    save_fragment,
     save_manifest,
 )
 from repro.io.columnar import (
-    COLUMNAR_SUFFIX,
-    load_columnar_fragment,
+    decode_failure_strings,
     load_columnar_fragment_columns,
     save_columnar_fragment,
 )
 
-__all__ = ["CheckpointStore", "benchmark_fingerprint", "FRAGMENT_FORMATS"]
-
-#: Fragment formats a checkpoint directory may hold (one per directory).
-FRAGMENT_FORMATS = ("json", "columnar")
+__all__ = ["CheckpointStore", "benchmark_fingerprint"]
 
 #: Manifest file name inside a checkpoint directory.
 MANIFEST_NAME = "manifest.json"
@@ -97,39 +91,17 @@ class CheckpointStore:
     directory:
         Checkpoint directory (created on first write).
     fragment_format:
-        ``"json"`` (default) or ``"columnar"``; ``None`` auto-detects from the
-        manifest or the fragments already on disk, which is what ``resume`` and
-        ``doctor`` rely on.
+        Accepted for callers that name the format; fragments are columnar only,
+        so any value but ``"columnar"`` raises :class:`ValueError`.
     """
 
     def __init__(self, directory: str | Path,
-                 fragment_format: str | None = None):
-        self.directory = Path(directory)
-        if fragment_format is not None and fragment_format not in FRAGMENT_FORMATS:
+                 fragment_format: str = FRAGMENT_FORMAT):
+        if fragment_format != FRAGMENT_FORMAT:
             raise ValueError(
-                f"fragment_format must be one of {FRAGMENT_FORMATS}, "
-                f"got {fragment_format!r}")
-        self._fragment_format = fragment_format
-
-    @property
-    def fragment_format(self) -> str:
-        """The directory's fragment format, resolved once per store.
-
-        An explicit constructor choice wins; otherwise the manifest's recorded
-        format, then the presence of ``shard_*.col`` fragments, then ``"json"``.
-        """
-        if self._fragment_format is None:
-            self._fragment_format = self._detect_format()
-        return self._fragment_format
-
-    def _detect_format(self) -> str:
-        if self.has_manifest():
-            recorded = load_manifest(self.manifest_path).get("fragment_format")
-            if recorded in FRAGMENT_FORMATS:
-                return recorded
-        if any(self.directory.glob("shard_*" + COLUMNAR_SUFFIX)):
-            return "columnar"
-        return "json"
+                f"checkpoint fragments are {FRAGMENT_FORMAT!r} only, got "
+                f"fragment_format={fragment_format!r}")
+        self.directory = Path(directory)
 
     # ------------------------------------------------------------------- manifest
 
@@ -172,38 +144,19 @@ class CheckpointStore:
                         f"different definitions of {sorted(diverged)} (space or "
                         f"workload changed); its fragments cannot be merged with "
                         f"the current benchmarks")
-            recorded = existing.get("fragment_format")
-            if recorded not in FRAGMENT_FORMATS:
-                recorded = ("columnar"
-                            if any(self.directory.glob("shard_*" + COLUMNAR_SUFFIX))
-                            else "json")
-            if self._fragment_format is not None and self._fragment_format != recorded:
-                raise SerializationError(
-                    f"checkpoint directory {self.directory} holds {recorded} "
-                    f"fragments; it cannot be continued with "
-                    f"fragment_format={self._fragment_format!r} (one format per "
-                    f"directory)")
-            self._fragment_format = recorded
             return
-        # Only a non-default format is recorded, keeping the bytes of every
-        # JSON-format manifest identical to what earlier versions wrote.
-        save_manifest(self.manifest_path, plan.to_dict(), fingerprints,
-                      fragment_format=(self.fragment_format
-                                       if self.fragment_format != "json" else None))
+        save_manifest(self.manifest_path, plan.to_dict(), fingerprints)
 
     # ------------------------------------------------------------------ fragments
 
     def fragment_path(self, shard: Shard) -> Path:
-        name = shard.fragment_name
-        if self.fragment_format == "columnar":
-            name = str(Path(name).with_suffix(COLUMNAR_SUFFIX))
-        return self.directory / name
+        return self.directory / shard.fragment_name
 
     def completed_shard_ids(self, plan: CampaignPlan) -> set[int]:
         """IDs of plan shards whose fragment is present on disk.
 
         Stale ``*.tmp`` siblings of interrupted writes never count: only the
-        final fragment name (of the directory's format) marks completion.
+        final fragment name marks completion.
         """
         return {s.shard_id for s in plan.shards if self.fragment_path(s).exists()}
 
@@ -214,49 +167,37 @@ class CheckpointStore:
             raise SerializationError(
                 f"shard {shard.shard_id} produced {len(rows)} rows, "
                 f"expected {shard.n_configs}")
-        if self.fragment_format == "columnar":
-            return save_columnar_fragment(self.fragment_path(shard),
-                                          shard.to_dict(), rows)
-        return save_fragment(self.fragment_path(shard), shard.to_dict(), rows)
+        return save_columnar_fragment(self.fragment_path(shard),
+                                      shard.to_dict(), rows)
 
-    def _validate_shard_meta(self, shard: Shard, meta: Mapping[str, Any],
-                             n_rows: int) -> None:
+    def load_shard(self, shard: Shard) -> list[tuple[float, bool, str]]:
+        """Load and validate the ``(value, valid, error)`` rows of one shard."""
+        values, codes, errors = self.load_shard_columns(shard)
+        valid, messages = decode_failure_strings(codes, errors)
+        return list(zip(values.tolist(), valid.tolist(), messages))
+
+    def load_shard_columns(self, shard: Shard) -> tuple[Any, Any, list[str]]:
+        """Load and validate one shard as raw ``(values, codes, errors)`` columns.
+
+        The no-decode form the executors' merge concatenates
+        (:func:`repro.io.columnar.concat_fragment_columns`).  A fragment whose
+        header describes another shard, or whose row count disagrees with it,
+        raises :class:`SerializationError`.
+        """
+        path = self.fragment_path(shard)
+        meta, values, codes, errors = load_columnar_fragment_columns(path)
         if (meta.get("shard_id") != shard.shard_id
                 or meta.get("benchmark") != shard.benchmark
                 or meta.get("gpu") != shard.gpu
                 or meta.get("start") != shard.start
                 or meta.get("stop") != shard.stop):
             raise SerializationError(
-                f"fragment {self.fragment_path(shard)} describes shard "
-                f"{dict(meta)}, expected {shard.to_dict()}")
-        if n_rows != shard.n_configs:
+                f"fragment {path} describes shard {dict(meta)}, expected "
+                f"{shard.to_dict()}")
+        if values.size != shard.n_configs:
             raise SerializationError(
-                f"fragment {self.fragment_path(shard)} has {n_rows} rows, "
-                f"expected {shard.n_configs}")
-
-    def load_shard(self, shard: Shard) -> list[tuple[float, bool, str]]:
-        """Load and validate the rows of one completed shard."""
-        loader = (load_columnar_fragment if self.fragment_format == "columnar"
-                  else load_fragment)
-        meta, rows = loader(self.fragment_path(shard))
-        self._validate_shard_meta(shard, meta, len(rows))
-        return rows
-
-    def load_shard_columns(self, shard: Shard) -> tuple[Any, Any, list[str]]:
-        """Load one columnar shard as raw ``(values, codes, errors)`` columns.
-
-        The no-decode form the executors' merge concatenates
-        (:func:`repro.io.columnar.concat_fragment_columns`); validation matches
-        :meth:`load_shard` exactly.  Only meaningful for columnar directories.
-        """
-        if self.fragment_format != "columnar":
-            raise SerializationError(
-                f"checkpoint directory {self.directory} holds "
-                f"{self.fragment_format} fragments; load_shard_columns requires "
-                f"the columnar format")
-        meta, values, codes, errors = load_columnar_fragment_columns(
-            self.fragment_path(shard))
-        self._validate_shard_meta(shard, meta, int(values.size))
+                f"fragment {path} has {values.size} rows, expected "
+                f"{shard.n_configs}")
         return values, codes, errors
 
     def verify_fragments(self, plan: CampaignPlan | None = None) -> dict[str, Any]:

@@ -26,12 +26,14 @@ Subcommands
     deletes the damaged fragments (so ``resume`` re-executes exactly those
     shards) and sweeps the litter.
 
-``run`` and ``resume`` accept ``--cache-format {json,columnar}``: ``json`` (the
-default) keeps today's interchange files byte-for-byte; ``columnar`` stores
-checkpoint fragments and ``--output-dir`` caches in the binary memory-mappable
-format of :mod:`repro.io.columnar` (identical values, ~order-of-magnitude faster
-replay opens).  A checkpoint directory holds one format; ``resume`` auto-detects
-it.
+Checkpoint fragments are always columnar (:mod:`repro.io.columnar`).  ``run`` and
+``resume`` accept ``--cache-format {json,columnar}`` for the ``--output-dir``
+caches only: ``json`` (the default for both) writes the interchange files;
+``columnar`` writes the binary memory-mappable format (identical values,
+~order-of-magnitude faster replay opens).  A checkpoint directory written by an
+earlier release with JSON fragments is refused by ``resume``, ``status`` and
+``doctor`` with exit code 1: finish it with that release, or start a fresh
+directory.
 
 Fault tolerance: ``run`` and ``resume`` accept ``--max-retries N`` (retry transient
 shard failures on a deterministic backoff schedule, then quarantine instead of
@@ -73,7 +75,7 @@ import threading
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, SerializationError
 from repro.core.registry import (
     BenchmarkSpec,
     _normalize_benchmark_name,
@@ -187,14 +189,12 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--compress", action="store_true",
                         help="gzip the cache files written to --output-dir "
                              "(JSON format only)")
-    parser.add_argument("--cache-format", default=None,
+    parser.add_argument("--cache-format", default="json",
                         choices=("json", "columnar"), metavar="FMT",
-                        help="on-disk format of checkpoint fragments and "
-                             "--output-dir caches: 'json' (interchange, the "
-                             "default) or 'columnar' (binary memory-mappable "
-                             "columns, see repro.io.columnar).  resume "
-                             "auto-detects the checkpoint's format when omitted "
-                             "and refuses a conflicting choice")
+                        help="format of the --output-dir caches: 'json' "
+                             "(interchange, the default) or 'columnar' (binary "
+                             "memory-mappable columns, see repro.io.columnar).  "
+                             "Checkpoint fragments are always columnar")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-shard progress lines")
     parser.add_argument("--max-retries", type=int, default=None, metavar="N",
@@ -331,7 +331,7 @@ def _print_plan_table(plan, out) -> None:
 
 
 def _write_caches(caches, output_dir: str, compress: bool, out,
-                  cache_format: str | None = None) -> None:
+                  cache_format: str) -> None:
     from repro.io.cachefile import save_cache
     from repro.io.columnar import COLUMNAR_SUFFIX
 
@@ -367,8 +367,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         if args.command == "run":
             planner = _planner_from_args(args)
             executor = _make_executor(args)
-            checkpoint = (CheckpointStore(args.checkpoint_dir,
-                                          fragment_format=args.cache_format)
+            checkpoint = (CheckpointStore(args.checkpoint_dir)
                           if args.checkpoint_dir else None)
             try:
                 with _sigterm_as_interrupt():
@@ -391,11 +390,10 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
             return _print_quarantine(executor, out)
 
         if args.command == "resume":
+            store = _open_checkpoint(args.checkpoint_dir, out)
+            if store is None:
+                return 1
             executor = _make_executor(args)
-            # No explicit --cache-format means "whatever the directory holds";
-            # an explicit one is a claim the store verifies against the manifest.
-            store = CheckpointStore(args.checkpoint_dir,
-                                    fragment_format=args.cache_format)
             try:
                 with _sigterm_as_interrupt():
                     caches = resume_campaign(store, executor=executor,
@@ -405,15 +403,14 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
                 return EXIT_INTERRUPTED
             if args.output_dir:
                 _write_caches(caches, args.output_dir, args.compress, out,
-                              args.cache_format or store.fragment_format)
+                              args.cache_format)
             for (benchmark, gpu), cache in caches.items():
                 print(f"{benchmark}/{gpu}: {len(cache)} entries", file=out)
             return _print_quarantine(executor, out)
 
         if args.command == "doctor":
-            store = CheckpointStore(args.checkpoint_dir)
-            if not store.has_manifest():
-                print(f"no manifest in {args.checkpoint_dir}", file=out)
+            store = _open_checkpoint(args.checkpoint_dir, out)
+            if store is None:
                 return 1
             report = store.verify_fragments()
             print(f"{len(report['ok'])} ok, {len(report['missing'])} missing, "
@@ -443,9 +440,8 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
             return 0
 
         if args.command == "status":
-            store = CheckpointStore(args.checkpoint_dir)
-            if not store.has_manifest():
-                print(f"no manifest in {args.checkpoint_dir}", file=out)
+            store = _open_checkpoint(args.checkpoint_dir, out)
+            if store is None:
                 return 1
             status = store.status()
             for row in status["units"]:
@@ -484,6 +480,22 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         print(f"error: {exc}", file=out)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+
+
+def _open_checkpoint(directory: str, out) -> CheckpointStore | None:
+    """The store of an existing checkpoint directory, or None (reported to
+    ``out``) when it has no manifest or its manifest cannot be read -- e.g. a
+    JSON-fragment checkpoint of an earlier release."""
+    store = CheckpointStore(directory)
+    if not store.has_manifest():
+        print(f"no manifest in {directory}", file=out)
+        return None
+    try:
+        store.load_plan()
+    except SerializationError as exc:
+        print(f"error: {exc}", file=out)
+        return None
+    return store
 
 
 def _print_interrupted(checkpoint_dir: str | None, out) -> None:

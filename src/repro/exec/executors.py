@@ -82,6 +82,7 @@ from repro.exec.planner import CampaignPlan, CampaignUnit, Shard, ShardPlanner, 
 from repro.exec.progress import ShardProgressReporter
 from repro.exec.retry import RetryPolicy
 from repro.exec.worker import shard_worker_loop
+from repro.io.columnar import concat_fragment_columns, decode_failure_strings
 
 __all__ = ["Executor", "SerialExecutor", "ParallelExecutor", "run_campaign",
            "resume_campaign"]
@@ -343,8 +344,6 @@ class Executor(abc.ABC):
         rows_by_shard: dict[int, list[tuple[float, bool, str]]] = {}
         columns_by_shard: dict[int, tuple[np.ndarray, np.ndarray, list[str]]] = {}
         configs_by_shard: dict[int, list[Mapping[str, Any]]] = {}
-        columnar_checkpoint = (checkpoint is not None
-                               and checkpoint.fragment_format == "columnar")
         tasks: list[_ShardTask] = []
         selected_shards: list[Shard] = []
         heal_notes: list[str] = []
@@ -354,14 +353,11 @@ class Executor(abc.ABC):
             selected_shards.append(shard)
             if shard.shard_id in done:
                 try:
-                    if columnar_checkpoint:
-                        # Columnar fragments stay columns end to end: no row
-                        # decode here, and none in the merge either when every
-                        # shard of the unit came off disk.
-                        columns_by_shard[shard.shard_id] = (
-                            checkpoint.load_shard_columns(shard))
-                    else:
-                        rows_by_shard[shard.shard_id] = checkpoint.load_shard(shard)
+                    # Loaded fragments stay columns: no row decode here, and none
+                    # in the merge either when every shard of the unit came off
+                    # disk.
+                    columns_by_shard[shard.shard_id] = (
+                        checkpoint.load_shard_columns(shard))
                     continue
                 except SerializationError as exc:
                     # Heal instead of dying: a fragment that is damaged (or
@@ -448,23 +444,30 @@ class Executor(abc.ABC):
                rows_by_shard: Mapping[int, list[tuple[float, bool, str]]],
                configs_by_shard: Mapping[int, list[Mapping[str, Any]]],
                columns_by_shard: Mapping[int, tuple[np.ndarray, np.ndarray,
-                                                    list[str]]] | None = None,
+                                                    list[str]]],
                ) -> dict[tuple[str, str], EvaluationCache]:
-        """Merge shard rows into campaign caches, in serial insertion order.
+        """Merge shard results into campaign caches, in serial insertion order.
 
         ``plan.shards_of`` yields shards sorted by start offset -- evaluation
         order, never completion order -- which is what makes the merge (and the
         bytes of anything serialized from it) independent of scheduling.
 
-        A unit whose every shard was loaded as columnar fragment columns merges
-        without decoding a single row: the value/code columns are concatenated in
-        shard order with one error-table re-intern
-        (:func:`repro.io.columnar.concat_fragment_columns`) and adopted by the
-        cache wholesale.  Any freshly-executed shard in the unit falls back to
-        the per-row path, whose inserted observations are identical by
-        construction.
+        Freshly evaluated shards arrive as rows (``rows_by_shard``), shards loaded
+        from the checkpoint as fragment columns (``columns_by_shard``).  A unit
+        whose every shard was loaded merges without decoding a single row: the
+        value/code columns are concatenated in shard order with one error-table
+        re-intern (:func:`repro.io.columnar.concat_fragment_columns`) and adopted
+        by the cache wholesale.  Any other unit takes the per-row path, whose
+        inserted observations are identical by construction.
         """
-        columns_by_shard = columns_by_shard or {}
+        # Both merge paths stay; each wins on the workload that uses it (full
+        # 129,952-row paper campaign, 2 runs, 2-vCPU host).  Per-row cache.add
+        # costs 1.10-1.20 s and attach_columns 0.07 s, so loaded units (resume,
+        # the `replay` bench workload) attach.  Fresh units (`campaign`, `learn`)
+        # add eagerly: a JSON export of attached caches costs 1.8-2.0 s more than
+        # of eager ones (still 1.1-1.2 s more with a batch-decoding
+        # _materialize), and encode_cache on the four `learn` units takes
+        # 0.73-0.81 s attached against 0.05 s eager.
         caches: dict[tuple[str, str], EvaluationCache] = {}
         for unit in units:
             benchmark = benchmarks[unit.benchmark]
@@ -472,9 +475,7 @@ class Executor(abc.ABC):
             cache = benchmark.new_cache(gpu, sample_size=unit.sample_size)
             indices = indices_by_unit[unit.key]
             shards = plan.shards_of(unit)
-            if (columns_by_shard
-                    and all(s.shard_id in columns_by_shard for s in shards)):
-                from repro.io.columnar import concat_fragment_columns
+            if all(s.shard_id in columns_by_shard for s in shards):
                 values, codes, errors = concat_fragment_columns(
                     [columns_by_shard[s.shard_id] for s in shards])
                 cache.attach_columns(indices, values, codes, errors)
@@ -487,7 +488,6 @@ class Executor(abc.ABC):
                         indices[shard.start:shard.stop])
                 columns = columns_by_shard.get(shard.shard_id)
                 if columns is not None:
-                    from repro.io.columnar import decode_failure_strings
                     col_values, col_codes, col_errors = columns
                     valid, errors = decode_failure_strings(col_codes, col_errors)
                     rows = list(zip(col_values.tolist(), valid.tolist(), errors))

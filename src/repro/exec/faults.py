@@ -28,8 +28,8 @@ worker      transient  raises :class:`~repro.core.errors.TransientExecutionError
 worker      permanent  raises :class:`~repro.core.errors.ExecutionError` (quarantined
                        immediately -- retrying a permanent failure is pointless)
 fragment    truncate   fragment file cut to half its bytes
-fragment    bitflip    one bit flipped mid-file
-fragment    tamper     a row value edited, JSON kept valid (checksum must catch it)
+fragment    bitflip    one bit flipped inside the column data
+fragment    tamper     a row value edited, header kept valid (checksum must catch it)
 ==========  =========  ===========================================================
 
 The standing contract the chaos suite asserts: under every one of these, the merged
@@ -39,7 +39,6 @@ run (or the affected unit is quarantined deterministically).
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,7 +52,7 @@ from repro.core.errors import (
     WorkerCrashError,
 )
 from repro.exec.retry import unit_uniform
-from repro.io.columnar import COLUMNAR_MAGIC, peek_columnar_header
+from repro.io.columnar import peek_columnar_header
 
 __all__ = ["Fault", "FaultPlan", "corrupt_fragment",
            "WORKER_FAULT_KINDS", "FRAGMENT_FAULT_KINDS"]
@@ -189,58 +188,40 @@ class FaultPlan:
 
 
 def corrupt_fragment(path: str | Path, mode: str = "bitflip") -> Path:
-    """Damage a checkpoint fragment on disk (the ``"fragment"`` fault site).
+    """Damage a columnar checkpoint fragment on disk (the ``"fragment"`` fault site).
 
     ``truncate`` halves the file (a torn write that bypassed the atomic rename,
-    e.g. filesystem loss after a power cut); ``bitflip`` flips one bit mid-file
-    (storage rot); ``tamper`` edits a row value while keeping the container
-    structurally valid -- the case only the fragment checksum can catch.  All
-    three modes understand both fragment formats: for columnar files, ``tamper``
-    locates the value column through the header directory and rewrites its first
-    float in place, and ``bitflip`` targets the middle of the column data (never
-    header padding, which no checksum covers).
+    e.g. filesystem loss after a power cut); ``bitflip`` flips one bit in the
+    middle of the first column's data (storage rot; never header padding, which
+    no checksum covers); ``tamper`` rewrites the first float of the value column,
+    located through the header directory, keeping the file structurally valid --
+    the case only the column checksum can catch.
     """
     path = Path(path)
     data = path.read_bytes()
     if not data:
         raise ReproError(f"cannot corrupt empty fragment {path}")
-    columnar = data.startswith(COLUMNAR_MAGIC)
     if mode == "truncate":
         # repro: allow[RPL003] deliberate in-place damage: this is the fault injector
         path.write_bytes(data[: len(data) // 2])
     elif mode == "bitflip":
+        entry = peek_columnar_header(path)["columns"][0]
         buffer = bytearray(data)
-        if columnar:
-            # Flip inside the first column's data so the damage is always under
-            # a checksum (mid-file could land in inter-column zero padding).
-            entry = peek_columnar_header(path)["columns"][0]
-            target = int(entry["offset"]) + int(entry["nbytes"]) // 2
-        else:
-            target = len(buffer) // 2
-        buffer[target] ^= 0x01
+        buffer[int(entry["offset"]) + int(entry["nbytes"]) // 2] ^= 0x01
         # repro: allow[RPL003] deliberate in-place damage: this is the fault injector
         path.write_bytes(bytes(buffer))
     elif mode == "tamper":
-        if columnar:
-            header = peek_columnar_header(path)
-            entry = next(e for e in header["columns"] if e["name"] == "value")
-            if int(entry["nbytes"]) < 8:
-                raise ReproError(f"fragment {path} has no rows to tamper with")
-            offset = int(entry["offset"])
-            current = struct.unpack_from("<d", data, offset)[0]
-            buffer = bytearray(data)
-            struct.pack_into("<d", buffer, offset,
-                             123456.75 if current != 123456.75 else 654321.5)
-            # repro: allow[RPL003] deliberate in-place damage: this is the fault injector
-            path.write_bytes(bytes(buffer))
-        else:
-            payload = json.loads(data.decode("utf-8"))
-            rows = payload.get("rows")
-            if not rows:
-                raise ReproError(f"fragment {path} has no rows to tamper with")
-            rows[0][0] = 123456.75 if rows[0][0] != 123456.75 else 654321.5
-            # repro: allow[RPL003] deliberate in-place damage: this is the fault injector
-            path.write_bytes(json.dumps(payload).encode("utf-8"))
+        header = peek_columnar_header(path)
+        entry = next(e for e in header["columns"] if e["name"] == "value")
+        if int(entry["nbytes"]) < 8:
+            raise ReproError(f"fragment {path} has no rows to tamper with")
+        offset = int(entry["offset"])
+        current = struct.unpack_from("<d", data, offset)[0]
+        buffer = bytearray(data)
+        struct.pack_into("<d", buffer, offset,
+                         123456.75 if current != 123456.75 else 654321.5)
+        # repro: allow[RPL003] deliberate in-place damage: this is the fault injector
+        path.write_bytes(bytes(buffer))
     else:
         raise ReproError(f"unknown corruption mode {mode!r}; "
                          f"expected one of {FRAGMENT_FAULT_KINDS}")

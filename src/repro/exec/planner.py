@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.errors import ReproError
 from repro.core.registry import BenchmarkSpec
 from repro.core.searchspace import SearchSpace
+from repro.io.columnar import COLUMNAR_SUFFIX
 
 __all__ = [
     "PAPER_SAMPLED_BENCHMARKS", "PAPER_SAMPLE_SIZE", "DEFAULT_SHARD_SIZE",
@@ -142,7 +143,7 @@ class Shard:
     @property
     def fragment_name(self) -> str:
         """Checkpoint fragment file name for this shard."""
-        return f"shard_{self.shard_id:05d}.json"
+        return f"shard_{self.shard_id:05d}{COLUMNAR_SUFFIX}"
 
     def to_dict(self) -> dict[str, Any]:
         return {"shard_id": self.shard_id, "benchmark": self.benchmark,
@@ -177,18 +178,6 @@ class CampaignPlan:
         """Shards of one unit, in evaluation (offset) order."""
         return sorted((s for s in self.shards if s.unit_key == unit.key),
                       key=lambda s: s.start)
-
-    def shard_by_id(self, shard_id: int) -> Shard:
-        """The shard with the given id.
-
-        Shards are the unit of retry, timeout and quarantine as well as of
-        checkpointing, so health records and quarantine reports refer to them by
-        id; this is the reverse lookup.
-        """
-        for s in self.shards:
-            if s.shard_id == shard_id:
-                return s
-        raise ReproError(f"plan has no shard {shard_id}")
 
     def to_dict(self) -> dict[str, Any]:
         return {"shard_size": self.shard_size,

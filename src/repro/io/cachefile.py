@@ -18,36 +18,30 @@ subsystem (:mod:`repro.exec`) builds on:
 * **deterministic bytes** -- gzip members are written with ``mtime=0``, so the same
   cache always produces the same compressed bytes (the byte-identity contract between
   serial and parallel execution extends to the files on disk);
-* **shard fragments** (:func:`save_fragment` / :func:`load_fragment`) -- the rows of
-  one completed shard, enough to rebuild its slice of the campaign cache without
-  re-evaluating.  Every fragment carries a SHA-256 checksum of its canonical row
-  encoding; :func:`load_fragment` verifies it and raises
-  :class:`~repro.core.errors.FragmentIntegrityError` on any damage (truncation,
-  bit rot, value tampering), which is what lets resume *heal* instead of merging
-  corrupt rows;
 * **manifests** (:func:`save_manifest` / :func:`load_manifest`) -- the serialized
   shard plan a checkpoint directory belongs to.
+
+Checkpoint *fragments* -- the rows of one completed shard -- are columnar files
+(:func:`repro.io.columnar.save_columnar_fragment`); JSON is the interchange and
+export format of final caches only.
 """
 
 from __future__ import annotations
 
 import gzip
-import hashlib
 import io
 import json
-import math
 import os
 import uuid
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.core.cache import EvaluationCache
-from repro.core.errors import FragmentIntegrityError, SerializationError
+from repro.core.errors import SerializationError
 from repro.core.searchspace import SearchSpace
 
 __all__ = [
     "save_cache", "load_cache",
-    "save_fragment", "load_fragment", "fragment_checksum",
     "save_manifest", "load_manifest",
     "atomic_write_json", "read_json",
 ]
@@ -55,11 +49,11 @@ __all__ = [
 #: Format identifier written into every cache file.
 FORMAT_VERSION = 1
 
-#: Format identifier written into every shard fragment.
-FRAGMENT_VERSION = 1
-
 #: Format identifier written into every checkpoint manifest.
 MANIFEST_VERSION = 1
+
+#: Fragment format recorded in every checkpoint manifest (the only one).
+FRAGMENT_FORMAT = "columnar"
 
 
 # ------------------------------------------------------------------ JSON primitives
@@ -187,119 +181,40 @@ def load_cache(path: str | Path, space: SearchSpace | None = None) -> Evaluation
     return EvaluationCache.from_dict(payload["cache"], space=space)
 
 
-# ------------------------------------------------------------------ shard fragments
-#
-# A fragment is the result of one completed shard: the (value, valid, error) rows of
-# its index slice, in evaluation order.  Values are stored as ``null`` when non-finite
-# so the files stay standard JSON.
-
-
-def fragment_checksum(encoded_rows: Sequence[Any]) -> str:
-    """SHA-256 digest of a fragment's canonical (JSON-encoded) row list.
-
-    Computed over the compact, sorted-key JSON rendering so the digest is a pure
-    function of the row *values* -- identical at save and load time regardless of
-    how the surrounding payload was formatted on disk.
-    """
-    canonical = json.dumps(encoded_rows, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def save_fragment(path: str | Path, shard: Mapping[str, Any],
-                  rows: Sequence[tuple[float, bool, str]]) -> Path:
-    """Atomically persist the rows of one completed shard (checksummed).
-
-    The only non-finite value a row may carry is ``+inf`` (the failed-launch
-    sentinel); NaN or ``-inf`` would come back as ``+inf`` after the JSON round
-    trip, silently breaking the resumed-vs-uninterrupted byte-identity contract,
-    so they are rejected here instead.
-    """
-    encoded = []
-    for value, valid, error in rows:
-        if math.isfinite(value):
-            encoded.append([value, bool(valid), error])
-        elif value == math.inf:
-            encoded.append([None, bool(valid), error])
-        else:
-            raise SerializationError(
-                f"fragment rows may not contain {value!r} (only finite values "
-                f"or +inf round-trip through {path})")
-    payload = {"fragment_version": FRAGMENT_VERSION, "shard": dict(shard),
-               "rows": encoded, "checksum": fragment_checksum(encoded)}
-    return atomic_write_json(payload, path)
-
-
-def load_fragment(path: str | Path, verify: bool = True,
-                  ) -> tuple[dict[str, Any], list[tuple[float, bool, str]]]:
-    """Read a fragment written by :func:`save_fragment`.
-
-    Returns the shard description and the decoded rows (``null`` values become
-    ``math.inf`` again).  Any damage -- unreadable bytes, malformed payload, or a
-    stale checksum -- raises :class:`~repro.core.errors.FragmentIntegrityError`
-    (a :class:`SerializationError`), the signal the executors treat as "discard
-    and re-execute this shard".  ``verify=False`` skips only the checksum.
-    """
-    path = Path(path)
-    try:
-        payload = _expect_payload(read_json(path), path, "shard",
-                                  "fragment_version", FRAGMENT_VERSION)
-    except FragmentIntegrityError:
-        raise
-    except SerializationError as exc:
-        # Truncated/garbled bytes and malformed payloads are integrity failures
-        # for a fragment (atomic writes mean they cannot be torn *writes*).
-        raise FragmentIntegrityError(
-            f"fragment {path} is damaged: {exc}") from exc
-    stored = payload.get("checksum")
-    if verify and stored is not None:
-        actual = fragment_checksum(payload.get("rows", []))
-        if actual != stored:
-            raise FragmentIntegrityError(
-                f"fragment {path} fails its checksum (stored {stored[:12]}..., "
-                f"recomputed {actual[:12]}...); its rows were altered on disk and "
-                f"cannot be merged")
-    try:
-        rows = [(math.inf if value is None else float(value), bool(valid), str(error))
-                for value, valid, error in payload.get("rows", ())]
-    except (TypeError, ValueError) as exc:
-        raise FragmentIntegrityError(
-            f"fragment {path} carries undecodable rows: {exc}") from exc
-    return dict(payload["shard"]), rows
-
-
 # ----------------------------------------------------------------------- manifests
 
 
 def save_manifest(path: str | Path, plan: Mapping[str, Any],
-                  fingerprints: Mapping[str, str] | None = None,
-                  fragment_format: str | None = None) -> Path:
+                  fingerprints: Mapping[str, str] | None = None) -> Path:
     """Atomically persist the shard plan a checkpoint directory belongs to.
 
     ``fingerprints`` (benchmark name -> digest of its space + workload) pins the
     exact benchmark definitions the fragments were evaluated against, so a resume
     with diverged definitions is refused instead of silently merging wrong rows.
-    ``fragment_format`` records a non-default fragment format (``"columnar"``);
-    ``None`` omits the key, which keeps default-format manifests byte-identical
-    to those written before the columnar store existed.
+    Every manifest records ``"fragment_format": "columnar"``, the only fragment
+    format; :func:`load_manifest` refuses manifests without it.
     """
     payload = {"manifest_version": MANIFEST_VERSION, "plan": dict(plan),
-               "fingerprints": dict(fingerprints or {})}
-    if fragment_format is not None:
-        payload["fragment_format"] = str(fragment_format)
+               "fingerprints": dict(fingerprints or {}),
+               "fragment_format": FRAGMENT_FORMAT}
     return atomic_write_json(payload, path)
 
 
 def load_manifest(path: str | Path) -> dict[str, Any]:
     """Read a manifest written by :func:`save_manifest`.
 
-    Returns a dict with ``"plan"`` (the serialized shard plan), ``"fingerprints"``
-    (possibly empty, for manifests written before the digests existed) and
-    ``"fragment_format"`` (None when the manifest predates the columnar store or
-    holds the default JSON fragments).
+    Returns a dict with ``"plan"`` (the serialized shard plan) and
+    ``"fingerprints"`` (empty when the plan was bound without them).  A manifest that does not record the columnar fragment format
+    belongs to a JSON-fragment checkpoint of an earlier release and raises
+    :class:`SerializationError`: its fragments cannot be read here.
     """
     path = Path(path)
     payload = _expect_payload(read_json(path), path, "plan", "manifest_version",
                               MANIFEST_VERSION)
+    if payload.get("fragment_format") != FRAGMENT_FORMAT:
+        raise SerializationError(
+            f"checkpoint directory {path.parent} holds JSON fragments written by "
+            f"an earlier release, which this release cannot read; finish that run "
+            f"with the previous release, or start a fresh checkpoint directory")
     return {"plan": dict(payload["plan"]),
-            "fingerprints": dict(payload.get("fingerprints", {})),
-            "fragment_format": payload.get("fragment_format")}
+            "fingerprints": dict(payload.get("fingerprints", {}))}

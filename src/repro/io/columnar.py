@@ -40,7 +40,8 @@ insertion order (row position == ``evaluation_index``):
 
 ``index``   ``int64``    mixed-radix space index of the configuration
 ``value``   ``float64``  measured objective (``+inf`` is the failed-launch sentinel;
-                         NaN and ``-inf`` are rejected, exactly like JSON fragments)
+                         NaN and ``-inf`` are rejected: JSON exports could not
+                         carry them)
 ``code``    ``int32``    failure code into the interned error-string table
 
 ``"fragment"`` payloads carry only ``value`` and ``code`` (a shard's space indices
@@ -52,11 +53,14 @@ string into one integer: ``code >= 0`` means the row is invalid and its error is
 Compatibility guarantee
 -----------------------
 
-JSON stays the interchange format and its bytes are untouched: a cache round-tripped
-through the columnar store serializes to *byte-identical* JSON (asserted by the
-differential suite in ``tests/test_columnar.py``), so every existing consumer,
-golden file and byte-identity contract keeps working.  Columnar files are an opt-in
-performance overlay (``--cache-format columnar``), never a replacement.
+Checkpoint fragments are columnar only: every shard a campaign completes lands as
+a ``"fragment"`` payload (see :mod:`repro.exec.checkpoint`).  For final caches JSON
+stays the interchange and export format and its bytes are untouched: a cache
+round-tripped through the columnar store serializes to *byte-identical* JSON
+(asserted by the differential suite in ``tests/test_columnar.py``), so every
+existing consumer, golden file and byte-identity contract keeps working.  Columnar
+caches are an opt-in performance format for exports (``--cache-format columnar``)
+and replay opens.
 """
 
 from __future__ import annotations
@@ -79,8 +83,8 @@ __all__ = [
     "ColumnarPayload", "cache_digest",
     "write_columnar", "read_columnar", "peek_columnar_header",
     "encode_failure_codes", "decode_failure_strings",
-    "save_columnar_fragment", "load_columnar_fragment",
-    "load_columnar_fragment_columns", "concat_fragment_columns",
+    "save_columnar_fragment", "load_columnar_fragment_columns",
+    "concat_fragment_columns",
 ]
 
 #: First eight bytes of every columnar file.
@@ -273,13 +277,6 @@ class ColumnarPayload:
         self.errors = list(header.get("errors", ()))
         self.row_count = int(header["row_count"])
 
-    def decoded_rows(self) -> list[tuple[float, bool, str]]:
-        """The ``(value, valid, error)`` triples JSON fragments traffic in."""
-        valid, errors = decode_failure_strings(self.columns["code"], self.errors)
-        values = self.columns["value"]
-        return [(float(value), bool(ok), error)
-                for value, ok, error in zip(values.tolist(), valid.tolist(), errors)]
-
 
 def peek_columnar_header(path: str | Path) -> dict[str, Any]:
     """Parse a columnar file's header without verifying column checksums.
@@ -393,26 +390,17 @@ def read_columnar(path: str | Path, mmap: bool = True,
 
 def save_columnar_fragment(path: str | Path, shard: Mapping[str, Any],
                            rows: Sequence[tuple[float, bool, str]]) -> Path:
-    """Columnar twin of :func:`repro.io.cachefile.save_fragment`.
+    """Atomically persist the ``(value, valid, error)`` rows of one shard.
 
-    Same row semantics (``+inf`` failure sentinel only), same atomicity, but the
-    rows land as fixed-width value/code columns so a merge never decodes them.
+    The only non-finite value a row may carry is ``+inf`` (the failed-launch
+    sentinel).  The rows land as fixed-width value/code columns, so a merge never
+    decodes them.
     """
     values = np.asarray([value for value, _, _ in rows], dtype=float)
     codes, errors = encode_failure_codes([valid for _, valid, _ in rows],
                                          [error for _, _, error in rows])
     return write_columnar(path, "fragment", {"shard": dict(shard)},
                           {"value": values, "code": codes}, errors)
-
-
-def load_columnar_fragment(path: str | Path, verify: bool = True
-                           ) -> tuple[dict[str, Any], list[tuple[float, bool, str]]]:
-    """Columnar twin of :func:`repro.io.cachefile.load_fragment` (same contract)."""
-    payload = read_columnar(path, mmap=False, verify=verify)
-    if payload.kind != "fragment":
-        raise SerializationError(
-            f"{path} is a columnar {payload.kind} file, not a fragment")
-    return dict(payload.header.get("shard", {})), payload.decoded_rows()
 
 
 def load_columnar_fragment_columns(path: str | Path, verify: bool = True

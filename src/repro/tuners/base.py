@@ -20,7 +20,7 @@ Index-native runtime
 --------------------
 The hot loop of every in-repo optimizer identifies candidates by their mixed-radix
 space index: :meth:`Tuner.evaluate_index` is the integer twin of :meth:`Tuner.evaluate`
-and :meth:`Tuner.ask_random_indices` the integer twin of :meth:`Tuner.ask_random`.
+and :meth:`Tuner.ask_random_indices` streams batch-filtered random valid indices.
 Duplicate accounting (``_seen``) keys on the integer index -- the dictionary path maps
 configurations to the same integers, so mixing paths within one run (e.g. a portfolio
 of migrated and adapter members) still counts each distinct configuration once.  The
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -122,7 +122,14 @@ class Tuner(abc.ABC):
         if self._budget.exhausted:
             return None
         observation = self._problem.evaluate(config)
-        self._account(config, observation)
+        # Configurations of the space key ``_seen`` by their integer index -- the
+        # currency of evaluate_index -- so duplicate accounting agrees across the
+        # two paths; out-of-space configurations fall back to the config tuple.
+        try:
+            key: int | tuple = self._problem.space.index_of(config)
+        except ReproError:
+            key = config_key(config)
+        self._account_key(key, observation)
         return observation
 
     def evaluate_index(self, index: int, valid_hint: bool | None = None,
@@ -144,23 +151,6 @@ class Tuner(abc.ABC):
         self._account_key(index, observation)
         return observation
 
-    def _account(self, config: Mapping[str, Any], observation: Observation) -> None:
-        """Charge the budget and record one observation (shared by both the scalar
-        :meth:`evaluate` path and the :meth:`evaluate_all` fast path, so the
-        accounting semantics cannot drift apart).
-
-        Configurations that are members of the space key ``_seen`` by their integer
-        index -- the same currency :meth:`evaluate_index` uses -- so duplicate
-        accounting agrees across the two evaluation paths; out-of-space
-        configurations (only reachable through the dictionary path) fall back to the
-        canonical config tuple.
-        """
-        try:
-            key: int | tuple = self._problem.space.index_of(config)
-        except ReproError:
-            key = config_key(config)
-        self._account_key(key, observation)
-
     def _account_key(self, key: int | tuple, observation: Observation) -> None:
         new_config = key not in self._seen
         simulated_seconds = (observation.value / 1e3
@@ -178,7 +168,7 @@ class Tuner(abc.ABC):
                            ) -> list[Observation]:
         """Evaluate a run of pre-validated indices until the run or budget ends.
 
-        The index twin of :meth:`evaluate_all`: when the budget can answer
+        When the budget can answer
         :meth:`Budget.affordable_evaluations` (a pure evaluation-count limit --
         including any compliant subclass, like the portfolio tuner's per-member
         slice) the affordable prefix is known up front, so the whole slice goes
@@ -345,41 +335,6 @@ class Tuner(abc.ABC):
         result.extend(observations)
         return allowed == len(candidates) and not budget.exhausted
 
-    def evaluate_all(self, configs: Iterable[Mapping[str, Any]]) -> list[Observation]:
-        """Evaluate configurations until the list or the budget is exhausted.
-
-        Fast path: for a materialised batch under a budget that can answer
-        :meth:`Budget.affordable_evaluations`, the number of affordable
-        evaluations is known up front, so the whole slice goes through
-        :meth:`TuningProblem.evaluate_many` -- one vectorized validity mask
-        instead of one scalar constraint pass per configuration, the same batch
-        discipline the shard workers of :mod:`repro.exec` use.  Budget charging,
-        duplicate accounting and recording stay per-observation, so the results are
-        observation-for-observation identical to the scalar loop.
-        """
-        allowance = (self._budget.affordable_evaluations()
-                     if (isinstance(configs, (list, tuple))
-                         and self._problem is not None and self._result is not None
-                         and self._budget is not None) else None)
-        if allowance is not None:
-            # The protocol matters: Budget subclasses that narrow `exhausted`
-            # (e.g. the portfolio tuner's slice) answer with their own cap, so
-            # the precomputed allowance honours every layer of limits.
-            allowed = (len(configs) if allowance == math.inf
-                       else min(len(configs), int(allowance)))
-            batch = list(configs[:allowed])
-            observations = self._problem.evaluate_many(batch)
-            for config, obs in zip(batch, observations):
-                self._account(config, obs)
-            return observations
-        observations: list[Observation] = []
-        for config in configs:
-            obs = self.evaluate(config)
-            if obs is None:
-                break
-            observations.append(obs)
-        return observations
-
     def best_so_far(self) -> Observation | None:
         """The best valid observation recorded so far in the current run."""
         if self._result is None or self._result.num_valid == 0:
@@ -415,38 +370,22 @@ class Tuner(abc.ABC):
         inner._seen = set()
         inner._track = [None, math.inf]
 
-    def random_valid_config(self, problem: TuningProblem, rng: np.random.Generator,
-                            max_attempts: int = 10_000) -> dict[str, Any]:
-        """Draw a random configuration that satisfies the static constraints."""
-        return problem.space.sample_one(rng=rng, valid_only=True)
-
-    def ask_random(self, space: Any, rng: np.random.Generator,
-                   without_replacement: bool = True, batch_size: int = 512,
-                   max_consecutive_rejects: int | None = None) -> Iterator[dict[str, Any]]:
-        """Stream uniformly-random valid configurations, batch-filtered.
-
-        This is the batch ``ask`` primitive shared by sampling-style tuners: candidate
-        indices are drawn in blocks and run through the space's vectorized constraint
-        mask, so per-candidate Python work only happens for configurations that are
-        actually evaluated.  Candidates are yielded in draw order, which keeps the
-        evaluated sequence identical to drawing one index at a time with the same
-        generator.
-
-        The stream ends (``StopIteration``) after ``max_consecutive_rejects``
-        consecutive duplicate/invalid draws, the signal that the space has effectively
-        run out of fresh valid configurations.
-        """
-        for index in self.ask_random_indices(
-                space, rng, without_replacement=without_replacement,
-                batch_size=batch_size,
-                max_consecutive_rejects=max_consecutive_rejects):
-            yield space.config_at(index)
-
     def ask_random_indices(self, space: Any, rng: np.random.Generator,
                            without_replacement: bool = True, batch_size: int = 512,
                            max_consecutive_rejects: int | None = None) -> Iterator[int]:
-        """Index-native form of :meth:`ask_random`: the same draw/filter stream,
-        yielding raw space indices instead of configuration dictionaries."""
+        """Stream uniformly-random valid space indices, batch-filtered.
+
+        This is the batch ``ask`` primitive shared by sampling-style tuners:
+        candidate indices are drawn in blocks and run through the space's
+        vectorized constraint mask, so per-candidate Python work only happens for
+        indices that are actually evaluated.  Candidates are yielded in draw
+        order, which keeps the evaluated sequence identical to drawing one index
+        at a time with the same generator.
+
+        The stream ends after ``max_consecutive_rejects`` consecutive
+        duplicate/invalid draws, the signal that the space has effectively run
+        out of fresh valid configurations.
+        """
         if max_consecutive_rejects is None:
             max_consecutive_rejects = max(10_000, 50 * space.dimensions)
         drawn: set[int] = set()

@@ -42,6 +42,7 @@ from repro.exec import (
 from repro.exec.cli import main as exec_main
 from repro.exec.progress import ShardProgressReporter
 from repro.exec.retry import unit_uniform
+from repro.io.columnar import peek_columnar_header
 
 SAMPLE_N = 120
 SHARD_SIZE = 40
@@ -292,7 +293,7 @@ class TestFragmentIntegrity:
 
     def test_fragment_checksum_catches_valid_json_tampering(self, planner, plan,
                                                             tmp_path):
-        # `tamper` keeps the JSON well-formed and the row count right -- only
+        # `tamper` keeps the header well-formed and the row count right -- only
         # the checksum can catch it.  This is the test that fails if checksum
         # verification is ever dropped.
         store = CheckpointStore(tmp_path / "ckpt")
@@ -300,8 +301,8 @@ class TestFragmentIntegrity:
                              gpus=planner.gpus, checkpoint=store)
         shard = plan.shards[3]
         corrupt_fragment(store.fragment_path(shard), "tamper")
-        payload = json.loads(store.fragment_path(shard).read_text())
-        assert len(payload["rows"]) == shard.n_configs  # still shape-valid
+        header = peek_columnar_header(store.fragment_path(shard))
+        assert header["row_count"] == shard.n_configs  # still shape-valid
         with pytest.raises(FragmentIntegrityError, match="checksum"):
             store.load_shard(shard)
 
@@ -317,6 +318,10 @@ class TestQuarantineHealth:
                      checkpoint=store)
         health = store.load_health()
         assert [r["shard_id"] for r in health["quarantined"]] == [0]
+        # The record names the file a completed shard 0 lands in; a stale name
+        # would keep the record alive after the resume below.
+        shard = next(s for s in plan.shards if s.shard_id == 0)
+        assert health["quarantined"][0]["fragment"] == store.fragment_path(shard).name
         assert health["retries"][0] == FAST_RETRY.max_retries
         status = store.status(plan)
         assert status["quarantined_shards"] == 1
@@ -547,8 +552,10 @@ class TestChaosCLI:
         code, text = self.run_cli("doctor", "--checkpoint-dir", ckpt)
         assert code == 0 and "0 damaged" in text
 
-        corrupt_fragment(tmp_path / "ckpt" / "shard_00001.json", "bitflip")
-        corrupt_fragment(tmp_path / "ckpt" / "shard_00002.json", "tamper")
+        store = CheckpointStore(ckpt)
+        shards = store.load_plan().shards
+        corrupt_fragment(store.fragment_path(shards[1]), "bitflip")
+        corrupt_fragment(store.fragment_path(shards[2]), "tamper")
         code, text = self.run_cli("doctor", "--checkpoint-dir", ckpt)
         assert code == 1
         assert "2 damaged" in text and "--fix" in text
@@ -556,7 +563,7 @@ class TestChaosCLI:
         code, text = self.run_cli("doctor", "--checkpoint-dir", ckpt, "--fix")
         assert code == 0
         assert text.count("deleted") == 2
-        assert not (tmp_path / "ckpt" / "shard_00001.json").exists()
+        assert not store.fragment_path(shards[1]).exists()
 
         code, text = self.run_cli("resume", "--checkpoint-dir", ckpt,
                                   "--output-dir", outdir, "--quiet")

@@ -37,7 +37,6 @@ from repro.io.columnar import (
     concat_fragment_columns,
     decode_failure_strings,
     encode_failure_codes,
-    load_columnar_fragment,
     load_columnar_fragment_columns,
     peek_columnar_header,
     read_columnar,
@@ -51,6 +50,20 @@ SHARD_SIZE = 40
 def cache_bytes(cache) -> str:
     """Canonical serialized form used for byte-identity assertions."""
     return json.dumps(cache.to_dict())
+
+
+def load_fragment_rows(path):
+    """``(shard, rows)`` of a fragment, rows decoded to ``(value, valid, error)``."""
+    shard, values, codes, errors = load_columnar_fragment_columns(path)
+    valid, messages = decode_failure_strings(codes, errors)
+    return shard, list(zip(values.tolist(), valid.tolist(), messages))
+
+
+def write_legacy_manifest(directory, plan):
+    """A manifest as earlier releases wrote it for JSON-fragment checkpoints."""
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "manifest.json").write_text(json.dumps(
+        {"manifest_version": 1, "plan": plan.to_dict(), "fingerprints": {}}))
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +249,7 @@ class TestFragmentsAndMerge:
                  "start": 0, "stop": 25}
         rows = self._rows(0)
         path = save_columnar_fragment(tmp_path / "frag.col", shard, rows)
-        got_shard, got_rows = load_columnar_fragment(path)
+        got_shard, got_rows = load_fragment_rows(path)
         assert got_shard == shard
         assert got_rows == rows
 
@@ -287,9 +300,7 @@ class TestFragmentsAndMerge:
                              gpus=planner.gpus,
                              checkpoint=CheckpointStore(directory,
                                                         fragment_format="columnar"))
-        # fresh store auto-detects columnar from the manifest
         store = CheckpointStore(directory)
-        assert store.fragment_format == "columnar"
         caches = resume_campaign(store, executor=SerialExecutor())
         for key, cache in caches.items():
             assert cache._lazy is not None  # merged straight from columns
@@ -327,27 +338,30 @@ class TestFragmentsAndMerge:
                                  executor=SerialExecutor())
         assert {key: cache_bytes(c) for key, c in caches.items()} == reference
 
-    def test_format_conflict_refused(self, planner, plan, tmp_path):
-        directory = tmp_path / "ck"
-        SerialExecutor().run(plan, benchmarks=planner.benchmarks,
-                             gpus=planner.gpus,
-                             checkpoint=CheckpointStore(directory,
-                                                        fragment_format="columnar"))
-        store = CheckpointStore(directory, fragment_format="json")
-        with pytest.raises(SerializationError, match="one format per directory"):
-            store.initialize(plan)
-
     def test_bad_format_name_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            CheckpointStore(tmp_path, fragment_format="parquet")
+        # Fragments are columnar only; JSON is no longer a fragment format.
+        for name in ("parquet", "json"):
+            with pytest.raises(ValueError):
+                CheckpointStore(tmp_path, fragment_format=name)
 
-    def test_json_manifest_bytes_unchanged(self, planner, plan, tmp_path):
-        # The default JSON checkpoint must not grow a fragment_format key.
+    def test_legacy_json_checkpoint_refused(self, planner, plan, tmp_path):
         directory = tmp_path / "ck"
         store = CheckpointStore(directory)
         store.initialize(plan)
         manifest = json.loads((directory / "manifest.json").read_text())
-        assert "fragment_format" not in manifest
+        assert manifest["fragment_format"] == "columnar"
+
+        legacy = tmp_path / "legacy"
+        write_legacy_manifest(legacy, plan)
+        store = CheckpointStore(legacy)
+        calls = (store.load_plan, lambda: store.initialize(plan),
+                 store.status, store.verify_fragments,
+                 lambda: resume_campaign(store, executor=SerialExecutor()))
+        for call in calls:
+            with pytest.raises(SerializationError,
+                               match="previous release") as excinfo:
+                call()
+            assert str(legacy) in str(excinfo.value)
 
 
 class TestHypothesisFuzz:
@@ -375,7 +389,7 @@ class TestHypothesisFuzz:
             path = tmp_path / f"fuzz_{shard_id}.col"
             shard = {"shard_id": shard_id, "start": 0, "stop": len(rows)}
             save_columnar_fragment(path, shard, rows)
-            got_shard, got_rows = load_columnar_fragment(path)
+            got_shard, got_rows = load_fragment_rows(path)
             assert got_shard == shard
             assert got_rows == rows
             path.unlink()
@@ -430,9 +444,18 @@ class TestCli:
         # resume re-executes the healed shard and reproduces the same bytes
         out2 = tmp_path / "out2"
         code, text = self._run("resume", "--checkpoint-dir", str(ck),
-                               "--output-dir", str(out2))
+                               "--output-dir", str(out2),
+                               "--cache-format", "columnar")
         assert code == 0, text
         assert outputs[0].read_bytes() == (out2 / outputs[0].name).read_bytes()
+
+    def test_legacy_json_checkpoint_exits_one(self, plan, tmp_path):
+        ck = tmp_path / "legacy"
+        write_legacy_manifest(ck, plan)
+        for command in ("resume", "status", "doctor"):
+            code, text = self._run(command, "--checkpoint-dir", str(ck))
+            assert code == 1, (command, text)
+            assert str(ck) in text and "previous release" in text
 
     def test_columnar_output_refuses_compress(self, tmp_path):
         code, text = self._run(

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.campaign import Campaign
-from repro.core.budget import Budget
 from repro.core.errors import ReproError, SerializationError
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
@@ -32,7 +31,6 @@ from repro.exec import (
     resume_campaign,
 )
 from repro.exec.cli import main as exec_main
-from repro.tuners.base import Tuner
 
 KERNEL_NAMES = ("pnpoly", "nbody", "convolution", "gemm", "expdist", "hotspot",
                 "dedispersion")
@@ -296,7 +294,8 @@ class TestExecCLI:
         assert "3/3" in text
 
         # Drop a fragment, resume, and the rewritten cache is byte-identical.
-        os.unlink(tmp_path / "ckpt" / "shard_00001.json")
+        store = CheckpointStore(ckpt)
+        os.unlink(store.fragment_path(store.load_plan().shards[1]))
         code, text = self.run_cli("resume", "--checkpoint-dir", ckpt,
                                   "--output-dir", outdir, "--quiet")
         assert code == 0, text
@@ -394,78 +393,6 @@ class TestCampaignDelegation:
         second = Campaign(selected_b, selected_g, exhaustive_limit=EXHAUSTIVE_LIMIT,
                           executor=_MustNotEvaluate(), checkpoint=tmp_path / "ckpt")
         assert cache_bytes(second.cache("pnpoly", "RTX_3090")) == reference
-
-
-class _ListTuner(Tuner):
-    """Minimal tuner that pushes a fixed candidate list through evaluate_all."""
-
-    name = "list-tuner"
-
-    def __init__(self, candidates, **kwargs):
-        super().__init__(**kwargs)
-        self.candidates = candidates
-
-    def _run(self, problem, budget, rng):
-        self.evaluate_all(self.candidates)
-
-
-class _ListTunerSlow(_ListTuner):
-    """Same tuner, forced through the scalar evaluate() loop."""
-
-    def _run(self, problem, budget, rng):
-        for config in self.candidates:
-            if self.evaluate(config) is None:
-                break
-
-
-class TestBatchEvaluatePaths:
-    def test_evaluate_all_fast_path_matches_scalar_loop(self, pnpoly, gpu_3090):
-        candidates = pnpoly.space.sample(40, rng=3) + [
-            # An invalid (constraint-violating or out-of-space) candidate mid-batch.
-            {**pnpoly.space.sample_one(rng=4), "block_size_x": 32},
-        ] + pnpoly.space.sample(9, rng=5)
-        fast = _ListTuner(candidates).tune(pnpoly.problem(gpu_3090),
-                                           Budget(max_evaluations=30), seed=1)
-        slow = _ListTunerSlow(candidates).tune(pnpoly.problem(gpu_3090),
-                                               Budget(max_evaluations=30), seed=1)
-        assert len(fast) == len(slow) == 30
-        for a, b in zip(fast.observations, slow.observations):
-            assert a.config == b.config
-            assert a.value == b.value
-            assert a.valid == b.valid
-
-    def test_evaluate_all_respects_budget_subclass_exhaustion(self, pnpoly,
-                                                              gpu_3090):
-        # Budget subclasses may override `exhausted` (the portfolio tuner's
-        # slice does); the fast path's allowance comes from the
-        # affordable_evaluations protocol, which the slice answers with its own
-        # cap -- the batch must stop at the slice, and every charge must reach
-        # the shared parent budget.
-        from repro.tuners.portfolio import _BudgetSlice
-
-        candidates = pnpoly.space.sample(30, rng=8)
-        parent = Budget(max_evaluations=50)
-        tuner = _ListTuner(candidates)
-        tuner._problem = pnpoly.problem(gpu_3090)
-        tuner._budget = _BudgetSlice(parent, 10)
-        from repro.core.result import TuningResult
-        tuner._result = TuningResult()
-        tuner._seen = set()
-        observations = tuner.evaluate_all(candidates)
-        assert len(observations) == 10  # the slice, not the 30-config batch
-        assert parent.evaluations_used == 10
-
-    def test_evaluate_many_matches_scalar_evaluate(self, pnpoly, gpu_3090):
-        configs = pnpoly.space.sample(25, rng=11)
-        configs.insert(5, {"bogus": 1})                      # missing parameters
-        configs.insert(9, {**configs[0], "block_size_x": -3})  # value not allowed
-        batch_problem = pnpoly.problem(gpu_3090)
-        scalar_problem = pnpoly.problem(gpu_3090)
-        batch = batch_problem.evaluate_many(configs)
-        scalar = [scalar_problem.evaluate(c) for c in configs]
-        for a, b in zip(batch, scalar):
-            assert (a.value, a.valid, a.error) == (b.value, b.valid, b.error)
-            assert a.evaluation_index == b.evaluation_index
 
 
 class TestRunMatrixExecutorHook:

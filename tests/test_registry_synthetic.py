@@ -634,7 +634,8 @@ class TestExecCLISpecs:
         assert "cli_scn" in text
 
         # Resume needs no --benchmark-spec: the manifest's spec fields suffice.
-        os.unlink(tmp_path / "ckpt" / "shard_00001.json")
+        store = CheckpointStore(ckpt)
+        os.unlink(store.fragment_path(store.load_plan().shards[1]))
         code, text = self.run_cli("resume", "--checkpoint-dir", ckpt,
                                   "--output-dir", outdir, "--quiet")
         assert code == 0, text

@@ -271,8 +271,3 @@ class TestTuningProblem:
         problem = _toy_problem()
         assert problem.objective({"x": 1, "y": 2}) == 12.0
         assert problem.objective({"x": 4, "y": 4}) == math.inf
-
-    def test_evaluate_many(self):
-        problem = _toy_problem()
-        observations = problem.evaluate_many([{"x": 1, "y": 1}, {"x": 2, "y": 2}])
-        assert [o.value for o in observations] == [11.0, 22.0]
