@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from repro.analysis.campaign import Campaign
+from repro.core.budget import Budget
 from repro.core.errors import ReproError, SerializationError
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
@@ -31,6 +33,7 @@ from repro.exec import (
     resume_campaign,
 )
 from repro.exec.cli import main as exec_main
+from repro.tuners.random_search import RandomSearch
 
 KERNEL_NAMES = ("pnpoly", "nbody", "convolution", "gemm", "expdist", "hotspot",
                 "dedispersion")
@@ -395,10 +398,87 @@ class TestCampaignDelegation:
         assert cache_bytes(second.cache("pnpoly", "RTX_3090")) == reference
 
 
+def _bound_tuner(problem, budget):
+    """A tuner holding the run state ``tune`` sets up, so its evaluation
+    primitives can be driven directly."""
+    from repro.core.result import TuningResult
+
+    tuner = RandomSearch(seed=0)
+    tuner._problem = problem
+    tuner._budget = budget
+    tuner._result = TuningResult()
+    tuner._seen = set()
+    tuner._track = [None, math.inf]
+    return tuner
+
+
+class TestBatchEvaluatePaths:
+    def test_evaluate_index_run_matches_dict_path(self, pnpoly, gpu_3090):
+        # The bulk index run and the scalar dictionary loop must record the same
+        # observations and agree on duplicate accounting: the dictionary path
+        # keys `_seen` by space index too.
+        configs = pnpoly.space.sample(40, rng=3)
+        configs += configs[:5]  # duplicates
+        indices = pnpoly.space.indices_of_configs(configs)
+        fast_budget = Budget(max_evaluations=42)
+        fast = _bound_tuner(pnpoly.problem(gpu_3090), fast_budget)
+        fast_obs = fast.evaluate_index_run(indices)
+        slow_budget = Budget(max_evaluations=42)
+        slow = _bound_tuner(pnpoly.problem(gpu_3090), slow_budget)
+        slow_obs = []
+        for config in configs:
+            obs = slow.evaluate(config)
+            if obs is None:
+                break
+            slow_obs.append(obs)
+        assert len(fast_obs) == len(slow_obs) == 42
+        for a, b in zip(fast_obs, slow_obs):
+            assert dict(a.config) == dict(b.config)
+            assert (a.value, a.valid, a.error) == (b.value, b.valid, b.error)
+        assert fast._seen == slow._seen and len(fast._seen) == 40
+        assert fast_budget.to_dict() == slow_budget.to_dict()
+
+    def test_evaluate_index_run_respects_budget_subclass_exhaustion(
+            self, pnpoly, gpu_3090):
+        # Budget subclasses may override `exhausted` (the portfolio tuner's
+        # slice does); the bulk path's allowance comes from the
+        # affordable_evaluations protocol, which the slice answers with its own
+        # cap -- the run must stop at the slice, and every charge must reach
+        # the shared parent budget.
+        from repro.tuners.portfolio import _BudgetSlice
+
+        indices = pnpoly.space.indices_of_configs(pnpoly.space.sample(30, rng=8))
+        parent = Budget(max_evaluations=50)
+        tuner = _bound_tuner(pnpoly.problem(gpu_3090), _BudgetSlice(parent, 10))
+        observations = tuner.evaluate_index_run(indices)
+        assert len(observations) == 10  # the slice, not the 30-index run
+        assert parent.evaluations_used == 10
+        assert parent.unique_used == 10
+        assert tuner.evaluate_index_run(indices[10:]) == []
+
+    def test_evaluate_indices_mask_matches_scalar_evaluate(self, benchmarks,
+                                                           gpu_3090):
+        # Without a validity hint the batch path checks the constraints with
+        # one vectorized mask; it must agree with the scalar dictionary path,
+        # constraint violations and evaluation order included.
+        convolution = benchmarks["convolution"]
+        space = convolution.space
+        indices = np.random.default_rng(11).integers(0, space.cardinality, 40)
+        mask = space.satisfied_mask(indices)
+        assert mask.any() and not mask.all()
+        batch = convolution.problem(gpu_3090).evaluate_indices(indices)
+        scalar_problem = convolution.problem(gpu_3090)
+        scalar = [scalar_problem.evaluate(space.config_at(i))
+                  for i in indices.tolist()]
+        for a, b, ok in zip(batch, scalar, mask.tolist()):
+            assert (a.value, a.valid, a.error) == (b.value, b.valid, b.error)
+            assert a.evaluation_index == b.evaluation_index
+            if not ok:
+                assert not a.valid and a.error.startswith("constraint violation")
+
+
 class TestRunMatrixExecutorHook:
     def _matrix(self, pnpoly, gpu_3090, executor):
-        from repro.tuners.random_search import RandomSearch
-
         tuners = {"random": lambda seed=None: RandomSearch(seed=seed)}
         problems = {"pnpoly": pnpoly.problem(gpu_3090)}
         return run_matrix(tuners, problems, max_evaluations=40, seed=3,

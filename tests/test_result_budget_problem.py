@@ -271,3 +271,13 @@ class TestTuningProblem:
         problem = _toy_problem()
         assert problem.objective({"x": 1, "y": 2}) == 12.0
         assert problem.objective({"x": 4, "y": 4}) == math.inf
+
+    def test_evaluate_indices(self):
+        problem = _toy_problem()
+        space = problem.space
+        indices = [space.index_of({"x": 1, "y": 1}), space.index_of({"x": 2, "y": 2}),
+                   space.index_of({"x": 4, "y": 4})]  # the last violates x*y <= 12
+        observations = problem.evaluate_indices(indices)
+        assert [o.value for o in observations] == [11.0, 22.0, math.inf]
+        assert [o.valid for o in observations] == [True, True, False]
+        assert [o.evaluation_index for o in observations] == [0, 1, 2]
