@@ -149,12 +149,9 @@ def tuner_convergence(cache: EvaluationCache, tuner_factory: Callable[..., objec
     """
     from repro.core.budget import Budget
 
-    runtimes = cache.values(valid_only=True)
-    if runtimes.size == 0:
-        raise ReproError(f"cache {cache.benchmark}/{cache.gpu} has no valid entries")
     if repetitions < 1:
         raise ReproError("repetitions must be at least 1")
-    optimum = float(runtimes.min())
+    optimum = float(cache.optimum())
 
     trajectories = np.empty((repetitions, budget))
     for r in range(repetitions):

@@ -34,9 +34,27 @@ Two on-disk formats carry a cache, with one compatibility guarantee between them
   :meth:`~EvaluationCache.from_columnar`) is the *performance* format: fixed-width
   little-endian index/value/failure-code columns behind a checksummed header.
   ``from_columnar(mmap=True)`` opens without rehydrating the observation dictionary
-  -- the :class:`CacheIndexTable` is built straight off the memory-mapped columns and
-  the dict store materialises lazily only when a dictionary-keyed accessor is
-  actually used -- so replay opens are cheap and concurrent readers share pages.
+  -- the :class:`CacheIndexTable` is built straight off the memory-mapped columns --
+  so replay opens are cheap and concurrent readers share pages.
+
+Column-native readers
+---------------------
+A cache holding adopted columns (``from_columnar``, ``from_columns``, a resumed
+campaign merge) answers these readers straight from its index, value and
+failure-code arrays, without building one :class:`Observation` per row:
+``len``/``num_valid``/``num_invalid``, :meth:`~EvaluationCache.values`,
+:meth:`~EvaluationCache.best`/:meth:`~EvaluationCache.worst`,
+:meth:`~EvaluationCache.median`, :meth:`~EvaluationCache.optimum`,
+:meth:`~EvaluationCache.statistics`, :meth:`~EvaluationCache.get` (and
+``lookup``/``in``), :meth:`~EvaluationCache.valid_arrays`,
+:meth:`~EvaluationCache.to_feature_matrix`, :meth:`~EvaluationCache.index_table`,
+:meth:`~EvaluationCache.to_problem` replays and :meth:`~EvaluationCache.to_columnar`.
+Every figure of the paper and every tuner replay therefore runs on columns.  The
+dictionary-keyed accessors -- :attr:`~EvaluationCache.observations`, iteration,
+:meth:`~EvaluationCache.configs`, :meth:`~EvaluationCache.valid_observations`,
+:meth:`~EvaluationCache.to_dict` (so JSON export) and the mutators
+:meth:`~EvaluationCache.add`/:meth:`~EvaluationCache.add_observation` --
+materialise the dict store on first use, after which both forms answer from it.
 
 A cache round-tripped through the columnar store serializes back to byte-identical
 JSON (same observations, same ``evaluation_index`` assignment, same error strings),
@@ -46,13 +64,14 @@ which is what lets the two formats coexist under the byte-identity contracts.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.errors import (CacheMissError, FragmentIntegrityError, ReproError,
-                               SerializationError)
+from repro.core.errors import (CacheMissError, FragmentIntegrityError,
+                               InvalidConfigurationError, ReproError, SerializationError)
 from repro.core.problem import TuningProblem
 from repro.core.result import LazyConfig, Observation
 from repro.core.searchspace import SearchSpace, config_key
@@ -62,6 +81,19 @@ __all__ = ["EvaluationCache", "CacheIndexTable"]
 #: Cardinality ceiling for the dense ``index -> row`` array of the columnar table
 #: (int32 rows: 4 MB per million points).  Above it, lookups go through a hash map.
 _DENSE_LOOKUP_MAX = 2_000_000
+
+
+def _first_repeat(indices: np.ndarray) -> int:
+    """The first row whose index already occurred at an earlier row, or -1."""
+    if bool(np.all(indices[1:] > indices[:-1])):
+        return -1  # strictly ascending: the enumerated (exhaustive) units
+    ordered = np.sort(indices)
+    if not bool((ordered[1:] == ordered[:-1]).any()):
+        return -1
+    # Only corrupt input gets here: locate the repeat with a (slower) stable sort.
+    order = np.argsort(indices, kind="stable")
+    later = order[1:][indices[order[1:]] == indices[order[:-1]]]
+    return int(later.min())
 
 
 class CacheIndexTable:
@@ -100,8 +132,8 @@ class CacheIndexTable:
         ``values``/``failure`` arrays are adopted by reference (they may be
         read-only mmap views -- :meth:`store` copies on first write), and only
         the ``index -> row`` structure is materialised here.  ``indices`` must
-        be duplicate-free, which insertion-ordered cache columns are by
-        construction.
+        be duplicate-free, which :meth:`EvaluationCache.attach_columns`
+        enforces.
         """
         table = cls.__new__(cls)
         indices = np.asarray(indices, dtype=np.int64)
@@ -190,17 +222,20 @@ class CacheIndexTable:
             self._sorted_rows = rows[order]
         return self._sorted_keys, self._sorted_rows
 
-    def lookup_one(self, index: int) -> tuple[float, bool, bool]:
-        """``(value, failure, found)`` of one space index.
+    def row(self, index: int) -> int:
+        """Row of one space index, or -1 when it is not stored.
 
         Out-of-range indices are misses, exactly like unknown in-range ones (the
         dense path must not let NumPy's negative-index wrapping alias a row).
         """
         if self._dense:
-            row = (int(self._row_of[index])
-                   if 0 <= index < self._cardinality else -1)
-        else:
-            row = self._row_of.get(index, -1)
+            return (int(self._row_of[index])
+                    if 0 <= index < self._cardinality else -1)
+        return self._row_of.get(index, -1)
+
+    def lookup_one(self, index: int) -> tuple[float, bool, bool]:
+        """``(value, failure, found)`` of one space index (misses as in :meth:`row`)."""
+        row = self.row(index)
         if row < 0:
             return math.inf, True, False
         return float(self._values[row]), bool(self._failure[row]), True
@@ -232,17 +267,18 @@ class CacheIndexTable:
         return values, failure, found
 
 
-class _LazyColumns:
+class _AdoptedColumns:
     """Columnar rows adopted by a cache but not yet materialised as Observations.
 
     Holds the (possibly memory-mapped, read-only) index/value/code arrays plus
-    the interned error table of one columnar cache file.  The owning
-    :class:`EvaluationCache` answers ``len``/counters/index-table queries straight
-    off these arrays and only decodes them into :class:`Observation` objects when
+    the interned error table of one columnar cache file, and the per-row
+    ``Observation.is_failure`` flags derived from them.  The owning
+    :class:`EvaluationCache` answers its column-native readers straight off
+    these arrays and only decodes them into :class:`Observation` objects when
     a dictionary-keyed accessor is actually used.
     """
 
-    __slots__ = ("indices", "values", "codes", "errors")
+    __slots__ = ("indices", "values", "codes", "errors", "failure")
 
     def __init__(self, indices: np.ndarray, values: np.ndarray,
                  codes: np.ndarray, errors: Sequence[str]):
@@ -250,11 +286,7 @@ class _LazyColumns:
         self.values = values
         self.codes = codes
         self.errors = list(errors)
-
-    @property
-    def failure(self) -> np.ndarray:
-        """Per-row ``Observation.is_failure`` flags, straight from the columns."""
-        return (self.codes >= 0) | ~np.isfinite(self.values)
+        self.failure = (codes >= 0) | ~np.isfinite(values)
 
 
 class EvaluationCache:
@@ -281,7 +313,7 @@ class EvaluationCache:
         self.space = space
         self.exhaustive = exhaustive
         self._store: dict[tuple, Observation] = {}
-        self._lazy: _LazyColumns | None = None
+        self._lazy: _AdoptedColumns | None = None
         self._num_failures = 0
         self.metadata: dict[str, Any] = {}
         self._index_table: CacheIndexTable | None = None
@@ -297,20 +329,57 @@ class EvaluationCache:
         return self._store
 
     def _materialize(self) -> None:
-        from repro.io.columnar import decode_failure_strings
-
-        lazy, self._lazy = self._lazy, None
-        valid, errors = decode_failure_strings(lazy.codes, lazy.errors)
-        space, gpu, benchmark = self.space, self.gpu, self.benchmark
         store = self._store
-        fast = Observation.fast
-        values = lazy.values.tolist()
-        for row, index in enumerate(lazy.indices.tolist()):
-            obs = fast(LazyConfig(space, index), values[row], bool(valid[row]),
-                       errors[row], row, gpu, benchmark)
+        for row in range(self._lazy.indices.size):
+            obs = self._observation_at(row)
             store[obs.key] = obs
+        self._lazy = None
         # The index table (if already built from these columns) covers every
         # materialised row, so nothing is queued on ``_index_pending`` here.
+
+    def _observation_at(self, row: int) -> Observation:
+        """The observation stored at insertion position ``row``.
+
+        Adopted columns decode just that row (the failure codes were checked
+        against the error table on attach); an eager cache walks its dict store.
+        """
+        lazy = self._lazy
+        if lazy is None:
+            return next(islice(self._store.values(), row, None))
+        code = int(lazy.codes[row])
+        return Observation.fast(LazyConfig(self.space, int(lazy.indices[row])),
+                                float(lazy.values[row]), code < 0,
+                                lazy.errors[-code - 1 if code < 0 else code],
+                                row, self.gpu, self.benchmark)
+
+    def _row_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, failure)`` of every stored row, in insertion order.
+
+        The one source of the statistics readers: adopted columns answer with
+        their own (possibly read-only) arrays, an eager cache reads its dict
+        store once.
+        """
+        lazy = self._lazy
+        if lazy is not None:
+            return lazy.values, lazy.failure
+        observations = self._store.values()
+        n = len(observations)
+        values = np.fromiter((o.value for o in observations), dtype=float, count=n)
+        valid = np.fromiter((o.valid for o in observations), dtype=bool, count=n)
+        return values, ~valid | ~np.isfinite(values)  # Observation.is_failure
+
+    def _valid_rows(self, valid_only: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, values)``: the selected insertion rows and their runtimes."""
+        values, failure = self._row_columns()
+        rows = np.flatnonzero(~failure) if valid_only else np.arange(values.size)
+        return rows, values[rows]
+
+    def _row_configs(self, rows: np.ndarray) -> list[dict[str, Any]]:
+        """Configuration dictionaries of the given insertion rows."""
+        if self._lazy is not None:
+            return self.space.configs_at(self._lazy.indices[rows])
+        observations = list(self._store.values())
+        return [dict(observations[row].config) for row in rows.tolist()]
 
     # --------------------------------------------------------------------- mutation
 
@@ -390,14 +459,26 @@ class EvaluationCache:
         return len(self._store)
 
     def __contains__(self, config: Mapping[str, Any]) -> bool:
-        return config_key(config) in self._entries
+        return self.get(config) is not None
 
     def __iter__(self) -> Iterator[Observation]:
         return iter(self._entries.values())
 
     def get(self, config: Mapping[str, Any]) -> Observation | None:
-        """The stored observation for ``config`` or None."""
-        return self._entries.get(config_key(config))
+        """The stored observation for ``config`` or None.
+
+        Adopted columns answer through :meth:`index_table`: anything
+        ``space.index_of`` refuses (unknown or missing parameters, values outside
+        a parameter) is a miss, exactly as it is for the dict store.
+        """
+        if self._lazy is None:
+            return self._store.get(config_key(config))
+        try:
+            index = self.space.index_of(config)
+        except InvalidConfigurationError:
+            return None
+        row = self.index_table().row(index)
+        return None if row < 0 else self._observation_at(row)
 
     def lookup(self, config: Mapping[str, Any]) -> Observation:
         """Like :meth:`get` but raises :class:`CacheMissError` when absent."""
@@ -423,13 +504,8 @@ class EvaluationCache:
         list is aligned with the float runtime vector, ready to be turned into a digit
         matrix by :meth:`~repro.core.searchspace.SearchSpace.digits_of_configs`.
         """
-        configs: list[dict[str, Any]] = []
-        values: list[float] = []
-        for o in self._entries.values():
-            if not o.is_failure:
-                configs.append(dict(o.config))
-                values.append(o.value)
-        return configs, np.asarray(values, dtype=float)
+        rows, values = self._valid_rows()
+        return self._row_configs(rows), values
 
     @property
     def num_valid(self) -> int:
@@ -450,10 +526,7 @@ class EvaluationCache:
 
     def values(self, valid_only: bool = True) -> np.ndarray:
         """Measured runtimes as a float array (valid entries only by default)."""
-        if valid_only:
-            return np.array([o.value for o in self._entries.values() if not o.is_failure],
-                            dtype=float)
-        return np.array([o.value for o in self._entries.values()], dtype=float)
+        return self._valid_rows(valid_only)[1]
 
     def configs(self, valid_only: bool = True) -> list[dict[str, Any]]:
         """Stored configurations, aligned with :meth:`values`."""
@@ -461,19 +534,19 @@ class EvaluationCache:
             return [dict(o.config) for o in self._entries.values() if not o.is_failure]
         return [dict(o.config) for o in self._entries.values()]
 
-    def best(self) -> Observation:
-        """The fastest configuration in the cache."""
-        valid = self.valid_observations()
-        if not valid:
+    def _extreme(self, arg: Any) -> Observation:
+        rows, values = self._valid_rows()
+        if not rows.size:
             raise ReproError(f"cache {self.benchmark}/{self.gpu} has no valid entries")
-        return min(valid, key=lambda o: o.value)
+        return self._observation_at(int(rows[arg(values)]))
+
+    def best(self) -> Observation:
+        """The fastest configuration in the cache (the first, on ties)."""
+        return self._extreme(np.argmin)
 
     def worst(self) -> Observation:
-        """The slowest valid configuration in the cache."""
-        valid = self.valid_observations()
-        if not valid:
-            raise ReproError(f"cache {self.benchmark}/{self.gpu} has no valid entries")
-        return max(valid, key=lambda o: o.value)
+        """The slowest valid configuration in the cache (the first, on ties)."""
+        return self._extreme(np.argmax)
 
     def optimum(self) -> float:
         """Runtime of the best configuration (the paper's reference optimum)."""
@@ -492,7 +565,7 @@ class EvaluationCache:
         if vals.size == 0:
             raise ReproError(f"cache {self.benchmark}/{self.gpu} has no valid entries")
         return {
-            "count": float(len(self._entries)),
+            "count": float(len(self)),
             "valid": float(vals.size),
             "best": float(vals.min()),
             "worst": float(vals.max()),
@@ -509,15 +582,12 @@ class EvaluationCache:
         ``X`` has one column per parameter (in search-space order), ``y`` holds the
         measured runtimes.
         """
-        configs = self.configs(valid_only=valid_only)
-        if not configs:
+        rows, y = self._valid_rows(valid_only)
+        if not rows.size:
             raise ReproError(f"cache {self.benchmark}/{self.gpu} has no entries to encode")
-        X = self.space.encode_batch(configs)
-        if valid_only:
-            y = self.values(valid_only=True)
-        else:
-            y = np.array([o.value for o in self._entries.values()], dtype=float)
-        return X, y
+        if self._lazy is not None:
+            return self.space.encode_indices(self._lazy.indices[rows]), y
+        return self.space.encode_batch(self._row_configs(rows)), y
 
     # ------------------------------------------------------------------ replay
 
@@ -691,11 +761,15 @@ class EvaluationCache:
         """Open a columnar cache file; the inverse of :meth:`to_columnar`.
 
         With ``mmap=True`` (default) the index/value/code columns stay read-only
-        views of the memory-mapped file: the :class:`CacheIndexTable` is built
-        straight off them and the observation dictionary materialises only when a
-        dictionary-keyed accessor is used, so opening for index-native replay
-        costs one header parse -- not one Python object per row.  ``space`` may
-        be supplied to reuse an existing space object, like :meth:`from_dict`.
+        views of the memory-mapped file, so opening for index-native replay costs
+        one header parse -- not one Python object per row.  The
+        :class:`CacheIndexTable` and the column-native readers (``values``,
+        ``best``/``worst``, ``median``, ``optimum``, ``statistics``, ``get``,
+        ``valid_arrays``, ``to_feature_matrix``) answer straight off them; the
+        observation dictionary materialises only when a dictionary-keyed
+        accessor (``observations``, iteration, ``configs``,
+        ``valid_observations``, ``to_dict``, ``add``) is used.  ``space`` may be
+        supplied to reuse an existing space object, like :meth:`from_dict`.
         """
         from repro.io import columnar
 
@@ -731,6 +805,15 @@ class EvaluationCache:
 
     def attach_columns(self, indices: np.ndarray, values: np.ndarray,
                         codes: np.ndarray, errors: Sequence[str]) -> None:
+        """Adopt insertion-ordered row columns as this (empty) cache's contents.
+
+        Refused with :class:`~repro.core.errors.FragmentIntegrityError` when an
+        index lies outside the space, an index repeats (the dict store would keep
+        one row where the columns count two), or a failure code points outside
+        the error table.
+        """
+        from repro.io.columnar import failure_slots
+
         if self._store or self._lazy is not None or self._index_table is not None:
             raise ReproError("columns can only be attached to an empty cache")
         indices = np.asarray(indices, dtype=np.int64)
@@ -741,8 +824,14 @@ class EvaluationCache:
                     f"columnar cache {self.benchmark}/{self.gpu} carries space "
                     f"index {lo if lo < 0 else hi} outside the space's "
                     f"{self.space.cardinality} configurations")
-        lazy = _LazyColumns(indices, np.asarray(values, dtype=float),
-                            np.asarray(codes, dtype=np.int32), errors)
+            repeat = _first_repeat(indices)
+            if repeat >= 0:
+                raise FragmentIntegrityError(
+                    f"columnar cache {self.benchmark}/{self.gpu} stores space index "
+                    f"{int(indices[repeat])} twice (again at row {repeat})")
+        codes = np.asarray(codes, dtype=np.int32)
+        failure_slots(codes, errors)
+        lazy = _AdoptedColumns(indices, np.asarray(values, dtype=float), codes, errors)
         self._lazy = lazy
         self._num_failures = int(np.count_nonzero(lazy.failure))
 

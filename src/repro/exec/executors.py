@@ -464,10 +464,11 @@ class Executor(abc.ABC):
         # 129,952-row paper campaign, 2 runs, 2-vCPU host).  Per-row cache.add
         # costs 1.10-1.20 s and attach_columns 0.07 s, so loaded units (resume,
         # the `replay` bench workload) attach.  Fresh units (`campaign`, `learn`)
-        # add eagerly: a JSON export of attached caches costs 1.8-2.0 s more than
-        # of eager ones (still 1.1-1.2 s more with a batch-decoding
-        # _materialize), and encode_cache on the four `learn` units takes
-        # 0.73-0.81 s attached against 0.05 s eager.
+        # add eagerly because a JSON export of attached caches costs 1.8-2.0 s
+        # more than of eager ones (still 1.1-1.2 s more with a batch-decoding
+        # _materialize).  encode_cache no longer argues for the eager path: it
+        # reads attached columns, 0.007 s on the four `learn` units against
+        # 0.05 s eager (median of 3, same host).
         caches: dict[tuple[str, str], EvaluationCache] = {}
         for unit in units:
             benchmark = benchmarks[unit.benchmark]

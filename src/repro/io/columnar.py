@@ -82,7 +82,7 @@ __all__ = [
     "COLUMNAR_MAGIC", "COLUMNAR_VERSION", "COLUMNAR_SUFFIX",
     "ColumnarPayload", "cache_digest",
     "write_columnar", "read_columnar", "peek_columnar_header",
-    "encode_failure_codes", "decode_failure_strings",
+    "encode_failure_codes", "failure_slots", "decode_failure_strings",
     "save_columnar_fragment", "load_columnar_fragment_columns",
     "concat_fragment_columns",
 ]
@@ -141,9 +141,10 @@ def encode_failure_codes(valid: Sequence[bool], errors: Sequence[str]
     return codes, list(table)
 
 
-def decode_failure_strings(codes: np.ndarray, table: Sequence[str]
-                           ) -> tuple[np.ndarray, list[str]]:
-    """Inverse of :func:`encode_failure_codes`: ``(valid, errors)`` per row."""
+def failure_slots(codes: np.ndarray, table: Sequence[str]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(valid, slots)`` per row of a code column, each slot checked against
+    the interned table (:class:`FragmentIntegrityError` when outside it)."""
     codes = np.asarray(codes, dtype=np.int32)
     valid = codes < 0
     slots = np.where(valid, -codes - 1, codes)
@@ -151,6 +152,13 @@ def decode_failure_strings(codes: np.ndarray, table: Sequence[str]
         raise FragmentIntegrityError(
             f"columnar failure codes reference error-string slots outside the "
             f"interned table of {len(table)} entries")
+    return valid, slots
+
+
+def decode_failure_strings(codes: np.ndarray, table: Sequence[str]
+                           ) -> tuple[np.ndarray, list[str]]:
+    """Inverse of :func:`encode_failure_codes`: ``(valid, errors)`` per row."""
+    valid, slots = failure_slots(codes, table)
     table = list(table)
     return valid, [table[slot] for slot in slots.tolist()]
 

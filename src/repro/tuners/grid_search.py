@@ -46,23 +46,31 @@ class GridSearch(Tuner):
 
     def _run(self, problem: TuningProblem, budget: Budget, rng: np.random.Generator) -> None:
         space = problem.space
-        indices = np.arange(0, space.cardinality, self.stride, dtype=np.int64)
+        stride = self.stride
+        n = -(-space.cardinality // stride)  # points on the strided sweep
+        # Only a shuffled sweep needs its whole index range up front; the ordered
+        # one generates each block as it goes, so a budget of a few hundred
+        # evaluations never allocates a space-sized array.
+        order = None
         if self.shuffle:
-            rng.shuffle(indices)
+            order = np.arange(0, space.cardinality, stride, dtype=np.int64)
+            rng.shuffle(order)
         # Validity is resolved one block at a time through the vectorized constraint
         # mask; the surviving indices feed the evaluation fast path directly (no
         # configuration dictionaries), and blocks never grow far beyond what the
         # remaining budget can evaluate.
         chunk = 1 << 14
         start = 0
-        while start < indices.size:
+        while start < n:
             if self.budget_exhausted:
                 return
             remaining = self._budget.remaining_evaluations if self._budget else chunk
             block_size = chunk if not math.isfinite(remaining) else max(
                 min(chunk, int(remaining) * 4), 64)
-            block = indices[start:start + block_size]
-            start += block_size
+            stop = min(start + block_size, n)
+            block = (order[start:stop] if order is not None
+                     else np.arange(start, stop, dtype=np.int64) * stride)
+            start = stop
             feasible = block[space.satisfied_mask(block)]
             # One batch evaluation per feasible block: a short result means the
             # budget ran out mid-block, exactly like the per-index loop stopping.

@@ -1,0 +1,261 @@
+"""Differential suite for the column-native readers of :class:`EvaluationCache`.
+
+A cache opened from a columnar file adopts its index/value/code columns and
+answers its statistics readers (``values``, ``best``/``worst``, ``median``,
+``optimum``, ``statistics``, ``get``, ``valid_arrays``, ``to_feature_matrix``)
+straight from them, without building an observation dictionary.  The contract
+under test: every such reader on a fresh memory-mapped cache is bit-for-bit what
+the same reader returns once the dictionary store has been materialised (and
+what the eager cache the file was written from returns), and the paper's
+figures plus the tuner replays leave a mapped cache unmaterialised.
+
+The caches cover an exhaustive kernel (Convolution: dense index table, failed
+launches) and sampled kernels (Hotspot: hashed index table, failed launches;
+PnPoly: dense index table with absent members).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.analysis import (
+    centrality_study,
+    portability_study,
+    random_search_convergence,
+    speedup_study,
+)
+from repro.analysis.convergence import tuner_convergence
+from repro.core.cache import EvaluationCache
+from repro.tuners import all_tuners
+
+#: (benchmark, GPU, sample size or None for an exhaustive campaign).
+UNITS = (("convolution", "RTX_3090", None),
+         ("convolution", "RTX_2080_Ti", None),
+         ("hotspot", "RTX_3090", 400),
+         ("pnpoly", "RTX_3090", 300))
+
+#: The caches the reader comparisons run on (one per table/campaign kind).
+READER_UNITS = (("convolution", "RTX_3090"), ("hotspot", "RTX_3090"),
+                ("pnpoly", "RTX_3090"))
+
+INDEX_TUNERS = ("random", "grid", "local", "greedy_ils", "annealing", "genetic",
+                "diff_evo", "pso")
+
+
+@pytest.fixture(scope="module")
+def campaign(benchmarks, gpus, tmp_path_factory):
+    """Eager caches of :data:`UNITS` and the columnar files written from them."""
+    directory = tmp_path_factory.mktemp("columns")
+    eager, paths = {}, {}
+    for name, gpu, sample_size in UNITS:
+        cache = benchmarks[name].build_cache(gpus[gpu], sample_size=sample_size,
+                                             seed=5)
+        eager[name, gpu] = cache
+        paths[name, gpu] = cache.to_columnar(directory / f"{name}_{gpu}.col")
+    return eager, paths
+
+
+def open_mapped(path):
+    return EvaluationCache.from_columnar(path, mmap=True)
+
+
+def materialised(path):
+    """A mapped cache whose dict store has been forced by a dict-keyed accessor."""
+    cache = open_mapped(path)
+    assert cache.observations and cache._lazy is None
+    return cache
+
+
+@pytest.fixture(params=READER_UNITS, ids=lambda key: key[0])
+def unit(request):
+    return request.param
+
+
+@pytest.fixture(params=["materialised", "eager"])
+def pair(request, campaign, unit):
+    """``(mapped, reference)``: a fresh mapped cache and a dict-store cache."""
+    eager, paths = campaign
+    mapped = open_mapped(paths[unit])
+    reference = eager[unit] if request.param == "eager" else materialised(paths[unit])
+    assert mapped._lazy is not None
+    yield mapped, reference
+    assert mapped._lazy is not None, "a column-native reader materialised the cache"
+
+
+def same_array(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def same_observation(a, b):
+    return (list(a.config.items()) == list(b.config.items())
+            and same_float(a.value, b.value) and a.valid == b.valid
+            and a.error == b.error and a.evaluation_index == b.evaluation_index
+            and a.gpu == b.gpu and a.benchmark == b.benchmark)
+
+
+class TestReaders:
+    def test_campaign_has_failures(self, campaign):
+        eager, _ = campaign
+        assert eager["convolution", "RTX_3090"].num_invalid > 0
+        assert eager["hotspot", "RTX_3090"].num_invalid > 0
+        assert eager["convolution", "RTX_3090"].exhaustive
+
+    @pytest.mark.parametrize("valid_only", [True, False])
+    def test_values(self, pair, valid_only):
+        mapped, reference = pair
+        assert same_array(mapped.values(valid_only=valid_only),
+                          reference.values(valid_only=valid_only))
+
+    def test_values_is_a_writable_copy(self, pair):
+        mapped, _ = pair
+        for valid_only in (True, False):
+            values = mapped.values(valid_only=valid_only)
+            assert values.flags.writeable
+            values[:] = -1.0
+        assert (mapped.values(valid_only=False) != -1.0).all()
+
+    def test_median_optimum_statistics(self, pair):
+        mapped, reference = pair
+        assert same_float(mapped.median(), reference.median())
+        assert same_float(mapped.optimum(), reference.optimum())
+        got, want = mapped.statistics(), reference.statistics()
+        assert got.keys() == want.keys()
+        assert all(same_float(got[k], want[k]) for k in want)
+
+    @pytest.mark.parametrize("valid_only", [True, False])
+    def test_feature_matrix(self, pair, valid_only):
+        mapped, reference = pair
+        X, y = mapped.to_feature_matrix(valid_only=valid_only)
+        X_ref, y_ref = reference.to_feature_matrix(valid_only=valid_only)
+        assert same_array(X, X_ref)
+        assert same_array(y, y_ref)
+
+    def test_valid_arrays(self, pair):
+        mapped, reference = pair
+        configs, values = mapped.valid_arrays()
+        ref_configs, ref_values = reference.valid_arrays()
+        assert [list(c.items()) for c in configs] == [list(c.items())
+                                                      for c in ref_configs]
+        assert all(type(c) is dict for c in configs)
+        assert same_array(values, ref_values)
+
+    @pytest.mark.parametrize("reader", ["best", "worst"])
+    def test_best_and_worst(self, pair, reader):
+        mapped, reference = pair
+        assert same_observation(getattr(mapped, reader)(), getattr(reference, reader)())
+
+    def test_readers_match_an_observation_scan(self, pair):
+        # Eager and mapped caches share the readers past the row-column
+        # accessor, so the scan below is the independent witness for both.
+        mapped, reference = pair
+        observations = reference.observations
+        valid = [o for o in observations if not o.is_failure]
+        assert same_array(mapped.values(), np.array([o.value for o in valid]))
+        assert same_array(mapped.values(valid_only=False),
+                          np.array([o.value for o in observations]))
+        assert same_observation(mapped.best(), min(valid, key=lambda o: o.value))
+        assert same_observation(mapped.worst(), max(valid, key=lambda o: o.value))
+        X, _ = mapped.to_feature_matrix()
+        assert same_array(X, reference.space.encode_batch([o.config for o in valid]))
+        configs, _ = mapped.valid_arrays()
+        assert configs == [dict(o.config) for o in valid]
+
+
+class TestGet:
+    def _cases(self, cache, sampled_absent):
+        observations = cache.observations
+        valid = next(o for o in observations if not o.is_failure)
+        config = dict(valid.config)
+        name = cache.space.parameter_names[0]
+        missing = {k: v for k, v in config.items() if k != name}
+        cases = {
+            "valid member": config,
+            "unknown key": {**config, "no_such_parameter": 1},
+            "missing key": missing,
+            "out-of-range value": {**config, name: -123_456_789},
+        }
+        failed = [o for o in observations if o.is_failure]
+        if failed:
+            cases["failed member"] = dict(failed[0].config)
+        if sampled_absent:
+            stored = {o.key for o in observations}
+            rng = np.random.default_rng(0)
+            for index in cache.space.sample_indices(64, rng=rng, valid_only=True).tolist():
+                absent = cache.space.config_at(int(index))
+                if tuple(sorted(absent.items())) not in stored:
+                    cases["absent member"] = absent
+                    break
+        return cases
+
+    def test_get_matches_dict_store(self, campaign, unit):
+        eager, paths = campaign
+        reference = materialised(paths[unit])
+        cases = self._cases(reference, sampled_absent=not eager[unit].exhaustive)
+        expected_kinds = {"valid member", "unknown key", "missing key",
+                          "out-of-range value"}
+        if unit[0] != "pnpoly":
+            expected_kinds.add("failed member")
+        if not eager[unit].exhaustive:
+            expected_kinds.add("absent member")
+        assert set(cases) == expected_kinds
+        mapped = open_mapped(paths[unit])
+        for kind, config in cases.items():
+            got, want = mapped.get(config), reference.get(config)
+            if want is None:
+                assert got is None, kind
+            else:
+                assert got is not None and same_observation(got, want), kind
+            assert (config in mapped) == (config in reference), kind
+        assert mapped.get(cases["valid member"]).valid
+        assert mapped._lazy is not None
+
+
+class TestFiguresStayColumnar:
+    def test_figures_do_not_materialise(self, campaign, benchmarks, gpus):
+        eager, paths = campaign
+        mapped = {key: open_mapped(path) for key, path in paths.items()}
+        forced = {key: materialised(path) for key, path in paths.items()}
+
+        for key in mapped:
+            curve = random_search_convergence(mapped[key], repetitions=20, seed=3)
+            ref = random_search_convergence(forced[key], repetitions=20, seed=3)
+            assert same_array(curve.median_relative_performance,
+                              ref.median_relative_performance)
+        reports = centrality_study(mapped)
+        ref_reports = centrality_study(forced)
+        assert set(reports) == {("convolution", "RTX_3090"),
+                                ("convolution", "RTX_2080_Ti"), ("pnpoly", "RTX_3090")}
+        for key, report in reports.items():
+            assert report.num_nodes == ref_reports[key].num_nodes
+            assert report.num_edges == ref_reports[key].num_edges
+            assert same_array(report.values, ref_reports[key].values)
+        speedups = speedup_study(mapped)
+        assert [(e.speedup, e.median_ms) for e in speedups] == [
+            (e.speedup, e.median_ms) for e in speedup_study(forced)]
+        matrices = portability_study(benchmarks, mapped, gpus)
+        ref_matrices = portability_study(benchmarks, forced, gpus)
+        assert matrices["convolution"].relative_performance.shape == (2, 2)
+        for name, matrix in matrices.items():
+            assert same_array(matrix.relative_performance,
+                              ref_matrices[name].relative_performance)
+        assert all(cache._lazy is not None for cache in mapped.values())
+
+    @pytest.mark.parametrize("name", INDEX_TUNERS)
+    def test_tuner_replays_do_not_materialise(self, campaign, name):
+        _, paths = campaign
+        factory = all_tuners()[name]
+        for key, path in paths.items():
+            mapped, forced = open_mapped(path), materialised(path)
+            curve = tuner_convergence(mapped, factory, repetitions=2, budget=40,
+                                      base_seed=11)
+            ref = tuner_convergence(forced, factory, repetitions=2, budget=40,
+                                    base_seed=11)
+            assert same_array(curve.median_relative_performance,
+                              ref.median_relative_performance), key
+            assert mapped._lazy is not None, key

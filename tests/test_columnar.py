@@ -34,6 +34,7 @@ from repro.exec.cli import main as exec_main
 from repro.exec.worker import open_shared_cache
 from repro.io.columnar import (
     COLUMNAR_MAGIC,
+    cache_digest,
     concat_fragment_columns,
     decode_failure_strings,
     encode_failure_codes,
@@ -41,6 +42,7 @@ from repro.io.columnar import (
     peek_columnar_header,
     read_columnar,
     save_columnar_fragment,
+    write_columnar,
 )
 
 SAMPLE_N = 120
@@ -231,6 +233,36 @@ class TestIntegrity:
     def test_out_of_range_failure_code_detected(self):
         with pytest.raises(FragmentIntegrityError):
             decode_failure_strings(np.array([5], dtype=np.int32), ["only-slot"])
+
+    def test_out_of_range_failure_code_refused_on_attach(self, pnpoly):
+        with pytest.raises(FragmentIntegrityError, match="error-string slots"):
+            EvaluationCache.from_columns(
+                "pnpoly", "RTX_3090", pnpoly.space, np.array([5, 7]),
+                np.array([1.0, np.inf]), np.array([-1, 3], dtype=np.int32), [""])
+
+    @pytest.mark.parametrize("indices, duplicate, row", [
+        ([5, 7, 5], 5, 2),
+        ([9, 5, 9, 5], 9, 2),  # the first repeat in row order, not the smallest
+    ])
+    def test_duplicate_space_index_refused(self, pnpoly, indices, duplicate, row):
+        n = len(indices)
+        with pytest.raises(FragmentIntegrityError,
+                           match=fr"space index {duplicate} twice \(again at row {row}\)"):
+            EvaluationCache.from_columns(
+                "pnpoly", "RTX_3090", pnpoly.space, np.array(indices),
+                np.arange(1.0, n + 1), np.full(n, -1, dtype=np.int32), [""])
+
+    def test_duplicate_space_index_refused_on_columnar_open(self, pnpoly, tmp_path):
+        space = pnpoly.space.to_dict()
+        meta = {"benchmark": "pnpoly", "gpu": "RTX_3090", "exhaustive": False,
+                "metadata": {}, "space": space,
+                "digest": cache_digest("pnpoly", "RTX_3090", space)}
+        path = write_columnar(
+            tmp_path / "dup.col", "cache", meta,
+            {"index": np.array([5, 7, 5]), "value": np.array([1.0, 2.0, 3.0]),
+             "code": np.full(3, -1, dtype=np.int32)}, [""])
+        with pytest.raises(FragmentIntegrityError, match="space index 5 twice"):
+            EvaluationCache.from_columnar(path, space=pnpoly.space)
 
 
 class TestFragmentsAndMerge:

@@ -34,6 +34,11 @@ HASHED_BATCH_LOOKUP_CEILING_S = 10.0
 CACHE_REPLAY_OPEN_CEILING_S = 2.0
 MODEL_BATCH_GEMM_4GPU_CEILING_S = 1.5
 GBDT_SURROGATE_FITS_CEILING_S = 3.0
+GRID_SWEEP_DEDISPERSION_CEILING_S = 2.0
+
+#: Traced-allocation ceiling of a short grid sweep over Dedispersion's 123,863,040
+#: points (an eagerly built index range alone is 991 MB).
+GRID_SWEEP_PEAK_BYTES = 64 * 2**20
 
 
 def _timed(fn):
@@ -255,6 +260,36 @@ def test_columnar_replay_open_under_ceiling(benchmarks, gpu_3090, tmp_path):
         f"columnar mmap open + 1k probes took {elapsed:.2f}s "
         f"(ceiling {CACHE_REPLAY_OPEN_CEILING_S}s); the columnar open has "
         f"likely regressed to eager observation rehydration")
+
+
+def test_grid_sweep_streams_its_index_range(benchmarks, gpu_3090):
+    # GridSearch generates each index block of its sweep as it goes; a regression
+    # to an up-front np.arange over the whole space allocates ~1 GB here before
+    # the first of 150 evaluations.
+    import tracemalloc
+
+    from repro.core.budget import Budget
+    from repro.tuners import GridSearch
+
+    cache = benchmarks["dedispersion"].build_cache(gpu_3090, sample_size=2_000,
+                                                   seed=1)
+    assert cache.space.cardinality == 123_863_040
+    problem = cache.to_problem(strict=False)
+    tracemalloc.start()
+    try:
+        result, elapsed = _timed(lambda: GridSearch().tune(
+            problem, Budget(max_evaluations=150), seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 150
+    assert peak < GRID_SWEEP_PEAK_BYTES, (
+        f"a 150-evaluation grid sweep peaked at {peak / 2**20:.0f} MB of traced "
+        f"allocations (ceiling {GRID_SWEEP_PEAK_BYTES / 2**20:.0f} MB); the sweep "
+        f"has likely regressed to materialising its whole index range")
+    assert elapsed < GRID_SWEEP_DEDISPERSION_CEILING_S, (
+        f"a 150-evaluation grid sweep over Dedispersion took {elapsed:.2f}s "
+        f"(ceiling {GRID_SWEEP_DEDISPERSION_CEILING_S}s)")
 
 
 def test_exact_constrained_count_gemm_under_ceiling(benchmarks):
