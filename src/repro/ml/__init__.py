@@ -9,7 +9,8 @@ subpackage provides the same model family from scratch on NumPy:
 * :mod:`repro.ml.gbdt` -- least-squares gradient boosting over those trees;
 * :mod:`repro.ml.metrics` -- R^2 / RMSE / MAE;
 * :mod:`repro.ml.encoding` -- campaign-cache to feature-matrix conversion;
-* :mod:`repro.ml.permutation_importance` -- PFI with repeated shuffles.
+* :mod:`repro.ml.permutation_importance` -- PFI with repeated shuffles, served to the
+  ensemble from per-tree leaf bitmasks rather than one predict per shuffle.
 
 Everything is deterministic given a seed.  The ensemble bins its training matrix
 once and every tree grows over it a level at a time: one ``np.bincount`` fills the

@@ -10,6 +10,9 @@ paper reports (>= 0.99 for most benchmarks).
 Without subsampling the training matrix is binned once for the whole ensemble, and
 each stage's update is the value of the leaf every row lands in while its tree
 grows, so no stage re-bins or re-predicts the training data.
+
+:meth:`GradientBoostingRegressor.predict_permuted` serves permutation importance
+from per-tree leaf bitmasks instead of one ensemble predict per shuffled column.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from typing import Any
 import numpy as np
 
 from repro.ml.metrics import r2_score
-from repro.ml.tree import DecisionTreeRegressor, bin_features, check_training_data
+from repro.ml.permutation_importance import shuffled_predictions
+from repro.ml.tree import (ALL_LEAVES, MASK_SLOTS, DecisionTreeRegressor, bin_features,
+                           check_training_data)
 
 __all__ = ["GradientBoostingRegressor"]
 
@@ -115,6 +120,73 @@ class GradientBoostingRegressor:
         for tree in self._trees:
             out = out + self.learning_rate * tree.predict(X)
         return out
+
+    def predict_permuted(self, X: np.ndarray,
+                         permutations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(predict(X), shuffled)`` for permutation importance.
+
+        ``shuffled[j, r]`` is ``predict`` of ``X`` with column j reordered by
+        ``permutations[j, r]`` (shape ``(n_features, n_repeats, n)``), bit for bit.
+        No tree is traversed again: a tree's exit leaf is the AND of one leaf
+        bitmask per feature (:meth:`DecisionTreeRegressor.leaf_masks`), so a
+        shuffle of column j ANDs the other features' masks, computed once, with
+        column j's masks in permuted order.  A tree with more than 64 leaves
+        predicts on shuffled copies instead.  Trees add up in the order and with
+        the expression ``predict`` uses.
+        """
+        if not self._trees:
+            raise RuntimeError("model is not fitted")
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n_features_:
+            raise ValueError(f"X must have shape (n, {self.n_features_})")
+        permutations = np.asarray(permutations)
+        n_features, n_repeats, n = permutations.shape
+        if (n_features, n) != X.shape[::-1]:
+            raise ValueError(f"permutations must have shape ({X.shape[1]}, r, {X.shape[0]})")
+        # Row i's code in feature j indexes the concatenated per-value tables.
+        uniques, codes = [], []
+        offset = 0
+        for column in X.T:
+            values, inverse = np.unique(column, return_inverse=True)
+            uniques.append(values)
+            codes.append(inverse + offset)
+            offset += len(values)
+        codes = np.stack(codes)
+        shuffled_codes = codes[np.arange(n_features)[:, None, None], permutations]
+        slots = np.uint64(MASK_SLOTS)
+
+        lr = self.learning_rate
+        predicted = np.full(n, self._initial_prediction)
+        shuffled = np.full(permutations.shape, self._initial_prediction)
+        for tree in self._trees:
+            masks = tree.leaf_masks(uniques)
+            if masks is None:
+                exit_value = tree.predict(X)
+                shuffled_value = np.reshape(
+                    list(shuffled_predictions(tree.predict, X, permutations)),
+                    permutations.shape)
+            else:
+                table, leaf_value = masks
+                row_masks = table[codes]
+                # others[j] is the AND of every feature's masks but j's: running
+                # ANDs from the left, then from the right.
+                others = np.empty_like(row_masks)
+                running = np.full(n, ALL_LEAVES)
+                for j in range(n_features):
+                    others[j] = running
+                    running = running & row_masks[j]
+                exit_leaf = running
+                running = np.full(n, ALL_LEAVES)
+                for j in reversed(range(n_features)):
+                    others[j] &= running
+                    running = running & row_masks[j]
+                shuffled_leaf = table[shuffled_codes]
+                shuffled_leaf &= others[:, None]
+                exit_value = leaf_value[(exit_leaf % slots).astype(np.intp)]
+                shuffled_value = leaf_value[(shuffled_leaf % slots).astype(np.intp)]
+            predicted = predicted + lr * exit_value
+            shuffled = shuffled + lr * shuffled_value
+        return predicted, shuffled
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
         """R^2 of the ensemble on ``(X, y)``."""

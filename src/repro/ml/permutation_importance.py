@@ -12,16 +12,27 @@ interact, the per-feature importance scores can sum to considerably more than th
 explainable variance -- shuffling either of two interacting parameters destroys the
 interaction term -- and a sum well above 1 is evidence that the search space needs
 global (non-orthogonal) optimization.
+
+Every permutation is drawn up front, in (feature, repeat) order, with
+``rng.permutation(n)``; that consumes the generator exactly as shuffling a column of
+n values does, so the scores do not depend on how the shuffled predictions are
+computed.  A model with ``predict_permuted`` (the gradient-boosted ensemble) gets
+all of them in one call: each tree's exit leaf is the AND of per-feature leaf
+bitmasks, so shuffling column j only permutes that column's masks and no tree is
+traversed again, bit-identical to predicting every shuffled copy (trees of more
+than 64 leaves fall back to traversal on their own).  Any other model with
+``predict`` takes the generic path, one ``predict`` per shuffled copy of ``X``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.ml.metrics import r2_score
+from repro.ml.tree import check_finite
 
 __all__ = ["PermutationImportanceResult", "permutation_importance"]
 
@@ -62,6 +73,18 @@ class PermutationImportanceResult:
         return float(self.importances_mean.sum())
 
 
+def shuffled_predictions(predict: Callable[[np.ndarray], np.ndarray], X: np.ndarray,
+                         permutations: np.ndarray) -> Iterator[np.ndarray]:
+    """``predict`` of ``X`` with column j reordered by ``permutations[j, r]``, in (j, r) order."""
+    # One scratch copy of X: column j is overwritten per shuffle, restored after.
+    shuffled = X.copy()
+    for j, column_permutations in enumerate(permutations):
+        for permutation in column_permutations:
+            shuffled[:, j] = X[permutation, j]
+            yield predict(shuffled)
+        shuffled[:, j] = X[:, j]
+
+
 def permutation_importance(model, X: np.ndarray, y: np.ndarray, n_repeats: int = 5,
                            random_state: int | None = 0,
                            scoring: Callable[[np.ndarray, np.ndarray], float] = r2_score,
@@ -71,10 +94,13 @@ def permutation_importance(model, X: np.ndarray, y: np.ndarray, n_repeats: int =
     Parameters
     ----------
     model:
-        Any object with a ``predict(X)`` method (already fitted).
+        Any object with a ``predict(X)`` method (already fitted).  A model that
+        also has ``predict_permuted(X, permutations)`` (the gradient-boosted
+        ensemble) computes every shuffled prediction through it.
     X, y:
         The evaluation dataset (the paper evaluates on the training campaign itself,
         which is appropriate because the campaign *is* the population of interest).
+        Both must be finite.
     n_repeats:
         Number of independent shuffles per feature.
     scoring:
@@ -87,19 +113,25 @@ def permutation_importance(model, X: np.ndarray, y: np.ndarray, n_repeats: int =
         raise ValueError("X must be 2D and aligned with y")
     if n_repeats < 1:
         raise ValueError("n_repeats must be at least 1")
+    check_finite("X", X)
+    check_finite("y", y)
 
     rng = np.random.default_rng(random_state)
-    baseline = float(scoring(y, model.predict(X)))
-
-    n_features = X.shape[1]
-    drops = np.zeros((n_features, n_repeats))
-    # One scratch copy of X: column j is overwritten per shuffle, restored after.
-    shuffled = X.copy()
-    for j in range(n_features):
-        for r in range(n_repeats):
-            shuffled[:, j] = rng.permutation(X[:, j])
-            drops[j, r] = baseline - float(scoring(y, model.predict(shuffled)))
-        shuffled[:, j] = X[:, j]
+    n_samples, n_features = X.shape
+    # Drawn in (feature, repeat) order; ``rng.permutation(n)`` consumes the stream
+    # exactly as shuffling a column of n values does.
+    permutations = np.array([rng.permutation(n_samples)
+                             for _ in range(n_features * n_repeats)],
+                            dtype=np.int64).reshape(n_features, n_repeats, n_samples)
+    if n_features and hasattr(model, "predict_permuted"):
+        predicted, shuffled = model.predict_permuted(X, permutations)
+        shuffled = shuffled.reshape(-1, n_samples)
+    else:
+        predicted = model.predict(X)
+        shuffled = shuffled_predictions(model.predict, X, permutations)
+    baseline = float(scoring(y, predicted))
+    drops = np.array([baseline - float(scoring(y, prediction)) for prediction in shuffled])
+    drops = drops.reshape(n_features, n_repeats)
 
     return PermutationImportanceResult(
         importances_mean=drops.mean(axis=1),

@@ -30,20 +30,36 @@ The grower reproduces a depth-first per-node, per-feature builder bit for bit
    ``min_samples_leaf`` rows (weighted sizes passed, row counts did not) and the
    node stays a leaf.
 
-Nodes are numbered breadth-first.  Trees are stored as parallel arrays so
-prediction is a vectorised loop over depth rather than a per-sample traversal.
+Nodes are numbered breadth-first and stored as parallel arrays.  A leaf tests
++inf and is its own left and right child, so :meth:`DecisionTreeRegressor.predict`
+walks every row a fixed number of steps, the depth of the deepest leaf: each step
+is one flat gather of the value each row tests and one ``np.where`` to the child,
+with no per-level selection of the rows still moving.
+
+:meth:`DecisionTreeRegressor.leaf_masks` gives the QuickScorer form of a tree of
+at most 64 leaves (Lucchese et al., SIGIR 2015): per feature value, a ``uint64``
+of the leaves the nodes on that feature leave reachable.  The AND of one mask per
+feature is the bit of the exit leaf, so a row whose feature j changes needs only
+feature j's mask looked up again; permutation importance is built on this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 __all__ = ["DecisionTreeRegressor"]
 
 _LEAF = -1
+
+#: Leaf bitmasks are one uint64: trees with more leaves have none.
+MASK_LEAVES = 64
+#: 2 is a primitive root modulo 67, so ``(1 << k) % 67`` differs for every k < 64.
+MASK_SLOTS = 67
+#: Every bit set: the start of an AND over leaf bitmasks.
+ALL_LEAVES = np.uint64(2**64 - 1)
 
 #: A split must reduce the weighted squared error by more than this.
 _MIN_GAIN = 1e-12
@@ -97,10 +113,11 @@ class _TreeArrays:
     """Flat array representation of a fitted tree (one entry per node)."""
 
     feature: np.ndarray      # int, _LEAF for leaves
-    threshold: np.ndarray    # float split threshold (go left if x <= threshold)
-    left: np.ndarray         # int child index
-    right: np.ndarray        # int child index
+    threshold: np.ndarray    # float split threshold (go left if x <= threshold), +inf at leaves
+    left: np.ndarray         # int child index (the leaf itself at leaves)
+    right: np.ndarray        # int child index (the leaf itself at leaves)
     value: np.ndarray        # float leaf prediction (also stored for internal nodes)
+    depth: int               # depth of the deepest leaf (root = 0)
 
 
 class DecisionTreeRegressor:
@@ -177,10 +194,12 @@ class DecisionTreeRegressor:
         weights = np.broadcast_to(stats[:, None], stat_bucket.shape).ravel()
         min_leaf = self.min_samples_leaf
 
+        # A leaf tests +inf and has itself as both children, so a walk as long as
+        # the deepest leaf's depth leaves every row at its leaf.
         feature = [_LEAF]
-        threshold = [0.0]
-        left = [_LEAF]
-        right = [_LEAF]
+        threshold = [np.inf]
+        left = [0]
+        right = [0]
         value = [0.0]
         credited: dict[int, tuple[int, float]] = {}
         leaf_of_row = np.zeros(n, dtype=np.int64)
@@ -191,9 +210,11 @@ class DecisionTreeRegressor:
         order = np.arange(n)
         frontier = [0]
         counts = np.asarray([n])
+        deepest = 0
         for depth in range(self.max_depth + 1):
             if not frontier:
                 break
+            deepest = depth
             leaf_of_row[order] = np.repeat(frontier, counts)
             y_level = y[order]
             w_level = sample_weight[order]
@@ -263,13 +284,14 @@ class DecisionTreeRegressor:
                 feature[node] = f
                 threshold[node] = float(edges[f][best_bin[k]])
                 for side, count in ((left, n_left[k]), (right, n_right[k])):
-                    side[node] = len(feature)
-                    next_frontier.append(len(feature))
+                    child = len(feature)
+                    side[node] = child
+                    next_frontier.append(child)
                     child_counts.append(int(count))
                     feature.append(_LEAF)
-                    threshold.append(0.0)
-                    left.append(_LEAF)
-                    right.append(_LEAF)
+                    threshold.append(np.inf)
+                    left.append(child)
+                    right.append(child)
                     value.append(0.0)
 
             move = split[slots]
@@ -294,6 +316,7 @@ class DecisionTreeRegressor:
             left=np.asarray(left, dtype=np.int64),
             right=np.asarray(right, dtype=np.int64),
             value=np.asarray(value, dtype=float),
+            depth=deepest,
         )
         return self._tree.value[leaf_of_row]
 
@@ -307,19 +330,63 @@ class DecisionTreeRegressor:
         if X.ndim != 2 or X.shape[1] != self.n_features_:
             raise ValueError(f"X must have shape (n, {self.n_features_})")
         tree = self._tree
+        # A fixed walk of one step per level, each a flat gather of the tested
+        # value per row.  Leaves test column 0 against +inf and loop to themselves;
+        # NaN compares false, so it goes right and then stays put.
+        flat = np.ascontiguousarray(X).ravel()
+        row_start = np.arange(X.shape[0]) * X.shape[1]
+        feature = np.maximum(tree.feature, 0)
         node = np.zeros(X.shape[0], dtype=np.int64)
-        # Iterate level by level: every sample sitting at an internal node steps to a
-        # child; samples at leaves stay put.  Bounded by max_depth iterations.
-        for _ in range(self.max_depth + 1):
-            feature = tree.feature[node]
-            internal = feature != _LEAF
-            if not np.any(internal):
-                break
-            idx = np.nonzero(internal)[0]
-            f = feature[idx]
-            go_left = X[idx, f] <= tree.threshold[node[idx]]
-            node[idx] = np.where(go_left, tree.left[node[idx]], tree.right[node[idx]])
+        for _ in range(tree.depth):
+            go_left = flat[row_start + feature[node]] <= tree.threshold[node]
+            node = np.where(go_left, tree.left[node], tree.right[node])
         return tree.value[node]
+
+    def leaf_masks(self, uniques: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
+        """Leaf bitmasks per feature value (QuickScorer), or None past 64 leaves.
+
+        Returns ``(table, leaf_value)``.  Leaf k of the tree (in node order) is
+        bit k.  For feature f and each value x in ``uniques[f]``, ``table`` holds,
+        concatenated in feature order, the leaves the nodes testing f leave
+        reachable: a node clears its right subtree's leaves when
+        ``x <= threshold`` and its left subtree's otherwise.  Every node is
+        judged, not only those on a row's path, so ANDing one entry per feature of
+        a row leaves exactly the bit of the leaf ``predict`` reaches, whatever the
+        leaf numbering, and ``leaf_value[bit % MASK_SLOTS]`` is that leaf's value.
+        """
+        if self._tree is None:
+            raise RuntimeError("tree is not fitted")
+        tree = self._tree
+        is_leaf = tree.feature == _LEAF
+        leaves = np.flatnonzero(is_leaf)
+        if len(leaves) > MASK_LEAVES:
+            return None
+        internal = np.flatnonzero(~is_leaf)
+        bits = np.left_shift(np.uint64(1), np.arange(len(leaves), dtype=np.uint64))
+        # Every leaf ORs its bit into each node on its way up to the root.  The
+        # root is its own parent, so leaves above the deepest one OR into it again.
+        parent = np.zeros(len(is_leaf), dtype=np.int64)
+        parent[tree.left[internal]] = internal
+        parent[tree.right[internal]] = internal
+        below = np.zeros(len(is_leaf), dtype=np.uint64)
+        node = leaves
+        for _ in range(tree.depth + 1):
+            np.bitwise_or.at(below, node, bits)
+            node = parent[node]
+        split_feature = tree.feature[internal]
+        threshold = tree.threshold[internal]
+        every_leaf = below[0]
+        not_left = every_leaf ^ below[tree.left[internal]]
+        not_right = every_leaf ^ below[tree.right[internal]]
+        tables = []
+        for f, values in enumerate(uniques):
+            on_f = split_feature == f
+            kept = np.where(values[:, None] <= threshold[on_f], not_right[on_f],
+                            not_left[on_f])
+            tables.append(np.bitwise_and.reduce(kept, axis=1, initial=every_leaf))
+        leaf_value = np.zeros(MASK_SLOTS)
+        leaf_value[bits % np.uint64(MASK_SLOTS)] = tree.value[leaves]
+        return np.concatenate(tables), leaf_value
 
     # --------------------------------------------------------------------- queries
 

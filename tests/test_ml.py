@@ -198,6 +198,26 @@ class TestPermutationImportance:
         with pytest.raises(ValueError):
             permutation_importance(model, X[:10], y, n_repeats=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_data(self, bad):
+        X, y = _make_regression(n=20)
+        model = GradientBoostingRegressor(n_estimators=5, random_state=0).fit(X, y)
+        X_bad, y_bad = X.copy(), y.copy()
+        X_bad[3, 1] = bad
+        y_bad[7] = bad
+        with pytest.raises(ValueError, match="^X contains"):
+            permutation_importance(model, X_bad, y, n_repeats=1)
+        with pytest.raises(ValueError, match="^y contains"):
+            permutation_importance(model, X, y_bad, n_repeats=1)
+
+    def test_rejects_column_count_unlike_the_fitted_ensemble(self):
+        X, y = _make_regression(n=20)
+        model = GradientBoostingRegressor(n_estimators=5, random_state=0).fit(X, y)
+        with pytest.raises(ValueError, match="shape"):
+            permutation_importance(model, np.column_stack([X, X[:, 0]]), y, n_repeats=1)
+        with pytest.raises(ValueError, match="shape"):
+            permutation_importance(model, X[:, :3], y, n_repeats=1)
+
 
 class TestEncoding:
     def test_encode_cache(self, pnpoly_cache_3090):

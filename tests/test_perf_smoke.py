@@ -34,6 +34,7 @@ HASHED_BATCH_LOOKUP_CEILING_S = 10.0
 CACHE_REPLAY_OPEN_CEILING_S = 2.0
 MODEL_BATCH_GEMM_4GPU_CEILING_S = 1.5
 GBDT_SURROGATE_FITS_CEILING_S = 3.0
+PFI_GEMM_SHAPE_CEILING_S = 1.0
 GRID_SWEEP_DEDISPERSION_CEILING_S = 2.0
 
 #: Traced-allocation ceiling of a short grid sweep over Dedispersion's 123,863,040
@@ -338,3 +339,27 @@ def test_gbdt_surrogate_fits_under_ceiling():
         f"20 surrogate-shaped GBDT fits took {elapsed:.2f}s "
         f"(ceiling {GBDT_SURROGATE_FITS_CEILING_S}s); the tree grower has likely "
         f"regressed to per-node, per-feature split loops")
+
+
+def test_permutation_importance_by_leaf_masks_under_ceiling():
+    # PFI at the learn workload's gemm shape: a 6000 x 10 integer matrix, 150
+    # trees of depth 5, 2 repeats.  On a 2-vCPU host the leaf-bitmask path takes
+    # about 0.3 s; one ensemble predict per shuffle (20 of them) takes 1.2--1.6 s,
+    # and 2.3--2.9 s with the per-level tree traversal that preceded the fixed walk.
+    from repro.ml.gbdt import GradientBoostingRegressor
+    from repro.ml.permutation_importance import permutation_importance
+
+    rng = np.random.default_rng(2023)
+    X = rng.integers(0, 6, size=(6000, 10)).astype(float) * rng.integers(1, 5, size=10)
+    y = np.log1p(X[:, 0] * X[:, 1] + X[:, 2] ** 1.5 + X[:, 3] * X[:, 4]
+                 + 0.1 * X[:, 5:].sum(axis=1))
+    model = GradientBoostingRegressor(n_estimators=150, max_depth=5,
+                                      random_state=0).fit(X, y)
+
+    result, elapsed = _timed(
+        lambda: permutation_importance(model, X, y, n_repeats=2, random_state=0))
+    assert result.importances.shape == (10, 2) and result.baseline_score > 0.9
+    assert elapsed < PFI_GEMM_SHAPE_CEILING_S, (
+        f"PFI of a 150-tree ensemble on 6000 x 10 rows took {elapsed:.2f}s "
+        f"(ceiling {PFI_GEMM_SHAPE_CEILING_S}s); permutation importance has likely "
+        f"regressed to one ensemble predict per shuffle instead of leaf bitmasks")
