@@ -681,8 +681,8 @@ def main() -> None:
     population_cache.space.release_feasible_memo()
 
     # ------------------------------------------------ columnar cache replay open
-    # Opening a finished campaign cache for replay: JSON loading rehydrates every
-    # observation into dictionaries up front; the columnar open reads the header,
+    # Opening a finished campaign cache for replay: JSON loading parses every row
+    # and decodes it into index/value/code columns; the columnar open reads the header,
     # verifies the column checksums, and builds the index table straight off the
     # memory-mapped columns.  Both opens then serve the same index-table probes,
     # and both loads must serialize to identical JSON (value-exactness).

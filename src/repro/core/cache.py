@@ -29,7 +29,12 @@ Two on-disk formats carry a cache, with one compatibility guarantee between them
 
 * **JSON** (:mod:`repro.io.cachefile`) is the *interchange* format -- self-describing,
   diffable, byte-deterministic, and frozen: nothing in this module changes a single
-  byte of it.
+  byte of it.  :meth:`EvaluationCache.from_dict` decodes a campaign-shaped payload
+  (what an executor's cache exports) straight into adopted columns; a payload the
+  columns cannot represent -- a re-added config, foreign rows, a repeated config,
+  config values that only compare equal to the space's -- is stored one
+  :class:`Observation` at a time in the dict store, so either way the cache
+  re-exports the bytes it was loaded from.
 * **Columnar** (:mod:`repro.io.columnar`, :meth:`EvaluationCache.to_columnar` /
   :meth:`~EvaluationCache.from_columnar`) is the *performance* format: fixed-width
   little-endian index/value/failure-code columns behind a checksummed header.
@@ -40,8 +45,9 @@ Two on-disk formats carry a cache, with one compatibility guarantee between them
 Column-native readers
 ---------------------
 A cache holding adopted columns (``from_columnar``, ``from_columns``, a resumed
-campaign merge) answers these readers straight from its index, value and
-failure-code arrays, without building one :class:`Observation` per row:
+campaign merge, a JSON load of a campaign export) answers these readers straight
+from its index, value and failure-code arrays, without building one
+:class:`Observation` per row:
 ``len``/``num_valid``/``num_invalid``, :meth:`~EvaluationCache.values`,
 :meth:`~EvaluationCache.best`/:meth:`~EvaluationCache.worst`,
 :meth:`~EvaluationCache.median`, :meth:`~EvaluationCache.optimum`,
@@ -56,15 +62,17 @@ dictionary-keyed accessors -- :attr:`~EvaluationCache.observations`, iteration,
 :meth:`~EvaluationCache.add`/:meth:`~EvaluationCache.add_observation` --
 materialise the dict store on first use, after which both forms answer from it.
 
-A cache round-tripped through the columnar store serializes back to byte-identical
-JSON (same observations, same ``evaluation_index`` assignment, same error strings),
-which is what lets the two formats coexist under the byte-identity contracts.
+A cache round-tripped through the columnar store -- or loaded from a JSON export
+into adopted columns -- serializes back to byte-identical JSON (same observations,
+same ``evaluation_index`` assignment, same error strings), which is what lets the
+two formats coexist under the byte-identity contracts.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -94,6 +102,58 @@ def _first_repeat(indices: np.ndarray) -> int:
     order = np.argsort(indices, kind="stable")
     later = order[1:][indices[order[1:]] == indices[order[:-1]]]
     return int(later.min())
+
+
+def _campaign_columns(rows: Any, space: SearchSpace, benchmark: str, gpu: str
+                      ) -> tuple[np.ndarray, list[float], np.ndarray, list[str]] | None:
+    """``(indices, values, codes, errors)`` of campaign-shaped JSON rows, else None.
+
+    Campaign-shaped means: row ``i`` carries ``evaluation_index == i`` and this
+    cache's ``gpu``/``benchmark``; its config names the space's parameters in
+    space order; every config value is a space value *of the same type* (``1.0``
+    or ``True`` where the space holds ``1`` would re-export differently; a
+    parameter mixing value types therefore never qualifies); and every
+    ``error`` is a string.  Fields default exactly as in
+    :meth:`Observation.from_dict`.  Any other payload -- malformed rows included
+    -- returns None, so the caller's per-row path keeps its behaviour and its
+    errors.  Repeated configurations are left to
+    :meth:`EvaluationCache.attach_columns`, which refuses them.
+    """
+    from repro.io.columnar import encode_failure_codes
+
+    if type(rows) is not list or not rows or set(map(type, rows)) != {dict}:
+        return None
+    n = len(rows)
+    names = space.parameter_names
+    if ([od.get("evaluation_index", -1) for od in rows] != list(range(n))
+            or [od.get("gpu", "") for od in rows].count(gpu) != n
+            or [od.get("benchmark", "") for od in rows].count(benchmark) != n):
+        return None
+    configs = [od.get("config") for od in rows]
+    if (set(map(type, configs)) != {dict}
+            or list(map(tuple, configs)).count(names) != n):
+        return None
+    digits = np.empty((n, len(names)), dtype=np.int64)
+    for j, p in enumerate(space.parameters):
+        column = list(map(itemgetter(p.name), configs))
+        try:
+            digits[:, j] = p.digits_of(column)
+        except (InvalidConfigurationError, TypeError):  # not a value, or unhashable
+            return None
+        kinds = set(map(type, p.values))
+        if len(kinds) != 1 or set(map(type, column)) != kinds:
+            return None
+    errors = [od.get("error", "") for od in rows]
+    if set(map(type, errors)) != {str}:
+        return None
+    try:
+        values = [math.inf if v is None else float(v)
+                  for v in [od.get("value") for od in rows]]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    valid = [bool(od.get("valid", True)) for od in rows]
+    codes, table = encode_failure_codes(valid, errors)
+    return space.digits_to_indices(digits), values, codes, table
 
 
 class CacheIndexTable:
@@ -681,13 +741,37 @@ class EvaluationCache:
 
         ``space`` may be supplied to reuse an existing space object (e.g. one that
         carries callable constraints which do not survive JSON round-trips).
+
+        Campaign-shaped observations -- what :meth:`to_dict` writes for an
+        executor's cache: row ``i`` has ``evaluation_index == i``, this cache's
+        gpu and benchmark, a config of exactly the space's parameters (in space
+        order, with values of the space's own types), a string error and no
+        repeated configuration -- are decoded in a few list passes into index,
+        value and failure-code columns and adopted with :meth:`attach_columns`,
+        so the loaded cache is column-backed like :meth:`from_columnar`'s and
+        re-exports byte-identical JSON.  Every other payload (a re-added config,
+        foreign rows, values that only compare equal to the space's, malformed
+        rows) is neither refused nor reshaped: it is stored one
+        :class:`Observation` at a time through :meth:`add_observation`, exactly
+        as before, because adopted columns cannot represent it -- they have no
+        room for a foreign ``evaluation_index``, gpu or benchmark, for a second
+        row of one configuration, or for a value's JSON spelling.  An empty
+        observation list adopts nothing and stays an empty dict store.
         """
         if space is None:
             space = SearchSpace.from_dict(data["space"])
         cache = cls(benchmark=data["benchmark"], gpu=data["gpu"], space=space,
                     exhaustive=bool(data.get("exhaustive", False)))
         cache.metadata.update(data.get("metadata", {}))
-        for od in data.get("observations", ()):
+        rows = data.get("observations", ())
+        columns = _campaign_columns(rows, space, cache.benchmark, cache.gpu)
+        if columns is not None:
+            try:
+                cache.attach_columns(*columns)
+                return cache
+            except FragmentIntegrityError:
+                pass  # a configuration repeats: only the dict store can keep it
+        for od in rows:
             cache.add_observation(Observation.from_dict(od))
         return cache
 

@@ -219,9 +219,8 @@ class Parameter:
 
     def digits_of(self, values: Sequence[Any]) -> np.ndarray:
         """Vector form of :meth:`index_of`: map many values to their digit positions."""
-        index = self._index
         try:
-            return np.fromiter((index[v] for v in values), dtype=np.int64,
+            return np.fromiter(map(self._index.__getitem__, values), dtype=np.int64,
                                count=len(values))
         except KeyError as exc:
             raise InvalidConfigurationError(

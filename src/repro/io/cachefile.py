@@ -33,6 +33,7 @@ import io
 import json
 import os
 import uuid
+import zlib
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -117,7 +118,9 @@ def read_json(path: str | Path) -> Any:
     sniffed for the gzip magic (``1f 8b``), so a gzipped file with a wrong or
     odd-cased extension still reads correctly instead of dying with a misleading
     decode error.  A file whose ``.gz`` suffix *promises* gzip but whose bytes
-    are not raises a :class:`SerializationError` naming the mismatch.
+    are not raises a :class:`SerializationError` naming the mismatch, and so
+    does a damaged file: a truncated or corrupt gzip stream, bytes that are not
+    UTF-8, or text that is not JSON.
     """
     path = Path(path)
     try:
@@ -134,7 +137,8 @@ def read_json(path: str | Path) -> Any:
                 return json.load(handle)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, EOFError, zlib.error, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         raise SerializationError(f"could not read {path}: {exc}") from exc
 
 
@@ -164,6 +168,18 @@ def save_cache(cache: EvaluationCache, path: str | Path) -> Path:
 
 def load_cache(path: str | Path, space: SearchSpace | None = None) -> EvaluationCache:
     """Read a campaign cache written by :func:`save_cache`.
+
+    A campaign-shaped file -- what :func:`save_cache` writes for an executor's
+    cache: row ``i`` with ``evaluation_index == i``, the cache's gpu and
+    benchmark, configs of exactly the space's parameters and value types, string
+    errors, no repeated configuration -- loads straight into adopted index,
+    value and failure-code columns (see
+    :meth:`~repro.core.cache.EvaluationCache.from_dict`), so replays and the
+    statistics readers never build one observation per row.  Any other file (a
+    re-added config, foreign rows, ``1.0`` or ``true`` where the space holds
+    ``1``) is stored one :class:`~repro.core.result.Observation` at a time,
+    because the columns cannot represent it.  Either way the loaded cache
+    re-saves to the same bytes.
 
     Parameters
     ----------

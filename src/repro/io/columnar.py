@@ -132,13 +132,13 @@ def encode_failure_codes(valid: Sequence[bool], errors: Sequence[str]
     of the row sequence).
     """
     table: dict[str, int] = {}
-    codes = np.empty(len(errors), dtype=np.int32)
-    for row, (is_valid, error) in enumerate(zip(valid, errors)):
-        slot = table.get(error)
-        if slot is None:
-            slot = table[error] = len(table)
-        codes[row] = slot if not is_valid else -slot - 1
-    return codes, list(table)
+    n = len(errors)
+    # ``len(table)`` is read before ``setdefault`` inserts, so a new string
+    # takes the next slot.
+    slots = np.fromiter((table.setdefault(error, len(table)) for error in errors),
+                        dtype=np.int32, count=n)
+    is_valid = np.fromiter(map(bool, valid), dtype=bool, count=n)
+    return np.where(is_valid, -slots - 1, slots), list(table)
 
 
 def failure_slots(codes: np.ndarray, table: Sequence[str]

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gzip
 import math
+import re
+import zlib
 
 import numpy as np
 import pytest
@@ -259,6 +262,31 @@ class TestGzipSniffing:
         liar.write_bytes(plain.read_bytes())
         with pytest.raises(SerializationError, match="gzip magic"):
             load_cache(liar)
+
+    def test_truncated_gzip_names_the_file(self, toy_cache, tmp_path):
+        gz = save_cache(toy_cache, tmp_path / "toy.json.gz")
+        gz.write_bytes(gz.read_bytes()[:-12])  # no end-of-stream marker
+        with pytest.raises(SerializationError, match=re.escape(str(gz))) as info:
+            load_cache(gz)
+        assert isinstance(info.value.__cause__, EOFError)
+
+    def test_corrupt_deflate_stream_names_the_file(self, toy_cache, tmp_path):
+        gz = save_cache(toy_cache, tmp_path / "toy.json.gz")
+        data = bytearray(gz.read_bytes())
+        data[10] ^= 0xFF  # first byte after the 10-byte gzip member header
+        gz.write_bytes(bytes(data))
+        with pytest.raises(SerializationError, match=re.escape(str(gz))) as info:
+            load_cache(gz)
+        assert isinstance(info.value.__cause__, zlib.error)
+
+    @pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+    def test_non_utf8_bytes_name_the_file(self, tmp_path, suffix):
+        raw = b'{"format_version": 1, "cache": "\xff\xfe"}'
+        path = tmp_path / f"latin{suffix}"
+        path.write_bytes(gzip.compress(raw, mtime=0) if suffix.endswith(".gz") else raw)
+        with pytest.raises(SerializationError, match=re.escape(str(path))) as info:
+            load_cache(path)
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
 
 class TestFailureCounters:

@@ -12,6 +12,7 @@ Run them with ``pytest -m perf`` (also included in plain ``pytest`` runs; see
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -32,6 +33,10 @@ POPULATION_CAMPAIGN_CEILING_S = 3.0
 EVALUATE_INDEX_20K_CEILING_S = 2.0
 HASHED_BATCH_LOOKUP_CEILING_S = 10.0
 CACHE_REPLAY_OPEN_CEILING_S = 2.0
+#: JSON load of the 17,956-row gemm RTX_3090 export (best of three).  Column
+#: adoption loads it in ~0.15-0.25 s on a 2-vCPU host; one Observation per row
+#: took ~0.31-0.41 s there.
+JSON_LOAD_GEMM_CEILING_S = 0.25
 MODEL_BATCH_GEMM_4GPU_CEILING_S = 1.5
 GBDT_SURROGATE_FITS_CEILING_S = 3.0
 PFI_GEMM_SHAPE_CEILING_S = 1.0
@@ -261,6 +266,28 @@ def test_columnar_replay_open_under_ceiling(benchmarks, gpu_3090, tmp_path):
         f"columnar mmap open + 1k probes took {elapsed:.2f}s "
         f"(ceiling {CACHE_REPLAY_OPEN_CEILING_S}s); the columnar open has "
         f"likely regressed to eager observation rehydration")
+
+
+def test_json_load_of_gemm_export_under_ceiling(benchmarks, gpu_3090, tmp_path):
+    # A campaign-shaped JSON export loads straight into adopted columns: gzip +
+    # json.load plus a few list passes, no Observation, config dict or dict-store
+    # entry per row.
+    from repro.io import load_cache, save_cache
+
+    path = save_cache(benchmarks["gemm"].build_cache(gpu_3090),
+                      tmp_path / "gemm.json.gz")
+    elapsed = math.inf
+    for _ in range(3):
+        cache, seconds = _timed(lambda: load_cache(path))
+        elapsed = min(elapsed, seconds)
+    assert len(cache) == 17_956
+    assert cache._lazy is not None, (
+        "load_cache of a campaign export built the observation dictionary; JSON "
+        "loads have regressed to one Observation per row")
+    assert elapsed < JSON_LOAD_GEMM_CEILING_S, (
+        f"load_cache of the 17,956-row gemm export took {elapsed:.2f}s (ceiling "
+        f"{JSON_LOAD_GEMM_CEILING_S}s); JSON loads have likely regressed to one "
+        f"Observation per row")
 
 
 def test_grid_sweep_streams_its_index_range(benchmarks, gpu_3090):
