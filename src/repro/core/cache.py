@@ -44,22 +44,22 @@ Two on-disk formats carry a cache, with one compatibility guarantee between them
 
 Column-native readers
 ---------------------
-A cache holding adopted columns (``from_columnar``, ``from_columns``, a resumed
-campaign merge, a JSON load of a campaign export) answers these readers straight
-from its index, value and failure-code arrays, without building one
-:class:`Observation` per row:
+A cache holding adopted columns (``from_columnar``, ``from_columns``, every
+executor merge, :meth:`~repro.kernels.base.KernelBenchmark.build_cache`, a JSON
+load of a campaign export) answers these readers straight from its index, value
+and failure-code arrays, without building one :class:`Observation` per row:
 ``len``/``num_valid``/``num_invalid``, :meth:`~EvaluationCache.values`,
 :meth:`~EvaluationCache.best`/:meth:`~EvaluationCache.worst`,
 :meth:`~EvaluationCache.median`, :meth:`~EvaluationCache.optimum`,
 :meth:`~EvaluationCache.statistics`, :meth:`~EvaluationCache.get` (and
 ``lookup``/``in``), :meth:`~EvaluationCache.valid_arrays`,
 :meth:`~EvaluationCache.to_feature_matrix`, :meth:`~EvaluationCache.index_table`,
-:meth:`~EvaluationCache.to_problem` replays and :meth:`~EvaluationCache.to_columnar`.
-Every figure of the paper and every tuner replay therefore runs on columns.  The
+:meth:`~EvaluationCache.to_problem` replays, :meth:`~EvaluationCache.to_columnar`
+and :meth:`~EvaluationCache.to_dict` (so JSON export).  Every figure of the paper,
+every tuner replay and every campaign export therefore runs on columns.  The
 dictionary-keyed accessors -- :attr:`~EvaluationCache.observations`, iteration,
-:meth:`~EvaluationCache.configs`, :meth:`~EvaluationCache.valid_observations`,
-:meth:`~EvaluationCache.to_dict` (so JSON export) and the mutators
-:meth:`~EvaluationCache.add`/:meth:`~EvaluationCache.add_observation` --
+:meth:`~EvaluationCache.configs`, :meth:`~EvaluationCache.valid_observations`
+and the mutators :meth:`~EvaluationCache.add`/:meth:`~EvaluationCache.add_observation` --
 materialise the dict store on first use, after which both forms answer from it.
 
 A cache round-tripped through the columnar store -- or loaded from a JSON export
@@ -724,14 +724,27 @@ class EvaluationCache:
     # ------------------------------------------------------------------ serialization
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form including the search-space description."""
+        """JSON-serializable form including the search-space description (off
+        adopted columns: one dict literal per row, as :meth:`Observation.to_dict`)."""
+        lazy = self._lazy
+        if lazy is None:
+            observations = [o.to_dict() for o in self._store.values()]
+        else:
+            gpu, benchmark, errors = self.gpu, self.benchmark, lazy.errors
+            observations = [
+                {"config": config, "value": value if math.isfinite(value) else None,
+                 "valid": code < 0, "error": errors[-code - 1 if code < 0 else code],
+                 "evaluation_index": row, "gpu": gpu, "benchmark": benchmark}
+                for row, (config, value, code) in enumerate(zip(
+                    self.space.configs_at(lazy.indices), lazy.values.tolist(),
+                    lazy.codes.tolist()))]
         return {
             "benchmark": self.benchmark,
             "gpu": self.gpu,
             "exhaustive": self.exhaustive,
             "metadata": dict(self.metadata),
             "space": self.space.to_dict(),
-            "observations": [o.to_dict() for o in self._entries.values()],
+            "observations": observations,
         }
 
     @classmethod
@@ -849,10 +862,10 @@ class EvaluationCache:
         one header parse -- not one Python object per row.  The
         :class:`CacheIndexTable` and the column-native readers (``values``,
         ``best``/``worst``, ``median``, ``optimum``, ``statistics``, ``get``,
-        ``valid_arrays``, ``to_feature_matrix``) answer straight off them; the
-        observation dictionary materialises only when a dictionary-keyed
-        accessor (``observations``, iteration, ``configs``,
-        ``valid_observations``, ``to_dict``, ``add``) is used.  ``space`` may be
+        ``valid_arrays``, ``to_feature_matrix``, ``to_dict``) answer straight off
+        them; the observation dictionary materialises only when a
+        dictionary-keyed accessor (``observations``, iteration, ``configs``,
+        ``valid_observations``, ``add``) is used.  ``space`` may be
         supplied to reuse an existing space object, like :meth:`from_dict`.
         """
         from repro.io import columnar
@@ -876,12 +889,7 @@ class EvaluationCache:
                      indices: np.ndarray, values: np.ndarray, codes: np.ndarray,
                      errors: Sequence[str],
                      exhaustive: bool = False) -> "EvaluationCache":
-        """Build a cache directly over in-memory columns (no per-row inserts).
-
-        The no-decode merge path: executors concatenate shard fragment columns
-        (:func:`repro.io.columnar.concat_fragment_columns`) and adopt the result
-        here, paired with the shard-order space indices of the plan.
-        """
+        """Build a cache directly over in-memory columns (no per-row inserts)."""
         cache = cls(benchmark=benchmark, gpu=gpu, space=space,
                     exhaustive=exhaustive)
         cache.attach_columns(indices, values, codes, errors)

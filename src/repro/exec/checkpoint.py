@@ -53,8 +53,10 @@ from repro.io.cachefile import (
 )
 from repro.io.columnar import (
     decode_failure_strings,
+    failure_slots,
+    fragment_columns,
     load_columnar_fragment_columns,
-    save_columnar_fragment,
+    save_columnar_fragment_columns,
 )
 
 __all__ = ["CheckpointStore", "benchmark_fingerprint"]
@@ -162,13 +164,19 @@ class CheckpointStore:
 
     def save_shard(self, shard: Shard,
                    rows: Sequence[tuple[float, bool, str]]) -> Path:
-        """Atomically persist the rows of one completed shard."""
-        if len(rows) != shard.n_configs:
+        """Row view of :meth:`save_shard_columns` over ``(value, valid, error)`` rows."""
+        return self.save_shard_columns(shard, *fragment_columns(rows))
+
+    def save_shard_columns(self, shard: Shard, values: Any, codes: Any,
+                           errors: Sequence[str]) -> Path:
+        """Atomically persist one completed shard's ``(values, codes, errors)``
+        columns; the mirror of :meth:`load_shard_columns`."""
+        if len(values) != shard.n_configs:
             raise SerializationError(
-                f"shard {shard.shard_id} produced {len(rows)} rows, "
+                f"shard {shard.shard_id} produced {len(values)} rows, "
                 f"expected {shard.n_configs}")
-        return save_columnar_fragment(self.fragment_path(shard),
-                                      shard.to_dict(), rows)
+        return save_columnar_fragment_columns(self.fragment_path(shard),
+                                              shard.to_dict(), values, codes, errors)
 
     def load_shard(self, shard: Shard) -> list[tuple[float, bool, str]]:
         """Load and validate the ``(value, valid, error)`` rows of one shard."""
@@ -182,7 +190,9 @@ class CheckpointStore:
         The no-decode form the executors' merge concatenates
         (:func:`repro.io.columnar.concat_fragment_columns`).  A fragment whose
         header describes another shard, or whose row count disagrees with it,
-        raises :class:`SerializationError`.
+        raises :class:`SerializationError`; one whose failure codes point
+        outside its own error table raises the
+        :class:`~repro.core.errors.FragmentIntegrityError` subclass.
         """
         path = self.fragment_path(shard)
         meta, values, codes, errors = load_columnar_fragment_columns(path)
@@ -198,6 +208,7 @@ class CheckpointStore:
             raise SerializationError(
                 f"fragment {path} has {values.size} rows, expected "
                 f"{shard.n_configs}")
+        failure_slots(codes, errors)
         return values, codes, errors
 
     def verify_fragments(self, plan: CampaignPlan | None = None) -> dict[str, Any]:

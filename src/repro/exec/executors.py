@@ -82,7 +82,7 @@ from repro.exec.planner import CampaignPlan, CampaignUnit, Shard, ShardPlanner, 
 from repro.exec.progress import ShardProgressReporter
 from repro.exec.retry import RetryPolicy
 from repro.exec.worker import shard_worker_loop
-from repro.io.columnar import concat_fragment_columns, decode_failure_strings
+from repro.io.columnar import concat_fragment_columns
 
 __all__ = ["Executor", "SerialExecutor", "ParallelExecutor", "run_campaign",
            "resume_campaign"]
@@ -113,6 +113,10 @@ def _rebuild_worker_error(type_name: str, message: str, transient: bool) -> Exce
 #: Either a plain per-shard line sink, or a reporter with ``begin``/``shard_done``
 #: (e.g. :class:`~repro.exec.progress.ShardProgressReporter` for percent/ETA lines).
 Progress = Callable[[str], None] | ShardProgressReporter
+
+
+#: One shard's ``(values, codes, errors)``, as ``evaluate_indices`` returns them.
+_Columns = tuple[np.ndarray, np.ndarray, list[str]]
 
 
 @dataclass(frozen=True)
@@ -186,8 +190,8 @@ class Executor(abc.ABC):
 
     @abc.abstractmethod
     def _run_shards(self, tasks: list[_ShardTask],
-                    on_complete: Callable[[Shard, list[tuple[float, bool, str]]], None]) -> None:
-        """Evaluate every task, invoking ``on_complete(shard, rows)`` per shard."""
+                    on_complete: Callable[[Shard, _Columns], None]) -> None:
+        """Evaluate every task, invoking ``on_complete(shard, columns)`` per shard."""
 
     def map(self, fn: Callable[[Any], Any], iterable: Iterable[Any]) -> list[Any]:
         """Generic in-process task mapping (usable as the
@@ -341,9 +345,7 @@ class Executor(abc.ABC):
                     f"against a different space or seed")
 
         units_by_key = {u.key: u for u in units}
-        rows_by_shard: dict[int, list[tuple[float, bool, str]]] = {}
-        columns_by_shard: dict[int, tuple[np.ndarray, np.ndarray, list[str]]] = {}
-        configs_by_shard: dict[int, list[Mapping[str, Any]]] = {}
+        columns_by_shard: dict[int, _Columns] = {}
         tasks: list[_ShardTask] = []
         selected_shards: list[Shard] = []
         heal_notes: list[str] = []
@@ -353,9 +355,6 @@ class Executor(abc.ABC):
             selected_shards.append(shard)
             if shard.shard_id in done:
                 try:
-                    # Loaded fragments stay columns: no row decode here, and none
-                    # in the merge either when every shard of the unit came off
-                    # disk.
                     columns_by_shard[shard.shard_id] = (
                         checkpoint.load_shard_columns(shard))
                     continue
@@ -387,19 +386,14 @@ class Executor(abc.ABC):
         for line in heal_notes:
             self._note(line)
 
-        def on_complete(shard: Shard, rows: list[tuple[float, bool, str]],
-                        configs: list[Mapping[str, Any]] | None = None) -> None:
-            if len(rows) != shard.n_configs:
+        def on_complete(shard: Shard, columns: _Columns) -> None:
+            if len(columns[0]) != shard.n_configs:
                 raise ReproError(
-                    f"shard {shard.shard_id} returned {len(rows)} rows, "
+                    f"shard {shard.shard_id} returned {len(columns[0])} rows, "
                     f"expected {shard.n_configs}")
-            rows_by_shard[shard.shard_id] = rows
-            if configs is not None:
-                # In-process executors hand their decoded configurations through
-                # so the merge does not pay a second index decode.
-                configs_by_shard[shard.shard_id] = configs
+            columns_by_shard[shard.shard_id] = columns
             if checkpoint is not None:
-                path = checkpoint.save_shard(shard, rows)
+                path = checkpoint.save_shard_columns(shard, *columns)
                 if self.fault_plan is not None:
                     save_count = self._fragment_saves.get(shard.shard_id, 0)
                     self._fragment_saves[shard.shard_id] = save_count + 1
@@ -433,7 +427,7 @@ class Executor(abc.ABC):
             withheld = {(r["benchmark"], r["gpu"]) for r in self.quarantine}
             units = [u for u in units if u.key not in withheld]
         return self._merge(plan, units, benchmarks, gpus, indices_by_unit,
-                           rows_by_shard, configs_by_shard, columns_by_shard)
+                           columns_by_shard)
 
     # --------------------------------------------------------------------- merge
 
@@ -441,61 +435,27 @@ class Executor(abc.ABC):
     def _merge(plan: CampaignPlan, units: list[CampaignUnit],
                benchmarks: Mapping[str, Any], gpus: Mapping[str, Any],
                indices_by_unit: Mapping[tuple[str, str], np.ndarray],
-               rows_by_shard: Mapping[int, list[tuple[float, bool, str]]],
-               configs_by_shard: Mapping[int, list[Mapping[str, Any]]],
-               columns_by_shard: Mapping[int, tuple[np.ndarray, np.ndarray,
-                                                    list[str]]],
+               columns_by_shard: Mapping[int, _Columns],
                ) -> dict[tuple[str, str], EvaluationCache]:
-        """Merge shard results into campaign caches, in serial insertion order.
+        """Merge shard columns into campaign caches, in serial insertion order.
 
         ``plan.shards_of`` yields shards sorted by start offset -- evaluation
         order, never completion order -- which is what makes the merge (and the
         bytes of anything serialized from it) independent of scheduling.
 
-        Freshly evaluated shards arrive as rows (``rows_by_shard``), shards loaded
-        from the checkpoint as fragment columns (``columns_by_shard``).  A unit
-        whose every shard was loaded merges without decoding a single row: the
-        value/code columns are concatenated in shard order with one error-table
-        re-intern (:func:`repro.io.columnar.concat_fragment_columns`) and adopted
-        by the cache wholesale.  Any other unit takes the per-row path, whose
-        inserted observations are identical by construction.
+        One path for every unit, whether its shards were evaluated in this run
+        or loaded from the checkpoint: the value/code columns are concatenated
+        in shard order with one error-table re-intern
+        (:func:`repro.io.columnar.concat_fragment_columns`) and adopted by the
+        cache wholesale (:meth:`~repro.core.cache.EvaluationCache.attach_columns`),
+        without decoding a single row.
         """
-        # Both merge paths stay; each wins on the workload that uses it (full
-        # 129,952-row paper campaign, 2 runs, 2-vCPU host).  Per-row cache.add
-        # costs 1.10-1.20 s and attach_columns 0.07 s, so loaded units (resume,
-        # the `replay` bench workload) attach.  Fresh units (`campaign`, `learn`)
-        # add eagerly because a JSON export of attached caches costs 1.8-2.0 s
-        # more than of eager ones (still 1.1-1.2 s more with a batch-decoding
-        # _materialize).  encode_cache no longer argues for the eager path: it
-        # reads attached columns, 0.007 s on the four `learn` units against
-        # 0.05 s eager (median of 3, same host).
         caches: dict[tuple[str, str], EvaluationCache] = {}
         for unit in units:
-            benchmark = benchmarks[unit.benchmark]
-            gpu = gpus[unit.gpu]
-            cache = benchmark.new_cache(gpu, sample_size=unit.sample_size)
-            indices = indices_by_unit[unit.key]
-            shards = plan.shards_of(unit)
-            if all(s.shard_id in columns_by_shard for s in shards):
-                values, codes, errors = concat_fragment_columns(
-                    [columns_by_shard[s.shard_id] for s in shards])
-                cache.attach_columns(indices, values, codes, errors)
-                caches[unit.key] = cache
-                continue
-            for shard in shards:
-                configs = configs_by_shard.get(shard.shard_id)
-                if configs is None:
-                    configs = benchmark.space.configs_at(
-                        indices[shard.start:shard.stop])
-                columns = columns_by_shard.get(shard.shard_id)
-                if columns is not None:
-                    col_values, col_codes, col_errors = columns
-                    valid, errors = decode_failure_strings(col_codes, col_errors)
-                    rows = list(zip(col_values.tolist(), valid.tolist(), errors))
-                else:
-                    rows = rows_by_shard[shard.shard_id]
-                for config, (value, valid, error) in zip(configs, rows):
-                    cache.add(config, value, valid=valid, error=error)
+            cache = benchmarks[unit.benchmark].new_cache(gpus[unit.gpu],
+                                                        sample_size=unit.sample_size)
+            cache.attach_columns(indices_by_unit[unit.key], *concat_fragment_columns(
+                [columns_by_shard[s.shard_id] for s in plan.shards_of(unit)]))
             caches[unit.key] = cache
         return caches
 
@@ -505,7 +465,8 @@ class SerialExecutor(Executor):
 
     Byte-identical to :meth:`KernelBenchmark.build_cache` per unit (asserted by
     tests); exists so the parallel path has a same-code-path baseline to be compared
-    against, and so checkpointing/resume work without a worker pool.
+    against, and so checkpointing/resume work without a worker pool.  A shard is
+    evaluated as the columns a worker replies with, so the merge has one path.
 
     Fault semantics in-process: injected worker faults are *simulated* (the
     taxonomy exception the parallel parent would observe is raised -- a serial
@@ -521,9 +482,8 @@ class SerialExecutor(Executor):
             try:
                 if fault is not None:
                     raise fault.to_exception()
-                configs = task.benchmark.space.configs_at(task.indices)
-                rows = task.benchmark.evaluate_batch(
-                    task.gpu, configs, with_noise=task.unit.with_noise)
+                columns = task.benchmark.evaluate_indices(
+                    task.gpu, task.indices, with_noise=task.unit.with_noise)
             except Exception as error:
                 delay = self._handle_shard_failure(task, error)
                 if delay is None:
@@ -532,7 +492,7 @@ class SerialExecutor(Executor):
                     time.sleep(delay)
                 queue.appendleft(task)
                 continue
-            on_complete(task.shard, rows, configs)
+            on_complete(task.shard, columns)
 
 
 class _ShardWorker:

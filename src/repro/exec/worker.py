@@ -4,18 +4,19 @@ Shard workers never receive live benchmark objects: compiled constraint code obj
 (and the closures built on them) do not pickle, and shipping them would tie the
 protocol to one process-start method.  Instead a worker receives *names* and rebuilds
 the registries once per process in :func:`init_worker`; a shard task is then just
-``(benchmark_name, gpu_name, index_array, with_noise)`` and its result a list of
-``(value, valid, error)`` rows.  Custom benchmarks follow the same discipline one
-level up: they arrive as picklable *specs* (``"module:factory"`` plus JSON kwargs,
-see :class:`repro.core.registry.BenchmarkSpec`) and the worker builds them next to
-the built-in suite -- which is how runtime-registered and synthetic scenarios ride
-the parallel machinery.
+``(benchmark_name, gpu_name, index_array, with_noise)`` and its result the
+``(values, codes, errors)`` columns of
+:meth:`~repro.kernels.base.KernelBenchmark.evaluate_indices`.  Custom benchmarks
+follow the same discipline one level up: they arrive as picklable *specs*
+(``"module:factory"`` plus JSON kwargs, see :class:`repro.core.registry.BenchmarkSpec`)
+and the worker builds them next to the built-in suite -- which is how
+runtime-registered and synthetic scenarios ride the parallel machinery.
 
 Determinism: a rebuilt benchmark is value-identical to the parent's (the registries
 and spec factories are pure constructors), configurations are decoded from
 mixed-radix indices by the same columnar codec, and the noise model hashes with
 blake2b (process-stable, unlike ``hash()``).  A worker therefore returns exactly the
-rows the parent would have computed serially -- the byte-identity contract of
+columns the parent would have computed serially -- the byte-identity contract of
 :mod:`repro.exec.executors`.
 
 Two entry points share that machinery: :func:`evaluate_shard` is the plain task
@@ -23,9 +24,10 @@ function (used by the pool ``map`` path and callable in-process), and
 :func:`shard_worker_loop` is the long-lived pipe protocol the fault-tolerant
 :class:`~repro.exec.executors.ParallelExecutor` drives -- one worker process per
 slot, receiving ``(benchmark, gpu, indices, with_noise, fault)`` tuples and
-answering ``("ok", rows)`` or ``("error", type_name, message, transient)``.  A
-dedicated process per in-flight shard is what makes blame precise: a crash or hang
-can only ever belong to the one shard its worker was evaluating.
+answering ``("ok", (values, codes, errors))`` or
+``("error", type_name, message, transient)``.  A dedicated process per in-flight
+shard is what makes blame precise: a crash or hang can only ever belong to the one
+shard its worker was evaluating.
 
 Warm caches are shared, not rebuilt: :func:`open_shared_cache` opens a columnar
 campaign cache (:mod:`repro.io.columnar`) as read-only memory-mapped columns,
@@ -145,8 +147,8 @@ def evaluate_shard(benchmark_name: str, gpu_name: str,
                    indices: Sequence[int] | np.ndarray,
                    with_noise: bool = True,
                    fault: tuple[str, float] | None = None,
-                   ) -> list[tuple[float, bool, str]]:
-    """Evaluate one shard's configurations; the task function submitted to pools.
+                   ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Evaluate one shard's columns; the task function submitted to pools.
 
     Also callable in-process (it lazily initializes the registries), which is how the
     configuration tests exercise worker behaviour without spawning a pool.  ``fault``
@@ -159,8 +161,7 @@ def evaluate_shard(benchmark_name: str, gpu_name: str,
         init_worker()
     benchmark = _BENCHMARKS[benchmark_name]
     gpu = _GPUS[gpu_name]
-    configs = benchmark.space.configs_at(np.asarray(indices, dtype=np.int64))
-    return benchmark.evaluate_batch(gpu, configs, with_noise=with_noise)
+    return benchmark.evaluate_indices(gpu, indices, with_noise=with_noise)
 
 
 def shard_worker_loop(conn: Any, memoize_threshold: int | None = None,
@@ -172,7 +173,7 @@ def shard_worker_loop(conn: Any, memoize_threshold: int | None = None,
 
     * request: ``(benchmark_name, gpu_name, indices, with_noise, fault)`` --
       ``fault`` as in :func:`evaluate_shard`; or ``None`` to shut down cleanly.
-    * reply: ``("ok", rows)`` on success, or
+    * reply: ``("ok", (values, codes, errors))`` on success, or
       ``("error", type_name, message, transient)`` when evaluation raised -- the
       exception is *described*, not pickled, so arbitrary benchmark exceptions
       can never poison the pipe.
@@ -195,12 +196,12 @@ def shard_worker_loop(conn: Any, memoize_threshold: int | None = None,
             break
         benchmark_name, gpu_name, indices, with_noise, fault = request
         try:
-            rows = evaluate_shard(benchmark_name, gpu_name, indices,
-                                  with_noise=with_noise, fault=fault)
+            columns = evaluate_shard(benchmark_name, gpu_name, indices,
+                                     with_noise=with_noise, fault=fault)
         except Exception as exc:
             reply = ("error", type(exc).__name__, str(exc), is_transient(exc))
         else:
-            reply = ("ok", rows)
+            reply = ("ok", columns)
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent died

@@ -83,7 +83,8 @@ __all__ = [
     "ColumnarPayload", "cache_digest",
     "write_columnar", "read_columnar", "peek_columnar_header",
     "encode_failure_codes", "failure_slots", "decode_failure_strings",
-    "save_columnar_fragment", "load_columnar_fragment_columns",
+    "fragment_columns", "save_columnar_fragment",
+    "save_columnar_fragment_columns", "load_columnar_fragment_columns",
     "concat_fragment_columns",
 ]
 
@@ -396,19 +397,28 @@ def read_columnar(path: str | Path, mmap: bool = True,
 # ----------------------------------------------------------- shard fragments
 
 
-def save_columnar_fragment(path: str | Path, shard: Mapping[str, Any],
-                           rows: Sequence[tuple[float, bool, str]]) -> Path:
-    """Atomically persist the ``(value, valid, error)`` rows of one shard.
-
-    The only non-finite value a row may carry is ``+inf`` (the failed-launch
-    sentinel).  The rows land as fixed-width value/code columns, so a merge never
-    decodes them.
-    """
-    values = np.asarray([value for value, _, _ in rows], dtype=float)
+def fragment_columns(rows: Sequence[tuple[float, bool, str]]
+                     ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """``(values, codes, errors)`` columns of ``(value, valid, error)`` rows."""
     codes, errors = encode_failure_codes([valid for _, valid, _ in rows],
                                          [error for _, _, error in rows])
+    return np.asarray([value for value, _, _ in rows], dtype=float), codes, errors
+
+
+def save_columnar_fragment_columns(path: str | Path, shard: Mapping[str, Any],
+                                   values: np.ndarray, codes: np.ndarray,
+                                   errors: Sequence[str]) -> Path:
+    """Atomically persist one shard's columns, the inverse of
+    :func:`load_columnar_fragment_columns`.  The only non-finite value a row may
+    carry is ``+inf`` (the failed-launch sentinel)."""
     return write_columnar(path, "fragment", {"shard": dict(shard)},
                           {"value": values, "code": codes}, errors)
+
+
+def save_columnar_fragment(path: str | Path, shard: Mapping[str, Any],
+                           rows: Sequence[tuple[float, bool, str]]) -> Path:
+    """Row view of :func:`save_columnar_fragment_columns`."""
+    return save_columnar_fragment_columns(path, shard, *fragment_columns(rows))
 
 
 def load_columnar_fragment_columns(path: str | Path, verify: bool = True

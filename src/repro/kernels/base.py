@@ -11,10 +11,10 @@ The model is a column model (:class:`~repro.gpus.perfmodel.AnalyticalKernelModel
 a new kernel implements ``launch_config``, ``flops``, ``traffic`` and
 ``compute_efficiency`` over value columns (one NumPy array per parameter) and
 follows the bit-exactness rules in :mod:`repro.gpus.perfmodel`.  The benchmark
-feeds it whole batches: :meth:`KernelBenchmark.evaluate_batch` maps configurations
-to their digit matrix, gathers the value columns and configuration keys from the
-search space, and evaluates them in one call; launch feasibility (Table VIII
-'Valid') reads the same failure mask.
+feeds it whole batches: :meth:`KernelBenchmark.evaluate_indices` maps a block of
+space indices to their digit matrix, gathers the value columns and configuration
+keys from the search space, and evaluates them in one call; launch feasibility
+(Table VIII 'Valid') reads the same failure mask.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.gpus.perfmodel import (
     failure_mask,
 )
 from repro.gpus.specs import GPUSpec
+from repro.io.columnar import encode_failure_codes
 
 __all__ = ["Workload", "KernelBenchmark"]
 
@@ -177,17 +178,21 @@ class KernelBenchmark:
         columns, keys = self._columns_and_keys(digits)
         return self.model.evaluate(columns, keys, gpu, with_noise=with_noise)
 
+    def evaluate_indices(self, gpu: GPUSpec, indices: np.ndarray,
+                         with_noise: bool = True
+                         ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """Evaluate space indices as ``(values, codes, errors)`` columns, with no
+        configuration dictionaries: what :meth:`build_cache` and the shard
+        executors of :mod:`repro.exec` checkpoint and attach."""
+        digits = self.space.indices_to_digits(np.asarray(indices, dtype=np.int64))
+        batch = self.evaluate_digits(gpu, digits, with_noise=with_noise)
+        codes, errors = encode_failure_codes(~batch.failed, batch.errors)
+        return batch.time_ms, codes, errors
+
     def evaluate_batch(self, gpu: GPUSpec, configs: Sequence[Mapping[str, Any]],
                        with_noise: bool = True) -> list[tuple[float, bool, str]]:
-        """Evaluate many configurations and return ``(value, valid, error)`` rows.
-
-        This is the batched kernel-model call shared by :meth:`build_cache` and the
-        shard workers of :mod:`repro.exec`: configurations that cannot launch on the
-        device become ``(inf, False, reason)`` rows, exactly the shape
-        :meth:`~repro.core.cache.EvaluationCache.add` stores.  Keeping the evaluation
-        (and in particular the error strings) in one place is what makes parallel
-        shard evaluation byte-identical to the serial path.
-        """
+        """Row view of :meth:`evaluate_indices` over configuration dictionaries:
+        ``(value, valid, error)`` rows, ``(inf, False, reason)`` where a launch fails."""
         if not configs:
             return []
         batch = self.evaluate_digits(gpu, self.space.digits_of_configs(configs),
@@ -221,17 +226,13 @@ class KernelBenchmark:
         """
         cache = self.new_cache(gpu, sample_size=sample_size)
         if sample_size is None:
-            # Prime the feasible-index memo (free below the memoization threshold):
-            # enumeration then slices the cached array, and any later constrained
-            # count or sample on the same space reuses it.
-            self.space.feasible_indices()
-            configs: Sequence[Mapping[str, Any]] = list(self.space.enumerate(valid_only=True))
+            indices = np.concatenate([np.empty(0, dtype=np.int64),
+                                      *self.space.enumerate_chunked(valid_only=True)])
         else:
-            configs = self.space.sample(sample_size, rng=seed, valid_only=True, unique=True)
-        for config, (value, valid, error) in zip(configs,
-                                                 self.evaluate_batch(gpu, configs,
-                                                                     with_noise=with_noise)):
-            cache.add(config, value, valid=valid, error=error)
+            indices = self.space.sample_indices(sample_size, rng=seed,
+                                                valid_only=True, unique=True)
+        cache.attach_columns(indices, *self.evaluate_indices(gpu, indices,
+                                                             with_noise=with_noise))
         return cache
 
     # ------------------------------------------------------------------ reference

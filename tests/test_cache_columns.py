@@ -2,12 +2,15 @@
 
 A cache opened from a columnar file adopts its index/value/code columns and
 answers its statistics readers (``values``, ``best``/``worst``, ``median``,
-``optimum``, ``statistics``, ``get``, ``valid_arrays``, ``to_feature_matrix``)
-straight from them, without building an observation dictionary.  The contract
-under test: every such reader on a fresh memory-mapped cache is bit-for-bit what
-the same reader returns once the dictionary store has been materialised (and
-what the eager cache the file was written from returns), and the paper's
-figures plus the tuner replays leave a mapped cache unmaterialised.
+``optimum``, ``statistics``, ``get``, ``valid_arrays``, ``to_feature_matrix``,
+``to_dict``) straight from them, without building an observation dictionary.
+The contract under test: every such reader on a fresh memory-mapped cache is
+bit-for-bit what the same reader returns once the dictionary store has been
+materialised (and what an eager cache of the same rows, filled one ``add`` at a
+time, returns), and the paper's figures plus the tuner replays leave a mapped
+cache unmaterialised.  Every campaign write path -- ``build_cache``, fresh serial
+and parallel executor runs, a resume that re-executes shards -- yields such a
+column-backed cache, and a JSON export keeps it so.
 
 The caches cover an exhaustive kernel (Convolution: dense index table, failed
 launches) and sampled kernels (Hotspot: hashed index table, failed launches;
@@ -15,6 +18,8 @@ PnPoly: dense index table with absent members).
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -27,6 +32,8 @@ from repro.analysis import (
 )
 from repro.analysis.convergence import tuner_convergence
 from repro.core.cache import EvaluationCache
+from repro.exec import ParallelExecutor, SerialExecutor, ShardPlanner, resume_campaign
+from repro.io import save_cache
 from repro.tuners import all_tuners
 
 #: (benchmark, GPU, sample size or None for an exhaustive campaign).
@@ -43,14 +50,28 @@ INDEX_TUNERS = ("random", "grid", "local", "greedy_ils", "annealing", "genetic",
                 "diff_evo", "pso")
 
 
+def eager_build(benchmark, gpu, sample_size, seed):
+    """The rows ``build_cache`` evaluates, inserted one ``add`` at a time."""
+    space = benchmark.space
+    if sample_size is None:
+        configs = list(space.enumerate(valid_only=True))
+    else:
+        configs = space.sample(sample_size, rng=seed, valid_only=True, unique=True)
+    cache = benchmark.new_cache(gpu, sample_size=sample_size)
+    for config, (value, valid, error) in zip(configs,
+                                             benchmark.evaluate_batch(gpu, configs)):
+        cache.add(config, value, valid=valid, error=error)
+    assert cache._lazy is None
+    return cache
+
+
 @pytest.fixture(scope="module")
 def campaign(benchmarks, gpus, tmp_path_factory):
     """Eager caches of :data:`UNITS` and the columnar files written from them."""
     directory = tmp_path_factory.mktemp("columns")
     eager, paths = {}, {}
     for name, gpu, sample_size in UNITS:
-        cache = benchmarks[name].build_cache(gpus[gpu], sample_size=sample_size,
-                                             seed=5)
+        cache = eager_build(benchmarks[name], gpus[gpu], sample_size, seed=5)
         eager[name, gpu] = cache
         paths[name, gpu] = cache.to_columnar(directory / f"{name}_{gpu}.col")
     return eager, paths
@@ -144,6 +165,12 @@ class TestReaders:
                                                       for c in ref_configs]
         assert all(type(c) is dict for c in configs)
         assert same_array(values, ref_values)
+
+    def test_to_dict(self, pair):
+        mapped, reference = pair
+        got, want = mapped.to_dict(), reference.to_dict()
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)
 
     @pytest.mark.parametrize("reader", ["best", "worst"])
     def test_best_and_worst(self, pair, reader):
@@ -259,3 +286,52 @@ class TestFiguresStayColumnar:
             assert same_array(curve.median_relative_performance,
                               ref.median_relative_performance), key
             assert mapped._lazy is not None, key
+
+
+class TestWritePathsStayColumnar:
+    @pytest.fixture(scope="class")
+    def planner(self, benchmarks, gpus):
+        """An exhaustive and a sampled unit, several shards each."""
+        return ShardPlanner({"pnpoly": benchmarks["pnpoly"],
+                             "hotspot": benchmarks["hotspot"]},
+                            {"RTX_3090": gpus["RTX_3090"]}, sample_size=300, seed=5,
+                            shard_size=1000)
+
+    def _assert_column_backed(self, caches, directory):
+        assert caches
+        for key, cache in caches.items():
+            assert cache._lazy is not None, key
+            save_cache(cache, directory / f"{key[0]}_{key[1]}.json.gz")
+            assert cache._lazy is not None, f"{key}: the JSON export materialised"
+
+    def test_build_cache_matches_the_row_oracle(self, campaign, benchmarks, gpus,
+                                                tmp_path):
+        eager, _ = campaign
+        built = {(name, gpu): benchmarks[name].build_cache(
+                     gpus[gpu], sample_size=sample_size, seed=5)
+                 for name, gpu, sample_size in UNITS}
+        for key, cache in built.items():
+            assert json.dumps(cache.to_dict()) == json.dumps(eager[key].to_dict())
+        self._assert_column_backed(built, tmp_path)
+
+    def test_fresh_serial_and_parallel_runs(self, planner, tmp_path):
+        plan = planner.plan()
+        assert max(len(plan.shards_of(unit)) for unit in plan.units) > 1
+        for label, executor in (("serial", SerialExecutor()),
+                                ("parallel", ParallelExecutor(workers=2))):
+            directory = tmp_path / label
+            directory.mkdir()
+            caches = executor.run(plan, benchmarks=planner.benchmarks,
+                                  gpus=planner.gpus)
+            self._assert_column_backed(caches, directory)
+
+    def test_resume_that_re_executes_shards(self, planner, tmp_path):
+        plan = planner.plan()
+        store = tmp_path / "ckpt"
+        SerialExecutor().run(plan, benchmarks=planner.benchmarks,
+                             gpus=planner.gpus, checkpoint=store)
+        for shard in plan.shards[::2]:
+            (store / shard.fragment_name).unlink()
+        caches = resume_campaign(store, benchmarks=planner.benchmarks,
+                                 gpus=planner.gpus)
+        self._assert_column_backed(caches, tmp_path)

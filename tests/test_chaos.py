@@ -42,7 +42,7 @@ from repro.exec import (
 from repro.exec.cli import main as exec_main
 from repro.exec.progress import ShardProgressReporter
 from repro.exec.retry import unit_uniform
-from repro.io.columnar import peek_columnar_header
+from repro.io.columnar import peek_columnar_header, write_columnar
 
 SAMPLE_N = 120
 SHARD_SIZE = 40
@@ -305,6 +305,40 @@ class TestFragmentIntegrity:
         assert header["row_count"] == shard.n_configs  # still shape-valid
         with pytest.raises(FragmentIntegrityError, match="checksum"):
             store.load_shard(shard)
+
+    def test_out_of_table_failure_codes_heal_on_resume(self, benchmarks, gpus,
+                                                        tmp_path):
+        # Valid checksums, but a failure code pointing past the fragment's own
+        # error table: the load must refuse it inside the taxonomy (not as a raw
+        # IndexError from the column merge), so the resume discards and
+        # re-executes the shard.
+        planner = ShardPlanner({"pnpoly": benchmarks["pnpoly"]},
+                               {"RTX_3090": gpus["RTX_3090"]}, shard_size=1024)
+        plan = planner.plan()
+        reference = {key: cache_bytes(cache) for key, cache in SerialExecutor().run(
+            plan, benchmarks=planner.benchmarks, gpus=planner.gpus).items()}
+        store = CheckpointStore(tmp_path / "ckpt")
+        SerialExecutor().run(plan, benchmarks=planner.benchmarks,
+                             gpus=planner.gpus, checkpoint=store)
+        shard = plan.shards[0]
+        values, codes, errors = store.load_shard_columns(shard)
+        codes = codes.copy()
+        codes[0] = len(errors)
+        write_columnar(store.fragment_path(shard), "fragment",
+                       {"shard": shard.to_dict()}, {"value": values, "code": codes},
+                       errors)
+        with pytest.raises(FragmentIntegrityError):
+            store.load_shard(shard)
+        with pytest.raises(FragmentIntegrityError):
+            store.load_shard_columns(shard)
+
+        executor = _RecordingSerialExecutor()
+        resumed = resume_campaign(store, executor=executor,
+                                  benchmarks=planner.benchmarks,
+                                  gpus=planner.gpus)
+        assert executor.repaired_shards == [shard.shard_id]
+        assert executor.executed_shards == [shard.shard_id]
+        assert_byte_identical(resumed, reference)
 
 
 class TestQuarantineHealth:

@@ -37,6 +37,11 @@ CACHE_REPLAY_OPEN_CEILING_S = 2.0
 #: adoption loads it in ~0.15-0.25 s on a 2-vCPU host; one Observation per row
 #: took ~0.31-0.41 s there.
 JSON_LOAD_GEMM_CEILING_S = 0.25
+#: ``to_dict`` of the 17,956-row gemm RTX_3090 cache opened from a columnar file
+#: (best of three).  Exported straight off the adopted columns it takes
+#: ~0.06-0.08 s on a 2-vCPU host; materialising one Observation per row first
+#: took ~0.54-0.62 s there.
+TO_DICT_ATTACHED_GEMM_CEILING_S = 0.2
 MODEL_BATCH_GEMM_4GPU_CEILING_S = 1.5
 GBDT_SURROGATE_FITS_CEILING_S = 3.0
 PFI_GEMM_SHAPE_CEILING_S = 1.0
@@ -288,6 +293,27 @@ def test_json_load_of_gemm_export_under_ceiling(benchmarks, gpu_3090, tmp_path):
         f"load_cache of the 17,956-row gemm export took {elapsed:.2f}s (ceiling "
         f"{JSON_LOAD_GEMM_CEILING_S}s); JSON loads have likely regressed to one "
         f"Observation per row")
+
+
+def test_to_dict_of_attached_gemm_cache_under_ceiling(benchmarks, gpu_3090, tmp_path):
+    # A JSON export of a column-backed cache reads its columns: one block decode
+    # of the configurations and one dict literal per row, never the observation
+    # dictionary.
+    from repro.core.cache import EvaluationCache
+
+    path = benchmarks["gemm"].build_cache(gpu_3090).to_columnar(tmp_path / "gemm.col")
+    cache = EvaluationCache.from_columnar(path)
+    elapsed = math.inf
+    for _ in range(3):
+        payload, seconds = _timed(cache.to_dict)
+        elapsed = min(elapsed, seconds)
+    assert len(payload["observations"]) == 17_956
+    assert cache._lazy is not None, (
+        "to_dict of a column-backed cache built the observation dictionary")
+    assert elapsed < TO_DICT_ATTACHED_GEMM_CEILING_S, (
+        f"to_dict of the 17,956-row attached gemm cache took {elapsed:.2f}s "
+        f"(ceiling {TO_DICT_ATTACHED_GEMM_CEILING_S}s); the export has likely "
+        f"regressed to materialising one Observation per row")
 
 
 def test_grid_sweep_streams_its_index_range(benchmarks, gpu_3090):
