@@ -578,7 +578,7 @@ def main() -> None:
     # merged trajectories must serialize to identical JSON.
     cache = benchmarks["hotspot"].build_cache(
         RTX_3090, sample_size=TUNER_CAMPAIGN_CACHE_POINTS, seed=1)
-    cache.index_table()  # build outside the timed region, like the dict store
+    cache.index_table()  # build outside the timed region
 
     def tuner_campaign(factories, runs=TUNER_CAMPAIGN_RUNS):
         results = []

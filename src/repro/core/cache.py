@@ -12,16 +12,52 @@ into ML feature matrices, and can be replayed as a :class:`~repro.core.problem.T
 so that tuners can be benchmarked against cached data without re-running the device
 model (exactly how BAT replays its own caches).
 
+One store: columns
+------------------
+A cache is its rows, in insertion order, held as columns: the mixed-radix *space
+index* of each configuration, its runtime, and a failure code into an interned
+error-string table.  Executor merges, :meth:`~repro.kernels.base.KernelBenchmark.build_cache`,
+:meth:`~EvaluationCache.from_columnar` and campaign-shaped JSON loads adopt whole
+columns at once (:meth:`~EvaluationCache.attach_columns`); :meth:`~EvaluationCache.add`
+and :meth:`~EvaluationCache.add_observation` go through ``space.index_of`` -- a
+configuration outside the space is refused with
+:class:`~repro.core.errors.InvalidConfigurationError` -- and append a row, or
+overwrite a re-added configuration's row in place (it keeps its first position).
+Adopted arrays, memory-mapped read-only ones included, are copied on the first write.
+
+Every reader answers from the columns: ``len``/``num_valid``/``num_invalid``,
+:meth:`~EvaluationCache.values`, :meth:`~EvaluationCache.best`/:meth:`~EvaluationCache.worst`,
+:meth:`~EvaluationCache.median`, :meth:`~EvaluationCache.optimum`,
+:meth:`~EvaluationCache.statistics`, :meth:`~EvaluationCache.get` (and ``lookup``/``in``),
+:meth:`~EvaluationCache.valid_arrays`, :meth:`~EvaluationCache.configs`,
+:meth:`~EvaluationCache.to_feature_matrix`, :meth:`~EvaluationCache.to_problem` replays,
+:meth:`~EvaluationCache.to_dict` and :meth:`~EvaluationCache.to_columnar`.
+:attr:`~EvaluationCache.observations`, iteration and
+:meth:`~EvaluationCache.valid_observations` are views that decode one
+:class:`~repro.core.result.Observation` per row on demand.
+
+Override rows
+-------------
+A row decodes to ``Observation(config_at(index), value, valid, error,
+evaluation_index=row, gpu, benchmark)``.  An observation the columns cannot re-decode
+bit for bit -- a re-add (which records ``evaluation_index = len(cache)``), a foreign
+gpu, benchmark or ``evaluation_index``, a config spelled ``1.0``/``True`` for ``1`` or
+in another key order, a non-float value, a non-bool ``valid``, a non-string error --
+is also kept verbatim in a sparse ``row -> Observation`` override map, which the
+observation views, :meth:`~EvaluationCache.configs`/:meth:`~EvaluationCache.valid_arrays`
+and :meth:`~EvaluationCache.to_dict` consult; the numeric readers never need to.
+:meth:`~EvaluationCache.to_columnar` refuses a cache exactly when an override row
+carries a foreign ``evaluation_index``, gpu or benchmark, which three columns cannot
+represent.
+
 Columnar index table
 --------------------
-Replayed tuning campaigns perform millions of cache lookups, and keying them by
-configuration dictionary (sort, tuple-ify, hash) is what made the seed's simulation
-loop Python-bound.  :meth:`EvaluationCache.index_table` exposes the store as a
-columnar table keyed by mixed-radix *space index* instead: dense ``row_of`` array for
-small spaces, an int->row hash for the huge sampled ones, with aligned float/bool
-``values``/``failure`` columns.  The table is built lazily in one batch from the dict
-store and kept in sync by :meth:`add`/:meth:`add_observation` (mutations queue and
-flush on the next table access), so both views always answer identically.
+Replayed tuning campaigns perform millions of cache lookups.
+:meth:`EvaluationCache.index_table` is the ``space index -> row`` map over the
+cache's own columns: a dense ``row_of`` array for small spaces, an int->row hash (plus
+a lazily sorted key array for batch probes) for the huge sampled ones.  Values and
+failure flags are read from the columns, so an overwrite is visible at once and an
+appended row inserts one key.
 
 Cache formats
 -------------
@@ -29,49 +65,25 @@ Two on-disk formats carry a cache, with one compatibility guarantee between them
 
 * **JSON** (:mod:`repro.io.cachefile`) is the *interchange* format -- self-describing,
   diffable, byte-deterministic, and frozen: nothing in this module changes a single
-  byte of it.  :meth:`EvaluationCache.from_dict` decodes a campaign-shaped payload
-  (what an executor's cache exports) straight into adopted columns; a payload the
-  columns cannot represent -- a re-added config, foreign rows, a repeated config,
-  config values that only compare equal to the space's -- is stored one
-  :class:`Observation` at a time in the dict store, so either way the cache
-  re-exports the bytes it was loaded from.
+  byte of it.  :meth:`EvaluationCache.from_dict` adopts a campaign-shaped payload
+  (what an executor's cache exports) as columns in a few list passes and inserts
+  any other payload one row at a time, override rows included, so either way the
+  cache re-exports the bytes it was loaded from.
 * **Columnar** (:mod:`repro.io.columnar`, :meth:`EvaluationCache.to_columnar` /
   :meth:`~EvaluationCache.from_columnar`) is the *performance* format: fixed-width
   little-endian index/value/failure-code columns behind a checksummed header.
-  ``from_columnar(mmap=True)`` opens without rehydrating the observation dictionary
-  -- the :class:`CacheIndexTable` is built straight off the memory-mapped columns --
-  so replay opens are cheap and concurrent readers share pages.
+  ``from_columnar(mmap=True)`` adopts the memory-mapped columns as they are, so
+  replay opens are cheap and concurrent readers share pages.
 
-Column-native readers
----------------------
-A cache holding adopted columns (``from_columnar``, ``from_columns``, every
-executor merge, :meth:`~repro.kernels.base.KernelBenchmark.build_cache`, a JSON
-load of a campaign export) answers these readers straight from its index, value
-and failure-code arrays, without building one :class:`Observation` per row:
-``len``/``num_valid``/``num_invalid``, :meth:`~EvaluationCache.values`,
-:meth:`~EvaluationCache.best`/:meth:`~EvaluationCache.worst`,
-:meth:`~EvaluationCache.median`, :meth:`~EvaluationCache.optimum`,
-:meth:`~EvaluationCache.statistics`, :meth:`~EvaluationCache.get` (and
-``lookup``/``in``), :meth:`~EvaluationCache.valid_arrays`,
-:meth:`~EvaluationCache.to_feature_matrix`, :meth:`~EvaluationCache.index_table`,
-:meth:`~EvaluationCache.to_problem` replays, :meth:`~EvaluationCache.to_columnar`
-and :meth:`~EvaluationCache.to_dict` (so JSON export).  Every figure of the paper,
-every tuner replay and every campaign export therefore runs on columns.  The
-dictionary-keyed accessors -- :attr:`~EvaluationCache.observations`, iteration,
-:meth:`~EvaluationCache.configs`, :meth:`~EvaluationCache.valid_observations`
-and the mutators :meth:`~EvaluationCache.add`/:meth:`~EvaluationCache.add_observation` --
-materialise the dict store on first use, after which both forms answer from it.
-
-A cache round-tripped through the columnar store -- or loaded from a JSON export
-into adopted columns -- serializes back to byte-identical JSON (same observations,
-same ``evaluation_index`` assignment, same error strings), which is what lets the
-two formats coexist under the byte-identity contracts.
+A cache round-tripped through the columnar store -- or loaded from a JSON export --
+serializes back to byte-identical JSON (same observations, same ``evaluation_index``
+assignment, same error strings), which is what lets the two formats coexist under
+the byte-identity contracts.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -82,7 +94,7 @@ from repro.core.errors import (CacheMissError, FragmentIntegrityError,
                                InvalidConfigurationError, ReproError, SerializationError)
 from repro.core.problem import TuningProblem
 from repro.core.result import LazyConfig, Observation
-from repro.core.searchspace import SearchSpace, config_key
+from repro.core.searchspace import SearchSpace
 
 __all__ = ["EvaluationCache", "CacheIndexTable"]
 
@@ -156,119 +168,126 @@ def _campaign_columns(rows: Any, space: SearchSpace, benchmark: str, gpu: str
     return space.digits_to_indices(digits), values, codes, table
 
 
-class CacheIndexTable:
-    """Columnar ``space index -> (value, failure)`` view of an evaluation cache.
+def _first_occurrence_codes(codes: np.ndarray, errors: list[Any]
+                            ) -> tuple[np.ndarray, list[Any]]:
+    """``(codes, errors)`` re-interned so the table lists the referenced errors in
+    first-occurrence order -- what :func:`~repro.io.columnar.encode_failure_codes`
+    makes of the same rows.  An overwritten row can leave its old error unreferenced
+    or out of order; every other table already is in this form and comes back as is.
+    """
+    from repro.io.columnar import failure_slots
 
-    ``lookup_one`` answers a single integer-index probe without building any
-    configuration dictionary; ``lookup`` is the batch form.  Rows overwrite in
-    place when the same index is stored again, mirroring the dict store.  Batch
-    lookups against hashed (above-dense-ceiling) tables run through a lazily
-    sorted key array and one :func:`numpy.searchsorted` instead of a Python
-    ``dict.get`` per probe; scalar probes keep the O(1) hash.
+    valid, slots = failure_slots(codes, errors)
+    used, first = np.unique(slots, return_index=True)
+    order = used[np.argsort(first)]
+    if order.size == len(errors) and bool((order == np.arange(order.size)).all()):
+        return codes, errors
+    remap = np.empty(len(errors), dtype=np.int32)
+    remap[order] = np.arange(order.size, dtype=np.int32)
+    slots = remap[slots]
+    return (np.where(valid, -slots - 1, slots).astype(np.int32),
+            [errors[slot] for slot in order.tolist()])
+
+
+class _Columns:
+    """The rows of an evaluation cache, in insertion order.
+
+    ``indices``/``values``/``codes`` plus the interned ``errors`` table (code
+    ``-slot - 1`` for a valid row, ``slot`` for a failed one) and the derived
+    ``Observation.is_failure`` flag per row.  Only the first :attr:`size` entries
+    of each array are rows.  Adopted arrays -- read-only views of a memory-mapped
+    file, or a caller's own arrays -- are used as they are until the first
+    :meth:`write`, which copies them into private buffers with room to grow.
     """
 
-    __slots__ = ("_cardinality", "_dense", "_row_of", "_values", "_failure", "_size",
-                 "_sorted_keys", "_sorted_rows")
+    __slots__ = ("size", "indices", "values", "codes", "failure", "errors", "_slot_of")
 
-    def __init__(self, cardinality: int):
+    def __init__(self, indices: np.ndarray, values: np.ndarray,
+                 codes: np.ndarray, errors: Sequence[Any]):
+        self.size = int(indices.size)
+        self.indices = indices
+        self.values = values
+        self.codes = codes
+        self.failure = (codes >= 0) | ~np.isfinite(values)
+        self.errors = list(errors)
+        #: ``error -> slot`` of the interned table, built with the private buffers.
+        self._slot_of: dict[Any, int] | None = None
+
+    def _reserve(self, need: int) -> None:
+        if self._slot_of is not None and need <= self.indices.size:
+            return
+        if self._slot_of is None:
+            self._slot_of = {}
+            for slot, error in enumerate(self.errors):
+                self._slot_of.setdefault(error, slot)
+        capacity = max(need, 2 * self.indices.size, 64)
+        n = self.size
+        for name in ("indices", "values", "codes", "failure"):
+            old = getattr(self, name)
+            new = np.empty(capacity, dtype=old.dtype)
+            new[:n] = old[:n]
+            setattr(self, name, new)
+
+    def write(self, row: int, index: int, value: float, valid: bool,
+              error: Any) -> bool:
+        """Store one row at position ``row`` (``size`` appends), interning
+        ``error``; returns the row's failure flag."""
+        self._reserve(row + 1)
+        slot = self._slot_of.setdefault(error, len(self.errors))
+        if slot == len(self.errors):
+            self.errors.append(error)
+        failed = not valid or not math.isfinite(value)
+        self.indices[row] = index
+        self.values[row] = value
+        self.codes[row] = -slot - 1 if valid else slot
+        self.failure[row] = failed
+        self.size = max(self.size, row + 1)
+        return failed
+
+
+class CacheIndexTable:
+    """Columnar ``space index -> row`` map over an evaluation cache's columns.
+
+    ``lookup_one`` answers a single integer-index probe without building any
+    configuration dictionary; ``lookup`` is the batch form.  Values and failure
+    flags are read from the cache's columns, so overwrites need no bookkeeping and
+    a fresh row inserts one key.  Batch lookups against hashed (above-dense-ceiling)
+    tables run through a lazily sorted key array and one :func:`numpy.searchsorted`
+    instead of a Python ``dict.get`` per probe; scalar probes keep the O(1) hash.
+    """
+
+    __slots__ = ("_columns", "_cardinality", "_dense", "_row_of", "_sorted_keys",
+                 "_sorted_rows")
+
+    def __init__(self, cardinality: int, columns: _Columns):
+        indices = columns.indices[:columns.size]
+        n = indices.size
+        self._columns = columns
         self._cardinality = cardinality
         self._dense = cardinality <= _DENSE_LOOKUP_MAX
-        self._row_of: Any = (np.full(cardinality, -1, dtype=np.int32)
-                             if self._dense else {})
-        self._values = np.empty(0, dtype=float)
-        self._failure = np.empty(0, dtype=bool)
-        self._size = 0
+        if self._dense:
+            self._row_of: Any = np.full(cardinality, -1, dtype=np.int32)
+            self._row_of[indices] = np.arange(n, dtype=np.int32)
+        else:
+            self._row_of = dict(zip(indices.tolist(), range(n)))
         # Hashed-path batch index: sorted key/row arrays for searchsorted lookups,
-        # rebuilt lazily after any store that introduced new keys.
+        # rebuilt lazily after an insert.
         self._sorted_keys: np.ndarray | None = None
         self._sorted_rows: np.ndarray | None = None
 
-    @classmethod
-    def from_columns(cls, cardinality: int, indices: np.ndarray,
-                     values: np.ndarray, failure: np.ndarray) -> "CacheIndexTable":
-        """Build a table directly over existing columns (no per-row staging).
-
-        This is how a memory-mapped columnar cache backs its index table: the
-        ``values``/``failure`` arrays are adopted by reference (they may be
-        read-only mmap views -- :meth:`store` copies on first write), and only
-        the ``index -> row`` structure is materialised here.  ``indices`` must
-        be duplicate-free, which :meth:`EvaluationCache.attach_columns`
-        enforces.
-        """
-        table = cls.__new__(cls)
-        indices = np.asarray(indices, dtype=np.int64)
-        n = indices.size
-        table._cardinality = cardinality
-        table._dense = cardinality <= _DENSE_LOOKUP_MAX
-        if table._dense:
-            row_of = np.full(cardinality, -1, dtype=np.int32)
-            row_of[indices] = np.arange(n, dtype=np.int32)
-            table._row_of = row_of
-        else:
-            table._row_of = dict(zip(indices.tolist(), range(n)))
-        table._values = np.asarray(values, dtype=float)
-        table._failure = np.asarray(failure, dtype=bool)
-        table._size = n
-        table._sorted_keys = table._sorted_rows = None
-        return table
-
     def __len__(self) -> int:
-        return self._size
+        return self._columns.size
 
-    def _grow(self, extra: int) -> None:
-        need = self._size + extra
-        if need <= self._values.size:
-            return
-        capacity = max(need, 2 * self._values.size, 256)
-        self._values = np.resize(self._values, capacity)
-        self._failure = np.resize(self._failure, capacity)
-
-    def store(self, indices: np.ndarray, values: np.ndarray,
-              failure: np.ndarray) -> None:
-        """Insert/overwrite many rows at once (aligned arrays, last write wins)."""
-        if indices.size and not self._values.flags.writeable:
-            # Tables built over memory-mapped columns adopt read-only views; the
-            # first mutation promotes them to private writable copies.
-            self._values = self._values.copy()
-            self._failure = self._failure.copy()
-        if self._dense and indices.size:
-            # Collapse duplicate indices within the batch to their last occurrence
-            # before allocating rows, or each duplicate would leak a fresh row.
-            unique, inverse = np.unique(indices, return_inverse=True)
-            if unique.size != indices.size:
-                last = np.empty(unique.size, dtype=np.int64)
-                last[inverse] = np.arange(indices.size)
-                indices, values, failure = unique, values[last], failure[last]
-        self._grow(indices.size)
-        if self._dense:
-            rows = self._row_of[indices]
-            fresh = rows < 0
-            n_fresh = int(fresh.sum())
-            rows[fresh] = self._size + np.arange(n_fresh, dtype=np.int32)
-            self._row_of[indices] = rows
-            self._size += n_fresh
-            self._values[rows] = values
-            self._failure[rows] = failure
-            return
-        row_of = self._row_of
-        size = self._size
-        for k, index in enumerate(indices.tolist()):
-            row = row_of.get(index)
-            if row is None:
-                row_of[index] = row = size
-                size += 1
-            self._values[row] = values[k]
-            self._failure[row] = failure[k]
-        if size != self._size:
-            # New keys invalidate the sorted batch index; pure overwrites keep it
-            # (rows are stable, and values/failure are read through the row arrays).
+    def insert(self, index: int, row: int) -> None:
+        """Map the in-range ``index`` of a freshly appended row."""
+        self._row_of[index] = row
+        if not self._dense:
             self._sorted_keys = self._sorted_rows = None
-        self._size = size
 
     def _sorted_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted ``(keys, rows)`` arrays of the hashed store, built on demand.
 
-        One O(n log n) sort per mutation burst replaces the per-probe Python
+        One O(n log n) sort per insert burst replaces the per-probe Python
         ``dict.get`` loop of batch lookups with a single :func:`numpy.searchsorted`
         -- the ROADMAP's "searchsorted batch lookup for hashed cache tables".
         """
@@ -298,7 +317,8 @@ class CacheIndexTable:
         row = self.row(index)
         if row < 0:
             return math.inf, True, False
-        return float(self._values[row]), bool(self._failure[row]), True
+        columns = self._columns
+        return float(columns.values[row]), bool(columns.failure[row]), True
 
     def lookup(self, indices: np.ndarray | Sequence[int]
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -307,12 +327,11 @@ class CacheIndexTable:
         Out-of-range indices are misses (see :meth:`lookup_one`).
         """
         idx = np.asarray(indices, dtype=np.int64)
+        rows = np.full(idx.size, -1, dtype=np.int64)
         if self._dense:
             in_range = (idx >= 0) & (idx < self._cardinality)
-            rows = np.full(idx.size, -1, dtype=np.int64)
             rows[in_range] = self._row_of[idx[in_range]]
         else:
-            rows = np.full(idx.size, -1, dtype=np.int64)
             keys, key_rows = self._sorted_index()
             if keys.size:
                 pos = np.searchsorted(keys, idx)
@@ -322,31 +341,9 @@ class CacheIndexTable:
         found = rows >= 0
         values = np.full(idx.size, math.inf, dtype=float)
         failure = np.ones(idx.size, dtype=bool)
-        values[found] = self._values[rows[found]]
-        failure[found] = self._failure[rows[found]]
+        values[found] = self._columns.values[rows[found]]
+        failure[found] = self._columns.failure[rows[found]]
         return values, failure, found
-
-
-class _AdoptedColumns:
-    """Columnar rows adopted by a cache but not yet materialised as Observations.
-
-    Holds the (possibly memory-mapped, read-only) index/value/code arrays plus
-    the interned error table of one columnar cache file, and the per-row
-    ``Observation.is_failure`` flags derived from them.  The owning
-    :class:`EvaluationCache` answers its column-native readers straight off
-    these arrays and only decodes them into :class:`Observation` objects when
-    a dictionary-keyed accessor is actually used.
-    """
-
-    __slots__ = ("indices", "values", "codes", "errors", "failure")
-
-    def __init__(self, indices: np.ndarray, values: np.ndarray,
-                 codes: np.ndarray, errors: Sequence[str]):
-        self.indices = indices
-        self.values = values
-        self.codes = codes
-        self.errors = list(errors)
-        self.failure = (codes >= 0) | ~np.isfinite(values)
 
 
 class EvaluationCache:
@@ -372,105 +369,91 @@ class EvaluationCache:
         self.gpu = gpu
         self.space = space
         self.exhaustive = exhaustive
-        self._store: dict[tuple, Observation] = {}
-        self._lazy: _AdoptedColumns | None = None
+        self._columns = _Columns(np.empty(0, dtype=np.int64), np.empty(0, dtype=float),
+                                 np.empty(0, dtype=np.int32), [])
+        #: Rows the columns cannot re-decode bit for bit, kept verbatim.
+        self._overrides: dict[int, Observation] = {}
         self._num_failures = 0
         self.metadata: dict[str, Any] = {}
         self._index_table: CacheIndexTable | None = None
-        self._index_pending: list[Observation] = []
 
-    # ------------------------------------------------------------- lazy dict store
-
-    @property
-    def _entries(self) -> dict[tuple, Observation]:
-        """The dictionary store, materialising adopted columns on first touch."""
-        if self._lazy is not None:
-            self._materialize()
-        return self._store
-
-    def _materialize(self) -> None:
-        store = self._store
-        for row in range(self._lazy.indices.size):
-            obs = self._observation_at(row)
-            store[obs.key] = obs
-        self._lazy = None
-        # The index table (if already built from these columns) covers every
-        # materialised row, so nothing is queued on ``_index_pending`` here.
+    # ------------------------------------------------------------------ row access
 
     def _observation_at(self, row: int) -> Observation:
-        """The observation stored at insertion position ``row``.
-
-        Adopted columns decode just that row (the failure codes were checked
-        against the error table on attach); an eager cache walks its dict store.
-        """
-        lazy = self._lazy
-        if lazy is None:
-            return next(islice(self._store.values(), row, None))
-        code = int(lazy.codes[row])
-        return Observation.fast(LazyConfig(self.space, int(lazy.indices[row])),
-                                float(lazy.values[row]), code < 0,
-                                lazy.errors[-code - 1 if code < 0 else code],
+        """The observation stored at insertion position ``row``."""
+        override = self._overrides.get(row)
+        if override is not None:
+            return override
+        columns = self._columns
+        code = int(columns.codes[row])
+        return Observation.fast(LazyConfig(self.space, int(columns.indices[row])),
+                                float(columns.values[row]), code < 0,
+                                columns.errors[-code - 1 if code < 0 else code],
                                 row, self.gpu, self.benchmark)
 
-    def _row_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(values, failure)`` of every stored row, in insertion order.
-
-        The one source of the statistics readers: adopted columns answer with
-        their own (possibly read-only) arrays, an eager cache reads its dict
-        store once.
-        """
-        lazy = self._lazy
-        if lazy is not None:
-            return lazy.values, lazy.failure
-        observations = self._store.values()
-        n = len(observations)
-        values = np.fromiter((o.value for o in observations), dtype=float, count=n)
-        valid = np.fromiter((o.valid for o in observations), dtype=bool, count=n)
-        return values, ~valid | ~np.isfinite(values)  # Observation.is_failure
+    def _decodes(self, row: int, index: int, obs: Observation) -> bool:
+        """True when :meth:`_observation_at` rebuilds ``obs`` at ``row`` bit for bit."""
+        if not (type(obs.evaluation_index) is int and obs.evaluation_index == row
+                and type(obs.gpu) is type(self.gpu) and obs.gpu == self.gpu
+                and type(obs.benchmark) is type(self.benchmark)
+                and obs.benchmark == self.benchmark
+                and type(obs.value) is float and type(obs.valid) is bool
+                and type(obs.error) is str):
+            return False
+        config, exact = obs.config, self.space.config_at(index)
+        return (list(config) == list(exact)
+                and list(map(type, config.values())) == list(map(type, exact.values())))
 
     def _valid_rows(self, valid_only: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, values)``: the selected insertion rows and their runtimes."""
-        values, failure = self._row_columns()
-        rows = np.flatnonzero(~failure) if valid_only else np.arange(values.size)
-        return rows, values[rows]
+        columns = self._columns
+        n = columns.size
+        rows = np.flatnonzero(~columns.failure[:n]) if valid_only else np.arange(n)
+        return rows, columns.values[rows]
 
     def _row_configs(self, rows: np.ndarray) -> list[dict[str, Any]]:
-        """Configuration dictionaries of the given insertion rows."""
-        if self._lazy is not None:
-            return self.space.configs_at(self._lazy.indices[rows])
-        observations = list(self._store.values())
-        return [dict(observations[row].config) for row in rows.tolist()]
+        """Configuration dictionaries of the given (ascending) insertion rows."""
+        configs = self.space.configs_at(self._columns.indices[rows])
+        for row, obs in self._overrides.items():
+            k = int(np.searchsorted(rows, row))
+            if k < rows.size and rows[k] == row:
+                configs[k] = dict(obs.config)
+        return configs
 
     # --------------------------------------------------------------------- mutation
 
     def add(self, config: Mapping[str, Any], value: float, valid: bool = True,
             error: str = "") -> None:
-        """Store one measurement (overwrites an existing entry for the same config)."""
-        entries = self._entries
-        obs = Observation(config=dict(config), value=value if valid else math.inf,
-                          valid=valid, error=error,
-                          evaluation_index=len(entries),
-                          gpu=self.gpu, benchmark=self.benchmark)
-        key = config_key(config)
-        previous = entries.get(key)
-        if previous is not None:
-            self._num_failures -= previous.is_failure
-        self._num_failures += obs.is_failure
-        entries[key] = obs
-        if self._index_table is not None:
-            self._index_pending.append(obs)
+        """Store one measurement (overwrites an existing entry for the same config).
+
+        A re-added configuration keeps its first position and records
+        ``evaluation_index = len(self)``.  A configuration outside the space is
+        refused with the :class:`~repro.core.errors.InvalidConfigurationError` of
+        ``space.index_of``.
+        """
+        self.add_observation(Observation.fast(
+            dict(config), value if valid else math.inf, valid, error, len(self),
+            self.gpu, self.benchmark))
 
     def add_observation(self, observation: Observation) -> None:
-        """Store an existing observation object."""
-        entries = self._entries
-        key = observation.key
-        previous = entries.get(key)
-        if previous is not None:
-            self._num_failures -= previous.is_failure
-        self._num_failures += observation.is_failure
-        entries[key] = observation
-        if self._index_table is not None:
-            self._index_pending.append(observation)
+        """Store an existing observation object (overwrite rules as :meth:`add`)."""
+        index = self.space.index_of(observation.config)
+        value, valid = float(observation.value), bool(observation.valid)
+        table = self.index_table()
+        columns = self._columns
+        row = table.row(index)
+        fresh = row < 0
+        if fresh:
+            row = columns.size
+        before = not fresh and bool(columns.failure[row])
+        self._num_failures += columns.write(row, index, value, valid,
+                                            observation.error) - before
+        if fresh:
+            table.insert(index, row)
+        if self._decodes(row, index, observation):
+            self._overrides.pop(row, None)
+        else:
+            self._overrides[row] = observation
 
     def update(self, observations: Iterable[Observation]) -> None:
         """Store many observations."""
@@ -479,60 +462,35 @@ class EvaluationCache:
 
     # ------------------------------------------------------------- columnar lookups
 
-    def _flush_index_pending(self) -> None:
-        pending = self._index_pending
-        self._index_pending = []
-        indices = self.space.indices_of_configs([o.config for o in pending])
-        self._index_table.store(
-            indices,
-            np.asarray([o.value for o in pending], dtype=float),
-            np.asarray([o.is_failure for o in pending], dtype=bool))
-
     def index_table(self) -> CacheIndexTable:
         """The columnar ``space index -> (value, failure)`` view of this cache.
 
-        Built in one batch on first use and kept in sync with the dict store:
-        mutations after the build queue up and flush on the next call, so the two
-        views can never answer differently.  Call this per lookup burst (it is just
-        an attribute check once built) rather than caching the table elsewhere.
+        Built in one batch on first use and kept current by every later
+        :meth:`add`, so it always answers like the cache.  Call this per lookup
+        burst (it is just an attribute check once built) rather than caching the
+        table elsewhere.
         """
         if self._index_table is None:
-            if self._lazy is not None:
-                # Columnar-backed cache: build the table straight off the mapped
-                # columns.  No observation objects, no dict, no per-row Python.
-                lazy = self._lazy
-                self._index_table = CacheIndexTable.from_columns(
-                    self.space.cardinality, lazy.indices, lazy.values, lazy.failure)
-                self._index_pending = []
-            else:
-                self._index_table = CacheIndexTable(self.space.cardinality)
-                self._index_pending = list(self._store.values())
-        if self._index_pending:
-            self._flush_index_pending()
+            self._index_table = CacheIndexTable(self.space.cardinality, self._columns)
         return self._index_table
 
     # ---------------------------------------------------------------------- queries
 
     def __len__(self) -> int:
-        if self._lazy is not None:
-            return int(self._lazy.indices.size)
-        return len(self._store)
+        return self._columns.size
 
     def __contains__(self, config: Mapping[str, Any]) -> bool:
         return self.get(config) is not None
 
     def __iter__(self) -> Iterator[Observation]:
-        return iter(self._entries.values())
+        return map(self._observation_at, range(len(self)))
 
     def get(self, config: Mapping[str, Any]) -> Observation | None:
         """The stored observation for ``config`` or None.
 
-        Adopted columns answer through :meth:`index_table`: anything
-        ``space.index_of`` refuses (unknown or missing parameters, values outside
-        a parameter) is a miss, exactly as it is for the dict store.
+        Anything ``space.index_of`` refuses (unknown or missing parameters, values
+        outside a parameter) is a miss.
         """
-        if self._lazy is None:
-            return self._store.get(config_key(config))
         try:
             index = self.space.index_of(config)
         except InvalidConfigurationError:
@@ -551,11 +509,11 @@ class EvaluationCache:
     @property
     def observations(self) -> tuple[Observation, ...]:
         """All stored observations (insertion order)."""
-        return tuple(self._entries.values())
+        return tuple(self)
 
     def valid_observations(self) -> list[Observation]:
         """Only the successfully measured configurations."""
-        return [o for o in self._entries.values() if not o.is_failure]
+        return [self._observation_at(row) for row in self._valid_rows()[0].tolist()]
 
     def valid_arrays(self) -> tuple[list[dict[str, Any]], np.ndarray]:
         """Configurations and runtimes of the valid entries, in one pass.
@@ -590,9 +548,7 @@ class EvaluationCache:
 
     def configs(self, valid_only: bool = True) -> list[dict[str, Any]]:
         """Stored configurations, aligned with :meth:`values`."""
-        if valid_only:
-            return [dict(o.config) for o in self._entries.values() if not o.is_failure]
-        return [dict(o.config) for o in self._entries.values()]
+        return self._row_configs(self._valid_rows(valid_only)[0])
 
     def _extreme(self, arg: Any) -> Observation:
         rows, values = self._valid_rows()
@@ -645,9 +601,7 @@ class EvaluationCache:
         rows, y = self._valid_rows(valid_only)
         if not rows.size:
             raise ReproError(f"cache {self.benchmark}/{self.gpu} has no entries to encode")
-        if self._lazy is not None:
-            return self.space.encode_indices(self._lazy.indices[rows]), y
-        return self.space.encode_batch(self._row_configs(rows)), y
+        return self.space.encode_indices(self._columns.indices[rows]), y
 
     # ------------------------------------------------------------------ replay
 
@@ -655,7 +609,7 @@ class EvaluationCache:
         """A :class:`TuningProblem` that answers evaluations from this cache.
 
         The problem carries both objective forms: the dictionary ``evaluate_fn``
-        (key the dict store) and the index-native ``evaluate_index_fn`` (one probe of
+        (one :meth:`get`) and the index-native ``evaluate_index_fn`` (one probe of
         :meth:`index_table`, no dictionary, no hashing of sorted item tuples).  The
         two are element-wise equivalent by construction -- same values, same
         miss/failure semantics, same :class:`CacheMissError` message -- so a tuner
@@ -724,20 +678,19 @@ class EvaluationCache:
     # ------------------------------------------------------------------ serialization
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form including the search-space description (off
-        adopted columns: one dict literal per row, as :meth:`Observation.to_dict`)."""
-        lazy = self._lazy
-        if lazy is None:
-            observations = [o.to_dict() for o in self._store.values()]
-        else:
-            gpu, benchmark, errors = self.gpu, self.benchmark, lazy.errors
-            observations = [
-                {"config": config, "value": value if math.isfinite(value) else None,
-                 "valid": code < 0, "error": errors[-code - 1 if code < 0 else code],
-                 "evaluation_index": row, "gpu": gpu, "benchmark": benchmark}
-                for row, (config, value, code) in enumerate(zip(
-                    self.space.configs_at(lazy.indices), lazy.values.tolist(),
-                    lazy.codes.tolist()))]
+        """JSON-serializable form including the search-space description (one dict
+        literal per row, as :meth:`Observation.to_dict`; override rows verbatim)."""
+        columns = self._columns
+        n, gpu, benchmark, errors = columns.size, self.gpu, self.benchmark, columns.errors
+        observations = [
+            {"config": config, "value": value if math.isfinite(value) else None,
+             "valid": code < 0, "error": errors[-code - 1 if code < 0 else code],
+             "evaluation_index": row, "gpu": gpu, "benchmark": benchmark}
+            for row, (config, value, code) in enumerate(zip(
+                self.space.configs_at(columns.indices[:n]), columns.values[:n].tolist(),
+                columns.codes[:n].tolist()))]
+        for row, obs in self._overrides.items():
+            observations[row] = obs.to_dict()
         return {
             "benchmark": self.benchmark,
             "gpu": self.gpu,
@@ -760,16 +713,15 @@ class EvaluationCache:
         gpu and benchmark, a config of exactly the space's parameters (in space
         order, with values of the space's own types), a string error and no
         repeated configuration -- are decoded in a few list passes into index,
-        value and failure-code columns and adopted with :meth:`attach_columns`,
-        so the loaded cache is column-backed like :meth:`from_columnar`'s and
-        re-exports byte-identical JSON.  Every other payload (a re-added config,
-        foreign rows, values that only compare equal to the space's, malformed
-        rows) is neither refused nor reshaped: it is stored one
-        :class:`Observation` at a time through :meth:`add_observation`, exactly
-        as before, because adopted columns cannot represent it -- they have no
-        room for a foreign ``evaluation_index``, gpu or benchmark, for a second
-        row of one configuration, or for a value's JSON spelling.  An empty
-        observation list adopts nothing and stays an empty dict store.
+        value and failure-code columns and adopted with :meth:`attach_columns`.
+        Every other payload (a re-added config, foreign rows, values that only
+        compare equal to the space's, a repeated config) is inserted one
+        :class:`Observation` at a time through :meth:`add_observation`, which
+        keeps what the columns cannot re-decode as override rows.  Either way the
+        cache re-exports byte-identical JSON.  A row whose config lies outside the
+        space (a missing or unknown parameter, a value the parameter does not
+        allow) is refused with :class:`~repro.core.errors.SerializationError`
+        naming the row.
         """
         if space is None:
             space = SearchSpace.from_dict(data["space"])
@@ -783,9 +735,14 @@ class EvaluationCache:
                 cache.attach_columns(*columns)
                 return cache
             except FragmentIntegrityError:
-                pass  # a configuration repeats: only the dict store can keep it
-        for od in rows:
-            cache.add_observation(Observation.from_dict(od))
+                pass  # a configuration repeats: insert row by row, last one wins
+        for k, od in enumerate(rows):
+            try:
+                cache.add_observation(Observation.from_dict(od))
+            except InvalidConfigurationError as exc:
+                raise SerializationError(
+                    f"cache {cache.benchmark}/{cache.gpu}: observation {k} is "
+                    f"outside the search space ({exc})") from None
         return cache
 
     # ------------------------------------------------------- columnar serialization
@@ -796,13 +753,24 @@ class EvaluationCache:
         Requires campaign shape -- every observation's ``evaluation_index`` equal
         to its insertion position and carrying this cache's benchmark/gpu --
         which is what executors, :meth:`from_dict` on executor output and
-        :meth:`from_columnar` all produce.  A cache assembled by hand from
-        foreign observations cannot round-trip through three columns and is
-        refused with :class:`~repro.core.errors.SerializationError`; use the
-        JSON writer for it.
+        :meth:`from_columnar` all produce.  A cache holding an override row
+        that breaks it (a re-added config, a foreign observation) cannot
+        round-trip through three columns and is refused with
+        :class:`~repro.core.errors.SerializationError`; use the JSON writer for
+        it.  The error table is written in first-occurrence order, so the file
+        is a pure function of the rows.
         """
         from repro.io import columnar
 
+        for row, obs in sorted(self._overrides.items()):
+            if (obs.evaluation_index != row or obs.gpu != self.gpu
+                    or obs.benchmark != self.benchmark):
+                raise SerializationError(
+                    f"cache {self.benchmark}/{self.gpu} is not campaign-shaped "
+                    f"(observation {row} carries evaluation_index="
+                    f"{obs.evaluation_index}, gpu={obs.gpu!r}, benchmark="
+                    f"{obs.benchmark!r}); columnar files cannot represent it -- "
+                    f"use the JSON writer")
         path = Path(path)
         meta = {
             "benchmark": self.benchmark,
@@ -813,43 +781,12 @@ class EvaluationCache:
         }
         meta["digest"] = columnar.cache_digest(self.benchmark, self.gpu,
                                                meta["space"])
-        if self._lazy is not None:
-            # Adopted columns re-emit verbatim: a load -> save round trip is
-            # byte-identical without materialising a single observation.
-            lazy = self._lazy
-            columnar.write_columnar(path, "cache", meta,
-                                    {"index": lazy.indices, "value": lazy.values,
-                                     "code": lazy.codes}, lazy.errors)
-            return path
-        observations = list(self._store.values())
-        indices = np.empty(len(observations), dtype=np.int64)
-        plain_rows: list[int] = []
-        plain_configs: list[Mapping[str, Any]] = []
-        for row, obs in enumerate(observations):
-            if (obs.evaluation_index != row or obs.gpu != self.gpu
-                    or obs.benchmark != self.benchmark):
-                raise SerializationError(
-                    f"cache {self.benchmark}/{self.gpu} is not campaign-shaped "
-                    f"(observation {row} carries evaluation_index="
-                    f"{obs.evaluation_index}, gpu={obs.gpu!r}, benchmark="
-                    f"{obs.benchmark!r}); columnar files cannot represent it -- "
-                    f"use the JSON writer")
-            config = obs.config
-            if isinstance(config, LazyConfig):
-                indices[row] = config.space_index
-            else:
-                plain_rows.append(row)
-                plain_configs.append(config)
-        if plain_rows:
-            indices[plain_rows] = self.space.indices_of_configs(plain_configs)
-        codes, errors = columnar.encode_failure_codes(
-            [o.valid for o in observations], [o.error for o in observations])
-        columnar.write_columnar(
-            path, "cache", meta,
-            {"index": indices,
-             "value": np.asarray([o.value for o in observations], dtype=float),
-             "code": codes},
-            errors)
+        columns = self._columns
+        n = columns.size
+        codes, errors = _first_occurrence_codes(columns.codes[:n], columns.errors)
+        columnar.write_columnar(path, "cache", meta,
+                                {"index": columns.indices[:n],
+                                 "value": columns.values[:n], "code": codes}, errors)
         return path
 
     @classmethod
@@ -857,16 +794,12 @@ class EvaluationCache:
                       mmap: bool = True, verify: bool = True) -> "EvaluationCache":
         """Open a columnar cache file; the inverse of :meth:`to_columnar`.
 
-        With ``mmap=True`` (default) the index/value/code columns stay read-only
-        views of the memory-mapped file, so opening for index-native replay costs
-        one header parse -- not one Python object per row.  The
-        :class:`CacheIndexTable` and the column-native readers (``values``,
-        ``best``/``worst``, ``median``, ``optimum``, ``statistics``, ``get``,
-        ``valid_arrays``, ``to_feature_matrix``, ``to_dict``) answer straight off
-        them; the observation dictionary materialises only when a
-        dictionary-keyed accessor (``observations``, iteration, ``configs``,
-        ``valid_observations``, ``add``) is used.  ``space`` may be
-        supplied to reuse an existing space object, like :meth:`from_dict`.
+        With ``mmap=True`` (default) the index/value/code columns are adopted as
+        read-only views of the memory-mapped file, so opening for index-native
+        replay costs one header parse -- not one Python object per row -- and
+        every reader answers straight off them.  The first :meth:`add` copies the
+        columns; the file never changes.  ``space`` may be supplied to reuse an
+        existing space object, like :meth:`from_dict`.
         """
         from repro.io import columnar
 
@@ -881,7 +814,7 @@ class EvaluationCache:
                     exhaustive=bool(header.get("exhaustive", False)))
         cache.metadata.update(header.get("metadata", {}))
         cache.attach_columns(payload.columns["index"], payload.columns["value"],
-                              payload.columns["code"], payload.errors)
+                             payload.columns["code"], payload.errors)
         return cache
 
     @classmethod
@@ -896,17 +829,16 @@ class EvaluationCache:
         return cache
 
     def attach_columns(self, indices: np.ndarray, values: np.ndarray,
-                        codes: np.ndarray, errors: Sequence[str]) -> None:
+                       codes: np.ndarray, errors: Sequence[str]) -> None:
         """Adopt insertion-ordered row columns as this (empty) cache's contents.
 
         Refused with :class:`~repro.core.errors.FragmentIntegrityError` when an
-        index lies outside the space, an index repeats (the dict store would keep
-        one row where the columns count two), or a failure code points outside
-        the error table.
+        index lies outside the space, an index repeats (one configuration would
+        own two rows), or a failure code points outside the error table.
         """
         from repro.io.columnar import failure_slots
 
-        if self._store or self._lazy is not None or self._index_table is not None:
+        if len(self) or self._index_table is not None:
             raise ReproError("columns can only be attached to an empty cache")
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size:
@@ -923,9 +855,8 @@ class EvaluationCache:
                     f"{int(indices[repeat])} twice (again at row {repeat})")
         codes = np.asarray(codes, dtype=np.int32)
         failure_slots(codes, errors)
-        lazy = _AdoptedColumns(indices, np.asarray(values, dtype=float), codes, errors)
-        self._lazy = lazy
-        self._num_failures = int(np.count_nonzero(lazy.failure))
+        self._columns = _Columns(indices, np.asarray(values, dtype=float), codes, errors)
+        self._num_failures = int(np.count_nonzero(self._columns.failure))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"EvaluationCache(benchmark={self.benchmark!r}, gpu={self.gpu!r}, "

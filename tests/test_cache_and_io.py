@@ -12,7 +12,8 @@ import pytest
 
 from repro.core.cache import EvaluationCache
 from repro.core.constraints import ConstraintSerializationWarning, ConstraintSet
-from repro.core.errors import CacheMissError, ReproError, SerializationError
+from repro.core.errors import (CacheMissError, InvalidConfigurationError, ReproError,
+                               SerializationError)
 from repro.core.parameter import Parameter
 from repro.core.result import Observation, TuningResult
 from repro.core.searchspace import SearchSpace
@@ -58,6 +59,19 @@ class TestEvaluationCache:
         assert toy_cache.num_invalid == 1
         assert toy_cache.num_valid == 5
         assert math.isfinite(toy_cache.values().max())
+
+    @pytest.mark.parametrize("config", [{"x": 9, "y": 1}, {"x": 1},
+                                        {"x": 1, "y": 1, "z": 0}],
+                             ids=["value outside x", "missing y", "unknown z"])
+    def test_add_outside_the_space_is_refused(self, toy_cache, config):
+        before = toy_cache.to_dict()
+        with pytest.raises(InvalidConfigurationError):
+            toy_cache.add(config, 1.0)
+        with pytest.raises(InvalidConfigurationError):
+            toy_cache.add_observation(Observation(config=config, value=1.0))
+        assert toy_cache.to_dict() == before
+        assert len(toy_cache.index_table()) == len(toy_cache) == 6
+        assert toy_cache.to_feature_matrix()[0].shape == (6, 2)
 
     def test_overwrite_same_config(self, toy_cache):
         toy_cache.add({"x": 1, "y": 1}, 100.0)

@@ -1,16 +1,16 @@
-"""Differential suite for the column-native readers of :class:`EvaluationCache`.
+"""Differential suite for the column readers of :class:`EvaluationCache`.
 
 A cache opened from a columnar file adopts its index/value/code columns and
 answers its statistics readers (``values``, ``best``/``worst``, ``median``,
 ``optimum``, ``statistics``, ``get``, ``valid_arrays``, ``to_feature_matrix``,
-``to_dict``) straight from them, without building an observation dictionary.
-The contract under test: every such reader on a fresh memory-mapped cache is
-bit-for-bit what the same reader returns once the dictionary store has been
-materialised (and what an eager cache of the same rows, filled one ``add`` at a
-time, returns), and the paper's figures plus the tuner replays leave a mapped
-cache unmaterialised.  Every campaign write path -- ``build_cache``, fresh serial
-and parallel executor runs, a resume that re-executes shards -- yields such a
-column-backed cache, and a JSON export keeps it so.
+``to_dict``) straight from them.  The contract under test: every such reader on
+a fresh memory-mapped cache is bit-for-bit what the per-row oracle
+(:class:`cache_oracle.OracleCache`) returns, whether that oracle was filled one
+``add`` at a time from the evaluated rows or from the mapped cache's own
+observations, and the paper's figures plus the tuner replays on a mapped cache
+match those on a cache filled one ``add_observation`` at a time.  Every campaign
+write path -- ``build_cache``, fresh serial and parallel executor runs, a resume
+that re-executes shards -- exports JSON that loads back to the same export.
 
 The caches cover an exhaustive kernel (Convolution: dense index table, failed
 launches) and sampled kernels (Hotspot: hashed index table, failed launches;
@@ -33,8 +33,10 @@ from repro.analysis import (
 from repro.analysis.convergence import tuner_convergence
 from repro.core.cache import EvaluationCache
 from repro.exec import ParallelExecutor, SerialExecutor, ShardPlanner, resume_campaign
-from repro.io import save_cache
+from repro.io import load_cache, save_cache
 from repro.tuners import all_tuners
+
+from cache_oracle import OracleCache
 
 #: (benchmark, GPU, sample size or None for an exhaustive campaign).
 UNITS = (("convolution", "RTX_3090", None),
@@ -51,23 +53,25 @@ INDEX_TUNERS = ("random", "grid", "local", "greedy_ils", "annealing", "genetic",
 
 
 def eager_build(benchmark, gpu, sample_size, seed):
-    """The rows ``build_cache`` evaluates, inserted one ``add`` at a time."""
+    """The rows ``build_cache`` evaluates, added one at a time to the oracle."""
     space = benchmark.space
     if sample_size is None:
         configs = list(space.enumerate(valid_only=True))
     else:
         configs = space.sample(sample_size, rng=seed, valid_only=True, unique=True)
-    cache = benchmark.new_cache(gpu, sample_size=sample_size)
+    template = benchmark.new_cache(gpu, sample_size=sample_size)
+    cache = OracleCache(template.benchmark, template.gpu, template.space,
+                        template.exhaustive)
+    cache.metadata.update(template.metadata)
     for config, (value, valid, error) in zip(configs,
                                              benchmark.evaluate_batch(gpu, configs)):
         cache.add(config, value, valid=valid, error=error)
-    assert cache._lazy is None
     return cache
 
 
 @pytest.fixture(scope="module")
 def campaign(benchmarks, gpus, tmp_path_factory):
-    """Eager caches of :data:`UNITS` and the columnar files written from them."""
+    """Oracles of :data:`UNITS` and the columnar files written from them."""
     directory = tmp_path_factory.mktemp("columns")
     eager, paths = {}, {}
     for name, gpu, sample_size in UNITS:
@@ -82,9 +86,19 @@ def open_mapped(path):
 
 
 def materialised(path):
-    """A mapped cache whose dict store has been forced by a dict-keyed accessor."""
-    cache = open_mapped(path)
-    assert cache.observations and cache._lazy is None
+    """The oracle of a mapped cache's observations."""
+    cache = OracleCache.from_rows(open_mapped(path))
+    assert cache.observations
+    return cache
+
+
+def row_built(path):
+    """A mapped cache's observations, inserted one ``add_observation`` at a time."""
+    mapped = open_mapped(path)
+    cache = EvaluationCache(mapped.benchmark, mapped.gpu, mapped.space,
+                            mapped.exhaustive)
+    cache.metadata.update(mapped.metadata)
+    cache.update(mapped.observations)
     return cache
 
 
@@ -95,13 +109,11 @@ def unit(request):
 
 @pytest.fixture(params=["materialised", "eager"])
 def pair(request, campaign, unit):
-    """``(mapped, reference)``: a fresh mapped cache and a dict-store cache."""
+    """``(mapped, reference)``: a fresh mapped cache and an oracle of its rows."""
     eager, paths = campaign
     mapped = open_mapped(paths[unit])
     reference = eager[unit] if request.param == "eager" else materialised(paths[unit])
-    assert mapped._lazy is not None
-    yield mapped, reference
-    assert mapped._lazy is not None, "a column-native reader materialised the cache"
+    return mapped, reference
 
 
 def same_array(a, b):
@@ -178,8 +190,7 @@ class TestReaders:
         assert same_observation(getattr(mapped, reader)(), getattr(reference, reader)())
 
     def test_readers_match_an_observation_scan(self, pair):
-        # Eager and mapped caches share the readers past the row-column
-        # accessor, so the scan below is the independent witness for both.
+        # The scan below restates the oracle's readers by hand.
         mapped, reference = pair
         observations = reference.observations
         valid = [o for o in observations if not o.is_failure]
@@ -220,7 +231,7 @@ class TestGet:
                     break
         return cases
 
-    def test_get_matches_dict_store(self, campaign, unit):
+    def test_get_matches_the_oracle(self, campaign, unit):
         eager, paths = campaign
         reference = materialised(paths[unit])
         cases = self._cases(reference, sampled_absent=not eager[unit].exhaustive)
@@ -240,14 +251,13 @@ class TestGet:
                 assert got is not None and same_observation(got, want), kind
             assert (config in mapped) == (config in reference), kind
         assert mapped.get(cases["valid member"]).valid
-        assert mapped._lazy is not None
 
 
-class TestFiguresStayColumnar:
-    def test_figures_do_not_materialise(self, campaign, benchmarks, gpus):
+class TestFiguresMatchRowBuiltCaches:
+    def test_figures(self, campaign, benchmarks, gpus):
         eager, paths = campaign
         mapped = {key: open_mapped(path) for key, path in paths.items()}
-        forced = {key: materialised(path) for key, path in paths.items()}
+        forced = {key: row_built(path) for key, path in paths.items()}
 
         for key in mapped:
             curve = random_search_convergence(mapped[key], repetitions=20, seed=3)
@@ -271,24 +281,22 @@ class TestFiguresStayColumnar:
         for name, matrix in matrices.items():
             assert same_array(matrix.relative_performance,
                               ref_matrices[name].relative_performance)
-        assert all(cache._lazy is not None for cache in mapped.values())
 
     @pytest.mark.parametrize("name", INDEX_TUNERS)
-    def test_tuner_replays_do_not_materialise(self, campaign, name):
+    def test_tuner_replays(self, campaign, name):
         _, paths = campaign
         factory = all_tuners()[name]
         for key, path in paths.items():
-            mapped, forced = open_mapped(path), materialised(path)
+            mapped, forced = open_mapped(path), row_built(path)
             curve = tuner_convergence(mapped, factory, repetitions=2, budget=40,
                                       base_seed=11)
             ref = tuner_convergence(forced, factory, repetitions=2, budget=40,
                                     base_seed=11)
             assert same_array(curve.median_relative_performance,
                               ref.median_relative_performance), key
-            assert mapped._lazy is not None, key
 
 
-class TestWritePathsStayColumnar:
+class TestWritePaths:
     @pytest.fixture(scope="class")
     def planner(self, benchmarks, gpus):
         """An exhaustive and a sampled unit, several shards each."""
@@ -297,12 +305,11 @@ class TestWritePathsStayColumnar:
                             {"RTX_3090": gpus["RTX_3090"]}, sample_size=300, seed=5,
                             shard_size=1000)
 
-    def _assert_column_backed(self, caches, directory):
+    def _assert_exports_reload(self, caches, directory):
         assert caches
         for key, cache in caches.items():
-            assert cache._lazy is not None, key
-            save_cache(cache, directory / f"{key[0]}_{key[1]}.json.gz")
-            assert cache._lazy is not None, f"{key}: the JSON export materialised"
+            path = save_cache(cache, directory / f"{key[0]}_{key[1]}.json.gz")
+            assert json.dumps(load_cache(path).to_dict()) == json.dumps(cache.to_dict()), key
 
     def test_build_cache_matches_the_row_oracle(self, campaign, benchmarks, gpus,
                                                 tmp_path):
@@ -312,7 +319,7 @@ class TestWritePathsStayColumnar:
                  for name, gpu, sample_size in UNITS}
         for key, cache in built.items():
             assert json.dumps(cache.to_dict()) == json.dumps(eager[key].to_dict())
-        self._assert_column_backed(built, tmp_path)
+        self._assert_exports_reload(built, tmp_path)
 
     def test_fresh_serial_and_parallel_runs(self, planner, tmp_path):
         plan = planner.plan()
@@ -323,7 +330,7 @@ class TestWritePathsStayColumnar:
             directory.mkdir()
             caches = executor.run(plan, benchmarks=planner.benchmarks,
                                   gpus=planner.gpus)
-            self._assert_column_backed(caches, directory)
+            self._assert_exports_reload(caches, directory)
 
     def test_resume_that_re_executes_shards(self, planner, tmp_path):
         plan = planner.plan()
@@ -334,4 +341,4 @@ class TestWritePathsStayColumnar:
             (store / shard.fragment_name).unlink()
         caches = resume_campaign(store, benchmarks=planner.benchmarks,
                                  gpus=planner.gpus)
-        self._assert_column_backed(caches, tmp_path)
+        self._assert_exports_reload(caches, tmp_path)

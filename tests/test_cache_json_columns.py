@@ -7,16 +7,18 @@ configuration -- straight into index, value and failure-code columns, so the
 loaded cache is column-backed like a memory-mapped columnar one.  The contract
 under test:
 
-* a campaign export loads column-backed, re-saves to its original bytes,
-  writes the same columnar bytes and answers every column-native reader
-  exactly like an eager oracle built one :class:`Observation` at a time;
-* every payload the columns cannot represent (a re-added config, foreign rows,
-  a repeated config, values that only compare equal to the space's, a config
-  with other keys or another key order, a non-string error, a parameter mixing
-  value types) takes the per-row path and loads equal to that oracle.
+* a campaign export loads into columns, re-saves to its original bytes,
+  writes the same columnar bytes and answers every reader exactly like a
+  per-row oracle built one :class:`Observation` at a time;
+* every payload the columns alone cannot represent (a re-added config, foreign
+  rows, a repeated config, values that only compare equal to the space's, a
+  config in another key order, a non-string error, a parameter mixing value
+  types) is inserted row by row and loads equal to that oracle;
+* a row whose config lies outside the space is refused, naming the row.
 
-The oracle (:func:`oracle`) is the scalar witness: ``Observation.from_dict`` plus
-``add_observation`` per row, the load path of the eager dict store.
+The oracle (:func:`oracle`) is the scalar witness:
+:class:`cache_oracle.OracleCache`, ``Observation.from_dict`` plus
+``add_observation`` per row into a dictionary keyed by configuration.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ import numpy as np
 import pytest
 
 from repro.core.cache import EvaluationCache
+from repro.core.errors import SerializationError
 from repro.core.parameter import Parameter
-from repro.core.result import Observation
 from repro.core.searchspace import SearchSpace
 from repro.io.cachefile import atomic_write_json, load_cache, read_json, save_cache
+
+from cache_oracle import OracleCache
 
 #: (benchmark, sample size or None for an exhaustive campaign): the seven paper
 #: kernels sampled (hashed index tables for the huge spaces, failed launches on
@@ -47,16 +51,8 @@ def unit_id(unit):
 
 
 def oracle(payload, space=None):
-    """The eager cache: one ``Observation.from_dict`` + ``add_observation`` per row."""
-    data = payload["cache"]
-    cache = EvaluationCache(data["benchmark"], data["gpu"],
-                            space or SearchSpace.from_dict(data["space"]),
-                            exhaustive=bool(data.get("exhaustive", False)))
-    cache.metadata.update(data.get("metadata", {}))
-    for od in data.get("observations", ()):
-        cache.add_observation(Observation.from_dict(od))
-    assert cache._lazy is None
-    return cache
+    """The per-row oracle: one ``Observation.from_dict`` + ``add_observation`` per row."""
+    return OracleCache.from_payload(payload["cache"], space)
 
 
 def same_array(a, b):
@@ -98,12 +94,9 @@ def unit(request):
 
 @pytest.fixture()
 def pair(exports, unit):
-    """``(loaded, reference)``: a fresh ``load_cache`` and its eager oracle."""
+    """``(loaded, reference)``: a fresh ``load_cache`` and its per-row oracle."""
     path = exports[unit]
-    loaded = load_cache(path)
-    assert loaded._lazy is not None, "a campaign export did not adopt columns"
-    yield loaded, oracle(read_json(path))
-    assert loaded._lazy is not None, "a column-native reader materialised the cache"
+    return load_cache(path), oracle(read_json(path))
 
 
 class TestCampaignExports:
@@ -168,7 +161,6 @@ class TestCampaignExports:
                 assert same_observation(got, want), config
 
     def test_resave_is_byte_identical(self, exports, unit, tmp_path):
-        # Not on ``pair``: ``save_cache`` goes through ``to_dict``, which materialises.
         path = exports[unit]
         loaded, reference = load_cache(path), oracle(read_json(path))
         assert save_cache(loaded, tmp_path / "again.json.gz").read_bytes() == path.read_bytes()
@@ -212,8 +204,6 @@ FALLBACKS = {
     "repeated config": lambda rows: rows[3].update(config=dict(rows[0]["config"])),
     "1.0 for 1": lambda rows: rows[0]["config"].update(x=1.0),
     "True for 1": lambda rows: rows[2]["config"].update(y=True),
-    "extra config key": lambda rows: rows[1]["config"].update(z=4),
-    "missing config key": lambda rows: rows[2]["config"].pop("y"),
     "config keys out of space order": lambda rows: rows[3].update(
         config=dict(reversed(rows[3]["config"].items()))),
     "non-string error": lambda rows: rows[5].update(error=42),
@@ -223,11 +213,10 @@ FALLBACKS = {
 
 class TestFallbacks:
     @pytest.mark.parametrize("case", list(FALLBACKS))
-    def test_non_campaign_payload_takes_the_eager_path(self, toy, tmp_path, case):
+    def test_non_campaign_payload_loads_like_the_oracle(self, toy, tmp_path, case):
         payload = payload_of(toy)
         FALLBACKS[case](payload["cache"]["observations"])
         loaded, _ = load_payload(payload, tmp_path)
-        assert loaded._lazy is None, f"{case}: adopted columns"
         reference = oracle(payload)
         assert loaded.to_dict() == reference.to_dict()
         assert exported(loaded) == exported(reference)
@@ -242,7 +231,6 @@ class TestFallbacks:
         payload = payload_of(toy)
         assert payload["cache"]["observations"][0]["evaluation_index"] == 6
         loaded, path = load_payload(payload, tmp_path)
-        assert loaded._lazy is None
         assert exported(loaded) == exported(oracle(payload)) == exported(toy)
         assert save_cache(loaded, tmp_path / "again.json.gz").read_bytes() == path.read_bytes()
 
@@ -254,7 +242,6 @@ class TestFallbacks:
             cache.add(config, float(k + 1))
         path = save_cache(cache, tmp_path / "mixed.json.gz")
         loaded = load_cache(path)
-        assert loaded._lazy is None
         assert exported(loaded) == exported(oracle(read_json(path))) == exported(cache)
 
     def test_repeated_config_keeps_the_last_row(self, toy, tmp_path):
@@ -265,11 +252,29 @@ class TestFallbacks:
         assert loaded.lookup({"x": 1, "y": 1}).evaluation_index == 3
 
 
+#: Edits that put a row's config outside the toy space.
+OUTSIDE_THE_SPACE = {
+    "extra config key": lambda rows: rows[1]["config"].update(z=4),
+    "missing config key": lambda rows: rows[1]["config"].pop("y"),
+    "value outside the parameter": lambda rows: rows[1]["config"].update(x=9),
+}
+
+
+@pytest.mark.parametrize("case", list(OUTSIDE_THE_SPACE))
+def test_config_outside_the_space_is_refused(toy, tmp_path, case):
+    payload = payload_of(toy)
+    OUTSIDE_THE_SPACE[case](payload["cache"]["observations"])
+    path = atomic_write_json(payload, tmp_path / "outside.json.gz")
+    with pytest.raises(SerializationError, match="observation 1 "):
+        load_cache(path)
+    with pytest.raises(SerializationError, match="observation 1 "):
+        EvaluationCache.from_dict(payload["cache"])
+
+
 class TestCampaignShapedEdges:
     def test_toy_export_adopts_columns(self, toy, tmp_path):
         path = save_cache(toy, tmp_path / "toy.json.gz")
         loaded = load_cache(path)
-        assert loaded._lazy is not None
         assert exported(loaded) == exported(toy)
         assert save_cache(loaded, tmp_path / "again.json.gz").read_bytes() == path.read_bytes()
 
@@ -277,7 +282,6 @@ class TestCampaignShapedEdges:
         payload = payload_of(toy)
         payload["cache"]["observations"][2].update(value=None, valid=True, error="")
         loaded, path = load_payload(payload, tmp_path)
-        assert loaded._lazy is not None
         reference = oracle(payload)
         assert same_array(loaded.values(valid_only=False),
                           reference.values(valid_only=False))
@@ -295,7 +299,6 @@ class TestCampaignShapedEdges:
             del od["valid"], od["error"]
         del payload["cache"]["observations"][4]["value"]
         loaded, _ = load_payload(payload, tmp_path)
-        assert loaded._lazy is not None
         reference = oracle(payload)
         assert exported(loaded) == exported(reference)
         assert (loaded.num_valid, loaded.num_invalid) == (
@@ -315,5 +318,4 @@ class TestCampaignShapedEdges:
         live = toy.space
         restored = load_cache(path, space=live)
         assert restored.space is live
-        assert restored._lazy is not None
         assert exported(restored) == exported(toy)

