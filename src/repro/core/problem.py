@@ -25,13 +25,12 @@ comes from the vectorized constraint mask, the objective is answered by
   observations that serialize to identical bytes (same value, validity, error
   string, evaluation index) whenever the two paths see the problem in the same
   memoization state;
-* each path keeps its memo in its own currency (canonical config tuples vs
-  integers) for speed, but the memos stay *consistent*: a path that misses its own
-  memo probes the other one -- at zero cost while the other memo is empty, i.e.
-  for every single-path run -- so a configuration evaluated through both paths on
-  one memoized problem is measured exactly once, with one ``evaluation_count``
-  entry, no matter how the paths interleave (portfolios may mix migrated and
-  adapter members on a shared problem).
+* both paths share one memo keyed by space index (only configurations outside
+  the space fall back to their canonical config tuple), so a configuration
+  evaluated through both paths on one memoized problem is measured exactly once,
+  with one ``evaluation_count`` entry and one memo entry, no matter how the paths
+  interleave (portfolios may mix migrated and adapter members on a shared
+  problem).
 """
 
 from __future__ import annotations
@@ -141,8 +140,9 @@ class TuningProblem:
         self._evaluate_index_fn = evaluate_index_fn
         self._peek_index_fn = peek_index_fn
         self._peek_one_fn = peek_one_fn
-        self._cache: dict[tuple, Observation] = {}
-        self._icache: dict[int, Observation] = {}
+        #: The memo: space index -> observation (configurations outside the space
+        #: key by their canonical config tuple).
+        self._memo: dict[int | tuple, Observation] = {}
         self._evaluation_count = 0
 
     # ---------------------------------------------------------------------- queries
@@ -154,10 +154,9 @@ class TuningProblem:
 
     @property
     def cache_size(self) -> int:
-        """Number of memo entries across both key currencies (a configuration
-        that crossed evaluation paths is mirrored into each memo and counts in
-        both)."""
-        return len(self._cache) + len(self._icache)
+        """Number of distinct configurations in the memo (one entry each, whichever
+        evaluation paths measured or re-read it)."""
+        return len(self._memo)
 
     def is_valid(self, config: Mapping[str, Any]) -> bool:
         """Static validity (membership + constraints); does not call the objective."""
@@ -173,55 +172,30 @@ class TuningProblem:
         observation with ``valid=False`` and ``value=inf`` -- they still count as an
         evaluation, exactly as a failed compilation costs time on real hardware.
         """
-        key = config_key(config)
+        try:
+            key: int | tuple = self.space.index_of(config)
+            member = True
+        except ReproError:
+            key, member = config_key(config), False
         if self.memoize:
-            cached = self._cache.get(key)
-            if cached is None and self._icache:
-                # The index path may have measured this configuration already;
-                # the probe only costs anything when that memo is non-empty.
-                try:
-                    cached = self._icache.get(self.space.index_of(config))
-                except ReproError:
-                    cached = None
-                if cached is not None:
-                    self._cache[key] = cached
+            cached = self._memo.get(key)
             if cached is not None:
                 return Observation(config=dict(config), value=cached.value,
                                    valid=cached.valid, error=cached.error,
                                    evaluation_index=cached.evaluation_index,
                                    gpu=self.gpu, benchmark=self.name)
 
-        index = self._evaluation_count
-        value: float
-        valid = True
-        error = ""
-        if not self.space.is_valid(config):
-            valid = False
-            value = self.direction.worst_value
-            error = "constraint violation: " + ", ".join(
-                self.space.constraints.violated(config)) if len(self.space.constraints) else \
-                "configuration not a member of the search space"
+        # ``index_of`` succeeding is exactly the membership half of ``is_valid``.
+        if member and self.space.constraints.is_satisfied(config):
+            value, valid, error = self._measure(self._evaluate_fn, config)
         else:
-            try:
-                value = float(self._evaluate_fn(config))
-                if not math.isfinite(value) or value <= 0:
-                    valid = False
-                    error = f"objective returned non-positive/non-finite value {value!r}"
-                    value = self.direction.worst_value
-            except ResourceLimitError as exc:
-                valid = False
-                value = self.direction.worst_value
-                error = f"resource limit exceeded: {exc}"
-            except Exception as exc:  # objective failures behave like failed launches
-                valid = False
-                value = self.direction.worst_value
-                error = f"evaluation failed: {exc}"
-
-        self._evaluation_count += 1
+            value, valid, error = self.direction.worst_value, False, self._violation(config)
+        count = self._evaluation_count
+        self._evaluation_count = count + 1
         obs = Observation(config=dict(config), value=value, valid=valid, error=error,
-                          evaluation_index=index, gpu=self.gpu, benchmark=self.name)
+                          evaluation_index=count, gpu=self.gpu, benchmark=self.name)
         if self.memoize:
-            self._cache[key] = obs
+            self._memo[key] = obs
         return obs
 
     def evaluate_index(self, index: int, _valid_hint: bool | None = None) -> Observation:
@@ -236,58 +210,51 @@ class TuningProblem:
         """
         index = int(index)
         if self.memoize:
-            cached = self._icache.get(index)
-            if cached is None and self._cache:
-                # The dictionary path may have measured this configuration
-                # already; the probe only costs anything when that memo holds
-                # entries (never in a pure index-native run).
-                cached = self._cache.get(config_key(self.space.config_at(index)))
-                if cached is not None:
-                    self._icache[index] = cached
+            cached = self._memo.get(index)
             if cached is not None:
                 return cached
 
-        count = self._evaluation_count
-        value: float
-        valid = True
-        error = ""
         config: Mapping[str, Any] | None = None
-        statically_valid = (self.space.index_is_feasible(index) if _valid_hint is None
-                            else _valid_hint)
-        if not statically_valid:
-            valid = False
-            value = self.direction.worst_value
+        if not (self.space.index_is_feasible(index) if _valid_hint is None
+                else _valid_hint):
             config = self.space.config_at(index)
-            error = "constraint violation: " + ", ".join(
-                self.space.constraints.violated(config)) if len(self.space.constraints) else \
-                "configuration not a member of the search space"
+            value, valid, error = self.direction.worst_value, False, self._violation(config)
+        elif self._evaluate_index_fn is not None:
+            value, valid, error = self._measure(self._evaluate_index_fn, index)
         else:
-            try:
-                if self._evaluate_index_fn is not None:
-                    value = float(self._evaluate_index_fn(index))
-                else:
-                    config = self.space.config_at(index)
-                    value = float(self._evaluate_fn(config))
-                if not math.isfinite(value) or value <= 0:
-                    valid = False
-                    error = f"objective returned non-positive/non-finite value {value!r}"
-                    value = self.direction.worst_value
-            except ResourceLimitError as exc:
-                valid = False
-                value = self.direction.worst_value
-                error = f"resource limit exceeded: {exc}"
-            except Exception as exc:  # objective failures behave like failed launches
-                valid = False
-                value = self.direction.worst_value
-                error = f"evaluation failed: {exc}"
-
+            config = self.space.config_at(index)
+            value, valid, error = self._measure(self._evaluate_fn, config)
+        count = self._evaluation_count
         self._evaluation_count = count + 1
         obs = Observation.fast(LazyConfig(self.space, index) if config is None
                                else dict(config),
                                value, valid, error, count, self.gpu, self.name)
         if self.memoize:
-            self._icache[index] = obs
+            self._memo[index] = obs
         return obs
+
+    def _measure(self, objective: Callable[[Any], float],
+                 argument: Any) -> tuple[float, bool, str]:
+        """``(value, valid, error)`` of one objective call: objective failures
+        behave like failed launches and carry the direction's worst value."""
+        try:
+            value = float(objective(argument))
+        except ResourceLimitError as exc:
+            return self.direction.worst_value, False, f"resource limit exceeded: {exc}"
+        except Exception as exc:
+            return self.direction.worst_value, False, f"evaluation failed: {exc}"
+        if not math.isfinite(value) or value <= 0:
+            return (self.direction.worst_value, False,
+                    f"objective returned non-positive/non-finite value {value!r}")
+        return value, True, ""
+
+    def _violation(self, config: Mapping[str, Any]) -> str:
+        """Error string of a statically invalid configuration; in a constrained
+        space it names the violated constraints even for a non-member."""
+        if len(self.space.constraints):
+            return "constraint violation: " + ", ".join(
+                self.space.constraints.violated(config))
+        return "configuration not a member of the search space"
 
     def peek_indices(self, indices: np.ndarray | Sequence[int]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -339,11 +306,12 @@ class TuningProblem:
                                    or self._peek_index_fn is not None):
             values, failure, raises = (_peek if _peek is not None
                                        else self._peek_index_fn(idx))
-            value_list = values.tolist()
-            failure_list = failure.tolist()
-            raises_list = raises.tolist()
-            icache = self._icache
-            icache_get = icache.get
+            # ``tolist`` keeps values Python floats/bools (error strings repr them).
+            value_list = np.asarray(values).tolist()
+            failure_list = np.asarray(failure).tolist()
+            raises_list = np.asarray(raises).tolist()
+            memo = self._memo
+            memo_get = memo.get
             memoize = self.memoize
             space, gpu, name = self.space, self.gpu, self.name
             worst = self.direction.worst_value
@@ -352,39 +320,32 @@ class TuningProblem:
             count = self._evaluation_count
             out: list[Observation] = []
             append = out.append
-            dict_memo = self._cache
-            for k, i in enumerate(idx.tolist()):
+            for i, value, failed, raised in zip(idx.tolist(), value_list,
+                                                failure_list, raises_list):
                 if memoize:
-                    cached = icache_get(i)
-                    if cached is None and dict_memo:
-                        cached = dict_memo.get(config_key(space.config_at(i)))
-                        if cached is not None:
-                            icache[i] = cached
+                    cached = memo_get(i)
                     if cached is not None:
                         append(cached)
                         continue
-                if not failure_list[k]:
-                    obs = fast(lazy(space, i), value_list[k],
-                               True, "", count, gpu, name)
-                    count += 1
-                    if memoize:
-                        icache[i] = obs
-                elif raises_list[k]:
+                if not failed:
+                    obs = fast(lazy(space, i), value, True, "", count, gpu, name)
+                elif raised:
                     # Rows whose objective raises take the scalar path so error
                     # strings (cache misses, resource limits) stay byte-identical.
                     self._evaluation_count = count
-                    obs = self.evaluate_index(i, _valid_hint=True)
+                    append(self.evaluate_index(i, _valid_hint=True))
                     count = self._evaluation_count
+                    continue
                 else:
                     # Non-raising failures carry the error string the scalar path
                     # derives from the returned value alone.
                     obs = fast(
                         lazy(space, i), worst, False,
                         f"objective returned non-positive/non-finite value "
-                        f"{value_list[k]!r}", count, gpu, name)
-                    count += 1
-                    if memoize:
-                        icache[i] = obs
+                        f"{value!r}", count, gpu, name)
+                count += 1
+                if memoize:
+                    memo[i] = obs
                 append(obs)
             self._evaluation_count = count
             return out
@@ -401,8 +362,7 @@ class TuningProblem:
 
     def reset_cache(self) -> None:
         """Drop memoized observations and reset the evaluation counter."""
-        self._cache.clear()
-        self._icache.clear()
+        self._memo.clear()
         self._evaluation_count = 0
 
     # ------------------------------------------------------------------------- repr

@@ -332,11 +332,7 @@ class SearchSpace:
 
     def indices_to_configs(self, indices: Iterable[int]) -> list[Config]:
         """Vector form of :meth:`config_at` over many indices."""
-        idx = np.fromiter((int(i) for i in indices), dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self._cardinality):
-            raise InvalidConfigurationError(
-                f"indices out of range [0, {self._cardinality})")
-        return self.configs_at(idx)
+        return self.configs_at(np.fromiter((int(i) for i in indices), dtype=np.int64))
 
     # ----------------------------------------------------------------- feasibility
 
@@ -562,6 +558,16 @@ class SearchSpace:
             f"after {max_attempts} attempts (found 0); observed feasible "
             f"fraction 0.000% over {max_attempts} draws")
 
+    def _too_few_feasible(self, n: int, feasible: int) -> EmptySearchSpaceError:
+        """The failure of a unique draw of more points than the space has
+        feasible ones -- shared by the up-front and the patience-exhausted
+        checks of :meth:`sample_indices` so their messages cannot drift apart."""
+        return EmptySearchSpaceError(
+            f"cannot draw {n} unique valid configurations from a space with only "
+            f"{feasible} feasible points "
+            f"(feasible fraction {feasible / self._cardinality:.3%} of "
+            f"cardinality {self._cardinality})")
+
     def sample_indices(self, n: int, rng: np.random.Generator | int | None = None,
                        valid_only: bool = True, unique: bool = True,
                        max_attempts_factor: int = 200) -> np.ndarray:
@@ -625,11 +631,7 @@ class SearchSpace:
             self.feasible_indices()  # memoize (small spaces) for the next attempt
             raise self._scalar_draw_exhausted(max_attempts)
         if feasible is not None and unique and n > feasible.size:
-            raise EmptySearchSpaceError(
-                f"cannot draw {n} unique valid configurations from a space with only "
-                f"{feasible.size} feasible points "
-                f"(feasible fraction {feasible.size / self._cardinality:.3%} of "
-                f"cardinality {self._cardinality})")
+            raise self._too_few_feasible(n, feasible.size)
         max_attempts = max(max_attempts_factor * n, 1000)
         out: list[int] = []
         seen: set[int] = set()
@@ -646,12 +648,7 @@ class SearchSpace:
                     feasible = self.feasible_indices()
                 if feasible is not None and unique:
                     if n > feasible.size:
-                        raise EmptySearchSpaceError(
-                            f"cannot draw {n} unique valid configurations from a "
-                            f"space with only {feasible.size} feasible points "
-                            f"(feasible fraction "
-                            f"{feasible.size / self._cardinality:.3%} of "
-                            f"cardinality {self._cardinality})")
+                        raise self._too_few_feasible(n, feasible.size)
                     # Patience exhausted but success is guaranteed: finish the draw
                     # exactly from the not-yet-taken feasible indices.
                     remaining = feasible[~np.isin(feasible,
@@ -809,9 +806,6 @@ class SearchSpace:
                 f"index {index} out of range [0, {self._cardinality})")
         return (index // self._places) % self._radices
 
-    # Pre-publication spelling; the tuners now use the public name.
-    _digits_of_index = digits_of_index
-
     def _filter_neighbor_candidates(self, base_digits: np.ndarray,
                                     candidates: np.ndarray, params: np.ndarray,
                                     new_digits: np.ndarray,
@@ -836,7 +830,7 @@ class SearchSpace:
         ``configs_at(hamming_neighbors(i))`` equals ``neighbors(config_at(i))``.
         No configuration dictionary is ever constructed.
         """
-        digits = self._digits_of_index(index)
+        digits = self.digits_of_index(index)
         keep = self._nb_digit != digits[self._nb_param]
         params = self._nb_param[keep]
         candidates = index + self._nb_offsets[keep] - digits[params] * self._places[params]
@@ -849,7 +843,7 @@ class SearchSpace:
         Candidate order matches :meth:`neighbors` with ``strategy="adjacent"``: per
         parameter, the smaller value first, then the larger (where they exist).
         """
-        digits = self._digits_of_index(index)
+        digits = self.digits_of_index(index)
         down = index - self._places
         up = index + self._places
         candidates = np.stack([down, up], axis=1).ravel()

@@ -21,9 +21,10 @@ Index-native runtime
 The hot loop of every in-repo optimizer identifies candidates by their mixed-radix
 space index: :meth:`Tuner.evaluate_index` is the integer twin of :meth:`Tuner.evaluate`
 and :meth:`Tuner.ask_random_indices` streams batch-filtered random valid indices.
-Duplicate accounting (``_seen``) keys on the integer index -- the dictionary path maps
-configurations to the same integers, so mixing paths within one run (e.g. a portfolio
-of migrated and adapter members) still counts each distinct configuration once.  The
+Duplicate accounting (``_seen``) keys on the integer index, like the problem's one
+memo -- the dictionary path maps configurations of the space to the same integers, so
+mixing paths within one run (e.g. a portfolio of migrated and adapter members)
+measures, charges and counts each distinct configuration once.  The
 running best (index, value) pair is tracked in ``_track`` so index-native tuners that
 restart from the incumbent (greedy ILS) never have to recover an index from a
 configuration dictionary.
@@ -40,7 +41,7 @@ import numpy as np
 from repro.core.budget import Budget
 from repro.core.errors import BudgetExhaustedError, ReproError
 from repro.core.problem import TuningProblem
-from repro.core.result import LazyConfig, Observation, TuningResult
+from repro.core.result import Observation, TuningResult
 from repro.core.searchspace import config_key
 
 __all__ = ["GenerationRun", "Tuner"]
@@ -122,9 +123,8 @@ class Tuner(abc.ABC):
         if self._budget.exhausted:
             return None
         observation = self._problem.evaluate(config)
-        # Configurations of the space key ``_seen`` by their integer index -- the
-        # currency of evaluate_index -- so duplicate accounting agrees across the
-        # two paths; out-of-space configurations fall back to the config tuple.
+        # ``_seen`` keys like the problem's memo: space index, or the config
+        # tuple for configurations outside the space.
         try:
             key: int | tuple = self._problem.space.index_of(config)
         except ReproError:
@@ -238,102 +238,17 @@ class Tuner(abc.ABC):
         Each candidate is an ``(index, value, failure, raises)`` tuple holding
         exactly what :meth:`TuningProblem.peek_indices` would have returned for
         its index (the tuner collected them one candidate at a time while
-        simulating its generation).  The affordable prefix settles in one
-        list-native pass -- memo probe, observation construction, duplicate/best
-        tracking per candidate, then one :meth:`Budget.charge_bulk` and one
-        result extend; per observation the bytes are identical to
-        :meth:`evaluate_index` in a loop (the literal fallback whenever the
-        budget cannot precompute its prefix).  Returns False when the budget
-        truncated the generation or ran dry on its last candidate, i.e. the run
-        must stop.
+        simulating its generation).  The candidates settle through
+        :meth:`evaluate_index_run` with the peeked columns, so per observation
+        the bytes are identical to :meth:`evaluate_index` in a loop.  Returns
+        False when the budget truncated the generation or ran dry on its last
+        candidate, i.e. the run must stop.
         """
         if not candidates:
             return not self.budget_exhausted
-        problem, result, budget = self._problem, self._result, self._budget
-        if problem is None or result is None or budget is None:
-            raise RuntimeError("evaluate_generation() called outside of tune()")
-        allowance = budget.affordable_evaluations()
-        if allowance is None:
-            # Simulated-seconds / unique-config budgets: affordability depends
-            # on each evaluation's outcome, so settle sequentially (identical
-            # observations; the peeked values were only used for steering).
-            for index, _value, _failed, _raises in candidates:
-                if self.evaluate_index(index, valid_hint=True) is None:
-                    return False
-            return not self.budget_exhausted
-        allowed = (len(candidates) if allowance == math.inf
-                   else min(len(candidates), int(allowance)))
-        if allowed == 0:
-            return False
-        # Merged settle loop: the peeked twin of TuningProblem.evaluate_indices
-        # plus evaluate_index_run's accounting, over plain Python tuples (the
-        # candidates arrived one at a time -- no arrays exist to vectorize over).
-        icache = problem._icache
-        icache_get = icache.get
-        dict_memo = problem._cache
-        memoize = problem.memoize
-        space, gpu, name = problem.space, problem.gpu, problem.name
-        worst = problem.direction.worst_value
-        fast = Observation.fast
-        lazy = LazyConfig
-        isfinite = math.isfinite
-        count = problem._evaluation_count
-        seen = self._seen
-        seen_add = seen.add
-        track = self._track
-        best_value = track[1]
-        observations: list[Observation] = []
-        record = observations.append
-        simulated: list[float] = []
-        seconds = simulated.append
-        new_configs = 0
-        for index, peeked, failed, raises in (
-                candidates if allowed == len(candidates)
-                else candidates[:allowed]):
-            obs = None
-            if memoize:
-                obs = icache_get(index)
-                if obs is None and dict_memo:
-                    obs = dict_memo.get(config_key(space.config_at(index)))
-                    if obs is not None:
-                        icache[index] = obs
-            if obs is None:
-                if not failed:
-                    obs = fast(lazy(space, index), peeked, True, "", count,
-                               gpu, name)
-                    count += 1
-                    if memoize:
-                        icache[index] = obs
-                elif raises:
-                    # Rows whose objective raises take the scalar path so error
-                    # strings (cache misses, resource limits) stay byte-identical.
-                    problem._evaluation_count = count
-                    obs = problem.evaluate_index(index, _valid_hint=True)
-                    count = problem._evaluation_count
-                else:
-                    # Non-raising failures carry the error string the scalar
-                    # path derives from the returned value alone.
-                    obs = fast(
-                        lazy(space, index), worst, False,
-                        f"objective returned non-positive/non-finite value "
-                        f"{peeked!r}", count, gpu, name)
-                    count += 1
-                    if memoize:
-                        icache[index] = obs
-            record(obs)
-            if index not in seen:
-                seen_add(index)
-                new_configs += 1
-            value = obs.value
-            seconds(value / 1e3 if isfinite(value) else 0.0)
-            if obs.valid and value < best_value:
-                track[0] = index
-                track[1] = best_value = value
-        problem._evaluation_count = count
-        budget.charge_bulk(allowed, simulated_seconds=simulated,
-                           new_configs=new_configs)
-        result.extend(observations)
-        return allowed == len(candidates) and not budget.exhausted
+        indices, values, failure, raises = zip(*candidates)
+        settled = self.evaluate_index_run(indices, _peek=(values, failure, raises))
+        return len(settled) == len(candidates) and not self.budget_exhausted
 
     def best_so_far(self) -> Observation | None:
         """The best valid observation recorded so far in the current run."""
@@ -446,13 +361,8 @@ class GenerationRun:
     def __init__(self, tuner: Tuner):
         self._tuner = tuner
         problem = tuner._problem
-        if problem is None:
-            self._peek = None
-        else:
-            # Bind the scalar peek directly when the problem carries one (the
-            # per-candidate hot path); fall back to the batch-peek wrapper.
-            self._peek = (problem._peek_one_fn
-                          or (problem.peek_index if problem.peekable else None))
+        self._peek = (problem.peek_index
+                      if problem is not None and problem.peekable else None)
         self._worst = (problem.direction.worst_value if problem is not None
                        else math.inf)
         #: Queued ``(index, value, failure, raises)`` candidates of the current

@@ -336,7 +336,7 @@ class TestEvaluateIndex:
                 b = index_problem.evaluate_index(index)
                 assert a.to_dict() == b.to_dict(), (strict, index)
 
-    def test_mixed_paths_share_one_memo(self):
+    def test_mixed_paths_share_one_memo(self, benchmarks, gpu_3090):
         # A config evaluated through the dict path then the index path (or the
         # reverse) on one memoized problem must be measured exactly once, even
         # for a non-deterministic objective -- portfolios may mix adapter
@@ -356,6 +356,7 @@ class TestEvaluateIndex:
         assert len(calls) == 1
         assert a.value == b.value == c.value == 1.0
         assert problem.evaluation_count == 1
+        assert problem.cache_size == 1  # one memo entry, not one per path
         # And the reverse order, plus the batch path.
         problem.reset_cache()
         calls.clear()
@@ -365,6 +366,53 @@ class TestEvaluateIndex:
                                      valid_hint=True)[0]
         assert len(calls) == 1
         assert d.value == e.value == f.value
+        assert problem.cache_size == 1
+        # A configuration outside the space keys the memo by its config tuple.
+        outside = problem.evaluate({"x": 9})
+        again = problem.evaluate({"x": 9})
+        assert problem.evaluation_count == 2 and problem.cache_size == 2
+        assert outside.to_dict() == again.to_dict()
+        assert outside.error == "configuration not a member of the search space"
+
+        # The generation settle path is evaluate_index_run with peeked columns:
+        # on a memo-warm peekable problem both record the same observations,
+        # evaluation count and budget charge as evaluate_index in a loop,
+        # including scalar-path misses, duplicates and a budget-truncated tail.
+        cache = benchmarks["pnpoly"].build_cache(gpu_3090, sample_size=50, seed=4)
+        space = cache.space
+        stored = space.indices_of_configs([dict(o.config) for o in cache])
+        misses = np.setdiff1d(np.arange(40), stored)[:3]
+        order = np.concatenate([stored[:12], misses, stored[:4], stored[20:30]])
+        warm = stored[:6].tolist() + misses[:1].tolist()
+
+        def settle(mode, max_evaluations):
+            tuner = GeneticAlgorithm(seed=0)
+            budget = Budget(max_evaluations=max_evaluations)
+            tuner._problem = cache.to_problem(strict=True)
+            tuner._problem.evaluate_indices(warm, valid_hint=True)
+            tuner._budget = budget
+            tuner._result = TuningResult()
+            tuner._seen = set()
+            tuner._track = [None, math.inf]
+            if mode == "generation":
+                candidates = [(i, *tuner._problem.peek_index(i))
+                              for i in order.tolist()]
+                go_on = tuner.evaluate_generation(candidates)
+            else:
+                settled = (tuner.evaluate_index_run(order) if mode == "run"
+                           else [tuner.evaluate_index(i, valid_hint=True)
+                                 for i in order.tolist()])
+                settled = [obs for obs in settled if obs is not None]
+                go_on = len(settled) == order.size and not budget.exhausted
+            return (go_on, [o.to_dict() for o in tuner._result.observations],
+                    tuner._problem.evaluation_count, budget.to_dict(),
+                    tuner._seen, tuner._track)
+
+        for max_evaluations in (order.size + 5, order.size - 7):
+            generation = settle("generation", max_evaluations)
+            assert generation == settle("run", max_evaluations)
+            assert generation == settle("loop", max_evaluations)
+            assert generation[0] == (max_evaluations > order.size)
 
     def test_batch_equals_sequential(self, benchmarks, gpu_3090):
         cache = benchmarks["hotspot"].build_cache(gpu_3090, sample_size=100, seed=3)

@@ -271,9 +271,6 @@ class TestBatchCodecs:
         batch = space.indices_to_digits(indices)
         for k, index in enumerate(indices.tolist()):
             assert np.array_equal(space.digits_of_index(index), batch[k])
-        # The pre-publication spelling stays as an alias.
-        assert np.array_equal(space._digits_of_index(int(indices[0])),
-                              space.digits_of_index(int(indices[0])))
 
 
 # ------------------------------------------------- memoized feasibility fast paths
