@@ -65,7 +65,9 @@ Two on-disk formats carry a cache, with one compatibility guarantee between them
 
 * **JSON** (:mod:`repro.io.cachefile`) is the *interchange* format -- self-describing,
   diffable, byte-deterministic, and frozen: nothing in this module changes a single
-  byte of it.  :meth:`EvaluationCache.from_dict` adopts a campaign-shaped payload
+  byte of it.  :meth:`EvaluationCache.iter_json` renders exactly the bytes of
+  ``json.dumps(to_dict())`` straight from the columns, in row chunks, for the
+  streamed export.  :meth:`EvaluationCache.from_dict` adopts a campaign-shaped payload
   (what an executor's cache exports) as columns in a few list passes and inserts
   any other payload one row at a time, override rows included, so either way the
   cache re-exports the bytes it was loaded from.
@@ -83,7 +85,9 @@ the byte-identity contracts.
 
 from __future__ import annotations
 
+import json
 import math
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -101,6 +105,9 @@ __all__ = ["EvaluationCache", "CacheIndexTable"]
 #: Cardinality ceiling for the dense ``index -> row`` array of the columnar table
 #: (int32 rows: 4 MB per million points).  Above it, lookups go through a hash map.
 _DENSE_LOOKUP_MAX = 2_000_000
+
+#: Rows per text chunk of :meth:`EvaluationCache.iter_json`.
+_JSON_CHUNK_ROWS = 8192
 
 
 def _first_repeat(indices: np.ndarray) -> int:
@@ -677,6 +684,17 @@ class EvaluationCache:
 
     # ------------------------------------------------------------------ serialization
 
+    def _header(self) -> dict[str, Any]:
+        """The keys of :meth:`to_dict` that precede ``"observations"`` (also the
+        identity part of a columnar header)."""
+        return {
+            "benchmark": self.benchmark,
+            "gpu": self.gpu,
+            "exhaustive": self.exhaustive,
+            "metadata": dict(self.metadata),
+            "space": self.space.to_dict(),
+        }
+
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable form including the search-space description (one dict
         literal per row, as :meth:`Observation.to_dict`; override rows verbatim)."""
@@ -691,14 +709,65 @@ class EvaluationCache:
                 columns.codes[:n].tolist()))]
         for row, obs in self._overrides.items():
             observations[row] = obs.to_dict()
-        return {
-            "benchmark": self.benchmark,
-            "gpu": self.gpu,
-            "exhaustive": self.exhaustive,
-            "metadata": dict(self.metadata),
-            "space": self.space.to_dict(),
-            "observations": observations,
-        }
+        return {**self._header(), "observations": observations}
+
+    def iter_json(self) -> Iterator[str]:
+        """The text of ``json.dumps(self.to_dict())``, in chunks of rows.
+
+        Rendered straight from the columns, without a dict per row: each
+        parameter's ``"name": value`` fragment is rendered once per space value
+        and each used failure code's ``"valid"``/``"error"`` fragment once, all
+        with :func:`json.dumps` (so escaping and ``ensure_ascii`` match), and a
+        row is a gather of those fragments on its digits, its value
+        (``float.__repr__``, or ``null`` when not finite), ``str(row)`` and a
+        constant gpu/benchmark tail.  Override rows are
+        ``json.dumps(obs.to_dict())``.  Joining the chunks gives exactly the
+        bytes of ``json.dumps(self.to_dict())``; a value :func:`json.dumps`
+        refuses raises its ``TypeError``/``ValueError`` from the chunk that
+        renders it.
+        """
+        head = json.dumps({**self._header(), "observations": []})
+        yield head[:-len("]}")]
+        columns = self._columns
+        n, indices, values, codes = (columns.size, columns.indices, columns.values,
+                                     columns.codes)
+        if n:
+            # fragments[j][digit]: parameter j's text, with the row's opening and
+            # the value's key folded into the first and last parameter.
+            fragments = [[json.dumps({p.name: v})[1:-1] for v in p.values]
+                         for p in self.space.parameters]
+            fragments[0] = ['{"config": {' + text for text in fragments[0]]
+            fragments[1:] = [[", " + text for text in frags] for frags in fragments[1:]]
+            fragments[-1] = [text + '}, "value": ' for text in fragments[-1]]
+            # status[code + len(errors)]: the valid flag and error of a used code.
+            errors = columns.errors
+            status: list[str | None] = [None] * (2 * len(errors))
+            for code in np.unique(codes[:n]).tolist():
+                status[code + len(errors)] = (
+                    f', "valid": {"true" if code < 0 else "false"}, "error": '
+                    f'{json.dumps(errors[-code - 1 if code < 0 else code])}, '
+                    f'"evaluation_index": ')
+            tail = f', "gpu": {json.dumps(self.gpu)}, "benchmark": {json.dumps(self.benchmark)}}}'
+            overrides = self._overrides
+            for lo in range(0, n, _JSON_CHUNK_ROWS):
+                hi = min(lo + _JSON_CHUNK_ROWS, n)
+                digits = self.space.indices_to_digits(indices[lo:hi])
+                block = values[lo:hi]
+                value_texts = list(map(float.__repr__, block.tolist()))
+                for k in np.flatnonzero(~np.isfinite(block)).tolist():
+                    value_texts[k] = "null"
+                rows = list(map("".join, zip(
+                    *[map(frags.__getitem__, digits[:, j].tolist())
+                      for j, frags in enumerate(fragments)],
+                    value_texts,
+                    map(status.__getitem__, (codes[lo:hi] + len(errors)).tolist()),
+                    map(str, range(lo, hi)),
+                    repeat(tail, hi - lo))))
+                for row, obs in overrides.items():
+                    if lo <= row < hi:
+                        rows[row - lo] = json.dumps(obs.to_dict())
+                yield (", " if lo else "") + ", ".join(rows)
+        yield "]}"
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any],
@@ -772,13 +841,7 @@ class EvaluationCache:
                     f"{obs.benchmark!r}); columnar files cannot represent it -- "
                     f"use the JSON writer")
         path = Path(path)
-        meta = {
-            "benchmark": self.benchmark,
-            "gpu": self.gpu,
-            "exhaustive": self.exhaustive,
-            "metadata": dict(self.metadata),
-            "space": self.space.to_dict(),
-        }
+        meta = self._header()
         meta["digest"] = columnar.cache_digest(self.benchmark, self.gpu,
                                                meta["space"])
         columns = self._columns

@@ -9,15 +9,24 @@ callable constraints cannot (only their name is serialized) and are dropped with
 explicit :class:`~repro.core.constraints.ConstraintSerializationWarning` on load unless
 a live ``space=`` is supplied.
 
+Exports are streamed and byte-pinned: :func:`save_cache` renders the text of
+``json.dumps({"format_version": 1, "cache": cache.to_dict()})`` straight from the
+cache's columns in row chunks (:meth:`~repro.core.cache.EvaluationCache.iter_json`)
+and feeds them through one gzip writer, so no payload dict, whole string or
+in-memory gzip buffer is built, yet the file holds exactly those bytes.
+
 The module also provides the low-level persistence primitives the campaign-execution
 subsystem (:mod:`repro.exec`) builds on:
 
-* **atomic writes** -- every file is written to a temporary sibling and moved into
-  place with :func:`os.replace`, so readers never observe a torn file and an
-  interrupted campaign leaves either a complete fragment or none;
-* **deterministic bytes** -- gzip members are written with ``mtime=0``, so the same
-  cache always produces the same compressed bytes (the byte-identity contract between
-  serial and parallel execution extends to the files on disk);
+* **atomic writes** -- :func:`atomic_write_chunks`, the one writer every file goes
+  through (JSON exports, :func:`atomic_write_json`, result files, columnar files),
+  streams into a temporary sibling and moves it into place with :func:`os.replace`,
+  so readers never observe a torn file and an interrupted campaign leaves either a
+  complete fragment or none; a failed write removes the sibling;
+* **deterministic bytes** -- gzip members are written at level 9 with ``mtime=0``
+  and no file name, so the same cache always produces the same compressed bytes
+  (the byte-identity contract between serial and parallel execution extends to the
+  files on disk);
 * **manifests** (:func:`save_manifest` / :func:`load_manifest`) -- the serialized
   shard plan a checkpoint directory belongs to.
 
@@ -28,14 +37,15 @@ export format of final caches only.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
-import io
 import json
 import os
 import uuid
 import zlib
+from itertools import chain
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.core.cache import EvaluationCache
 from repro.core.errors import SerializationError
@@ -44,7 +54,7 @@ from repro.core.searchspace import SearchSpace
 __all__ = [
     "save_cache", "load_cache",
     "save_manifest", "load_manifest",
-    "atomic_write_json", "read_json",
+    "atomic_write_chunks", "atomic_write_json", "read_json",
 ]
 
 #: Format identifier written into every cache file.
@@ -60,51 +70,64 @@ FRAGMENT_FORMAT = "columnar"
 # ------------------------------------------------------------------ JSON primitives
 
 
-def _encode_json_bytes(payload: Any, compress: bool) -> bytes:
-    text = json.dumps(payload)
-    raw = text.encode("utf-8")
-    if not compress:
-        return raw
-    buffer = io.BytesIO()
-    # mtime=0 keeps the compressed bytes a pure function of the payload.
-    with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as handle:
-        handle.write(raw)
-    return buffer.getvalue()
+def atomic_write_chunks(path: str | Path, chunks: Iterable[bytes],
+                        compress: bool) -> Path:
+    """Stream ``chunks`` into ``path`` atomically, gzip-compressed if ``compress``.
+
+    The bytes land in a temporary sibling first and are moved into place with
+    :func:`os.replace`, so a concurrent reader (or a crash) can never observe a
+    partially written file.  Parent directories are created as needed.  The gzip
+    member is written at level 9 with ``mtime=0`` and no file name, so the file
+    is a pure function of the chunks.  ``chunks`` is consumed lazily: a
+    ``TypeError``/``ValueError`` raised while producing one (a value
+    :func:`json.dumps` refuses) becomes a
+    :class:`~repro.core.errors.SerializationError`, and on any failure the
+    temporary sibling is removed and an existing ``path`` is left untouched.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # repro: allow[RPL001] tmp-file names are non-semantic (never persisted, never
+    # hashed); entropy here only avoids collisions between concurrent writers
+    tmp_name = str(path.parent / f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
+    try:
+        # O_CREAT with mode 0o666 lets the kernel apply the caller's umask
+        # atomically (mkstemp's 0600 would make shared cache directories
+        # unreadable to teammates, and probing the umask is a process-global race).
+        # repro: allow[RPL003] this IS the atomic-write implementation every other
+        # write goes through (tmp sibling + os.replace)
+        fd = os.open(tmp_name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        with os.fdopen(fd, "wb") as handle:
+            sink = (gzip.GzipFile(filename="", mode="wb", compresslevel=9,
+                                  fileobj=handle, mtime=0)
+                    if compress else contextlib.nullcontext(handle))
+            with sink as stream:
+                for chunk in chunks:
+                    stream.write(chunk)
+        os.replace(tmp_name, path)
+    except BaseException as exc:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        if isinstance(exc, (TypeError, ValueError)):
+            raise SerializationError(
+                f"could not serialize payload for {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise SerializationError(f"could not write {path}: {exc}") from exc
+        raise
+    return path
 
 
 def atomic_write_json(payload: Any, path: str | Path) -> Path:
     """Write ``payload`` as JSON to ``path`` atomically (gzip when it ends in ``.gz``).
 
-    The bytes land in a temporary sibling first and are moved into place with
-    :func:`os.replace`, so a concurrent reader (or a crash) can never observe a
-    partially written file.  Parent directories are created as needed.
+    A one-chunk call of :func:`atomic_write_chunks`: same atomicity, same
+    deterministic gzip bytes, and a payload :func:`json.dumps` refuses raises
+    :class:`~repro.core.errors.SerializationError` without leaving a file.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        data = _encode_json_bytes(payload, compress=path.suffix == ".gz")
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(f"could not serialize payload for {path}: {exc}") from exc
-    # O_CREAT with mode 0o666 lets the kernel apply the caller's umask atomically
-    # (mkstemp's 0600 would make shared cache directories unreadable to teammates,
-    # and probing the umask is a process-global race).
-    # repro: allow[RPL001] tmp-file names are non-semantic (never persisted, never
-    # hashed); entropy here only avoids collisions between concurrent writers
-    tmp_name = str(path.parent / f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-    try:
-        # repro: allow[RPL003] this IS the atomic-write implementation every other
-        # write goes through (tmp sibling + os.replace)
-        fd = os.open(tmp_name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_name, path)
-    except OSError as exc:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise SerializationError(f"could not write {path}: {exc}") from exc
-    return path
+    return atomic_write_chunks(path, map(str.encode, map(json.dumps, (payload,))),
+                               compress=path.suffix == ".gz")
 
 
 #: First two bytes of every gzip member (RFC 1952).
@@ -160,10 +183,17 @@ def _expect_payload(payload: Any, path: Path, key: str, version_key: str,
 def save_cache(cache: EvaluationCache, path: str | Path) -> Path:
     """Write a campaign cache to ``path`` (gzip-compressed when it ends in ``.gz``).
 
-    The write is atomic and byte-deterministic.  Returns the path written.
+    The file holds exactly the bytes of ``json.dumps({"format_version": 1,
+    "cache": cache.to_dict()})`` (gzipped as :func:`atomic_write_chunks` does),
+    but the text is streamed from the cache's columns in row chunks
+    (:meth:`~repro.core.cache.EvaluationCache.iter_json`), so no payload dict,
+    whole string or in-memory gzip buffer is built.  The write is atomic and
+    byte-deterministic.  Returns the path written.
     """
-    payload = {"format_version": FORMAT_VERSION, "cache": cache.to_dict()}
-    return atomic_write_json(payload, path)
+    path = Path(path)
+    texts = chain([f'{{"format_version": {FORMAT_VERSION}, "cache": '],
+                  cache.iter_json(), ["}"])
+    return atomic_write_chunks(path, map(str.encode, texts), compress=path.suffix == ".gz")
 
 
 def load_cache(path: str | Path, space: SearchSpace | None = None) -> EvaluationCache:

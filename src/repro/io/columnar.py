@@ -68,15 +68,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
-import uuid
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.errors import FragmentIntegrityError, SerializationError
+from repro.io.cachefile import atomic_write_chunks
 
 __all__ = [
     "COLUMNAR_MAGIC", "COLUMNAR_VERSION", "COLUMNAR_SUFFIX",
@@ -181,8 +180,9 @@ def write_columnar(path: str | Path, kind: str, meta: Mapping[str, Any],
 
     ``meta`` supplies the kind-specific header fields (cache identity or shard
     description); the row count, error table and checksummed column directory are
-    derived here.  The write is atomic (temporary sibling + :func:`os.replace`)
-    and byte-deterministic: same rows, same bytes.
+    derived here.  The write is atomic
+    (:func:`~repro.io.cachefile.atomic_write_chunks`: temporary sibling +
+    :func:`os.replace`) and byte-deterministic: same rows, same bytes.
     """
     layout = dict(_CACHE_COLUMNS if kind == "cache" else _FRAGMENT_COLUMNS)
     if set(columns) != set(layout):
@@ -242,26 +242,7 @@ def write_columnar(path: str | Path, kind: str, meta: Mapping[str, Any],
         start = entry["offset"]
         buffer[start:start + entry["nbytes"]] = blobs[entry["name"]]
 
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # Same atomic-sibling discipline as atomic_write_json (and the same umask
-    # rationale for O_CREAT 0o666 over mkstemp).
-    # repro: allow[RPL001] tmp-file names are non-semantic (never persisted, never
-    # hashed); entropy here only avoids collisions between concurrent writers
-    tmp_name = str(path.parent / f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-    try:
-        # repro: allow[RPL003] this IS the atomic-write implementation (columnar
-        # twin of atomic_write_json: tmp sibling + os.replace)
-        fd = os.open(tmp_name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(bytes(buffer))
-        os.replace(tmp_name, path)
-    except OSError as exc:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise SerializationError(f"could not write {path}: {exc}") from exc
-    return path
+    return atomic_write_chunks(path, (buffer,), compress=False)
 
 
 # --------------------------------------------------------------------- reading

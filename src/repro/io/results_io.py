@@ -13,6 +13,7 @@ from typing import Sequence
 
 from repro.core.errors import SerializationError
 from repro.core.result import TuningResult
+from repro.io.cachefile import atomic_write_json
 
 __all__ = ["save_results", "load_results"]
 
@@ -21,22 +22,18 @@ FORMAT_VERSION = 1
 
 
 def save_results(results: Sequence[TuningResult] | TuningResult, path: str | Path) -> Path:
-    """Write tuning results to ``path`` (gzip-compressed when it ends in ``.gz``)."""
+    """Write tuning results to ``path`` (gzip-compressed when it ends in ``.gz``).
+
+    The write is atomic and byte-deterministic, like every JSON file of the
+    suite (:func:`~repro.io.cachefile.atomic_write_json`).
+    """
     if isinstance(results, TuningResult):
         results = [results]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "format_version": FORMAT_VERSION,
         "results": [r.to_dict() for r in results],
     }
-    opener = gzip.open if path.suffix == ".gz" else open
-    try:
-        with opener(path, "wt", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-    except (OSError, TypeError, ValueError) as exc:
-        raise SerializationError(f"could not write results file {path}: {exc}") from exc
-    return path
+    return atomic_write_json(payload, path)
 
 
 def load_results(path: str | Path) -> list[TuningResult]:

@@ -221,11 +221,13 @@ class AtomicWritesOnly(Rule):
 
     ``repro.io`` and ``repro.exec`` promise that readers never observe a torn file:
     every write lands in a temporary sibling and is moved into place with
-    ``os.replace`` (``atomic_write_json`` / ``write_columnar``).  A bare
-    ``open(path, "w")`` -- or ``Path.write_text``, or a writable ``os.open`` --
-    reintroduces exactly the torn-file window the checkpoint/resume machinery was
-    built to close, so inside these packages it is flagged at the call site.  The
-    two helper implementations themselves carry annotations: they *are* the
+    ``os.replace`` (``atomic_write_chunks`` and its ``atomic_write_json`` /
+    ``write_columnar`` callers).  A bare ``open(path, "w")`` -- or
+    ``Path.write_text``, or a writable ``os.open`` -- reintroduces exactly the
+    torn-file window the checkpoint/resume machinery was built to close, so inside
+    these packages it is flagged at the call site, also when the open function is
+    called through a name bound to it (``opener = gzip.open if gz else open``).
+    The helper implementation itself carries an annotation: it *is* the
     sanctioned form.
     """
 
@@ -240,11 +242,12 @@ class AtomicWritesOnly(Rule):
                               "O_CREAT"})
 
     def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[Violation]:
+        alias_calls = self._alias_calls(tree, frozenset())
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             dotted = _dotted(node.func)
-            if dotted in self._OPEN_FUNCS:
+            if dotted in self._OPEN_FUNCS or id(node) in alias_calls:
                 mode = self._mode_argument(node)
                 if mode is None:
                     continue  # no mode argument: read-only "r" default
@@ -270,6 +273,41 @@ class AtomicWritesOnly(Rule):
                        f".{node.func.attr}() writes in place; torn files break "
                        f"the checkpoint contract -- go through the atomic "
                        f"write helpers")
+
+    def _alias_calls(self, scope: ast.AST, inherited: frozenset[str]) -> set[int]:
+        """Ids of the calls through a name bound to an open function in their own
+        scope or an enclosing one (flow-insensitive: one such binding suffices)."""
+        own: list[ast.AST] = []
+        nested: list[ast.AST] = []
+        stack = list(ast.iter_child_nodes(scope))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested.append(node)
+            else:
+                own.append(node)
+                stack.extend(ast.iter_child_nodes(node))
+        aliases = inherited | {
+            target.id for node in own
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and node.value is not None and self._names_open(node.value)
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            if isinstance(target, ast.Name)}
+        calls = {id(node) for node in own if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id in aliases}
+        for node in nested:
+            calls |= self._alias_calls(node, aliases)
+        return calls
+
+    def _names_open(self, value: ast.expr) -> bool:
+        """True when ``value`` evaluates to an open function (a conditional
+        ``gzip.open if ... else open`` or ``or`` chain counts when any branch is)."""
+        if isinstance(value, ast.IfExp):
+            return self._names_open(value.body) or self._names_open(value.orelse)
+        if isinstance(value, ast.BoolOp):
+            return any(map(self._names_open, value.values))
+        return _dotted(value) in self._OPEN_FUNCS
 
     @staticmethod
     def _mode_argument(node: ast.Call) -> ast.expr | None:

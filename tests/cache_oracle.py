@@ -12,9 +12,10 @@ answer every one of them bit for bit like this oracle; the differential suites
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -165,6 +166,10 @@ class OracleCache:
                 "exhaustive": self.exhaustive, "metadata": dict(self.metadata),
                 "space": self.space.to_dict(),
                 "observations": [o.to_dict() for o in self._entries.values()]}
+
+    def iter_json(self) -> Iterator[str]:
+        """The JSON text ``save_cache`` writes: one ``json.dumps`` of :meth:`to_dict`."""
+        yield json.dumps(self.to_dict())
 
     def to_columnar(self, path: str | Path) -> Path:
         """One columnar file of the observations (campaign-shaped caches only)."""

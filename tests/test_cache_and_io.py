@@ -151,6 +151,40 @@ class TestCacheFiles:
         b = save_cache(toy_cache, tmp_path / "b.json.gz")
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+    @pytest.mark.parametrize("poison", ["metadata", "error"])
+    def test_failed_render_leaves_target_untouched(self, toy_cache, tmp_path,
+                                                   suffix, poison):
+        # The export streams row chunks; a value json.dumps refuses -- in the
+        # header, or in an override row after earlier chunks were written --
+        # raises SerializationError, removes the temporary sibling and keeps
+        # the previous file.
+        from unittest import mock
+        from repro.core import cache as cache_module
+
+        path = save_cache(toy_cache, tmp_path / f"toy{suffix}")
+        before = path.read_bytes()
+        if poison == "metadata":
+            toy_cache.metadata["handle"] = object()
+        else:
+            toy_cache.add({"x": 3, "y": 2}, 1.0, valid=False, error=object())
+        with mock.patch.object(cache_module, "_JSON_CHUNK_ROWS", 1), \
+                pytest.raises(SerializationError, match="could not serialize"):
+            save_cache(toy_cache, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        assert path.read_bytes() == before
+
+    def test_failed_render_creates_no_file(self, toy_cache, tmp_path):
+        toy_cache.metadata["handle"] = object()
+        with pytest.raises(SerializationError):
+            save_cache(toy_cache, tmp_path / "new.json.gz")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gzip_header_has_no_mtime_or_name(self, toy_cache, tmp_path):
+        header = save_cache(toy_cache, tmp_path / "toy.json.gz").read_bytes()[:10]
+        # RFC 1952: flags byte 3 (FNAME = 0x08), mtime bytes 4-7, XFL 2 = level 9.
+        assert header[3] == 0 and header[4:8] == bytes(4) and header[8] == 2
+
 
 class TestCallableConstraintRoundTrip:
     """Callable constraints cannot survive JSON; the degradation must be loud."""
@@ -251,6 +285,33 @@ class TestResultFiles:
     def test_load_missing(self, tmp_path):
         with pytest.raises(SerializationError):
             load_results(tmp_path / "missing.json")
+
+    def test_repeated_saves_are_byte_identical(self, tmp_path, monkeypatch):
+        # gzip headers carry neither the wall clock nor the file name.
+        import time as _time
+
+        a = save_results(self._result(), tmp_path / "a.json.gz").read_bytes()
+        clock = _time.time() + 3600.0
+        monkeypatch.setattr(_time, "time", lambda: clock)
+        b = save_results(self._result(), tmp_path / "b.json.gz").read_bytes()
+        assert a == b
+        assert gzip.decompress(a) == save_results(
+            self._result(), tmp_path / "c.json").read_bytes()
+
+    @pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+    def test_failed_write_leaves_no_file(self, tmp_path, suffix):
+        bad = self._result()
+        bad.metadata["handle"] = object()
+        path = tmp_path / f"runs{suffix}"
+        with pytest.raises(SerializationError):
+            save_results(bad, path)
+        assert list(tmp_path.iterdir()) == []
+        save_results(self._result(), path)
+        before = path.read_bytes()
+        with pytest.raises(SerializationError):
+            save_results([self._result(), bad], path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        assert path.read_bytes() == before
 
 
 class TestGzipSniffing:

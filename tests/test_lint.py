@@ -259,6 +259,40 @@ class TestRuleFixtures:
             """)
         assert codes(result) == ["RPL003", "RPL003"]
 
+    def test_rpl003_flags_calls_through_an_open_alias(self, tmp_path):
+        # The shape save_results once wrote in place with: an open function
+        # picked by suffix, then called under its local name.
+        result = run_lint(tmp_path, "repro/io/writer.py", """
+            import gzip
+
+            def dump(path, text):
+                opener = gzip.open if path.suffix == ".gz" else open
+                with opener(path, "wt", encoding="utf-8") as handle:
+                    handle.write(text)
+
+            def append(path, text):
+                sink: object = open
+                with sink(path, mode="a") as handle:
+                    handle.write(text)
+            """)
+        assert codes(result) == ["RPL003", "RPL003"]
+        assert "opener(..., 'wt')" in result.findings[0].message
+
+    def test_rpl003_alias_reads_stay_clean(self, tmp_path):
+        result = run_lint(tmp_path, "repro/io/reader.py", """
+            import gzip
+
+            def load(path):
+                opener = gzip.open if path.suffix == ".gz" else open
+                with opener(path, "rt", encoding="utf-8") as handle:
+                    return handle.read()
+
+            def size(path):
+                opener = len
+                return opener(path, "w")
+            """)
+        assert result.findings == []
+
     def test_rpl004_flags_bare_except(self, tmp_path):
         result = run_lint(tmp_path, "repro/exec/swallow.py", """
             def attempt(task):

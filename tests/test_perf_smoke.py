@@ -4,7 +4,11 @@ These guard the vectorized search-space engine against silent regressions to sca
 behaviour: the ceilings are *generous* (an order of magnitude above the engine's
 typical timings on any reasonable machine) so they never flake, yet a fallback to
 per-config Python loops -- which is 50--500x slower on these workloads -- trips them
-immediately, without anyone having to run the full figure pipeline.
+immediately, without anyone having to run the full figure pipeline.  Where the
+regression would cost less than an order of magnitude (the JSON load and save of
+a campaign export), an absolute ceiling cannot be both tight and stable on a
+shared host, so those checks gate the ratio to a reference timed alternately in
+the same process instead.
 
 Run them with ``pytest -m perf`` (also included in plain ``pytest`` runs; see
 ``scripts/run_perf.sh --smoke``).
@@ -13,6 +17,7 @@ Run them with ``pytest -m perf`` (also included in plain ``pytest`` runs; see
 from __future__ import annotations
 
 import math
+import statistics
 import time
 
 import numpy as np
@@ -33,10 +38,18 @@ POPULATION_CAMPAIGN_CEILING_S = 3.0
 EVALUATE_INDEX_20K_CEILING_S = 2.0
 HASHED_BATCH_LOOKUP_CEILING_S = 10.0
 CACHE_REPLAY_OPEN_CEILING_S = 2.0
-#: JSON load of the 17,956-row gemm RTX_3090 export (best of three).  Column
-#: adoption loads it in ~0.15-0.25 s on a 2-vCPU host; one Observation per row
-#: took ~0.31-0.41 s there.
-JSON_LOAD_GEMM_CEILING_S = 0.25
+#: Same-process ratio gates on the 17,956-row gemm RTX_3090 export: the median,
+#: over five back-to-back pairs, of the change's time over a reference's
+#: (``_paired_ratio``), which load on a shared host moves far less than an
+#: absolute time.  Ranges are 16 gate readings on a 2-vCPU host, half of them
+#: next to a busy-loop process.  Load: column adoption vs the per-row oracle
+#: load (tests/cache_oracle.py), 0.52-0.70; falling back to one
+#: add_observation per row read 1.36-1.68.
+JSON_LOAD_VS_ORACLE_MAX_RATIO = 0.9
+#: Save: the streamed save_cache vs json.dumps(to_dict()) through the same
+#: level-9 gzip writer, 0.62-0.72 (deflate is the shared floor); a save that
+#: builds to_dict() again does the reference's work and read 0.89-1.07.
+JSON_SAVE_VS_DUMPS_MAX_RATIO = 0.8
 #: ``to_dict`` of the 17,956-row gemm RTX_3090 cache opened from a columnar file
 #: (best of three).  Exported straight off the adopted columns it takes
 #: ~0.06-0.08 s on a 2-vCPU host; materialising one Observation per row first
@@ -271,22 +284,69 @@ def test_columnar_replay_open_under_ceiling(benchmarks, gpu_3090, tmp_path):
         f"likely regressed to eager observation rehydration")
 
 
-def test_json_load_of_gemm_export_under_ceiling(benchmarks, gpu_3090, tmp_path):
+def _paired_ratio(change, reference, rounds=5):
+    """Median over ``rounds`` of ``change`` time / ``reference`` time, each round
+    timing both back to back (alternating which goes first), so load on a shared
+    host slows both sides of a pair alike.  Also returns the two median times."""
+    times = []
+    for k in range(rounds):
+        pair = (change, reference) if k % 2 == 0 else (reference, change)
+        elapsed = [_timed(fn)[1] for fn in pair]
+        times.append(elapsed if k % 2 == 0 else elapsed[::-1])
+    ratio = statistics.median(a / b for a, b in times)
+    return (ratio, statistics.median(a for a, _ in times),
+            statistics.median(b for _, b in times))
+
+
+@pytest.fixture(scope="module")
+def gemm_export(benchmarks, gpu_3090, tmp_path_factory):
+    from repro.io import save_cache
+
+    cache = benchmarks["gemm"].build_cache(gpu_3090)
+    return cache, save_cache(cache, tmp_path_factory.mktemp("gemm") / "gemm.json.gz")
+
+
+def test_json_load_of_gemm_export_beats_the_per_row_oracle(gemm_export):
     # A campaign-shaped JSON export loads straight into adopted columns: gzip +
     # json.load plus a few list passes, no Observation or config dict per row.
-    from repro.io import load_cache, save_cache
+    # The per-row oracle pays one Observation.from_dict + insert per row on top
+    # of the same gzip + json.load.
+    from cache_oracle import OracleCache
+    from repro.io import load_cache
+    from repro.io.cachefile import read_json
 
-    path = save_cache(benchmarks["gemm"].build_cache(gpu_3090),
-                      tmp_path / "gemm.json.gz")
-    elapsed = math.inf
-    for _ in range(3):
-        cache, seconds = _timed(lambda: load_cache(path))
-        elapsed = min(elapsed, seconds)
-    assert len(cache) == 17_956
-    assert elapsed < JSON_LOAD_GEMM_CEILING_S, (
-        f"load_cache of the 17,956-row gemm export took {elapsed:.2f}s (ceiling "
-        f"{JSON_LOAD_GEMM_CEILING_S}s); JSON loads have likely regressed to one "
-        f"Observation per row")
+    _, path = gemm_export
+    assert len(load_cache(path)) == 17_956
+    ratio, loaded, oracle = _paired_ratio(
+        lambda: load_cache(path),
+        lambda: OracleCache.from_payload(read_json(path)["cache"]))
+    assert ratio < JSON_LOAD_VS_ORACLE_MAX_RATIO, (
+        f"load_cache of the 17,956-row gemm export took {loaded:.3f}s, "
+        f"{ratio:.2f}x the per-row oracle's {oracle:.3f}s (gate "
+        f"{JSON_LOAD_VS_ORACLE_MAX_RATIO}x); JSON loads have likely regressed to "
+        f"one Observation per row")
+
+
+def test_streamed_save_of_gemm_cache_beats_json_dumps(gemm_export, tmp_path):
+    # save_cache renders the export from the columns in row chunks straight
+    # into the gzip stream; the reference builds to_dict() and one json.dumps
+    # string, then goes through the same atomic gzip writer, so the two differ
+    # only in how the text is made.
+    from repro.io import save_cache
+    from repro.io.cachefile import atomic_write_json
+
+    cache, _ = gemm_export
+    change, reference = tmp_path / "change.json.gz", tmp_path / "reference.json.gz"
+    ratio, streamed, dumped = _paired_ratio(
+        lambda: save_cache(cache, change),
+        lambda: atomic_write_json({"format_version": 1, "cache": cache.to_dict()},
+                                  reference))
+    assert change.read_bytes() == reference.read_bytes()
+    assert ratio < JSON_SAVE_VS_DUMPS_MAX_RATIO, (
+        f"save_cache of the 17,956-row gemm cache took {streamed:.3f}s, "
+        f"{ratio:.2f}x json.dumps(to_dict()) + gzip's "
+        f"{dumped:.3f}s (gate {JSON_SAVE_VS_DUMPS_MAX_RATIO}x); the export "
+        f"has likely regressed to building the payload dict")
 
 
 def test_to_dict_of_attached_gemm_cache_under_ceiling(benchmarks, gpu_3090, tmp_path):
