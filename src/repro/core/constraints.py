@@ -23,10 +23,7 @@ import ast
 import warnings
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from repro.core.errors import ConstraintViolationError, InvalidConfigurationError
-from repro.core.vectorize import compile_vectorized
 
 __all__ = ["Constraint", "ConstraintSet", "ConstraintSerializationWarning"]
 
@@ -71,17 +68,14 @@ class Constraint:
 
     Notes
     -----
-    Expression strings are compiled exactly once, at construction time, into *two*
-    evaluators that are cached on the instance for the constraint's lifetime:
-
-    * a scalar code object evaluated with a restricted namespace (only the
-      configuration values and a small whitelist of builtins -- ``min``, ``max``,
-      ``abs``, ... -- are visible), and
-    * where the expression stays within the vectorizable subset (see
-      :mod:`repro.core.vectorize`), a batch evaluator over named NumPy value columns
-      used by :meth:`satisfied_mask`.
-
-    Neither compilation ever happens per :meth:`is_satisfied` call.
+    Expression strings are compiled exactly once, at construction time, into a
+    scalar code object evaluated with a restricted namespace (only the configuration
+    values and a small whitelist of builtins -- ``min``, ``max``, ``abs``, ... -- are
+    visible).  :meth:`is_satisfied` is the only evaluator: a search space turns an
+    expression whose :meth:`referenced_names` are all parameters into a *truth
+    table* by calling it once per combination of those parameters' values, so every
+    batch mask and scalar lookup of the space agrees with it by construction,
+    raises-means-violated included.
     """
 
     def __init__(self, expression: str | Callable[[Mapping[str, Any]], bool],
@@ -91,14 +85,12 @@ class Constraint:
             self._func: Callable[[Mapping[str, Any]], bool] = expression
             self.expression = getattr(expression, "__name__", "<callable>")
             self._compiled = None
-            self._vectorized = None
         elif isinstance(expression, str):
             if not expression.strip():
                 raise InvalidConfigurationError("constraint expression must be non-empty")
             self.expression = expression
             self._compiled = compile(expression, "<constraint>", "eval")
             self._func = self._eval_expression
-            self._vectorized = compile_vectorized(expression)
         else:
             raise InvalidConfigurationError(
                 f"constraint must be a string or callable, got {type(expression)!r}")
@@ -129,38 +121,26 @@ class Constraint:
 
     __call__ = is_satisfied
 
-    @property
-    def is_vectorized(self) -> bool:
-        """True when a batch evaluator over value columns is available."""
-        return self._vectorized is not None
+    def frozen(self, values: Mapping[str, Any]) -> "Constraint":
+        """This constraint with some parameters pinned (a reduced space's view).
 
-    def satisfied_mask(self, columns: Mapping[str, Any], n: int) -> np.ndarray | None:
-        """Batch form of :meth:`is_satisfied` over named value columns.
-
-        Parameters
-        ----------
-        columns:
-            Mapping of parameter name to a length-``n`` value array; scalar entries
-            broadcast (used by reduced spaces to pin frozen parameters).
-        n:
-            Number of rows in the batch.
-
-        Returns
-        -------
-        np.ndarray | None
-            Boolean mask of satisfied rows, element-wise identical to calling
-            :meth:`is_satisfied` per row -- or ``None`` when no vectorized evaluator
-            applies (opaque callables, unsupported syntax, unexpected runtime error)
-            and the caller must use the scalar path.
+        The copy evaluates ``values`` underneath the configuration it is given,
+        references only the names ``values`` leaves free, and serializes like a
+        callable (the pinned values are not part of the expression).
         """
-        if self._vectorized is None:
-            return None
-        try:
-            return self._vectorized(columns, n)
-        except KeyError as exc:
-            raise InvalidConfigurationError(
-                f"constraint {self.expression!r} references missing parameter {exc}"
-            ) from None
+        fixed = dict(values)
+
+        def check(config: Mapping[str, Any]) -> bool:
+            full = dict(fixed)
+            full.update(config)
+            return self.is_satisfied(full)
+
+        out = Constraint(check, description=self.description)
+        out.expression = self.expression
+        names = self.referenced_names()
+        if names is not None:
+            out._referenced_names = names - fixed.keys()
+        return out
 
     # ------------------------------------------------------------------ serialization
 
@@ -172,16 +152,17 @@ class Constraint:
     def referenced_names(self) -> frozenset[str] | None:
         """Names the expression refers to, minus whitelisted builtins (memoized).
 
-        Returns None for callable constraints (their dependencies are opaque).  Used
-        by loaders to detect legacy serializations of *named* callables (a function
-        name like ``"power_of_two"`` parses as a perfectly valid expression but
-        references no parameter), and by the search space's tiled feasibility sweep
-        to materialise only the value columns the constraints actually read.
+        Returns None for callable constraints (their dependencies are opaque), except
+        for :meth:`frozen` copies of expressions, which read the expression's free
+        names.  Used by loaders to detect legacy serializations of *named* callables
+        (a function name like ``"power_of_two"`` parses as a perfectly valid
+        expression but references no parameter), and by the search space to pick
+        the parameters a truth table of this constraint ranges over.
         """
-        if self.is_callable:
-            return None
         cached = getattr(self, "_referenced_names", None)
         if cached is None:
+            if self.is_callable:
+                return None
             tree = ast.parse(self.expression, mode="eval")
             names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             cached = frozenset(names - set(_SAFE_BUILTINS))
@@ -230,7 +211,6 @@ class ConstraintSet:
         if not isinstance(constraint, Constraint):
             constraint = Constraint(constraint)
         self._constraints.append(constraint)
-        self.__dict__.pop("_conjunction", None)  # recompiled on next fast check
         return self
 
     # -------------------------------------------------------------------- queries
@@ -249,110 +229,6 @@ class ConstraintSet:
         return all(c.is_satisfied(config) for c in self._constraints)
 
     __call__ = is_satisfied
-
-    @property
-    def all_vectorized(self) -> bool:
-        """True when every member constraint has a batch evaluator.
-
-        Callers use this to skip building digit matrices / row configurations
-        entirely (e.g. the tiled value-column sweep of
-        :meth:`repro.core.searchspace.SearchSpace._feasible_mask_range`): with no
-        scalar fallback possible, value columns alone determine the mask.
-        """
-        return all(c.is_vectorized for c in self._constraints)
-
-    def referenced_parameters(self) -> frozenset[str] | None:
-        """Union of names referenced by all member expressions, or None when any
-        member is an opaque callable (its reads are unknowable)."""
-        out: set[str] = set()
-        for c in self._constraints:
-            names = c.referenced_names()
-            if names is None:
-                return None
-            out |= names
-        return frozenset(out)
-
-    def is_satisfied_fast(self, config: Mapping[str, Any]) -> bool:
-        """Single-eval form of :meth:`is_satisfied` for scalar hot loops.
-
-        All expression constraints compile once into one conjunction code object
-        (``(c1) and (c2) and ...``); Python's ``and`` short-circuits exactly like
-        the ``all()`` loop, and an expression that raises makes the conjunction
-        raise, which maps to the same "violated" verdict the per-constraint wrapper
-        returns.  Falls back to :meth:`is_satisfied` when any member is an opaque
-        callable or for the missing-parameter error path.
-        """
-        code = self.__dict__.get("_conjunction", False)
-        if code is False:
-            code = None
-            if self._constraints and not any(c.is_callable for c in self._constraints):
-                source = " and ".join(f"({c.expression})" for c in self._constraints)
-                try:
-                    code = compile(source, "<constraint-conjunction>", "eval")
-                except SyntaxError:
-                    # Valid standalone expressions can break when parenthesized
-                    # and joined (e.g. a trailing comment swallows the closing
-                    # paren); those sets just keep the per-constraint loop.
-                    code = None
-            self._conjunction = code
-        if code is None:
-            return self.is_satisfied(config)
-        try:
-            return bool(eval(code, {"__builtins__": _SAFE_BUILTINS}, config))
-        except (KeyError, NameError):
-            return self.is_satisfied(config)  # exact missing-parameter semantics
-        except Exception:
-            return False  # raises-means-violated, like the per-constraint path
-
-    def satisfied_mask(self, columns: Mapping[str, Any], n: int | None = None,
-                       configs: Sequence[Mapping[str, Any]] | None = None) -> np.ndarray:
-        """Boolean mask of configurations satisfying *every* constraint.
-
-        Vectorizable constraints evaluate in one NumPy pass over ``columns``;
-        the rest (opaque callables) fall back to scalar evaluation, but only on the
-        rows that survived the vectorized constraints.
-
-        Parameters
-        ----------
-        columns:
-            Mapping of parameter name to a length-``n`` value array (scalars
-            broadcast).
-        n:
-            Batch size; inferred from the first array-valued column if omitted.
-        configs:
-            Optional row-indexable source of configuration mappings for the scalar
-            fallback; when omitted, per-row dictionaries are assembled from
-            ``columns``.
-        """
-        if n is None:
-            n = next(len(v) for v in columns.values()
-                     if isinstance(v, np.ndarray) and v.ndim == 1)
-        mask = np.ones(n, dtype=bool)
-        deferred: list[Constraint] = []
-        for constraint in self._constraints:
-            vec = constraint.satisfied_mask(columns, n)
-            if vec is None:
-                deferred.append(constraint)
-            else:
-                mask &= vec
-        if deferred and mask.any():
-            rows = np.nonzero(mask)[0]
-            if configs is None:
-                names = list(columns)
-                cols = [columns[k] for k in names]
-                def row_config(i: int) -> dict[str, Any]:
-                    return {k: (col[i] if isinstance(col, np.ndarray) and col.ndim else col)
-                            for k, col in zip(names, cols)}
-            else:
-                def row_config(i: int) -> Mapping[str, Any]:
-                    return configs[i]
-            for i in rows.tolist():
-                config = row_config(i)
-                for constraint in deferred:
-                    if not constraint.is_satisfied(config):
-                        mask[i] = False
-                        break
-        return mask
 
     def violated(self, config: Mapping[str, Any]) -> tuple[str, ...]:
         """Expressions of all constraints violated by ``config`` (empty if valid)."""

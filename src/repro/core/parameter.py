@@ -183,12 +183,12 @@ class Parameter:
     # ------------------------------------------------------------------ columnar views
 
     def values_array(self) -> np.ndarray:
-        """The allowed values as a NumPy array suitable for batch constraint math.
+        """The allowed values as a NumPy array suitable for batch column math.
 
         Numeric parameters use their natural dtype (``int64``/``float64``) so that
-        vectorized constraint expressions compute exactly like the scalar path; all
-        other value types fall back to ``object`` arrays, which preserve the original
-        Python objects element-wise.  The array is built once and cached (the class is
+        value columns (feature encoding, the analytical model) compute exactly like
+        the scalar path; all other value types fall back to ``object`` arrays, which
+        preserve the original Python objects element-wise.  The array is built once and cached (the class is
         frozen, so the value tuple can never change).
         """
         cached = self.__dict__.get("_values_array")

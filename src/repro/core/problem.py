@@ -16,7 +16,7 @@ The ``evaluate_index`` contract
 :meth:`TuningProblem.evaluate_index` (and its batch form
 :meth:`TuningProblem.evaluate_indices`) is the index-native fast path of the tuner
 runtime: the candidate is identified by its mixed-radix space index, static validity
-comes from the vectorized constraint mask, the objective is answered by
+comes from the constraint truth-table mask, the objective is answered by
 ``evaluate_index_fn`` where one was supplied (cache replays), and the resulting
 :class:`~repro.core.result.Observation` carries a lazily-materialised
 :class:`~repro.core.result.LazyConfig`.  The contract with the dictionary path:
@@ -204,7 +204,7 @@ class TuningProblem:
         The observation's configuration is a :class:`~repro.core.result.LazyConfig`
         that materialises from the space's value columns only if something reads it;
         the hot loop itself touches no dictionary.  Tuners whose candidates already
-        passed the vectorized constraint mask (neighbourhood enumeration, valid
+        passed the constraint truth-table mask (neighbourhood enumeration, valid
         sampling, repair) pass ``_valid_hint=True`` and skip the static check
         entirely.
         """
@@ -292,7 +292,7 @@ class TuningProblem:
                          _peek: tuple | None = None) -> list[Observation]:
         """Batch form of :meth:`evaluate_index`, observation-identical to the loop.
 
-        With ``valid_hint=None`` one vectorized static-validity mask covers the
+        With ``valid_hint=None`` one truth-table static-validity mask covers the
         whole block; ``valid_hint=True`` asserts the caller already mask-checked
         every index.  For peekable objectives and pre-validated indices the good
         rows come from one array probe and skip the per-index objective dispatch

@@ -22,15 +22,21 @@ Python objects.  The scalar :meth:`config_at`/:meth:`index_of` remain as the one
 convenience wrappers; every hot path (sampling, enumeration, counting, graph
 construction) runs on index blocks.
 
-*Constraint compilation contract.*  String constraint expressions are compiled once,
-at :class:`~repro.core.constraints.Constraint` construction, into both a scalar code
-object and -- where the expression stays inside the vectorizable subset of
-:mod:`repro.core.vectorize` -- a batch evaluator over named value columns.
-:meth:`SearchSpace.satisfied_mask` applies the batch evaluators to a whole index block
-at once and falls back to scalar evaluation only for opaque callables (and only on
-rows the vectorized constraints did not already reject).  The two paths are
-element-wise equivalent by contract: an expression that raises marks the row violated,
-exactly like the scalar evaluator.
+*Constraint truth-table contract.*  Every restriction in the suite reads two or three
+parameters, so its verdict over the whole product is a tiny table.  For each
+expression whose referenced names are all parameters, the space builds (once, on
+first use) a boolean *truth table* over the values of those parameters by calling the
+scalar :meth:`~repro.core.constraints.Constraint.is_satisfied` on every combination;
+tables over the same parameters are ANDed into one.  A batch mask
+(:meth:`SearchSpace.satisfied_mask`) is then one gather per table at
+``sum(digit_j * stride_j)``, with the digits computed only for the columns the tables
+read, and a scalar check (:meth:`SearchSpace.index_is_feasible`) is the same lookup in
+pure Python.  The verdicts equal the scalar evaluator by construction -- an
+expression that raises is a ``False`` cell.  Opaque callables, expressions naming
+something that is not a parameter, and tables past :data:`_TABLE_MAX_CELLS` keep the
+scalar row path, evaluated only on rows every table accepted.  Tables, the feasible
+memo and the neighbourhood memo are keyed on the length of the (append-only)
+constraint set, so a constraint added after first use takes effect everywhere.
 
 *Feasible-set memoization.*  For spaces whose raw cardinality is at most
 :attr:`SearchSpace.memoize_threshold` (default :data:`MEMOIZE_THRESHOLD_DEFAULT`), the
@@ -66,13 +72,13 @@ the ML feature codec.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Mapping as _MappingABC
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.constraints import Constraint, ConstraintSet
+from repro.core.constraints import _SAFE_BUILTINS, Constraint, ConstraintSet
 from repro.core.errors import (
     EmptySearchSpaceError,
     InvalidConfigurationError,
@@ -95,9 +101,14 @@ _CHUNK: int = 1 << 17
 #: Largest cardinality an int64 mixed-radix index can address.
 _MAX_CARDINALITY: int = 2**63 - 1
 
-#: Largest rejection-sampling block checked through the scalar constraint path.
-#: Below this row count the per-row scalar code objects are cheaper than spinning up
-#: the batch evaluators (crossover sits around a dozen rows on the kernel spaces).
+#: Largest truth table a constraint is turned into (cells = product of the radices of
+#: the parameters it reads).  The suite's largest is Dedispersion's 1,152 cells; a
+#: constraint past the cap keeps the scalar row path, like a callable.
+_TABLE_MAX_CELLS: int = 1 << 20
+
+#: Largest rejection-sampling block checked by pure-Python table lookups per index
+#: instead of the batch mask (one lookup costs ~1-2 us, one mask call ~8-45 us on
+#: the kernel spaces).
 _SCALAR_CHECK_MAX: int = 8
 
 
@@ -171,6 +182,7 @@ class SearchSpace:
         self.memoize_threshold = (MEMOIZE_THRESHOLD_DEFAULT if memoize_threshold is None
                                   else int(memoize_threshold))
         self._feasible: np.ndarray | None = None
+        self._feasible_key = 0  # len(constraints) the memo was computed for
         # Flattened per-parameter digit tables for the index-native neighbourhood
         # kernels: for every (parameter, digit) pair, the digit's index offset
         # (digit * place), its parameter column and the digit itself, concatenated in
@@ -336,22 +348,129 @@ class SearchSpace:
 
     # ----------------------------------------------------------------- feasibility
 
+    def _constraint_tables(self) -> tuple[int, list, list, tuple[Constraint, ...]]:
+        """``(key, gathers, lookups, scalar)`` of the current constraint set.
+
+        ``gathers`` holds one ``(table, columns, strides)`` per truth table (see the
+        module docstring) for the batch mask, ``lookups`` the same tables as
+        ``(list, ((place, radix, stride), ...))`` for pure-Python scalar checks, and
+        ``scalar`` the constraints no table covers.  Rebuilt whenever ``key``, the
+        length of the append-only constraint set, has moved.
+        """
+        state = self.__dict__.get("_tables")
+        if state is not None and state[0] == len(self._constraints):
+            return state
+        radices = self._radices.tolist()
+        tables: dict[tuple[int, ...], np.ndarray] = {}
+        scalar: list[Constraint] = []
+        for constraint in self._constraints:
+            referenced = constraint.referenced_names()
+            if referenced is None or not referenced <= self._column_of.keys():
+                scalar.append(constraint)
+                continue
+            # Parameters named like a whitelisted builtin shadow it in the scalar
+            # namespace, so the table reads them too; a constant reads column 0.
+            columns = tuple(j for name, j in self._column_of.items()
+                            if name in referenced or name in _SAFE_BUILTINS) or (0,)
+            if math.prod(radices[j] for j in columns) > _TABLE_MAX_CELLS:
+                scalar.append(constraint)
+                continue
+            names = [self._parameters[j].name for j in columns]
+            try:
+                cells = [constraint.is_satisfied(dict(zip(names, combo)))
+                         for combo in itertools.product(
+                             *(self._parameters[j].values for j in columns))]
+            except InvalidConfigurationError:
+                scalar.append(constraint)  # e.g. a KeyError inside the expression
+                continue
+            table = np.asarray(cells, dtype=bool)
+            prior = tables.get(columns)
+            tables[columns] = table if prior is None else prior & table
+        gathers, lookups = [], []
+        for columns, table in tables.items():
+            strides = [1] * len(columns)
+            for k in range(len(columns) - 2, -1, -1):
+                strides[k] = strides[k + 1] * radices[columns[k + 1]]
+            gathers.append((table, columns, tuple(strides)))
+            lookups.append((table.tolist(), tuple(
+                (self._place_values[j], radices[j], stride)
+                for j, stride in zip(columns, strides))))
+        state = self._tables = (len(self._constraints), gathers, lookups, tuple(scalar))
+        return state
+
     def satisfied_mask(self, indices: np.ndarray | Sequence[int] | None = None, *,
                        digits: np.ndarray | None = None) -> np.ndarray:
         """Constraint mask of an index block: ``mask[i]`` iff point ``i`` is feasible.
 
-        Element-wise equivalent to calling ``constraints.is_satisfied(config_at(i))``
-        per index, evaluated in one NumPy pass per vectorized constraint.  Value
-        columns are gathered lazily, so parameters no constraint mentions never pay
-        the digit->value gather.
+        Element-wise equal to ``constraints.is_satisfied(config_at(i))`` per index:
+        one gather per truth table, with digits computed straight from the indices
+        (or taken from ``digits``) and only for the columns the tables read; the
+        constraints no table covers run per row on the rows the tables accepted.
         """
         if digits is None:
-            digits = self.indices_to_digits(indices)
-        n = digits.shape[0]
+            idx = np.asarray(indices, dtype=np.int64).ravel()
+            if idx.size and (idx.min() < 0 or idx.max() >= self._cardinality):
+                raise InvalidConfigurationError(
+                    f"indices out of range [0, {self._cardinality})")
+            n = idx.size
+        else:
+            n = digits.shape[0]
         if not len(self._constraints):
             return np.ones(n, dtype=bool)
-        return self._constraints.satisfied_mask(
-            _LazyColumns(self, digits), n, configs=_LazyConfigs(self, digits))
+        _, gathers, _, scalar = self._constraint_tables()
+        mask = None
+        digit_columns: dict[int, np.ndarray] = {}
+        for table, columns, strides in gathers:
+            cell = None
+            for j, stride in zip(columns, strides):
+                column = digit_columns.get(j)
+                if column is None:
+                    if digits is not None:
+                        column = digits[:, j]
+                    else:
+                        place = self._place_values[j]
+                        column = idx // place if place > 1 else idx
+                        if j:
+                            column = column % self._radices[j]
+                    digit_columns[j] = column
+                term = column * stride if stride > 1 else column
+                cell = term if cell is None else cell + term
+            hit = table[cell]
+            mask = hit if mask is None else np.logical_and(mask, hit, out=mask)
+        if mask is None:
+            mask = np.ones(n, dtype=bool)
+        if scalar and mask.any():
+            rows = np.flatnonzero(mask)
+            configs = (self.configs_at(idx[rows]) if digits is None
+                       else self.configs_at(None, digits=digits[rows]))
+            for i, config in zip(rows.tolist(), configs):
+                for constraint in scalar:
+                    if not constraint.is_satisfied(config):
+                        mask[i] = False
+                        break
+        return mask
+
+    def _index_satisfies(self, index: int) -> bool:
+        """Scalar :meth:`satisfied_mask` of one in-range index: table lookups in
+        pure Python, then the constraints no table covers on its configuration."""
+        _, _, lookups, scalar = self._constraint_tables()
+        for table, parts in lookups:
+            cell = 0
+            for place, radix, stride in parts:
+                cell += index // place % radix * stride
+            if not table[cell]:
+                return False
+        if scalar:
+            config = self.config_at(index)
+            return all(constraint.is_satisfied(config) for constraint in scalar)
+        return True
+
+    def _feasible_memo(self) -> np.ndarray | None:
+        """The memoized feasible set, or None -- also when the constraint set has
+        grown since it was computed (the stale memo is dropped)."""
+        if self._feasible is not None and self._feasible_key != len(self._constraints):
+            self.release_feasible_memo()
+        return self._feasible
 
     def feasible_indices(self, force: bool = False) -> np.ndarray | None:
         """Sorted array of all constraint-satisfying indices, memoized.
@@ -360,15 +479,16 @@ class SearchSpace:
         :attr:`memoize_threshold` and ``force`` is False.  The memo is what makes
         exact constrained counts free and sampling failure-proof on small spaces.
         """
-        if self._feasible is not None:
-            return self._feasible
+        feasible = self._feasible_memo()
+        if feasible is not None:
+            return feasible
         if self._cardinality > self.memoize_threshold and not force:
             return None
         blocks = [block for block in self._iter_feasible_blocks()]
         feasible = (np.concatenate(blocks) if blocks
                     else np.empty(0, dtype=np.int64))
-        if self._cardinality <= self.memoize_threshold or force:
-            self._feasible = feasible
+        self._feasible = feasible
+        self._feasible_key = len(self._constraints)
         return feasible
 
     def release_feasible_memo(self) -> None:
@@ -397,79 +517,6 @@ class SearchSpace:
             self._feas_bits_src = self._feasible
         return bits
 
-    def _digits_for_range(self, start: int, stop: int) -> np.ndarray:
-        """Digit matrix of the contiguous index range ``[start, stop)``.
-
-        Digit columns of consecutive indices are periodic (period = radix x place),
-        so most columns are assembled by tile/repeat instead of integer division --
-        measurably faster than the general codec on full-space sweeps.  Columns whose
-        period dwarfs the range fall back to the division codec to bound memory.
-        """
-        n = stop - start
-        out = np.empty((n, self.dimensions), dtype=np.int64)
-        base = None
-        for j, (radix, place) in enumerate(zip(self._radices.tolist(),
-                                               self._places.tolist())):
-            period = radix * place
-            if period <= 4 * n:
-                offset = start % period
-                reps = -(-(offset + n) // period)
-                pattern = np.repeat(np.arange(radix, dtype=np.int64), place)
-                out[:, j] = np.tile(pattern, reps)[offset:offset + n]
-            else:
-                if base is None:
-                    base = np.arange(start, stop, dtype=np.int64)
-                out[:, j] = (base // place) % radix
-        return out
-
-    def _columns_for_range(self, start: int, stop: int,
-                           names: frozenset[str] | None = None) -> dict[str, np.ndarray]:
-        """Named value columns of the contiguous index range ``[start, stop)``.
-
-        Value columns of consecutive indices are periodic exactly like their digit
-        columns (period = radix x place), so they are assembled by tile/repeat of the
-        per-parameter value arrays directly -- skipping both the digit matrix and the
-        digit->value gather of :meth:`columns_at`.  Columns whose period dwarfs the
-        range fall back to the division codec plus gather to bound memory.  With
-        ``names`` given, only those columns are materialised (the constraint-sweep
-        case: parameters no constraint reads never cost anything).
-        """
-        n = stop - start
-        out: dict[str, np.ndarray] = {}
-        base = None
-        for p, values, radix, place in zip(self._parameters, self._value_columns,
-                                           self._radices.tolist(),
-                                           self._places.tolist()):
-            if names is not None and p.name not in names:
-                continue
-            period = radix * place
-            if period <= 4 * n:
-                offset = start % period
-                reps = -(-(offset + n) // period)
-                pattern = np.repeat(values, place)
-                out[p.name] = np.tile(pattern, reps)[offset:offset + n]
-            else:
-                if base is None:
-                    base = np.arange(start, stop, dtype=np.int64)
-                out[p.name] = values[(base // place) % radix]
-        return out
-
-    def _feasible_mask_range(self, start: int, stop: int) -> np.ndarray:
-        """Constraint mask of a contiguous index range.
-
-        When every constraint has a batch evaluator the value columns are built by
-        tiling (:meth:`_columns_for_range`) -- and only the columns the constraint
-        expressions actually reference -- with no digit matrix at all; a single
-        opaque callable forces the general digit path, whose scalar fallback needs
-        digits to materialise row configurations.
-        """
-        if self._constraints.all_vectorized:
-            return self._constraints.satisfied_mask(
-                self._columns_for_range(start, stop,
-                                        names=self._constraints.referenced_parameters()),
-                stop - start)
-        return self.satisfied_mask(None, digits=self._digits_for_range(start, stop))
-
     def _iter_feasible_blocks(self, chunk_size: int = _CHUNK) -> Iterator[np.ndarray]:
         """Stream ascending blocks of feasible indices without memoization."""
         if not len(self._constraints):
@@ -478,10 +525,11 @@ class SearchSpace:
                                 dtype=np.int64)
             return
         for start in range(0, self._cardinality, chunk_size):
-            stop = min(start + chunk_size, self._cardinality)
-            mask = self._feasible_mask_range(start, stop)
-            if mask.any():
-                yield np.arange(start, stop, dtype=np.int64)[mask]
+            block = np.arange(start, min(start + chunk_size, self._cardinality),
+                              dtype=np.int64)
+            block = block[self.satisfied_mask(block)]
+            if block.size:
+                yield block
 
     # -------------------------------------------------------------------- enumeration
 
@@ -589,7 +637,7 @@ class SearchSpace:
             raise InvalidConfigurationError("sample size must be non-negative")
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        feasible = self._feasible if valid_only else None
+        feasible = self._feasible_memo() if valid_only else None
         if n == 1 and not unique and valid_only and feasible is not None \
                 and feasible.size:
             # The memoized twin of the scalar restart draw below: one scalar
@@ -609,24 +657,16 @@ class SearchSpace:
                 and len(self._constraints)):
             # The tuner runtime's restart draw: a tight scalar rejection loop.  One
             # scalar ``integers`` call consumes the same random stream as a size-1
-            # block, and the scalar constraint check agrees with the mask by the
-            # compilation contract, so the drawn index is bit-identical to the
-            # general path below at a fraction of its per-iteration overhead.
-            rows = self._feasibility_rows()
-            if rows is None:
-                satisfied = self._constraints.is_satisfied
-                namespace_at = self.config_at
-            else:
-                satisfied = self._constraints.is_satisfied_fast
-                def namespace_at(index: int, _rows=rows) -> dict:
-                    return {name: values[(index // place) % radix]
-                            for name, values, place, radix in _rows}
+            # block, and the scalar table lookup is the mask's verdict, so the
+            # drawn index is bit-identical to the general path below at a
+            # fraction of its per-iteration overhead.
             integers = rng.integers
             cardinality = self._cardinality
+            satisfied = self._index_satisfies
             max_attempts = max(max_attempts_factor, 1000)
             for _ in range(max_attempts):
                 index = int(integers(0, cardinality))
-                if satisfied(namespace_at(index)):
+                if satisfied(index):
                     return np.asarray([index], dtype=np.int64)
             self.feasible_indices()  # memoize (small spaces) for the next attempt
             raise self._scalar_draw_exhausted(max_attempts)
@@ -665,36 +705,33 @@ class SearchSpace:
                     f"after {attempts} attempts (found {len(out)}){observed}")
             draws = rng.integers(0, self._cardinality, size=need)
             attempts += need
-            if valid_only:
-                if feasible is not None:
-                    if feasible.size:
-                        pos = np.searchsorted(feasible, draws)
-                        pos[pos == feasible.size] = 0
-                        ok = feasible[pos] == draws
-                        good_list = ok.tolist()
-                    else:
-                        good_list = [False] * need
-                elif need <= _SCALAR_CHECK_MAX and len(self._constraints):
-                    # Tiny blocks (the tail of a draw, or the single-restart draws
-                    # of the tuner runtime) check through the scalar constraint
-                    # code objects: for a handful of rows they beat the batch
-                    # evaluators by an order of magnitude, and the compilation
-                    # contract keeps the verdicts identical.
-                    good_list = [self.index_is_feasible(i) for i in draws.tolist()]
+            # Filter the block first; only its survivors reach the unique loop.
+            if not valid_only or (feasible is None and not len(self._constraints)):
+                survivors = draws.tolist()
+            elif feasible is not None:
+                if feasible.size:
+                    pos = np.searchsorted(feasible, draws)
+                    pos[pos == feasible.size] = 0
+                    survivors = draws[feasible[pos] == draws].tolist()
                 else:
-                    good_list = self.satisfied_mask(draws).tolist()
-                checked += need
-                passed += sum(good_list)
+                    survivors = []
+            elif need <= _SCALAR_CHECK_MAX:
+                # Tiny blocks (the tail of a draw) look each index up in the
+                # tables in pure Python: for a handful of rows that beats the
+                # batch mask, and the verdicts are the same table cells.
+                survivors = [i for i in draws.tolist() if self._index_satisfies(i)]
             else:
-                good_list = None
-            for k, idx in enumerate(draws.tolist()):
-                if good_list is not None and not good_list[k]:
-                    continue
-                if unique:
-                    if idx in seen:
-                        continue
+                survivors = draws[self.satisfied_mask(draws)].tolist()
+            if valid_only:
+                checked += need
+                passed += len(survivors)
+            if not unique:
+                out.extend(survivors)
+                continue
+            for idx in survivors:
+                if idx not in seen:
                     seen.add(idx)
-                out.append(idx)
+                    out.append(idx)
         return np.asarray(out[:n], dtype=np.int64)
 
     def sample(self, n: int, rng: np.random.Generator | int | None = None,
@@ -888,54 +925,26 @@ class SearchSpace:
             memo[key] = out
         return out
 
-    def _feasibility_rows(self) -> tuple[tuple[str, tuple, int, int], ...] | None:
-        """Decode rows ``(name, values, place, radix)`` for the parameters the
-        constraint expressions reference, or None when any constraint is opaque
-        (callables may read parameters the expressions never name)."""
-        if self.__dict__.get("_feas_rows_n") != len(self._constraints):
-            self.__dict__.pop("_feas_rows", None)
-            self._feas_rows_n = len(self._constraints)
-        rows = self.__dict__.get("_feas_rows", False)
-        if rows is False:
-            referenced = self._constraints.referenced_parameters()
-            if referenced is None or any(c.is_callable for c in self._constraints):
-                rows = None
-            else:
-                rows = tuple(
-                    (p.name, p.values, place, radix)
-                    for p, place, radix in zip(self._parameters, self._place_values,
-                                               self._radices.tolist())
-                    if p.name in referenced)
-            self._feas_rows = rows
-        return rows
-
     def index_is_feasible(self, index: int) -> bool:
         """Constraint satisfaction of one index (no configuration dictionary).
 
         Element-wise equivalent to ``is_valid(config_at(index))`` for in-range
         indices (range membership is what dictionary membership checks establish).
-        A single point evaluates through the scalar constraint code objects over a
-        namespace holding only the referenced parameters -- for one row that is an
-        order of magnitude cheaper than spinning up the batch evaluators, and the
-        compilation contract makes the paths agree.
+        A single point is a pure-Python lookup in each truth table -- for one row
+        far cheaper than the batch mask, and the same tables make the paths agree.
         """
         if not (0 <= index < self._cardinality):
             raise InvalidConfigurationError(
                 f"index {index} out of range [0, {self._cardinality})")
         if not len(self._constraints):
             return True
-        if self._feasible is not None:
+        index = int(index)
+        if self._feasible_memo() is not None:
             # The memoized feasible set answers membership from its packed
             # bitmap -- the verdict is identical by construction (the memo
             # holds exactly the constraint-satisfying indices).
-            index = int(index)
             return bool(self._feasible_bitmap()[index >> 3] >> (index & 7) & 1)
-        rows = self._feasibility_rows()
-        if rows is None:
-            return self._constraints.is_satisfied(self.config_at(index))
-        return self._constraints.is_satisfied_fast(
-            {name: values[(index // place) % radix]
-             for name, values, place, radix in rows})
+        return self._index_satisfies(index)
 
     # ------------------------------------------------------------------- reduction
 
@@ -946,8 +955,10 @@ class SearchSpace:
         The remaining parameters are frozen to the values in ``fixed`` (default: their
         declared defaults) and folded into the constraint evaluation, so the
         reduce-constrained count of Table VIII can be computed on the reduced space.
-        Frozen parameters enter the vectorized constraint evaluators as broadcast
-        scalar columns, so reduced spaces count and sample as fast as full ones.
+        Each constraint becomes its :meth:`~repro.core.constraints.Constraint.frozen`
+        copy, whose truth table ranges over the kept parameters only (the frozen
+        values are filled in while it is built), so reduced spaces count and sample
+        as fast as full ones.
         """
         keep_set = set(keep)
         unknown = keep_set - set(self._by_name)
@@ -965,24 +976,8 @@ class SearchSpace:
                 fixed_values[p.name] = value
         kept_params = [p for p in self._parameters if p.name in keep_set]
 
-        def _wrap(constraint: Constraint) -> Constraint:
-            def check(config: Mapping[str, Any], _c=constraint) -> bool:
-                full = dict(fixed_values)
-                full.update(config)
-                return _c.is_satisfied(full)
-            wrapped = Constraint(check, description=constraint.description)
-            wrapped.expression = constraint.expression
-            base_vec = constraint._vectorized
-            if base_vec is not None:
-                def vectorized(columns: Mapping[str, Any], n: int,
-                               _bv=base_vec, _fx=fixed_values):
-                    full_columns = dict(_fx)
-                    full_columns.update(columns)
-                    return _bv(full_columns, n)
-                wrapped._vectorized = vectorized
-            return wrapped
-
-        reduced_constraints = ConstraintSet(_wrap(c) for c in self._constraints)
+        reduced_constraints = ConstraintSet(c.frozen(fixed_values)
+                                            for c in self._constraints)
         return SearchSpace(kept_params, reduced_constraints,
                            name=name or (self.name + "_reduced" if self.name else "reduced"),
                            memoize_threshold=self.memoize_threshold)
@@ -1180,60 +1175,3 @@ class SearchSpace:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SearchSpace(name={self.name!r}, dimensions={self.dimensions}, "
                 f"cardinality={self.cardinality})")
-
-
-class _LazyColumns(_MappingABC):
-    """Name-indexable view of a digit matrix that gathers value columns on demand.
-
-    Handed to :meth:`ConstraintSet.satisfied_mask` so each batch evaluator only pays
-    the digit->value gather for the parameters its expression actually references;
-    iterating lists every parameter name, so dict-style consumers (e.g. the
-    reduced-space constraint wrappers, which ``update`` a real dict from this view)
-    see the complete column set.
-    """
-
-    __slots__ = ("_space", "_digits", "_cache")
-
-    def __init__(self, space: "SearchSpace", digits: np.ndarray):
-        self._space = space
-        self._digits = digits
-        self._cache: dict[str, np.ndarray] = {}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        column = self._cache.get(name)
-        if column is None:
-            space = self._space
-            j = space._column_of[name]  # KeyError -> missing-parameter semantics
-            column = space._value_columns[j][self._digits[:, j]]
-            self._cache[name] = column
-        return column
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._space.parameter_names)
-
-    def __len__(self) -> int:
-        return len(self._space._parameters)
-
-
-class _LazyConfigs:
-    """Row-indexable view of a digit matrix that builds config dicts on demand.
-
-    Handed to :meth:`ConstraintSet.satisfied_mask` so the scalar fallback for opaque
-    callables sees original Python values without the batch path ever materialising
-    configuration dictionaries for rows it never touches.
-    """
-
-    __slots__ = ("_space", "_digits")
-
-    def __init__(self, space: SearchSpace, digits: np.ndarray):
-        self._space = space
-        self._digits = digits
-
-    def __len__(self) -> int:
-        return self._digits.shape[0]
-
-    def __getitem__(self, i: int) -> Config:
-        row = self._digits[i]
-        return {p.name: values[row[j]]
-                for j, (p, values) in enumerate(zip(self._space._parameters,
-                                                    self._space._value_objects))}

@@ -155,7 +155,7 @@ class KernelBenchmark:
         """
         space = self.space
         if limit is None or space.cardinality <= limit:
-            # Static constraints are resolved by the vectorized mask (via the
+            # Static constraints are resolved by the truth-table mask (via the
             # feasible-index blocks); the survivors go through the launch mask.
             return sum(int(self._launchable(gpu, space.indices_to_digits(block)).sum())
                        for block in space.enumerate_chunked(valid_only=True))

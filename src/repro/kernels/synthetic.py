@@ -3,9 +3,10 @@
 The paper's suite is seven hand-modelled kernels; campaigns that stress the execution
 subsystem (or train/evaluate tuners at scale) want *hundreds* of scenarios.  This
 module mints them: :func:`create_benchmark` generates a complete
-:class:`~repro.kernels.base.KernelBenchmark` -- discrete parameter table, vectorizable
-string constraints, analytical value model with a deterministic failure mode -- from a
-handful of JSON-serializable knobs, deterministically per seed.  Because the factory is
+:class:`~repro.kernels.base.KernelBenchmark` -- discrete parameter table, string
+constraints inside the search space's truth-table cap, analytical value model with
+a deterministic failure mode -- from a handful of JSON-serializable knobs,
+deterministically per seed.  Because the factory is
 a module-level callable with JSON kwargs, a scenario is exactly the *picklable spec*
 the open registry (:func:`repro.core.registry.register_benchmark`) and the
 :mod:`repro.exec` worker contract require: parent and worker processes rebuild the
@@ -247,7 +248,7 @@ def _quantile(sorted_values: Sequence[float], q: float) -> float:
 
 def _generate_constraints(rng: random.Random, parameters: Sequence[Parameter],
                           constraint_density: float) -> list[str]:
-    """Seeded constraint expressions inside the vectorizable subset.
+    """Seeded constraint expressions inside the table cap (each reads <= 2 parameters).
 
     Each constraint keeps a known (seeded) fraction of its parameter pair feasible,
     so densities below ~1 cannot accidentally empty the space.
@@ -305,7 +306,8 @@ def create_benchmark(name: str = "synthetic", family: str = "separable",
         ``[min_radix, max_radix]`` with the scenario's RNG.
     constraint_density:
         Expected constraints per parameter (``round(density * dimensions)`` total),
-        generated from feasibility-preserving vectorizable templates.
+        generated from feasibility-preserving templates over parameter pairs,
+        each inside the search space's truth-table cap.
     failure_rate:
         Fraction of (configuration, device) pairs the failure model rejects.
     seed:

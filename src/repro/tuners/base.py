@@ -138,7 +138,7 @@ class Tuner(abc.ABC):
         it, and charge the budget.
 
         ``valid_hint=True`` is passed by tuners whose candidate already went through
-        the vectorized constraint mask (neighbourhood enumeration, valid sampling,
+        the constraint truth-table mask (neighbourhood enumeration, valid sampling,
         post-repair checks), skipping the redundant static check.  Returns None when
         the budget is exhausted, like :meth:`evaluate`.
         """
@@ -292,7 +292,7 @@ class Tuner(abc.ABC):
 
         This is the batch ``ask`` primitive shared by sampling-style tuners:
         candidate indices are drawn in blocks and run through the space's
-        vectorized constraint mask, so per-candidate Python work only happens for
+        constraint truth-table mask, so per-candidate Python work only happens for
         indices that are actually evaluated.  Candidates are yielded in draw
         order, which keeps the evaluated sequence identical to drawing one index
         at a time with the same generator.

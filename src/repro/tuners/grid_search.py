@@ -55,7 +55,7 @@ class GridSearch(Tuner):
         if self.shuffle:
             order = np.arange(0, space.cardinality, stride, dtype=np.int64)
             rng.shuffle(order)
-        # Validity is resolved one block at a time through the vectorized constraint
+        # Validity is resolved one block at a time through the constraint truth-table
         # mask; the surviving indices feed the evaluation fast path directly (no
         # configuration dictionaries), and blocks never grow far beyond what the
         # remaining budget can evaluate.

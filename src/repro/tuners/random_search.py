@@ -39,7 +39,7 @@ class RandomSearch(Tuner):
 
     def _run(self, problem: TuningProblem, budget: Budget, rng: np.random.Generator) -> None:
         # Candidates come from the base class's batch ``ask`` stream: indices are
-        # drawn in blocks and filtered through the vectorized constraint mask, with
+        # drawn in blocks and filtered through the constraint truth-table mask, with
         # the evaluated sequence identical to the one-draw-at-a-time loop.  The
         # indices go straight into the evaluation fast path (no configuration
         # dictionaries), and the stream ends by itself once the space has clearly

@@ -21,7 +21,8 @@ from repro.kernels import all_benchmarks
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "perf: tier-2 wall-clock smoke checks of the vectorized search-space engine "
+        "perf: tier-2 wall-clock smoke checks of the columnar search-space engine, "
+        "its constraint truth tables and the runtimes built on them "
         "(run in isolation with `pytest -m perf` or scripts/run_perf.sh --smoke)")
 
 

@@ -1,10 +1,11 @@
-"""Equivalence tests for the columnar index engine.
+"""Equivalence tests for the columnar index engine: truth tables vs the scalar path.
 
-The vectorized paths (batch mixed-radix codecs, compiled constraint masks, batched
-sampling, index-arithmetic FFG construction) must be drop-in replacements for the
-scalar implementations: every test here asserts element-wise agreement between the two
-on all registered kernel spaces, the contract the analysis layer's reproducibility
-rests on.
+The batch paths (mixed-radix codecs, constraint truth-table masks, batched sampling,
+index-arithmetic FFG construction) must be drop-in replacements for the scalar
+implementations: every test here asserts element-wise agreement between the two on
+all registered kernel spaces -- over the whole product where it is small enough,
+and on random indices everywhere -- the contract the analysis layer's
+reproducibility rests on.
 """
 
 from __future__ import annotations
@@ -12,12 +13,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.constraints import Constraint, ConstraintSet
-from repro.core.errors import EmptySearchSpaceError
+import repro.core.searchspace as searchspace_module
+from repro.core.constraints import ConstraintSet
+from repro.core.errors import EmptySearchSpaceError, InvalidConfigurationError
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
 from repro.graph.ffg import build_ffg
 from repro.graph.pagerank import pagerank
+
+from constraint_oracle import oracle_mask
 
 KERNEL_NAMES = ("pnpoly", "nbody", "convolution", "gemm", "expdist", "hotspot",
                 "dedispersion")
@@ -62,6 +66,19 @@ class TestBatchCodecs:
             assert type(config[parameter.name]) is type(parameter.values[0])
 
 
+def _whole_product_equals_scalar(space):
+    """Table mask, digit-form mask and scalar lookups over the whole product all
+    equal the per-configuration scalar evaluation."""
+    idx = np.arange(space.cardinality)
+    scalar = [space.constraints.is_satisfied(c) for c in space.configs_at(idx)]
+    mask = space.satisfied_mask(idx)
+    np.testing.assert_array_equal(mask, scalar)
+    np.testing.assert_array_equal(
+        space.satisfied_mask(None, digits=space.indices_to_digits(idx)), scalar)
+    assert [space.index_is_feasible(i) for i in idx.tolist()] == scalar
+    return mask
+
+
 class TestSatisfiedMask:
     def test_mask_agrees_with_scalar_elementwise(self, kernel_space, random_indices):
         mask = kernel_space.satisfied_mask(random_indices)
@@ -70,21 +87,37 @@ class TestSatisfiedMask:
             (kernel_space.constraints.is_satisfied(c) for c in configs),
             dtype=bool, count=N_RANDOM)
         np.testing.assert_array_equal(mask, scalar)
+        np.testing.assert_array_equal(
+            kernel_space.satisfied_mask(
+                None, digits=kernel_space.indices_to_digits(random_indices)), scalar)
 
-    def test_every_kernel_constraint_is_vectorized(self, kernel_space):
-        # The suite's restriction lists all live inside the vectorizable subset; a
-        # regression here silently degrades every hot path to the scalar fallback.
-        for constraint in kernel_space.constraints:
-            assert constraint.is_vectorized, constraint.expression
+    def test_scalar_lookup_agrees_with_mask(self, kernel_space, random_indices):
+        fresh = SearchSpace(kernel_space.parameters, kernel_space.constraints,
+                            memoize_threshold=0)  # no bitmap shortcut
+        assert [fresh.index_is_feasible(i) for i in random_indices.tolist()] == \
+            kernel_space.satisfied_mask(random_indices).tolist()
+
+    @pytest.mark.parametrize("name", ["pnpoly", "nbody", "convolution", "gemm"])
+    def test_whole_product_of_enumerable_kernels(self, name, benchmarks):
+        space = benchmarks[name].space
+        mask = _whole_product_equals_scalar(space)
+        assert space.count_constrained() == int(mask.sum())
+        np.testing.assert_array_equal(space.feasible_indices(), np.flatnonzero(mask))
+
+    def test_every_kernel_constraint_has_a_truth_table(self, kernel_space):
+        # The suite's restriction lists all stay inside the table cap; a
+        # regression here silently degrades every hot path to per-row checks.
+        _, gathers, _, scalar = kernel_space._constraint_tables()
+        assert scalar == ()
+        assert all(table.size <= 1_152 for table, _, _ in gathers)
 
     def test_opaque_callable_falls_back_to_scalar(self):
         space = SearchSpace(
             [Parameter("a", (1, 2, 3, 4)), Parameter("b", (1, 2, 3, 4))],
             ConstraintSet([lambda c: c["a"] * c["b"] <= 6, "a != 3"]))
-        idx = np.arange(space.cardinality)
-        mask = space.satisfied_mask(idx)
-        scalar = [space.constraints.is_satisfied(c) for c in space.configs_at(idx)]
-        np.testing.assert_array_equal(mask, scalar)
+        _whole_product_equals_scalar(space)
+        _, gathers, _, scalar = space._constraint_tables()
+        assert len(gathers) == 1 and scalar == (space.constraints[0],)
 
     def test_division_by_zero_counts_as_violated(self):
         space = SearchSpace(
@@ -108,6 +141,14 @@ class TestSatisfiedMask:
         np.testing.assert_array_equal(mask, scalar)
         assert mask[: space.parameter("y").cardinality].all()
 
+    def test_raising_restriction_is_a_false_cell(self):
+        # 32 % (a // b) raises ZeroDivisionError whenever a < b.
+        space = SearchSpace(
+            [Parameter("a", (1, 2, 4, 8)), Parameter("b", (1, 2, 4))],
+            ConstraintSet(["32 % (a // b) == 0"]))
+        mask = _whole_product_equals_scalar(space)
+        assert not mask[[1, 2, 5]].any()  # (1, 2), (1, 4), (2, 4)
+
     def test_ternary_matches_scalar_including_branch_failures(self):
         # "y % x == 0 if x > 0 else y == 0": the scalar path never evaluates the
         # division on the x == 0 rows, so those rows must not be poisoned.
@@ -118,7 +159,6 @@ class TestSatisfiedMask:
         mask = space.satisfied_mask(idx)
         scalar = [space.constraints.is_satisfied(c) for c in space.configs_at(idx)]
         np.testing.assert_array_equal(mask, scalar)
-        assert space.constraints[0].is_vectorized
 
     def test_ternary_value_branches(self):
         # Ternary producing values (not booleans), consumed by a comparison.
@@ -128,7 +168,6 @@ class TestSatisfiedMask:
         idx = np.arange(space.cardinality)
         scalar = [space.constraints.is_satisfied(c) for c in space.configs_at(idx)]
         np.testing.assert_array_equal(space.satisfied_mask(idx), scalar)
-        assert space.constraints[0].is_vectorized
 
     @pytest.mark.parametrize("expression", [
         "x in (1, 2, 4)",
@@ -141,34 +180,94 @@ class TestSatisfiedMask:
         space = SearchSpace(
             [Parameter("x", (0, 1, 2, 3, 4)), Parameter("y", (0, 2, 4))],
             ConstraintSet([expression]))
-        assert space.constraints[0].is_vectorized, expression
-        idx = np.arange(space.cardinality)
-        scalar = [space.constraints.is_satisfied(c) for c in space.configs_at(idx)]
-        np.testing.assert_array_equal(space.satisfied_mask(idx), scalar)
+        _whole_product_equals_scalar(space)
 
     @pytest.mark.parametrize("expression", [
-        "x in y",              # non-literal container
+        "x in y",              # y is not iterable: raises, so violated
         "x in (1, y)",         # container with a non-constant element
+        "all(v % 2 == 0 for v in (x, y))",  # a comprehension's own name
+        "{0: True, 2: False}.get(y, x > 0)",
     ])
-    def test_unsupported_membership_falls_back_to_scalar(self, expression):
-        constraint = Constraint(expression)
-        assert not constraint.is_vectorized
-        # The scalar fallback still decides validity (here: y is not iterable ->
-        # raises -> violated; the set never becomes silently wrong).
+    def test_any_expression_syntax_matches_scalar(self, expression):
         space = SearchSpace(
             [Parameter("x", (0, 1, 2)), Parameter("y", (0, 2))],
             ConstraintSet([expression]))
-        idx = np.arange(space.cardinality)
-        scalar = [space.constraints.is_satisfied(c) for c in space.configs_at(idx)]
-        np.testing.assert_array_equal(space.satisfied_mask(idx), scalar)
+        _whole_product_equals_scalar(space)
 
-    def test_constraint_compiled_once_at_construction(self):
-        constraint = Constraint("a % b == 0")
-        assert constraint._compiled is not None
-        assert constraint.is_vectorized
-        columns = {"a": np.array([4, 5, 6]), "b": np.array([2, 2, 2])}
-        np.testing.assert_array_equal(
-            constraint.satisfied_mask(columns, 3), [True, False, True])
+    def test_tables_read_only_referenced_columns(self, small_space):
+        _, gathers, _, _ = small_space._constraint_tables()
+        read = {small_space.parameters[j].name
+                for _, columns, _ in gathers for j in columns}
+        assert read == {"block", "tile", "vector"}  # "cache" is never decoded
+
+    def test_tables_over_the_same_columns_are_anded(self):
+        space = SearchSpace(
+            [Parameter("a", (1, 2, 3, 4)), Parameter("b", (1, 2, 3))],
+            ConstraintSet(["a * b <= 6", "a + b != 5", "b > 1"]))
+        _, gathers, lookups, _ = space._constraint_tables()
+        assert [columns for _, columns, _ in gathers] == [(0, 1), (1,)]
+        assert [len(table) for table, _ in lookups] == [12, 3]
+        _whole_product_equals_scalar(space)
+
+    def test_parameter_named_like_a_builtin(self):
+        # The parameter shadows the builtin in the scalar namespace, so
+        # "max(a, 2)" calls an int there (raises, so violated) and the table
+        # must read column "max" to agree.
+        space = SearchSpace(
+            [Parameter("a", (1, 2, 3)), Parameter("max", (0, 5))],
+            ConstraintSet(["max(a, 2) > 2", "a <= max"]))
+        mask = _whole_product_equals_scalar(space)
+        assert not mask.any()
+
+    def test_constant_expression(self):
+        space = SearchSpace([Parameter("a", (1, 2, 3))], ConstraintSet(["1 > 2"]))
+        assert not _whole_product_equals_scalar(space).any()
+        assert space.count_constrained() == 0
+
+    def test_unknown_name_keeps_the_scalar_path_and_raises(self):
+        space = SearchSpace([Parameter("a", (1, 2, 3))],
+                            ConstraintSet(["a < limit"]))
+        _, gathers, _, scalar = space._constraint_tables()
+        assert gathers == [] and len(scalar) == 1
+        with pytest.raises(InvalidConfigurationError, match="missing parameter"):
+            space.satisfied_mask([0])
+        with pytest.raises(InvalidConfigurationError, match="missing parameter"):
+            space.index_is_feasible(0)
+
+    def test_key_error_inside_an_expression_keeps_the_scalar_path(self):
+        # A KeyError surfaces as "missing parameter" from is_satisfied, so no
+        # table can hold the verdict; the rows that hit it still raise.
+        space = SearchSpace([Parameter("a", (1, 2, 3))],
+                            ConstraintSet(["{1: True, 2: False}[a]"]))
+        assert len(space._constraint_tables()[3]) == 1
+        np.testing.assert_array_equal(space.satisfied_mask([0, 1]), [True, False])
+        with pytest.raises(InvalidConfigurationError):
+            space.satisfied_mask([2])
+
+    def test_table_past_the_cap_keeps_the_scalar_path(self, monkeypatch):
+        space = SearchSpace(
+            [Parameter("a", tuple(range(6))), Parameter("b", tuple(range(5))),
+             Parameter("c", (0, 1))],
+            ConstraintSet(["a * b <= 8", "c == 0 or a != b"]))
+        expected = oracle_mask(space, np.arange(space.cardinality))
+        # 30 cells for "a * b <= 8" fit; the 60 of the second restriction do not.
+        monkeypatch.setattr(searchspace_module, "_TABLE_MAX_CELLS", 30)
+        capped = SearchSpace(space.parameters, space.constraints)
+        _, gathers, _, scalar = capped._constraint_tables()
+        assert [columns for _, columns, _ in gathers] == [(0, 1)]
+        assert scalar == (space.constraints[1],)
+        np.testing.assert_array_equal(_whole_product_equals_scalar(capped), expected)
+
+    def test_tables_are_built_once_and_rebuilt_after_add(self):
+        space = SearchSpace(
+            [Parameter("a", (1, 2, 3, 4)), Parameter("b", (1, 2, 3))],
+            ConstraintSet(["a * b <= 6"]))
+        first = space._constraint_tables()
+        assert space._constraint_tables() is first
+        space.constraints.add("a != 1")
+        second = space._constraint_tables()
+        assert second is not first and second[0] == 2
+        _whole_product_equals_scalar(space)
 
 
 class TestSampling:

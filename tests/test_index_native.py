@@ -186,26 +186,15 @@ class TestScalarFeasibilityFastPaths:
                 assert space.index_is_feasible(index) == \
                     space.is_valid(space.config_at(index)), (name, index)
 
-    def test_is_satisfied_fast_matches_is_satisfied(self, benchmarks):
-        rng = np.random.default_rng(13)
-        for name, benchmark in benchmarks.items():
-            space = benchmark.space
-            for index in rng.integers(0, space.cardinality, size=30).tolist():
-                config = space.config_at(index)
-                assert space.constraints.is_satisfied_fast(config) == \
-                    space.constraints.is_satisfied(config), (name, index)
-
     def test_fast_path_with_callable_falls_back(self):
         space = SearchSpace([Parameter("a", (1, 2, 3, 4))],
                             [lambda c: c["a"] != 3])
         assert space.index_is_feasible(0)
         assert not space.index_is_feasible(2)
-        assert space.constraints.is_satisfied_fast({"a": 3}) is False
 
-    def test_fast_path_survives_unconjoinable_expressions(self):
-        # A trailing comment is a valid standalone expression but swallows the
-        # closing paren when parenthesized into the conjunction; the fast path
-        # must fall back to the per-constraint loop instead of crashing.
+    def test_fast_path_survives_trailing_comments(self):
+        # A trailing comment is a valid standalone expression; its truth table
+        # comes from the scalar evaluator like any other.
         space = SearchSpace([Parameter("a", (1, 2, 3, 4))],
                             ["a > 1  # must exceed one"])
         assert not space.index_is_feasible(0)
@@ -218,25 +207,6 @@ class TestScalarFeasibilityFastPaths:
             a = space.sample_one_index(rng=np.random.default_rng(3))
             b = space.sample_one(rng=np.random.default_rng(3))
             assert space.config_at(a) == b, name
-
-
-class TestTiledFeasibilitySweep:
-    def test_range_mask_matches_digit_gather(self, benchmarks):
-        for name, benchmark in benchmarks.items():
-            space = benchmark.space
-            for start, stop in ((0, min(6000, space.cardinality)),
-                                (max(0, space.cardinality - 4000),
-                                 space.cardinality)):
-                tiled = space._feasible_mask_range(start, stop)
-                gathered = space.satisfied_mask(
-                    None, digits=space._digits_for_range(start, stop))
-                assert np.array_equal(tiled, gathered), name
-
-    def test_tiling_skips_unreferenced_columns(self, small_space):
-        referenced = small_space.constraints.referenced_parameters()
-        assert referenced == frozenset({"block", "tile", "vector"})
-        columns = small_space._columns_for_range(0, 24, names=referenced)
-        assert set(columns) == set(referenced)  # "cache" never materialised
 
 
 class TestColumnarCacheLookups:

@@ -1,6 +1,6 @@
 """Tier-2 perf smoke checks (pytest marker ``perf``).
 
-These guard the vectorized search-space engine against silent regressions to scalar
+These guard the columnar search-space engine against silent regressions to scalar
 behaviour: the ceilings are *generous* (an order of magnitude above the engine's
 typical timings on any reasonable machine) so they never flake, yet a fallback to
 per-config Python loops -- which is 50--500x slower on these workloads -- trips them
@@ -404,8 +404,8 @@ def test_exact_constrained_count_gemm_under_ceiling(benchmarks):
     assert count == 17_956  # paper Table VIII
     assert elapsed < COUNT_GEMM_CEILING_S, (
         f"exact GEMM constrained count took {elapsed:.2f}s "
-        f"(ceiling {COUNT_GEMM_CEILING_S}s); the compiled constraint masks have "
-        f"likely regressed to per-config evaluation")
+        f"(ceiling {COUNT_GEMM_CEILING_S}s); the constraint truth-table masks "
+        f"have likely regressed to per-config evaluation")
 
 
 def test_model_batch_gemm_on_four_gpus_under_ceiling(benchmarks, gpus):

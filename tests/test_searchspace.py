@@ -186,6 +186,41 @@ class TestReduction:
             small_space.reduced([])
 
 
+class TestConstraintSetGrowth:
+    """Feasibility must follow ``space.constraints.add(...)`` made after first use."""
+
+    @staticmethod
+    def _space():
+        return SearchSpace([Parameter("a", (1, 2, 3, 4)), Parameter("b", (1, 2, 3))],
+                           ["a * b <= 6"])
+
+    def test_every_feasibility_path_sees_an_added_constraint(self):
+        space = self._space()
+        assert space.count_constrained() == 9  # memoizes the feasible set
+        assert space.index_is_feasible(0)      # builds the bitmap
+        assert 0 in space.neighbor_indices(3).tolist()
+        space.constraints.add("a != 1")
+        assert space.count_constrained() == 6
+        np.testing.assert_array_equal(space.feasible_indices(), [3, 4, 5, 6, 7, 9])
+        assert not space.index_is_feasible(0)
+        assert not space.satisfied_mask([0])[0]
+        assert 0 not in space.neighbor_indices(3).tolist()
+        drawn = space.sample_indices(6, rng=1)
+        assert sorted(drawn.tolist()) == [3, 4, 5, 6, 7, 9]
+        assert space.sample_one_index(rng=np.random.default_rng(0)) >= 3
+        assert all(space.is_valid(c) for c in space.enumerate())
+
+    def test_streaming_paths_see_an_added_constraint(self):
+        space = SearchSpace(self._space().parameters, ["a * b <= 6"],
+                            memoize_threshold=0)
+        assert space.sample_indices(9, rng=0).size == 9
+        space.constraints.add("a != 1")
+        assert space.count_constrained() == 6
+        assert not space.index_is_feasible(0)
+        assert set(space.sample_indices(20, rng=0, unique=False).tolist()) <= \
+            {3, 4, 5, 6, 7, 9}
+
+
 class TestEncoding:
     def test_encode_batch_matches_encode(self, small_space, rng):
         configs = small_space.sample(8, rng=rng)
