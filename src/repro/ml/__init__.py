@@ -13,12 +13,13 @@ subpackage provides the same model family from scratch on NumPy:
   ensemble from per-tree leaf bitmasks rather than one predict per shuffle.
 
 Everything is deterministic given a seed.  The ensemble bins its training matrix
-once and every tree grows over it a level at a time: one ``np.bincount`` fills the
-split histograms of all nodes at a depth, so the NumPy call count scales with tree
-depth, not with nodes times features.  The grower sums in the same order as a
-per-node builder, so predictions, importances and PFI scores are bit-identical to
-it (see :mod:`repro.ml.tree` for the rules).  Non-finite training data is rejected
-with ``ValueError``.
+once into a bin layout and every tree grows over it a level at a time: one
+``np.bincount`` per statistic fills the split histograms of all nodes at a depth
+and one row reduction per node gives its totals, so the NumPy call count scales
+with depth and nodes, not with nodes times features.  The grower sums in the same
+order as a per-node builder, so predictions, importances and PFI scores are
+bit-identical to it (see :mod:`repro.ml.tree` for the rules).  Non-finite training
+data and negative or all-zero sample weights are rejected with ``ValueError``.
 """
 
 from repro.ml.tree import DecisionTreeRegressor

@@ -7,9 +7,10 @@ copy of its predictions to the ensemble -- simple, deterministic given a seed, a
 strong enough on the suite's deterministic campaign data to reach the R^2 regime the
 paper reports (>= 0.99 for most benchmarks).
 
-Without subsampling the training matrix is binned once for the whole ensemble, and
-each stage's update is the value of the leaf every row lands in while its tree
-grows, so no stage re-bins or re-predicts the training data.
+Without subsampling the training matrix is binned once for the whole ensemble, into
+one :class:`~repro.ml.tree.BinLayout` that is dropped when ``fit`` returns, and each
+stage's update is the value of the leaf every row lands in while its tree grows, so
+no stage re-bins or re-predicts the training data.
 
 :meth:`GradientBoostingRegressor.predict_permuted` serves permutation importance
 from per-tree leaf bitmasks instead of one ensemble predict per shuffled column.
@@ -60,12 +61,16 @@ class GradientBoostingRegressor:
             raise ValueError("learning_rate must lie in (0, 1]")
         if not (0.0 < subsample <= 1.0):
             raise ValueError("subsample must lie in (0, 1]")
+        # The trees' own checks and clamps, so that the shared binned matrix uses the
+        # max_bins a tree fitted on a subsample would.
+        tree = DecisionTreeRegressor(max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                                     max_bins=max_bins)
         self.n_estimators = int(n_estimators)
         self.learning_rate = float(learning_rate)
-        self.max_depth = int(max_depth)
+        self.max_depth = tree.max_depth
         self.subsample = float(subsample)
-        self.min_samples_leaf = int(min_samples_leaf)
-        self.max_bins = int(max_bins)
+        self.min_samples_leaf = tree.min_samples_leaf
+        self.max_bins = tree.max_bins
         self.random_state = random_state
 
         self._trees: list[DecisionTreeRegressor] = []
@@ -90,8 +95,9 @@ class GradientBoostingRegressor:
         n = X.shape[0]
         sample_size = max(int(round(self.subsample * n)), 1)
         if self.subsample == 1.0:
-            # Bin edges depend on X only, so every stage shares one binned matrix.
-            binned, edges = bin_features(X, self.max_bins)
+            # Bin edges depend on X only, so every stage shares one layout; it is
+            # local to this call and freed when the fit ends.
+            layout = bin_features(X, self.max_bins)
             weight = np.ones(n)
         for _ in range(self.n_estimators):
             residual = y - prediction
@@ -103,7 +109,7 @@ class GradientBoostingRegressor:
                 tree.fit(X[idx], residual[idx])
                 update = tree.predict(X)
             else:
-                update = tree.grow(binned, edges, residual, weight)
+                update = tree.grow(layout, residual, weight)
             prediction = prediction + self.learning_rate * update
             self._trees.append(tree)
             self.train_score_.append(r2_score(y, prediction))

@@ -7,21 +7,26 @@ each feature to bins once (halfway thresholds between unique values, or quantile
 past ``max_bins``), and the prefix sums of per-bin weight, weighted target and
 weighted squared target give the left/right sums of *every* candidate split at once.
 
-:meth:`DecisionTreeRegressor.grow` builds the tree one depth at a time over the
-binned matrix, with a fixed number of NumPy calls per level rather than per node
-and feature: one ``np.bincount`` fills the three histograms of every splittable
-node of the level, one ``cumsum`` along the bin axis and the variance-reduction
-formula score every (node, feature, bin) candidate, a flat ``argmax`` per node
-picks the split, and a stable sort partitions the rows into the children.
+:meth:`DecisionTreeRegressor.grow` builds the tree one depth at a time over a
+:class:`BinLayout` (codes, edges, split-candidate mask and histogram keys), which an
+ensemble builds once and shares between its trees.  Each level makes a fixed,
+small number of NumPy calls plus one reduction per node: one ``np.take`` gathers
+the level's per-row statistics, one row reduction per node gives its totals, one
+``np.bincount`` per statistic fills the histograms of every splittable node, one
+``cumsum`` along the bin axis and the variance-reduction formula score every
+(node, feature, bin) candidate, a flat ``argmax`` per node picks the split, and a
+stable sort partitions the rows into the children.
 
 The grower reproduces a depth-first per-node, per-feature builder bit for bit
 (``tests/test_ml_golden.py`` pins this), which fixes the order of every sum:
 
 1. Each histogram bucket adds its rows in ascending row order.
-2. Node totals and node values are per-node pairwise ``.sum()`` calls over the
-   node's rows in ascending order (``np.average(t, weights=w)`` is
-   ``(w * t).sum() / w.sum()``); they are never derived from the histograms,
-   which add sequentially.
+2. Node totals and node values are pairwise sums over the node's rows in
+   ascending order, equal to per-node 1-D ``.sum()`` calls
+   (``np.average(t, weights=w)`` is ``(w * t).sum() / w.sum()``); they are never
+   derived from the histograms, which add sequentially.  They are row reductions
+   of a C-contiguous gather (:func:`node_totals`): a strided gather such as
+   ``stats[:, order]`` sums in another order (``tests/test_ml_node_sums.py``).
 3. Candidates past a feature's own last bin are masked explicitly.
 4. The flat first maximum over (feature, bin) breaks ties towards the lowest
    feature, then the lowest bin, and a split must gain more than 1e-12.
@@ -46,6 +51,7 @@ feature j's mask looked up again; permutation importance is built on this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Sequence
 
 import numpy as np
@@ -86,17 +92,68 @@ def check_training_data(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nd
     return X, y
 
 
-def bin_features(X: np.ndarray, max_bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``(binned, edges)``: ``binned[j, i]`` is the bin of sample i in feature j.
+def check_sample_weight(sample_weight: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sample_weight`` as a float vector like ``y``: finite, non-negative, positive sum."""
+    sample_weight = np.asarray(sample_weight, dtype=float).ravel()
+    if sample_weight.shape != y.shape:
+        raise ValueError(f"sample_weight has {sample_weight.size} entries but y "
+                         f"has {y.size}")
+    check_finite("sample_weight", sample_weight)
+    if np.any(sample_weight < 0):
+        raise ValueError("sample_weight contains negative values")
+    if not sample_weight.sum() > 0:
+        raise ValueError("sample_weight must have a positive sum")
+    return sample_weight
+
+
+@dataclass(frozen=True, eq=False)
+class BinLayout:
+    """A training matrix binned for histogram split search, built by :func:`bin_features`.
+
+    Every tree grown on the same matrix reads the same layout, so an ensemble builds
+    it once per fit and drops it when the fit ends.  :meth:`histograms` is the only
+    reader of :attr:`keys`.
+    """
+
+    codes: np.ndarray               # (F, n) bin of sample i in feature f
+    edges: tuple[np.ndarray, ...]   # per feature, the split threshold after each bin
+    width: int                      # bins of the widest feature
+    candidate: np.ndarray           # (F, width - 1) split after bin b of feature f exists
+    keys: np.ndarray                # (F, n) histogram bucket within a slot: codes + f * width
+
+    def spread(self, stats: np.ndarray) -> np.ndarray:
+        """Per-sample statistics ``(s, n)`` repeated for every feature, ``(s, F * n)``,
+        in the order :meth:`histograms` takes them."""
+        return np.tile(stats, (1, len(self.edges)))
+
+    def histograms(self, weights: np.ndarray, slot_of_row: np.ndarray,
+                   n_slots: int) -> np.ndarray:
+        """``(s, n_slots, F, width)`` sums of each spread statistic per (slot, feature, bin).
+
+        Sample i counts in slot ``slot_of_row[i]``.  One ``np.bincount`` per statistic
+        runs over the keys in data order, so each bucket adds its samples in
+        ascending order.
+        """
+        n_features = len(self.edges)
+        stride = n_features * self.width
+        keys = (self.keys + slot_of_row * stride).ravel()
+        size = n_slots * stride
+        hist = np.concatenate([np.bincount(keys, weights=w, minlength=size) for w in weights])
+        return hist.reshape(len(weights), n_slots, n_features, self.width)
+
+
+def bin_features(X: np.ndarray, max_bins: int) -> BinLayout:
+    """The :class:`BinLayout` of ``X``: ``codes[j, i]`` is the bin of sample i in feature j.
 
     ``edges[j][b]`` is the split threshold after bin b: halfway between consecutive
     unique values, or quantiles when feature j has more than ``max_bins`` of them.
-    ``binned`` is feature-major so that gathering a node's rows reads each feature's
+    The codes are feature-major so that gathering a node's rows reads each feature's
     bins contiguously.
     """
-    binned = np.empty(X.shape[::-1], dtype=np.int64)
+    n_features = X.shape[1]
+    codes = np.empty(X.shape[::-1], dtype=np.int64)
     edges = []
-    for j in range(X.shape[1]):
+    for j in range(n_features):
         uniques = np.unique(X[:, j])
         if len(uniques) > max_bins:
             quantiles = np.linspace(0, 100, max_bins + 1)[1:-1]
@@ -104,8 +161,29 @@ def bin_features(X: np.ndarray, max_bins: int) -> tuple[np.ndarray, list[np.ndar
         else:
             feature_edges = (uniques[:-1] + uniques[1:]) / 2.0
         edges.append(feature_edges)
-        binned[j] = np.searchsorted(feature_edges, X[:, j], side="left")
-    return binned, edges
+        codes[j] = np.searchsorted(feature_edges, X[:, j], side="left")
+    n_bins = np.asarray([len(e) + 1 for e in edges], dtype=np.int64)
+    width = int(n_bins.max(initial=1))
+    # Split candidate (feature f, bin b) sends bins <= b left; it exists for
+    # b < n_bins[f] - 1 only, the rest of the padded histogram is masked out.
+    candidate = np.arange(width - 1) < (n_bins - 1)[:, None]
+    keys = codes + (np.arange(n_features) * width)[:, None]
+    return BinLayout(codes, tuple(edges), width, candidate, keys)
+
+
+def node_totals(stats: np.ndarray, order: np.ndarray,
+                bounds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``(level, totals)``: the columns of ``stats`` in ``order``, and their sums per node.
+
+    ``stats`` is ``(s, n)``; node k holds ``level[:, bounds[k]:bounds[k + 1]]`` and
+    ``totals[k, j]`` equals ``stats[j][order][bounds[k]:bounds[k + 1]].sum()`` byte for
+    byte.  ``np.take`` gathers C-contiguous rows, so each row of a node's slice is a
+    contiguous run that NumPy sums pairwise exactly as the 1-D call does;
+    ``stats[:, order]`` gathers into strided rows, whose sums add in another order.
+    """
+    level = np.take(stats, order, axis=1)
+    return level, np.array([level[:, lo:hi].sum(axis=1)
+                            for lo, hi in zip(bounds, bounds[1:])])
 
 
 @dataclass
@@ -145,7 +223,6 @@ class DecisionTreeRegressor:
         self.min_samples_leaf = max(int(min_samples_leaf), 1)
         self.max_bins = max(int(max_bins), 2)
         self._tree: _TreeArrays | None = None
-        self._bin_edges: list[np.ndarray] = []
         self.n_features_: int = 0
         self.feature_gains_: np.ndarray | None = None
 
@@ -158,41 +235,28 @@ class DecisionTreeRegressor:
         if sample_weight is None:
             sample_weight = np.ones_like(y)
         else:
-            sample_weight = np.asarray(sample_weight, dtype=float).ravel()
-            if sample_weight.shape != y.shape:
-                raise ValueError(f"sample_weight has {sample_weight.size} entries but y "
-                                 f"has {y.size}")
-            check_finite("sample_weight", sample_weight)
-        binned, edges = bin_features(X, self.max_bins)
-        self.grow(binned, edges, y, sample_weight)
+            sample_weight = check_sample_weight(sample_weight, y)
+        self.grow(bin_features(X, self.max_bins), y, sample_weight)
         return self
 
-    def grow(self, binned: np.ndarray, edges: list[np.ndarray], y: np.ndarray,
-             sample_weight: np.ndarray) -> np.ndarray:
+    # Weightless nodes and split sides divide by zero; np.where discards those quotients.
+    @np.errstate(divide="ignore", invalid="ignore")
+    def grow(self, layout: BinLayout, y: np.ndarray, sample_weight: np.ndarray) -> np.ndarray:
         """Grow the tree on a matrix binned by :func:`bin_features`, level by level.
 
         Returns the fitted value of every row (the value of the leaf it lands in),
         which equals ``predict`` on the unbinned rows because
         ``searchsorted(edges, x, "left") <= b`` holds exactly when ``x <= edges[b]``.
         """
-        n_features, n = binned.shape
+        n_features, n = layout.codes.shape
         self.n_features_ = n_features
-        self._bin_edges = edges
-        n_bins = np.asarray([len(e) + 1 for e in edges], dtype=np.int64)
-        width = int(n_bins.max(initial=1))
-        # Split candidate (feature f, bin b) sends bins <= b left; it exists for
-        # b < n_bins[f] - 1 only, the rest of the padded histogram is masked out.
-        candidate = np.arange(width - 1) < (n_bins - 1)[:, None]
-        # Histogram bucket of (slot, statistic, feature, bin) is
-        # ``slot * 3 * stride + statistic * stride + feature * width + bin``; the
-        # statistics are w, w*y and w*y*y.  Keys and weights run over the rows in
-        # data order, so each bucket adds its rows in ascending order.
-        stride = n_features * width
-        stat_bucket = binned + (np.arange(3)[:, None, None] * stride
-                                + (np.arange(n_features) * width)[:, None])
-        stats = np.stack((sample_weight, sample_weight * y, sample_weight * y * y))
-        weights = np.broadcast_to(stats[:, None], stat_bucket.shape).ravel()
+        width = layout.width
         min_leaf = self.min_samples_leaf
+        # Per row: weight, weighted target, weighted squared target and target.  The
+        # histograms take the first three, spread over the features once per tree.
+        wy = sample_weight * y
+        stats = np.stack((sample_weight, wy, wy * y, y))
+        weights = layout.spread(stats[:3])
 
         # A leaf tests +inf and has itself as both children, so a walk as long as
         # the deepest leaf's depth leaves every row at its leaf.
@@ -200,104 +264,101 @@ class DecisionTreeRegressor:
         threshold = [np.inf]
         left = [0]
         right = [0]
-        value = [0.0]
+        value: list[float] = []
         credited: dict[int, tuple[int, float]] = {}
         leaf_of_row = np.zeros(n, dtype=np.int64)
 
-        # The frontier is one depth's nodes; ``order`` holds their rows grouped by
-        # node, ascending within each node, so every per-node sum adds the node's
-        # rows in the order they have in the data.
+        # One depth's nodes are numbered ``first`` onwards, in the order of
+        # ``counts``; ``order`` holds their rows grouped by node, ascending within
+        # each node, so every per-node sum adds the node's rows in data order.
         order = np.arange(n)
-        frontier = [0]
-        counts = np.asarray([n])
+        first = 0
+        counts = [n]
         deepest = 0
         for depth in range(self.max_depth + 1):
-            if not frontier:
+            if not counts:
                 break
             deepest = depth
+            n_nodes = len(counts)
+            frontier = np.arange(first, first + n_nodes)
             leaf_of_row[order] = np.repeat(frontier, counts)
-            y_level = y[order]
-            w_level = sample_weight[order]
-            wy_level = w_level * y_level
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            bounds = starts.tolist() + [len(order)]
-            splittable = (depth < self.max_depth) & (counts >= self.min_samples_split)
-            splittable &= (np.minimum.reduceat(y_level, starts)
-                           != np.maximum.reduceat(y_level, starts))
-            totals = []
-            for slot, node in enumerate(frontier):
-                lo, hi = bounds[slot], bounds[slot + 1]
-                total_w = w_level[lo:hi].sum()
-                total_wy = wy_level[lo:hi].sum()
-                value[node] = (float(total_wy / total_w) if total_w > 0
-                               else float(y_level[lo:hi].mean()))
-                if splittable[slot]:
-                    totals.append((total_w, total_wy,
-                                   (wy_level[lo:hi] * y_level[lo:hi]).sum()))
-            if not totals or width < 2:
+            bounds = [0, *accumulate(counts)]
+            level, totals = node_totals(stats, order, bounds)
+            node_w, node_wy, _, node_y = totals.T
+            # ``y.mean()`` of a weightless node is its sum over its row count.
+            value += np.where(node_w > 0, node_wy / node_w, node_y / counts).tolist()
+            if depth == self.max_depth or width < 2:
+                break
+            starts = bounds[:-1]
+            splittable = ((np.asarray(counts) >= self.min_samples_split)
+                          & (np.minimum.reduceat(level[3], starts)
+                             != np.maximum.reduceat(level[3], starts)))
+            n_split = int(np.count_nonzero(splittable))
+            if not n_split:
                 break
 
-            # One bincount over every splittable node of the level; rows of the
-            # other nodes go to a spare slot that is never read.
-            n_split = len(totals)
-            slot_map = np.full(len(frontier), n_split)
+            # The histograms of every splittable node of the level at once; rows of
+            # the other nodes go to a spare slot that is never read.
+            slot_map = np.full(n_nodes, n_split)
             slot_map[splittable] = np.arange(n_split)
-            slots = slot_map[np.repeat(np.arange(len(frontier)), counts)]
+            slots = np.repeat(slot_map, counts)
             slot_of_row = np.full(n, n_split)
             slot_of_row[order] = slots
-            hist = np.bincount((stat_bucket + slot_of_row * (3 * stride)).ravel(),
-                               weights=weights, minlength=(n_split + 1) * 3 * stride)
-            lefts = np.cumsum(hist.reshape(n_split + 1, 3, n_features, width)[:n_split],
-                              axis=3)[..., :-1]
-            totals = np.asarray(totals)[:, :, None, None]
-            side_w, side_wy, side_wyy = np.moveaxis(np.stack((lefts, totals - lefts)), 2, 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sse = side_wyy - np.where(side_w > 0, side_wy ** 2 / side_w, 0.0)
-            total_w, total_wy, total_wyy = np.moveaxis(totals, 1, 0)
+            hist = layout.histograms(weights, slot_of_row, n_split + 1)
+            # sides[s, 0] and sides[s, 1] are the left and right sums of statistic s
+            # for every (node, feature, bin) candidate: prefix sums over the bins,
+            # then the node total minus the left sum.
+            sides = np.empty((3, 2, n_split, n_features, width - 1))
+            np.cumsum(hist[:, :n_split, :, :-1], axis=3, out=sides[:, 0])
+            parent = totals[splittable, :3].T[:, :, None, None]
+            np.subtract(parent, sides[:, 0], out=sides[:, 1])
+            side_w, side_wy, side_wyy = sides
+            sse = side_wyy - np.where(side_w > 0, side_wy ** 2 / side_w, 0.0)
+            total_w, total_wy, total_wyy = parent
             parent_sse = total_wyy - total_wy * total_wy / total_w
-            gain = (parent_sse - (sse[0] + sse[1])).reshape(n_split, -1)
-            valid = (side_w >= min_leaf).all(axis=0) & candidate
-            gain[~valid.reshape(n_split, -1)] = -np.inf
+            gain = parent_sse - (sse[0] + sse[1])
+            valid = (side_w[0] >= min_leaf) & (side_w[1] >= min_leaf) & layout.candidate
+            gain = np.where(valid, gain, -np.inf).reshape(n_split, -1)
             # First maximum over (feature, bin): lowest feature, then lowest bin.
             best = gain.argmax(axis=1)
-            best_gain = gain[np.arange(n_split), best]
+            best_gain = gain.max(axis=1)
             split = best_gain > _MIN_GAIN
             best_feature, best_bin = np.divmod(best, width - 1)
 
-            keep = slots < n_split
-            rows, slots = order[keep], slots[keep]
-            go_right = binned[best_feature[slots], rows] > best_bin[slots]
+            rows = order
+            if n_split < n_nodes:
+                keep = slots < n_split
+                rows, slots = order[keep], slots[keep]
+            go_right = layout.codes[best_feature[slots], rows] > best_bin[slots]
             n_left = np.bincount(slots[~go_right], minlength=n_split)
-            n_right = np.bincount(slots, minlength=n_split) - n_left
-            split_nodes = np.asarray(frontier)[splittable]
-            next_frontier: list[int] = []
-            child_counts: list[int] = []
+            n_right = np.asarray(counts)[splittable] - n_left
+            split_nodes = frontier[splittable].tolist()
+            best_feature, best_bin = best_feature.tolist(), best_bin.tolist()
+            best_gain, n_left, n_right = best_gain.tolist(), n_left.tolist(), n_right.tolist()
+            first += n_nodes
+            counts = []
             for k in np.flatnonzero(split).tolist():
-                node = int(split_nodes[k])
-                f = int(best_feature[k])
+                node = split_nodes[k]
+                f = best_feature[k]
                 # The gain counts even when a child then falls under min_samples_leaf
                 # (weighted sizes passed, row counts did not) and the node stays a leaf.
-                credited[node] = (f, float(best_gain[k]))
+                credited[node] = (f, best_gain[k])
                 if n_left[k] < min_leaf or n_right[k] < min_leaf:
                     split[k] = False
                     continue
+                child = len(feature)
                 feature[node] = f
-                threshold[node] = float(edges[f][best_bin[k]])
-                for side, count in ((left, n_left[k]), (right, n_right[k])):
-                    child = len(feature)
-                    side[node] = child
-                    next_frontier.append(child)
-                    child_counts.append(int(count))
-                    feature.append(_LEAF)
-                    threshold.append(np.inf)
-                    left.append(child)
-                    right.append(child)
-                    value.append(0.0)
+                threshold[node] = float(layout.edges[f][best_bin[k]])
+                left[node] = child
+                right[node] = child + 1
+                feature += (_LEAF, _LEAF)
+                threshold += (np.inf, np.inf)
+                left += (child, child + 1)
+                right += (child, child + 1)
+                counts += (n_left[k], n_right[k])
 
             move = split[slots]
             order = rows[move][np.lexsort((go_right[move], slots[move]))]
-            frontier = next_frontier
-            counts = np.asarray(child_counts, dtype=np.int64)
 
         # Credit split gains in depth-first preorder, the order they are summed in.
         self.feature_gains_ = np.zeros(n_features)

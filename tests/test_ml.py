@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +14,7 @@ from repro.ml.encoding import encode_cache
 from repro.ml.gbdt import GradientBoostingRegressor
 from repro.ml.metrics import mae, r2_score, rmse
 from repro.ml.permutation_importance import permutation_importance
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor, bin_features
 
 
 def _make_regression(n=400, seed=0, noise=0.0):
@@ -118,6 +122,29 @@ class TestDecisionTree:
         with pytest.raises(ValueError, match="sample_weight"):
             DecisionTreeRegressor().fit(X, y, sample_weight=np.ones(49))
 
+    @pytest.mark.parametrize("weights, message", [
+        (np.zeros(50), "positive sum"),
+        (np.r_[np.ones(49), -0.5], "negative"),
+        (np.full(50, -1.0), "negative"),
+    ])
+    def test_bad_sample_weight_rejected(self, weights, message):
+        # All-zero weights used to leak a divide RuntimeWarning; negative weights
+        # were accepted and the fit silently became a single leaf.
+        X, y = _make_regression(n=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                DecisionTreeRegressor().fit(X, y, sample_weight=weights)
+
+    def test_zero_weight_rows_fit_without_warnings(self):
+        X, y = _make_regression(n=60)
+        weights = np.ones_like(y)
+        weights[::3] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = DecisionTreeRegressor(max_depth=6).fit(X, y, sample_weight=weights)
+        assert np.all(np.isfinite(tree.predict(X)))
+
 
 class TestGBDT:
     def test_outperforms_single_tree(self):
@@ -152,6 +179,42 @@ class TestGBDT:
             GradientBoostingRegressor(learning_rate=0.0)
         with pytest.raises(ValueError):
             GradientBoostingRegressor(subsample=1.5)
+
+    def test_tree_parameters_checked_at_construction(self):
+        with pytest.raises(ValueError, match="max_depth"):
+            GradientBoostingRegressor(max_depth=0)
+
+    def test_tree_parameters_clamped_like_a_tree(self):
+        # max_bins=1 used to bin the shared matrix into one bin, so without
+        # subsampling every tree was one node (R^2 0.0), while a subsampled fit's
+        # trees clamped it to 2.
+        X, y = _make_regression()
+        gbdt = GradientBoostingRegressor(n_estimators=10, max_bins=1, min_samples_leaf=0,
+                                         random_state=0)
+        params = gbdt.get_params()
+        assert (params["max_bins"], params["min_samples_leaf"]) == (2, 1)
+        reference = GradientBoostingRegressor(n_estimators=10, max_bins=2,
+                                              random_state=0).fit(X, y)
+        gbdt.fit(X, y)
+        assert gbdt.score(X, y) > 0.5
+        np.testing.assert_array_equal(gbdt.predict(X), reference.predict(X))
+
+    def test_bin_layout_freed_when_fit_ends(self, monkeypatch):
+        from repro.ml import gbdt as gbdt_module
+
+        layouts = []
+
+        def bin_and_watch(X, max_bins):
+            layout = bin_features(X, max_bins)
+            layouts.append(weakref.ref(layout))
+            return layout
+
+        monkeypatch.setattr(gbdt_module, "bin_features", bin_and_watch)
+        X, y = _make_regression(n=100)
+        model = GradientBoostingRegressor(n_estimators=5, random_state=0).fit(X, y)
+        gc.collect()
+        assert len(layouts) == 1 and layouts[0]() is None
+        assert model.score(X, y) > 0.5
 
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):

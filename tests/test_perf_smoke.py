@@ -424,8 +424,8 @@ def test_model_batch_gemm_on_four_gpus_under_ceiling(benchmarks, gpus):
 
 def test_gbdt_surrogate_fits_under_ceiling():
     # Twenty fits at SurrogateSearch's GBDT shape (60 trees, depth 4) on a small
-    # integer matrix, as the surrogate refits during a run.  The level-wise grower
-    # takes about a second and a half; per-node, per-feature split loops take
+    # integer matrix, as the surrogate refits during a run.  On a 2-vCPU host the
+    # level-wise grower takes 0.7--1.0 s; per-node, per-feature split loops take
     # about seven.
     from repro.ml.gbdt import GradientBoostingRegressor
 
