@@ -44,8 +44,8 @@ bit for bit -- a re-add (which records ``evaluation_index = len(cache)``), a for
 gpu, benchmark or ``evaluation_index``, a config spelled ``1.0``/``True`` for ``1`` or
 in another key order, a non-float value, a non-bool ``valid``, a non-string error --
 is also kept verbatim in a sparse ``row -> Observation`` override map, which the
-observation views, :meth:`~EvaluationCache.configs`/:meth:`~EvaluationCache.valid_arrays`
-and :meth:`~EvaluationCache.to_dict` consult; the numeric readers never need to.
+observation views, :meth:`~EvaluationCache.configs` and
+:meth:`~EvaluationCache.to_dict` consult; the numeric and index readers never need to.
 :meth:`~EvaluationCache.to_columnar` refuses a cache exactly when an override row
 carries a foreign ``evaluation_index``, gpu or benchmark, which three columns cannot
 represent.
@@ -522,15 +522,16 @@ class EvaluationCache:
         """Only the successfully measured configurations."""
         return [self._observation_at(row) for row in self._valid_rows()[0].tolist()]
 
-    def valid_arrays(self) -> tuple[list[dict[str, Any]], np.ndarray]:
-        """Configurations and runtimes of the valid entries, in one pass.
+    def valid_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indices, values)`` of the valid entries, in insertion order.
 
-        This is the array-native export the graph layer builds on: the configuration
-        list is aligned with the float runtime vector, ready to be turned into a digit
-        matrix by :meth:`~repro.core.searchspace.SearchSpace.digits_of_configs`.
+        This is the array-native export the graph layer builds on: the ``int64``
+        space indices of the valid rows, aligned with their float runtimes (no
+        configuration dictionaries; ``space.configs_at(indices)`` equals
+        :meth:`configs`).
         """
         rows, values = self._valid_rows()
-        return self._row_configs(rows), values
+        return self._columns.indices[rows], values
 
     @property
     def num_valid(self) -> int:
@@ -615,12 +616,11 @@ class EvaluationCache:
     def to_problem(self, strict: bool = True, memoize: bool = True) -> TuningProblem:
         """A :class:`TuningProblem` that answers evaluations from this cache.
 
-        The problem carries both objective forms: the dictionary ``evaluate_fn``
-        (one :meth:`get`) and the index-native ``evaluate_index_fn`` (one probe of
-        :meth:`index_table`, no dictionary, no hashing of sorted item tuples).  The
-        two are element-wise equivalent by construction -- same values, same
-        miss/failure semantics, same :class:`CacheMissError` message -- so a tuner
-        may drive either path and record identical observations.
+        The problem carries both objective forms: the index-native
+        ``evaluate_index_fn`` (one probe of :meth:`index_table`, no dictionary, no
+        hashing of sorted item tuples) and the dictionary ``evaluate_fn``, which is
+        that probe at ``space.index_of(config)`` -- one lookup path, so a tuner may
+        drive either form and record identical observations.
 
         Parameters
         ----------
@@ -629,17 +629,6 @@ class EvaluationCache:
             :class:`CacheMissError` (and therefore appear as invalid observations).
             If False, missing configurations are treated as invalid silently.
         """
-        def _evaluate(config: Mapping[str, Any]) -> float:
-            obs = self.get(config)
-            if obs is None:
-                if strict:
-                    raise CacheMissError(
-                        f"configuration not present in {self.benchmark}/{self.gpu} cache")
-                return math.inf
-            if obs.is_failure:
-                return math.inf
-            return obs.value
-
         def _evaluate_index(index: int) -> float:
             value, failure, found = self.index_table().lookup_one(index)
             if not found:
@@ -650,6 +639,9 @@ class EvaluationCache:
             if failure:
                 return math.inf
             return value
+
+        def _evaluate(config: Mapping[str, Any]) -> float:
+            return _evaluate_index(self.space.index_of(config))
 
         def _peek_indices(indices: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

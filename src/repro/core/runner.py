@@ -113,7 +113,6 @@ def run_matrix(tuners: Mapping[str, Any], problems: Mapping[str, Any],
         problem objects by hand.
     executor:
         Optional task mapper with a ``map(fn, iterable)`` method (e.g. a
-        :class:`repro.exec.SerialExecutor`, or a
         :class:`concurrent.futures.ThreadPoolExecutor`).  The matrix is partitioned
         *by problem* -- every tuner runs serially against its problem object, so the
         per-problem memoization/reset semantics are exactly those of the serial loop
@@ -156,8 +155,8 @@ def run_matrix(tuners: Mapping[str, Any], problems: Mapping[str, Any],
             raise ReproError(
                 "run_matrix's column runner closes over tuners and problems and "
                 "cannot be shipped to worker processes; use a thread-based or "
-                "in-process mapper (e.g. repro.exec.SerialExecutor or "
-                "concurrent.futures.ThreadPoolExecutor)") from exc
+                "in-process mapper (e.g. concurrent.futures.ThreadPoolExecutor, "
+                "or executor=None)") from exc
     merged: dict[tuple[str, str], TuningResult] = {}
     for column in columns:
         merged.update(column)

@@ -56,16 +56,16 @@ therefore every sampled configuration and everything downstream of a shared gene
 the literature the paper builds on: ``"adjacent"`` (one step up/down in each
 parameter's ordered value list) and ``"hamming"`` (all configurations differing in
 exactly one parameter, the fitness-flow-graph neighbourhood of Schoonhoven et al.).
-Neighbour validity is checked as one mask over the candidate index block.
-
-*Index-native neighbourhood kernels.*  The tuner runtime never builds configuration
-dictionaries inside its hot loop: :meth:`SearchSpace.hamming_neighbors` and
-:meth:`SearchSpace.adjacent_neighbors` compute the whole neighbourhood of a point by
-digit arithmetic (``index + (digit' - digit) * place``) from precomputed per-parameter
-offset tables, filter it through :meth:`satisfied_mask`, and return a raw index array.
-Candidate order is identical to the dictionary-based :meth:`neighbors` (parameters in
-declaration order, digits ascending, current digit skipped), which is what keeps
-index-native local search byte-identical to the seed implementation.
+There is one implementation of each, on indices: :meth:`SearchSpace.hamming_neighbors`
+and :meth:`SearchSpace.adjacent_neighbors` compute the whole neighbourhood of a point
+by digit arithmetic (``index + (digit' - digit) * place``) from precomputed
+per-parameter offset tables, filter it through one :meth:`satisfied_mask` over the
+candidate block, and return a raw index array, so the tuner runtime never builds a
+configuration dictionary inside its hot loop.  Candidates come with parameters in
+declaration order, digits ascending and the current digit skipped -- the order that
+keeps index-native local search byte-identical to the seed implementation.  The
+dictionary form :meth:`SearchSpace.neighbors` is a thin view,
+``configs_at(neighbor_indices(index_of(config)))``.
 :meth:`encode_indices`/:meth:`decode_digits` are the matching index-native forms of
 the ML feature codec.
 """
@@ -342,10 +342,6 @@ class SearchSpace:
         cols = [col[digits[:, j]] for j, col in enumerate(self._value_objects)]
         return [dict(zip(names, row)) for row in zip(*cols)]
 
-    def indices_to_configs(self, indices: Iterable[int]) -> list[Config]:
-        """Vector form of :meth:`config_at` over many indices."""
-        return self.configs_at(np.fromiter((int(i) for i in indices), dtype=np.int64))
-
     # ----------------------------------------------------------------- feasibility
 
     def _constraint_tables(self) -> tuple[int, list, list, tuple[Constraint, ...]]:
@@ -519,11 +515,6 @@ class SearchSpace:
 
     def _iter_feasible_blocks(self, chunk_size: int = _CHUNK) -> Iterator[np.ndarray]:
         """Stream ascending blocks of feasible indices without memoization."""
-        if not len(self._constraints):
-            for start in range(0, self._cardinality, chunk_size):
-                yield np.arange(start, min(start + chunk_size, self._cardinality),
-                                dtype=np.int64)
-            return
         for start in range(0, self._cardinality, chunk_size):
             block = np.arange(start, min(start + chunk_size, self._cardinality),
                               dtype=np.int64)
@@ -787,39 +778,16 @@ class SearchSpace:
             fitness-flow-graph neighbourhood).  ``"adjacent"`` -- only the next
             smaller/larger value of each parameter.
         valid_only:
-            Drop neighbours that violate the constraints (checked as one mask over
-            the whole candidate block).
+            Drop neighbours that violate the constraints.
+
+        A thin view of :meth:`neighbor_indices` at ``index_of(config)``: candidates
+        come in its order (parameters in declaration order, values in declared
+        order, the current value skipped), and every value -- the unchanged ones
+        included -- is the space's declared value, as in every configuration the
+        space returns (``16.0`` passed in for a declared ``16`` comes back as ``16``).
         """
-        self.validate_membership(config)
-        if strategy not in ("hamming", "adjacent"):
-            raise InvalidConfigurationError(
-                f"unknown neighbourhood strategy {strategy!r} (use 'hamming' or 'adjacent')")
-        candidates: list[tuple[str, Any]] = []
-        for p in self._parameters:
-            current = config[p.name]
-            if strategy == "hamming":
-                others = p.all_other_values(current)
-            else:
-                others = p.neighbors(current)
-            candidates.extend((p.name, v) for v in others)
-        if not candidates:
-            return []
-        if valid_only and len(self._constraints):
-            base = self.indices_to_digits([self.index_of(config)])
-            digits = np.repeat(base, len(candidates), axis=0)
-            col_of = {p.name: j for j, p in enumerate(self._parameters)}
-            for row, (name, value) in enumerate(candidates):
-                digits[row, col_of[name]] = self._by_name[name].index_of(value)
-            keep = self.satisfied_mask(None, digits=digits)
-        else:
-            keep = np.ones(len(candidates), dtype=bool)
-        out: list[Config] = []
-        for ok, (name, value) in zip(keep.tolist(), candidates):
-            if ok:
-                neighbor = dict(config)
-                neighbor[name] = value
-                out.append(neighbor)
-        return out
+        return self.configs_at(
+            self.neighbor_indices(self.index_of(config), strategy, valid_only))
 
     def random_neighbor(self, config: Mapping[str, Any], rng: np.random.Generator,
                         strategy: str = "hamming", valid_only: bool = True) -> Config | None:
@@ -862,10 +830,9 @@ class SearchSpace:
         """Indices of all configurations differing from ``index`` in exactly one
         parameter (the fitness-flow-graph neighbourhood), by digit arithmetic.
 
-        Candidate order matches :meth:`neighbors`: parameters in declaration order,
-        replacement digits ascending, the current digit skipped --
-        ``configs_at(hamming_neighbors(i))`` equals ``neighbors(config_at(i))``.
-        No configuration dictionary is ever constructed.
+        Candidates come with parameters in declaration order, replacement digits
+        ascending and the current digit skipped.  No configuration dictionary is
+        ever constructed.
         """
         digits = self.digits_of_index(index)
         keep = self._nb_digit != digits[self._nb_param]
@@ -877,8 +844,8 @@ class SearchSpace:
     def adjacent_neighbors(self, index: int, valid_only: bool = True) -> np.ndarray:
         """Indices one ordered-value step away in each parameter (digit +- 1).
 
-        Candidate order matches :meth:`neighbors` with ``strategy="adjacent"``: per
-        parameter, the smaller value first, then the larger (where they exist).
+        Candidates come per parameter in declaration order, the smaller value
+        first, then the larger (where they exist).
         """
         digits = self.digits_of_index(index)
         down = index - self._places
@@ -896,7 +863,8 @@ class SearchSpace:
 
     def neighbor_indices(self, index: int, strategy: str = "hamming",
                          valid_only: bool = True) -> np.ndarray:
-        """Index-native form of :meth:`neighbors` (dispatches on ``strategy``).
+        """Neighbour indices of ``index`` under ``strategy`` (``"hamming"`` or
+        ``"adjacent"``); :meth:`neighbors` is the dictionary view of this.
 
         Valid-only neighbourhoods are pure functions of the index, so they memoize
         (bounded, reset when the memo fills): iterated local search repeatedly
@@ -1074,7 +1042,12 @@ class SearchSpace:
         if len(vector) != self.dimensions:
             raise InvalidConfigurationError(
                 f"vector has {len(vector)} entries, expected {self.dimensions}")
-        return self._decode_digits_fast(vector)
+        grid, pad, buffer = self._decode_state()
+        np.subtract(grid, np.asarray(vector, dtype=float)[:, None], out=buffer)
+        np.abs(buffer, out=buffer)
+        if pad is not None:
+            buffer[pad] = np.inf
+        return buffer.argmin(axis=1)
 
     def _decode_state(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
         """``(grid, pad, buffer)`` of the scalar decoder, one dictionary probe.
@@ -1090,14 +1063,6 @@ class SearchSpace:
             grid, pad = self._encoded_grid()
             cached = self._dec_state = (grid, pad, np.empty(grid.shape))
         return cached
-
-    def _decode_digits_fast(self, vector: Sequence[float]) -> np.ndarray:
-        grid, pad, buffer = self._decode_state()
-        np.subtract(grid, np.asarray(vector, dtype=float)[:, None], out=buffer)
-        np.abs(buffer, out=buffer)
-        if pad is not None:
-            buffer[pad] = np.inf
-        return buffer.argmin(axis=1)
 
     def decode_digits_batch(self, vectors: np.ndarray) -> np.ndarray:
         """Batch form of :meth:`decode_digits`: ``(n, dimensions)`` feature rows
@@ -1116,10 +1081,7 @@ class SearchSpace:
 
     def decode_index(self, vector: Sequence[float]) -> int:
         """Mixed-radix index of the member configuration nearest to ``vector``."""
-        if len(vector) != self.dimensions:
-            raise InvalidConfigurationError(
-                f"vector has {len(vector)} entries, expected {self.dimensions}")
-        return int(self._decode_digits_fast(vector) @ self._places)
+        return int(self.decode_digits(vector) @ self._places)
 
     def decode_indices(self, vectors: np.ndarray) -> np.ndarray:
         """Batch form of :meth:`decode_index`: nearest-member indices of many

@@ -56,7 +56,6 @@ import heapq
 import itertools
 import multiprocessing as mp
 import time
-from concurrent.futures import ProcessPoolExecutor
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as mp_wait
@@ -192,12 +191,6 @@ class Executor(abc.ABC):
     def _run_shards(self, tasks: list[_ShardTask],
                     on_complete: Callable[[Shard, _Columns], None]) -> None:
         """Evaluate every task, invoking ``on_complete(shard, columns)`` per shard."""
-
-    def map(self, fn: Callable[[Any], Any], iterable: Iterable[Any]) -> list[Any]:
-        """Generic in-process task mapping (usable as the
-        :func:`repro.core.runner.run_matrix` hook; process-pool overrides
-        additionally require ``fn`` and the items to pickle)."""
-        return [fn(item) for item in iterable]
 
     # ----------------------------------------------------------- fault tolerance
 
@@ -828,12 +821,6 @@ class ParallelExecutor(Executor):
         except BaseException:
             flush_and_stop()
             raise
-
-    def map(self, fn, iterable):
-        """Parallel task mapping over the worker pool (``fn`` must pickle)."""
-        with ProcessPoolExecutor(max_workers=self.workers,
-                                 mp_context=self.mp_context) as pool:
-            return list(pool.map(fn, iterable))
 
 
 # ------------------------------------------------------------------- conveniences

@@ -7,17 +7,19 @@ first-improvement local search: from any point, the walk moves to a random impro
 neighbour until it reaches a node with no outgoing edges -- a local minimum.
 
 The graph is built from an :class:`~repro.core.cache.EvaluationCache`: nodes are the
-cache's valid configurations and the neighbourhood is Hamming distance 1 restricted to
-configurations that are themselves present in the cache (for exhaustive caches this is
-the true neighbourhood; for sampled caches it is the induced subgraph, which is how the
-metric degrades gracefully when exhaustive data is unavailable).
+cache's valid rows, identified by their space indices, and the neighbourhood is Hamming
+distance 1 restricted to configurations that are themselves present in the cache (for
+exhaustive caches this is the true neighbourhood; for sampled caches it is the induced
+subgraph, which is how the metric degrades gracefully when exhaustive data is
+unavailable).
 
-Construction is pure index arithmetic: every cached configuration becomes one
-mixed-radix index, and the Hamming-1 neighbours along a parameter are the index plus a
-digit offset times that parameter's place value.  Candidate neighbour indices for *all*
-nodes and all values of a parameter form one ``(n, v)`` matrix that is resolved against
-the sorted node-index table with a single :func:`numpy.searchsorted` -- no per-config
-dictionaries, no Python inner loops.
+Construction is pure index arithmetic on the cache's index column: the Hamming-1
+neighbours of a node along a parameter are its index plus a digit offset times that
+parameter's place value.  Candidate neighbour indices for *all* nodes and all values of
+a parameter form one ``(n, v)`` matrix that is resolved against the sorted node-index
+table with a single :func:`numpy.searchsorted` -- no configuration dictionaries, no
+Python inner loops.  Callers that want a node's configuration read
+``space.configs_at(graph.indices)``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.cache import EvaluationCache
-from repro.core.errors import InvalidConfigurationError, ReproError
-from repro.core.searchspace import config_key
+from repro.core.errors import ReproError
 
 __all__ = ["FitnessFlowGraph", "build_ffg"]
 
@@ -46,15 +47,16 @@ class FitnessFlowGraph:
         directed edge from node ``i`` to its strictly-better neighbour ``j``.
     fitness:
         Runtime of each node (lower is better).
-    configs:
-        The configuration dictionary of each node.
+    indices:
+        The space index of each node (``int64``); ``space.configs_at(indices)`` are
+        the node configurations.
     benchmark / gpu:
         Provenance of the underlying cache.
     """
 
     adjacency: sparse.csr_matrix
     fitness: np.ndarray
-    configs: list[dict[str, Any]]
+    indices: np.ndarray
     benchmark: str = ""
     gpu: str = ""
 
@@ -97,13 +99,12 @@ class FitnessFlowGraph:
         return minima[self.fitness[minima] <= threshold]
 
 
-def _edges_vectorized(space: Any, configs: list[dict[str, Any]],
-                      fitness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _edges(space: Any, node_index: np.ndarray,
+           fitness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Improvement edges by digit-offset arithmetic against a sorted index table."""
-    n = len(configs)
-    digits = space.digits_of_configs(configs)
+    n = node_index.size
+    digits = space.indices_to_digits(node_index)
     places = np.asarray(space.place_values, dtype=np.int64)
-    node_index = space.digits_to_indices(digits)
 
     order = np.argsort(node_index, kind="stable")
     sorted_index = node_index[order]
@@ -130,62 +131,19 @@ def _edges_vectorized(space: Any, configs: list[dict[str, Any]],
     return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
-def _edges_scalar(space: Any, configs: list[dict[str, Any]],
-                  fitness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reference hash-map construction (kept for caches whose configurations are not
-    members of the space's Cartesian product, and as the benchmark baseline)."""
-    index_of = {config_key(c): i for i, c in enumerate(configs)}
-    rows: list[int] = []
-    cols: list[int] = []
-    for i, config in enumerate(configs):
-        fi = fitness[i]
-        for parameter in space.parameters:
-            current = config[parameter.name]
-            for other in parameter.all_other_values(current):
-                neighbor = dict(config)
-                neighbor[parameter.name] = other
-                j = index_of.get(config_key(neighbor))
-                if j is not None and fitness[j] < fi:
-                    rows.append(i)
-                    cols.append(j)
-    return np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-
-
-def build_ffg(cache: EvaluationCache, method: str = "auto") -> FitnessFlowGraph:
+def build_ffg(cache: EvaluationCache) -> FitnessFlowGraph:
     """Build the fitness flow graph of a campaign cache.
 
-    Parameters
-    ----------
-    cache:
-        The campaign data (valid entries become nodes).
-    method:
-        ``"vector"`` -- digit-offset index arithmetic (the default path);
-        ``"scalar"`` -- the hash-map reference construction;
-        ``"auto"`` -- vectorized, falling back to scalar when the cache holds
-        configurations outside the space's Cartesian product.
-
-    Complexity of the vectorized path is one ``(n, v)`` index block and one sorted
-    lookup per parameter; the scalar path is ``O(n * d * v)`` dictionary probes.
-    Both produce the identical edge set.
+    The valid rows of ``cache`` become the nodes, in insertion order, identified by
+    their space indices (:meth:`~repro.core.cache.EvaluationCache.valid_arrays`).
+    Edges cost one ``(n, v)`` index block and one sorted lookup per parameter.
     """
-    if method not in ("auto", "vector", "scalar"):
-        raise ReproError(f"unknown FFG build method {method!r}")
-    configs, fitness = cache.valid_arrays()
-    if not configs:
+    indices, fitness = cache.valid_arrays()
+    if not indices.size:
         raise ReproError(f"cache {cache.benchmark}/{cache.gpu} has no valid entries")
-
-    if method == "scalar":
-        rows, cols = _edges_scalar(cache.space, configs, fitness)
-    else:
-        try:
-            rows, cols = _edges_vectorized(cache.space, configs, fitness)
-        except InvalidConfigurationError:
-            if method == "vector":
-                raise
-            rows, cols = _edges_scalar(cache.space, configs, fitness)
-
-    n = len(configs)
+    rows, cols = _edges(cache.space, indices, fitness)
+    n = indices.size
     adjacency = sparse.csr_matrix(
         (np.ones(len(rows), dtype=np.float64), (rows, cols)), shape=(n, n))
-    return FitnessFlowGraph(adjacency=adjacency, fitness=fitness, configs=configs,
+    return FitnessFlowGraph(adjacency=adjacency, fitness=fitness, indices=indices,
                             benchmark=cache.benchmark, gpu=cache.gpu)

@@ -107,8 +107,9 @@ class OracleCache:
     def configs(self, valid_only: bool = True) -> list[dict[str, Any]]:
         return [dict(o.config) for o in self._selected(valid_only)]
 
-    def valid_arrays(self) -> tuple[list[dict[str, Any]], np.ndarray]:
-        return self.configs(), self.values()
+    def valid_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        indices = [self.space.index_of(o.config) for o in self.valid_observations()]
+        return np.array(indices, dtype=np.int64), self.values()
 
     def _nonempty(self) -> list[Observation]:
         valid = self.valid_observations()

@@ -171,12 +171,15 @@ class TestReaders:
 
     def test_valid_arrays(self, pair):
         mapped, reference = pair
-        configs, values = mapped.valid_arrays()
-        ref_configs, ref_values = reference.valid_arrays()
-        assert [list(c.items()) for c in configs] == [list(c.items())
-                                                      for c in ref_configs]
-        assert all(type(c) is dict for c in configs)
+        indices, values = mapped.valid_arrays()
+        ref_indices, ref_values = reference.valid_arrays()
+        assert same_array(indices, ref_indices)
         assert same_array(values, ref_values)
+        configs = mapped.configs()
+        assert [list(c.items()) for c in configs] == [list(c.items())
+                                                      for c in reference.configs()]
+        assert all(type(c) is dict for c in configs)
+        assert mapped.space.configs_at(indices) == configs
 
     def test_to_dict(self, pair):
         mapped, reference = pair
@@ -201,8 +204,9 @@ class TestReaders:
         assert same_observation(mapped.worst(), max(valid, key=lambda o: o.value))
         X, _ = mapped.to_feature_matrix()
         assert same_array(X, reference.space.encode_batch([o.config for o in valid]))
-        configs, _ = mapped.valid_arrays()
-        assert configs == [dict(o.config) for o in valid]
+        indices, _ = mapped.valid_arrays()
+        assert indices.tolist() == [reference.space.index_of(o.config) for o in valid]
+        assert mapped.configs() == [dict(o.config) for o in valid]
 
 
 class TestGet:

@@ -138,11 +138,13 @@ class TestCampaignExports:
 
     def test_valid_arrays(self, pair):
         loaded, reference = pair
-        configs, values = loaded.valid_arrays()
-        ref_configs, ref_values = reference.valid_arrays()
-        assert [list(c.items()) for c in configs] == [list(c.items())
-                                                      for c in ref_configs]
+        indices, values = loaded.valid_arrays()
+        ref_indices, ref_values = reference.valid_arrays()
+        assert same_array(indices, ref_indices)
         assert same_array(values, ref_values)
+        configs = loaded.configs()
+        assert [list(c.items()) for c in configs] == [list(c.items())
+                                                      for c in reference.configs()]
 
     def test_get(self, pair):
         loaded, reference = pair

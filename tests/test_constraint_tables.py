@@ -1,11 +1,10 @@
 """Equivalence tests for the columnar index engine: truth tables vs the scalar path.
 
-The batch paths (mixed-radix codecs, constraint truth-table masks, batched sampling,
-index-arithmetic FFG construction) must be drop-in replacements for the scalar
-implementations: every test here asserts element-wise agreement between the two on
-all registered kernel spaces -- over the whole product where it is small enough,
-and on random indices everywhere -- the contract the analysis layer's
-reproducibility rests on.
+The batch paths (mixed-radix codecs, constraint truth-table masks, batched sampling)
+must be drop-in replacements for the scalar implementations: every test here asserts
+element-wise agreement between the two on all registered kernel spaces -- over the
+whole product where it is small enough, and on random indices everywhere -- the
+contract the analysis layer's reproducibility rests on.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from repro.core.constraints import ConstraintSet
 from repro.core.errors import EmptySearchSpaceError, InvalidConfigurationError
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
-from repro.graph.ffg import build_ffg
-from repro.graph.pagerank import pagerank
 
 from constraint_oracle import oracle_mask
 
@@ -334,20 +331,3 @@ class TestSampling:
         space.feasible_indices()
         with pytest.raises(EmptySearchSpaceError, match="feasible fraction"):
             space.sample(5, rng=0, valid_only=True, unique=True)
-
-
-class TestVectorizedFFG:
-    def test_vector_and_scalar_builds_are_identical(self, benchmarks, gpu_3090):
-        cache = benchmarks["pnpoly"].build_cache(gpu_3090, sample_size=600, seed=11)
-        vec = build_ffg(cache, method="vector")
-        scalar = build_ffg(cache, method="scalar")
-        assert vec.num_nodes == scalar.num_nodes
-        assert vec.num_edges == scalar.num_edges
-        assert (vec.adjacency != scalar.adjacency).nnz == 0
-        np.testing.assert_array_equal(vec.fitness, scalar.fitness)
-
-    def test_pagerank_accepts_raw_csr_arrays(self, benchmarks, gpu_3090):
-        cache = benchmarks["nbody"].build_cache(gpu_3090, sample_size=400, seed=5)
-        graph = build_ffg(cache)
-        np.testing.assert_allclose(pagerank(graph.csr_arrays()),
-                                   pagerank(graph.adjacency), atol=1e-12)

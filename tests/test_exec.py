@@ -484,25 +484,22 @@ class TestRunMatrixExecutorHook:
         return run_matrix(tuners, problems, max_evaluations=40, seed=3,
                           executor=executor)
 
-    def test_serial_executor_hook_matches_inline(self, pnpoly, gpu_3090):
-        inline = self._matrix(pnpoly, gpu_3090, executor=None)
-        hooked = self._matrix(pnpoly, gpu_3090, executor=SerialExecutor())
-        assert list(inline) == list(hooked)
-        for key in inline:
-            assert inline[key].best_value == hooked[key].best_value
-            assert [o.config for o in inline[key]] == [o.config for o in hooked[key]]
-
     def test_thread_pool_executor_hook_matches_inline(self, pnpoly, gpu_3090):
         from concurrent.futures import ThreadPoolExecutor
 
         inline = self._matrix(pnpoly, gpu_3090, executor=None)
         with ThreadPoolExecutor(max_workers=2) as pool:
             hooked = self._matrix(pnpoly, gpu_3090, executor=pool)
+        assert list(inline) == list(hooked)
         for key in inline:
             assert inline[key].best_value == hooked[key].best_value
+            assert [o.config for o in inline[key]] == [o.config for o in hooked[key]]
 
     def test_process_pool_mapper_fails_loudly(self, pnpoly, gpu_3090):
         # The column runner closes over unpicklable problems; a process-pool
         # mapper must produce an actionable error, not a raw pickling traceback.
+        from concurrent.futures import ProcessPoolExecutor
+
         with pytest.raises(ReproError, match="thread-based or in-process"):
-            self._matrix(pnpoly, gpu_3090, executor=ParallelExecutor(workers=2))
+            with ProcessPoolExecutor(max_workers=2) as pool:
+                self._matrix(pnpoly, gpu_3090, executor=pool)

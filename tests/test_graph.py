@@ -1,4 +1,9 @@
-"""Tests of the fitness flow graph, PageRank and the proportion-of-centrality metric."""
+"""Tests of the fitness flow graph, PageRank and the proportion-of-centrality metric.
+
+``TestFFGOracle`` is the differential suite of the index-native graph construction:
+edge sets, fitness and node indices against the dictionary hash-map construction in
+``tests/neighbor_oracle.py``.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +19,8 @@ from repro.core.searchspace import SearchSpace
 from repro.graph.centrality import proportion_of_centrality
 from repro.graph.ffg import build_ffg
 from repro.graph.pagerank import pagerank
+
+from neighbor_oracle import oracle_ffg
 
 
 def _line_cache(values):
@@ -54,9 +61,10 @@ class TestFitnessFlowGraph:
             return 10.0 + x + y
         cache = _grid_cache(fitness, nx_=5, ny=5)
         ffg = build_ffg(cache)
-        minima_configs = {tuple(sorted(ffg.configs[i].items())) for i in ffg.local_minima()}
+        minima_configs = {tuple(sorted(c.items()))
+                          for c in cache.space.configs_at(ffg.indices[ffg.local_minima()])}
         assert minima_configs == {(("x", 0), ("y", 0)), (("x", 3), ("y", 3))}
-        assert ffg.configs[ffg.global_optimum()] == {"x": 0, "y": 0}
+        assert cache.space.config_at(ffg.indices[ffg.global_optimum()]) == {"x": 0, "y": 0}
 
     def test_edges_point_downhill(self):
         cache = _grid_cache(lambda x, y: (x - 2) ** 2 + (y - 3) ** 2)
@@ -69,7 +77,7 @@ class TestFitnessFlowGraph:
         ffg = build_ffg(cache)
         minima = ffg.local_minima()
         assert len(minima) == 1
-        assert ffg.configs[minima[0]] == {"x": 2, "y": 3}
+        assert cache.space.configs_at(ffg.indices[minima]) == [{"x": 2, "y": 3}]
 
     def test_minima_within_band(self):
         # Same two-basin grid as above, with the secondary minimum only 5% worse.
@@ -95,6 +103,85 @@ class TestFitnessFlowGraph:
         cache.add({"x": 0}, float("inf"), valid=False)
         ffg = build_ffg(cache)
         assert ffg.num_nodes == 2
+
+
+FIG3_SCENARIOS = [(name, gpu) for name in ("gemm", "convolution", "pnpoly")
+                  for gpu in ("RTX_3090", "RTX_2080_Ti")]
+
+
+def assert_matches_oracle(cache):
+    """``build_ffg(cache)`` against the hash-map construction over the valid rows."""
+    graph = build_ffg(cache)
+    valid = cache.valid_observations()
+    configs = [dict(o.config) for o in valid]
+    fitness = np.array([o.value for o in valid], dtype=float)
+    rows, cols = graph.adjacency.nonzero()
+    assert set(zip(rows.tolist(), cols.tolist())) == oracle_ffg(cache.space, configs,
+                                                                 fitness)
+    np.testing.assert_array_equal(graph.fitness, fitness)
+    assert graph.indices.dtype == np.int64
+    np.testing.assert_array_equal(graph.indices,
+                                  [cache.space.index_of(c) for c in configs])
+    assert cache.space.configs_at(graph.indices) == cache.configs()
+    return graph
+
+
+@pytest.fixture(scope="module")
+def fig3_caches(benchmarks, gpus):
+    return {(name, gpu): benchmarks[name].build_cache(gpus[gpu], seed=2023)
+            for name, gpu in FIG3_SCENARIOS}
+
+
+class TestFFGOracle:
+    @pytest.mark.parametrize("scenario", FIG3_SCENARIOS,
+                             ids=["@".join(s) for s in FIG3_SCENARIOS])
+    def test_fig3_caches(self, fig3_caches, scenario):
+        cache = fig3_caches[scenario]
+        assert cache.exhaustive
+        assert assert_matches_oracle(cache).num_edges > 0
+
+    def test_sampled_hotspot_cache(self, benchmarks, gpu_3090):
+        cache = benchmarks["hotspot"].build_cache(gpu_3090, sample_size=2000, seed=1)
+        assert_matches_oracle(cache)
+
+    def test_failed_and_override_rows(self, benchmarks, gpu_3090):
+        # Columns attached by build_cache, then rewritten row by row: re-adds
+        # (override rows), a value spelled as a float, valid rows turned into
+        # failures, a failure turned valid, and appended rows.
+        cache = benchmarks["pnpoly"].build_cache(gpu_3090, sample_size=600, seed=11)
+        space = cache.space
+        observations = cache.observations
+        for obs in observations[:40:4]:
+            cache.add(dict(obs.config), obs.value * 0.5 if obs.valid else 1.0)
+        for obs in observations[1:40:4]:
+            cache.add(dict(obs.config), float("inf"), valid=False, error="launch failed")
+        spelled = dict(observations[2].config)
+        name = space.parameters[0].name
+        spelled[name] = float(spelled[name])
+        cache.add(spelled, 1e-3)
+        stored = {space.index_of(o.config) for o in observations}
+        fresh = [i for i in space.sample_indices(50, rng=3, valid_only=True, unique=True)
+                 .tolist() if i not in stored]
+        for k, index in enumerate(fresh):
+            cache.add(space.config_at(index), 0.1 + k * 1e-3)
+        assert cache.num_invalid >= 10
+        assert_matches_oracle(cache)
+
+    def test_one_value_parameter(self):
+        space = SearchSpace([Parameter("x", tuple(range(6))), Parameter("fixed", (7,)),
+                             Parameter("y", (1, 2, 4))], ["x != y"], name="narrow")
+        cache = EvaluationCache("narrow", "SIM", space, exhaustive=True)
+        rng = np.random.default_rng(5)
+        for config in space.enumerate():
+            cache.add(config, float(rng.integers(1, 6)))
+        graph = assert_matches_oracle(cache)
+        assert graph.num_nodes == len(cache)
+
+    def test_pagerank_accepts_raw_csr_arrays(self, benchmarks, gpu_3090):
+        cache = benchmarks["nbody"].build_cache(gpu_3090, sample_size=400, seed=5)
+        graph = build_ffg(cache)
+        np.testing.assert_allclose(pagerank(graph.csr_arrays()),
+                                   pagerank(graph.adjacency), atol=1e-12)
 
 
 class TestPageRank:

@@ -46,6 +46,8 @@ from repro.tuners import (
     SurrogateSearch,
 )
 
+from neighbor_oracle import oracle_neighbors
+
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trajectories.json.gz"
 
 GOLDEN_TUNERS = {
@@ -159,10 +161,12 @@ class TestNeighborhoodKernels:
                 for valid_only in (True, False):
                     got = space.neighbor_indices(index, strategy=strategy,
                                                  valid_only=valid_only)
-                    expected = space.neighbors(space.config_at(index),
-                                               strategy=strategy,
-                                               valid_only=valid_only)
+                    config = space.config_at(index)
+                    expected = oracle_neighbors(space, config, strategy=strategy,
+                                                valid_only=valid_only)
                     assert space.configs_at(got) == expected, (name, index)
+                    assert space.neighbors(config, strategy=strategy,
+                                           valid_only=valid_only) == expected
 
     def test_neighbor_memo_returns_consistent_arrays(self, small_space):
         a = small_space.neighbor_indices(5, strategy="hamming")

@@ -55,8 +55,8 @@ class TestIndexing:
         with pytest.raises(InvalidConfigurationError):
             small_space.config_at(-1)
 
-    def test_indices_to_configs(self, small_space):
-        configs = small_space.indices_to_configs([0, 1, 2])
+    def test_configs_at(self, small_space):
+        configs = small_space.configs_at([0, 1, 2])
         assert len(configs) == 3
         assert configs[0] != configs[1]
 
@@ -157,6 +157,18 @@ class TestNeighborhoods:
         config = small_space.default_configuration()
         with pytest.raises(InvalidConfigurationError):
             small_space.neighbors(config, strategy="bogus")
+
+    def test_non_member_raises(self, small_space):
+        with pytest.raises(InvalidConfigurationError):
+            small_space.neighbors({"block": 48, "tile": 2, "vector": 2, "cache": 0})
+
+    def test_neighbors_carry_declared_values(self):
+        # Every value comes back as the space declares it, the unchanged ones too.
+        space = SearchSpace([Parameter("a", (8, 16, 32)), Parameter("b", (1, 2))])
+        neighbors = space.neighbors({"b": 1, "a": 16.0})
+        assert neighbors == [{"a": 8, "b": 1}, {"a": 32, "b": 1}, {"a": 16, "b": 2}]
+        assert [type(n["a"]) for n in neighbors] == [int, int, int]
+        assert [list(n) for n in neighbors] == [["a", "b"]] * 3
 
     def test_random_neighbor(self, small_space, rng):
         config = {"block": 64, "tile": 2, "vector": 2, "cache": 0}
