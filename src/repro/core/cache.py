@@ -67,9 +67,13 @@ Two on-disk formats carry a cache, with one compatibility guarantee between them
   diffable, byte-deterministic, and frozen: nothing in this module changes a single
   byte of it.  :meth:`EvaluationCache.iter_json` renders exactly the bytes of
   ``json.dumps(to_dict())`` straight from the columns, in row chunks, for the
-  streamed export.  :meth:`EvaluationCache.from_dict` adopts a campaign-shaped payload
-  (what an executor's cache exports) as columns in a few list passes and inserts
-  any other payload one row at a time, override rows included, so either way the
+  streamed export, from one table of per-value fragments (:func:`_json_row_parts`).
+  :meth:`EvaluationCache.from_json_text` is its inverse: it reads text exactly as
+  the writer renders a cache without override rows (every campaign export) back
+  against the same fragments into adopted columns, without a generic JSON parse
+  of the rows, and returns None for any other text.  That text is parsed with
+  :func:`json.loads` and inserted one row at a time by
+  :meth:`EvaluationCache.from_dict`, override rows included, so either way the
   cache re-exports the bytes it was loaded from.
 * **Columnar** (:mod:`repro.io.columnar`, :meth:`EvaluationCache.to_columnar` /
   :meth:`~EvaluationCache.from_columnar`) is the *performance* format: fixed-width
@@ -88,7 +92,6 @@ from __future__ import annotations
 import json
 import math
 from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -123,56 +126,166 @@ def _first_repeat(indices: np.ndarray) -> int:
     return int(later.min())
 
 
-def _campaign_columns(rows: Any, space: SearchSpace, benchmark: str, gpu: str
-                      ) -> tuple[np.ndarray, list[float], np.ndarray, list[str]] | None:
-    """``(indices, values, codes, errors)`` of campaign-shaped JSON rows, else None.
+#: What the JSON reader splits row text on.  In :meth:`EvaluationCache.iter_json`
+#: text it separates a row's fields and config entries.  A quote inside a JSON
+#: string is escaped, so the only other place it occurs is where a string ends
+#: in ``, `` and its closing quote follows -- text the reader's tables never
+#: match, so such a file falls back to the per-row load.
+_SEP = ', "'
+#: Text that opens a JSON row and joins its config to its value.
+_ROW_OPEN, _VALUE_KEY = '{"config": {', '}, "value": '
+#: Where the reader cuts the rows of an export into chunks: a row's start.
+_ROW_CUT = ", " + _ROW_OPEN + '"'
+#: Characters of row text per reader chunk.  It bounds the reader's token
+#: lists: at this size the reader's traced peak stays below that of the text read
+#: itself, and larger chunks read no faster.
+_JSON_READ_CHUNK_CHARS = 1 << 19
+#: The text between a cache's JSON header and its first row.
+_OBSERVATIONS = ', "observations": ['
+#: The keys of a JSON header, in the order :meth:`EvaluationCache._header` writes.
+_HEADER_KEYS = ["benchmark", "gpu", "exhaustive", "metadata", "space"]
 
-    Campaign-shaped means: row ``i`` carries ``evaluation_index == i`` and this
-    cache's ``gpu``/``benchmark``; its config names the space's parameters in
-    space order; every config value is a space value *of the same type* (``1.0``
-    or ``True`` where the space holds ``1`` would re-export differently; a
-    parameter mixing value types therefore never qualifies); and every
-    ``error`` is a string.  Fields default exactly as in
-    :meth:`Observation.from_dict`.  Any other payload -- malformed rows included
-    -- returns None, so the caller's per-row path keeps its behaviour and its
-    errors.  Repeated configurations are left to
-    :meth:`EvaluationCache.attach_columns`, which refuses them.
+
+def _json_row_parts(space: SearchSpace, gpu: Any, benchmark: Any
+                    ) -> tuple[list[list[str]], str]:
+    """``(entries, tail)``: the fragments every JSON row of a cache is made of.
+
+    ``entries[j][digit]`` is parameter ``j``'s ``"name": value`` text for each
+    space value, and ``tail`` closes a row with its gpu and benchmark.  A row
+    is ``_ROW_OPEN``, the entries joined by ``", "``, ``_VALUE_KEY``, the value,
+    :func:`_json_status`, ``str(row)`` and ``tail``: :meth:`EvaluationCache.iter_json`
+    renders rows from these fragments and :meth:`EvaluationCache.from_json_text`
+    reads them back against the same ones.
     """
-    from repro.io.columnar import encode_failure_codes
+    entries = [[json.dumps({p.name: v})[1:-1] for v in p.values]
+               for p in space.parameters]
+    return entries, f', "gpu": {json.dumps(gpu)}, "benchmark": {json.dumps(benchmark)}}}'
 
-    if type(rows) is not list or not rows or set(map(type, rows)) != {dict}:
-        return None
-    n = len(rows)
-    names = space.parameter_names
-    if ([od.get("evaluation_index", -1) for od in rows] != list(range(n))
-            or [od.get("gpu", "") for od in rows].count(gpu) != n
-            or [od.get("benchmark", "") for od in rows].count(benchmark) != n):
-        return None
-    configs = [od.get("config") for od in rows]
-    if (set(map(type, configs)) != {dict}
-            or list(map(tuple, configs)).count(names) != n):
-        return None
-    digits = np.empty((n, len(names)), dtype=np.int64)
-    for j, p in enumerate(space.parameters):
-        column = list(map(itemgetter(p.name), configs))
-        try:
-            digits[:, j] = p.digits_of(column)
-        except (InvalidConfigurationError, TypeError):  # not a value, or unhashable
-            return None
-        kinds = set(map(type, p.values))
-        if len(kinds) != 1 or set(map(type, column)) != kinds:
-            return None
-    errors = [od.get("error", "") for od in rows]
-    if set(map(type, errors)) != {str}:
-        return None
+
+def _json_status(valid: bool, error: Any) -> str:
+    """A JSON row's text between its value and its ``evaluation_index``."""
+    return (f', "valid": {"true" if valid else "false"}, "error": '
+            f'{json.dumps(error)}, "evaluation_index": ')
+
+
+def _refuse_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _json_row_columns(text: str, start: int, end: int, space: SearchSpace,
+                      gpu: Any, benchmark: Any
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]] | None:
+    """``(indices, values, codes, errors)`` of the JSON rows ``text[start:end]``
+    when they are exactly what :meth:`EvaluationCache.iter_json` renders for a
+    cache without override rows (a value may be any JSON number), else None.
+
+    The rows are read in chunks of about :data:`_JSON_READ_CHUNK_CHARS`, cut
+    where a row starts.  A chunk split on :data:`_SEP` has ``k + 5`` tokens per
+    row (``k`` parameters; a row's benchmark and the next row's first entry
+    share one), so a strided slice gives each field.  Config tokens map to
+    digits through dicts of the writer's fragments; the values of a chunk are
+    one :func:`json.loads` of a list (``null`` is inf; ``NaN``/``Infinity`` and
+    non-float elements are refused); a ``"valid"`` token must be the writer's
+    ``true`` or ``false``, and each distinct ``"error"`` token is parsed once
+    and must re-render to its text; ``evaluation_index`` must be the row and
+    gpu/benchmark this cache's.  Every token is checked where it stands, so the
+    chunk is the writer's text for the rows it returns.
+    """
     try:
-        values = [math.inf if v is None else float(v)
-                  for v in [od.get("value") for od in rows]]
-    except (TypeError, ValueError, OverflowError):
+        entries, tail = _json_row_parts(space, gpu, benchmark)
+        for p, texts in zip(space.parameters, entries):
+            # Only values JSON reads back as themselves (type included) qualify.
+            back = [json.loads("{" + t + "}")[p.name] for t in texts]
+            if list(map(type, back)) != list(map(type, p.values)) or back != list(p.values):
+                return None
+    except (TypeError, ValueError, KeyError):
         return None
-    valid = [bool(od.get("valid", True)) for od in rows]
-    codes, table = encode_failure_codes(valid, errors)
-    return space.digits_to_indices(digits), values, codes, table
+    k = len(entries)
+    tail_parts = tail.split(_SEP)
+    if len(tail_parts) != 3:
+        return None  # a gpu or benchmark name ending in ", "
+    # The writer's fragments as the tokens a split on _SEP leaves of them.
+    _, gpu_token, last_token = tail_parts
+    close, value_key = _VALUE_KEY.split(_SEP)
+    _, true_text, _, eval_key = _json_status(True, "").split(_SEP)
+    false_text = _json_status(False, "").split(_SEP)[1]
+    tokens_of = [[t[1:] for t in texts] for texts in entries]  # _SEP eats the quote
+    tokens_of[0] = [_ROW_OPEN + t for t in entries[0]]
+    tokens_of[-1] = [t + close for t in tokens_of[-1]]
+    tables = [{t: d for d, t in enumerate(texts)} for texts in tokens_of]
+    # A row's benchmark token carries the next row's first entry.
+    joined = {last_token + ", " + t: d for t, d in tables[0].items()}
+    stride = k + 5
+    errors: list[str] = []
+    slot_of: dict[str, int] = {}  # error token -> slot in errors
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    row, pos = 0, start
+    while pos < end:
+        cut = text.find(_ROW_CUT, min(pos + _JSON_READ_CHUNK_CHARS, end), end)
+        cut = end if cut < 0 else cut
+        tokens = text[pos:cut].split(_SEP)
+        pos = cut + 2
+        m, rest = divmod(len(tokens) - 1, stride)
+        if rest or not m or tokens[-1] != last_token:
+            return None
+        digits = np.empty((k, m), dtype=np.int64)
+        try:
+            digits[0, 0] = tables[0][tokens[0]]
+            digits[0, 1:] = np.fromiter(map(joined.__getitem__, tokens[stride:-1:stride]),
+                                        dtype=np.int64, count=m - 1)
+            for j in range(1, k):
+                digits[j] = np.fromiter(map(tables[j].__getitem__, tokens[j::stride]),
+                                        dtype=np.int64, count=m)
+        except KeyError:
+            return None
+        # Tokens hold no _SEP, so _SEP-joined lists are equal exactly when the
+        # lists are: one string comparison instead of one per row.
+        if (tokens[k + 4::stride].count(gpu_token) != m
+                or _SEP.join(tokens[k + 3::stride])
+                != eval_key + (_SEP + eval_key).join(map(str, range(row, row + m)))):
+            return None
+        # Likewise each value token starts with the key exactly when the joined
+        # text does and holds m - 1 separators followed by it.
+        value_text = _SEP.join(tokens[k::stride])
+        if (not value_text.startswith(value_key)
+                or value_text.count(_SEP + value_key) != m - 1):
+            return None
+        try:
+            parsed = json.loads(
+                "[" + value_text[len(value_key):].replace(_SEP + value_key, ", ") + "]",
+                parse_constant=_refuse_constant)
+        except ValueError:
+            return None
+        if len(parsed) != m or not set(map(type, parsed)) <= {float, type(None)}:
+            return None
+        values = np.array(parsed, dtype=float)
+        values[np.isnan(values)] = math.inf  # null: NaN itself was refused above
+        flags = tokens[k + 1::stride]
+        valid = np.fromiter(map(true_text.__eq__, flags), dtype=bool, count=m)
+        if flags.count(false_text) != m - int(np.count_nonzero(valid)):
+            return None
+        error_texts = tokens[k + 2::stride]
+        for error_text in dict.fromkeys(error_texts):
+            if error_text in slot_of:
+                continue
+            try:
+                error = json.loads(error_text.partition('": ')[2])
+            except ValueError:
+                return None
+            if (type(error) is not str or _json_status(True, error)
+                    != _SEP + true_text + _SEP + error_text + _SEP + eval_key):
+                return None
+            slot_of[error_text] = len(errors)
+            errors.append(error)
+        slots = np.fromiter(map(slot_of.__getitem__, error_texts), dtype=np.int32, count=m)
+        codes = np.where(valid, -slots - 1, slots).astype(np.int32)
+        blocks.append((space.digits_to_indices(digits.T), values, codes))
+        row += m
+    if not blocks:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=float),
+                np.empty(0, dtype=np.int32), errors)
+    indices, values, codes = map(np.concatenate, zip(*blocks))
+    return indices, values, codes, errors
 
 
 def _first_occurrence_codes(codes: np.ndarray, errors: list[Any]
@@ -712,7 +825,8 @@ class EvaluationCache:
         with :func:`json.dumps` (so escaping and ``ensure_ascii`` match), and a
         row is a gather of those fragments on its digits, its value
         (``float.__repr__``, or ``null`` when not finite), ``str(row)`` and a
-        constant gpu/benchmark tail.  Override rows are
+        constant gpu/benchmark tail (:func:`_json_row_parts`, which
+        :meth:`from_json_text` reads rows back against).  Override rows are
         ``json.dumps(obs.to_dict())``.  Joining the chunks gives exactly the
         bytes of ``json.dumps(self.to_dict())``; a value :func:`json.dumps`
         refuses raises its ``TypeError``/``ValueError`` from the chunk that
@@ -726,20 +840,16 @@ class EvaluationCache:
         if n:
             # fragments[j][digit]: parameter j's text, with the row's opening and
             # the value's key folded into the first and last parameter.
-            fragments = [[json.dumps({p.name: v})[1:-1] for v in p.values]
-                         for p in self.space.parameters]
-            fragments[0] = ['{"config": {' + text for text in fragments[0]]
+            fragments, tail = _json_row_parts(self.space, self.gpu, self.benchmark)
+            fragments[0] = [_ROW_OPEN + text for text in fragments[0]]
             fragments[1:] = [[", " + text for text in frags] for frags in fragments[1:]]
-            fragments[-1] = [text + '}, "value": ' for text in fragments[-1]]
+            fragments[-1] = [text + _VALUE_KEY for text in fragments[-1]]
             # status[code + len(errors)]: the valid flag and error of a used code.
             errors = columns.errors
             status: list[str | None] = [None] * (2 * len(errors))
             for code in np.unique(codes[:n]).tolist():
-                status[code + len(errors)] = (
-                    f', "valid": {"true" if code < 0 else "false"}, "error": '
-                    f'{json.dumps(errors[-code - 1 if code < 0 else code])}, '
-                    f'"evaluation_index": ')
-            tail = f', "gpu": {json.dumps(self.gpu)}, "benchmark": {json.dumps(self.benchmark)}}}'
+                status[code + len(errors)] = _json_status(
+                    code < 0, errors[-code - 1 if code < 0 else code])
             overrides = self._overrides
             for lo in range(0, n, _JSON_CHUNK_ROWS):
                 hi = min(lo + _JSON_CHUNK_ROWS, n)
@@ -762,48 +872,94 @@ class EvaluationCache:
         yield "]}"
 
     @classmethod
+    def from_json_text(cls, text: str, space: SearchSpace | None = None,
+                       envelope: tuple[str, str] = ("", "")
+                       ) -> "EvaluationCache | None":
+        """The inverse of :meth:`iter_json`: the cache ``text`` renders, or None.
+
+        ``text`` is the cache's JSON text between ``envelope[0]`` and
+        ``envelope[1]`` (what :func:`repro.io.cachefile.save_cache` wraps it in).
+        When that text is exactly what :meth:`iter_json` renders for a cache
+        without override rows -- a value may be any JSON number -- the cache is
+        returned with its columns adopted (:meth:`attach_columns`), without a
+        dict or an :class:`Observation` per row.  Any other text (a re-added or
+        repeated config, foreign rows, another spelling or key order) returns
+        None; parsed as JSON and inserted by :meth:`from_dict`, it gives the
+        same cache.  The header must re-render to the same text, and the rows
+        are read against the writer's fragments (:func:`_json_row_columns`).
+        ``space`` may be supplied to reuse an existing space object.
+        """
+        prefix, suffix = envelope
+        end = len(text) - len(suffix) - len("]}")
+        mark = text.find(_OBSERVATIONS, len(prefix))
+        if (mark < 0 or mark + len(_OBSERVATIONS) > end or not text.startswith(prefix)
+                or not text.endswith("]}" + suffix)):
+            return None
+        head = text[len(prefix):mark] + "}"
+        try:
+            header = json.loads(head)
+        except ValueError:
+            return None
+        if (type(header) is not dict or list(header) != _HEADER_KEYS
+                or type(header["exhaustive"]) is not bool
+                or type(header["metadata"]) is not dict or json.dumps(header) != head):
+            return None
+        if space is None:
+            try:
+                space = SearchSpace.from_dict(header["space"])
+            except (ReproError, TypeError, KeyError, AttributeError, ValueError):
+                return None  # the caller's fallback reports it
+        cache = cls(benchmark=header["benchmark"], gpu=header["gpu"], space=space,
+                    exhaustive=header["exhaustive"])
+        cache.metadata.update(header["metadata"])
+        columns = _json_row_columns(text, mark + len(_OBSERVATIONS), end, space,
+                                    cache.gpu, cache.benchmark)
+        if columns is None:
+            return None
+        try:
+            cache.attach_columns(*columns)
+        except FragmentIntegrityError:
+            return None  # a configuration repeats: the per-row path keeps the last
+        return cache
+
+    @classmethod
     def from_dict(cls, data: Mapping[str, Any],
                   space: SearchSpace | None = None) -> "EvaluationCache":
-        """Inverse of :meth:`to_dict`.
+        """Inverse of :meth:`to_dict`, one row at a time.
 
         ``space`` may be supplied to reuse an existing space object (e.g. one that
         carries callable constraints which do not survive JSON round-trips).
-
-        Campaign-shaped observations -- what :meth:`to_dict` writes for an
-        executor's cache: row ``i`` has ``evaluation_index == i``, this cache's
-        gpu and benchmark, a config of exactly the space's parameters (in space
-        order, with values of the space's own types), a string error and no
-        repeated configuration -- are decoded in a few list passes into index,
-        value and failure-code columns and adopted with :meth:`attach_columns`.
-        Every other payload (a re-added config, foreign rows, values that only
-        compare equal to the space's, a repeated config) is inserted one
-        :class:`Observation` at a time through :meth:`add_observation`, which
-        keeps what the columns cannot re-decode as override rows.  Either way the
-        cache re-exports byte-identical JSON.  A row whose config lies outside the
-        space (a missing or unknown parameter, a value the parameter does not
-        allow) is refused with :class:`~repro.core.errors.SerializationError`
-        naming the row.
+        Each observation goes through :meth:`add_observation`, which keeps what
+        the columns cannot re-decode (a re-added config, foreign rows, values
+        that only compare equal to the space's) as override rows; a repeated
+        configuration keeps its last row.  The cache re-exports byte-identical
+        JSON.  (:meth:`from_json_text` reads campaign exports faster.)  A
+        payload that is not a cache, a malformed row (no ``"config"``, a value
+        that is not a number, ...) and a config outside the space are refused
+        with :class:`~repro.core.errors.SerializationError`, naming the row
+        where there is one.
         """
-        if space is None:
-            space = SearchSpace.from_dict(data["space"])
-        cache = cls(benchmark=data["benchmark"], gpu=data["gpu"], space=space,
-                    exhaustive=bool(data.get("exhaustive", False)))
-        cache.metadata.update(data.get("metadata", {}))
-        rows = data.get("observations", ())
-        columns = _campaign_columns(rows, space, cache.benchmark, cache.gpu)
-        if columns is not None:
-            try:
-                cache.attach_columns(*columns)
-                return cache
-            except FragmentIntegrityError:
-                pass  # a configuration repeats: insert row by row, last one wins
-        for k, od in enumerate(rows):
+        try:
+            if space is None:
+                space = SearchSpace.from_dict(data["space"])
+            cache = cls(benchmark=data["benchmark"], gpu=data["gpu"], space=space,
+                        exhaustive=bool(data.get("exhaustive", False)))
+            cache.metadata.update(data.get("metadata", {}))
+            rows = enumerate(data.get("observations", ()))
+        except (TypeError, KeyError, AttributeError, ValueError) as exc:
+            raise SerializationError(
+                f"not a cache payload ({type(exc).__name__}: {exc})") from None
+        for k, od in rows:
             try:
                 cache.add_observation(Observation.from_dict(od))
             except InvalidConfigurationError as exc:
                 raise SerializationError(
                     f"cache {cache.benchmark}/{cache.gpu}: observation {k} is "
                     f"outside the search space ({exc})") from None
+            except (TypeError, KeyError, AttributeError, ValueError) as exc:
+                raise SerializationError(
+                    f"cache {cache.benchmark}/{cache.gpu}: observation {k} is "
+                    f"malformed ({type(exc).__name__}: {exc})") from None
         return cache
 
     # ------------------------------------------------------- columnar serialization

@@ -55,6 +55,7 @@ import abc
 import heapq
 import itertools
 import multiprocessing as mp
+import os
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -116,6 +117,15 @@ Progress = Callable[[str], None] | ShardProgressReporter
 
 #: One shard's ``(values, codes, errors)``, as ``evaluate_indices`` returns them.
 _Columns = tuple[np.ndarray, np.ndarray, list[str]]
+
+
+def _usable_cores() -> int:
+    """The number of CPUs this process may run on: its affinity mask where the
+    platform has one, else :func:`os.cpu_count`."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -564,7 +574,9 @@ class ParallelExecutor(Executor):
     Parameters
     ----------
     workers:
-        Pool size (the paper-scale campaign saturates at ~#physical-cores).
+        Pool size (the paper-scale campaign saturates at ~#physical-cores).  A
+        run that would start more workers than this process has usable cores
+        says so in one progress line; the count is kept as given.
     memoize_threshold:
         See :class:`Executor`; forwarded to worker initializers.
     workload_overrides:
@@ -669,6 +681,10 @@ class ParallelExecutor(Executor):
     def _run_shards(self, tasks, on_complete):
         benchmark_specs = self._check_registry_resolvable(tasks)
         ctx = self.mp_context if self.mp_context is not None else mp.get_context()
+        slots, cores = min(self.workers, len(tasks)), _usable_cores()
+        if slots > cores:
+            self._note(f"{slots} worker processes on {cores} usable core(s): they "
+                       f"time-share the cores, so fewer workers may finish sooner")
 
         def spawn(slot: int) -> _ShardWorker:
             return _ShardWorker(ctx, slot, self.memoize_threshold,

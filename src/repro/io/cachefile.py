@@ -14,6 +14,11 @@ Exports are streamed and byte-pinned: :func:`save_cache` renders the text of
 cache's columns in row chunks (:meth:`~repro.core.cache.EvaluationCache.iter_json`)
 and feeds them through one gzip writer, so no payload dict, whole string or
 in-memory gzip buffer is built, yet the file holds exactly those bytes.
+:func:`load_cache` reads such a file back as that method's inverse
+(:meth:`~repro.core.cache.EvaluationCache.from_json_text`): the text is read once
+(shared with :func:`read_json`) and the rows are matched against the writer's own
+fragments, so a campaign export is never parsed as generic JSON.  Any other
+cache file is parsed with :func:`json.loads` and loaded one row at a time.
 
 The module also provides the low-level persistence primitives the campaign-execution
 subsystem (:mod:`repro.exec`) builds on:
@@ -134,35 +139,46 @@ def atomic_write_json(payload: Any, path: str | Path) -> Path:
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
-def read_json(path: str | Path) -> Any:
-    """Read a JSON payload written by :func:`atomic_write_json`.
+def _read_text(path: Path) -> str:
+    """The text of a JSON file, read once and gunzipped when it is gzip.
 
-    Compression is detected by content, not by suffix: the first two bytes are
-    sniffed for the gzip magic (``1f 8b``), so a gzipped file with a wrong or
-    odd-cased extension still reads correctly instead of dying with a misleading
-    decode error.  A file whose ``.gz`` suffix *promises* gzip but whose bytes
-    are not raises a :class:`SerializationError` naming the mismatch, and so
-    does a damaged file: a truncated or corrupt gzip stream, bytes that are not
-    UTF-8, or text that is not JSON.
+    Compression is detected by content (the gzip magic ``1f 8b``), not by
+    suffix; a ``.gz`` file that is not gzip, a truncated or corrupt gzip stream
+    and bytes that are not UTF-8 raise :class:`SerializationError`.
     """
-    path = Path(path)
     try:
-        with open(path, "rb") as handle:
-            magic = handle.read(len(_GZIP_MAGIC))
-        gzipped = magic == _GZIP_MAGIC
+        data = path.read_bytes()
+        gzipped = data[:len(_GZIP_MAGIC)] == _GZIP_MAGIC
         if path.suffix.lower() == ".gz" and not gzipped:
             raise SerializationError(
                 f"{path} has a .gz suffix but does not start with the gzip "
-                f"magic bytes (found {magic!r}); the file is mislabelled or "
-                f"was damaged on disk")
+                f"magic bytes (found {data[:len(_GZIP_MAGIC)]!r}); the file is "
+                f"mislabelled or was damaged on disk")
         if gzipped:
-            with gzip.open(path, "rt", encoding="utf-8") as handle:
-                return json.load(handle)
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, EOFError, zlib.error, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+            data = gzip.decompress(data)
+        return data.decode("utf-8")
+    except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
         raise SerializationError(f"could not read {path}: {exc}") from exc
+
+
+def _parse_json(text: str, path: Path) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SerializationError(f"could not read {path}: {exc}") from exc
+
+
+def read_json(path: str | Path) -> Any:
+    """Read a JSON payload written by :func:`atomic_write_json`.
+
+    The file is read as text the way :func:`load_cache` reads it -- once, with
+    gzip detected by its magic bytes, so a gzipped file with a wrong or
+    odd-cased extension still reads -- and parsed with :func:`json.loads`.  A
+    damaged file (see :func:`_read_text`) or text that is not JSON raises
+    :class:`SerializationError`.
+    """
+    path = Path(path)
+    return _parse_json(_read_text(path), path)
 
 
 def _expect_payload(payload: Any, path: Path, key: str, version_key: str,
@@ -180,6 +196,10 @@ def _expect_payload(payload: Any, path: Path, key: str, version_key: str,
 # ---------------------------------------------------------------------- cache files
 
 
+#: The text :func:`save_cache` writes around a cache's JSON text.
+_CACHE_ENVELOPE = (f'{{"format_version": {FORMAT_VERSION}, "cache": ', "}")
+
+
 def save_cache(cache: EvaluationCache, path: str | Path) -> Path:
     """Write a campaign cache to ``path`` (gzip-compressed when it ends in ``.gz``).
 
@@ -191,30 +211,30 @@ def save_cache(cache: EvaluationCache, path: str | Path) -> Path:
     byte-deterministic.  Returns the path written.
     """
     path = Path(path)
-    texts = chain([f'{{"format_version": {FORMAT_VERSION}, "cache": '],
-                  cache.iter_json(), ["}"])
+    texts = chain([_CACHE_ENVELOPE[0]], cache.iter_json(), [_CACHE_ENVELOPE[1]])
     return atomic_write_chunks(path, map(str.encode, texts), compress=path.suffix == ".gz")
 
 
 def load_cache(path: str | Path, space: SearchSpace | None = None) -> EvaluationCache:
     """Read a campaign cache written by :func:`save_cache`.
 
-    A campaign-shaped file -- what :func:`save_cache` writes for an executor's
-    cache: row ``i`` with ``evaluation_index == i``, the cache's gpu and
-    benchmark, configs of exactly the space's parameters and value types, string
-    errors, no repeated configuration -- loads straight into adopted index,
-    value and failure-code columns (see
-    :meth:`~repro.core.cache.EvaluationCache.from_dict`), so replays and the
-    statistics readers never build one observation per row.  Any other file (a
+    The file is read once as text (gzip sniffed as :func:`read_json` does).
+    Every campaign export -- the text :func:`save_cache` writes for a cache
+    without override rows -- is read back against the writer's own fragments
+    (:meth:`~repro.core.cache.EvaluationCache.from_json_text`) into adopted
+    columns, with no generic JSON parse of the rows.  Any other file (a
     re-added config, foreign rows, ``1.0`` or ``true`` where the space holds
-    ``1``) is stored one :class:`~repro.core.result.Observation` at a time,
-    because the columns cannot represent it.  Either way the loaded cache
-    re-saves to the same bytes.
+    ``1``, other whitespace or key order) is parsed with :func:`json.loads` and
+    stored one row at a time
+    (:meth:`~repro.core.cache.EvaluationCache.from_dict`).  Either way the
+    loaded cache re-saves to the same bytes.  A damaged file, the wrong format
+    version, a payload that is not a cache, a malformed row or a config outside
+    the space raises :class:`SerializationError` naming the file (and the row).
 
     Parameters
     ----------
     path:
-        File to read (gzip-compressed when it ends in ``.gz``).
+        File to read (gzip detected by content; a ``.gz`` file must be gzip).
     space:
         Optional live search space to attach instead of the serialized one.  Supply it
         to keep callable constraints, which JSON cannot represent -- without it they
@@ -222,9 +242,17 @@ def load_cache(path: str | Path, space: SearchSpace | None = None) -> Evaluation
         :class:`~repro.core.constraints.ConstraintSerializationWarning`.
     """
     path = Path(path)
-    payload = _expect_payload(read_json(path), path, "cache", "format_version",
+    text = _read_text(path)
+    cache = EvaluationCache.from_json_text(text, space=space, envelope=_CACHE_ENVELOPE)
+    if cache is not None:
+        return cache
+    payload = _expect_payload(_parse_json(text, path), path, "cache", "format_version",
                               FORMAT_VERSION)
-    return EvaluationCache.from_dict(payload["cache"], space=space)
+    del text
+    try:
+        return EvaluationCache.from_dict(payload["cache"], space=space)
+    except SerializationError as exc:
+        raise SerializationError(f"{path}: {exc}") from None
 
 
 # ----------------------------------------------------------------------- manifests

@@ -12,9 +12,11 @@ under test:
   per-row oracle built one :class:`Observation` at a time;
 * every payload the columns alone cannot represent (a re-added config, foreign
   rows, a repeated config, values that only compare equal to the space's, a
-  config in another key order, a non-string error, a parameter mixing value
-  types) is inserted row by row and loads equal to that oracle;
-* a row whose config lies outside the space is refused, naming the row.
+  config in another key order, a non-string error) is inserted row by row and
+  loads equal to that oracle, and so does an export of a parameter mixing
+  value types;
+* a row whose config lies outside the space is refused, naming the row, and a
+  payload that is not a cache (or a malformed row) is refused naming the file.
 
 The oracle (:func:`oracle`) is the scalar witness:
 :class:`cache_oracle.OracleCache`, ``Observation.from_dict`` plus
@@ -271,6 +273,38 @@ def test_config_outside_the_space_is_refused(toy, tmp_path, case):
         load_cache(path)
     with pytest.raises(SerializationError, match="observation 1 "):
         EvaluationCache.from_dict(payload["cache"])
+
+
+def _set_row(rows, value):
+    rows[1] = value
+
+
+#: Edits that leave a payload that is not a cache, and the row each one names.
+MALFORMED = {
+    "cache is a list": (lambda payload: payload.update(cache=[]), None),
+    "no space key": (lambda payload: payload["cache"].pop("space"), None),
+    "observations is a number": (
+        lambda payload: payload["cache"].update(observations=5), None),
+    "row is not a dict": (
+        lambda payload: _set_row(payload["cache"]["observations"], 5), 1),
+    "value is not a number": (
+        lambda payload: payload["cache"]["observations"][1].update(value="abc"), 1),
+    "row without a config": (
+        lambda payload: payload["cache"]["observations"][1].pop("config"), 1),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_payload_is_refused_naming_the_file(toy, tmp_path, case):
+    payload = payload_of(toy)
+    edit, row = MALFORMED[case]
+    edit(payload)
+    path = atomic_write_json(payload, tmp_path / "malformed.json.gz")
+    with pytest.raises(SerializationError) as raised:
+        load_cache(path)
+    assert str(path) in str(raised.value)
+    if row is not None:
+        assert f"observation {row} " in str(raised.value)
 
 
 class TestCampaignShapedEdges:

@@ -8,7 +8,9 @@ Both the plain and the gzipped file must equal it byte for byte, and the file
 must parse back to ``to_dict()`` -- for random caches (override rows, NaN and
 infinite values, non-ASCII/quoted/backslash strings, string, bool and float
 parameter values, any chunking), for the empty cache, for row counts around the
-chunk boundary, and for the 14 paper caches.
+chunk boundary, and for the 14 paper caches.  Each paper export also loads
+back through the text reader (:meth:`EvaluationCache.from_json_text`, never the
+per-row fallback) equal to the per-row oracle and re-saves its own bytes.
 """
 
 from __future__ import annotations
@@ -163,3 +165,22 @@ def paper_caches(benchmarks, gpus):
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=["@".join(s) for s in SCENARIOS])
 def test_paper_caches_export_like_json_dumps(paper_caches, scenario, tmp_path):
     assert_exports_match(paper_caches[scenario], tmp_path)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=["@".join(s) for s in SCENARIOS])
+def test_paper_exports_load_through_the_text_reader(paper_caches, scenario, tmp_path):
+    # load_cache reads every paper export back against the writer's fragments
+    # (EvaluationCache.from_json_text); the per-row fallback must not run.
+    from cache_oracle import OracleCache
+    from repro.io.cachefile import load_cache
+
+    path = save_cache(paper_caches[scenario], tmp_path / "cache.json.gz")
+    with mock.patch.object(EvaluationCache, "from_dict",
+                           side_effect=AssertionError("fell back to from_dict")):
+        loaded = load_cache(path)
+    with gzip.open(path, "rt", encoding="utf-8") as handle:
+        reference = OracleCache.from_payload(json.load(handle)["cache"])
+    assert json.dumps(loaded.to_dict()) == json.dumps(reference.to_dict())
+    assert loaded.values(valid_only=False).tobytes() == reference.values(
+        valid_only=False).tobytes()
+    assert save_cache(loaded, tmp_path / "again.json.gz").read_bytes() == path.read_bytes()

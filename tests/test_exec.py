@@ -172,6 +172,36 @@ class TestParallelExecutor:
         with pytest.raises(ReproError):
             ParallelExecutor(workers=0)
 
+    @pytest.mark.parametrize("cores, affinity, noted", [
+        (1, True, True),     # two workers on one core in the affinity mask
+        (2, True, False),    # as many cores as workers
+        (1, False, True),    # no affinity API: os.cpu_count() is read instead
+    ])
+    def test_notes_more_workers_than_cores(self, benchmarks, gpus, monkeypatch,
+                                           cores, affinity, noted):
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cores)), raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        planner = ShardPlanner({"hotspot": benchmarks["hotspot"]},
+                               {"RTX_3090": gpus["RTX_3090"]}, sample_size=8,
+                               seed=5, shard_size=4)
+        lines: list[str] = []
+        executor = ParallelExecutor(workers=2)
+        parallel = executor.run(planner.plan(), benchmarks=planner.benchmarks,
+                                gpus=planner.gpus, progress=lines.append)
+        notes = [line for line in lines if "usable core" in line]
+        assert notes == ([f"2 worker processes on {cores} usable core(s): they "
+                          f"time-share the cores, so fewer workers may finish "
+                          f"sooner"] if noted else [])
+        assert executor.workers == 2  # warned about, not clamped
+        serial = SerialExecutor().run(planner.plan(), benchmarks=planner.benchmarks,
+                                      gpus=planner.gpus)
+        key = ("hotspot", "RTX_3090")
+        assert cache_bytes(parallel[key]) == cache_bytes(serial[key])
+
 
 class _MustNotEvaluate(SerialExecutor):
     """Executor that fails the test if any shard actually needs evaluating."""

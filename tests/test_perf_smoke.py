@@ -46,6 +46,15 @@ CACHE_REPLAY_OPEN_CEILING_S = 2.0
 #: load (tests/cache_oracle.py), 0.52-0.70; falling back to one
 #: add_observation per row read 1.36-1.68.
 JSON_LOAD_VS_ORACLE_MAX_RATIO = 0.9
+#: Load vs the generic parse, over nine pairs: load_cache (the text reader) vs
+#: read_json of the same file (gunzip + json.loads; the text read is shared).
+#: Readings: 0.55-0.76 in 22 runs of the gate alone (8 next to a busy-loop
+#: process) and 0.62-0.74 in 7 full tier-1 runs, but one more tier-1 run read
+#: 0.88 (five pairs), read_json taking 89 ms instead of ~120 ms in a heap where
+#: json.loads paid little garbage collection.  Falling back to json.loads and
+#: the per-row from_dict reads ~4.5.  Traced peaks: 10.2 MB vs 16.5 MB; a
+#: reader without chunks peaked at 26.8 MB.
+JSON_LOAD_VS_READ_JSON_MAX_RATIO = 0.9
 #: Save: the streamed save_cache vs json.dumps(to_dict()) through the same
 #: level-9 gzip writer, 0.62-0.72 (deflate is the shared floor); a save that
 #: builds to_dict() again does the reference's work and read 0.89-1.07.
@@ -307,10 +316,10 @@ def gemm_export(benchmarks, gpu_3090, tmp_path_factory):
 
 
 def test_json_load_of_gemm_export_beats_the_per_row_oracle(gemm_export):
-    # A campaign-shaped JSON export loads straight into adopted columns: gzip +
-    # json.load plus a few list passes, no Observation or config dict per row.
-    # The per-row oracle pays one Observation.from_dict + insert per row on top
-    # of the same gzip + json.load.
+    # A campaign-shaped JSON export loads straight into adopted columns: the
+    # text reader matches each chunk of rows against the writer's fragments, no
+    # Observation or config dict per row.  The per-row oracle pays gzip +
+    # json.load plus one Observation.from_dict + insert per row.
     from cache_oracle import OracleCache
     from repro.io import load_cache
     from repro.io.cachefile import read_json
@@ -325,6 +334,48 @@ def test_json_load_of_gemm_export_beats_the_per_row_oracle(gemm_export):
         f"{ratio:.2f}x the per-row oracle's {oracle:.3f}s (gate "
         f"{JSON_LOAD_VS_ORACLE_MAX_RATIO}x); JSON loads have likely regressed to "
         f"one Observation per row")
+
+
+def test_json_load_of_gemm_export_beats_json_loads(gemm_export):
+    # load_cache reads the export back against the writer's fragments: one
+    # split per chunk of rows, dict lookups per config column and one
+    # json.loads of each chunk's values.  read_json shares the text read and
+    # parses every row as generic JSON.
+    from repro.io import load_cache
+    from repro.io.cachefile import read_json
+
+    _, path = gemm_export
+    ratio, loaded, parsed = _paired_ratio(lambda: load_cache(path),
+                                          lambda: read_json(path), rounds=9)
+    assert ratio < JSON_LOAD_VS_READ_JSON_MAX_RATIO, (
+        f"load_cache of the 17,956-row gemm export took {loaded:.3f}s, "
+        f"{ratio:.2f}x read_json's {parsed:.3f}s (gate "
+        f"{JSON_LOAD_VS_READ_JSON_MAX_RATIO}x); the text reader has likely "
+        f"stopped taking campaign exports")
+
+
+def test_json_load_of_gemm_export_peaks_no_higher_than_json_loads(gemm_export):
+    # The reader works through the rows in chunks, so its traced peak stays at
+    # or below the generic parse's, which holds every row's dict at once.
+    import tracemalloc
+
+    from repro.io import load_cache
+    from repro.io.cachefile import read_json
+
+    _, path = gemm_export
+    peaks = {}
+    for fn in (load_cache, read_json):
+        tracemalloc.start()
+        try:
+            fn(path)
+            peaks[fn.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["load_cache"] <= peaks["read_json"], (
+        f"load_cache of the 17,956-row gemm export peaked at "
+        f"{peaks['load_cache'] / 2**20:.1f} MB of traced allocations, read_json "
+        f"at {peaks['read_json'] / 2**20:.1f} MB; the text reader has likely "
+        f"stopped chunking its rows or fallen back to the generic parse")
 
 
 def test_streamed_save_of_gemm_cache_beats_json_dumps(gemm_export, tmp_path):
