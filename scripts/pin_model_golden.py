@@ -64,10 +64,9 @@ def golden_benchmarks() -> dict[str, KernelBenchmark]:
 def golden_indices(benchmark: KernelBenchmark) -> tuple[np.ndarray, bool]:
     """``(indices, sampled)``: the pinned configuration set of one benchmark."""
     space = benchmark.space
-    if space.cardinality <= space.memoize_threshold:
-        feasible = space.feasible_indices()
-        if feasible.size <= FULL_SET_LIMIT:
-            return feasible, False
+    feasible = space.feasible_indices()  # None above the memo threshold
+    if feasible is not None and feasible.size <= FULL_SET_LIMIT:
+        return feasible, False
     return space.sample_indices(SAMPLE_SIZE, rng=SAMPLE_SEED, valid_only=False), True
 
 

@@ -85,8 +85,7 @@ def space_size_table(benchmarks: Mapping[str, KernelBenchmark],
                      caches: Mapping[tuple[str, str], EvaluationCache] | None = None,
                      importance_threshold: float = 0.05,
                      enumeration_limit: int = 200_000,
-                     constrained_sample: int = 100_000,
-                     validity_sample: int | None = 20_000) -> list[SpaceSizeRow]:
+                     constrained_sample: int = 100_000) -> list[SpaceSizeRow]:
     """Reproduce Table VIII.
 
     Parameters
@@ -103,10 +102,9 @@ def space_size_table(benchmarks: Mapping[str, KernelBenchmark],
         PFI threshold above which a parameter is kept (paper: 0.05 on any GPU).
     enumeration_limit:
         Spaces with cardinality at or below this are counted exactly; larger ones are
-        estimated by sampling ``constrained_sample`` points.
-    validity_sample:
-        Per-GPU validity is enumerated only for spaces within ``enumeration_limit``;
-        larger spaces report None (the paper's "N/A").
+        estimated by sampling ``constrained_sample`` points.  Per-GPU validity is
+        enumerated only for the exact spaces; larger ones report None (the paper's
+        "N/A").
     """
     rows: list[SpaceSizeRow] = []
     for name, benchmark in benchmarks.items():
@@ -114,13 +112,6 @@ def space_size_table(benchmarks: Mapping[str, KernelBenchmark],
         cardinality = space.cardinality
 
         exact = cardinality <= enumeration_limit
-        if exact:
-            # Memoize the feasible-index array for the duration of this row even if
-            # the caller's enumeration limit exceeds the space's own threshold: the
-            # exact constrained count is then one array length, and the per-GPU
-            # validity enumeration below reuses the same feasible blocks instead of
-            # re-masking.  Released again below for spaces over the threshold.
-            space.feasible_indices(force=True)
         constrained = space.count_constrained(limit=None if exact else constrained_sample)
 
         if exact:
@@ -151,9 +142,6 @@ def space_size_table(benchmarks: Mapping[str, KernelBenchmark],
         reduced = reduced_space.cardinality
         reduce_constrained = reduced_space.count_constrained(
             limit=None if reduced <= enumeration_limit else constrained_sample)
-
-        if exact and cardinality > space.memoize_threshold:
-            space.release_feasible_memo()
 
         rows.append(SpaceSizeRow(
             benchmark=name,

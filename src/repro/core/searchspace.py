@@ -39,13 +39,16 @@ memo and the neighbourhood memo are keyed on the length of the (append-only)
 constraint set, so a constraint added after first use takes effect everywhere.
 
 *Feasible-set memoization.*  For spaces whose raw cardinality is at most
-:attr:`SearchSpace.memoize_threshold` (default :data:`MEMOIZE_THRESHOLD_DEFAULT`), the
-sorted array of constraint-satisfying indices is computed once on demand and cached.
-The memo makes exact ``count_constrained`` free, turns enumeration into array slicing,
-lets :meth:`sample` detect infeasible requests up front, and guarantees sampling
-success whenever enough feasible points exist.  Spaces above the threshold (Hotspot,
-Dedispersion, Expdist) stream index blocks through the mask instead of materialising
-anything.
+:data:`MEMOIZE_THRESHOLD`, the sorted array of constraint-satisfying indices is computed
+once on demand and cached.  The memo makes exact ``count_constrained`` free, turns
+enumeration into array slicing, lets :meth:`sample` detect infeasible requests up
+front, and guarantees sampling success whenever enough feasible points exist.  Spaces
+above the threshold (Hotspot, Dedispersion, Expdist) stream index blocks through the
+mask instead of materialising anything; a forced computation
+(``feasible_indices(force=True)``) on one of them returns the array without keeping
+it.  The memo is a pure cache -- it changes time and memory, never a result -- and
+every paper space is either at most 82,944 or at least 9.7M points, so the threshold
+is a constant, not an option.
 
 *Reproducibility.*  Batched rejection sampling draws index blocks sized exactly to the
 number of configurations still needed, which makes the consumed random stream -- and
@@ -85,15 +88,15 @@ from repro.core.errors import (
 )
 from repro.core.parameter import Parameter
 
-__all__ = ["SearchSpace", "config_key", "MEMOIZE_THRESHOLD_DEFAULT"]
+__all__ = ["SearchSpace", "config_key", "MEMOIZE_THRESHOLD"]
 
 Config = dict[str, Any]
 
-#: Default ceiling on the raw cardinality below which the feasible-index array is
-#: memoized (int64 indices: 1e6 points cost at most ~8 MB).  Covers every space the
-#: paper enumerates exhaustively (GEMM's 82 944 is the largest) with ample headroom,
-#: while the sampled spaces (1e7--1.2e8 points) stay streaming-only.
-MEMOIZE_THRESHOLD_DEFAULT: int = 1_000_000
+#: Ceiling on the raw cardinality up to which the feasible-index array is memoized
+#: (int64 indices: 1e6 points cost at most ~8 MB).  Covers every space the paper
+#: enumerates exhaustively (GEMM's 82 944 is the largest) with ample headroom, while
+#: the sampled spaces (1e7--1.2e8 points) stay streaming-only.
+MEMOIZE_THRESHOLD: int = 1_000_000
 
 #: Index-block length used by chunked enumeration, counting and masking.
 _CHUNK: int = 1 << 17
@@ -130,14 +133,15 @@ class SearchSpace:
         Optional constraints restricting the valid subset of the Cartesian product.
     name:
         Optional label used in reports.
-    memoize_threshold:
-        Cardinality ceiling for feasible-set memoization
-        (default :data:`MEMOIZE_THRESHOLD_DEFAULT`).
     """
+
+    #: Memo ceiling read by :meth:`feasible_indices`; tests set it to 0 on an
+    #: instance or subclass to drive the streaming paths of a small space.
+    _memoize_threshold: int = MEMOIZE_THRESHOLD
 
     def __init__(self, parameters: Sequence[Parameter],
                  constraints: ConstraintSet | Iterable[Constraint | str | Callable] | None = None,
-                 name: str = "", memoize_threshold: int | None = None):
+                 name: str = ""):
         params = list(parameters)
         if not params:
             raise EmptySearchSpaceError("a search space needs at least one parameter")
@@ -179,8 +183,6 @@ class SearchSpace:
         self._decode_table: tuple[tuple[str, tuple, int], ...] = tuple(
             (p.name, p.values, place)
             for p, place in zip(self._parameters, self._place_values))
-        self.memoize_threshold = (MEMOIZE_THRESHOLD_DEFAULT if memoize_threshold is None
-                                  else int(memoize_threshold))
         self._feasible: np.ndarray | None = None
         self._feasible_key = 0  # len(constraints) the memo was computed for
         # Flattened per-parameter digit tables for the index-native neighbourhood
@@ -463,36 +465,34 @@ class SearchSpace:
 
     def _feasible_memo(self) -> np.ndarray | None:
         """The memoized feasible set, or None -- also when the constraint set has
-        grown since it was computed (the stale memo is dropped)."""
+        grown since it was computed (the stale memo and its bitmap are dropped)."""
         if self._feasible is not None and self._feasible_key != len(self._constraints):
-            self.release_feasible_memo()
+            self._feasible = None
+            self.__dict__.pop("_feas_bits", None)
+            self.__dict__.pop("_feas_bits_src", None)
         return self._feasible
 
     def feasible_indices(self, force: bool = False) -> np.ndarray | None:
-        """Sorted array of all constraint-satisfying indices, memoized.
+        """Sorted array of all constraint-satisfying indices, memoized up to
+        :data:`MEMOIZE_THRESHOLD` raw points.
 
-        Returns None (without computing anything) when the raw cardinality exceeds
-        :attr:`memoize_threshold` and ``force`` is False.  The memo is what makes
+        Above the threshold it returns None without computing anything, or with
+        ``force`` the array computed afresh and not kept.  The memo is what makes
         exact constrained counts free and sampling failure-proof on small spaces.
         """
         feasible = self._feasible_memo()
         if feasible is not None:
             return feasible
-        if self._cardinality > self.memoize_threshold and not force:
+        keep = self._cardinality <= self._memoize_threshold
+        if not (keep or force):
             return None
-        blocks = [block for block in self._iter_feasible_blocks()]
+        blocks = list(self._iter_feasible_blocks())
         feasible = (np.concatenate(blocks) if blocks
                     else np.empty(0, dtype=np.int64))
-        self._feasible = feasible
-        self._feasible_key = len(self._constraints)
+        if keep:
+            self._feasible = feasible
+            self._feasible_key = len(self._constraints)
         return feasible
-
-    def release_feasible_memo(self) -> None:
-        """Drop the memoized feasible-index array (e.g. after a forced computation
-        on a space larger than :attr:`memoize_threshold`)."""
-        self._feasible = None
-        self.__dict__.pop("_feas_bits", None)
-        self.__dict__.pop("_feas_bits_src", None)
 
     def _feasible_bitmap(self) -> bytes:
         """Packed feasibility bits of the memoized feasible set (1 = feasible).
@@ -589,8 +589,8 @@ class SearchSpace:
     def _scalar_draw_exhausted(self, max_attempts: int) -> EmptySearchSpaceError:
         """The failure of a single-draw rejection loop whose every attempt
         missed (a success returns immediately, so the observed feasible
-        fraction is exactly zero) -- shared by the bitmap and constraint-eval
-        restart paths so their messages cannot drift apart."""
+        fraction is exactly zero) -- the same text the general path of
+        :meth:`sample_indices` raises after as many empty draws."""
         return EmptySearchSpaceError(
             f"could not draw 1 valid configurations "
             f"from space of cardinality {self._cardinality} "
@@ -629,35 +629,28 @@ class SearchSpace:
         if n == 0:
             return np.empty(0, dtype=np.int64)
         feasible = self._feasible_memo() if valid_only else None
-        if n == 1 and not unique and valid_only and feasible is not None \
-                and feasible.size:
-            # The memoized twin of the scalar restart draw below: one scalar
-            # ``integers`` call per attempt (stream-identical to a size-1 block)
-            # and one packed-bitmap probe instead of a constraint evaluation.
-            # The population tuners' repair draws live here.
-            integers = rng.integers
-            cardinality = self._cardinality
-            bits = self._feasible_bitmap()
-            max_attempts = max(max_attempts_factor, 1000)
-            for _ in range(max_attempts):
-                index = int(integers(0, cardinality))
-                if bits[index >> 3] >> (index & 7) & 1:
-                    return np.asarray([index], dtype=np.int64)
-            raise self._scalar_draw_exhausted(max_attempts)
-        if (n == 1 and not unique and valid_only and feasible is None
-                and len(self._constraints)):
-            # The tuner runtime's restart draw: a tight scalar rejection loop.  One
-            # scalar ``integers`` call consumes the same random stream as a size-1
-            # block, and the scalar table lookup is the mask's verdict, so the
+        if n == 1 and not unique and valid_only and (feasible is not None
+                                                     or len(self._constraints)):
+            # The tuner runtime's restart draw (the population tuners' repair
+            # draws live here): a tight scalar rejection loop.  One scalar
+            # ``integers`` call consumes the same random stream as a size-1
+            # block, and the membership test -- a packed-bitmap probe of the
+            # memo, else the scalar table lookup -- is the mask's verdict, so the
             # drawn index is bit-identical to the general path below at a
             # fraction of its per-iteration overhead.
+            if feasible is not None:
+                bits = self._feasible_bitmap()
+
+                def member(index: int) -> int:
+                    return bits[index >> 3] >> (index & 7) & 1
+            else:
+                member = self._index_satisfies
             integers = rng.integers
             cardinality = self._cardinality
-            satisfied = self._index_satisfies
             max_attempts = max(max_attempts_factor, 1000)
             for _ in range(max_attempts):
                 index = int(integers(0, cardinality))
-                if satisfied(index):
+                if member(index):
                     return np.asarray([index], dtype=np.int64)
             self.feasible_indices()  # memoize (small spaces) for the next attempt
             raise self._scalar_draw_exhausted(max_attempts)
@@ -947,8 +940,7 @@ class SearchSpace:
         reduced_constraints = ConstraintSet(c.frozen(fixed_values)
                                             for c in self._constraints)
         return SearchSpace(kept_params, reduced_constraints,
-                           name=name or (self.name + "_reduced" if self.name else "reduced"),
-                           memoize_threshold=self.memoize_threshold)
+                           name=name or (self.name + "_reduced" if self.name else "reduced"))
 
     # --------------------------------------------------------------------- encoding
 

@@ -28,11 +28,6 @@ already hold.
 """
 
 from repro.exec.checkpoint import CheckpointStore
-from repro.exec.config import (
-    MEMOIZE_THRESHOLD_ENV,
-    apply_memoize_threshold,
-    resolve_memoize_threshold,
-)
 from repro.exec.executors import (
     Executor,
     ParallelExecutor,
@@ -58,7 +53,6 @@ __all__ = [
     "Fault", "FaultPlan", "ParallelExecutor", "RetryPolicy", "SerialExecutor",
     "Shard", "ShardPlanner", "corrupt_fragment",
     "run_campaign", "resume_campaign", "ShardProgressReporter",
-    "resolve_memoize_threshold", "apply_memoize_threshold",
-    "DEFAULT_SHARD_SIZE", "MEMOIZE_THRESHOLD_ENV",
+    "DEFAULT_SHARD_SIZE",
     "PAPER_SAMPLE_SIZE", "PAPER_SAMPLED_BENCHMARKS",
 ]

@@ -82,7 +82,6 @@ from repro.core.registry import (
     _require_matching_name,
 )
 from repro.exec.checkpoint import CheckpointStore
-from repro.exec.config import resolve_memoize_threshold
 from repro.exec.executors import (
     Executor,
     ParallelExecutor,
@@ -179,10 +178,6 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes; 1 runs serially (default: %(default)s)")
-    parser.add_argument("--memoize-threshold", type=int, default=None,
-                        help="feasible-set memoization ceiling for execution "
-                             "workers (overrides REPRO_MEMOIZE_THRESHOLD; default: "
-                             "the space's own threshold)")
     parser.add_argument("--output-dir", default=None, metavar="DIR",
                         help="write merged caches as <benchmark>_<gpu>.json[.gz] "
                              "(or .col) here")
@@ -240,15 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_executor(args: argparse.Namespace) -> Executor:
-    threshold = resolve_memoize_threshold(args.memoize_threshold)
     retry_policy = (RetryPolicy(max_retries=args.max_retries)
                     if args.max_retries is not None else None)
     if args.workers > 1:
-        return ParallelExecutor(workers=args.workers, memoize_threshold=threshold,
-                                retry_policy=retry_policy,
+        return ParallelExecutor(workers=args.workers, retry_policy=retry_policy,
                                 shard_timeout=args.shard_timeout)
-    return SerialExecutor(memoize_threshold=threshold, retry_policy=retry_policy,
-                          shard_timeout=args.shard_timeout)
+    return SerialExecutor(retry_policy=retry_policy, shard_timeout=args.shard_timeout)
 
 
 def _parse_benchmark_spec(raw: str) -> tuple[str, BenchmarkSpec]:

@@ -76,7 +76,6 @@ from repro.core.errors import (
 )
 from repro.core.registry import BenchmarkSpec
 from repro.exec.checkpoint import CheckpointStore, benchmark_fingerprint
-from repro.exec.config import apply_memoize_threshold, resolve_memoize_threshold
 from repro.exec.faults import FaultPlan, corrupt_fragment
 from repro.exec.planner import CampaignPlan, CampaignUnit, Shard, ShardPlanner, unit_indices
 from repro.exec.progress import ShardProgressReporter
@@ -144,10 +143,6 @@ class Executor(abc.ABC):
 
     Parameters
     ----------
-    memoize_threshold:
-        Explicit feasible-set memoization ceiling; None resolves through the
-        ``REPRO_MEMOIZE_THRESHOLD`` environment variable (see
-        :mod:`repro.exec.config`) and falls back to each space's default.
     retry_policy:
         Optional :class:`~repro.exec.retry.RetryPolicy`.  None (the default)
         keeps the original fail-fast behaviour: the first shard error raises.
@@ -175,11 +170,9 @@ class Executor(abc.ABC):
         re-executed.
     """
 
-    def __init__(self, memoize_threshold: int | None = None,
-                 retry_policy: RetryPolicy | None = None,
+    def __init__(self, retry_policy: RetryPolicy | None = None,
                  shard_timeout: float | None = None,
                  fault_plan: FaultPlan | None = None):
-        self.memoize_threshold = resolve_memoize_threshold(memoize_threshold)
         if shard_timeout is not None and shard_timeout <= 0:
             raise ReproError(f"shard_timeout must be positive, got {shard_timeout}")
         self.retry_policy = retry_policy
@@ -313,9 +306,6 @@ class Executor(abc.ABC):
             unknown_units = selected - {u.key for u in plan.units}
             if unknown_units:
                 raise ReproError(f"plan has no units {sorted(unknown_units)}")
-        apply_memoize_threshold(
-            (benchmarks[name].space for name in {u.benchmark for u in plan.units}),
-            self.memoize_threshold)
 
         if isinstance(checkpoint, (str,)) or hasattr(checkpoint, "__fspath__"):
             checkpoint = CheckpointStore(checkpoint)
@@ -508,15 +498,14 @@ class _ShardWorker:
     cancel a running task at all.)
     """
 
-    def __init__(self, ctx: Any, slot: int, memoize_threshold: int | None,
+    def __init__(self, ctx: Any, slot: int,
                  workload_overrides: Mapping[str, Mapping[str, Any]] | None,
                  benchmark_specs: Mapping[str, Any] | None):
         self.slot = slot
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=shard_worker_loop,
-            args=(child_conn, memoize_threshold, workload_overrides,
-                  benchmark_specs),
+            args=(child_conn, workload_overrides, benchmark_specs),
             daemon=True, name=f"repro-shard-worker-{slot}")
         self.process.start()
         child_conn.close()
@@ -577,8 +566,6 @@ class ParallelExecutor(Executor):
         Pool size (the paper-scale campaign saturates at ~#physical-cores).  A
         run that would start more workers than this process has usable cores
         says so in one progress line; the count is kept as given.
-    memoize_threshold:
-        See :class:`Executor`; forwarded to worker initializers.
     workload_overrides:
         Per-benchmark factory keyword overrides forwarded to workers, for callers
         that run non-default workloads (must match the parent's ``benchmarks``
@@ -605,14 +592,13 @@ class ParallelExecutor(Executor):
     campaign loses at most the shards that were genuinely mid-evaluation.
     """
 
-    def __init__(self, workers: int = 4, memoize_threshold: int | None = None,
+    def __init__(self, workers: int = 4,
                  workload_overrides: Mapping[str, Mapping[str, Any]] | None = None,
                  mp_context: Any = None,
                  retry_policy: RetryPolicy | None = None,
                  shard_timeout: float | None = None,
                  fault_plan: FaultPlan | None = None):
-        super().__init__(memoize_threshold=memoize_threshold,
-                         retry_policy=retry_policy, shard_timeout=shard_timeout,
+        super().__init__(retry_policy=retry_policy, shard_timeout=shard_timeout,
                          fault_plan=fault_plan)
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
@@ -687,8 +673,7 @@ class ParallelExecutor(Executor):
                        f"time-share the cores, so fewer workers may finish sooner")
 
         def spawn(slot: int) -> _ShardWorker:
-            return _ShardWorker(ctx, slot, self.memoize_threshold,
-                                self.workload_overrides, benchmark_specs)
+            return _ShardWorker(ctx, slot, self.workload_overrides, benchmark_specs)
 
         workers = [spawn(slot) for slot in range(min(self.workers, len(tasks)))]
         ready: deque[_ShardTask] = deque(tasks)

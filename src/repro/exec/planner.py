@@ -54,7 +54,7 @@ DEFAULT_SHARD_SIZE: int = 2_500
 #: no explicit ``exhaustive_limit`` is given.  The paper kernels follow the paper's
 #: design exactly; a registered scenario with a 1e8-point space must not silently
 #: schedule a full enumeration (feasible-set sweep at plan time, every feasible
-#: config at run time).  Aligned with the feasible-memoization default, which is
+#: config at run time).  Equal to the feasible memo's ``MEMOIZE_THRESHOLD``, which is
 #: also the largest space the suite treats as comfortably enumerable.
 CUSTOM_EXHAUSTIVE_LIMIT: int = 1_000_000
 
@@ -212,12 +212,8 @@ def unit_indices(space: SearchSpace, unit: CampaignUnit) -> np.ndarray:
     :meth:`~repro.kernels.base.KernelBenchmark.build_cache` evaluates serially.
     """
     if unit.exhaustive:
-        feasible = space.feasible_indices(force=True)
-        if space.cardinality > space.memoize_threshold:
-            # Dropping the memo reference does not invalidate our local one; no
-            # copy, so peak memory stays one index array.
-            space.release_feasible_memo()
-        return feasible
+        # Memoized on small spaces; computed afresh, and not kept, on large ones.
+        return space.feasible_indices(force=True)
     return space.sample_indices(unit.sample_size, rng=unit.seed,
                                 valid_only=True, unique=True)
 
@@ -337,16 +333,12 @@ class ShardPlanner:
         elif benchmark_name in self._exhaustive_counts:
             n_configs = self._exhaustive_counts[benchmark_name]
         else:
-            space = benchmark.space
-            feasible = space.feasible_indices(force=True)
-            n_configs = self._exhaustive_counts[benchmark_name] = int(feasible.size)
-            if space.cardinality > space.memoize_threshold:
-                # Counting must not permanently pin a memo the space's threshold
-                # says should stream; the per-benchmark count is memoized here
-                # instead.  Execution later re-enumerates once (the deliberate
-                # memory-over-time tradeoff of the threshold) -- above-threshold
-                # *exhaustive* units never occur in the paper design.
-                space.release_feasible_memo()
+            # The count is memoized here per benchmark: on a space above the
+            # feasible memo's threshold it is one streamed sweep, and execution
+            # enumerates once more (above-threshold *exhaustive* units never occur
+            # in the paper design).
+            n_configs = self._exhaustive_counts[benchmark_name] = \
+                benchmark.space.count_constrained()
         return CampaignUnit(benchmark=benchmark_name, gpu=gpu_name,
                             sample_size=self.sample_size if sampled else None,
                             seed=self.unit_seed(gpu_name),

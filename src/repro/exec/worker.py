@@ -45,7 +45,6 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.errors import ExecutionError, TransientExecutionError, is_transient
-from repro.exec.config import apply_memoize_threshold
 
 __all__ = ["init_worker", "evaluate_shard", "shard_worker_loop",
            "open_shared_cache"]
@@ -84,17 +83,15 @@ def open_shared_cache(path: str | os.PathLike, verify: bool = True) -> Any:
     return cache
 
 
-def init_worker(memoize_threshold: int | None = None,
-                workload_overrides: Mapping[str, Mapping[str, Any]] | None = None,
+def init_worker(workload_overrides: Mapping[str, Mapping[str, Any]] | None = None,
                 benchmark_specs: Mapping[str, Any] | None = None) -> None:
     """Build the per-process benchmark/GPU registries.
 
+    A worker only evaluates the index slices the parent sends and never
+    enumerates a space, so it needs no feasible-set memo of its own.
+
     Parameters
     ----------
-    memoize_threshold:
-        Feasible-set memoization ceiling applied to every benchmark space (the
-        resolved value of the ``--memoize-threshold`` flag /
-        ``REPRO_MEMOIZE_THRESHOLD`` environment variable).
     workload_overrides:
         Per-benchmark factory keyword overrides (e.g. shrunken test workloads),
         forwarded to :func:`repro.kernels.all_benchmarks`.
@@ -113,7 +110,6 @@ def init_worker(memoize_threshold: int | None = None,
     for name, spec in (benchmark_specs or {}).items():
         _BENCHMARKS[name] = BenchmarkSpec.parse(spec).build()
     _GPUS = all_gpus()
-    apply_memoize_threshold((b.space for b in _BENCHMARKS.values()), memoize_threshold)
 
 
 def _apply_worker_fault(fault: tuple[str, float]) -> None:
@@ -164,8 +160,7 @@ def evaluate_shard(benchmark_name: str, gpu_name: str,
     return benchmark.evaluate_indices(gpu, indices, with_noise=with_noise)
 
 
-def shard_worker_loop(conn: Any, memoize_threshold: int | None = None,
-                      workload_overrides: Mapping[str, Mapping[str, Any]] | None = None,
+def shard_worker_loop(conn: Any, workload_overrides: Mapping[str, Mapping[str, Any]] | None = None,
                       benchmark_specs: Mapping[str, Any] | None = None) -> None:
     """Long-lived worker: evaluate shard requests arriving on a pipe until EOF.
 
@@ -186,7 +181,7 @@ def shard_worker_loop(conn: Any, memoize_threshold: int | None = None,
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main-thread fallback
         pass
-    init_worker(memoize_threshold, workload_overrides, benchmark_specs)
+    init_worker(workload_overrides, benchmark_specs)
     while True:
         try:
             request = conn.recv()

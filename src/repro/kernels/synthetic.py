@@ -342,8 +342,7 @@ def create_benchmark(name: str = "synthetic", family: str = "separable",
     # estimate -- an estimate rounding to zero on a sparse-but-feasible space would
     # silently discard valid constraints.
     while True:
-        space = SearchSpace(parameters, ConstraintSet(expressions),
-                            name=name, memoize_threshold=None)
+        space = SearchSpace(parameters, ConstraintSet(expressions), name=name)
         if not expressions or next(iter(space._iter_feasible_blocks()), None) is not None:
             break
         expressions = expressions[:-1]

@@ -3,7 +3,9 @@
 The search space answers feasibility from truth tables (one gather per table) and
 samples by filtering whole index blocks; these helpers are the plain loops those
 paths must agree with: one :meth:`ConstraintSet.is_satisfied` call per
-configuration, and one random draw per loop iteration.
+configuration, and one random draw per loop iteration.  :class:`StreamingSpace` is
+the twin that never memoizes its feasible set, so a small space answers through
+the streaming paths the large ones use.
 """
 
 from __future__ import annotations
@@ -11,6 +13,14 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 import numpy as np
+
+from repro.core.searchspace import SearchSpace
+
+
+class StreamingSpace(SearchSpace):
+    """A search space above the feasible memo's threshold whatever its size."""
+
+    _memoize_threshold = 0
 
 
 def oracle_mask(space: Any, indices: Any, constraints: Any = None,

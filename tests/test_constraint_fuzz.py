@@ -26,7 +26,7 @@ from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
 from repro.kernels.synthetic import FAMILIES, create_benchmark
 
-from constraint_oracle import oracle_mask, sample_reference
+from constraint_oracle import StreamingSpace, oracle_mask, sample_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -42,7 +42,7 @@ def check_feasibility(space, constraints=None, fixed=None, seed=0):
         expected)
     random = np.random.default_rng(seed).integers(0, space.cardinality, size=64)
     np.testing.assert_array_equal(space.satisfied_mask(random), expected[random])
-    streaming = SearchSpace(space.parameters, space.constraints, memoize_threshold=0)
+    streaming = StreamingSpace(space.parameters, space.constraints)
     assert [streaming.index_is_feasible(i) for i in everything.tolist()] == \
         expected.tolist()
     assert streaming.count_constrained() == int(expected.sum())
@@ -58,7 +58,7 @@ def check_sampling(space, feasible, seed=0):
     on a streaming copy of ``space`` and on a memoized one."""
     memoized = SearchSpace(space.parameters, space.constraints)
     memoized.feasible_indices()
-    streaming = SearchSpace(space.parameters, space.constraints, memoize_threshold=0)
+    streaming = StreamingSpace(space.parameters, space.constraints)
     for unique, valid_only in itertools.product((True, False), repeat=2):
         pool = feasible if valid_only else space.cardinality
         sizes = {1, 7, 40} if not unique else {min(pool, 1), min(pool, 7), min(pool, 40)}

@@ -18,7 +18,7 @@ from repro.core.errors import EmptySearchSpaceError, InvalidConfigurationError
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
 
-from constraint_oracle import oracle_mask
+from constraint_oracle import StreamingSpace, oracle_mask
 
 KERNEL_NAMES = ("pnpoly", "nbody", "convolution", "gemm", "expdist", "hotspot",
                 "dedispersion")
@@ -89,8 +89,8 @@ class TestSatisfiedMask:
                 None, digits=kernel_space.indices_to_digits(random_indices)), scalar)
 
     def test_scalar_lookup_agrees_with_mask(self, kernel_space, random_indices):
-        fresh = SearchSpace(kernel_space.parameters, kernel_space.constraints,
-                            memoize_threshold=0)  # no bitmap shortcut
+        fresh = StreamingSpace(kernel_space.parameters,
+                               kernel_space.constraints)  # no bitmap shortcut
         assert [fresh.index_is_feasible(i) for i in random_indices.tolist()] == \
             kernel_space.satisfied_mask(random_indices).tolist()
 
@@ -331,3 +331,63 @@ class TestSampling:
         space.feasible_indices()
         with pytest.raises(EmptySearchSpaceError, match="feasible fraction"):
             space.sample(5, rng=0, valid_only=True, unique=True)
+
+
+def _grid_space(cls=SearchSpace, constraints=("a % 2 == 0 or b > 3",)):
+    return cls([Parameter("a", tuple(range(8))), Parameter("b", tuple(range(6)))],
+               list(constraints))
+
+
+_RANGE_CHECKED = {
+    "satisfied_mask": lambda space, index: space.satisfied_mask([0, index]),
+    "indices_to_digits": lambda space, index: space.indices_to_digits([0, index]),
+    "index_is_feasible": lambda space, index: space.index_is_feasible(index),
+    "digits_of_index": lambda space, index: space.digits_of_index(index),
+}
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("constrained", [True, False])
+    @pytest.mark.parametrize("past_end", [False, True])  # -1, cardinality
+    @pytest.mark.parametrize("entry", sorted(_RANGE_CHECKED))
+    def test_out_of_range_index_raises(self, entry, past_end, constrained):
+        space = _grid_space(constraints=("a % 2 == 0 or b > 3",) if constrained else ())
+        index = space.cardinality if past_end else -1
+        with pytest.raises(InvalidConfigurationError, match="out of range"):
+            _RANGE_CHECKED[entry](space, index)
+
+
+class TestMemoPolicy:
+    def test_forced_sweep_above_the_threshold_is_not_kept(self):
+        from repro.exec.planner import CampaignUnit, unit_indices
+
+        space = _grid_space(StreamingSpace)
+        expected = np.flatnonzero(oracle_mask(space, np.arange(space.cardinality)))
+        np.testing.assert_array_equal(space.feasible_indices(force=True), expected)
+        assert space._feasible_memo() is None
+        assert space.feasible_indices() is None
+        unit = CampaignUnit(benchmark="grid", gpu="any", sample_size=None, seed=0,
+                            with_noise=False, n_configs=int(expected.size))
+        np.testing.assert_array_equal(unit_indices(space, unit), expected)
+        assert space._feasible_memo() is None
+
+    def test_empty_memo_single_draw_fails_like_the_streaming_twin(self):
+        memoized = _grid_space(constraints=("a < 0",))
+        assert memoized.feasible_indices().size == 0
+        streaming = _grid_space(StreamingSpace, constraints=("a < 0",))
+        errors, states = [], []
+        for space in (memoized, streaming):
+            rng = np.random.default_rng(5)
+            with pytest.raises(EmptySearchSpaceError) as caught:
+                space.sample_indices(1, rng=rng, unique=False)
+            errors.append(str(caught.value))
+            states.append(rng.bit_generator.state)
+        # The general path's failure after as many size-1 blocks, verbatim.
+        reference = np.random.default_rng(5)
+        for _ in range(1000):
+            reference.integers(0, memoized.cardinality, size=1)
+        assert errors == [
+            f"could not draw 1 valid configurations from space of cardinality "
+            f"{memoized.cardinality} after 1000 attempts (found 0); observed "
+            f"feasible fraction 0.000% over 1000 draws"] * 2
+        assert states == [reference.bit_generator.state] * 2

@@ -23,13 +23,11 @@ from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
 from repro.core.runner import run_matrix
 from repro.exec import (
-    MEMOIZE_THRESHOLD_ENV,
     CampaignPlan,
     CheckpointStore,
     ParallelExecutor,
     SerialExecutor,
     ShardPlanner,
-    resolve_memoize_threshold,
     resume_campaign,
 )
 from repro.exec.cli import main as exec_main
@@ -339,46 +337,6 @@ class TestExecCLI:
                                   str(tmp_path / "nothing"))
         assert code == 1
         assert "no manifest" in text
-
-
-class TestMemoizeThresholdConfig:
-    def test_explicit_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(MEMOIZE_THRESHOLD_ENV, "123")
-        assert resolve_memoize_threshold(456) == 456
-        assert resolve_memoize_threshold(None) == 123
-
-    def test_unset_environment_keeps_default(self, monkeypatch):
-        monkeypatch.delenv(MEMOIZE_THRESHOLD_ENV, raising=False)
-        assert resolve_memoize_threshold(None) is None
-
-    def test_garbage_environment_raises(self, monkeypatch):
-        monkeypatch.setenv(MEMOIZE_THRESHOLD_ENV, "lots")
-        with pytest.raises(ReproError, match=MEMOIZE_THRESHOLD_ENV):
-            resolve_memoize_threshold(None)
-
-    def test_executor_applies_threshold_to_spaces(self, monkeypatch):
-        from repro.kernels import all_benchmarks
-
-        monkeypatch.setenv(MEMOIZE_THRESHOLD_ENV, "17")
-        benchmarks = all_benchmarks()  # fresh spaces, not the session fixture
-        from repro.gpus.specs import all_gpus
-        gpus = {"RTX_3090": all_gpus()["RTX_3090"]}
-        planner = ShardPlanner({"pnpoly": benchmarks["pnpoly"]}, gpus,
-                               exhaustive_limit=EXHAUSTIVE_LIMIT)
-        SerialExecutor().run(planner.plan(), benchmarks=planner.benchmarks,
-                             gpus=planner.gpus)
-        assert benchmarks["pnpoly"].space.memoize_threshold == 17
-
-    def test_worker_init_applies_threshold(self):
-        from repro.exec import worker
-
-        worker.init_worker(memoize_threshold=29)
-        try:
-            assert all(b.space.memoize_threshold == 29
-                       for b in worker._BENCHMARKS.values())
-        finally:
-            worker._BENCHMARKS = None
-            worker._GPUS = None
 
 
 class TestCampaignDelegation:

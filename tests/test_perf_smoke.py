@@ -16,6 +16,7 @@ Run them with ``pytest -m perf`` (also included in plain ``pytest`` runs; see
 
 from __future__ import annotations
 
+import gc
 import math
 import statistics
 import time
@@ -51,7 +52,9 @@ JSON_LOAD_VS_ORACLE_MAX_RATIO = 0.9
 #: Readings: 0.55-0.76 in 22 runs of the gate alone (8 next to a busy-loop
 #: process) and 0.62-0.74 in 7 full tier-1 runs, but one more tier-1 run read
 #: 0.88 (five pairs), read_json taking 89 ms instead of ~120 ms in a heap where
-#: json.loads paid little garbage collection.  Falling back to json.loads and
+#: json.loads paid little garbage collection.  Each arm now starts from a
+#: collected, frozen heap (``_timed_in_frozen_heap``): 0.61-0.74 in 12 runs of
+#: the gate alone and 0.70-0.73 in two full tier-1 runs.  Falling back to json.loads and
 #: the per-row from_dict reads ~4.5.  Traced peaks: 10.2 MB vs 16.5 MB; a
 #: reader without chunks peaked at 26.8 MB.
 JSON_LOAD_VS_READ_JSON_MAX_RATIO = 0.9
@@ -293,14 +296,27 @@ def test_columnar_replay_open_under_ceiling(benchmarks, gpu_3090, tmp_path):
         f"likely regressed to eager observation rehydration")
 
 
+def _timed_in_frozen_heap(fn):
+    """``_timed`` after a full collection that freezes every surviving object,
+    so the collections ``fn`` triggers scan only what it allocates itself, not
+    whatever heap the rest of the suite has left behind."""
+    gc.collect()
+    gc.freeze()
+    try:
+        return _timed(fn)
+    finally:
+        gc.unfreeze()
+
+
 def _paired_ratio(change, reference, rounds=5):
     """Median over ``rounds`` of ``change`` time / ``reference`` time, each round
     timing both back to back (alternating which goes first), so load on a shared
-    host slows both sides of a pair alike.  Also returns the two median times."""
+    host slows both sides of a pair alike, and each in the same frozen-heap
+    garbage-collector state.  Also returns the two median times."""
     times = []
     for k in range(rounds):
         pair = (change, reference) if k % 2 == 0 else (reference, change)
-        elapsed = [_timed(fn)[1] for fn in pair]
+        elapsed = [_timed_in_frozen_heap(fn)[1] for fn in pair]
         times.append(elapsed if k % 2 == 0 else elapsed[::-1])
     ratio = statistics.median(a / b for a, b in times)
     return (ratio, statistics.median(a for a, _ in times),

@@ -304,15 +304,24 @@ class TestMemoizedFeasibilityFastPaths:
                     plain.sample_one_index(rng=rng_b), seed
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
-    def test_release_feasible_memo_drops_bitmap(self):
-        memoized, _ = self._space_pair()
+    def test_constraint_add_drops_bitmap(self):
+        # Adding a constraint drops the memo and its bitmap together, and every
+        # verdict still equals a twin that never built a memo.
+        memoized, plain = self._space_pair()
         assert memoized.index_is_feasible(0) in (True, False)
         assert "_feas_bits" in memoized.__dict__
-        memoized.release_feasible_memo()
+        for space in (memoized, plain):
+            space.constraints.add("a + b != 7")
+        assert memoized._feasible_memo() is None
         assert "_feas_bits" not in memoized.__dict__
-        # Verdicts survive through the constraint-evaluation path.
-        rebuilt = memoized.feasible_indices()
-        assert rebuilt is not None
+        expected = [plain.index_is_feasible(i) for i in range(plain.cardinality)]
+        assert plain._feasible is None
+        assert [memoized.index_is_feasible(i)
+                for i in range(memoized.cardinality)] == expected
+        np.testing.assert_array_equal(memoized.feasible_indices(),
+                                      np.flatnonzero(expected))
+        assert [memoized.index_is_feasible(i)  # through the rebuilt bitmap
+                for i in range(memoized.cardinality)] == expected
 
 
 # ----------------------------------------------------------------- scalar peeking

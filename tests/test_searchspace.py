@@ -10,6 +10,8 @@ from repro.core.errors import EmptySearchSpaceError, InvalidConfigurationError
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace, config_key
 
+from constraint_oracle import StreamingSpace
+
 
 class TestBasics:
     def test_cardinality_is_product(self, small_space):
@@ -223,8 +225,7 @@ class TestConstraintSetGrowth:
         assert all(space.is_valid(c) for c in space.enumerate())
 
     def test_streaming_paths_see_an_added_constraint(self):
-        space = SearchSpace(self._space().parameters, ["a * b <= 6"],
-                            memoize_threshold=0)
+        space = StreamingSpace(self._space().parameters, ["a * b <= 6"])
         assert space.sample_indices(9, rng=0).size == 9
         space.constraints.add("a != 1")
         assert space.count_constrained() == 6
