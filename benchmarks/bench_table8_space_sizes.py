@@ -13,14 +13,17 @@ from repro.analysis.spacesize import PAPER_TABLE8, space_size_table
 
 from conftest import write_result
 
+#: Exact constrained counts of the reconstructed constraints.
+CONSTRAINED = {"gemm": 17_956, "nbody": 896, "pnpoly": 4_092, "convolution": 12_032,
+               "expdist": 302_400, "hotspot": 2_106_000, "dedispersion": 19_138_560}
+
 
 def test_table8_search_space_sizes(benchmark, benchmarks, gpus, importance_reports, caches):
     """The reproduced Table VIII, side by side with the paper's values."""
 
     def build():
         return space_size_table(benchmarks, gpus, importance_reports, caches=caches,
-                                importance_threshold=0.05, enumeration_limit=200_000,
-                                constrained_sample=100_000)
+                                importance_threshold=0.05, enumeration_limit=200_000)
 
     rows = benchmark.pedantic(build, rounds=1, iterations=1)
     text = report.format_space_sizes(rows, include_paper=True)
@@ -37,9 +40,11 @@ def test_table8_search_space_sizes(benchmark, benchmarks, gpus, importance_repor
         assert row.reduced <= row.cardinality
         assert row.reduce_constrained <= row.reduced
 
-    # GEMM's CLBlast constraints reproduce the paper's constrained count exactly.
+    # The constrained counts are exact for every kernel.  GEMM's CLBlast constraints
+    # reproduce the paper's count; Pnpoly has no constraints at all; the others
+    # differ from the paper (see repro.analysis.spacesize).
+    assert {name: row.constrained for name, row in by_name.items()} == CONSTRAINED
     assert by_name["gemm"].constrained == PAPER_TABLE8["gemm"]["constrained"]
-    # Pnpoly has no constraints at all.
     assert by_name["pnpoly"].constrained == by_name["pnpoly"].cardinality
     # The huge spaces report no exhaustive per-GPU validity, like the paper's "N/A".
     for name in ("hotspot", "dedispersion", "expdist"):

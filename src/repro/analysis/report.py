@@ -152,14 +152,16 @@ def format_space_sizes(rows: Sequence[SpaceSizeRow], include_paper: bool = True)
     table_rows = []
     for row in sorted(rows, key=lambda r: r.cardinality):
         cells = [row.benchmark, f"{row.cardinality:,}",
-                 f"{row.constrained:,}" + ("~" if row.constrained_estimated else ""),
+                 f"{row.constrained:,}",
                  fmt_valid(row.valid_range), f"{row.reduced:,}", f"{row.reduce_constrained:,}"]
         if include_paper:
             paper = PAPER_TABLE8.get(row.benchmark, {})
+            ratio = row.constrained_ratio
             cells.append(f"{paper.get('constrained', 0):,}")
+            cells.append("-" if ratio is None else f"{ratio:.3f}")
             cells.append(f"{paper.get('reduced', 0):,}")
         table_rows.append(cells)
     headers = ["Benchmark", "Cardinality", "Constrained", "Valid", "Reduced", "Reduce-Constr."]
     if include_paper:
-        headers += ["Paper:Constr.", "Paper:Reduced"]
+        headers += ["Paper:Constr.", "Ours/Paper", "Paper:Reduced"]
     return format_table(headers, table_rows, title="Table VIII - search space sizes")

@@ -19,8 +19,8 @@ matrix with two array operations, :meth:`SearchSpace.digits_to_indices` inverts 
 one matrix--vector product, and per-parameter *value columns* (cached NumPy arrays of
 each parameter's allowed values) turn digit columns into value columns without touching
 Python objects.  The scalar :meth:`config_at`/:meth:`index_of` remain as the one-point
-convenience wrappers; every hot path (sampling, enumeration, counting, graph
-construction) runs on index blocks.
+convenience wrappers; every hot path (sampling, enumeration, graph construction)
+runs on index blocks.
 
 *Constraint truth-table contract.*  Every restriction in the suite reads two or three
 parameters, so its verdict over the whole product is a tiny table.  For each
@@ -34,19 +34,20 @@ read, and a scalar check (:meth:`SearchSpace.index_is_feasible`) is the same loo
 pure Python.  The verdicts equal the scalar evaluator by construction -- an
 expression that raises is a ``False`` cell.  Opaque callables, expressions naming
 something that is not a parameter, and tables past :data:`_TABLE_MAX_CELLS` keep the
-scalar row path, evaluated only on rows every table accepted.  Tables, the feasible
-memo and the neighbourhood memo are keyed on the length of the (append-only)
-constraint set, so a constraint added after first use takes effect everywhere.
+scalar row path, evaluated only on rows every table accepted.  The tables are also
+0/1 factors of the constrained count, which :meth:`SearchSpace.count_constrained`
+sums out by variable elimination without a sweep.  Tables, the feasible memo and
+the neighbourhood memo are keyed on the length of the (append-only) constraint set,
+so a constraint added after first use takes effect everywhere.
 
 *Feasible-set memoization.*  For spaces whose raw cardinality is at most
 :data:`MEMOIZE_THRESHOLD`, the sorted array of constraint-satisfying indices is computed
-once on demand and cached.  The memo makes exact ``count_constrained`` free, turns
-enumeration into array slicing, lets :meth:`sample` detect infeasible requests up
-front, and guarantees sampling success whenever enough feasible points exist.  Spaces
-above the threshold (Hotspot, Dedispersion, Expdist) stream index blocks through the
-mask instead of materialising anything; a forced computation
-(``feasible_indices(force=True)``) on one of them returns the array without keeping
-it.  The memo is a pure cache -- it changes time and memory, never a result -- and
+once on demand and cached.  The memo turns enumeration into array slicing, lets
+:meth:`sample` detect infeasible requests up front, and guarantees sampling success
+whenever enough feasible points exist.  Spaces above the threshold (Hotspot,
+Dedispersion, Expdist) stream index blocks through the mask instead of materialising
+anything; a forced computation (``feasible_indices(force=True)``) on one of them
+returns the array without keeping it.  The memo is a pure cache -- it changes time and memory, never a result -- and
 every paper space is either at most 82,944 or at least 9.7M points, so the threshold
 is a constant, not an option.
 
@@ -478,7 +479,7 @@ class SearchSpace:
 
         Above the threshold it returns None without computing anything, or with
         ``force`` the array computed afresh and not kept.  The memo is what makes
-        exact constrained counts free and sampling failure-proof on small spaces.
+        sampling failure-proof on small spaces.
         """
         feasible = self._feasible_memo()
         if feasible is not None:
@@ -561,28 +562,57 @@ class SearchSpace:
         """Yield every point of the Cartesian product, ignoring constraints."""
         return self.enumerate(valid_only=False)
 
-    def count_constrained(self, limit: int | None = None) -> int:
+    def count_constrained(self) -> int:
         """Number of configurations satisfying the constraints (Table VIII 'Constrained').
 
-        Parameters
-        ----------
-        limit:
-            If given and the raw cardinality exceeds ``limit``, the count is estimated
-            from a reproducible random sample of ``limit`` points instead of a full
-            enumeration, and rounded to the nearest integer.  The paper itself only
-            reports exact constrained counts for spaces it could enumerate.
+        Exact.  When every constraint is tabled the count is computed without a
+        sweep (:meth:`_count_by_elimination`); otherwise -- a constraint no table
+        covers, or a merged factor past :data:`_TABLE_MAX_CELLS` -- it is the size
+        of the feasible set.
         """
         if not len(self._constraints):
             return self._cardinality
-        if limit is not None and self._cardinality > limit:
-            rng = np.random.default_rng(1234567)
-            idx = rng.integers(0, self._cardinality, size=limit)
-            hits = int(self.satisfied_mask(idx).sum())
-            return int(round(self._cardinality * hits / limit))
-        feasible = self.feasible_indices()
-        if feasible is not None:
-            return int(feasible.size)
-        return sum(int(block.size) for block in self._iter_feasible_blocks())
+        _, gathers, _, scalar = self._constraint_tables()
+        count = None if scalar else self._count_by_elimination(gathers)
+        return int(self.feasible_indices(force=True).size) if count is None else count
+
+    def _count_by_elimination(self, gathers: list) -> int | None:
+        """Sum over the product of the truth tables by variable elimination.
+
+        Each table is a 0/1 int64 factor over the parameters it reads; a parameter
+        no table reads multiplies the count by its radix.  Each step sums out the
+        parameter whose merged factor is smallest with one ``np.einsum``.  A factor
+        entry counts assignments of part of the product, so it never exceeds the
+        cardinality and int64 cannot overflow.  Returns None when a merged factor
+        would exceed :data:`_TABLE_MAX_CELLS`.
+        """
+        radices = self._radices.tolist()
+        factors = []
+        for table, columns, _ in gathers:
+            axes = tuple(j for j in columns if radices[j] > 1)
+            factors.append((table.reshape([radices[j] for j in axes]).astype(np.int64),
+                            axes))
+        read = {j for _, axes in factors for j in axes}
+        count = math.prod(r for j, r in enumerate(radices) if j not in read)
+        while read:
+            merged = {j: sorted({k for _, axes in factors if j in axes for k in axes})
+                      for j in read}
+            cells = {j: math.prod(radices[k] for k in axes) for j, axes in merged.items()}
+            var = min(read, key=lambda j: (cells[j], j))
+            if cells[var] > _TABLE_MAX_CELLS:
+                return None
+            # einsum sublist labels must be < 52, so relabel per call.
+            label = {k: n for n, k in enumerate(merged[var])}
+            operands, rest = [], []
+            for factor, axes in factors:
+                if var in axes:
+                    operands += [factor, [label[k] for k in axes]]
+                else:
+                    rest.append((factor, axes))
+            out = tuple(k for k in merged[var] if k != var)
+            factors = rest + [(np.einsum(*operands, [label[k] for k in out]), out)]
+            read.discard(var)
+        return count * math.prod(int(factor) for factor, _ in factors)
 
     # ----------------------------------------------------------------------- sampling
 

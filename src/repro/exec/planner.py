@@ -333,10 +333,9 @@ class ShardPlanner:
         elif benchmark_name in self._exhaustive_counts:
             n_configs = self._exhaustive_counts[benchmark_name]
         else:
-            # The count is memoized here per benchmark: on a space above the
-            # feasible memo's threshold it is one streamed sweep, and execution
-            # enumerates once more (above-threshold *exhaustive* units never occur
-            # in the paper design).
+            # The count is memoized here per benchmark.  It is exact and, with
+            # every constraint tabled, needs no sweep; execution enumerates the
+            # feasible set once when it runs the unit.
             n_configs = self._exhaustive_counts[benchmark_name] = \
                 benchmark.space.count_constrained()
         return CampaignUnit(benchmark=benchmark_name, gpu=gpu_name,

@@ -20,19 +20,14 @@ columns the parent would have computed serially -- the byte-identity contract of
 :mod:`repro.exec.executors`.
 
 Two entry points share that machinery: :func:`evaluate_shard` is the plain task
-function (used by the pool ``map`` path and callable in-process), and
-:func:`shard_worker_loop` is the long-lived pipe protocol the fault-tolerant
+function (callable in-process; :func:`shard_worker_loop` runs it per request),
+and :func:`shard_worker_loop` is the long-lived pipe protocol the fault-tolerant
 :class:`~repro.exec.executors.ParallelExecutor` drives -- one worker process per
 slot, receiving ``(benchmark, gpu, indices, with_noise, fault)`` tuples and
 answering ``("ok", (values, codes, errors))`` or
 ``("error", type_name, message, transient)``.  A dedicated process per in-flight
 shard is what makes blame precise: a crash or hang can only ever belong to the one
 shard its worker was evaluating.
-
-Warm caches are shared, not rebuilt: :func:`open_shared_cache` opens a columnar
-campaign cache (:mod:`repro.io.columnar`) as read-only memory-mapped columns,
-memoized per process, so a fleet of workers replaying the same measurements maps
-one file instead of each rehydrating its own observation dictionary.
 """
 
 from __future__ import annotations
@@ -46,41 +41,11 @@ import numpy as np
 
 from repro.core.errors import ExecutionError, TransientExecutionError, is_transient
 
-__all__ = ["init_worker", "evaluate_shard", "shard_worker_loop",
-           "open_shared_cache"]
+__all__ = ["init_worker", "evaluate_shard", "shard_worker_loop"]
 
 #: Per-process registries, built lazily (or by the pool initializer).
 _BENCHMARKS: dict[str, Any] | None = None
 _GPUS: dict[str, Any] | None = None
-
-#: Per-process columnar caches opened read-only via :func:`open_shared_cache`,
-#: keyed by resolved path.  The mmap means N worker processes opening the same
-#: warm cache share one set of physical pages through the OS page cache instead
-#: of rebuilding N observation dictionaries.
-_SHARED_CACHES: dict[str, Any] = {}
-
-
-def open_shared_cache(path: str | os.PathLike, verify: bool = True) -> Any:
-    """Open a columnar campaign cache read-only, memoized per worker process.
-
-    The returned :class:`~repro.core.cache.EvaluationCache` is backed by
-    memory-mapped columns (``from_columnar(mmap=True)``): index-table replay
-    probes read straight off the mapping, nothing is rehydrated up front, and
-    every worker on the host that opens the same file shares its physical pages.
-    Treat it as read-only -- mutating it would silently fork a private copy of
-    the columns (copy-on-write in the index table), not alter the file.
-
-    Repeated calls with the same path in one process return the same object;
-    ``verify`` applies only to the first open (checksums are immutable after it).
-    """
-    from repro.core.cache import EvaluationCache
-
-    key = os.path.realpath(os.fspath(path))
-    cache = _SHARED_CACHES.get(key)
-    if cache is None:
-        cache = EvaluationCache.from_columnar(key, mmap=True, verify=verify)
-        _SHARED_CACHES[key] = cache
-    return cache
 
 
 def init_worker(workload_overrides: Mapping[str, Mapping[str, Any]] | None = None,

@@ -144,26 +144,17 @@ class KernelBenchmark:
             return False
         return bool(self._launchable(gpu, self.space.digits_of_configs([config]))[0])
 
-    def count_valid(self, gpu: GPUSpec, limit: int | None = 200_000,
-                    seed: int = 99) -> int:
-        """Number (or sampled estimate) of configurations valid on ``gpu``.
+    def count_valid(self, gpu: GPUSpec) -> int:
+        """Number of configurations valid on ``gpu`` (Table VIII 'Valid'), exact.
 
-        For spaces small enough to enumerate (``cardinality <= limit``) the count is
-        exact; otherwise it is estimated from ``limit`` uniform samples of the raw
-        Cartesian product, matching how the paper leaves the huge spaces as "N/A" or
-        estimates them.
+        Static constraints are resolved by the truth-table mask (via the
+        feasible-index blocks); the survivors go through the launch mask.  This
+        enumerates the feasible set, so Table VIII calls it only on spaces small
+        enough to enumerate.
         """
         space = self.space
-        if limit is None or space.cardinality <= limit:
-            # Static constraints are resolved by the truth-table mask (via the
-            # feasible-index blocks); the survivors go through the launch mask.
-            return sum(int(self._launchable(gpu, space.indices_to_digits(block)).sum())
-                       for block in space.enumerate_chunked(valid_only=True))
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, space.cardinality, size=limit)
-        feasible = idx[space.satisfied_mask(idx)]
-        hits = int(self._launchable(gpu, space.indices_to_digits(feasible)).sum())
-        return int(round(space.cardinality * hits / limit))
+        return sum(int(self._launchable(gpu, space.indices_to_digits(block)).sum())
+                   for block in space.enumerate_chunked(valid_only=True))
 
     # ---------------------------------------------------------------- measurements
 

@@ -31,7 +31,6 @@ from repro.exec import (
     resume_campaign,
 )
 from repro.exec.cli import main as exec_main
-from repro.exec.worker import open_shared_cache
 from repro.io.columnar import (
     COLUMNAR_MAGIC,
     cache_digest,
@@ -452,16 +451,6 @@ class TestHypothesisFuzz:
             with pytest.raises(SerializationError):
                 save_columnar_fragment(tmp_path / "bad.col", {"shard_id": 0},
                                        [(poison, True, "")])
-
-
-class TestSharedWorkerCache:
-    def test_open_shared_cache_memoizes(self, campaign_cache, tmp_path):
-        path = tmp_path / "warm.col"
-        campaign_cache.to_columnar(path)
-        first = open_shared_cache(path)
-        second = open_shared_cache(path)
-        assert first is second
-        assert cache_bytes(first) == cache_bytes(campaign_cache)
 
 
 class TestCli:

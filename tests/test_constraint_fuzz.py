@@ -10,7 +10,10 @@ draws generated scenarios from :func:`repro.kernels.synthetic.create_benchmark`
 (family, dimensions, radix profile, constraint density, seed), a constraint added
 after first use and a reduced space of each; the hand-written cases cover what the
 generator never emits: raising restrictions, callables, callables mixed with
-expressions, one-value parameters and reduced spaces of those.
+expressions, one-value parameters and reduced spaces of those.  The count by
+variable elimination must also equal the ``StreamingSpace`` sweep; its fallback to
+the feasible set (a callable, a merged factor past the cell cap) and a count near
+2**62 are checked by hand.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import pytest
 from repro.core.constraints import ConstraintSet
 from repro.core.errors import EmptySearchSpaceError
 from repro.core.parameter import Parameter
+from repro.core import searchspace
 from repro.core.searchspace import SearchSpace
 from repro.kernels.synthetic import FAMILIES, create_benchmark
 
@@ -45,9 +49,14 @@ def check_feasibility(space, constraints=None, fixed=None, seed=0):
     streaming = StreamingSpace(space.parameters, space.constraints)
     assert [streaming.index_is_feasible(i) for i in everything.tolist()] == \
         expected.tolist()
-    assert streaming.count_constrained() == int(expected.sum())
+    count = int(expected.sum())
+    assert streaming.count_constrained() == count
+    assert streaming.feasible_indices(force=True).size == count  # the sweep
+    _, gathers, _, scalar = space._constraint_tables()
+    if not scalar:
+        assert space._count_by_elimination(gathers) == count
     np.testing.assert_array_equal(space.feasible_indices(), np.flatnonzero(expected))
-    assert space.count_constrained() == int(expected.sum())
+    assert space.count_constrained() == count
     assert [space.index_is_feasible(i) for i in everything.tolist()] == \
         expected.tolist()  # through the memo's bitmap
     return expected
@@ -163,6 +172,61 @@ def test_reduced_spaces_table_their_expressions():
     # whose reads are unknown, keep the row path.
     assert sorted(columns for _, columns, _ in gathers) == [(0,), (0, 1)]
     assert len(scalar) == 2
+
+
+def _clique(radix=3, size=4):
+    """Pairwise constraints between every two of ``size`` parameters: eliminating
+    any one merges all of them into one factor of ``radix ** size`` cells."""
+    params = [Parameter(f"p{i}", tuple(range(radix))) for i in range(size)]
+    return SearchSpace(params, [f"p{i} != p{j} or p{i} == 0"
+                                for i, j in itertools.combinations(range(size), 2)])
+
+
+def _spy_sweeps(monkeypatch):
+    sweeps = []
+    sweep = SearchSpace._iter_feasible_blocks
+
+    def counted(self, *args, **kwargs):
+        sweeps.append(self)
+        return sweep(self, *args, **kwargs)
+
+    monkeypatch.setattr(SearchSpace, "_iter_feasible_blocks", counted)
+    return sweeps
+
+
+def test_count_falls_back_past_the_cell_cap(monkeypatch):
+    space = _clique()
+    expected = int(oracle_mask(space, np.arange(space.cardinality)).sum())
+    merged = space.cardinality  # 3 ** 4 cells; every table has 9
+    sweeps = _spy_sweeps(monkeypatch)
+    monkeypatch.setattr(searchspace, "_TABLE_MAX_CELLS", merged)
+    _, gathers, _, scalar = space._constraint_tables()
+    assert len(gathers) == 6 and scalar == ()
+    assert space.count_constrained() == expected
+    assert sweeps == []
+    # One cell less and the merged factor no longer fits, though every table does.
+    monkeypatch.setattr(searchspace, "_TABLE_MAX_CELLS", merged - 1)
+    assert space._count_by_elimination(gathers) is None
+    assert space.count_constrained() == expected
+    assert sweeps == [space]
+
+
+def test_count_falls_back_for_a_callable(monkeypatch):
+    space = _cases()["callable"]
+    sweeps = _spy_sweeps(monkeypatch)
+    assert space.count_constrained() == 9
+    assert space.count_constrained() == int(oracle_mask(space, np.arange(12)).sum())
+    assert sweeps == [space]  # the second count reads the feasible memo
+
+
+def test_count_near_the_cardinality_cap_has_a_closed_form(monkeypatch):
+    # 31 parameters of radix 4: 4 ** 31 = 2 ** 62 points.  "a0 < a1" keeps 6 of
+    # the 16 (a0, a1) pairs and leaves the other 29 parameters free.
+    space = SearchSpace([Parameter(f"a{i}", (0, 1, 2, 3)) for i in range(31)],
+                        ["a0 < a1"])
+    assert space.cardinality == 2**62
+    monkeypatch.setattr(SearchSpace, "_iter_feasible_blocks", None)
+    assert space.count_constrained() == 6 * 4**29
 
 
 def test_infeasible_space_fails_every_draw():

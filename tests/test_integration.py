@@ -74,10 +74,11 @@ class TestFullPipeline:
 
         # Table VIII
         rows = space_size_table(benchmarks, gpus, importances, caches=caches,
-                                enumeration_limit=10_000, constrained_sample=5_000)
+                                enumeration_limit=10_000)
         by_name = {r.benchmark: r for r in rows}
         assert by_name["pnpoly"].cardinality == 4_092
         assert by_name["hotspot"].cardinality == 22_200_000
+        assert by_name["hotspot"].constrained == 2_106_000  # exact, not sampled
         assert by_name["hotspot"].valid_range is None  # too large -> "N/A" as in the paper
         assert by_name["hotspot"].reduced < by_name["hotspot"].cardinality
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.searchspace import SearchSpace
 from repro.kernels import BENCHMARK_NAMES, all_benchmarks
 
 #: Cardinality column of Table VIII.
@@ -105,14 +106,29 @@ class TestKnownConstrainedCounts:
         assert suite["pnpoly"].space.count_constrained() == 4_092
 
     def test_nbody_constrained_same_order_as_paper(self, suite):
-        count = suite["nbody"].space.count_constrained()
-        assert 0 < count < 9_408
         # Paper reports 1 568; the reconstructed constraints land in the same order.
-        assert 300 <= count <= 4_000
+        assert suite["nbody"].space.count_constrained() == 896
 
     def test_convolution_constrained_same_order_as_paper(self, suite):
-        count = suite["convolution"].space.count_constrained()
-        assert 5_000 <= count <= 15_000  # paper: 9 400
+        assert suite["convolution"].space.count_constrained() == 12_032  # paper: 9 400
+
+    def test_large_spaces_count_exactly_without_a_sweep(self, suite, monkeypatch):
+        # Paper: expdist 540 000, hotspot 21 850 147, dedispersion 107 011 905.
+        counts = {"expdist": 302_400, "hotspot": 2_106_000, "dedispersion": 19_138_560}
+        reduced = {name: suite[name].space.reduced(suite[name].space.parameter_names[:4])
+                   for name in counts}
+        swept = {name: space.feasible_indices(force=True).size
+                 for name, space in reduced.items()}
+
+        def no_sweep(self, *args, **kwargs):
+            raise AssertionError(f"{self.name} swept its indices to count")
+
+        monkeypatch.setattr(SearchSpace, "_iter_feasible_blocks", no_sweep)
+        for name, count in counts.items():
+            assert suite[name].space.count_constrained() == count
+            # Reduced spaces (Table VIII's Reduce-Constrained) count the same way.
+            fresh = suite[name].space.reduced(suite[name].space.parameter_names[:4])
+            assert fresh.count_constrained() == swept[name]
 
     def test_workload_overrides(self):
         suite = all_benchmarks(gemm={"matrix_size": 1024}, nbody={"n_bodies": 4096})

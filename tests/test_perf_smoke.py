@@ -467,7 +467,7 @@ def test_grid_sweep_streams_its_index_range(benchmarks, gpu_3090):
 
 def test_exact_constrained_count_gemm_under_ceiling(benchmarks):
     space = benchmarks["gemm"].space
-    count, elapsed = _timed(lambda: space.count_constrained(limit=None))
+    count, elapsed = _timed(space.count_constrained)
     assert count == 17_956  # paper Table VIII
     assert elapsed < COUNT_GEMM_CEILING_S, (
         f"exact GEMM constrained count took {elapsed:.2f}s "
