@@ -45,7 +45,8 @@ __all__ = [
 ]
 
 #: Runtime-registered benchmark specs, keyed by normalized name.  Process-local by
-#: design: worker processes receive the specs they need explicitly (see
+#: design: a worker process receives the spec of every benchmark it evaluates,
+#: built-in or custom, and builds exactly those (see
 #: :func:`repro.exec.worker.init_worker`) instead of inheriting mutable state.
 _CUSTOM_SPECS: dict[str, "BenchmarkSpec"] = {}
 

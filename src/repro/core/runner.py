@@ -8,7 +8,6 @@ is therefore reproducible from a (tuner, problem, budget, seed) quadruple.
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Mapping
 
 
@@ -96,12 +95,14 @@ def _resolve_problem_spec(value: Any) -> TuningProblem:
 
 
 def run_matrix(tuners: Mapping[str, Any], problems: Mapping[str, Any],
-               max_evaluations: int, seed: int = 0,
-               executor: Any = None) -> dict[tuple[str, str], TuningResult]:
+               max_evaluations: int, seed: int = 0
+               ) -> dict[tuple[str, str], TuningResult]:
     """Run every tuner on every problem once.
 
-    Returns a dictionary keyed by ``(tuner_name, problem_name)``.  Used by the tuner
-    comparison example and the ablation benchmark.
+    Returns a dictionary keyed by ``(tuner_name, problem_name)``, in tuner-major
+    order.  Used by the tuner comparison example and the ablation benchmark.
+    Runs go problem by problem, and each problem's memo is reset before every
+    run, so no run sees another's evaluations.
 
     Parameters
     ----------
@@ -111,55 +112,15 @@ def run_matrix(tuners: Mapping[str, Any], problems: Mapping[str, Any],
         (built-in kernels and runtime-registered scenarios alike), which is how
         matrix sweeps name hundreds of generated scenarios without constructing
         problem objects by hand.
-    executor:
-        Optional task mapper with a ``map(fn, iterable)`` method (e.g. a
-        :class:`concurrent.futures.ThreadPoolExecutor`).  The matrix is partitioned
-        *by problem* -- every tuner runs serially against its problem object, so the
-        per-problem memoization/reset semantics are exactly those of the serial loop
-        -- and the problem columns are dispatched through the executor.  Results are
-        identical to the serial run (each run is deterministic given ``seed``); only
-        wall-clock changes.  Process-pool mappers require picklable problems, which
-        the closure-based kernel problems are not -- use thread- or in-process
-        mappers for those.  Tuner *instances* (as opposed to ``seed=``-callable
-        factories) carry per-run state on ``self``, so a concurrent mapper would
-        race them across columns -- the matrix falls back to inline execution
-        whenever a non-callable tuner is present.
     """
     problems = {name: _resolve_problem_spec(value)
                 for name, value in problems.items()}
-    if executor is not None and any(not callable(f) for f in tuners.values()):
-        executor = None
-
-    def run_column(item: tuple[str, TuningProblem]) -> dict[tuple[str, str], TuningResult]:
-        problem_name, problem = item
-        column: dict[tuple[str, str], TuningResult] = {}
+    results: dict[tuple[str, str], TuningResult] = {}
+    for problem_name, problem in problems.items():
         for tuner_name, tuner_factory in tuners.items():
             tuner = tuner_factory(seed=seed) if callable(tuner_factory) else tuner_factory
             problem.reset_cache()
-            column[(tuner_name, problem_name)] = run_tuning(
+            results[(tuner_name, problem_name)] = run_tuning(
                 tuner, problem, max_evaluations=max_evaluations, seed=seed)
-        return column
-
-    if executor is None:
-        columns = [run_column(item) for item in problems.items()]
-    else:
-        try:
-            columns = list(executor.map(run_column, list(problems.items())))
-        except (pickle.PicklingError, AttributeError) as exc:
-            # Submission-side pickling of the local closure is the only failure
-            # translated here ("Can't pickle local object 'run_matrix...'"); any
-            # other AttributeError is a genuine bug and propagates untouched.
-            if (isinstance(exc, AttributeError)
-                    and "pickle local object" not in str(exc)):
-                raise
-            raise ReproError(
-                "run_matrix's column runner closes over tuners and problems and "
-                "cannot be shipped to worker processes; use a thread-based or "
-                "in-process mapper (e.g. concurrent.futures.ThreadPoolExecutor, "
-                "or executor=None)") from exc
-    merged: dict[tuple[str, str], TuningResult] = {}
-    for column in columns:
-        merged.update(column)
-    # Preserve the historical tuner-major key order of the serial loop.
-    return {(tuner_name, problem_name): merged[(tuner_name, problem_name)]
+    return {(tuner_name, problem_name): results[(tuner_name, problem_name)]
             for tuner_name in tuners for problem_name in problems}

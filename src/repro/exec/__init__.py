@@ -10,19 +10,22 @@ operational CLI (``python -m repro.exec``; see :mod:`repro.exec.cli`).
 
 Quick start::
 
-    from repro.exec import ParallelExecutor, run_campaign
+    from repro.exec import ParallelExecutor, ShardPlanner
 
-    caches = run_campaign(executor=ParallelExecutor(workers=4),
-                          checkpoint="ckpt/")
+    planner = ShardPlanner()
+    caches = ParallelExecutor(workers=4).run(
+        planner.plan(), benchmarks=planner.benchmarks, gpus=planner.gpus,
+        checkpoint="ckpt/")
 
 The division of labour mirrors worker-queue runner services: a *planner* that owns
-the deterministic work breakdown, stateless *workers* that evaluate index slices by
-name or by picklable spec, a *checkpoint store* for completed work units, and
-*executors* that merge in plan order.  Custom benchmarks are first-class: anything
-registered through :func:`repro.core.registry.register_benchmark` (e.g. the
-generated scenarios of :mod:`repro.kernels.synthetic`) plans, runs in parallel and
-resumes exactly like the built-in kernels -- its ``"module:factory"`` spec rides the
-plan manifest, so ``resume``/``status`` need no registration at all.  Multi-host
+the deterministic work breakdown, stateless *workers* that build each benchmark
+from its picklable spec and evaluate index slices, a *checkpoint store* for
+completed work units, and *executors* that merge in plan order.  Custom
+benchmarks are first-class: anything registered through
+:func:`repro.core.registry.register_benchmark` (e.g. the generated scenarios of
+:mod:`repro.kernels.synthetic`) plans, runs in parallel and resumes exactly like
+the built-in kernels -- its ``"module:factory"`` spec rides the plan manifest, so
+``resume``/``status`` need no registration at all.  Multi-host
 sharding only needs a new executor -- the plan, worker and checkpoint contracts
 already hold.
 """
@@ -33,7 +36,6 @@ from repro.exec.executors import (
     ParallelExecutor,
     SerialExecutor,
     resume_campaign,
-    run_campaign,
 )
 from repro.exec.faults import Fault, FaultPlan, corrupt_fragment
 from repro.exec.progress import ShardProgressReporter
@@ -52,7 +54,7 @@ __all__ = [
     "CampaignPlan", "CampaignUnit", "CheckpointStore", "Executor",
     "Fault", "FaultPlan", "ParallelExecutor", "RetryPolicy", "SerialExecutor",
     "Shard", "ShardPlanner", "corrupt_fragment",
-    "run_campaign", "resume_campaign", "ShardProgressReporter",
+    "resume_campaign", "ShardProgressReporter",
     "DEFAULT_SHARD_SIZE",
     "PAPER_SAMPLE_SIZE", "PAPER_SAMPLED_BENCHMARKS",
 ]

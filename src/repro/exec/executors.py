@@ -74,17 +74,15 @@ from repro.core.errors import (
     WorkerCrashError,
     is_transient,
 )
-from repro.core.registry import BenchmarkSpec
 from repro.exec.checkpoint import CheckpointStore, benchmark_fingerprint
 from repro.exec.faults import FaultPlan, corrupt_fragment
-from repro.exec.planner import CampaignPlan, CampaignUnit, Shard, ShardPlanner, unit_indices
+from repro.exec.planner import CampaignPlan, CampaignUnit, Shard, unit_indices, unit_spec
 from repro.exec.progress import ShardProgressReporter
 from repro.exec.retry import RetryPolicy
 from repro.exec.worker import shard_worker_loop
 from repro.io.columnar import concat_fragment_columns
 
-__all__ = ["Executor", "SerialExecutor", "ParallelExecutor", "run_campaign",
-           "resume_campaign"]
+__all__ = ["Executor", "SerialExecutor", "ParallelExecutor", "resume_campaign"]
 
 #: Worker-reported exception names rebuilt as their taxonomy class in the parent.
 _ERROR_TYPES: dict[str, type[Exception]] = {
@@ -253,14 +251,18 @@ class Executor(abc.ABC):
         plan:
             The shard plan to execute.
         benchmarks / gpus:
-            Name->object mappings used for index decoding and merging (default: the
-            registries).  Parallel workers always rebuild from the registries.
+            Name->object mappings used for index decoding and merging (default:
+            each unit's benchmark built from :func:`~repro.exec.planner.unit_spec`,
+            and the paper's GPUs).  Parallel workers always build from that spec.
         checkpoint:
             Optional :class:`CheckpointStore` (or directory path): completed shards
             are persisted as fragments, and existing fragments are loaded instead of
             re-evaluated.
         progress:
-            Optional callable receiving one human-readable line per completed shard.
+            Optional callable receiving one human-readable line per completed shard
+            (and the executor's out-of-band notes), or a
+            :class:`~repro.exec.progress.ShardProgressReporter`, which gets
+            ``begin``/``shard_done``/``note`` calls for percent/ETA lines.
         only_units:
             Optional subset of unit keys to execute and merge.  The checkpoint
             manifest still binds the *whole* plan (missing fragments are exactly
@@ -269,26 +271,14 @@ class Executor(abc.ABC):
         """
         self._reset_run_state()
         if benchmarks is None:
-            # The open-registry default, resolved per plan unit.  A unit's own spec
-            # is authoritative -- a same-named registration in this process may have
-            # diverged from what the plan was built against, and workers rebuild
-            # from the unit spec, so the parent must too -- and it is what lets
-            # `resume` rebuild a custom scenario from the manifest alone, with
-            # nothing registered.  Spec-free names resolve through the registry
-            # (built-in kernels and registered customs); only the benchmarks the
-            # plan actually references are constructed.
-            from repro.core.registry import benchmark_spec
+            # Built from the same spec workers build from, so parent and workers
+            # cannot diverge; only the benchmarks the plan references are built.
+            # Unknown names fall through to the `missing` check below.
             benchmarks = {}
             for unit in plan.units:
-                if unit.benchmark in benchmarks:
-                    continue
-                if unit.spec:
-                    benchmarks[unit.benchmark] = BenchmarkSpec.from_dict(unit.spec).build()
-                else:
-                    spec = benchmark_spec(unit.benchmark)
-                    if spec is not None:
-                        benchmarks[unit.benchmark] = spec.build()
-                    # Unknown names fall through to the `missing` check below.
+                spec = unit_spec(unit)
+                if spec is not None and unit.benchmark not in benchmarks:
+                    benchmarks[unit.benchmark] = spec.build()
         if gpus is None:
             from repro.gpus.specs import all_gpus
             gpus = all_gpus()
@@ -498,14 +488,11 @@ class _ShardWorker:
     cancel a running task at all.)
     """
 
-    def __init__(self, ctx: Any, slot: int,
-                 workload_overrides: Mapping[str, Mapping[str, Any]] | None,
-                 benchmark_specs: Mapping[str, Any] | None):
+    def __init__(self, ctx: Any, slot: int, benchmark_specs: Mapping[str, Any]):
         self.slot = slot
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
-            target=shard_worker_loop,
-            args=(child_conn, workload_overrides, benchmark_specs),
+            target=shard_worker_loop, args=(child_conn, benchmark_specs),
             daemon=True, name=f"repro-shard-worker-{slot}")
         self.process.start()
         child_conn.close()
@@ -566,10 +553,6 @@ class ParallelExecutor(Executor):
         Pool size (the paper-scale campaign saturates at ~#physical-cores).  A
         run that would start more workers than this process has usable cores
         says so in one progress line; the count is kept as given.
-    workload_overrides:
-        Per-benchmark factory keyword overrides forwarded to workers, for callers
-        that run non-default workloads (must match the parent's ``benchmarks``
-        mapping or rows will diverge from the serial path).
     mp_context:
         Optional :mod:`multiprocessing` context (e.g. ``get_context("spawn")``).
     retry_policy / shard_timeout / fault_plan:
@@ -580,11 +563,13 @@ class ParallelExecutor(Executor):
 
     Notes
     -----
-    Workers rebuild benchmarks *by name* from the registry or *by spec* (a
-    ``"module:factory"`` description carried by the plan's units or supplied by
-    :func:`repro.core.registry.register_benchmark`), so every benchmark in the plan
-    must be one or the other; anonymous live benchmark objects require the
-    :class:`SerialExecutor` (or registration).
+    Each worker builds exactly the benchmarks of the plan, each from the spec
+    :func:`~repro.exec.planner.unit_spec` resolves for its units: the unit's own
+    ``"module:factory"`` spec, else the open registry's (built-in kernels and
+    :func:`repro.core.registry.register_benchmark` entries).  A benchmark with
+    neither -- an anonymous live object -- needs the :class:`SerialExecutor` (or
+    registration), and an object its spec does not rebuild (say, a built-in
+    with a custom workload) needs its spec passed to ``ShardPlanner(specs=...)``.
 
     On interruption (Ctrl-C / SIGTERM translated to :class:`KeyboardInterrupt`)
     the executor flushes results its workers have already sent -- their fragments
@@ -593,7 +578,6 @@ class ParallelExecutor(Executor):
     """
 
     def __init__(self, workers: int = 4,
-                 workload_overrides: Mapping[str, Mapping[str, Any]] | None = None,
                  mp_context: Any = None,
                  retry_policy: RetryPolicy | None = None,
                  shard_timeout: float | None = None,
@@ -603,69 +587,44 @@ class ParallelExecutor(Executor):
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.workload_overrides = ({k: dict(v) for k, v in workload_overrides.items()}
-                                   if workload_overrides else None)
         self.mp_context = mp_context
 
-    def _check_registry_resolvable(self, tasks: list[_ShardTask]
-                                   ) -> dict[str, dict[str, Any]] | None:
-        """Workers must be able to rebuild *these exact* benchmarks by name or spec.
+    @staticmethod
+    def _worker_specs(tasks: list[_ShardTask]) -> dict[str, dict[str, Any]]:
+        """The spec dictionary of every benchmark in ``tasks``, keyed by name.
 
-        Built-in kernel names resolve through :func:`repro.kernels.all_benchmarks`;
-        any other name needs a picklable spec, taken from the plan's units first
-        and the open registry second.  A name (or spec) collision is not enough:
-        a caller's benchmark object carrying a custom workload or a diverged space
-        would be silently replaced by the rebuild in every worker, so the parent's
-        objects are compared against what :func:`init_worker` will construct and
-        any mismatch is refused loudly.  Returns the spec dictionaries to ship to
-        the worker initializer (None when every benchmark is built-in).
+        Workers build these and nothing else, so each must exist and must
+        rebuild *this exact* object: a parent object carrying a custom workload
+        or a diverged space would be silently replaced in every worker, so it is
+        compared against its rebuild and any mismatch is refused loudly.
         """
-        from repro.core.registry import registered_benchmarks
-        from repro.kernels import BENCHMARK_NAMES, all_benchmarks
-
-        by_name = {t.shard.benchmark: t.benchmark for t in tasks}
-        specs: dict[str, dict[str, Any]] = {}
+        specs = {}
         for task in tasks:
-            if task.unit.spec and task.shard.benchmark not in specs:
-                specs[task.shard.benchmark] = dict(task.unit.spec)
-        registered = None
-        unknown = []
-        for name in by_name:
-            if name in BENCHMARK_NAMES or name in specs:
-                continue
-            if registered is None:
-                registered = registered_benchmarks()
-            if name in registered:
-                specs[name] = registered[name].to_dict()
-            else:
-                unknown.append(name)
+            name = task.shard.benchmark
+            if name not in specs:
+                specs[name] = (unit_spec(task.unit), task.benchmark)
+        unknown = sorted(name for name, (spec, _) in specs.items() if spec is None)
         if unknown:
             raise ReproError(
                 f"ParallelExecutor workers rebuild benchmarks from the registry (or "
-                f"from picklable specs) and cannot resolve {sorted(unknown)}; "
+                f"from picklable specs) and cannot resolve {unknown}; "
                 f"register them with repro.core.registry.register_benchmark (or "
                 f"pass specs= to ShardPlanner), or use SerialExecutor for "
                 f"anonymous benchmark objects")
-        builtin = [name for name in by_name if name not in specs]
-        rebuilt: dict[str, Any] = (all_benchmarks(**(self.workload_overrides or {}))
-                                   if builtin else {})
-        for name, spec in specs.items():
-            rebuilt[name] = BenchmarkSpec.from_dict(spec).build()
-        for name, benchmark in by_name.items():
-            if (benchmark.name != rebuilt[name].name
-                    or dict(benchmark.workload.sizes) != dict(rebuilt[name].workload.sizes)
-                    or benchmark.space.to_dict() != rebuilt[name].space.to_dict()):
-                hint = ("pass matching workload_overrides= to ParallelExecutor"
-                        if name not in specs else
-                        "re-register it so the spec matches the object")
+        for name, (spec, benchmark) in specs.items():
+            rebuilt = spec.build()
+            if (benchmark.name != rebuilt.name
+                    or dict(benchmark.workload.sizes) != dict(rebuilt.workload.sizes)
+                    or benchmark.space.to_dict() != rebuilt.space.to_dict()):
                 raise ReproError(
                     f"benchmark {name!r} differs from what workers would rebuild "
-                    f"(custom workload or space under a registry name); {hint}, "
-                    f"or use SerialExecutor")
-        return specs or None
+                    f"(custom workload or space under a registry name); pass the "
+                    f"spec that builds it to ShardPlanner(specs=...), or use "
+                    f"SerialExecutor")
+        return {name: spec.to_dict() for name, (spec, _) in specs.items()}
 
     def _run_shards(self, tasks, on_complete):
-        benchmark_specs = self._check_registry_resolvable(tasks)
+        benchmark_specs = self._worker_specs(tasks)
         ctx = self.mp_context if self.mp_context is not None else mp.get_context()
         slots, cores = min(self.workers, len(tasks)), _usable_cores()
         if slots > cores:
@@ -673,7 +632,7 @@ class ParallelExecutor(Executor):
                        f"time-share the cores, so fewer workers may finish sooner")
 
         def spawn(slot: int) -> _ShardWorker:
-            return _ShardWorker(ctx, slot, self.workload_overrides, benchmark_specs)
+            return _ShardWorker(ctx, slot, benchmark_specs)
 
         workers = [spawn(slot) for slot in range(min(self.workers, len(tasks)))]
         ready: deque[_ShardTask] = deque(tasks)
@@ -825,31 +784,6 @@ class ParallelExecutor(Executor):
 
 
 # ------------------------------------------------------------------- conveniences
-
-
-def run_campaign(benchmarks: Mapping[str, Any] | None = None,
-                 gpus: Mapping[str, Any] | None = None,
-                 sample_size: int | None = None,
-                 exhaustive_limit: int | None = None,
-                 seed: int = 2023, with_noise: bool = True,
-                 shard_size: int | None = None,
-                 executor: Executor | None = None,
-                 checkpoint: CheckpointStore | str | None = None,
-                 progress: Progress | None = None,
-                 ) -> dict[tuple[str, str], EvaluationCache]:
-    """Plan and execute a campaign in one call (the API behind the ``run`` CLI)."""
-    planner_kwargs: dict[str, Any] = {
-        "benchmarks": benchmarks, "gpus": gpus, "exhaustive_limit": exhaustive_limit,
-        "seed": seed, "with_noise": with_noise,
-    }
-    if sample_size is not None:
-        planner_kwargs["sample_size"] = sample_size
-    if shard_size is not None:
-        planner_kwargs["shard_size"] = shard_size
-    planner = ShardPlanner(**planner_kwargs)
-    executor = executor or SerialExecutor()
-    return executor.run(planner.plan(), benchmarks=planner.benchmarks,
-                        gpus=planner.gpus, checkpoint=checkpoint, progress=progress)
 
 
 def resume_campaign(checkpoint: CheckpointStore | str,

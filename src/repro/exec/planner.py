@@ -30,7 +30,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.errors import ReproError
-from repro.core.registry import BenchmarkSpec
+from repro.core.registry import BenchmarkSpec, benchmark_spec
 from repro.core.searchspace import SearchSpace
 from repro.io.columnar import COLUMNAR_SUFFIX
 
@@ -38,6 +38,7 @@ __all__ = [
     "PAPER_SAMPLED_BENCHMARKS", "PAPER_SAMPLE_SIZE", "DEFAULT_SHARD_SIZE",
     "CUSTOM_EXHAUSTIVE_LIMIT",
     "CampaignUnit", "Shard", "CampaignPlan", "ShardPlanner", "unit_indices",
+    "unit_spec",
 ]
 
 #: Benchmarks the paper samples (10 000 random configurations) instead of enumerating.
@@ -80,8 +81,8 @@ class CampaignUnit:
     spec:
         Optional benchmark spec dictionary (:meth:`~repro.core.registry.BenchmarkSpec.to_dict`
         form) describing how workers -- and ``resume`` runs with no registration --
-        rebuild this benchmark.  None for the built-in kernels, which workers
-        rebuild from :func:`repro.kernels.all_benchmarks` as before.
+        rebuild this benchmark.  None for a default built-in kernel, which is
+        rebuilt from its implicit spec (see :func:`unit_spec`).
     """
 
     benchmark: str
@@ -218,6 +219,20 @@ def unit_indices(space: SearchSpace, unit: CampaignUnit) -> np.ndarray:
                                 valid_only=True, unique=True)
 
 
+def unit_spec(unit: CampaignUnit) -> BenchmarkSpec | None:
+    """The spec that rebuilds ``unit``'s benchmark in any process, or None if unknown.
+
+    The unit's own spec is authoritative: it is what the plan was built against,
+    and what lets ``resume`` rebuild a custom scenario from the manifest alone.
+    Spec-free units resolve through the open registry
+    (:func:`repro.core.registry.benchmark_spec`), which answers built-in kernels
+    with their implicit ``repro.kernels.<name>:create_benchmark`` spec.
+    """
+    if unit.spec:
+        return BenchmarkSpec.from_dict(unit.spec)
+    return benchmark_spec(unit.benchmark)
+
+
 class ShardPlanner:
     """Splits a campaign into deterministic shards.
 
@@ -247,10 +262,12 @@ class ShardPlanner:
     specs:
         Optional explicit benchmark specs (any :meth:`BenchmarkSpec.parse` form)
         recorded into the plan's units so that workers, checkpoint manifests and
-        registration-free ``resume`` runs can rebuild the benchmarks.  Names
-        without an explicit spec fall back to the open registry
-        (:func:`repro.core.registry.benchmark_spec`); built-in kernels stay
-        spec-free (workers rebuild them from the kernel registry as before).
+        registration-free ``resume`` runs can rebuild the benchmarks.  This is
+        how a built-in kernel with a non-default workload runs in parallel and
+        resumes.  Names without an explicit spec fall back to the open registry
+        (:func:`repro.core.registry.benchmark_spec`); default built-in kernels
+        record no spec and are rebuilt from their implicit one
+        (:func:`unit_spec`).
     """
 
     def __init__(self, benchmarks: Mapping[str, Any] | None = None,
@@ -311,8 +328,9 @@ class ShardPlanner:
         """Spec dictionary recorded into this benchmark's units, or None.
 
         Explicit ``specs=`` entries win; otherwise custom registrations in the
-        open registry supply their spec, and built-in kernels return None (the
-        worker rebuild path that predates specs).
+        open registry supply their spec.  Built-in kernels return None, so their
+        manifests stay as they were; :func:`unit_spec` resolves their implicit
+        spec when a worker or ``resume`` rebuilds them.
         """
         spec = self.specs.get(benchmark_name)
         if spec is not None:

@@ -2,29 +2,27 @@
 
 Shard workers never receive live benchmark objects: compiled constraint code objects
 (and the closures built on them) do not pickle, and shipping them would tie the
-protocol to one process-start method.  Instead a worker receives *names* and rebuilds
-the registries once per process in :func:`init_worker`; a shard task is then just
+protocol to one process-start method.  Instead a worker receives one picklable
+*spec* per benchmark of the plan (``"module:factory"`` plus JSON kwargs, see
+:class:`repro.core.registry.BenchmarkSpec`, resolved per unit by
+:func:`repro.exec.planner.unit_spec`) and builds exactly those once per process in
+:func:`init_worker`.  Built-in kernels, runtime-registered and synthetic scenarios
+all arrive this way.  A shard task is then just
 ``(benchmark_name, gpu_name, index_array, with_noise)`` and its result the
 ``(values, codes, errors)`` columns of
-:meth:`~repro.kernels.base.KernelBenchmark.evaluate_indices`.  Custom benchmarks
-follow the same discipline one level up: they arrive as picklable *specs*
-(``"module:factory"`` plus JSON kwargs, see :class:`repro.core.registry.BenchmarkSpec`)
-and the worker builds them next to the built-in suite -- which is how
-runtime-registered and synthetic scenarios ride the parallel machinery.
+:meth:`~repro.kernels.base.KernelBenchmark.evaluate_indices`.
 
-Determinism: a rebuilt benchmark is value-identical to the parent's (the registries
-and spec factories are pure constructors), configurations are decoded from
-mixed-radix indices by the same columnar codec, and the noise model hashes with
-blake2b (process-stable, unlike ``hash()``).  A worker therefore returns exactly the
+Determinism: a rebuilt benchmark is value-identical to the parent's (spec
+factories are pure constructors), configurations are decoded from mixed-radix
+indices by the same columnar codec, and the noise model hashes with blake2b
+(process-stable, unlike ``hash()``).  A worker therefore returns exactly the
 columns the parent would have computed serially -- the byte-identity contract of
 :mod:`repro.exec.executors`.
 
-Two entry points share that machinery: :func:`evaluate_shard` is the plain task
-function (callable in-process; :func:`shard_worker_loop` runs it per request),
-and :func:`shard_worker_loop` is the long-lived pipe protocol the fault-tolerant
+:func:`shard_worker_loop` is the long-lived pipe protocol the fault-tolerant
 :class:`~repro.exec.executors.ParallelExecutor` drives -- one worker process per
-slot, receiving ``(benchmark, gpu, indices, with_noise, fault)`` tuples and
-answering ``("ok", (values, codes, errors))`` or
+slot, receiving ``(benchmark, gpu, indices, with_noise, fault)`` tuples, running
+:func:`evaluate_shard` on each and answering ``("ok", (values, codes, errors))`` or
 ``("error", type_name, message, transient)``.  A dedicated process per in-flight
 shard is what makes blame precise: a crash or hang can only ever belong to the one
 shard its worker was evaluating.
@@ -43,13 +41,12 @@ from repro.core.errors import ExecutionError, TransientExecutionError, is_transi
 
 __all__ = ["init_worker", "evaluate_shard", "shard_worker_loop"]
 
-#: Per-process registries, built lazily (or by the pool initializer).
-_BENCHMARKS: dict[str, Any] | None = None
-_GPUS: dict[str, Any] | None = None
+#: Per-process registries, built by :func:`init_worker`.
+_BENCHMARKS: dict[str, Any] = {}
+_GPUS: dict[str, Any] = {}
 
 
-def init_worker(workload_overrides: Mapping[str, Mapping[str, Any]] | None = None,
-                benchmark_specs: Mapping[str, Any] | None = None) -> None:
+def init_worker(benchmark_specs: Mapping[str, Any]) -> None:
     """Build the per-process benchmark/GPU registries.
 
     A worker only evaluates the index slices the parent sends and never
@@ -57,23 +54,17 @@ def init_worker(workload_overrides: Mapping[str, Mapping[str, Any]] | None = Non
 
     Parameters
     ----------
-    workload_overrides:
-        Per-benchmark factory keyword overrides (e.g. shrunken test workloads),
-        forwarded to :func:`repro.kernels.all_benchmarks`.
     benchmark_specs:
-        Picklable specs of the plan's non-built-in benchmarks, keyed by name (any
+        Picklable specs of the plan's benchmarks, keyed by name (any
         :meth:`~repro.core.registry.BenchmarkSpec.parse` form).  Each is built
-        fresh in this process and added beside the built-in suite -- the worker
-        half of the open-registry contract.
+        fresh in this process, and nothing else is.
     """
     global _BENCHMARKS, _GPUS
     from repro.core.registry import BenchmarkSpec
     from repro.gpus.specs import all_gpus
-    from repro.kernels import all_benchmarks
 
-    _BENCHMARKS = all_benchmarks(**{k: dict(v) for k, v in (workload_overrides or {}).items()})
-    for name, spec in (benchmark_specs or {}).items():
-        _BENCHMARKS[name] = BenchmarkSpec.parse(spec).build()
+    _BENCHMARKS = {name: BenchmarkSpec.parse(spec).build()
+                   for name, spec in benchmark_specs.items()}
     _GPUS = all_gpus()
 
 
@@ -109,26 +100,22 @@ def evaluate_shard(benchmark_name: str, gpu_name: str,
                    with_noise: bool = True,
                    fault: tuple[str, float] | None = None,
                    ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Evaluate one shard's columns; the task function submitted to pools.
+    """Evaluate one shard's columns in a process set up by :func:`init_worker`.
 
-    Also callable in-process (it lazily initializes the registries), which is how the
-    configuration tests exercise worker behaviour without spawning a pool.  ``fault``
-    is an optional injected-fault payload (see :mod:`repro.exec.faults`), applied
-    *before* any evaluation so a faulted attempt never half-computes.
+    ``fault`` is an optional injected-fault payload (see :mod:`repro.exec.faults`),
+    applied *before* any evaluation so a faulted attempt never half-computes.
     """
     if fault is not None:
         _apply_worker_fault(fault)
-    if _BENCHMARKS is None:
-        init_worker()
     benchmark = _BENCHMARKS[benchmark_name]
     gpu = _GPUS[gpu_name]
     return benchmark.evaluate_indices(gpu, indices, with_noise=with_noise)
 
 
-def shard_worker_loop(conn: Any, workload_overrides: Mapping[str, Mapping[str, Any]] | None = None,
-                      benchmark_specs: Mapping[str, Any] | None = None) -> None:
+def shard_worker_loop(conn: Any, benchmark_specs: Mapping[str, Any]) -> None:
     """Long-lived worker: evaluate shard requests arriving on a pipe until EOF.
 
+    The worker first builds ``benchmark_specs`` (see :func:`init_worker`).
     Protocol (one request, one reply, strictly alternating):
 
     * request: ``(benchmark_name, gpu_name, indices, with_noise, fault)`` --
@@ -146,7 +133,7 @@ def shard_worker_loop(conn: Any, workload_overrides: Mapping[str, Mapping[str, A
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main-thread fallback
         pass
-    init_worker(workload_overrides, benchmark_specs)
+    init_worker(benchmark_specs)
     while True:
         try:
             request = conn.recv()

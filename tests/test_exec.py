@@ -21,7 +21,6 @@ from repro.core.budget import Budget
 from repro.core.errors import ReproError, SerializationError
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
-from repro.core.runner import run_matrix
 from repro.exec import (
     CampaignPlan,
     CheckpointStore,
@@ -144,27 +143,41 @@ class TestParallelExecutor:
                                             benchmarks=planner.benchmarks,
                                             gpus=planner.gpus)
 
-    def test_rejects_custom_workload_under_registry_name(self, gpus):
+    def test_rejects_custom_workload_under_registry_name(self, gpus, tmp_path):
         # A custom workload under a registry name would be silently replaced by
         # the default rebuild in every worker; the mismatch must be refused.
         from repro.kernels import all_benchmarks
 
         custom = {"hotspot": all_benchmarks(hotspot={"grid_size": 64})["hotspot"]}
-        planner = ShardPlanner(custom, {"RTX_3090": gpus["RTX_3090"]},
-                               sample_size=4)
-        with pytest.raises(ReproError, match="workload_overrides"):
+        selected_g = {"RTX_3090": gpus["RTX_3090"]}
+        planner = ShardPlanner(custom, selected_g, sample_size=4)
+        with pytest.raises(ReproError, match=r"ShardPlanner\(specs=\.\.\.\)"):
             ParallelExecutor(workers=2).run(planner.plan(),
                                             benchmarks=planner.benchmarks,
                                             gpus=planner.gpus)
-        # With matching overrides the same plan runs (and matches serial).
-        executor = ParallelExecutor(workers=2,
-                                    workload_overrides={"hotspot": {"grid_size": 64}})
-        parallel = executor.run(planner.plan(), benchmarks=planner.benchmarks,
-                                gpus=planner.gpus)
-        serial = SerialExecutor().run(planner.plan(), benchmarks=planner.benchmarks,
+        # With the spec that builds the custom workload, the same benchmark
+        # runs in parallel and matches serial.
+        planner = ShardPlanner(custom, selected_g, sample_size=8, shard_size=2,
+                               specs={"hotspot": {
+                                   "factory": "repro.kernels.hotspot:create_benchmark",
+                                   "kwargs": {"grid_size": 64}}})
+        plan = planner.plan()
+        serial = SerialExecutor().run(plan, benchmarks=planner.benchmarks,
                                       gpus=planner.gpus)
+        store = CheckpointStore(tmp_path / "ckpt")
+        parallel = ParallelExecutor(workers=2).run(
+            plan, benchmarks=planner.benchmarks, gpus=planner.gpus,
+            checkpoint=store)
         key = ("hotspot", "RTX_3090")
         assert cache_bytes(parallel[key]) == cache_bytes(serial[key])
+        # Resume with no benchmarks= rebuilds the custom workload from the
+        # manifest's unit specs alone, in the parent and in every worker.
+        dropped = [s for s in plan.shards if s.shard_id % 2 == 1]
+        assert dropped
+        for shard in dropped:
+            os.unlink(store.fragment_path(shard))
+        resumed = resume_campaign(store, executor=ParallelExecutor(workers=2))
+        assert cache_bytes(resumed[key]) == cache_bytes(serial[key])
 
     def test_rejects_invalid_worker_count(self):
         with pytest.raises(ReproError):
@@ -463,31 +476,3 @@ class TestBatchEvaluatePaths:
             assert a.evaluation_index == b.evaluation_index
             if not ok:
                 assert not a.valid and a.error.startswith("constraint violation")
-
-
-class TestRunMatrixExecutorHook:
-    def _matrix(self, pnpoly, gpu_3090, executor):
-        tuners = {"random": lambda seed=None: RandomSearch(seed=seed)}
-        problems = {"pnpoly": pnpoly.problem(gpu_3090)}
-        return run_matrix(tuners, problems, max_evaluations=40, seed=3,
-                          executor=executor)
-
-    def test_thread_pool_executor_hook_matches_inline(self, pnpoly, gpu_3090):
-        from concurrent.futures import ThreadPoolExecutor
-
-        inline = self._matrix(pnpoly, gpu_3090, executor=None)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            hooked = self._matrix(pnpoly, gpu_3090, executor=pool)
-        assert list(inline) == list(hooked)
-        for key in inline:
-            assert inline[key].best_value == hooked[key].best_value
-            assert [o.config for o in inline[key]] == [o.config for o in hooked[key]]
-
-    def test_process_pool_mapper_fails_loudly(self, pnpoly, gpu_3090):
-        # The column runner closes over unpicklable problems; a process-pool
-        # mapper must produce an actionable error, not a raw pickling traceback.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with pytest.raises(ReproError, match="thread-based or in-process"):
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                self._matrix(pnpoly, gpu_3090, executor=pool)

@@ -237,10 +237,21 @@ class TestOpenRegistry:
                                    shard_size=SHARD_SIZE)
             unit = planner.plan().units[0]
             assert unit.spec == spec.to_dict()
-        # Built-in kernels stay spec-free (workers rebuild them by name).
+        # Built-in kernels record no spec: their serialized units keep
+        # `spec: None`, exactly as in manifests written before workers were sent
+        # specs, so those checkpoints still resume.  Workers and registration-free
+        # resumes rebuild them from their implicit spec (`unit_spec`).
+        from repro.exec.planner import unit_spec
+        from repro.kernels import BENCHMARK_NAMES
+
         builtin = ShardPlanner(gpus={"RTX_3090": gpus["RTX_3090"]},
-                               shard_size=SHARD_SIZE)
-        assert all(u.spec is None for u in builtin.plan().units)
+                               shard_size=SHARD_SIZE).plan()
+        units = builtin.to_dict()["units"]
+        assert [u["benchmark"] for u in units] == list(BENCHMARK_NAMES)
+        assert all("spec" in u and u["spec"] is None for u in units)
+        for unit in builtin.units:
+            assert unit_spec(unit) == benchmark_spec(unit.benchmark) == BenchmarkSpec(
+                f"repro.kernels.{unit.benchmark}:create_benchmark")
 
     def test_huge_custom_scenarios_are_sampled_by_default(self, gpus):
         # A registered scenario with a paper-kernel-sized space (here ~6e7 points)
