@@ -143,21 +143,26 @@ class TestParallelExecutor:
                                             benchmarks=planner.benchmarks,
                                             gpus=planner.gpus)
 
-    def test_rejects_custom_workload_under_registry_name(self, gpus, tmp_path):
+    def test_rejects_custom_workload_under_registry_name(self, gpus):
         # A custom workload under a registry name would be silently replaced by
         # the default rebuild in every worker; the mismatch must be refused.
         from repro.kernels import all_benchmarks
 
         custom = {"hotspot": all_benchmarks(hotspot={"grid_size": 64})["hotspot"]}
-        selected_g = {"RTX_3090": gpus["RTX_3090"]}
-        planner = ShardPlanner(custom, selected_g, sample_size=4)
+        planner = ShardPlanner(custom, {"RTX_3090": gpus["RTX_3090"]}, sample_size=4)
         with pytest.raises(ReproError, match=r"ShardPlanner\(specs=\.\.\.\)"):
             ParallelExecutor(workers=2).run(planner.plan(),
                                             benchmarks=planner.benchmarks,
                                             gpus=planner.gpus)
-        # With the spec that builds the custom workload, the same benchmark
-        # runs in parallel and matches serial.
-        planner = ShardPlanner(custom, selected_g, sample_size=8, shard_size=2,
+
+    @staticmethod
+    def _custom_hotspot_run(gpus, tmp_path):
+        """A checkpointed parallel run of hotspot at grid 64, built from its spec."""
+        from repro.kernels import all_benchmarks
+
+        custom = {"hotspot": all_benchmarks(hotspot={"grid_size": 64})["hotspot"]}
+        planner = ShardPlanner(custom, {"RTX_3090": gpus["RTX_3090"]},
+                               sample_size=8, shard_size=2,
                                specs={"hotspot": {
                                    "factory": "repro.kernels.hotspot:create_benchmark",
                                    "kwargs": {"grid_size": 64}}})
@@ -168,15 +173,27 @@ class TestParallelExecutor:
         parallel = ParallelExecutor(workers=2).run(
             plan, benchmarks=planner.benchmarks, gpus=planner.gpus,
             checkpoint=store)
+        return plan, store, serial, parallel
+
+    def test_custom_workload_runs_in_parallel_from_its_spec(self, gpus, tmp_path):
+        # With the spec that builds the custom workload, the same benchmark
+        # runs in parallel and matches serial.
+        _, _, serial, parallel = self._custom_hotspot_run(gpus, tmp_path)
         key = ("hotspot", "RTX_3090")
+        assert set(parallel) == set(serial) == {key}
         assert cache_bytes(parallel[key]) == cache_bytes(serial[key])
+
+    def test_custom_workload_resumes_from_manifest_specs_alone(self, gpus,
+                                                               tmp_path):
         # Resume with no benchmarks= rebuilds the custom workload from the
         # manifest's unit specs alone, in the parent and in every worker.
+        plan, store, serial, _ = self._custom_hotspot_run(gpus, tmp_path)
         dropped = [s for s in plan.shards if s.shard_id % 2 == 1]
         assert dropped
         for shard in dropped:
             os.unlink(store.fragment_path(shard))
         resumed = resume_campaign(store, executor=ParallelExecutor(workers=2))
+        key = ("hotspot", "RTX_3090")
         assert cache_bytes(resumed[key]) == cache_bytes(serial[key])
 
     def test_rejects_invalid_worker_count(self):
@@ -212,6 +229,38 @@ class TestParallelExecutor:
                                       gpus=planner.gpus)
         key = ("hotspot", "RTX_3090")
         assert cache_bytes(parallel[key]) == cache_bytes(serial[key])
+
+
+class TestRebuildPath:
+    """The one way a benchmark is rebuilt in another process: the unit's spec."""
+
+    HOTSPOT_64 = {"factory": "repro.kernels.hotspot:create_benchmark",
+                  "kwargs": {"grid_size": 64}}
+
+    def test_unit_spec_prefers_the_units_own_spec(self):
+        from repro.core.registry import BenchmarkSpec
+        from repro.exec import CampaignUnit
+        from repro.exec.planner import unit_spec
+
+        own = CampaignUnit("hotspot", "RTX_3090", 4, 0, True, 4,
+                           spec=self.HOTSPOT_64)
+        assert unit_spec(own) == BenchmarkSpec.from_dict(self.HOTSPOT_64)
+        implicit = CampaignUnit("hotspot", "RTX_3090", 4, 0, True, 4)
+        assert unit_spec(implicit) == BenchmarkSpec(
+            "repro.kernels.hotspot:create_benchmark")
+        unknown = CampaignUnit("no_such_kernel", "RTX_3090", 4, 0, True, 4)
+        assert unit_spec(unknown) is None
+
+    def test_init_worker_builds_exactly_the_specs_it_is_sent(self, monkeypatch):
+        from repro.exec import worker
+
+        monkeypatch.setattr(worker, "_BENCHMARKS", {})
+        monkeypatch.setattr(worker, "_GPUS", {})
+        worker.init_worker({"hotspot": self.HOTSPOT_64})
+        assert set(worker._BENCHMARKS) == {"hotspot"}
+        rebuilt = worker._BENCHMARKS["hotspot"]
+        assert rebuilt.workload.sizes["grid_size"] == 64
+        assert "RTX_3090" in worker._GPUS
 
 
 class _MustNotEvaluate(SerialExecutor):
