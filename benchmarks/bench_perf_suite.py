@@ -6,7 +6,9 @@ re-creations of the seed repository's scalar/dictionary implementations (or the
 feasible-set sweep, the JSON load, or the serial reference executor), asserts that
 both produce identical results, and writes the timings to ``BENCH_perf.json`` so
 before/after comparisons survive the run.  Fitness-flow graph construction, PageRank and centrality on a sampled cache are
-reported as absolute timings (the graph has one implementation, so no ratio).
+reported as absolute timings (the graph has one implementation, so no ratio).  The
+GBDT entries are absolute costs per item: a repeat-k median with a bootstrap 95%
+confidence interval of that median.
 
 Usage::
 
@@ -37,11 +39,16 @@ from repro.graph.centrality import proportion_of_centrality
 from repro.graph.ffg import build_ffg
 from repro.graph.pagerank import pagerank
 from repro.kernels import all_benchmarks
+from repro.ml.gbdt import GradientBoostingRegressor
+from repro.ml.permutation_importance import permutation_importance
 
 SAMPLE_N = 10_000
 FFG_CACHE_POINTS = 2_000
 CAMPAIGN_WORKERS = 4
 REPLAY_CACHE_POINTS = 100_000  # rows in the cache_replay_open cache
+GBDT_FIT_REPEATS = 21   # surrogate-shaped fits timed for gbdt_surrogate_fit
+PFI_REPEATS = 11        # PFI reports timed for pfi_gemm_shape
+BOOTSTRAP_SAMPLES = 2000
 
 
 # ----------------------------------------------------------- scalar reference paths
@@ -83,6 +90,62 @@ def timed_best(fn, *args, repeats=3):
         if elapsed < best_time:
             best_result, best_time = result, elapsed
     return best_result, best_time
+
+
+def median_ci(samples: list[float], seed: int = 2023) -> tuple[float, float, float]:
+    """``(median, low, high)``: the median and a bootstrap 95% interval of it,
+    resampled from a seeded generator."""
+    values = np.asarray(samples, dtype=float)
+    rng = np.random.default_rng(seed)
+    resampled = rng.choice(values, size=(BOOTSTRAP_SAMPLES, len(values)), replace=True)
+    low, high = np.percentile(np.median(resampled, axis=1), [2.5, 97.5])
+    return float(np.median(values)), float(low), float(high)
+
+
+def repeat_timings(fn, repeats: int) -> list[float]:
+    """Seconds of ``repeats`` calls of ``fn``, each after a collection."""
+    timings = []
+    for _ in range(repeats):
+        gc.collect()
+        timings.append(timed(fn)[1])
+    return timings
+
+
+def absolute_entry(description: str, unit: str, per_item: list[float], k: int) -> dict:
+    median, low, high = median_ci(per_item)
+    return {"description": description, "unit": unit, "median": round(median, 2),
+            "ci95": [round(low, 2), round(high, 2)], "repeats": k}
+
+
+def gbdt_entries() -> dict[str, dict]:
+    """The learn workload's two GBDT shapes, timed on the perf-smoke gates' data."""
+    rng = np.random.default_rng(2023)
+    X = rng.integers(0, 8, size=(150, 6)).astype(float)
+    y = np.log1p(X[:, 0] * X[:, 1] + X[:, 2] ** 2 + 3.0 * X[:, 3])
+    n_trees = 60
+    fits = repeat_timings(lambda: GradientBoostingRegressor(
+        n_estimators=n_trees, max_depth=4, learning_rate=0.15, random_state=0).fit(X, y),
+        GBDT_FIT_REPEATS)
+    entries = {"gbdt_surrogate_fit": absolute_entry(
+        f"SurrogateSearch-shaped GBDT fit ({n_trees} trees, depth 4, 150 x 6 integer "
+        f"matrix): time per tree", "us/tree",
+        [t / n_trees * 1e6 for t in fits], GBDT_FIT_REPEATS)}
+
+    rng = np.random.default_rng(2023)
+    X = rng.integers(0, 6, size=(6000, 10)).astype(float) * rng.integers(1, 5, size=10)
+    y = np.log1p(X[:, 0] * X[:, 1] + X[:, 2] ** 1.5 + X[:, 3] * X[:, 4]
+                 + 0.1 * X[:, 5:].sum(axis=1))
+    model = GradientBoostingRegressor(n_estimators=150, max_depth=5, random_state=0).fit(X, y)
+    reports = repeat_timings(
+        lambda: permutation_importance(model, X, y, n_repeats=2, random_state=0), PFI_REPEATS)
+    entries["pfi_gemm_shape"] = absolute_entry(
+        "permutation importance at the learn workload's gemm shape (150 trees, depth 5, "
+        "6000 x 10, 2 repeats): time per report", "ms/report",
+        [t * 1e3 for t in reports], PFI_REPEATS)
+    for name, entry in entries.items():
+        print(f"{name:<22}: {entry['median']:9.2f} {entry['unit']}  "
+              f"95% CI [{entry['ci95'][0]:.2f}, {entry['ci95'][1]:.2f}]")
+    return entries
 
 
 def main() -> None:
@@ -232,6 +295,9 @@ def main() -> None:
     if cpu_count < 2:
         print("  note: single-core host -- wall-clock speedup is bounded at 1x "
               "here; the >=2x criterion is checked on multi-core hosts")
+
+    # ------------------------------------------ GBDT fit and PFI, absolute costs
+    report.update(gbdt_entries())
 
     out_path = Path(args.output)
     out_path.write_text(json.dumps(report, indent=2) + "\n")

@@ -117,7 +117,8 @@ def feature_importance(cache: EvaluationCache, n_estimators: int = 200, max_dept
                                       learning_rate=learning_rate,
                                       random_state=random_state)
     model.fit(X, y)
-    predictions = model.predict(X)
+    # The fit's running prediction of X has the bits of model.predict(X).
+    predictions = model.train_prediction_
     r2 = r2_score(y, predictions)
     r2_raw = r2_score(y_raw, np.exp(predictions))
 

@@ -10,7 +10,10 @@ paper reports (>= 0.99 for most benchmarks).
 Without subsampling the training matrix is binned once for the whole ensemble, into
 one :class:`~repro.ml.tree.BinLayout` that is dropped when ``fit`` returns, and each
 stage's update is the value of the leaf every row lands in while its tree grows, so
-no stage re-bins or re-predicts the training data.
+no stage re-bins or re-predicts the training data.  Each stage's ``train_score_``
+comes from the residual the next stage fits, and the final running prediction is
+kept as ``train_prediction_``: both have the bits ``r2_score`` and ``predict`` of
+the training matrix would give.
 
 :meth:`GradientBoostingRegressor.predict_permuted` serves permutation importance
 from per-tree leaf bitmasks instead of one ensemble predict per shuffled column.
@@ -22,10 +25,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.ml.metrics import r2_score
+from repro.ml.metrics import r2_from_sums, r2_score
 from repro.ml.permutation_importance import shuffled_predictions
-from repro.ml.tree import (ALL_LEAVES, MASK_SLOTS, DecisionTreeRegressor, bin_features,
-                           check_training_data)
+from repro.ml.tree import ALL_LEAVES, DecisionTreeRegressor, bin_features, check_training_data
 
 __all__ = ["GradientBoostingRegressor"]
 
@@ -77,6 +79,7 @@ class GradientBoostingRegressor:
         self._initial_prediction: float = 0.0
         self.n_features_: int = 0
         self.train_score_: list[float] = []
+        self.train_prediction_: np.ndarray | None = None
 
     # --------------------------------------------------------------------- fitting
 
@@ -91,6 +94,10 @@ class GradientBoostingRegressor:
 
         self._initial_prediction = float(y.mean())
         prediction = np.full(y.shape, self._initial_prediction)
+        residual = y - prediction
+        # Each stage's R^2 is r2_score(y, prediction), its residual sum of squares
+        # taken from the residual the next stage fits.
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
 
         n = X.shape[0]
         sample_size = max(int(round(self.subsample * n)), 1)
@@ -100,7 +107,6 @@ class GradientBoostingRegressor:
             layout = bin_features(X, self.max_bins)
             weight = np.ones(n)
         for _ in range(self.n_estimators):
-            residual = y - prediction
             tree = DecisionTreeRegressor(max_depth=self.max_depth,
                                          min_samples_leaf=self.min_samples_leaf,
                                          max_bins=self.max_bins)
@@ -110,9 +116,12 @@ class GradientBoostingRegressor:
                 update = tree.predict(X)
             else:
                 update = tree.grow(layout, residual, weight)
-            prediction = prediction + self.learning_rate * update
+            prediction += self.learning_rate * update
+            residual = y - prediction
             self._trees.append(tree)
-            self.train_score_.append(r2_score(y, prediction))
+            self.train_score_.append(r2_from_sums(float(np.sum(residual ** 2)), ss_tot))
+        # The same expression, in the same order, as predict(X): the same bits.
+        self.train_prediction_ = prediction
         return self
 
     # ------------------------------------------------------------------ prediction
@@ -136,9 +145,11 @@ class GradientBoostingRegressor:
         No tree is traversed again: a tree's exit leaf is the AND of one leaf
         bitmask per feature (:meth:`DecisionTreeRegressor.leaf_masks`), so a
         shuffle of column j ANDs the other features' masks, computed once, with
-        column j's masks in permuted order.  A tree with more than 64 leaves
-        predicts on shuffled copies instead.  Trees add up in the order and with
-        the expression ``predict`` uses.
+        column j's masks in permuted order.  The exit leaf's position is the
+        popcount of its one-bit mask minus one, and it gathers from the tree's
+        leaf values times the learning rate: the product ``predict`` takes, taken
+        before the gather.  A tree with more than 64 leaves predicts on shuffled
+        copies instead.  Trees add up in the order ``predict`` uses.
         """
         if not self._trees:
             raise RuntimeError("model is not fitted")
@@ -159,7 +170,7 @@ class GradientBoostingRegressor:
             offset += len(values)
         codes = np.stack(codes)
         shuffled_codes = codes[np.arange(n_features)[:, None, None], permutations]
-        slots = np.uint64(MASK_SLOTS)
+        one = np.uint64(1)
 
         lr = self.learning_rate
         predicted = np.full(n, self._initial_prediction)
@@ -167,12 +178,13 @@ class GradientBoostingRegressor:
         for tree in self._trees:
             masks = tree.leaf_masks(uniques)
             if masks is None:
-                exit_value = tree.predict(X)
-                shuffled_value = np.reshape(
+                predicted += lr * tree.predict(X)
+                shuffled += lr * np.reshape(
                     list(shuffled_predictions(tree.predict, X, permutations)),
                     permutations.shape)
             else:
                 table, leaf_value = masks
+                leaf_value = lr * leaf_value
                 row_masks = table[codes]
                 # others[j] is the AND of every feature's masks but j's: running
                 # ANDs from the left, then from the right.
@@ -188,10 +200,11 @@ class GradientBoostingRegressor:
                     running = running & row_masks[j]
                 shuffled_leaf = table[shuffled_codes]
                 shuffled_leaf &= others[:, None]
-                exit_value = leaf_value[(exit_leaf % slots).astype(np.intp)]
-                shuffled_value = leaf_value[(shuffled_leaf % slots).astype(np.intp)]
-            predicted = predicted + lr * exit_value
-            shuffled = shuffled + lr * shuffled_value
+                # A one-bit mask minus one has as many bits set as the leaf's position.
+                exit_leaf -= one
+                shuffled_leaf -= one
+                predicted += leaf_value[np.bitwise_count(exit_leaf)]
+                shuffled += leaf_value[np.bitwise_count(shuffled_leaf)]
         return predicted, shuffled
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:

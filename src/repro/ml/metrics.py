@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["r2_score", "rmse", "mae"]
+__all__ = ["r2_score", "r2_from_sums", "rmse", "mae"]
 
 
 def _validate(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -24,8 +24,12 @@ def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     Convolution; the same metric is used here to validate the GBDT substitute.
     """
     y_true, y_pred = _validate(y_true, y_pred)
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
+    return r2_from_sums(float(np.sum((y_true - y_pred) ** 2)),
+                        float(np.sum((y_true - y_true.mean()) ** 2)))
+
+
+def r2_from_sums(ss_res: float, ss_tot: float) -> float:
+    """R^2 from the residual and total sums of squares, as :func:`r2_score` takes it."""
     if ss_tot == 0.0:
         return 1.0 if ss_res == 0.0 else 0.0
     return 1.0 - ss_res / ss_tot

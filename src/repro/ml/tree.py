@@ -8,14 +8,16 @@ past ``max_bins``), and the prefix sums of per-bin weight, weighted target and
 weighted squared target give the left/right sums of *every* candidate split at once.
 
 :meth:`DecisionTreeRegressor.grow` builds the tree one depth at a time over a
-:class:`BinLayout` (codes, edges, split-candidate mask and histogram keys), which an
+:class:`BinLayout` (codes, edges, split candidates and histogram keys), which an
 ensemble builds once and shares between its trees.  Each level makes a fixed,
 small number of NumPy calls plus one reduction per node: one ``np.take`` gathers
 the level's per-row statistics, one row reduction per node gives its totals, one
 ``np.bincount`` per statistic fills the histograms of every splittable node, one
-``cumsum`` along the bin axis and the variance-reduction formula score every
-(node, feature, bin) candidate, a flat ``argmax`` per node picks the split, and a
-stable sort partitions the rows into the children.
+``cumsum`` along the bin axis gives the left sums of every (node, feature, bin),
+one gather keeps the real split candidates (a feature's bins stop at its own
+width, the histograms at the widest feature's), the variance-reduction formula
+scores them, an ``argmax`` per node picks the split, and a stable sort partitions
+the rows into the children.
 
 The grower reproduces a depth-first per-node, per-feature builder bit for bit
 (``tests/test_ml_golden.py`` pins this), which fixes the order of every sum:
@@ -27,8 +29,10 @@ The grower reproduces a depth-first per-node, per-feature builder bit for bit
    derived from the histograms, which add sequentially.  They are row reductions
    of a C-contiguous gather (:func:`node_totals`): a strided gather such as
    ``stats[:, order]`` sums in another order (``tests/test_ml_node_sums.py``).
-3. Candidates past a feature's own last bin are masked explicitly.
-4. The flat first maximum over (feature, bin) breaks ties towards the lowest
+3. Only real candidates are scored: the prefix sums run over the padded
+   histogram, one feature at a time, and the candidates are gathered from them
+   feature-major and ascending by bin (``BinLayout.split_at``).
+4. The first maximum over the candidates breaks ties towards the lowest
    feature, then the lowest bin, and a split must gain more than 1e-12.
 5. ``feature_gains_`` accumulates in depth-first preorder of the split nodes, and
    a split's gain is credited even when a child then holds fewer than
@@ -62,8 +66,6 @@ _LEAF = -1
 
 #: Leaf bitmasks are one uint64: trees with more leaves have none.
 MASK_LEAVES = 64
-#: 2 is a primitive root modulo 67, so ``(1 << k) % 67`` differs for every k < 64.
-MASK_SLOTS = 67
 #: Every bit set: the start of an AND over leaf bitmasks.
 ALL_LEAVES = np.uint64(2**64 - 1)
 
@@ -118,13 +120,15 @@ class BinLayout:
     codes: np.ndarray               # (F, n) bin of sample i in feature f
     edges: tuple[np.ndarray, ...]   # per feature, the split threshold after each bin
     width: int                      # bins of the widest feature
-    candidate: np.ndarray           # (F, width - 1) split after bin b of feature f exists
+    split_at: np.ndarray            # (C,) candidate c's position in the (F, width - 1) grid
+    split_feature: np.ndarray       # (C,) feature of candidate c
+    split_bin: np.ndarray           # (C,) last bin candidate c sends left
     keys: np.ndarray                # (F, n) histogram bucket within a slot: codes + f * width
 
     def spread(self, stats: np.ndarray) -> np.ndarray:
         """Per-sample statistics ``(s, n)`` repeated for every feature, ``(s, F * n)``,
         in the order :meth:`histograms` takes them."""
-        return np.tile(stats, (1, len(self.edges)))
+        return np.concatenate((stats,) * len(self.edges), axis=1)
 
     def histograms(self, weights: np.ndarray, slot_of_row: np.ndarray,
                    n_slots: int) -> np.ndarray:
@@ -165,10 +169,11 @@ def bin_features(X: np.ndarray, max_bins: int) -> BinLayout:
     n_bins = np.asarray([len(e) + 1 for e in edges], dtype=np.int64)
     width = int(n_bins.max(initial=1))
     # Split candidate (feature f, bin b) sends bins <= b left; it exists for
-    # b < n_bins[f] - 1 only, the rest of the padded histogram is masked out.
-    candidate = np.arange(width - 1) < (n_bins - 1)[:, None]
+    # b < n_bins[f] - 1 only.  ``nonzero`` lists them feature-major, ascending by bin.
+    split_feature, split_bin = np.nonzero(np.arange(width - 1) < (n_bins - 1)[:, None])
+    split_at = split_feature * (width - 1) + split_bin
     keys = codes + (np.arange(n_features) * width)[:, None]
-    return BinLayout(codes, tuple(edges), width, candidate, keys)
+    return BinLayout(codes, tuple(edges), width, split_at, split_feature, split_bin, keys)
 
 
 def node_totals(stats: np.ndarray, order: np.ndarray,
@@ -182,7 +187,8 @@ def node_totals(stats: np.ndarray, order: np.ndarray,
     ``stats[:, order]`` gathers into strided rows, whose sums add in another order.
     """
     level = np.take(stats, order, axis=1)
-    return level, np.array([level[:, lo:hi].sum(axis=1)
+    # ``np.add.reduce`` is the reduction ``.sum`` makes, without its Python frame.
+    return level, np.array([np.add.reduce(level[:, lo:hi], axis=1)
                             for lo, hi in zip(bounds, bounds[1:])])
 
 
@@ -255,7 +261,7 @@ class DecisionTreeRegressor:
         # Per row: weight, weighted target, weighted squared target and target.  The
         # histograms take the first three, spread over the features once per tree.
         wy = sample_weight * y
-        stats = np.stack((sample_weight, wy, wy * y, y))
+        stats = np.array((sample_weight, wy, wy * y, y))
         weights = layout.spread(stats[:3])
 
         # A leaf tests +inf and has itself as both children, so a walk as long as
@@ -280,17 +286,19 @@ class DecisionTreeRegressor:
                 break
             deepest = depth
             n_nodes = len(counts)
-            frontier = np.arange(first, first + n_nodes)
-            leaf_of_row[order] = np.repeat(frontier, counts)
+            sizes = np.array(counts)
+            # The level's node map: the node of each row of ``order``, from 0.
+            slots = np.repeat(np.arange(n_nodes), sizes)
+            leaf_of_row[order] = slots + first
             bounds = [0, *accumulate(counts)]
             level, totals = node_totals(stats, order, bounds)
             node_w, node_wy, _, node_y = totals.T
             # ``y.mean()`` of a weightless node is its sum over its row count.
-            value += np.where(node_w > 0, node_wy / node_w, node_y / counts).tolist()
+            value += np.where(node_w > 0, node_wy / node_w, node_y / sizes).tolist()
             if depth == self.max_depth or width < 2:
                 break
             starts = bounds[:-1]
-            splittable = ((np.asarray(counts) >= self.min_samples_split)
+            splittable = ((sizes >= self.min_samples_split)
                           & (np.minimum.reduceat(level[3], starts)
                              != np.maximum.reduceat(level[3], starts)))
             n_split = int(np.count_nonzero(splittable))
@@ -299,31 +307,34 @@ class DecisionTreeRegressor:
 
             # The histograms of every splittable node of the level at once; rows of
             # the other nodes go to a spare slot that is never read.
-            slot_map = np.full(n_nodes, n_split)
-            slot_map[splittable] = np.arange(n_split)
-            slots = np.repeat(slot_map, counts)
+            if n_split < n_nodes:
+                slot_map = np.full(n_nodes, n_split)
+                slot_map[splittable] = np.arange(n_split)
+                slots = slot_map[slots]
             slot_of_row = np.full(n, n_split)
             slot_of_row[order] = slots
             hist = layout.histograms(weights, slot_of_row, n_split + 1)
             # sides[s, 0] and sides[s, 1] are the left and right sums of statistic s
-            # for every (node, feature, bin) candidate: prefix sums over the bins,
-            # then the node total minus the left sum.
-            sides = np.empty((3, 2, n_split, n_features, width - 1))
-            np.cumsum(hist[:, :n_split, :, :-1], axis=3, out=sides[:, 0])
-            parent = totals[splittable, :3].T[:, :, None, None]
+            # for every (node, candidate): prefix sums over each feature's bins, the
+            # real candidates gathered from them, then the node total minus the left sum.
+            prefix = np.cumsum(hist[:, :n_split, :, :-1], axis=3).reshape(3, n_split, -1)
+            sides = np.empty((3, 2, n_split, len(layout.split_at)))
+            np.take(prefix, layout.split_at, axis=2, out=sides[:, 0])
+            parent = totals[splittable, :3].T[:, :, None]
             np.subtract(parent, sides[:, 0], out=sides[:, 1])
             side_w, side_wy, side_wyy = sides
-            sse = side_wyy - np.where(side_w > 0, side_wy ** 2 / side_w, 0.0)
+            # A valid side weighs at least min_leaf >= 1, so the quotients of
+            # weightless sides and nodes reach only gains the mask drops.
+            sse = side_wyy - side_wy ** 2 / side_w
             total_w, total_wy, total_wyy = parent
             parent_sse = total_wyy - total_wy * total_wy / total_w
             gain = parent_sse - (sse[0] + sse[1])
-            valid = (side_w[0] >= min_leaf) & (side_w[1] >= min_leaf) & layout.candidate
-            gain = np.where(valid, gain, -np.inf).reshape(n_split, -1)
-            # First maximum over (feature, bin): lowest feature, then lowest bin.
+            gain = np.where(np.minimum(side_w[0], side_w[1]) >= min_leaf, gain, -np.inf)
+            # First maximum over the candidates: lowest feature, then lowest bin.
             best = gain.argmax(axis=1)
             best_gain = gain.max(axis=1)
             split = best_gain > _MIN_GAIN
-            best_feature, best_bin = np.divmod(best, width - 1)
+            best_feature, best_bin = layout.split_feature[best], layout.split_bin[best]
 
             rows = order
             if n_split < n_nodes:
@@ -331,13 +342,13 @@ class DecisionTreeRegressor:
                 rows, slots = order[keep], slots[keep]
             go_right = layout.codes[best_feature[slots], rows] > best_bin[slots]
             n_left = np.bincount(slots[~go_right], minlength=n_split)
-            n_right = np.asarray(counts)[splittable] - n_left
-            split_nodes = frontier[splittable].tolist()
+            n_right = sizes[splittable] - n_left
+            split_nodes = (splittable.nonzero()[0] + first).tolist()
             best_feature, best_bin = best_feature.tolist(), best_bin.tolist()
             best_gain, n_left, n_right = best_gain.tolist(), n_left.tolist(), n_right.tolist()
             first += n_nodes
             counts = []
-            for k in np.flatnonzero(split).tolist():
+            for k in split.nonzero()[0].tolist():
                 node = split_nodes[k]
                 f = best_feature[k]
                 # The gain counts even when a child then falls under min_samples_leaf
@@ -407,13 +418,14 @@ class DecisionTreeRegressor:
         """Leaf bitmasks per feature value (QuickScorer), or None past 64 leaves.
 
         Returns ``(table, leaf_value)``.  Leaf k of the tree (in node order) is
-        bit k.  For feature f and each value x in ``uniques[f]``, ``table`` holds,
-        concatenated in feature order, the leaves the nodes testing f leave
+        bit k, and ``leaf_value[k]`` is its value: the leaf values indexed by bit
+        position.  For feature f and each value x in ``uniques[f]``, ``table``
+        holds, concatenated in feature order, the leaves the nodes testing f leave
         reachable: a node clears its right subtree's leaves when
         ``x <= threshold`` and its left subtree's otherwise.  Every node is
         judged, not only those on a row's path, so ANDing one entry per feature of
         a row leaves exactly the bit of the leaf ``predict`` reaches, whatever the
-        leaf numbering, and ``leaf_value[bit % MASK_SLOTS]`` is that leaf's value.
+        leaf numbering, and ``np.bitwise_count(bit - 1)`` is that bit's position.
         """
         if self._tree is None:
             raise RuntimeError("tree is not fitted")
@@ -445,9 +457,7 @@ class DecisionTreeRegressor:
             kept = np.where(values[:, None] <= threshold[on_f], not_right[on_f],
                             not_left[on_f])
             tables.append(np.bitwise_and.reduce(kept, axis=1, initial=every_leaf))
-        leaf_value = np.zeros(MASK_SLOTS)
-        leaf_value[bits % np.uint64(MASK_SLOTS)] = tree.value[leaves]
-        return np.concatenate(tables), leaf_value
+        return np.concatenate(tables), tree.value[leaves]
 
     # --------------------------------------------------------------------- queries
 

@@ -146,6 +146,46 @@ class TestDecisionTree:
         assert np.all(np.isfinite(tree.predict(X)))
 
 
+class TestBinLayout:
+    def test_candidates_are_the_real_splits_feature_major(self):
+        # A constant column (one bin, no candidate), a two-value column (one
+        # candidate) and a column past max_bins, quantile-binned down to it.
+        n = 40
+        X = np.column_stack([np.full(n, 3.0), np.tile([1.0, 5.0], n // 2),
+                             np.arange(n, dtype=float) ** 1.5])
+        layout = bin_features(X, max_bins=5)
+        n_bins = [len(edges) + 1 for edges in layout.edges]
+        assert n_bins == [1, 2, 5] and layout.width == 5
+        expected = [(f, b) for f in range(3) for b in range(n_bins[f] - 1)]
+        assert list(zip(layout.split_feature.tolist(), layout.split_bin.tolist())) == expected
+        assert layout.split_at.tolist() == [f * (layout.width - 1) + b for f, b in expected]
+
+    def test_every_feature_constant_has_no_candidate(self):
+        layout = bin_features(np.ones((6, 2)), max_bins=8)
+        assert layout.width == 1
+        assert layout.split_at.size == layout.split_feature.size == layout.split_bin.size == 0
+
+    def test_split_on_a_feature_narrower_than_the_grid(self):
+        # The only gain is between the two values of the narrow column 0, whose
+        # candidate sits at bin 0 of a grid padded to column 1's eight bins; an
+        # off-by-one bin would send every row left.
+        X = np.column_stack([np.repeat([0.0, 1.0], 8), np.tile(np.arange(8.0), 2)])
+        y = np.repeat([0.0, 10.0], 8)
+        tree = DecisionTreeRegressor(max_depth=1).fit(X, y)
+        assert tree._tree.feature[0] == 0 and tree._tree.threshold[0] == 0.5
+        assert np.array_equal(tree.predict(X), y)
+
+    def test_ties_break_to_the_lowest_feature_then_bin(self):
+        # Column 0 is constant; columns 1 and 2 are the same, and each leaves an
+        # error of exactly 2 split after bin 0 or after bin 2.  The first maximum
+        # is feature 1, bin 0.
+        column = np.repeat([0.0, 1.0, 2.0, 3.0], 3)
+        X = np.column_stack([np.ones(12), column, column])
+        y = np.repeat([0.0, 1.0, 1.0, 2.0], 3)
+        tree = DecisionTreeRegressor(max_depth=1).fit(X, y)
+        assert tree._tree.feature[0] == 1 and tree._tree.threshold[0] == 0.5
+
+
 class TestGBDT:
     def test_outperforms_single_tree(self):
         X, y = _make_regression(noise=0.5)
@@ -159,6 +199,27 @@ class TestGBDT:
         X, y = _make_regression()
         gbdt = GradientBoostingRegressor(n_estimators=30, random_state=0).fit(X, y)
         assert gbdt.train_score_[-1] >= gbdt.train_score_[0]
+
+    @pytest.mark.parametrize("subsample", [1.0, 0.7])
+    def test_training_scores_and_prediction_are_staged_predictions(self, subsample):
+        # train_score_ comes from the residual the next stage fits and
+        # train_prediction_ is the fit's running prediction; both must carry the
+        # bits r2_score and predict give on the training matrix.
+        X, y = _make_regression(noise=0.5)
+        gbdt = GradientBoostingRegressor(n_estimators=12, subsample=subsample,
+                                         random_state=3).fit(X, y)
+        staged = np.full(len(y), gbdt._initial_prediction)
+        scores = []
+        for tree in gbdt._trees:
+            staged = staged + gbdt.learning_rate * tree.predict(X)
+            scores.append(r2_score(y, staged))
+        assert gbdt.train_score_ == scores
+        assert np.array_equal(gbdt.train_prediction_, gbdt.predict(X))
+
+    def test_training_score_of_a_constant_target(self):
+        X, _ = _make_regression(n=30)
+        gbdt = GradientBoostingRegressor(n_estimators=3, random_state=0).fit(X, np.full(30, 2.5))
+        assert gbdt.train_score_ == [1.0, 1.0, 1.0]
 
     def test_subsampling_reproducible(self):
         X, y = _make_regression()

@@ -492,8 +492,9 @@ def test_model_batch_gemm_on_four_gpus_under_ceiling(benchmarks, gpus):
 def test_gbdt_surrogate_fits_under_ceiling():
     # Twenty fits at SurrogateSearch's GBDT shape (60 trees, depth 4) on a small
     # integer matrix, as the surrogate refits during a run.  On a 2-vCPU host the
-    # level-wise grower takes 0.7--1.0 s; per-node, per-feature split loops take
-    # about seven.
+    # level-wise grower, scoring only the real split candidates, takes 0.85--1.25 s
+    # (0.95--1.45 s over the padded candidate grid, timed alternately with it);
+    # per-node, per-feature split loops take about seven.
     from repro.ml.gbdt import GradientBoostingRegressor
 
     rng = np.random.default_rng(2023)
@@ -516,8 +517,10 @@ def test_gbdt_surrogate_fits_under_ceiling():
 def test_permutation_importance_by_leaf_masks_under_ceiling():
     # PFI at the learn workload's gemm shape: a 6000 x 10 integer matrix, 150
     # trees of depth 5, 2 repeats.  On a 2-vCPU host the leaf-bitmask path takes
-    # about 0.3 s; one ensemble predict per shuffle (20 of them) takes 1.2--1.6 s,
-    # and 2.3--2.9 s with the per-level tree traversal that preceded the fixed walk.
+    # 0.18--0.24 s with the popcount leaf lookup (0.24--0.35 s with the modulo-67
+    # one, timed alternately with it); one ensemble predict per shuffle (20 of
+    # them) takes 1.2--1.6 s, and 2.3--2.9 s with the per-level tree traversal
+    # that preceded the fixed walk.
     from repro.ml.gbdt import GradientBoostingRegressor
     from repro.ml.permutation_importance import permutation_importance
 
