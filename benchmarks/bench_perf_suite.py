@@ -5,10 +5,9 @@ counting, columnar replay opens and sharded campaign execution -- against faithf
 re-creations of the seed repository's scalar/dictionary implementations (or the
 feasible-set sweep, the JSON load, or the serial reference executor), asserts that
 both produce identical results, and writes the timings to ``BENCH_perf.json`` so
-before/after comparisons survive the run.  Fitness-flow graph construction, PageRank and centrality on a sampled cache are
-reported as absolute timings (the graph has one implementation, so no ratio).  The
-GBDT entries are absolute costs per item: a repeat-k median with a bootstrap 95%
-confidence interval of that median.
+before/after comparisons survive the run.  The fitness-flow graph, PageRank and GBDT
+entries are absolute costs per item (each has one implementation, so no ratio): a
+repeat-k median with a bootstrap 95% confidence interval of that median.
 
 Usage::
 
@@ -35,7 +34,6 @@ from repro.core.searchspace import SearchSpace
 from repro.exec import ParallelExecutor, SerialExecutor, ShardPlanner
 from repro.io.cachefile import load_cache, save_cache
 from repro.gpus.specs import RTX_3090, all_gpus
-from repro.graph.centrality import proportion_of_centrality
 from repro.graph.ffg import build_ffg
 from repro.graph.pagerank import pagerank
 from repro.kernels import all_benchmarks
@@ -43,7 +41,9 @@ from repro.ml.gbdt import GradientBoostingRegressor
 from repro.ml.permutation_importance import permutation_importance
 
 SAMPLE_N = 10_000
-FFG_CACHE_POINTS = 2_000
+FFG_REPEATS = 21        # FFG builds timed for ffg_build_gemm
+PAGERANK_REPEATS = 11   # PageRank calls timed for pagerank_gemm
+PAGERANK_ITERATIONS = 50  # power-iteration steps per timed PageRank call
 CAMPAIGN_WORKERS = 4
 REPLAY_CACHE_POINTS = 100_000  # rows in the cache_replay_open cache
 GBDT_FIT_REPEATS = 21   # surrogate-shaped fits timed for gbdt_surrogate_fit
@@ -117,6 +117,37 @@ def absolute_entry(description: str, unit: str, per_item: list[float], k: int) -
             "ci95": [round(low, 2), round(high, 2)], "repeats": k}
 
 
+def graph_entries(benchmarks: dict) -> dict[str, dict]:
+    """FFG build and PageRank at the Fig. 3 gemm RTX_3090 shape (the exhaustive
+    cache).  PageRank runs a fixed number of steps (``tol=0``), so its cost per edge
+    per iteration includes the one-off set-up spread over those steps."""
+    cache = benchmarks["gemm"].build_cache(RTX_3090, seed=2023)
+    graph = build_ffg(cache)
+    shape = f"gemm RTX_3090 ({graph.num_nodes} nodes, {graph.num_edges} edges)"
+    builds = repeat_timings(lambda: build_ffg(cache), FFG_REPEATS)
+    ranks = repeat_timings(lambda: pagerank(graph.csr_arrays(), tol=0.0,
+                                            max_iterations=PAGERANK_ITERATIONS),
+                           PAGERANK_REPEATS)
+    per_step = graph.num_edges * PAGERANK_ITERATIONS
+    entries = {
+        "ffg_build_gemm": absolute_entry(
+            f"fitness-flow graph build of the Fig. 3 {shape}: time per graph",
+            "ms/graph", [t * 1e3 for t in builds], FFG_REPEATS),
+        "pagerank_gemm": absolute_entry(
+            f"PageRank on the FFG of the Fig. 3 {shape}, {PAGERANK_ITERATIONS} power "
+            f"iterations: time per edge per iteration", "ns/edge/iteration",
+            [t / per_step * 1e9 for t in ranks], PAGERANK_REPEATS),
+    }
+    print_entries(entries)
+    return entries
+
+
+def print_entries(entries: dict[str, dict]) -> None:
+    for name, entry in entries.items():
+        print(f"{name:<22}: {entry['median']:9.2f} {entry['unit']}  "
+              f"95% CI [{entry['ci95'][0]:.2f}, {entry['ci95'][1]:.2f}]")
+
+
 def gbdt_entries() -> dict[str, dict]:
     """The learn workload's two GBDT shapes, timed on the perf-smoke gates' data."""
     rng = np.random.default_rng(2023)
@@ -142,9 +173,7 @@ def gbdt_entries() -> dict[str, dict]:
         "permutation importance at the learn workload's gemm shape (150 trees, depth 5, "
         "6000 x 10, 2 repeats): time per report", "ms/report",
         [t * 1e3 for t in reports], PFI_REPEATS)
-    for name, entry in entries.items():
-        print(f"{name:<22}: {entry['median']:9.2f} {entry['unit']}  "
-              f"95% CI [{entry['ci95'][0]:.2f}, {entry['ci95'][1]:.2f}]")
+    print_entries(entries)
     return entries
 
 
@@ -175,21 +204,8 @@ def main() -> None:
               f"vectorized {t_vec:7.3f}s  {t_scalar / t_vec:6.1f}x  "
               f"identical={vec == scalar}")
 
-    # ----------------------------------------------- FFG + PageRank on a 2k cache
-    cache = benchmarks["hotspot"].build_cache(RTX_3090, sample_size=FFG_CACHE_POINTS,
-                                              seed=1)
-    graph, t_ffg = timed(build_ffg, cache)
-    _, t_rank = timed(pagerank, graph.csr_arrays())
-    _, t_centrality = timed(proportion_of_centrality, cache, ffg=graph)
-    report["build_ffg_2k_hotspot"] = {
-        "description": f"fitness-flow graph over a {FFG_CACHE_POINTS}-point hotspot "
-                       f"cache ({graph.num_nodes} nodes, {graph.num_edges} edges)",
-        "ffg_s": round(t_ffg, 4),
-        "pagerank_s": round(t_rank, 4),
-        "centrality_s": round(t_centrality, 4),
-    }
-    print(f"build_ffg 2k hotspot  : ffg {t_ffg:7.3f}s  pagerank {t_rank:7.3f}s  "
-          f"centrality {t_centrality:7.3f}s")
+    # ------------------------------ FFG build and PageRank, absolute costs (Fig. 3)
+    report.update(graph_entries(benchmarks))
 
     # ------------------------------------------------- exact constrained counting
     # Variable elimination over the truth tables vs the sweep of the feasible set
@@ -303,7 +319,7 @@ def main() -> None:
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\nwrote {out_path}")
 
-    # Entries without a reference path (the FFG timings) have nothing to mismatch.
+    # Entries without a reference path (the absolute costs) have nothing to mismatch.
     mismatched = [k for k, v in report.items() if not v.get("identical", True)]
     if mismatched:
         raise SystemExit(f"result mismatch between scalar and vectorized paths: "

@@ -82,8 +82,6 @@ def proportion_of_centrality(cache: EvaluationCache,
         built from the cache when omitted.
     """
     graph = ffg if ffg is not None else build_ffg(cache)
-    # The FFG is unweighted, so the raw (indptr, indices) arrays are all PageRank
-    # needs -- no per-node structures, no matrix copy.
     ranks = pagerank(graph.csr_arrays(), damping=damping)
     minima = graph.local_minima()
     if minima.size == 0:

@@ -19,7 +19,8 @@ parameter's place value.  Candidate neighbour indices for *all* nodes and all va
 a parameter form one ``(n, v)`` matrix that is resolved against the sorted node-index
 table with a single :func:`numpy.searchsorted` -- no configuration dictionaries, no
 Python inner loops.  Callers that want a node's configuration read
-``space.configs_at(graph.indices)``.
+``space.configs_at(graph.indices)``.  The edges come out as one sorted run of sources
+per parameter, so one stable sort groups them into the CSR arrays the graph keeps.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.cache import EvaluationCache
 from repro.core.errors import ReproError
@@ -42,9 +42,9 @@ class FitnessFlowGraph:
 
     Attributes
     ----------
-    adjacency:
-        ``(n, n)`` sparse boolean matrix; ``adjacency[i, j]`` is True when there is a
-        directed edge from node ``i`` to its strictly-better neighbour ``j``.
+    indptr / targets:
+        The edges in CSR form (``int64``): node ``i`` has a directed edge to each
+        strictly-better neighbour in ``targets[indptr[i]:indptr[i + 1]]``.
     fitness:
         Runtime of each node (lower is better).
     indices:
@@ -54,7 +54,8 @@ class FitnessFlowGraph:
         Provenance of the underlying cache.
     """
 
-    adjacency: sparse.csr_matrix
+    indptr: np.ndarray
+    targets: np.ndarray
     fitness: np.ndarray
     indices: np.ndarray
     benchmark: str = ""
@@ -68,19 +69,15 @@ class FitnessFlowGraph:
     @property
     def num_edges(self) -> int:
         """Number of directed improvement edges."""
-        return int(self.adjacency.nnz)
+        return int(self.targets.size)
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The raw ``(indptr, indices)`` pair of the adjacency structure.
-
-        This is the array-native view :func:`repro.graph.pagerank.pagerank` accepts
-        directly, avoiding any per-node Python structures.
-        """
-        return self.adjacency.indptr, self.adjacency.indices
+        """The CSR ``(indptr, targets)`` pair :func:`repro.graph.pagerank.pagerank` takes."""
+        return self.indptr, self.targets
 
     def out_degrees(self) -> np.ndarray:
         """Number of improving neighbours of every node (one ``indptr`` difference)."""
-        return np.diff(self.adjacency.indptr)
+        return np.diff(self.indptr)
 
     def local_minima(self) -> np.ndarray:
         """Indices of nodes with no improving neighbour (the walk's absorbing states)."""
@@ -142,8 +139,8 @@ def build_ffg(cache: EvaluationCache) -> FitnessFlowGraph:
     if not indices.size:
         raise ReproError(f"cache {cache.benchmark}/{cache.gpu} has no valid entries")
     rows, cols = _edges(cache.space, indices, fitness)
-    n = indices.size
-    adjacency = sparse.csr_matrix(
-        (np.ones(len(rows), dtype=np.float64), (rows, cols)), shape=(n, n))
-    return FitnessFlowGraph(adjacency=adjacency, fitness=fitness, indices=indices,
+    indptr = np.zeros(indices.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=indices.size), out=indptr[1:])
+    return FitnessFlowGraph(indptr=indptr, targets=cols[np.argsort(rows, kind="stable")],
+                            fitness=fitness, indices=indices,
                             benchmark=cache.benchmark, gpu=cache.gpu)

@@ -2,7 +2,8 @@
 
 ``TestFFGOracle`` is the differential suite of the index-native graph construction:
 edge sets, fitness and node indices against the dictionary hash-map construction in
-``tests/neighbor_oracle.py``.
+``tests/neighbor_oracle.py``.  ``TestPageRankOracle`` holds the NumPy PageRank to the
+SciPy power iteration in ``tests/pagerank_oracle.py``, byte for byte.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from repro.core.cache import EvaluationCache
@@ -21,6 +23,7 @@ from repro.graph.ffg import build_ffg
 from repro.graph.pagerank import pagerank
 
 from neighbor_oracle import oracle_ffg
+from pagerank_oracle import pagerank as oracle_pagerank
 
 
 def _line_cache(values):
@@ -30,6 +33,18 @@ def _line_cache(values):
     for i, v in enumerate(values):
         cache.add({"x": i}, float(v))
     return cache
+
+
+def _edge_list(graph):
+    """``(sources, targets)`` of every edge, read from the CSR arrays."""
+    indptr, targets = graph.csr_arrays()
+    return np.repeat(np.arange(graph.num_nodes), np.diff(indptr)), targets
+
+
+def _csr(dense):
+    """CSR ``(indptr, indices, data)`` tuple of a dense adjacency matrix."""
+    matrix = sparse.csr_matrix(np.asarray(dense, dtype=float))
+    return matrix.indptr, matrix.indices, matrix.data
 
 
 def _grid_cache(fn, nx_=5, ny=5):
@@ -69,7 +84,7 @@ class TestFitnessFlowGraph:
     def test_edges_point_downhill(self):
         cache = _grid_cache(lambda x, y: (x - 2) ** 2 + (y - 3) ** 2)
         ffg = build_ffg(cache)
-        rows, cols = ffg.adjacency.nonzero()
+        rows, cols = _edge_list(ffg)
         assert np.all(ffg.fitness[cols] < ffg.fitness[rows])
 
     def test_unimodal_grid_single_minimum(self):
@@ -115,9 +130,12 @@ def assert_matches_oracle(cache):
     valid = cache.valid_observations()
     configs = [dict(o.config) for o in valid]
     fitness = np.array([o.value for o in valid], dtype=float)
-    rows, cols = graph.adjacency.nonzero()
-    assert set(zip(rows.tolist(), cols.tolist())) == oracle_ffg(cache.space, configs,
-                                                                 fitness)
+    rows, cols = _edge_list(graph)
+    assert graph.indptr.dtype == graph.targets.dtype == np.int64
+    assert graph.indptr[0] == 0 and np.all(np.diff(graph.indptr) >= 0)
+    expected = oracle_ffg(cache.space, configs, fitness)
+    assert set(zip(rows.tolist(), cols.tolist())) == expected
+    assert graph.num_edges == len(expected)
     np.testing.assert_array_equal(graph.fitness, fitness)
     assert graph.indices.dtype == np.int64
     np.testing.assert_array_equal(graph.indices,
@@ -180,26 +198,63 @@ class TestFFGOracle:
     def test_pagerank_accepts_raw_csr_arrays(self, benchmarks, gpu_3090):
         cache = benchmarks["nbody"].build_cache(gpu_3090, sample_size=400, seed=5)
         graph = build_ffg(cache)
-        np.testing.assert_allclose(pagerank(graph.csr_arrays()),
-                                   pagerank(graph.adjacency), atol=1e-12)
+        assert (pagerank(graph.csr_arrays()).tobytes()
+                == oracle_pagerank(graph.csr_arrays()).tobytes())
+
+
+@st.composite
+def csr_graphs(draw):
+    """A random weighted CSR graph with dangling nodes, plus a teleport vector."""
+    n = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < density
+    mask[rng.random(n) < 0.2] = False                    # dangling rows
+    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    # Targets in a shuffled order within each row, as the FFG builder leaves them.
+    indices = np.concatenate([rng.permutation(np.flatnonzero(row)) for row in mask]
+                             + [np.empty(0, dtype=np.int64)])
+    data = rng.choice([1.0, 0.5, 3.0, 1e-3], size=indices.size) * rng.random(indices.size)
+    if draw(st.booleans()):
+        data[rng.random(indices.size) < 0.1] = 0.0      # zero-weight edges
+    personalization = rng.random(n) if draw(st.booleans()) else None
+    return (indptr, indices, data), personalization
+
+
+class TestPageRankOracle:
+    @pytest.mark.parametrize("scenario", FIG3_SCENARIOS,
+                             ids=["@".join(s) for s in FIG3_SCENARIOS])
+    def test_fig3_graphs(self, fig3_caches, scenario):
+        arrays = build_ffg(fig3_caches[scenario]).csr_arrays()
+        assert pagerank(arrays).tobytes() == oracle_pagerank(arrays).tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(graph=csr_graphs(), damping=st.sampled_from([0.5, 0.85, 0.99]),
+           int32=st.booleans())
+    def test_random_weighted_graphs(self, graph, damping, int32):
+        (indptr, indices, data), personalization = graph
+        if int32:
+            indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)
+        kwargs = dict(damping=damping, tol=1e-12, personalization=personalization)
+        for arrays in ((indptr, indices, data), (indptr, indices)):
+            assert (pagerank(arrays, **kwargs).tobytes()
+                    == oracle_pagerank(arrays, **kwargs).tobytes())
 
 
 class TestPageRank:
     def test_uniform_on_symmetric_cycle(self):
         # Directed 4-cycle: all nodes equivalent -> uniform PageRank.
-        adjacency = sparse.csr_matrix(np.roll(np.eye(4), 1, axis=1))
-        ranks = pagerank(adjacency)
+        ranks = pagerank(_csr(np.roll(np.eye(4), 1, axis=1)))
         np.testing.assert_allclose(ranks, 0.25, atol=1e-8)
 
     def test_sink_accumulates_mass(self):
         # Star pointing at node 0: node 0 must have the highest rank.
-        adjacency = sparse.csr_matrix(np.array([
+        ranks = pagerank(_csr([
             [0, 0, 0, 0],
             [1, 0, 0, 0],
             [1, 0, 0, 0],
             [1, 0, 0, 0],
-        ], dtype=float))
-        ranks = pagerank(adjacency)
+        ]))
         assert ranks[0] == max(ranks)
         assert ranks.sum() == pytest.approx(1.0)
 
@@ -208,13 +263,13 @@ class TestPageRank:
         dense = (rng.random((30, 30)) < 0.1).astype(float)
         np.fill_diagonal(dense, 0.0)
         adjacency = sparse.csr_matrix(dense)
-        ours = pagerank(adjacency, damping=0.85, tol=1e-12)
+        ours = pagerank(_csr(dense), damping=0.85, tol=1e-12)
         graph = nx.from_scipy_sparse_array(adjacency, create_using=nx.DiGraph)
         reference = nx.pagerank(graph, alpha=0.85, tol=1e-12)
         np.testing.assert_allclose(ours, [reference[i] for i in range(30)], atol=1e-6)
 
     def test_personalization_and_validation(self):
-        adjacency = sparse.csr_matrix(np.array([[0, 1], [1, 0]], dtype=float))
+        adjacency = _csr([[0, 1], [1, 0]])
         ranks = pagerank(adjacency, personalization=np.array([1.0, 0.0]))
         assert ranks.sum() == pytest.approx(1.0)
         with pytest.raises(ReproError):
@@ -222,7 +277,52 @@ class TestPageRank:
         with pytest.raises(ReproError):
             pagerank(adjacency, personalization=np.array([0.0, 0.0]))
         with pytest.raises(ReproError):
-            pagerank(sparse.csr_matrix((0, 0)))
+            pagerank((np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)))
+
+
+class TestCsrValidation:
+    """Malformed CSR structure is refused with a ReproError (SciPy's constructor
+    used to refuse it, with its own exception types)."""
+
+    # Two nodes: 0 -> 1 and 1 -> 0.
+    INDPTR, INDICES, DATA = np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0, 2.0])
+
+    def test_well_formed_input_is_accepted(self):
+        assert pagerank((self.INDPTR, self.INDICES, self.DATA)).sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("indptr", [
+        np.array([1, 1, 2]), np.array([0, 3, 2]), np.array([0, 3, 2], dtype=np.uint64),
+        np.array([0, 1, 1])],
+        ids=["starts-above-0", "decreasing", "decreasing-unsigned", "ends-short"])
+    def test_indptr(self, indptr):
+        with pytest.raises(ReproError, match="indptr"):
+            pagerank((indptr, self.INDICES))
+
+    @pytest.mark.parametrize("indices", [[1, 2], [-1, 0]], ids=["past-n", "negative"])
+    def test_indices_out_of_range(self, indices):
+        with pytest.raises(ReproError, match="indices"):
+            pagerank((self.INDPTR, np.array(indices)))
+
+    def test_data_length_mismatch(self):
+        with pytest.raises(ReproError, match="data"):
+            pagerank((self.INDPTR, self.INDICES, np.array([1.0, 2.0, 3.0])))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data(self, bad):
+        with pytest.raises(ReproError, match="data"):
+            pagerank((self.INDPTR, self.INDICES, np.array([1.0, bad])))
+
+    @pytest.mark.parametrize("adjacency", [
+        "not a graph", (np.array([0, 1, 2]),), (np.array([0, 1, 2]), np.array([1, 0]),
+                                                 np.ones(2), np.ones(2))],
+        ids=["string", "one-array", "four-arrays"])
+    def test_not_a_csr_tuple(self, adjacency):
+        with pytest.raises(ReproError, match="CSR"):
+            pagerank(adjacency)
+
+    def test_non_integer_index_arrays(self):
+        with pytest.raises(ReproError, match="integer"):
+            pagerank((self.INDPTR, np.array([1.0, 0.0])))
 
 
 class TestProportionOfCentrality:
