@@ -103,10 +103,6 @@ class Campaign:
         """True when the campaign for this benchmark uses random sampling."""
         return self._planner.is_sampled(benchmark_name)
 
-    def campaign_sample_size(self, benchmark_name: str) -> int | None:
-        """Sample size used for this benchmark (None = exhaustive)."""
-        return self.sample_size if self.is_sampled(benchmark_name) else None
-
     # --------------------------------------------------------------------- caches
 
     def _execute(self, keys: Iterable[tuple[str, str]]) -> None:
@@ -138,10 +134,6 @@ class Campaign:
         if key not in self._caches:
             self._execute([key])
         return self._caches[key]
-
-    def caches_for_benchmark(self, benchmark_name: str) -> dict[str, EvaluationCache]:
-        """Caches of one benchmark on every GPU, keyed by GPU name."""
-        return {gpu_name: self.cache(benchmark_name, gpu_name) for gpu_name in self.gpus}
 
     def all_caches(self) -> dict[tuple[str, str], EvaluationCache]:
         """Every (benchmark, GPU) cache of the campaign.
@@ -180,21 +172,3 @@ class Campaign:
                         loaded += 1
                         break
         return loaded
-
-    # -------------------------------------------------------------------- summary
-
-    def summary(self) -> list[dict[str, object]]:
-        """One row per built cache: sizes, best/median runtimes."""
-        rows: list[dict[str, object]] = []
-        for (benchmark_name, gpu_name), cache in sorted(self._caches.items()):
-            stats = cache.statistics()
-            rows.append({
-                "benchmark": benchmark_name,
-                "gpu": gpu_name,
-                "entries": len(cache),
-                "valid": cache.num_valid,
-                "exhaustive": cache.exhaustive,
-                "best_ms": stats["best"],
-                "median_ms": stats["median"],
-            })
-        return rows

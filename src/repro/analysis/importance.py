@@ -67,10 +67,6 @@ class ImportanceReport:
         """Parameters sorted by decreasing importance."""
         return sorted(self.importances.items(), key=lambda kv: kv[1], reverse=True)
 
-    def important(self, threshold: float = 0.05) -> tuple[str, ...]:
-        """Parameters whose PFI reaches the Table VIII threshold (default 0.05)."""
-        return tuple(name for name, value in self.importances.items() if value >= threshold)
-
     def to_dict(self) -> dict[str, object]:
         """JSON-friendly representation."""
         return {

@@ -64,12 +64,6 @@ class PortabilityMatrix:
         mask = ~np.eye(n, dtype=bool)
         return float(self.relative_performance[mask].mean())
 
-    def entry(self, source: str, target: str) -> float:
-        """One matrix entry by device names."""
-        i = self.gpus.index(source)
-        j = self.gpus.index(target)
-        return float(self.relative_performance[i, j])
-
     def to_dict(self) -> dict[str, object]:
         """JSON-friendly representation."""
         return {

@@ -9,7 +9,7 @@ one small contract to participate in the suite.
 from repro.core.parameter import Parameter
 from repro.core.constraints import Constraint, ConstraintSet
 from repro.core.searchspace import SearchSpace
-from repro.core.problem import TuningProblem, ObjectiveDirection
+from repro.core.problem import TuningProblem
 from repro.core.result import Observation, TuningResult
 from repro.core.budget import Budget
 from repro.core.cache import EvaluationCache
@@ -20,7 +20,6 @@ __all__ = [
     "ConstraintSet",
     "SearchSpace",
     "TuningProblem",
-    "ObjectiveDirection",
     "Observation",
     "TuningResult",
     "Budget",

@@ -156,12 +156,6 @@ class Budget:
                 used += seconds + overhead
             self.simulated_seconds_used = used
 
-    def reset(self) -> None:
-        """Zero all usage counters (limits are kept)."""
-        self.evaluations_used = 0
-        self.unique_used = 0
-        self.simulated_seconds_used = 0.0
-
     def copy(self) -> "Budget":
         """A fresh, unused budget with the same limits."""
         return Budget(max_evaluations=self.max_evaluations,

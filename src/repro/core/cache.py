@@ -1028,17 +1028,6 @@ class EvaluationCache:
                              payload.columns["code"], payload.errors)
         return cache
 
-    @classmethod
-    def from_columns(cls, benchmark: str, gpu: str, space: SearchSpace,
-                     indices: np.ndarray, values: np.ndarray, codes: np.ndarray,
-                     errors: Sequence[str],
-                     exhaustive: bool = False) -> "EvaluationCache":
-        """Build a cache directly over in-memory columns (no per-row inserts)."""
-        cache = cls(benchmark=benchmark, gpu=gpu, space=space,
-                    exhaustive=exhaustive)
-        cache.attach_columns(indices, values, codes, errors)
-        return cache
-
     def attach_columns(self, indices: np.ndarray, values: np.ndarray,
                        codes: np.ndarray, errors: Sequence[str]) -> None:
         """Adopt insertion-ordered row columns as this (empty) cache's contents.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import ast
 import warnings
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.errors import ConstraintViolationError, InvalidConfigurationError
 
@@ -241,19 +241,6 @@ class ConstraintSet:
             raise ConstraintViolationError(
                 f"configuration violates {len(bad)} constraint(s): {', '.join(bad)}",
                 violated=bad)
-
-    def pruning_report(self, configs: Sequence[Mapping[str, Any]]) -> dict[str, int]:
-        """For each constraint, count how many of ``configs`` it rejects.
-
-        Useful when reconstructing the paper's "Constrained" column: it shows which
-        constraint is responsible for most of the pruning.
-        """
-        counts: dict[str, int] = {c.expression: 0 for c in self._constraints}
-        for config in configs:
-            for c in self._constraints:
-                if not c.is_satisfied(config):
-                    counts[c.expression] += 1
-        return counts
 
     # ------------------------------------------------------------------ serialization
 

@@ -49,8 +49,6 @@ class Parameter:
     4
     >>> p.index_of(128)
     2
-    >>> p.neighbors(64)
-    (32, 128)
     """
 
     name: str
@@ -86,11 +84,6 @@ class Parameter:
     def cardinality(self) -> int:
         """Number of allowed values."""
         return len(self.values)
-
-    @property
-    def is_boolean(self) -> bool:
-        """True if the parameter is a binary on/off switch."""
-        return set(self.values) in ({0, 1}, {False, True})
 
     @property
     def is_numeric(self) -> bool:
@@ -148,27 +141,6 @@ class Parameter:
             raise InvalidConfigurationError(
                 f"index {index} out of range for parameter {self.name!r} "
                 f"with {self.cardinality} values") from None
-
-    # ------------------------------------------------------------------- neighbourhoods
-
-    def neighbors(self, value: Any) -> tuple[Any, ...]:
-        """Values adjacent to ``value`` in the ordered list (one step up/down).
-
-        This is the neighbourhood used by adjacent-value local search.  Endpoints have
-        a single neighbour.
-        """
-        i = self.index_of(value)
-        out = []
-        if i > 0:
-            out.append(self.values[i - 1])
-        if i + 1 < len(self.values):
-            out.append(self.values[i + 1])
-        return tuple(out)
-
-    def all_other_values(self, value: Any) -> tuple[Any, ...]:
-        """All allowed values except ``value`` (the Hamming-distance-1 neighbourhood)."""
-        i = self.index_of(value)
-        return self.values[:i] + self.values[i + 1:]
 
     # ------------------------------------------------------------------------ sampling
 

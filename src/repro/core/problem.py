@@ -35,7 +35,6 @@ comes from the constraint truth-table mask, the objective is answered by
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Any, Callable, Mapping, Sequence
 
@@ -45,33 +44,15 @@ from repro.core.errors import ReproError, ResourceLimitError
 from repro.core.result import LazyConfig, Observation
 from repro.core.searchspace import SearchSpace, config_key
 
-__all__ = ["ObjectiveDirection", "TuningProblem"]
-
-
-class ObjectiveDirection(enum.Enum):
-    """Whether the tuner should minimize or maximize the objective.
-
-    Every BAT benchmark minimizes kernel time, but the enum keeps the interface
-    general (e.g. for throughput objectives like GFLOP/s).
-    """
-
-    MINIMIZE = "minimize"
-    MAXIMIZE = "maximize"
-
-    def better(self, a: float, b: float) -> bool:
-        """True if objective value ``a`` is strictly better than ``b``."""
-        if self is ObjectiveDirection.MINIMIZE:
-            return a < b
-        return a > b
-
-    @property
-    def worst_value(self) -> float:
-        """The sentinel value assigned to failed evaluations."""
-        return math.inf if self is ObjectiveDirection.MINIMIZE else -math.inf
+__all__ = ["TuningProblem"]
 
 
 class TuningProblem:
     """A tunable kernel instance on a specific (simulated) device.
+
+    The objective is always minimized: it is a kernel time in milliseconds, and a
+    failed evaluation (constraint violation, resource limit, raising or
+    non-finite objective) carries ``math.inf``.
 
     Parameters
     ----------
@@ -87,10 +68,6 @@ class TuningProblem:
         which is how real autotuners treat failed compilations.
     gpu:
         Device name used for bookkeeping.
-    direction:
-        Minimize (default, kernel time) or maximize.
-    objective_unit:
-        Unit string for reports (default ``"ms"``).
     memoize:
         If True (default), repeated evaluations of the same configuration return the
         cached observation without consuming another call to ``evaluate_fn``.  This
@@ -125,16 +102,13 @@ class TuningProblem:
 
     def __init__(self, name: str, space: SearchSpace,
                  evaluate_fn: Callable[[Mapping[str, Any]], float],
-                 gpu: str = "", direction: ObjectiveDirection = ObjectiveDirection.MINIMIZE,
-                 objective_unit: str = "ms", memoize: bool = True,
+                 gpu: str = "", memoize: bool = True,
                  evaluate_index_fn: Callable[[int], float] | None = None,
                  peek_index_fn: Callable[[Any], tuple[Any, Any]] | None = None,
                  peek_one_fn: Callable[[int], tuple[float, bool, bool]] | None = None):
         self.name = name
         self.space = space
         self.gpu = gpu
-        self.direction = direction
-        self.objective_unit = objective_unit
         self.memoize = memoize
         self._evaluate_fn = evaluate_fn
         self._evaluate_index_fn = evaluate_index_fn
@@ -189,7 +163,7 @@ class TuningProblem:
         if member and self.space.constraints.is_satisfied(config):
             value, valid, error = self._measure(self._evaluate_fn, config)
         else:
-            value, valid, error = self.direction.worst_value, False, self._violation(config)
+            value, valid, error = math.inf, False, self._violation(config)
         count = self._evaluation_count
         self._evaluation_count = count + 1
         obs = Observation(config=dict(config), value=value, valid=valid, error=error,
@@ -218,7 +192,7 @@ class TuningProblem:
         if not (self.space.index_is_feasible(index) if _valid_hint is None
                 else _valid_hint):
             config = self.space.config_at(index)
-            value, valid, error = self.direction.worst_value, False, self._violation(config)
+            value, valid, error = math.inf, False, self._violation(config)
         elif self._evaluate_index_fn is not None:
             value, valid, error = self._measure(self._evaluate_index_fn, index)
         else:
@@ -236,15 +210,15 @@ class TuningProblem:
     def _measure(self, objective: Callable[[Any], float],
                  argument: Any) -> tuple[float, bool, str]:
         """``(value, valid, error)`` of one objective call: objective failures
-        behave like failed launches and carry the direction's worst value."""
+        behave like failed launches and carry ``math.inf``."""
         try:
             value = float(objective(argument))
         except ResourceLimitError as exc:
-            return self.direction.worst_value, False, f"resource limit exceeded: {exc}"
+            return math.inf, False, f"resource limit exceeded: {exc}"
         except Exception as exc:
-            return self.direction.worst_value, False, f"evaluation failed: {exc}"
+            return math.inf, False, f"evaluation failed: {exc}"
         if not math.isfinite(value) or value <= 0:
-            return (self.direction.worst_value, False,
+            return (math.inf, False,
                     f"objective returned non-positive/non-finite value {value!r}")
         return value, True, ""
 
@@ -314,7 +288,7 @@ class TuningProblem:
             memo_get = memo.get
             memoize = self.memoize
             space, gpu, name = self.space, self.gpu, self.name
-            worst = self.direction.worst_value
+            worst = math.inf
             fast = Observation.fast
             lazy = LazyConfig
             count = self._evaluation_count
@@ -355,10 +329,6 @@ class TuningProblem:
             hints = [valid_hint] * idx.size
         return [self.evaluate_index(i, _valid_hint=hint)
                 for i, hint in zip(idx.tolist(), hints)]
-
-    def objective(self, config: Mapping[str, Any]) -> float:
-        """Scalar objective of a configuration (``inf`` for invalid ones)."""
-        return self.evaluate(config).value
 
     def reset_cache(self) -> None:
         """Drop memoized observations and reset the evaluation counter."""

@@ -14,16 +14,16 @@ dictionaries in its hot loop.  Observations it produces carry a :class:`LazyConf
 a read-only mapping that materialises the configuration dictionary from the space's
 value columns on first access and caches it.  Convergence traces, budget accounting
 and best-so-far tracking read only ``value``/``valid``, so for most observations the
-dictionary is never built; serialization, ``best_config`` and equality comparisons see
-exactly the dictionary the dict-based path would have produced (same values, same
-parameter order).
+dictionary is never built; serialization, ``best_observation.config`` and equality
+comparisons see exactly the dictionary the dict-based path would have produced (same
+values, same parameter order).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -40,8 +40,7 @@ class LazyConfig(Mapping):
     :class:`~typing.Mapping` operation (lookup, iteration, ``dict(...)`` conversion,
     equality against plain dictionaries in either direction) but defers building it
     until something actually reads a key.  Instances are read-only and un-hashable,
-    like any mapping view; use :func:`~repro.core.searchspace.config_key` (or
-    :attr:`space_index`) as a key.
+    like any mapping view; use :func:`~repro.core.searchspace.config_key` as a key.
     """
 
     __slots__ = ("_space", "_index", "_config")
@@ -50,11 +49,6 @@ class LazyConfig(Mapping):
         self._space = space
         self._index = index
         self._config: dict[str, Any] | None = None
-
-    @property
-    def space_index(self) -> int:
-        """Mixed-radix index of this configuration in its search space."""
-        return self._index
 
     def _materialize(self) -> dict[str, Any]:
         config = self._config
@@ -247,15 +241,6 @@ class TuningResult:
         except ReproError:
             return math.inf
 
-    @property
-    def best_config(self) -> dict[str, Any]:
-        """Configuration of :attr:`best_observation`."""
-        return dict(self.best_observation.config)
-
-    def unique_configs(self) -> int:
-        """Number of distinct configurations evaluated."""
-        return len({o.key for o in self._observations})
-
     # ------------------------------------------------------------------ convergence
 
     def values(self) -> np.ndarray:
@@ -319,46 +304,8 @@ class TuningResult:
         result.metadata.update(data.get("metadata", {}))
         return result
 
-    # ------------------------------------------------------------------------- misc
-
-    def summary(self) -> dict[str, Any]:
-        """Small dictionary used by reports and example scripts."""
-        return {
-            "benchmark": self.benchmark,
-            "gpu": self.gpu,
-            "tuner": self.tuner,
-            "evaluations": self.num_evaluations,
-            "valid": self.num_valid,
-            "failures": self.num_failures,
-            "best_value": self.best_value,
-            "best_config": (dict(self.best_observation.config)
-                            if self.num_valid else None),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"TuningResult(benchmark={self.benchmark!r}, gpu={self.gpu!r}, "
                 f"tuner={self.tuner!r}, evaluations={self.num_evaluations}, "
                 f"best={self.best_value:.4g})")
 
-
-def merge_results(results: Sequence[TuningResult]) -> TuningResult:
-    """Concatenate several runs of the same (benchmark, gpu) pair into one result.
-
-    Used by portfolio tuners and by the campaign code when observations are gathered
-    in chunks.  Tuner name becomes a ``+``-joined list.
-    """
-    if not results:
-        raise ReproError("cannot merge an empty list of results")
-    benchmarks = {r.benchmark for r in results}
-    gpus = {r.gpu for r in results}
-    if len(benchmarks) > 1 or len(gpus) > 1:
-        raise ReproError(f"cannot merge results across benchmarks {benchmarks} / gpus {gpus}")
-    merged = TuningResult(
-        benchmark=results[0].benchmark,
-        gpu=results[0].gpu,
-        tuner="+".join(dict.fromkeys(r.tuner for r in results if r.tuner)),
-        seed=results[0].seed,
-    )
-    for r in results:
-        merged.extend(r.observations)
-    return merged

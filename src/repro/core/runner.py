@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-
 from repro.core.budget import Budget
 from repro.core.errors import ReproError
 from repro.core.problem import TuningProblem
 from repro.core.result import TuningResult
 
-__all__ = ["run_tuning", "run_repetitions", "run_matrix"]
+__all__ = ["run_tuning", "run_matrix"]
 
 
 def _make_budget(budget: Budget | None, max_evaluations: int | None) -> Budget:
@@ -58,22 +57,6 @@ def run_tuning(tuner: "Tuner", problem: TuningProblem, budget: Budget | None = N
     return result
 
 
-def run_repetitions(tuner_factory, problem: TuningProblem, repetitions: int,
-                    max_evaluations: int, base_seed: int = 0) -> list[TuningResult]:
-    """Run ``repetitions`` independent tuning runs with distinct seeds.
-
-    ``tuner_factory`` is called with ``seed=`` for each repetition so that stateful
-    tuners start fresh.  This is the machinery behind the paper's Fig. 2 (the median
-    over 100 random-search repetitions).
-    """
-    results: list[TuningResult] = []
-    for rep in range(repetitions):
-        seed = base_seed + rep
-        tuner = tuner_factory(seed=seed)
-        results.append(run_tuning(tuner, problem, max_evaluations=max_evaluations, seed=seed))
-    return results
-
-
 def _resolve_problem_spec(value: Any) -> TuningProblem:
     """Resolve a ``run_matrix`` problem entry through the open registry.
 
@@ -100,7 +83,7 @@ def run_matrix(tuners: Mapping[str, Any], problems: Mapping[str, Any],
     """Run every tuner on every problem once.
 
     Returns a dictionary keyed by ``(tuner_name, problem_name)``, in tuner-major
-    order.  Used by the tuner comparison example and the ablation benchmark.
+    order.  ``examples/custom_benchmark.py`` sweeps its generated scenarios with it.
     Runs go problem by problem, and each problem's memo is reset before every
     run, so no run sees another's evaluations.
 

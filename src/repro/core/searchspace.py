@@ -237,14 +237,6 @@ class SearchSpace:
         # Cartesian product AND satisfaction of the static constraints.
         return self.is_valid(config)
 
-    def parameter(self, name: str) -> Parameter:
-        """Look up a parameter by name."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise InvalidConfigurationError(
-                f"unknown parameter {name!r}; known: {self.parameter_names}") from None
-
     # --------------------------------------------------------------------- validation
 
     def validate_membership(self, config: Mapping[str, Any]) -> None:
@@ -514,10 +506,10 @@ class SearchSpace:
             self._feas_bits_src = self._feasible
         return bits
 
-    def _iter_feasible_blocks(self, chunk_size: int = _CHUNK) -> Iterator[np.ndarray]:
+    def _iter_feasible_blocks(self) -> Iterator[np.ndarray]:
         """Stream ascending blocks of feasible indices without memoization."""
-        for start in range(0, self._cardinality, chunk_size):
-            block = np.arange(start, min(start + chunk_size, self._cardinality),
+        for start in range(0, self._cardinality, _CHUNK):
+            block = np.arange(start, min(start + _CHUNK, self._cardinality),
                               dtype=np.int64)
             block = block[self.satisfied_mask(block)]
             if block.size:
@@ -525,24 +517,23 @@ class SearchSpace:
 
     # -------------------------------------------------------------------- enumeration
 
-    def enumerate_chunked(self, valid_only: bool = True,
-                          chunk_size: int = _CHUNK) -> Iterator[np.ndarray]:
-        """Stream index blocks in ascending mixed-radix order.
+    def enumerate_chunked(self, valid_only: bool = True) -> Iterator[np.ndarray]:
+        """Stream index blocks of at most :data:`_CHUNK` in ascending mixed-radix order.
 
         With ``valid_only`` (default) only feasible indices are yielded; a memoized
         feasible set is sliced directly instead of re-masking.
         """
         if not valid_only or not len(self._constraints):
-            for start in range(0, self._cardinality, chunk_size):
-                yield np.arange(start, min(start + chunk_size, self._cardinality),
+            for start in range(0, self._cardinality, _CHUNK):
+                yield np.arange(start, min(start + _CHUNK, self._cardinality),
                                 dtype=np.int64)
             return
         feasible = self.feasible_indices()
         if feasible is not None:
-            for start in range(0, feasible.size, chunk_size):
-                yield feasible[start:start + chunk_size]
+            for start in range(0, feasible.size, _CHUNK):
+                yield feasible[start:start + _CHUNK]
             return
-        yield from self._iter_feasible_blocks(chunk_size)
+        yield from self._iter_feasible_blocks()
 
     def enumerate(self, valid_only: bool = True) -> Iterator[Config]:
         """Yield configurations in mixed-radix order.
@@ -557,10 +548,6 @@ class SearchSpace:
         """
         for block in self.enumerate_chunked(valid_only=valid_only):
             yield from self.configs_at(block)
-
-    def enumerate_all(self) -> Iterator[Config]:
-        """Yield every point of the Cartesian product, ignoring constraints."""
-        return self.enumerate(valid_only=False)
 
     def count_constrained(self) -> int:
         """Number of configurations satisfying the constraints (Table VIII 'Constrained').
@@ -770,21 +757,11 @@ class SearchSpace:
                                       max_attempts_factor=max_attempts_factor)
         return self.configs_at(indices)
 
-    def sample_one(self, rng: np.random.Generator | int | None = None,
-                   valid_only: bool = True) -> Config:
-        """Draw a single random (valid) configuration."""
-        return self.sample(1, rng=rng, valid_only=valid_only, unique=False)[0]
-
     def sample_one_index(self, rng: np.random.Generator | int | None = None,
                          valid_only: bool = True) -> int:
-        """Index form of :meth:`sample_one`: same rejection loop, same random
-        stream, no configuration dictionary."""
+        """Draw a single random (valid) index: ``sample_indices(1, unique=False)[0]``."""
         return int(self.sample_indices(1, rng=rng, valid_only=valid_only,
                                        unique=False)[0])
-
-    def default_configuration(self) -> Config:
-        """Configuration made of every parameter's default value."""
-        return {p.name: p.default for p in self._parameters}
 
     # ----------------------------------------------------------------- neighbourhoods
 
@@ -811,14 +788,6 @@ class SearchSpace:
         """
         return self.configs_at(
             self.neighbor_indices(self.index_of(config), strategy, valid_only))
-
-    def random_neighbor(self, config: Mapping[str, Any], rng: np.random.Generator,
-                        strategy: str = "hamming", valid_only: bool = True) -> Config | None:
-        """A single uniformly-random neighbour, or None if there are none."""
-        options = self.neighbors(config, strategy=strategy, valid_only=valid_only)
-        if not options:
-            return None
-        return options[int(rng.integers(0, len(options)))]
 
     # -------------------------------------------------- index-native neighbourhoods
 
@@ -1086,29 +1055,9 @@ class SearchSpace:
             cached = self._dec_state = (grid, pad, np.empty(grid.shape))
         return cached
 
-    def decode_digits_batch(self, vectors: np.ndarray) -> np.ndarray:
-        """Batch form of :meth:`decode_digits`: ``(n, dimensions)`` feature rows
-        to an ``(n, dimensions)`` digit matrix in one broadcast pass, row-wise
-        identical to the scalar decoder (same first-minimum tie rule)."""
-        vectors = np.asarray(vectors, dtype=float)
-        if vectors.ndim != 2 or vectors.shape[1] != self.dimensions:
-            raise InvalidConfigurationError(
-                f"expected an (n, {self.dimensions}) matrix, got shape "
-                f"{vectors.shape}")
-        grid, pad = self._encoded_grid()
-        distance = np.abs(grid[None, :, :] - vectors[:, :, None])
-        if pad is not None:
-            distance[:, pad] = np.inf
-        return np.argmin(distance, axis=2)
-
     def decode_index(self, vector: Sequence[float]) -> int:
         """Mixed-radix index of the member configuration nearest to ``vector``."""
         return int(self.decode_digits(vector) @ self._places)
-
-    def decode_indices(self, vectors: np.ndarray) -> np.ndarray:
-        """Batch form of :meth:`decode_index`: nearest-member indices of many
-        feature vectors (one broadcast decode, one mixed-radix assembly)."""
-        return self.decode_digits_batch(vectors) @ self._places
 
     def decode(self, vector: Sequence[float]) -> Config:
         """Map a feature vector back to the nearest member configuration."""

@@ -234,7 +234,7 @@ class CheckpointStore:
                 missing.append(shard.shard_id)
                 continue
             try:
-                self.load_shard(shard)
+                self.load_shard_columns(shard)
             except SerializationError as exc:
                 damaged.append({"shard_id": shard.shard_id,
                                 "benchmark": shard.benchmark, "gpu": shard.gpu,
@@ -310,8 +310,7 @@ class CheckpointStore:
 
     # --------------------------------------------------------------------- status
 
-    def status(self, plan: CampaignPlan | None = None,
-               session_gap: float | None = None) -> dict[str, object]:
+    def status(self, plan: CampaignPlan | None = None) -> dict[str, object]:
         """Completion summary of the checkpoint directory.
 
         Returns per-unit completed/total shard and config counts (with percentages)
@@ -320,10 +319,10 @@ class CheckpointStore:
         derived from the fragment files' modification times: *active* elapsed
         wall-clock, the implied configs-per-second throughput, and the ETA for the
         remaining configs at that rate.  Fragment mtimes are clustered into
-        sessions (consecutive gaps above ``session_gap`` seconds start a new one;
-        default: adaptive, ``max(60, 10 x median gap)``) so an interrupted-then-
-        resumed campaign does not dilute its rate with the hours the run sat dead
-        on disk.  Used by the ``status`` CLI subcommand and by tests.
+        sessions (a gap above ``max(60, 10 x median gap)`` seconds starts a new
+        one) so an interrupted-then-resumed campaign does not dilute its rate with
+        the hours the run sat dead on disk.  Used by the ``status`` CLI subcommand
+        and by tests.
         """
         if plan is None:
             plan = self.load_plan()
@@ -364,10 +363,9 @@ class CheckpointStore:
         if len(timed) >= 2:
             timed.sort()
             gaps = [later[0] - earlier[0] for earlier, later in zip(timed, timed[1:])]
-            if session_gap is None:
-                positive = sorted(gap for gap in gaps if gap > 0)
-                median = positive[len(positive) // 2] if positive else 0.0
-                session_gap = max(60.0, 10.0 * median)
+            positive = sorted(gap for gap in gaps if gap > 0)
+            median = positive[len(positive) // 2] if positive else 0.0
+            session_gap = max(60.0, 10.0 * median)
             # A fragment's mtime marks the *end* of its shard, so each intra-session
             # gap covers exactly the configs of its later fragment; gaps above the
             # session threshold are dead time between runs and count toward neither

@@ -383,6 +383,3 @@ class ShardPlanner:
         return CampaignPlan(units=tuple(units), shards=tuple(shards),
                             shard_size=self.shard_size)
 
-    def unit_indices(self, unit: CampaignUnit) -> np.ndarray:
-        """Evaluation-order index array of one unit (see :func:`unit_indices`)."""
-        return unit_indices(self.benchmarks[unit.benchmark].space, unit)

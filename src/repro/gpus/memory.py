@@ -27,7 +27,6 @@ __all__ = [
     "coalescing_efficiency",
     "vector_access_efficiency",
     "read_only_cache_factor",
-    "l2_reuse_factor",
     "bank_conflict_factor",
     "dram_time_ms",
 ]
@@ -103,22 +102,6 @@ def read_only_cache_factor(gpu: GPUSpec, use_read_only: Any) -> Any:
     """
     return np.where(use_read_only, 1.10 if gpu.architecture == "Turing" else 1.04,
                     1.0)[()]
-
-
-def l2_reuse_factor(gpu: GPUSpec, working_set_bytes: Any) -> Any:
-    """Fraction of traffic served by DRAM after L2 reuse.
-
-    Working sets that fit in L2 are served mostly from cache; the factor approaches a
-    floor of 0.35 (DRAM still has to be touched once).  Working sets much larger than
-    L2 see no reuse (factor 1.0).
-    """
-    working_set_bytes = np.asarray(working_set_bytes, dtype=np.float64)
-    ratio = working_set_bytes / (gpu.l2_cache_kb * 1024.0)
-    # Smooth decay of reuse as the working set overflows L2.
-    with np.errstate(divide="ignore"):
-        overflow = np.minimum(1.0, 0.65 + 0.35 * (1.0 - 1.0 / ratio))
-    return np.where(working_set_bytes <= 0, 1.0,
-                    np.where(ratio <= 1.0, 0.35 + 0.30 * ratio, overflow))[()]
 
 
 def bank_conflict_factor(gpu: GPUSpec, block_size_x: Any, use_padding: Any,

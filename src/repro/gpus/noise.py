@@ -3,18 +3,15 @@
 Real kernel timings jitter run to run (clock boost behaviour, DRAM refresh, other
 tenants of the machine).  The suite reproduces that with a *deterministic* noise model:
 the multiplicative perturbation applied to a configuration's modelled runtime is a pure
-function of (device, benchmark, configuration, repetition), derived from a stable hash.
+function of (device, benchmark, configuration), derived from a stable hash.
 Determinism matters because the analyses compare caches across architectures and
 because tests must be reproducible bit-for-bit.
 
-Two kinds of noise are provided:
-
-* *configuration noise* (default ~1.5% lognormal): persistent, per-configuration model
-  error -- the analytical model never captures every microarchitectural effect, and
-  this keeps the performance landscape realistically rugged (important for the
-  fitness-flow-graph / centrality analysis, which counts local minima);
-* *measurement jitter* (default ~0.3% lognormal): per-repetition timing noise, applied
-  when a caller asks for repeated observations of the same configuration.
+The noise is *configuration noise* (default ~1.5% lognormal): persistent,
+per-configuration model error -- the analytical model never captures every
+microarchitectural effect, and this keeps the performance landscape realistically
+rugged (important for the fitness-flow-graph / centrality analysis, which counts
+local minima).
 
 Batches are hashed through *configuration keys*: the UTF-8 bytes :func:`stable_hash`
 renders a configuration mapping into.  :func:`config_keys` renders a whole digit
@@ -40,7 +37,6 @@ __all__ = [
     "lognormal_factor",
     "lognormal_factors",
     "config_noise",
-    "measurement_jitter",
 ]
 
 _SEPARATOR = b"\x1f"
@@ -136,9 +132,3 @@ def config_noise(gpu_name: str, benchmark: str, config: Mapping[str, Any],
     """Persistent multiplicative model-error factor for one configuration."""
     return lognormal_factor(stable_hash("config", gpu_name, benchmark, config), sigma)
 
-
-def measurement_jitter(gpu_name: str, benchmark: str, config: Mapping[str, Any],
-                       repetition: int, sigma: float = 0.003) -> float:
-    """Per-repetition multiplicative timing jitter."""
-    return lognormal_factor(
-        stable_hash("jitter", gpu_name, benchmark, config, repetition), sigma)

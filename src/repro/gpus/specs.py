@@ -77,11 +77,6 @@ class GPUSpec:
     # ------------------------------------------------------------------ derived
 
     @property
-    def total_cores(self) -> int:
-        """Total FP32 cores on the device."""
-        return self.sm_count * self.cores_per_sm
-
-    @property
     def max_warps_per_sm(self) -> int:
         """Maximum resident warps per SM."""
         return self.max_threads_per_sm // self.warp_size
@@ -95,15 +90,6 @@ class GPUSpec:
     def peak_bandwidth_bytes(self) -> float:
         """Peak DRAM bandwidth in bytes/s."""
         return self.memory_bandwidth_gb_s * 1e9
-
-    @property
-    def flops_per_byte(self) -> float:
-        """Machine balance: FLOPs the device can do per byte of DRAM traffic."""
-        return self.peak_flops / self.peak_bandwidth_bytes
-
-    def is_same_family(self, other: "GPUSpec") -> bool:
-        """True when both devices belong to the same architecture family."""
-        return self.architecture == other.architecture
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable description."""

@@ -83,10 +83,6 @@ class FitnessFlowGraph:
         """Indices of nodes with no improving neighbour (the walk's absorbing states)."""
         return np.nonzero(self.out_degrees() == 0)[0]
 
-    def global_optimum(self) -> int:
-        """Index of the best node."""
-        return int(np.argmin(self.fitness))
-
     def minima_within(self, proportion: float) -> np.ndarray:
         """Local minima whose fitness is within ``(1 + proportion)`` of the optimum."""
         if proportion < 0:

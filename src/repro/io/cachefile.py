@@ -36,7 +36,7 @@ subsystem (:mod:`repro.exec`) builds on:
   shard plan a checkpoint directory belongs to.
 
 Checkpoint *fragments* -- the rows of one completed shard -- are columnar files
-(:func:`repro.io.columnar.save_columnar_fragment`); JSON is the interchange and
+(:func:`repro.io.columnar.save_columnar_fragment_columns`); JSON is the interchange and
 export format of final caches only.
 """
 

@@ -82,8 +82,7 @@ __all__ = [
     "ColumnarPayload", "cache_digest",
     "write_columnar", "read_columnar", "peek_columnar_header",
     "encode_failure_codes", "failure_slots", "decode_failure_strings",
-    "fragment_columns", "save_columnar_fragment",
-    "save_columnar_fragment_columns", "load_columnar_fragment_columns",
+    "fragment_columns", "save_columnar_fragment_columns", "load_columnar_fragment_columns",
     "concat_fragment_columns",
 ]
 
@@ -394,12 +393,6 @@ def save_columnar_fragment_columns(path: str | Path, shard: Mapping[str, Any],
     carry is ``+inf`` (the failed-launch sentinel)."""
     return write_columnar(path, "fragment", {"shard": dict(shard)},
                           {"value": values, "code": codes}, errors)
-
-
-def save_columnar_fragment(path: str | Path, shard: Mapping[str, Any],
-                           rows: Sequence[tuple[float, bool, str]]) -> Path:
-    """Row view of :func:`save_columnar_fragment_columns`."""
-    return save_columnar_fragment_columns(path, shard, *fragment_columns(rows))
 
 
 def load_columnar_fragment_columns(path: str | Path, verify: bool = True

@@ -31,7 +31,6 @@ from repro.gpus.noise import config_keys
 from repro.gpus.perfmodel import (
     AnalyticalKernelModel,
     ModelColumns,
-    ModelEstimate,
     failure_mask,
 )
 from repro.gpus.specs import GPUSpec
@@ -158,11 +157,6 @@ class KernelBenchmark:
 
     # ---------------------------------------------------------------- measurements
 
-    def measure(self, config: Mapping[str, Any], gpu: GPUSpec,
-                with_noise: bool = True) -> ModelEstimate:
-        """Full model estimate (time plus breakdown) of one configuration."""
-        return self.model.estimate(config, gpu, with_noise=with_noise)
-
     def evaluate_digits(self, gpu: GPUSpec, digits: np.ndarray,
                         with_noise: bool = True) -> ModelColumns:
         """One column evaluation of the configurations in a digit matrix."""
@@ -249,18 +243,6 @@ class KernelBenchmark:
             {"parameter": p.name, "values": list(p.values), "count": p.cardinality}
             for p in self.space.parameters
         ]
-
-    def summary(self) -> dict[str, Any]:
-        """Compact description used by reports and the quickstart example."""
-        return {
-            "name": self.name,
-            "display_name": self.display_name,
-            "paper_table": self.paper_table,
-            "application_domain": self.application_domain,
-            "dimensions": self.space.dimensions,
-            "cardinality": self.space.cardinality,
-            "workload": dict(self.workload.sizes),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"KernelBenchmark(name={self.name!r}, dimensions={self.space.dimensions}, "

@@ -62,7 +62,6 @@ __all__ = [
     "FACTORY_SPEC",
     "SyntheticKernelModel",
     "create_benchmark",
-    "synthetic_suite",
     "scenario_specs",
 ]
 
@@ -393,12 +392,3 @@ def scenario_specs(count: int = 8, families: Sequence[str] = FAMILIES,
         specs[name] = {"factory": FACTORY_SPEC, "kwargs": kwargs}
     return specs
 
-
-def synthetic_suite(count: int = 8, families: Sequence[str] = FAMILIES,
-                    base_seed: int = 0, **overrides: Any) -> dict[str, KernelBenchmark]:
-    """Instantiate a sweep of generated scenarios, keyed by name."""
-    from repro.core.registry import BenchmarkSpec
-
-    return {name: BenchmarkSpec.from_dict(spec).build()
-            for name, spec in scenario_specs(count, families, base_seed,
-                                             **overrides).items()}

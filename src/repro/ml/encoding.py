@@ -55,11 +55,6 @@ class FeatureMatrix:
         """Number of rows."""
         return int(self.X.shape[0])
 
-    @property
-    def n_features(self) -> int:
-        """Number of parameter columns."""
-        return int(self.X.shape[1])
-
 
 def encode_cache(cache: EvaluationCache, log_target: bool = True) -> FeatureMatrix:
     """Encode a campaign cache as a :class:`FeatureMatrix`.

@@ -21,11 +21,9 @@ from per-tree leaf bitmasks instead of one ensemble predict per shuffled column.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
-from repro.ml.metrics import r2_from_sums, r2_score
+from repro.ml.metrics import r2_from_sums
 from repro.ml.permutation_importance import shuffled_predictions
 from repro.ml.tree import ALL_LEAVES, DecisionTreeRegressor, bin_features, check_training_data
 
@@ -207,10 +205,6 @@ class GradientBoostingRegressor:
                 shuffled += leaf_value[np.bitwise_count(shuffled_leaf)]
         return predicted, shuffled
 
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """R^2 of the ensemble on ``(X, y)``."""
-        return r2_score(y, self.predict(X))
-
     # --------------------------------------------------------------------- queries
 
     @property
@@ -224,15 +218,3 @@ class GradientBoostingRegressor:
                 total += tree.feature_gains_
         s = total.sum()
         return total / s if s > 0 else total
-
-    def get_params(self) -> dict[str, Any]:
-        """Constructor parameters (scikit-learn-style introspection)."""
-        return {
-            "n_estimators": self.n_estimators,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "subsample": self.subsample,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_bins": self.max_bins,
-            "random_state": self.random_state,
-        }

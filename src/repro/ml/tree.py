@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -477,12 +477,3 @@ class DecisionTreeRegressor:
         if total <= 0:
             return np.zeros_like(self.feature_gains_)
         return self.feature_gains_ / total
-
-    def get_params(self) -> dict[str, Any]:
-        """Constructor parameters (scikit-learn-style introspection)."""
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_bins": self.max_bins,
-        }

@@ -44,7 +44,6 @@ __all__ = [
     "SMAC3Adapter",
     "KernelTunerAdapter",
     "KTTAdapter",
-    "available_external_frameworks",
 ]
 
 
@@ -167,9 +166,3 @@ class KTTAdapter(ExternalTunerAdapter):
     framework_module = "pyktt"
     fallback_factory = RandomSearch
 
-
-def available_external_frameworks() -> dict[str, bool]:
-    """Importability of every external framework the paper integrates with."""
-    adapters: tuple[type[ExternalTunerAdapter], ...] = (
-        OptunaAdapter, SMAC3Adapter, KernelTunerAdapter, KTTAdapter)
-    return {adapter.name: adapter.framework_available() for adapter in adapters}

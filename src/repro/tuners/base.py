@@ -250,17 +250,11 @@ class Tuner(abc.ABC):
         settled = self.evaluate_index_run(indices, _peek=(values, failure, raises))
         return len(settled) == len(candidates) and not self.budget_exhausted
 
-    def best_so_far(self) -> Observation | None:
-        """The best valid observation recorded so far in the current run."""
-        if self._result is None or self._result.num_valid == 0:
-            return None
-        return self._result.best_observation
-
     def best_index_so_far(self) -> int | None:
         """Space index of the best valid observation so far (None before any).
 
-        The index twin of :meth:`best_so_far`: maintained as a running minimum
-        during accounting, so no configuration dictionary is ever consulted.
+        Maintained as a running minimum during accounting, so no configuration
+        dictionary is ever consulted.
         """
         return self._track[0]
 
@@ -356,32 +350,25 @@ class GenerationRun:
             return                         # generation truncated by the budget
     """
 
-    __slots__ = ("_tuner", "_peek", "_worst", "_pending")
+    __slots__ = ("_tuner", "_peek", "_pending")
 
     def __init__(self, tuner: Tuner):
         self._tuner = tuner
         problem = tuner._problem
         self._peek = (problem.peek_index
                       if problem is not None and problem.peekable else None)
-        self._worst = (problem.direction.worst_value if problem is not None
-                       else math.inf)
         #: Queued ``(index, value, failure, raises)`` candidates of the current
         #: generation (peeked mode only).
         self._pending: list[tuple[int, float, bool, bool]] = []
-
-    @property
-    def peeked(self) -> bool:
-        """True when candidates are being peeked and settled per generation."""
-        return self._peek is not None
 
     def submit(self, index: int) -> tuple[float, bool] | None:
         """Queue one pre-validated candidate; returns its ``(value, failed)`` fate.
 
         The value is only meaningful when ``failed`` is False (failed
-        evaluations carry the direction's worst value, exactly like the
-        observations they become).  Returns None when the budget is exhausted --
-        only possible in sequential mode, where submitting *is* evaluating;
-        peeked generations detect exhaustion at :meth:`flush`.
+        evaluations carry ``math.inf``, exactly like the observations they
+        become).  Returns None when the budget is exhausted -- only possible in
+        sequential mode, where submitting *is* evaluating; peeked generations
+        detect exhaustion at :meth:`flush`.
         """
         peek = self._peek
         if peek is None:
@@ -394,7 +381,7 @@ class GenerationRun:
         # error strings from it); the returned fate carries what the eventual
         # observation's ``value`` will be.
         self._pending.append((index, value, failed, raises))
-        return (self._worst if failed else value), failed
+        return (math.inf if failed else value), failed
 
     def flush(self) -> bool:
         """Settle the queued generation; False when the run must stop.

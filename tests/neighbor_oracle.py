@@ -7,7 +7,7 @@ The functions here are the per-parameter dictionary implementations those replac
 kept as the only independent witnesses of what the index kernels must return:
 
 * :func:`oracle_neighbors` -- one candidate dictionary per other value
-  (``Parameter.all_other_values`` or ``Parameter.neighbors``), each checked with
+  (:func:`all_other_values` or :func:`adjacent_values`), each checked with
   the scalar ``ConstraintSet.is_satisfied``;
 * :func:`oracle_ffg` -- the hash-map edge construction: the node list keyed by
   ``config_key``, one probe per Hamming-1 neighbour of every node.
@@ -20,7 +20,20 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.errors import InvalidConfigurationError
+from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace, config_key
+
+
+def all_other_values(p: Parameter, value: Any) -> tuple[Any, ...]:
+    """All allowed values of ``p`` except ``value`` (the Hamming-distance-1 neighbourhood)."""
+    i = p.index_of(value)
+    return p.values[:i] + p.values[i + 1:]
+
+
+def adjacent_values(p: Parameter, value: Any) -> tuple[Any, ...]:
+    """The values one step below and above ``value`` in ``p``'s declared order."""
+    i = p.index_of(value)
+    return p.values[max(i - 1, 0):i] + p.values[i + 1:i + 2]
 
 
 def oracle_neighbors(space: SearchSpace, config: Mapping[str, Any],
@@ -35,8 +48,8 @@ def oracle_neighbors(space: SearchSpace, config: Mapping[str, Any],
     out: list[dict[str, Any]] = []
     for p in space.parameters:
         current = config[p.name]
-        others = (p.all_other_values(current) if strategy == "hamming"
-                  else p.neighbors(current))
+        others = (all_other_values(p, current) if strategy == "hamming"
+                  else adjacent_values(p, current))
         for value in others:
             neighbor = dict(config)
             neighbor[p.name] = value

@@ -25,7 +25,7 @@ from repro.io.results_io import load_results, save_results
 def toy_cache():
     space = SearchSpace([Parameter("x", (1, 2, 3)), Parameter("y", (1, 2))], name="toy")
     cache = EvaluationCache("toy", "SIM_GPU", space, exhaustive=True)
-    for config in space.enumerate_all():
+    for config in space.enumerate(valid_only=False):
         value = float(config["x"] * 2 + config["y"])
         cache.add(config, value)
     return cache

@@ -181,7 +181,7 @@ def toy():
     """A hand-built campaign-shaped cache: space values 1/2/3 and a failed row."""
     space = SearchSpace([Parameter("x", (1, 2, 3)), Parameter("y", (1, 2))], name="toy")
     cache = EvaluationCache("toy", "SIM_GPU", space, exhaustive=True)
-    for config in space.enumerate_all():
+    for config in space.enumerate(valid_only=False):
         if config == {"x": 3, "y": 2}:
             cache.add(config, math.inf, valid=False, error="launch failed")
         else:
@@ -242,7 +242,7 @@ class TestFallbacks:
         space = SearchSpace([Parameter("unroll", (1, "auto")), Parameter("y", (1, 2))],
                             name="mixed")
         cache = EvaluationCache("mixed", "SIM_GPU", space, exhaustive=True)
-        for k, config in enumerate(space.enumerate_all()):
+        for k, config in enumerate(space.enumerate(valid_only=False)):
             cache.add(config, float(k + 1))
         path = save_cache(cache, tmp_path / "mixed.json.gz")
         loaded = load_cache(path)

@@ -141,8 +141,8 @@ def test_row_counts_around_the_chunk_boundary(n, tmp_path):
     values[rng.random(n) < 0.05] = math.inf
     errors = ["", "timeout", "too many resources ☃"]
     codes = np.where(np.isfinite(values), -1, rng.integers(1, 3, size=n)).astype(np.int32)
-    cache = EvaluationCache.from_columns("chunks", "GPU", BIG_SPACE, indices, values,
-                                         codes, errors)
+    cache = EvaluationCache("chunks", "GPU", BIG_SPACE)
+    cache.attach_columns(indices, values, codes, errors)
     # Override rows on both sides of every chunk edge.
     for row in sorted({0, n - 1, CHUNK - 1, CHUNK} & set(range(n))):
         cache.add(BIG_SPACE.config_at(int(indices[row])), 1.25, error="re-added")

@@ -520,15 +520,14 @@ class TestStatusSessions:
                   base + 10_000, base + 10_010, base + 10_020]
         for shard, mtime in zip(plan.shards, mtimes):
             os.utime(store.fragment_path(shard), (mtime, mtime))
-        status = store.status(plan, session_gap=60.0)
+        # The adaptive threshold (10x median gap, floored at 60s) splits the
+        # timeline into two sessions.
+        status = store.status(plan)
         assert status["sessions"] == 2
         # Active elapsed: 4 intra-session gaps of 10s; the dead 9 980s gap and
         # the two session-head shards never enter the rate.
         assert status["elapsed_s"] == pytest.approx(40.0)
         assert status["configs_per_s"] == pytest.approx(4 * SHARD_SIZE / 40.0)
-        # The adaptive default (10x median gap, floored at 60s) finds the same
-        # split without being told.
-        assert store.status(plan)["sessions"] == 2
 
     def test_fresh_and_single_fragment_checkpoints_report_no_rate(self, planner,
                                                                   plan,

@@ -31,16 +31,18 @@ from repro.exec import (
     resume_campaign,
 )
 from repro.exec.cli import main as exec_main
+from repro.exec.planner import unit_indices
 from repro.io.columnar import (
     COLUMNAR_MAGIC,
     cache_digest,
     concat_fragment_columns,
     decode_failure_strings,
     encode_failure_codes,
+    fragment_columns,
     load_columnar_fragment_columns,
     peek_columnar_header,
     read_columnar,
-    save_columnar_fragment,
+    save_columnar_fragment_columns,
     write_columnar,
 )
 
@@ -255,9 +257,9 @@ class TestIntegrity:
 
     def test_out_of_range_failure_code_refused_on_attach(self, pnpoly):
         with pytest.raises(FragmentIntegrityError, match="error-string slots"):
-            EvaluationCache.from_columns(
-                "pnpoly", "RTX_3090", pnpoly.space, np.array([5, 7]),
-                np.array([1.0, np.inf]), np.array([-1, 3], dtype=np.int32), [""])
+            EvaluationCache("pnpoly", "RTX_3090", pnpoly.space).attach_columns(
+                np.array([5, 7]), np.array([1.0, np.inf]),
+                np.array([-1, 3], dtype=np.int32), [""])
 
     @pytest.mark.parametrize("indices, duplicate, row", [
         ([5, 7, 5], 5, 2),
@@ -267,9 +269,9 @@ class TestIntegrity:
         n = len(indices)
         with pytest.raises(FragmentIntegrityError,
                            match=fr"space index {duplicate} twice \(again at row {row}\)"):
-            EvaluationCache.from_columns(
-                "pnpoly", "RTX_3090", pnpoly.space, np.array(indices),
-                np.arange(1.0, n + 1), np.full(n, -1, dtype=np.int32), [""])
+            EvaluationCache("pnpoly", "RTX_3090", pnpoly.space).attach_columns(
+                np.array(indices), np.arange(1.0, n + 1),
+                np.full(n, -1, dtype=np.int32), [""])
 
     def test_duplicate_space_index_refused_on_columnar_open(self, pnpoly, tmp_path):
         space = pnpoly.space.to_dict()
@@ -299,7 +301,8 @@ class TestFragmentsAndMerge:
         shard = {"shard_id": 3, "benchmark": "hotspot", "gpu": "RTX_3090",
                  "start": 0, "stop": 25}
         rows = self._rows(0)
-        path = save_columnar_fragment(tmp_path / "frag.col", shard, rows)
+        path = save_columnar_fragment_columns(tmp_path / "frag.col", shard,
+                                              *fragment_columns(rows))
         got_shard, got_rows = load_fragment_rows(path)
         assert got_shard == shard
         assert got_rows == rows
@@ -308,9 +311,9 @@ class TestFragmentsAndMerge:
         parts = [self._rows(seed) for seed in range(4)]
         columns = []
         for i, rows in enumerate(parts):
-            path = save_columnar_fragment(
+            path = save_columnar_fragment_columns(
                 tmp_path / f"frag_{i}.col",
-                {"shard_id": i, "start": i, "stop": i + 1}, rows)
+                {"shard_id": i, "start": i, "stop": i + 1}, *fragment_columns(rows))
             _, values, codes, errors = load_columnar_fragment_columns(path)
             columns.append((values, codes, errors))
         values, codes, errors = concat_fragment_columns(columns)
@@ -326,8 +329,8 @@ class TestFragmentsAndMerge:
         rows_b = [(float("inf"), False, "timeout"), (float("inf"), False, "oom")]
         columns = []
         for i, rows in enumerate((rows_b, rows_a)):
-            path = save_columnar_fragment(tmp_path / f"f{i}.col",
-                                          {"shard_id": i}, rows)
+            path = save_columnar_fragment_columns(tmp_path / f"f{i}.col",
+                                                  {"shard_id": i}, *fragment_columns(rows))
             _, values, codes, errors = load_columnar_fragment_columns(path)
             columns.append((values, codes, errors))
         # merge in evaluation order b-then-a
@@ -362,7 +365,8 @@ class TestFragmentsAndMerge:
         directory = tmp_path / "ck"
         store = CheckpointStore(directory, fragment_format="columnar")
         store.initialize(plan)
-        indices = {unit.key: planner.unit_indices(unit) for unit in plan.units}
+        indices = {unit.key: unit_indices(planner.benchmarks[unit.benchmark].space, unit)
+                   for unit in plan.units}
         for shard in reversed(plan.shards):
             unit = next(u for u in plan.units if u.key == shard.unit_key)
             benchmark = planner.benchmarks[shard.benchmark]
@@ -438,7 +442,7 @@ class TestHypothesisFuzz:
         def round_trips(rows, shard_id):
             path = tmp_path / f"fuzz_{shard_id}.col"
             shard = {"shard_id": shard_id, "start": 0, "stop": len(rows)}
-            save_columnar_fragment(path, shard, rows)
+            save_columnar_fragment_columns(path, shard, *fragment_columns(rows))
             got_shard, got_rows = load_fragment_rows(path)
             assert got_shard == shard
             assert got_rows == rows
@@ -449,8 +453,8 @@ class TestHypothesisFuzz:
     def test_rejects_nan_and_negative_infinity(self, tmp_path):
         for poison in (float("nan"), float("-inf")):
             with pytest.raises(SerializationError):
-                save_columnar_fragment(tmp_path / "bad.col", {"shard_id": 0},
-                                       [(poison, True, "")])
+                save_columnar_fragment_columns(tmp_path / "bad.col", {"shard_id": 0},
+                                               *fragment_columns([(poison, True, "")]))
 
 
 class TestCli:
@@ -519,5 +523,6 @@ class TestCli:
 def test_writes_never_leave_tmp_litter(campaign_cache, tmp_path):
     campaign_cache.to_columnar(tmp_path / "cache.col")
     shard = {"shard_id": 0, "start": 0, "stop": 1}
-    save_columnar_fragment(tmp_path / "frag.col", shard, [(1.0, True, "")])
+    save_columnar_fragment_columns(tmp_path / "frag.col", shard,
+                                   *fragment_columns([(1.0, True, "")]))
     assert not list(tmp_path.glob("*.tmp"))

@@ -124,7 +124,7 @@ class TestSatisfiedMask:
         mask = space.satisfied_mask(idx)
         scalar = [space.constraints.is_satisfied(c) for c in space.configs_at(idx)]
         np.testing.assert_array_equal(mask, scalar)
-        assert not mask[: space.parameter("y").cardinality].any()  # x == 0 rows
+        assert not mask[:3].any()  # the x == 0 rows (one per value of y)
 
     def test_or_short_circuit_shields_failing_operand(self):
         # "x == 0 or y % x == 0": for x == 0 the scalar path never evaluates the
@@ -136,7 +136,7 @@ class TestSatisfiedMask:
         mask = space.satisfied_mask(idx)
         scalar = [space.constraints.is_satisfied(c) for c in space.configs_at(idx)]
         np.testing.assert_array_equal(mask, scalar)
-        assert mask[: space.parameter("y").cardinality].all()
+        assert mask[:3].all()  # the x == 0 rows
 
     def test_raising_restriction_is_a_false_cell(self):
         # 32 % (a // b) raises ZeroDivisionError whenever a < b.

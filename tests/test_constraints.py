@@ -90,13 +90,6 @@ class TestConstraintSet:
         assert [c.expression for c in cs] == ["a > 0", "b > 0"]
         assert cs[0].expression == "a > 0"
 
-    def test_pruning_report(self):
-        cs = ConstraintSet(["a > 0", "a < 3"])
-        configs = [{"a": v} for v in (-1, 0, 1, 2, 3, 4)]
-        report = cs.pruning_report(configs)
-        assert report["a > 0"] == 2
-        assert report["a < 3"] == 2
-
     def test_serialization_round_trip(self):
         cs = ConstraintSet(["a % b == 0", "a <= 64"])
         restored = ConstraintSet.from_list(cs.to_list())

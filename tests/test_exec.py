@@ -30,6 +30,7 @@ from repro.exec import (
     resume_campaign,
 )
 from repro.exec.cli import main as exec_main
+from repro.exec.planner import unit_indices
 from repro.tuners.random_search import RandomSearch
 
 KERNEL_NAMES = ("pnpoly", "nbody", "convolution", "gemm", "expdist", "hotspot",
@@ -102,7 +103,7 @@ class TestShardPlanner:
     def test_sampled_unit_indices_match_space_sampling(self, planner, benchmarks):
         unit = planner.unit_for("hotspot", "RTX_3090")
         np.testing.assert_array_equal(
-            planner.unit_indices(unit),
+            unit_indices(benchmarks["hotspot"].space, unit),
             benchmarks["hotspot"].space.sample_indices(SAMPLE_N, rng=unit.seed,
                                                        valid_only=True, unique=True))
 

@@ -12,11 +12,10 @@ from repro.gpus.memory import (
     bank_conflict_factor,
     coalescing_efficiency,
     dram_time_ms,
-    l2_reuse_factor,
     read_only_cache_factor,
     vector_access_efficiency,
 )
-from repro.gpus.noise import config_noise, lognormal_factor, measurement_jitter, stable_hash
+from repro.gpus.noise import config_noise, lognormal_factor, stable_hash
 from repro.gpus.occupancy import compute_occupancy
 from repro.gpus.perfmodel import (
     ilp_factor,
@@ -32,16 +31,13 @@ class TestSpecs:
         assert set(catalog) == {"RTX_2080_Ti", "RTX_3060", "RTX_3090", "RTX_Titan"}
 
     def test_family_structure(self):
-        assert RTX_2080_TI.is_same_family(RTX_TITAN)
-        assert RTX_3060.is_same_family(RTX_3090)
-        assert not RTX_2080_TI.is_same_family(RTX_3090)
+        assert RTX_2080_TI.architecture == RTX_TITAN.architecture == "Turing"
+        assert RTX_3060.architecture == RTX_3090.architecture == "Ampere"
 
     def test_derived_quantities(self):
-        assert RTX_3090.total_cores == 82 * 128
         assert RTX_2080_TI.max_warps_per_sm == 32
         assert RTX_3090.max_warps_per_sm == 48
         assert RTX_3090.peak_flops == pytest.approx(35.58e12)
-        assert RTX_3090.flops_per_byte > RTX_2080_TI.flops_per_byte
 
     def test_to_dict(self):
         data = RTX_3060.to_dict()
@@ -113,12 +109,6 @@ class TestMemoryModel:
         assert read_only_cache_factor(RTX_2080_TI, True) > read_only_cache_factor(RTX_3090, True)
         assert read_only_cache_factor(RTX_3090, False) == 1.0
 
-    def test_l2_reuse_bounds(self):
-        small = l2_reuse_factor(RTX_3090, 1024)
-        huge = l2_reuse_factor(RTX_3090, 10 * 1024**3)
-        assert 0.3 <= small <= 0.7
-        assert 0.9 <= huge <= 1.0
-
     def test_bank_conflicts_removed_by_padding(self):
         assert bank_conflict_factor(RTX_3090, 48, use_padding=True) == 1.0
         assert bank_conflict_factor(RTX_3090, 48, use_padding=False) > 1.0
@@ -152,11 +142,6 @@ class TestNoise:
 
     def test_zero_sigma_is_identity(self):
         assert lognormal_factor(12345, 0.0) == 1.0
-
-    def test_jitter_varies_with_repetition(self):
-        a = measurement_jitter("GPU", "k", {"p": 1}, repetition=0)
-        b = measurement_jitter("GPU", "k", {"p": 1}, repetition=1)
-        assert a != b
 
 
 class TestPerfmodelHelpers:

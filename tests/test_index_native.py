@@ -123,7 +123,6 @@ class TestLazyConfig:
         assert lazy.get("tile") == concrete["tile"]
         assert "vector" in lazy
         assert config_key(lazy) == config_key(concrete)
-        assert lazy.space_index == 17
         assert json.dumps(dict(lazy)) == json.dumps(concrete)
 
     def test_materialises_once_and_only_on_demand(self, small_space):
@@ -205,11 +204,11 @@ class TestScalarFeasibilityFastPaths:
         assert space.index_is_feasible(2)
         assert space.sample_one_index(rng=np.random.default_rng(0)) in range(4)
 
-    def test_sample_one_index_matches_sample_one(self, benchmarks):
+    def test_sample_one_index_matches_sample(self, benchmarks):
         for name in ("hotspot", "gemm"):
             space = benchmarks[name].space
             a = space.sample_one_index(rng=np.random.default_rng(3))
-            b = space.sample_one(rng=np.random.default_rng(3))
+            b = space.sample(1, rng=np.random.default_rng(3), unique=False)[0]
             assert space.config_at(a) == b, name
 
 
@@ -412,7 +411,7 @@ class TestEvaluateIndex:
         obs = problem.evaluate_index(int(np.arange(20)[~failure][0])
                                      if (~failure).any() else 0)
         if not obs.is_failure:
-            assert obs.value == values[obs.config.space_index]
+            assert obs.value == values[problem.space.index_of(obs.config)]
 
 
 class TestTunerConvergence:

@@ -42,7 +42,7 @@ class TestModelBasics:
 
     def test_deterministic(self, suite, name):
         benchmark = suite[name]
-        config = benchmark.space.sample_one(rng=3)
+        config = benchmark.space.sample(1, rng=3, unique=False)[0]
         try:
             a = benchmark.model.time_ms(config, RTX_3090)
             b = benchmark.model.time_ms(config, RTX_3090)
@@ -80,7 +80,7 @@ class TestModelBasics:
     def test_estimate_breakdown_consistent(self, suite, name):
         benchmark = suite[name]
         for config, t in _sample_valid(benchmark, RTX_3090, n=5):
-            estimate = benchmark.measure(config, RTX_3090)
+            estimate = benchmark.model.estimate(config, RTX_3090)
             assert estimate.time_ms == pytest.approx(t)
             assert estimate.compute_time_ms >= 0
             assert estimate.memory_time_ms >= 0

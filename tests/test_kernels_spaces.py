@@ -69,11 +69,6 @@ class TestSuiteComposition:
             for row in table:
                 assert row["count"] == len(row["values"])
 
-    def test_summary_round(self, suite):
-        summary = suite["gemm"].summary()
-        assert summary["cardinality"] == PAPER_CARDINALITIES["gemm"]
-        assert summary["dimensions"] == 10
-
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 class TestAgainstPaperTables:
@@ -91,10 +86,6 @@ class TestAgainstPaperTables:
         space = suite[name].space
         # A random sample of the product must contain at least one valid configuration.
         assert space.sample(5, rng=0, valid_only=True, unique=True)
-
-    def test_default_configuration_well_formed(self, suite, name):
-        default = suite[name].space.default_configuration()
-        suite[name].space.validate_membership(default)
 
 
 class TestKnownConstrainedCounts:

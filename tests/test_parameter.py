@@ -72,21 +72,6 @@ class TestQueries:
         p = Parameter("sw", (0, 1))
         assert 0 in p and 1 in p and 2 not in p
 
-    def test_is_boolean(self):
-        assert Parameter("sw", (0, 1)).is_boolean
-        assert not Parameter("vw", (1, 2)).is_boolean
-
-    def test_neighbors_interior_and_endpoints(self):
-        p = Parameter("vw", (1, 2, 4, 8))
-        assert p.neighbors(2) == (1, 4)
-        assert p.neighbors(1) == (2,)
-        assert p.neighbors(8) == (4,)
-
-    def test_all_other_values(self):
-        p = Parameter("vw", (1, 2, 4))
-        assert p.all_other_values(2) == (1, 4)
-        assert p.all_other_values(1) == (2, 4)
-
 
 class TestSamplingAndEncoding:
     def test_sample_only_allowed_values(self, rng):
@@ -129,15 +114,3 @@ def test_property_index_round_trip(values):
         assert p.index_of(v) == i
         assert p.value_at(i) == v
     assert p.cardinality == len(values)
-
-
-@given(values=st.lists(st.integers(min_value=0, max_value=100), min_size=2, max_size=20,
-                       unique=True))
-def test_property_neighbors_are_adjacent(values):
-    """Every value has 1 or 2 neighbours, all of which are allowed values."""
-    p = Parameter("x", values)
-    for v in values:
-        neighbors = p.neighbors(v)
-        assert 1 <= len(neighbors) <= 2
-        assert all(n in p for n in neighbors)
-        assert v not in neighbors

@@ -56,7 +56,7 @@ from repro.exec import (
 )
 from repro.exec.cli import main as exec_main
 from repro.kernels import synthetic
-from repro.kernels.synthetic import FACTORY_SPEC, create_benchmark, scenario_specs, synthetic_suite
+from repro.kernels.synthetic import FACTORY_SPEC, create_benchmark, scenario_specs
 
 #: One scenario per structural corner: unconstrained, densely constrained with a
 #: high failure rate, coupled family, and an explicit radix profile.
@@ -342,7 +342,8 @@ class TestSyntheticScenarios:
         assert len(specs) == 6
         families = {spec["kwargs"]["family"] for spec in specs.values()}
         assert families == set(synthetic.FAMILIES)
-        suite = synthetic_suite(3, base_seed=100, dimensions=3)
+        suite = {name: BenchmarkSpec.from_dict(spec).build()
+                 for name, spec in scenario_specs(3, base_seed=100, dimensions=3).items()}
         assert all(suite[name].space.dimensions == 3 for name in suite)
         assert set(suite) == set(scenario_specs(3, base_seed=100))
 

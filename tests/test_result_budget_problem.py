@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.budget import Budget
 from repro.core.errors import BudgetExhaustedError, ReproError, ResourceLimitError
-from repro.core.problem import ObjectiveDirection, TuningProblem
-from repro.core.result import Observation, TuningResult, merge_results
+from repro.core.problem import TuningProblem
+from repro.core.result import Observation, TuningResult
 from repro.core.searchspace import SearchSpace
 from repro.core.parameter import Parameter
 
@@ -65,7 +65,7 @@ class TestTuningResult:
         assert result.num_valid == 3
         assert result.num_failures == 1
         assert result.best_value == 3.0
-        assert result.best_config == {"x": 1}
+        assert result.best_observation.config == {"x": 1}
 
     def test_best_of_empty_run_raises(self):
         result = TuningResult()
@@ -103,26 +103,6 @@ class TestTuningResult:
         assert restored.best_value == 2.0
         assert restored.metadata["note"] == "hello"
 
-    def test_merge_results(self):
-        a = self._result([5.0])
-        b = self._result([2.0])
-        merged = merge_results([a, b])
-        assert merged.num_evaluations == 2
-        assert merged.best_value == 2.0
-
-    def test_merge_rejects_mixed_benchmarks(self):
-        a = TuningResult(benchmark="a")
-        b = TuningResult(benchmark="b")
-        with pytest.raises(ReproError):
-            merge_results([a, b])
-
-    def test_unique_configs(self):
-        result = TuningResult()
-        result.record(Observation({"x": 1}, 1.0))
-        result.record(Observation({"x": 1}, 1.0))
-        result.record(Observation({"x": 2}, 1.0))
-        assert result.unique_configs() == 2
-
 
 class TestBudget:
     def test_evaluation_limit(self):
@@ -153,13 +133,12 @@ class TestBudget:
         budget.charge(new_config=True)
         assert budget.exhausted
 
-    def test_reset_and_copy(self):
+    def test_copy(self):
         budget = Budget(max_evaluations=5)
         budget.charge()
         fresh = budget.copy()
         assert fresh.evaluations_used == 0
-        budget.reset()
-        assert budget.evaluations_used == 0
+        assert fresh.max_evaluations == 5
 
     def test_negative_limits_rejected(self):
         with pytest.raises(ValueError):
@@ -200,16 +179,6 @@ class TestBudget:
         assert Budget(max_simulated_seconds=1.0).affordable_evaluations() is None
         assert Budget(max_evaluations=5,
                       max_unique_configs=5).affordable_evaluations() is None
-
-
-class TestObjectiveDirection:
-    def test_better(self):
-        assert ObjectiveDirection.MINIMIZE.better(1.0, 2.0)
-        assert ObjectiveDirection.MAXIMIZE.better(2.0, 1.0)
-
-    def test_worst_value(self):
-        assert ObjectiveDirection.MINIMIZE.worst_value == math.inf
-        assert ObjectiveDirection.MAXIMIZE.worst_value == -math.inf
 
 
 class TestTuningProblem:
@@ -266,11 +235,6 @@ class TestTuningProblem:
         problem.reset_cache()
         assert problem.evaluation_count == 0
         assert problem.cache_size == 0
-
-    def test_objective_shortcut(self):
-        problem = _toy_problem()
-        assert problem.objective({"x": 1, "y": 2}) == 12.0
-        assert problem.objective({"x": 4, "y": 4}) == math.inf
 
     def test_evaluate_indices(self):
         problem = _toy_problem()
