@@ -7,6 +7,7 @@ paper exactly.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.searchspace import SearchSpace
@@ -86,6 +87,18 @@ class TestAgainstPaperTables:
         space = suite[name].space
         # A random sample of the product must contain at least one valid configuration.
         assert space.sample(5, rng=0, valid_only=True, unique=True)
+
+    def test_index_config_round_trip(self, suite, name):
+        # Both ends of the index range plus random interior points: every index names
+        # a member configuration, and index_of gives the same index back.
+        space = suite[name].space
+        rng = np.random.default_rng(11)
+        indices = [0, space.cardinality - 1,
+                   *rng.integers(0, space.cardinality, size=20).tolist()]
+        for index in indices:
+            config = space.config_at(index)
+            space.validate_membership(config)
+            assert space.index_of(config) == index
 
 
 class TestKnownConstrainedCounts:

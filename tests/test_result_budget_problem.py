@@ -207,6 +207,26 @@ class TestTuningProblem:
         problem = _toy_problem(lambda cfg: float("nan"))
         assert problem.evaluate({"x": 1, "y": 1}).is_failure
 
+    def test_every_failure_kind_carries_inf(self):
+        # Problems minimize kernel time, so a failure must never look like a good value.
+        def evaluate(cfg):
+            if cfg["x"] == 1:
+                raise ResourceLimitError("too big", resource="registers")
+            if cfg["x"] == 2:
+                raise RuntimeError("launch failed")
+            return float("nan")
+        problem = _toy_problem(evaluate)
+        configs = [{"x": 4, "y": 4}, {"x": 1, "y": 1}, {"x": 2, "y": 1}, {"x": 3, "y": 1}]
+        observations = [problem.evaluate(c) for c in configs]
+        assert [o.is_failure for o in observations] == [True] * 4
+        assert [o.value for o in observations] == [math.inf] * 4
+
+    def test_direction_option_is_refused(self):
+        # The objective is always minimized; an unread direction= must not be accepted.
+        space = _toy_problem().space
+        with pytest.raises(TypeError):
+            TuningProblem("toy", space, lambda cfg: 1.0, direction="maximize")
+
     def test_memoization_counts_distinct_calls_once(self):
         calls = []
         def evaluate(cfg):

@@ -148,6 +148,13 @@ class TestNeighborhoods:
         with pytest.raises(InvalidConfigurationError):
             small_space.neighbors({"block": 48, "tile": 2, "vector": 2, "cache": 0})
 
+    def test_adjacent_neighbors_interior_and_endpoints(self):
+        # One step down and up in declared order; an end value has one neighbour.
+        space = SearchSpace([Parameter("vw", (1, 2, 4, 8))])
+        assert space.neighbors({"vw": 2}, "adjacent") == [{"vw": 1}, {"vw": 4}]
+        assert space.neighbors({"vw": 1}, "adjacent") == [{"vw": 2}]
+        assert space.neighbors({"vw": 8}, "adjacent") == [{"vw": 4}]
+
     def test_neighbors_carry_declared_values(self):
         # Every value comes back as the space declares it, the unchanged ones too.
         space = SearchSpace([Parameter("a", (8, 16, 32)), Parameter("b", (1, 2))])

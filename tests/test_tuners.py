@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.budget import Budget
+from repro.core.errors import ResourceLimitError
 from repro.core.parameter import Parameter
 from repro.core.problem import TuningProblem
 from repro.core.runner import run_matrix, run_tuning
@@ -46,7 +48,11 @@ ALL_TUNER_CLASSES = [
 ]
 
 
-def _quadratic_problem():
+def _quadratic(cfg):
+    return 1.0 + (cfg["a"] - 16) ** 2 + (cfg["b"] - 4) ** 2 + (cfg["c"] - 8) ** 2
+
+
+def _quadratic_problem(evaluate=_quadratic):
     """A small separable problem with a unique known optimum at (16, 4, 8)."""
     space = SearchSpace(
         [Parameter("a", (1, 2, 4, 8, 16)),
@@ -55,10 +61,6 @@ def _quadratic_problem():
         ["a * b <= 64"],
         name="quadratic",
     )
-
-    def evaluate(cfg):
-        return 1.0 + (cfg["a"] - 16) ** 2 + (cfg["b"] - 4) ** 2 + (cfg["c"] - 8) ** 2
-
     return TuningProblem("quadratic", space, evaluate, gpu="SIM")
 
 
@@ -107,6 +109,26 @@ class TestTunerContract:
         assert result.benchmark == "quadratic"
         assert result.gpu == "SIM"
         assert result.tuner
+
+    @pytest.mark.parametrize("tuner_cls", ALL_TUNER_CLASSES)
+    def test_best_is_minimum_and_failures_carry_inf(self, tuner_cls):
+        # Every tuner minimizes: its best value is the least valid one it saw, and the
+        # configurations whose launch fails (c >= 16 here) carry math.inf.
+        def evaluate(cfg):
+            if cfg["c"] >= 16:
+                raise ResourceLimitError("too big", resource="shared_memory")
+            return _quadratic(cfg)
+
+        result = run_tuning(tuner_cls(seed=2), _quadratic_problem(evaluate),
+                            max_evaluations=40)
+        failures = [o.value for o in result if o.is_failure]
+        valid = [o.value for o in result if not o.is_failure]
+        assert failures and valid
+        assert failures == [math.inf] * len(failures)
+        assert result.best_value == min(valid)
+        trace = result.best_value_trace()
+        assert np.all(np.diff(trace) <= 0)
+        assert trace[-1] == result.best_value
 
     def test_evaluate_outside_tune_raises(self):
         with pytest.raises(RuntimeError):
