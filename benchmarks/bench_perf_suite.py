@@ -5,9 +5,9 @@ counting, columnar replay opens and sharded campaign execution -- against faithf
 re-creations of the seed repository's scalar/dictionary implementations (or the
 feasible-set sweep, the JSON load, or the serial reference executor), asserts that
 both produce identical results, and writes the timings to ``BENCH_perf.json`` so
-before/after comparisons survive the run.  The fitness-flow graph, PageRank and GBDT
-entries are absolute costs per item (each has one implementation, so no ratio): a
-repeat-k median with a bootstrap 95% confidence interval of that median.
+before/after comparisons survive the run.  The fitness-flow graph, PageRank, restart
+draw and GBDT entries are absolute costs per item (each has one implementation, so
+no ratio): a repeat-k median with a bootstrap 95% confidence interval of that median.
 
 Usage::
 
@@ -44,6 +44,8 @@ SAMPLE_N = 10_000
 FFG_REPEATS = 21        # FFG builds timed for ffg_build_gemm
 PAGERANK_REPEATS = 11   # PageRank calls timed for pagerank_gemm
 PAGERANK_ITERATIONS = 50  # power-iteration steps per timed PageRank call
+RESTART_REPEATS = 21    # batches timed for restart_draw_expdist
+RESTART_DRAWS = 200     # restart draws per timed batch
 CAMPAIGN_WORKERS = 4
 REPLAY_CACHE_POINTS = 100_000  # rows in the cache_replay_open cache
 GBDT_FIT_REPEATS = 21   # surrogate-shaped fits timed for gbdt_surrogate_fit
@@ -142,6 +144,26 @@ def graph_entries(benchmarks: dict) -> dict[str, dict]:
     return entries
 
 
+def restart_entries(benchmarks: dict) -> dict[str, dict]:
+    """The tuners' restart draw (``sample_one_index``) on Expdist, the sparsest
+    kernel space, from one seeded generator."""
+    space = benchmarks["expdist"].space
+    feasible = space.count_constrained() / space.cardinality
+    rng = np.random.default_rng(2023)
+
+    def batch():
+        for _ in range(RESTART_DRAWS):
+            space.sample_one_index(rng=rng)
+
+    batches = repeat_timings(batch, RESTART_REPEATS)
+    entries = {"restart_draw_expdist": absolute_entry(
+        f"restart draw (sample_one_index) on expdist (cardinality {space.cardinality}, "
+        f"{feasible:.1%} feasible), {RESTART_DRAWS} draws per repeat: time per draw",
+        "us/draw", [t / RESTART_DRAWS * 1e6 for t in batches], RESTART_REPEATS)}
+    print_entries(entries)
+    return entries
+
+
 def print_entries(entries: dict[str, dict]) -> None:
     for name, entry in entries.items():
         print(f"{name:<22}: {entry['median']:9.2f} {entry['unit']}  "
@@ -206,6 +228,7 @@ def main() -> None:
 
     # ------------------------------ FFG build and PageRank, absolute costs (Fig. 3)
     report.update(graph_entries(benchmarks))
+    report.update(restart_entries(benchmarks))
 
     # ------------------------------------------------- exact constrained counting
     # Variable elimination over the truth tables vs the sweep of the feasible set

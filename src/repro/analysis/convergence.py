@@ -116,18 +116,7 @@ def random_search_convergence(cache: EvaluationCache, repetitions: int = 100,
         order = rng.permutation(n)[:budget]
         trajectories[r] = np.minimum.accumulate(runtimes[order])
 
-    relative = optimum / trajectories
-    return ConvergenceCurve(
-        benchmark=cache.benchmark,
-        gpu=cache.gpu,
-        evaluations=np.arange(1, budget + 1),
-        median_relative_performance=np.median(relative, axis=0),
-        quartile_low=np.percentile(relative, 25, axis=0),
-        quartile_high=np.percentile(relative, 75, axis=0),
-        repetitions=repetitions,
-        budget=budget,
-        optimum_ms=optimum,
-    )
+    return _curve(cache, optimum / trajectories, optimum)
 
 
 def tuner_convergence(cache: EvaluationCache, tuner_factory: Callable[..., object],
@@ -167,13 +156,23 @@ def tuner_convergence(cache: EvaluationCache, tuner_factory: Callable[..., objec
     relative = np.zeros_like(trajectories)
     finite = np.isfinite(trajectories)
     relative[finite] = optimum / trajectories[finite]
+    return _curve(cache, relative, optimum)
+
+
+def _curve(cache: EvaluationCache, relative: np.ndarray, optimum: float) -> ConvergenceCurve:
+    """The median/quartile curve of a ``(repetitions, budget)`` relative-performance
+    block.  Both quartiles come from one :func:`numpy.percentile` call (the same
+    floats as two); the median stays :func:`numpy.median`, whose float can differ
+    from percentile 50's."""
+    repetitions, budget = relative.shape
+    quartile_low, quartile_high = np.percentile(relative, [25, 75], axis=0)
     return ConvergenceCurve(
         benchmark=cache.benchmark,
         gpu=cache.gpu,
         evaluations=np.arange(1, budget + 1),
         median_relative_performance=np.median(relative, axis=0),
-        quartile_low=np.percentile(relative, 25, axis=0),
-        quartile_high=np.percentile(relative, 75, axis=0),
+        quartile_low=quartile_low,
+        quartile_high=quartile_high,
         repetitions=repetitions,
         budget=budget,
         optimum_ms=optimum,

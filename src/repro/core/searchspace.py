@@ -54,7 +54,9 @@ is a constant, not an option.
 *Reproducibility.*  Batched rejection sampling draws index blocks sized exactly to the
 number of configurations still needed, which makes the consumed random stream -- and
 therefore every sampled configuration and everything downstream of a shared generator
--- identical to drawing one index at a time.
+-- identical to drawing one index at a time.  The tuners' single restart draw on a
+sparse space draws a longer block and, on a hit, rewinds the generator and redraws up
+to it, to the same effect.
 
 *Neighbourhoods.*  Two neighbourhood structures are provided, matching the two used in
 the literature the paper builds on: ``"adjacent"`` (one step up/down in each
@@ -114,6 +116,16 @@ _TABLE_MAX_CELLS: int = 1 << 20
 #: instead of the batch mask (one lookup costs ~1-2 us, one mask call ~8-45 us on
 #: the kernel spaces).
 _SCALAR_CHECK_MAX: int = 8
+
+#: The restart draw (``sample_indices(1, unique=False)``) draws blocks of indices when
+#: a hit is expected to take at least this many draws (``cardinality >= 8 * feasible
+#: count``): a block's fixed cost -- two sized draws and a generator-state round trip
+#: -- is about that of eight scalar ``integers`` calls.  Expdist, Hotspot and Nbody
+#: qualify; PnPoly, Convolution, GEMM and Dedispersion keep the scalar loop.
+_RESTART_BLOCK_MIN_DRAWS: int = 8
+
+#: Expected hits per restart-draw block: its length is ``ceil(3 / feasible fraction)``.
+_RESTART_BLOCK_HITS: int = 3
 
 
 def config_key(config: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:
@@ -441,20 +453,41 @@ class SearchSpace:
                         break
         return mask
 
-    def _index_satisfies(self, index: int) -> bool:
-        """Scalar :meth:`satisfied_mask` of one in-range index: table lookups in
-        pure Python, then the constraints no table covers on its configuration."""
-        _, _, lookups, scalar = self._constraint_tables()
-        for table, parts in lookups:
-            cell = 0
-            for place, radix, stride in parts:
-                cell += index // place % radix * stride
-            if not table[cell]:
-                return False
-        if scalar:
-            config = self.config_at(index)
-            return all(constraint.is_satisfied(config) for constraint in scalar)
-        return True
+    def _index_test(self) -> Callable[[int], bool]:
+        """Scalar :meth:`satisfied_mask` of one in-range index, with the tables
+        bound once: table lookups in pure Python, then the constraints no table
+        covers on its configuration.  Built once per constraint-set length (the
+        tables' key), not once per call."""
+        state = self.__dict__.get("_test")
+        if state is not None and state[0] == len(self._constraints):
+            return state[1]
+        key, _, lookups, scalar = self._constraint_tables()
+        config_at = self.config_at
+
+        def test(index: int) -> bool:
+            for table, parts in lookups:
+                cell = 0
+                for place, radix, stride in parts:
+                    cell += index // place % radix * stride
+                if not table[cell]:
+                    return False
+            if scalar:
+                config = config_at(index)
+                return all(constraint.is_satisfied(config) for constraint in scalar)
+            return True
+        self._test = (key, test)
+        return test
+
+    def _tabled_count(self) -> int | None:
+        """The exact constrained count when every constraint is tabled
+        (:meth:`_count_by_elimination`), else None; kept with the tables, under
+        the same constraint-set length, and never computed by a sweep."""
+        state = self.__dict__.get("_count")
+        if state is None or state[0] != len(self._constraints):
+            key, gathers, _, scalar = self._constraint_tables()
+            state = self._count = (key, None if scalar
+                                   else self._count_by_elimination(gathers))
+        return state[1]
 
     def _feasible_memo(self) -> np.ndarray | None:
         """The memoized feasible set, or None -- also when the constraint set has
@@ -462,7 +495,6 @@ class SearchSpace:
         if self._feasible is not None and self._feasible_key != len(self._constraints):
             self._feasible = None
             self.__dict__.pop("_feas_bits", None)
-            self.__dict__.pop("_feas_bits_src", None)
         return self._feasible
 
     def feasible_indices(self, force: bool = False) -> np.ndarray | None:
@@ -487,8 +519,9 @@ class SearchSpace:
             self._feasible_key = len(self._constraints)
         return feasible
 
-    def _feasible_bitmap(self) -> bytes:
-        """Packed feasibility bits of the memoized feasible set (1 = feasible).
+    def _memo_test(self) -> Callable[[int], int]:
+        """Membership in the memoized feasible set (1 = feasible), probing its
+        packed bits.
 
         ``bits[index >> 3] >> (index & 7) & 1`` answers scalar membership in
         pure Python integer arithmetic -- an order of magnitude cheaper than a
@@ -497,14 +530,16 @@ class SearchSpace:
         a few hundred KB at the memoize threshold), built on first demand and
         invalidated with the memo it mirrors.
         """
-        bits = self.__dict__.get("_feas_bits")
-        if bits is None or self.__dict__.get("_feas_bits_src") is not self._feasible:
+        state = self.__dict__.get("_feas_bits")
+        if state is None or state[0] is not self._feasible:
             flags = np.zeros(self._cardinality, dtype=bool)
             flags[self._feasible] = True
             bits = np.packbits(flags, bitorder="little").tobytes()
-            self._feas_bits = bits
-            self._feas_bits_src = self._feasible
-        return bits
+
+            def test(index: int) -> int:
+                return bits[index >> 3] >> (index & 7) & 1
+            state = self._feas_bits = (self._feasible, test)
+        return state[1]
 
     def _iter_feasible_blocks(self) -> Iterator[np.ndarray]:
         """Stream ascending blocks of feasible indices without memoization."""
@@ -649,26 +684,41 @@ class SearchSpace:
         if n == 1 and not unique and valid_only and (feasible is not None
                                                      or len(self._constraints)):
             # The tuner runtime's restart draw (the population tuners' repair
-            # draws live here): a tight scalar rejection loop.  One scalar
-            # ``integers`` call consumes the same random stream as a size-1
-            # block, and the membership test -- a packed-bitmap probe of the
-            # memo, else the scalar table lookup -- is the mask's verdict, so the
-            # drawn index is bit-identical to the general path below at a
-            # fraction of its per-iteration overhead.
+            # draws live here): rejection on single indices, tested by a
+            # packed-bitmap probe of the memo, else the scalar table lookup --
+            # the mask's verdict.  A sized ``integers`` call consumes the stream
+            # of as many scalar ones, so both forms below return the index, and
+            # leave the generator state, of one scalar draw per attempt.  On a
+            # sparse space (by the exact feasible count; an untabled constraint
+            # would need a sweep, so it keeps the scalar loop) indices come in
+            # blocks, and a hit at position p rewinds the generator to the
+            # block's start and redraws p + 1.
             if feasible is not None:
-                bits = self._feasible_bitmap()
-
-                def member(index: int) -> int:
-                    return bits[index >> 3] >> (index & 7) & 1
+                member = self._memo_test()
+                count: int | None = feasible.size
             else:
-                member = self._index_satisfies
+                member = self._index_test()
+                count = self._tabled_count()
             integers = rng.integers
             cardinality = self._cardinality
             max_attempts = max(max_attempts_factor, 1000)
-            for _ in range(max_attempts):
-                index = int(integers(0, cardinality))
-                if member(index):
-                    return np.asarray([index], dtype=np.int64)
+            if count is None or cardinality < _RESTART_BLOCK_MIN_DRAWS * count:
+                for _ in range(max_attempts):
+                    index = int(integers(0, cardinality))
+                    if member(index):
+                        return np.asarray([index], dtype=np.int64)
+            else:
+                bit_generator = rng.bit_generator
+                size = (-(-_RESTART_BLOCK_HITS * cardinality // count) if count
+                        else max_attempts)
+                for start in range(0, max_attempts, size):
+                    state = bit_generator.state
+                    block = integers(0, cardinality, size=min(size, max_attempts - start))
+                    for p, index in enumerate(block.tolist()):
+                        if member(index):
+                            bit_generator.state = state
+                            integers(0, cardinality, size=p + 1)
+                            return np.asarray([index], dtype=np.int64)
             self.feasible_indices()  # memoize (small spaces) for the next attempt
             raise self._scalar_draw_exhausted(max_attempts)
         if feasible is not None and unique and n > feasible.size:
@@ -720,7 +770,8 @@ class SearchSpace:
                 # Tiny blocks (the tail of a draw) look each index up in the
                 # tables in pure Python: for a handful of rows that beats the
                 # batch mask, and the verdicts are the same table cells.
-                survivors = [i for i in draws.tolist() if self._index_satisfies(i)]
+                test = self._index_test()
+                survivors = [i for i in draws.tolist() if test(i)]
             else:
                 survivors = draws[self.satisfied_mask(draws)].tolist()
             if valid_only:
@@ -903,8 +954,8 @@ class SearchSpace:
             # The memoized feasible set answers membership from its packed
             # bitmap -- the verdict is identical by construction (the memo
             # holds exactly the constraint-satisfying indices).
-            return bool(self._feasible_bitmap()[index >> 3] >> (index & 7) & 1)
-        return self._index_satisfies(index)
+            return bool(self._memo_test()(index))
+        return self._index_test()(index)
 
     # ------------------------------------------------------------------- reduction
 

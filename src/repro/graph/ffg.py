@@ -13,14 +13,17 @@ exhaustive caches this is the true neighbourhood; for sampled caches it is the i
 subgraph, which is how the metric degrades gracefully when exhaustive data is
 unavailable).
 
-Construction is pure index arithmetic on the cache's index column: the Hamming-1
-neighbours of a node along a parameter are its index plus a digit offset times that
-parameter's place value.  Candidate neighbour indices for *all* nodes and all values of
-a parameter form one ``(n, v)`` matrix that is resolved against the sorted node-index
-table with a single :func:`numpy.searchsorted` -- no configuration dictionaries, no
-Python inner loops.  Callers that want a node's configuration read
-``space.configs_at(graph.indices)``.  The edges come out as one sorted run of sources
-per parameter, so one stable sort groups them into the CSR arrays the graph keeps.
+Construction is pure index arithmetic on the cache's index column: two nodes are
+Hamming-1 neighbours along a parameter when their indices differ by a digit offset
+``d`` times that parameter's place value.  For each parameter and each offset ``d = 1
+... v - 1``, the nodes whose digit plus ``d`` is still in range look up their
+neighbour ``index + d * place`` in the sorted node-index table with one
+:func:`numpy.searchsorted`, so every neighbour pair is searched once, from its lower
+end -- no configuration dictionaries, no Python loop over nodes.  One fitness
+comparison per found pair gives the edge its direction (equal fitness gives no edge).
+Callers that want a node's configuration read ``space.configs_at(graph.indices)``.
+One sort of the ``source * n + target`` keys lays the edges out in CSR order: sources
+ascending and, within a source, targets ascending.
 """
 
 from __future__ import annotations
@@ -92,36 +95,31 @@ class FitnessFlowGraph:
         return minima[self.fitness[minima] <= threshold]
 
 
-def _edges(space: Any, node_index: np.ndarray,
-           fitness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Improvement edges by digit-offset arithmetic against a sorted index table."""
+def _edges(space: Any, node_index: np.ndarray, fitness: np.ndarray) -> np.ndarray:
+    """Sorted ``source * n + target`` keys of the improvement edges."""
     n = node_index.size
-    digits = space.indices_to_digits(node_index)
-    places = np.asarray(space.place_values, dtype=np.int64)
-
-    order = np.argsort(node_index, kind="stable")
+    order = np.argsort(node_index)
     sorted_index = node_index[order]
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for j, parameter in enumerate(space.parameters):
-        v = parameter.cardinality
-        if v < 2:
-            continue
-        own_digit = digits[:, j][:, None]                       # (n, 1)
-        all_digits = np.arange(v, dtype=np.int64)[None, :]      # (1, v)
-        candidates = node_index[:, None] + (all_digits - own_digit) * places[j]
-        pos = np.searchsorted(sorted_index, candidates)
-        pos[pos == n] = 0
-        neighbor = order[pos]                                   # node id where found
-        found = (sorted_index[pos] == candidates) & (all_digits != own_digit)
-        improving = found & (fitness[neighbor] < fitness[:, None])
-        r, c = np.nonzero(improving)
-        rows.append(r)
-        cols.append(neighbor[r, c])
-    if rows:
-        return np.concatenate(rows), np.concatenate(cols)
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    digits = space.indices_to_digits(sorted_index)
+    keys: list[np.ndarray] = []
+    for j, place in enumerate(space.place_values):
+        v = space.parameters[j].cardinality
+        column = digits[:, j]
+        for d in range(1, v):
+            start = np.flatnonzero(column < v - d)
+            wanted = sorted_index[start] + d * place
+            pos = np.searchsorted(sorted_index, wanted)
+            pos[pos == n] = 0
+            found = sorted_index[pos] == wanted
+            a, b = order[start[found]], order[pos[found]]
+            fa, fb = fitness[a], fitness[b]
+            down, up = fb < fa, fa < fb
+            keys += [a[down] * n + b[down], b[up] * n + a[up]]
+    if not keys:
+        return np.empty(0, dtype=np.int64)
+    out = np.concatenate(keys)
+    out.sort()
+    return out
 
 
 def build_ffg(cache: EvaluationCache) -> FitnessFlowGraph:
@@ -129,14 +127,18 @@ def build_ffg(cache: EvaluationCache) -> FitnessFlowGraph:
 
     The valid rows of ``cache`` become the nodes, in insertion order, identified by
     their space indices (:meth:`~repro.core.cache.EvaluationCache.valid_arrays`).
-    Edges cost one ``(n, v)`` index block and one sorted lookup per parameter.
+    Edges cost one sorted lookup per parameter and digit offset, over the nodes
+    that offset keeps in range; the CSR arrays list each source's targets in
+    ascending node order.
     """
     indices, fitness = cache.valid_arrays()
     if not indices.size:
         raise ReproError(f"cache {cache.benchmark}/{cache.gpu} has no valid entries")
-    rows, cols = _edges(cache.space, indices, fitness)
-    indptr = np.zeros(indices.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=indices.size), out=indptr[1:])
-    return FitnessFlowGraph(indptr=indptr, targets=cols[np.argsort(rows, kind="stable")],
+    n = indices.size
+    keys = _edges(cache.space, indices, fitness)
+    sources = keys // n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+    return FitnessFlowGraph(indptr=indptr, targets=keys - sources * n,
                             fitness=fitness, indices=indices,
                             benchmark=cache.benchmark, gpu=cache.gpu)

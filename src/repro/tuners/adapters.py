@@ -75,10 +75,11 @@ class ExternalTunerAdapter(Tuner):
 
     Subclasses set :attr:`framework_module` (the import that must succeed) and
     :attr:`fallback_factory` (the in-repo optimizer that emulates the framework's
-    search behaviour).  When the framework is present, subclasses override
-    :meth:`_run_external`; the default implementation raises, making the fallback the
-    effective behaviour everywhere the framework is missing -- which is the case in
-    this offline reproduction.
+    search behaviour).  A subclass with a native driver overrides
+    :meth:`_run_external`, which runs when the framework imports; the framework is
+    probed only for such a subclass, so an adapter without a driver runs its
+    fallback without importing anything -- as every adapter does in this offline
+    reproduction.
     """
 
     #: Name of the module whose importability signals that the framework is installed.
@@ -114,7 +115,8 @@ class ExternalTunerAdapter(Tuner):
             "the in-repo fallback optimizer is used instead")
 
     def _run(self, problem: TuningProblem, budget: Budget, rng: np.random.Generator) -> None:
-        if self.framework_available():
+        if (type(self)._run_external is not ExternalTunerAdapter._run_external
+                and self.framework_available()):
             try:
                 self._run_external(problem, budget, rng)
                 return

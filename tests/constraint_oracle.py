@@ -3,9 +3,10 @@
 The search space answers feasibility from truth tables (one gather per table) and
 samples by filtering whole index blocks; these helpers are the plain loops those
 paths must agree with: one :meth:`ConstraintSet.is_satisfied` call per
-configuration, and one random draw per loop iteration.  :class:`StreamingSpace` is
-the twin that never memoizes its feasible set, so a small space answers through
-the streaming paths the large ones use.
+configuration, and one random draw per loop iteration (:func:`restart_draw_reference`
+is that loop for the tuners' single restart draw, failure text included).
+:class:`StreamingSpace` is the twin that never memoizes its feasible set, so a small
+space answers through the streaming paths the large ones use.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.core.errors import EmptySearchSpaceError
 from repro.core.searchspace import SearchSpace
 
 
@@ -62,3 +64,15 @@ def sample_reference(space: Any, n: int, rng: np.random.Generator, *,
             seen.add(index)
         out.append(index)
     return out if len(out) == n else None
+
+
+def restart_draw_reference(space: Any, rng: np.random.Generator) -> int:
+    """``sample_one_index`` as the scalar loop: one draw per attempt, and after
+    1,000 misses the error the sampler raises after as many empty draws."""
+    drawn = sample_reference(space, 1, rng, unique=False)
+    if drawn is None:
+        raise EmptySearchSpaceError(
+            f"could not draw 1 valid configurations from space of cardinality "
+            f"{space.cardinality} after 1000 attempts (found 0); observed feasible "
+            f"fraction 0.000% over 1000 draws")
+    return drawn[0]

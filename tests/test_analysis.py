@@ -123,6 +123,21 @@ class TestConvergence:
         with pytest.raises(ReproError):
             random_search_convergence(pnpoly_cache_3090, repetitions=0)
 
+    def test_quartiles_equal_separate_percentile_calls(self, pnpoly_cache_3090):
+        # The curve takes both quartiles from one np.percentile call; they must be
+        # the bytes of one call per quartile, on the paper's 100 x 1000 shape.
+        curve = random_search_convergence(pnpoly_cache_3090, repetitions=100,
+                                          budget=1000, seed=4)
+        runtimes = pnpoly_cache_3090.values(valid_only=True)
+        rng = np.random.default_rng(4)
+        relative = runtimes.min() / np.stack(
+            [np.minimum.accumulate(runtimes[rng.permutation(runtimes.size)[:1000]])
+             for _ in range(100)])
+        assert (curve.median_relative_performance.tobytes()
+                == np.median(relative, axis=0).tobytes())
+        assert curve.quartile_low.tobytes() == np.percentile(relative, 25, axis=0).tobytes()
+        assert curve.quartile_high.tobytes() == np.percentile(relative, 75, axis=0).tobytes()
+
 
 class TestSpeedup:
     def test_entry_consistency(self, pnpoly_cache_3090):

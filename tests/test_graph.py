@@ -1,9 +1,10 @@
 """Tests of the fitness flow graph, PageRank and the proportion-of-centrality metric.
 
 ``TestFFGOracle`` is the differential suite of the index-native graph construction:
-edge sets, fitness and node indices against the dictionary hash-map construction in
-``tests/neighbor_oracle.py``.  ``TestPageRankOracle`` holds the NumPy PageRank to the
-SciPy power iteration in ``tests/pagerank_oracle.py``, byte for byte.
+edge sets, the within-source target order, fitness and node indices against the
+dictionary hash-map construction in ``tests/neighbor_oracle.py``.
+``TestPageRankOracle`` holds the NumPy PageRank to the SciPy power iteration in
+``tests/pagerank_oracle.py``, byte for byte.
 """
 
 from __future__ import annotations
@@ -134,6 +135,9 @@ def assert_matches_oracle(cache):
     rows, cols = _edge_list(graph)
     assert graph.indptr.dtype == graph.targets.dtype == np.int64
     assert graph.indptr[0] == 0 and np.all(np.diff(graph.indptr) >= 0)
+    # The CSR contract: within each source, targets strictly ascend.
+    same_source = rows[1:] == rows[:-1]
+    assert np.all(np.diff(cols)[same_source] > 0)
     expected = oracle_ffg(cache.space, configs, fitness)
     assert set(zip(rows.tolist(), cols.tolist())) == expected
     assert graph.num_edges == len(expected)
@@ -212,7 +216,8 @@ def csr_graphs(draw):
     mask = rng.random((n, n)) < density
     mask[rng.random(n) < 0.2] = False                    # dangling rows
     indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
-    # Targets in a shuffled order within each row, as the FFG builder leaves them.
+    # Targets in a shuffled order within each row: PageRank must not lean on the
+    # FFG builder's ascending order.
     indices = np.concatenate([rng.permutation(np.flatnonzero(row)) for row in mask]
                              + [np.empty(0, dtype=np.int64)])
     data = rng.choice([1.0, 0.5, 3.0, 1e-3], size=indices.size) * rng.random(indices.size)

@@ -14,6 +14,10 @@ Three layers of protection:
   dictionary-based counterparts on every kernel space.
 * **Lazy-configuration semantics** -- :class:`repro.core.result.LazyConfig` is
   observably identical to the dictionary it defers.
+* **Restart draws** -- ``sample_one_index`` in its block and scalar forms returns
+  the indices, the failure text and the generator state of the one-draw-per-attempt
+  loop in ``tests/constraint_oracle.py`` (hypothesis diff test, plus the seven
+  kernel spaces).
 """
 
 from __future__ import annotations
@@ -22,18 +26,22 @@ import gzip
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.budget import Budget
 from repro.core.cache import EvaluationCache
-from repro.core.errors import BudgetExhaustedError
+from repro.core import searchspace
+from repro.core.errors import BudgetExhaustedError, EmptySearchSpaceError
 from repro.core.parameter import Parameter
 from repro.core.result import LazyConfig, Observation, TuningResult
 from repro.core.runner import run_tuning
 from repro.core.searchspace import SearchSpace, config_key
 from repro.gpus.specs import RTX_3090
+from repro.kernels.synthetic import FAMILIES, create_benchmark
 from repro.tuners import (
     DifferentialEvolution,
     GeneticAlgorithm,
@@ -46,6 +54,7 @@ from repro.tuners import (
     SurrogateSearch,
 )
 
+from constraint_oracle import StreamingSpace, restart_draw_reference
 from neighbor_oracle import oracle_neighbors
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trajectories.json.gz"
@@ -477,3 +486,106 @@ class TestIndexRunAccounting:
         exhausted = Budget(max_evaluations=0)
         with pytest.raises(BudgetExhaustedError):
             exhausted.charge_bulk(1)
+
+
+# ---------------------------------------------------------------- restart draws
+
+def _restart_run(draw_one, space, seed, draws):
+    """``(values, error text, final generator state)`` of ``draws`` restart draws
+    from one generator; a failure ends the run."""
+    rng = np.random.default_rng(seed)
+    values, error = [], None
+    try:
+        for _ in range(draws):
+            values.append(draw_one(space, rng))
+    except EmptySearchSpaceError as exc:
+        error = str(exc)
+    return values, error, rng.bit_generator.state
+
+
+def _library_draw(space, rng):
+    return space.sample_one_index(rng=rng)
+
+
+#: ``_RESTART_BLOCK_MIN_DRAWS`` settings: blocks wherever the count is known, the
+#: shipped choice, and the scalar loop wherever a point is feasible.
+RESTART_FORMS = {"block": 1, "shipped": searchspace._RESTART_BLOCK_MIN_DRAWS,
+                 "scalar": 2**62}
+
+
+def diff_restart_draws(space, seed, draws):
+    """Diff-test the restart draw against the scalar reference loop: every form of
+    ``sample_one_index`` must return the same indices, raise the same text and
+    leave the generator in the same state.  Returns the mismatches."""
+    baseline = _restart_run(restart_draw_reference, space, seed, draws)
+    mismatches = []
+    for form, min_draws in RESTART_FORMS.items():
+        with mock.patch.object(searchspace, "_RESTART_BLOCK_MIN_DRAWS", min_draws):
+            variant = _restart_run(_library_draw, space, seed, draws)
+        if variant != baseline:
+            mismatches.append({"form": form, "seed": seed, "baseline": baseline[:2],
+                               "variant": variant[:2]})
+    return mismatches
+
+
+@st.composite
+def restart_spaces(draw):
+    """A synthetic space, tabled, with a callable constraint (untabled) or with no
+    feasible point at all, as a streaming twin (table probes) or a memoized one
+    (bitmap probes)."""
+    dimensions = draw(st.integers(1, 4))
+    benchmark = create_benchmark(
+        name="restart", family=draw(st.sampled_from(FAMILIES)), dimensions=dimensions,
+        radix_profile=draw(st.lists(st.integers(2, 6), min_size=dimensions,
+                                    max_size=dimensions)),
+        constraint_density=draw(st.sampled_from((0.0, 1.0, 2.5))),
+        seed=draw(st.integers(0, 2**16)), max_radix=6)
+    parameters = benchmark.space.parameters
+    constraints = list(benchmark.space.constraints)
+    first = parameters[0]
+    kind = draw(st.sampled_from(("tabled", "callable", "infeasible")))
+    if draw(st.booleans()):  # sparse: one value of the first parameter
+        constraints.append(f"{first.name} == {first.values[-1]!r}")
+    if kind == "callable":
+        banned = draw(st.sampled_from(first.values))
+        constraints.append(lambda config: config[first.name] != banned)
+    if kind == "infeasible":
+        constraints.append(draw(st.sampled_from(
+            (f"{first.name} != {first.name}", lambda config: False))))
+    if draw(st.booleans()):
+        space = SearchSpace(parameters, constraints)
+        space.feasible_indices()
+        return space
+    return StreamingSpace(parameters, constraints)
+
+
+class TestRestartDraw:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(space=restart_spaces(), seed=st.integers(0, 2**32 - 1),
+           draws=st.integers(1, 8))
+    def test_block_and_scalar_forms_equal_the_reference_loop(self, space, seed, draws):
+        assert diff_restart_draws(space, seed, draws) == []
+
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_infeasible_spaces_fail_with_the_reference_text(self, memo):
+        for constraint in ("a < 0", lambda config: False):
+            space = (SearchSpace if memo else StreamingSpace)(
+                [Parameter("a", (1, 2, 3))], [constraint])
+            if memo:
+                space.feasible_indices()
+            for seed in (0, 1):
+                assert diff_restart_draws(space, seed, 1) == []
+                values, error, _ = _restart_run(_library_draw, space, seed, 1)
+                assert values == [] and "after 1000 attempts (found 0)" in error
+
+    def test_kernel_spaces_draw_the_reference_stream(self, benchmarks):
+        # The paper's seven spaces, streaming and (where small enough) memoized:
+        # Expdist, Hotspot and Nbody take the block form as shipped.
+        for name, benchmark in benchmarks.items():
+            space = benchmark.space
+            twins = [StreamingSpace(space.parameters, space.constraints)]
+            memoized = SearchSpace(space.parameters, space.constraints)
+            if memoized.feasible_indices() is not None:
+                twins.append(memoized)
+            for twin in twins:
+                assert diff_restart_draws(twin, 2023, 30) == [], name

@@ -76,6 +76,29 @@ def test_sized_integers_equal_scalar_draws(high):
     assert sized_rng.bit_generator.state == scalar_rng.bit_generator.state, message
 
 
+@pytest.mark.parametrize("high", [7, 2**32, 2**32 + 5, 2**40])
+@pytest.mark.parametrize("p", [0, 1, 9])
+def test_rewound_sized_draw_equals_scalar_draws(high, p):
+    rng = np.random.default_rng(2023)
+    rng.integers(0, 1000, size=3)  # an odd number of 32-bit draws
+    assert rng.bit_generator.state["has_uint32"] == 1
+    scalar_rng = np.random.default_rng()
+    scalar_rng.bit_generator.state = rng.bit_generator.state
+    saved = rng.bit_generator.state
+    rng.integers(0, high, size=2 * p + 5)  # the block that overshot the hit
+    rng.bit_generator.state = saved
+    sized = rng.integers(0, high, size=p + 1).tolist()
+    scalar = [int(scalar_rng.integers(0, high)) for _ in range(p + 1)]
+    message = _changed(
+        "restoring a saved bit_generator.state, then Generator.integers(0, N, "
+        "size=p + 1), matching p + 1 scalar draws (with a buffered 32-bit half)",
+        "the block restart draw of SearchSpace.sample_indices (n == 1, "
+        "unique=False), its diff test against the scalar loop and the tuner "
+        "trajectory goldens")
+    assert sized == scalar, message
+    assert rng.bit_generator.state == scalar_rng.bit_generator.state, message
+
+
 def test_bincount_adds_weights_in_input_order():
     rng = np.random.default_rng(7)
     targets = rng.integers(0, 40, size=4000)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -361,3 +363,29 @@ class TestAdapters:
         result = run_tuning(adapter_cls(seed=0), quadratic, max_evaluations=20)
         assert result.num_evaluations == 20
         assert result.num_valid > 0
+
+    @pytest.mark.parametrize("adapter_cls", [OptunaAdapter, SMAC3Adapter,
+                                             KernelTunerAdapter, KTTAdapter])
+    def test_adapter_without_driver_imports_nothing(self, adapter_cls, quadratic,
+                                                    monkeypatch):
+        # No adapter overrides _run_external, so tune must not probe the framework.
+        from repro.tuners import adapters
+        imports = []
+        monkeypatch.setattr(adapters, "importlib", SimpleNamespace(
+            import_module=lambda name: imports.append(name) or importlib.import_module(name)))
+        result = run_tuning(adapter_cls(seed=0), quadratic, max_evaluations=20)
+        assert result.num_evaluations == 20
+        assert imports == []
+
+    def test_adapter_with_driver_probes_the_framework(self, quadratic, monkeypatch):
+        from repro.tuners import adapters
+        imports = []
+        monkeypatch.setattr(adapters, "importlib", SimpleNamespace(import_module=imports.append))
+
+        class Driven(KTTAdapter):
+            def _run_external(self, problem, budget, rng):
+                raise NotImplementedError
+
+        result = run_tuning(Driven(seed=0), quadratic, max_evaluations=20)
+        assert result.num_evaluations == 20
+        assert imports == ["pyktt"]
