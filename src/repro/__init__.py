@@ -10,10 +10,10 @@ The package provides:
   Hotspot, Pnpoly, Convolution, Expdist, Dedispersion), each with its parameter table,
   constraints, analytical performance model and a NumPy functional reference
   implementation.
-* :mod:`repro.tuners` -- the optimizer portfolio implementing the shared ask/tell
-  interface (random, grid, local search, simulated annealing, genetic, differential
-  evolution, particle swarm, surrogate-model search) plus the external-tuner adapter
-  protocol.
+* :mod:`repro.tuners` -- the optimizers implementing the shared ask/tell interface
+  (random, grid, local search, simulated annealing, genetic, differential evolution,
+  particle swarm, surrogate-model search) plus the external-tuner adapter protocol,
+  all charged against one evaluation-count budget.
 * :mod:`repro.ml` -- gradient-boosted regression trees, metrics and permutation feature
   importance (the CatBoost substitute used for the paper's Fig. 6).
 * :mod:`repro.graph` -- fitness-flow graph, PageRank and the proportion-of-centrality

@@ -29,8 +29,7 @@ comes from the constraint truth-table mask, the objective is answered by
   the space fall back to their canonical config tuple), so a configuration
   evaluated through both paths on one memoized problem is measured exactly once,
   with one ``evaluation_count`` entry and one memo entry, no matter how the paths
-  interleave (portfolios may mix migrated and adapter members on a shared
-  problem).
+  interleave.
 """
 
 from __future__ import annotations

@@ -18,16 +18,9 @@ from repro.core.result import TuningResult
 __all__ = ["run_tuning", "run_matrix"]
 
 
-def _make_budget(budget: Budget | None, max_evaluations: int | None) -> Budget:
-    """Normalise the two ways of specifying a budget."""
-    if budget is not None:
-        return budget.copy()
-    return Budget(max_evaluations=max_evaluations)
-
-
-def run_tuning(tuner: "Tuner", problem: TuningProblem, budget: Budget | None = None,
-               max_evaluations: int | None = None, seed: int | None = None) -> TuningResult:
-    """Run one tuner on one problem under one budget.
+def run_tuning(tuner: "Tuner", problem: TuningProblem, max_evaluations: int | None = None,
+               seed: int | None = None) -> TuningResult:
+    """Run one tuner on one problem under an evaluation budget.
 
     Parameters
     ----------
@@ -35,10 +28,8 @@ def run_tuning(tuner: "Tuner", problem: TuningProblem, budget: Budget | None = N
         Any object implementing the :class:`repro.tuners.base.Tuner` interface.
     problem:
         The tuning problem (benchmark on a specific simulated GPU).
-    budget:
-        Explicit budget object; mutually exclusive with ``max_evaluations``.
     max_evaluations:
-        Shorthand for ``Budget(max_evaluations=...)``.
+        The run's ``Budget(max_evaluations=...)`` (None = unlimited).
     seed:
         Seed for the tuner's random generator.  If omitted the tuner's own seed (set
         at construction) is used.
@@ -48,7 +39,7 @@ def run_tuning(tuner: "Tuner", problem: TuningProblem, budget: Budget | None = N
     TuningResult
         Ordered observations with benchmark/GPU/tuner metadata filled in.
     """
-    run_budget = _make_budget(budget, max_evaluations)
+    run_budget = Budget(max_evaluations=max_evaluations)
     result = tuner.tune(problem, run_budget, seed=seed)
     result.benchmark = result.benchmark or problem.name
     result.gpu = result.gpu or problem.gpu

@@ -681,8 +681,7 @@ class SearchSpace:
         if n == 0:
             return np.empty(0, dtype=np.int64)
         feasible = self._feasible_memo() if valid_only else None
-        if n == 1 and not unique and valid_only and (feasible is not None
-                                                     or len(self._constraints)):
+        if n == 1 and not unique and valid_only:
             # The tuner runtime's restart draw (the population tuners' repair
             # draws live here): rejection on single indices, tested by a
             # packed-bitmap probe of the memo, else the scalar table lookup --

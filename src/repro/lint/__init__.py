@@ -2,7 +2,7 @@
 
 Every determinism contract this repo depends on -- keyed-hash RNG only,
 byte-identical merges, atomic writes, the transient/permanent error taxonomy, the
-``affordable_evaluations`` budget protocol, JSON-pure benchmark specs -- is enforced
+``remaining_evaluations`` budget prefix, JSON-pure benchmark specs -- is enforced
 dynamically by the differential and chaos suites.  Those suites only catch a
 violation when some test drives the offending path; this package catches the
 violation at the *source line*, before any test runs, by walking the AST of the
@@ -25,7 +25,7 @@ Layout:
 from repro.lint.baseline import Baseline
 from repro.lint.engine import LintResult, lint_file, lint_paths, render_json, render_text
 from repro.lint.findings import Finding, fingerprint
-from repro.lint.rules import RULES, LintContext, Rule, rule_by_code, rules_for_module
+from repro.lint.rules import RULES, LintContext, Rule, rules_for_module
 from repro.lint.suppressions import Suppression, scan_suppressions
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "lint_paths",
     "render_json",
     "render_text",
-    "rule_by_code",
     "rules_for_module",
     "scan_suppressions",
 ]

@@ -23,7 +23,7 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator
 
-__all__ = ["LintContext", "Rule", "RULES", "rules_for_module", "rule_by_code"]
+__all__ = ["LintContext", "Rule", "RULES", "rules_for_module"]
 
 Violation = tuple[int, int, str]
 
@@ -383,19 +383,19 @@ class ExecErrorTaxonomy(Rule):
 
 
 class BudgetOverridePairs(Rule):
-    """RPL005: narrowing ``Budget.exhausted`` requires ``affordable_evaluations``.
+    """RPL005: narrowing ``Budget.exhausted`` requires ``remaining_evaluations``.
 
-    The bulk-accounting protocol trusts ``affordable_evaluations()`` instead of
-    inspecting budget types; a subclass that narrows ``exhausted`` but inherits the
-    base ``affordable_evaluations`` answers with the *parent's* allowance, so
-    generation-batched tuners overdraw the narrowed cap in one bulk charge -- the
-    exact ``_BudgetSlice`` hole PR 5 fixed.  Flagged: any ``Budget`` subclass
-    defining ``exhausted`` without also defining ``affordable_evaluations``.
+    The tuner runtime sizes each bulk-accounted prefix by
+    ``remaining_evaluations`` instead of inspecting budget types; a subclass that
+    narrows ``exhausted`` but inherits the base ``remaining_evaluations`` answers
+    with the wider allowance, so generation-batched tuners overdraw the narrowed
+    cap in one bulk charge.  Flagged: any ``Budget`` subclass defining
+    ``exhausted`` without also defining ``remaining_evaluations``.
     """
 
     code = "RPL005"
     name = "budget-override-pairs"
-    contract = "Budget accounting (affordable_evaluations capability protocol)"
+    contract = "Budget accounting (remaining_evaluations sizes the bulk prefix)"
 
     def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[Violation]:
         for node in ast.walk(tree):
@@ -406,12 +406,11 @@ class BudgetOverridePairs(Rule):
                 continue
             defined = {stmt.name for stmt in node.body
                        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
-            if "exhausted" in defined and "affordable_evaluations" not in defined:
+            if "exhausted" in defined and "remaining_evaluations" not in defined:
                 yield (node.lineno, node.col_offset,
                        f"class {node.name} overrides Budget.exhausted without "
-                       f"overriding affordable_evaluations(); bulk charges would "
-                       f"trust the parent's allowance and overdraw the narrowed "
-                       f"cap (the _BudgetSlice bug)")
+                       f"overriding remaining_evaluations; bulk charges would "
+                       f"trust the wider allowance and overdraw the narrowed cap")
 
 
 # --------------------------------------------------------------------------- RPL006
@@ -561,12 +560,6 @@ RULES: tuple[type[Rule], ...] = (
     SerializableSpecKwargs,
     NoNumpyTranscendentals,
 )
-
-_BY_CODE = {rule.code: rule for rule in RULES}
-
-
-def rule_by_code(code: str) -> type[Rule] | None:
-    return _BY_CODE.get(code)
 
 
 def rules_for_module(module: str,

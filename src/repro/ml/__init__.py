@@ -24,7 +24,7 @@ data and negative or all-zero sample weights are rejected with ``ValueError``.
 
 from repro.ml.tree import DecisionTreeRegressor
 from repro.ml.gbdt import GradientBoostingRegressor
-from repro.ml.metrics import r2_score, rmse, mae
+from repro.ml.metrics import r2_score
 from repro.ml.encoding import encode_cache, FeatureMatrix
 from repro.ml.permutation_importance import permutation_importance, PermutationImportanceResult
 
@@ -32,8 +32,6 @@ __all__ = [
     "DecisionTreeRegressor",
     "GradientBoostingRegressor",
     "r2_score",
-    "rmse",
-    "mae",
     "encode_cache",
     "FeatureMatrix",
     "permutation_importance",

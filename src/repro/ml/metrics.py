@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["r2_score", "r2_from_sums", "rmse", "mae"]
+__all__ = ["r2_score", "r2_from_sums"]
 
 
 def _validate(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -33,15 +33,3 @@ def r2_from_sums(ss_res: float, ss_tot: float) -> float:
     if ss_tot == 0.0:
         return 1.0 if ss_res == 0.0 else 0.0
     return 1.0 - ss_res / ss_tot
-
-
-def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Root mean squared error."""
-    y_true, y_pred = _validate(y_true, y_pred)
-    return float(np.sqrt(np.mean((y_true - y_pred) ** 2)))
-
-
-def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean absolute error."""
-    y_true, y_pred = _validate(y_true, y_pred)
-    return float(np.mean(np.abs(y_true - y_pred)))

@@ -16,8 +16,7 @@ be compared on identical problems.  This subpackage provides that algorithm port
 ================  ==========================================================
 
 plus :mod:`repro.tuners.adapters`, the integration layer mirroring how BAT wraps
-external frameworks (Optuna, SMAC3, Kernel Tuner, KTT), and
-:mod:`repro.tuners.portfolio`, which runs several tuners under a shared budget.
+external frameworks (Optuna, SMAC3, Kernel Tuner, KTT).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.tuners.genetic import GeneticAlgorithm
 from repro.tuners.differential_evolution import DifferentialEvolution
 from repro.tuners.pso import ParticleSwarm
 from repro.tuners.surrogate import SurrogateSearch
-from repro.tuners.portfolio import PortfolioTuner
 
 __all__ = [
     "Tuner",
@@ -46,7 +44,6 @@ __all__ = [
     "DifferentialEvolution",
     "ParticleSwarm",
     "SurrogateSearch",
-    "PortfolioTuner",
     "all_tuners",
 ]
 

@@ -21,10 +21,8 @@ Index-native runtime
 The hot loop of every in-repo optimizer identifies candidates by their mixed-radix
 space index: :meth:`Tuner.evaluate_index` is the integer twin of :meth:`Tuner.evaluate`
 and :meth:`Tuner.ask_random_indices` streams batch-filtered random valid indices.
-Duplicate accounting (``_seen``) keys on the integer index, like the problem's one
-memo -- the dictionary path maps configurations of the space to the same integers, so
-mixing paths within one run (e.g. a portfolio of migrated and adapter members)
-measures, charges and counts each distinct configuration once.  The
+Every evaluation, through either path, charges one evaluation to the budget; the
+problem's one memo (keyed by space index) decides whether it is measured again.  The
 running best (index, value) pair is tracked in ``_track`` so index-native tuners that
 restart from the incumbent (greedy ILS) never have to recover an index from a
 configuration dictionary.
@@ -42,7 +40,6 @@ from repro.core.budget import Budget
 from repro.core.errors import BudgetExhaustedError, ReproError
 from repro.core.problem import TuningProblem
 from repro.core.result import Observation, TuningResult
-from repro.core.searchspace import config_key
 
 __all__ = ["GenerationRun", "Tuner"]
 
@@ -68,11 +65,8 @@ class Tuner(abc.ABC):
         self._problem: TuningProblem | None = None
         self._budget: Budget | None = None
         self._result: TuningResult | None = None
-        #: Duplicate-accounting keys: space indices (ints) for members of the space,
-        #: canonical config tuples only for out-of-space configurations.
-        self._seen: set[int | tuple] = set()
         #: Running best of the current run as a mutable ``[index, value]`` pair
-        #: (shared by reference with nested tuners, like ``_seen``).
+        #: (shared by reference with nested tuners).
         self._track: list = [None, math.inf]
 
     # ------------------------------------------------------------------ public API
@@ -83,7 +77,6 @@ class Tuner(abc.ABC):
         rng = np.random.default_rng(self.seed if seed is None else seed)
         self._problem = problem
         self._budget = budget
-        self._seen = set()
         self._track = [None, math.inf]
         self._result = TuningResult(benchmark=problem.name, gpu=problem.gpu,
                                     tuner=self.name,
@@ -123,13 +116,11 @@ class Tuner(abc.ABC):
         if self._budget.exhausted:
             return None
         observation = self._problem.evaluate(config)
-        # ``_seen`` keys like the problem's memo: space index, or the config
-        # tuple for configurations outside the space.
         try:
-            key: int | tuple = self._problem.space.index_of(config)
+            index: int | None = self._problem.space.index_of(config)
         except ReproError:
-            key = config_key(config)
-        self._account_key(key, observation)
+            index = None  # outside the space: never the incumbent
+        self._account(index, observation)
         return observation
 
     def evaluate_index(self, index: int, valid_hint: bool | None = None,
@@ -148,19 +139,15 @@ class Tuner(abc.ABC):
             return None
         index = int(index)
         observation = self._problem.evaluate_index(index, _valid_hint=valid_hint)
-        self._account_key(index, observation)
+        self._account(index, observation)
         return observation
 
-    def _account_key(self, key: int | tuple, observation: Observation) -> None:
-        new_config = key not in self._seen
-        simulated_seconds = (observation.value / 1e3
-                             if math.isfinite(observation.value) else 0.0)
-        self._budget.charge(simulated_seconds=simulated_seconds, new_config=new_config)
-        self._seen.add(key)
+    def _account(self, index: int | None, observation: Observation) -> None:
+        self._budget.charge()
         track = self._track
-        if (isinstance(key, int) and not observation.is_failure
+        if (index is not None and not observation.is_failure
                 and observation.value < track[1]):
-            track[0] = key
+            track[0] = index
             track[1] = observation.value
         self._result.record(observation)
 
@@ -168,58 +155,34 @@ class Tuner(abc.ABC):
                            ) -> list[Observation]:
         """Evaluate a run of pre-validated indices until the run or budget ends.
 
-        When the budget can answer
-        :meth:`Budget.affordable_evaluations` (a pure evaluation-count limit --
-        including any compliant subclass, like the portfolio tuner's per-member
-        slice) the affordable prefix is known up front, so the whole slice goes
-        through :meth:`TuningProblem.evaluate_indices` and accounting happens in
-        one pass (one :meth:`Budget.charge_bulk`, one result extend) -- per
-        observation the semantics are identical to calling :meth:`evaluate_index`
-        in a loop, which is also the literal fallback for every other budget shape.
-        A result shorter than ``indices`` means the budget ran out.
+        The prefix the budget allows (:attr:`Budget.remaining_evaluations`) goes
+        through :meth:`TuningProblem.evaluate_indices` in one slice and is
+        accounted in one pass (one :meth:`Budget.charge_bulk`, one result
+        extend); per observation the semantics are identical to calling
+        :meth:`evaluate_index` in a loop.  A result shorter than ``indices``
+        means the budget ran out.
         """
-        allowance = (self._budget.affordable_evaluations()
-                     if (self._problem is not None and self._result is not None
-                         and self._budget is not None) else None)
-        if allowance is not None:
-            index_list = (indices.tolist() if isinstance(indices, np.ndarray)
-                          else [int(i) for i in indices])
-            allowed = (len(index_list) if allowance == math.inf
-                       else min(len(index_list), int(allowance)))
-            batch = index_list[:allowed]
-            if not batch:
-                return []
-            if _peek is not None and allowed < len(index_list):
-                _peek = tuple(col[:allowed] for col in _peek)
-            observations = self._problem.evaluate_indices(batch, valid_hint=True,
-                                                          _peek=_peek)
-            seen = self._seen
-            seen_add = seen.add
-            track = self._track
-            best_value = track[1]
-            isfinite = math.isfinite
-            new_configs = 0
-            simulated: list[float] = []
-            seconds = simulated.append
-            for index, obs in zip(batch, observations):
-                if index not in seen:
-                    seen_add(index)
-                    new_configs += 1
-                value = obs.value
-                seconds(value / 1e3 if isfinite(value) else 0.0)
-                if obs.valid and value < best_value:
-                    track[0] = index
-                    track[1] = best_value = value
-            self._budget.charge_bulk(len(batch), simulated_seconds=simulated,
-                                     new_configs=new_configs)
-            self._result.extend(observations)
-            return observations
-        observations: list[Observation] = []
-        for index in indices:
-            obs = self.evaluate_index(index, valid_hint=True)
-            if obs is None:
-                break
-            observations.append(obs)
+        if self._problem is None or self._budget is None or self._result is None:
+            raise RuntimeError("evaluate_index_run() called outside of tune()")
+        index_list = (indices.tolist() if isinstance(indices, np.ndarray)
+                      else [int(i) for i in indices])
+        allowed = min(len(index_list), self._budget.remaining_evaluations)
+        batch = index_list[:allowed]
+        if not batch:
+            return []
+        if _peek is not None and allowed < len(index_list):
+            _peek = tuple(col[:allowed] for col in _peek)
+        observations = self._problem.evaluate_indices(batch, valid_hint=True,
+                                                      _peek=_peek)
+        track = self._track
+        best_value = track[1]
+        for index, obs in zip(batch, observations):
+            value = obs.value
+            if obs.valid and value < best_value:
+                track[0] = index
+                track[1] = best_value = value
+        self._budget.charge_bulk(len(batch))
+        self._result.extend(observations)
         return observations
 
     def generation_run(self) -> "GenerationRun":
@@ -262,22 +225,12 @@ class Tuner(abc.ABC):
 
     def _share_run_state(self, inner: "Tuner") -> None:
         """Wire ``inner`` into this run's bookkeeping (problem, budget, result,
-        duplicate set, best tracker) so every evaluation it performs is recorded
-        and budgeted exactly once, against the same state."""
+        best tracker) so every evaluation it performs is recorded and budgeted
+        exactly once, against the same state."""
         inner._problem = self._problem
         inner._budget = self._budget
         inner._result = self._result
-        inner._seen = self._seen
         inner._track = self._track
-
-    def _clear_run_state(self, inner: "Tuner") -> None:
-        """Detach ``inner`` from this run's bookkeeping (inverse of
-        :meth:`_share_run_state`)."""
-        inner._problem = None
-        inner._budget = None
-        inner._result = None
-        inner._seen = set()
-        inner._track = [None, math.inf]
 
     def ask_random_indices(self, space: Any, rng: np.random.Generator,
                            without_replacement: bool = True, batch_size: int = 512,

@@ -458,7 +458,6 @@ def _bound_tuner(problem, budget):
     tuner._problem = problem
     tuner._budget = budget
     tuner._result = TuningResult()
-    tuner._seen = set()
     tuner._track = [None, math.inf]
     return tuner
 
@@ -466,8 +465,7 @@ def _bound_tuner(problem, budget):
 class TestBatchEvaluatePaths:
     def test_evaluate_index_run_matches_dict_path(self, pnpoly, gpu_3090):
         # The bulk index run and the scalar dictionary loop must record the same
-        # observations and agree on duplicate accounting: the dictionary path
-        # keys `_seen` by space index too.
+        # observations and charge the same budget, duplicates included.
         configs = pnpoly.space.sample(40, rng=3)
         configs += configs[:5]  # duplicates
         indices = pnpoly.space.indices_of_configs(configs)
@@ -486,26 +484,31 @@ class TestBatchEvaluatePaths:
         for a, b in zip(fast_obs, slow_obs):
             assert dict(a.config) == dict(b.config)
             assert (a.value, a.valid, a.error) == (b.value, b.valid, b.error)
-        assert fast._seen == slow._seen and len(fast._seen) == 40
         assert fast_budget.to_dict() == slow_budget.to_dict()
 
-    def test_evaluate_index_run_respects_budget_subclass_exhaustion(
-            self, pnpoly, gpu_3090):
-        # Budget subclasses may override `exhausted` (the portfolio tuner's
-        # slice does); the bulk path's allowance comes from the
-        # affordable_evaluations protocol, which the slice answers with its own
-        # cap -- the run must stop at the slice, and every charge must reach
-        # the shared parent budget.
-        from repro.tuners.portfolio import _BudgetSlice
-
-        indices = pnpoly.space.indices_of_configs(pnpoly.space.sample(30, rng=8))
-        parent = Budget(max_evaluations=50)
-        tuner = _bound_tuner(pnpoly.problem(gpu_3090), _BudgetSlice(parent, 10))
+    @pytest.mark.parametrize("limit", [0, 1, 7, 45, None])
+    def test_evaluate_index_run_stops_at_the_remaining_budget(self, pnpoly,
+                                                              gpu_3090, limit):
+        # The prefix is sized by remaining_evaluations alone: a run evaluates
+        # min(len(run), remaining) indices, charges exactly that many, and a run
+        # after exhaustion evaluates nothing.
+        indices = pnpoly.space.sample_indices(45, rng=8)
+        budget = Budget(max_evaluations=limit)
+        tuner = _bound_tuner(pnpoly.problem(gpu_3090), budget)
         observations = tuner.evaluate_index_run(indices)
-        assert len(observations) == 10  # the slice, not the 30-index run
-        assert parent.evaluations_used == 10
-        assert parent.unique_used == 10
-        assert tuner.evaluate_index_run(indices[10:]) == []
+        expected = len(indices) if limit is None else min(len(indices), limit)
+        assert len(observations) == len(tuner._result) == expected
+        assert budget.evaluations_used == expected
+        assert ([dict(o.config) for o in observations]
+                == [pnpoly.space.config_at(i) for i in indices.tolist()[:expected]])
+        valid = [(o.value, i) for o, i in zip(observations, indices.tolist())
+                 if o.valid]
+        best = min((value for value, _ in valid), default=None)
+        assert tuner.best_index_so_far() == next(
+            (i for value, i in valid if value == best), None)
+        if limit is not None:
+            assert tuner.evaluate_index_run(indices) == []
+            assert budget.evaluations_used == expected
 
     def test_evaluate_indices_mask_matches_scalar_evaluate(self, benchmarks,
                                                            gpu_3090):

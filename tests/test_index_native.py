@@ -321,8 +321,7 @@ class TestEvaluateIndex:
     def test_mixed_paths_share_one_memo(self, benchmarks, gpu_3090):
         # A config evaluated through the dict path then the index path (or the
         # reverse) on one memoized problem must be measured exactly once, even
-        # for a non-deterministic objective -- portfolios may mix adapter
-        # (dict-path) and migrated (index-path) members on a shared problem.
+        # for a non-deterministic objective.
         space = SearchSpace([Parameter("x", (1, 2, 3, 4))])
         calls = []
 
@@ -374,7 +373,6 @@ class TestEvaluateIndex:
             tuner._problem.evaluate_indices(warm, valid_hint=True)
             tuner._budget = budget
             tuner._result = TuningResult()
-            tuner._seen = set()
             tuner._track = [None, math.inf]
             if mode == "generation":
                 candidates = [(i, *tuner._problem.peek_index(i))
@@ -388,7 +386,7 @@ class TestEvaluateIndex:
                 go_on = len(settled) == order.size and not budget.exhausted
             return (go_on, [o.to_dict() for o in tuner._result.observations],
                     tuner._problem.evaluation_count, budget.to_dict(),
-                    tuner._seen, tuner._track)
+                    tuner._track)
 
         for max_evaluations in (order.size + 5, order.size - 7):
             generation = settle("generation", max_evaluations)
@@ -455,7 +453,6 @@ class TestIndexRunAccounting:
             tuner._problem = cache.to_problem()
             tuner._budget = budget
             tuner._result = TuningResult()
-            tuner._seen = set()
             tuner._track = [None, math.inf]
             return tuner, budget
 
@@ -471,17 +468,14 @@ class TestIndexRunAccounting:
         assert len(bulk_obs) == len(seq_obs) == 40  # truncated by the budget
         assert [o.to_dict() for o in bulk_obs] == [o.to_dict() for o in seq_obs]
         assert bulk_budget.to_dict() == seq_budget.to_dict()
-        assert bulk_tuner._seen == seq_tuner._seen
         assert bulk_tuner._track == seq_tuner._track
 
     def test_charge_bulk_equals_repeated_charges(self):
         a = Budget(max_evaluations=10)
         b = Budget(max_evaluations=10)
-        seconds = [0.1, 2.0, 0.0]
-        for value in seconds:
-            a.charge(simulated_seconds=value, new_config=True)
-        # The list form reproduces the sequential accumulation order bit for bit.
-        b.charge_bulk(3, simulated_seconds=seconds, new_configs=3)
+        for _ in range(3):
+            a.charge()
+        b.charge_bulk(3)
         assert a.to_dict() == b.to_dict()
         exhausted = Budget(max_evaluations=0)
         with pytest.raises(BudgetExhaustedError):
@@ -577,6 +571,21 @@ class TestRestartDraw:
                 assert diff_restart_draws(space, seed, 1) == []
                 values, error, _ = _restart_run(_library_draw, space, seed, 1)
                 assert values == [] and "after 1000 attempts (found 0)" in error
+
+    @pytest.mark.parametrize("memo", [False, True])
+    @pytest.mark.parametrize("seed", [0, 2023])
+    def test_unconstrained_space_draws_one_scalar_index(self, memo, seed):
+        # Every index is feasible, so the restart draw is exactly one scalar
+        # draw, memo or not, and leaves the generator where that draw does.
+        parameters = [Parameter("a", (1, 2, 4, 8)), Parameter("b", tuple(range(7))),
+                      Parameter("c", (3, 5, 9))]
+        space = (SearchSpace if memo else StreamingSpace)(parameters, [])
+        if memo:
+            space.feasible_indices()
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert space.sample_one_index(rng=rng) == int(reference.integers(0, 84))
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_kernel_spaces_draw_the_reference_stream(self, benchmarks):
         # The paper's seven spaces, streaming and (where small enough) memoized:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ml.encoding import encode_cache
 from repro.ml.gbdt import GradientBoostingRegressor
-from repro.ml.metrics import mae, r2_score, rmse
+from repro.ml.metrics import r2_score
 from repro.ml.permutation_importance import permutation_importance
 from repro.ml.tree import DecisionTreeRegressor, bin_features
 
@@ -35,19 +35,13 @@ class TestMetrics:
         assert r2_score(y, y) == 1.0
         assert r2_score(y, y + 1) == 0.0
 
-    def test_rmse_and_mae(self):
-        y = np.array([0.0, 0.0])
-        p = np.array([3.0, 4.0])
-        assert rmse(y, p) == pytest.approx(np.sqrt(12.5))
-        assert mae(y, p) == pytest.approx(3.5)
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             r2_score(np.ones(3), np.ones(4))
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            rmse(np.array([]), np.array([]))
+            r2_score(np.array([]), np.array([]))
 
 
 class TestDecisionTree:

@@ -184,23 +184,19 @@ class TestBatchedTrajectoryEquivalence:
                         == sequential_problem.evaluation_count), key
 
     @pytest.mark.parametrize("tuner_name", sorted(POPULATION_TUNERS))
-    def test_simulated_seconds_budget_takes_sequential_settle(self, tuner_name,
-                                                              replay_caches):
-        # A budget the bulk protocol cannot precompute: evaluate_generation's
-        # sequential fallback must still match the pure per-candidate loop.
+    def test_budget_ending_mid_generation_matches_sequential_run(self, tuner_name,
+                                                                 replay_caches):
+        # 37 is no multiple of any population size here, so the last generation
+        # settles a truncated prefix of its peeked candidates in one bulk charge.
         cache = replay_caches["gemm"]
-        peeked_problem = cache.to_problem(strict=False)
-        scalar_problem = cache.to_problem(strict=False)
-        scalar_problem._peek_index_fn = None
-        scalar_problem._peek_one_fn = None
-
-        def budget():
-            return Budget(max_evaluations=90, max_simulated_seconds=0.12)
-
-        budget_a, budget_b = budget(), budget()
-        a = POPULATION_TUNERS[tuner_name]().tune(peeked_problem, budget_a, seed=1)
-        b = POPULATION_TUNERS[tuner_name]().tune(scalar_problem, budget_b, seed=1)
-        assert budget_a.affordable_evaluations() is None
+        batched_problem = cache.to_problem(strict=False)
+        sequential_problem = cache.to_problem(strict=False)
+        sequential_problem._peek_index_fn = None
+        sequential_problem._peek_one_fn = None
+        budget_a, budget_b = Budget(max_evaluations=37), Budget(max_evaluations=37)
+        a = POPULATION_TUNERS[tuner_name]().tune(batched_problem, budget_a, seed=1)
+        b = POPULATION_TUNERS[tuner_name]().tune(sequential_problem, budget_b, seed=1)
+        assert len(a) == budget_a.evaluations_used == 37
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
         assert budget_a.to_dict() == budget_b.to_dict()
 

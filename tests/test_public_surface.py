@@ -19,6 +19,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 CALLER_DIRS = ("src", "bench", "benchmarks", "examples", "scripts")
@@ -51,6 +53,11 @@ ALLOWED: dict[str, str] = {
     "repro.tuners.adapters:SMAC3Adapter": "- `repro.tuners.adapters` (",
     "repro.tuners.adapters:KernelTunerAdapter": "- `repro.tuners.adapters` (",
     "repro.tuners.adapters:KTTAdapter": "- `repro.tuners.adapters` (",
+    "repro.core.registry:get_tuner": "- `get_tuner` —",
+    "repro.core.registry:temporary_benchmark": "- `temporary_benchmark` —",
+    "repro.gpus.occupancy:compute_occupancy": "- `compute_occupancy` —",
+    "repro.io.results_io:save_results": "- `save_results` and `load_results` —",
+    "repro.io.results_io:load_results": "- `save_results` and `load_results` —",
     "repro.kernels.base:KernelBenchmark.run_reference":
         "- Functional references: `KernelBenchmark.run_reference`",
     "repro.kernels.reference.nbody_reference:nbody_accelerations":
@@ -89,16 +96,20 @@ def _references(paths) -> dict[str, list[tuple[Path, int, bool]]]:
 
     Only reads count (``neighbors = ...`` does not use ``neighbors``), and only
     attribute reads can reach a method, so a local variable never keeps a
-    method of the same name alive.
+    method of the same name alive.  A module-level import in an
+    ``__init__.py`` is a re-export, not a use, so it keeps nothing alive.
     """
     out: dict[str, list[tuple[Path, int, bool]]] = {}
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reexports = ({id(node) for node in tree.body}
+                     if path.name == "__init__.py" else set())
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 out.setdefault(node.id, []).append((path, node.lineno, False))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 out.setdefault(node.attr, []).append((path, node.lineno, True))
-            elif isinstance(node, ast.ImportFrom):
+            elif isinstance(node, ast.ImportFrom) and id(node) not in reexports:
                 for alias in node.names:
                     out.setdefault(alias.name, []).append((path, node.lineno, False))
     return out
@@ -143,3 +154,16 @@ def test_each_allowed_name_has_its_readme_line():
     missing = sorted(key for key, line in ALLOWED.items()
                      if line not in notes or f"`{key.split(':')[1]}`" not in notes)
     assert not missing, f"ALLOWED entries without a README 'Public API notes' line: {missing}"
+
+
+@pytest.mark.parametrize("filename, source, counted", [
+    ("__init__.py", "from repro.ml.metrics import r2_score\n", False),
+    ("__init__.py", "def suite():\n    from repro.ml.metrics import r2_score\n", True),
+    ("campaign.py", "from repro.ml.metrics import r2_score\n", True),
+])
+def test_reexport_in_an_init_is_not_a_use(tmp_path, filename, source, counted):
+    # A package re-export keeps no name alive; an import inside a function body,
+    # or in any other module, does.
+    path = tmp_path / filename
+    path.write_text(source, encoding="utf-8")
+    assert ("r2_score" in _references([path])) is counted

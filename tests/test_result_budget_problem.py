@@ -119,26 +119,9 @@ class TestBudget:
         assert budget.remaining_evaluations == 3
         budget.charge()
         assert budget.remaining_evaluations == 2
+        budget.charge_bulk(2)
+        assert budget.remaining_evaluations == 0
         assert Budget().remaining_evaluations == math.inf
-
-    def test_simulated_time_limit(self):
-        budget = Budget(max_simulated_seconds=0.5, compile_overhead_seconds=0.0)
-        budget.charge(simulated_seconds=0.3)
-        assert not budget.exhausted
-        budget.charge(simulated_seconds=0.3)
-        assert budget.exhausted
-
-    def test_unique_config_limit(self):
-        budget = Budget(max_unique_configs=1)
-        budget.charge(new_config=True)
-        assert budget.exhausted
-
-    def test_copy(self):
-        budget = Budget(max_evaluations=5)
-        budget.charge()
-        fresh = budget.copy()
-        assert fresh.evaluations_used == 0
-        assert fresh.max_evaluations == 5
 
     def test_negative_limits_rejected(self):
         with pytest.raises(ValueError):
@@ -168,17 +151,43 @@ class TestBudget:
         budget.charge_bulk(10_000)
         assert budget.evaluations_used == 10_000
 
-    def test_affordable_evaluations_protocol(self):
-        assert Budget().affordable_evaluations() == math.inf
-        budget = Budget(max_evaluations=7)
-        assert budget.affordable_evaluations() == 7
-        budget.charge_bulk(5)
-        assert budget.affordable_evaluations() == 2
-        # Outcome-dependent limits cannot precompute an affordable prefix.
-        assert Budget(max_unique_configs=3).affordable_evaluations() is None
-        assert Budget(max_simulated_seconds=1.0).affordable_evaluations() is None
-        assert Budget(max_evaluations=5,
-                      max_unique_configs=5).affordable_evaluations() is None
+    def test_unlimited_budget_is_never_exhausted(self):
+        budget = Budget()
+        for _ in range(1000):
+            budget.charge()
+        assert not budget.exhausted
+        assert budget.evaluations_used == 1000
+
+    def test_charge_bulk_of_nothing_is_a_no_op(self):
+        # An empty prefix settles nothing, even against a spent budget.
+        budget = Budget(max_evaluations=1)
+        budget.charge()
+        budget.charge_bulk(0)
+        budget.charge_bulk(-3)
+        assert budget.evaluations_used == 1
+        with pytest.raises(BudgetExhaustedError):
+            budget.charge_bulk(1)
+
+    def test_to_dict_holds_limit_and_usage_only(self):
+        budget = Budget(max_evaluations=4)
+        budget.charge_bulk(3)
+        assert budget.to_dict() == {"max_evaluations": 4, "evaluations_used": 3}
+        assert Budget().to_dict() == {"max_evaluations": None, "evaluations_used": 0}
+
+    @pytest.mark.parametrize("option", ["max_unique_configs", "max_simulated_seconds",
+                                        "compile_overhead_seconds"])
+    def test_non_count_limits_are_refused(self, option):
+        # A budget is an evaluation count; no caller set these, so none is accepted.
+        with pytest.raises(TypeError):
+            Budget(max_evaluations=10, **{option: 1})
+
+    def test_charges_take_no_cost_arguments(self):
+        budget = Budget(max_evaluations=10)
+        with pytest.raises(TypeError):
+            budget.charge(simulated_seconds=0.1)
+        with pytest.raises(TypeError):
+            budget.charge_bulk(2, simulated_seconds=[0.1, 0.1])
+        assert budget.evaluations_used == 0
 
 
 class TestTuningProblem:

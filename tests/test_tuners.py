@@ -1,15 +1,13 @@
-"""Tests of the optimizer portfolio and the shared ask/tell interface."""
+"""Tests of the optimizers and the shared ask/tell interface."""
 
 from __future__ import annotations
 
-import importlib
 import math
-from types import SimpleNamespace
+import sys
 
 import numpy as np
 import pytest
 
-from repro.core.budget import Budget
 from repro.core.errors import ResourceLimitError
 from repro.core.parameter import Parameter
 from repro.core.problem import TuningProblem
@@ -22,7 +20,6 @@ from repro.tuners import (
     GridSearch,
     LocalSearch,
     ParticleSwarm,
-    PortfolioTuner,
     RandomSearch,
     SimulatedAnnealing,
     SurrogateSearch,
@@ -74,6 +71,11 @@ def quadratic():
 @pytest.fixture()
 def pnpoly_problem(pnpoly, gpu_3090):
     return pnpoly.problem(gpu_3090)
+
+
+@pytest.fixture(scope="module")
+def pnpoly_replay_cache(pnpoly, gpu_3090):
+    return pnpoly.build_cache(gpu_3090, seed=4)
 
 
 class TestTunerContract:
@@ -131,6 +133,25 @@ class TestTunerContract:
         trace = result.best_value_trace()
         assert np.all(np.diff(trace) <= 0)
         assert trace[-1] == result.best_value
+
+    @pytest.mark.parametrize("tuner_cls", ALL_TUNER_CLASSES)
+    def test_peekable_run_spends_exactly_its_budget(self, tuner_cls,
+                                                    pnpoly_replay_cache):
+        # On a peekable replay every tuner settles through the bulk prefix; a
+        # budget that ends mid-batch must be charged exactly, never overdrawn.
+        problem = pnpoly_replay_cache.to_problem()
+        assert problem.peekable
+        result = run_tuning(tuner_cls(seed=5), problem, max_evaluations=37)
+        assert result.num_evaluations == 37
+        assert result.metadata["budget"] == {"max_evaluations": 37,
+                                             "evaluations_used": 37}
+
+    def test_run_tuning_takes_no_budget_object(self, quadratic):
+        # The run's budget is built from max_evaluations alone.
+        from repro.core.budget import Budget
+
+        with pytest.raises(TypeError):
+            run_tuning(RandomSearch(seed=0), quadratic, budget=Budget(max_evaluations=5))
 
     def test_evaluate_outside_tune_raises(self):
         with pytest.raises(RuntimeError):
@@ -194,123 +215,6 @@ class TestSpecificTuners:
         result = run_tuning(tuner, quadratic, max_evaluations=40)
         assert result.best_value <= 6.0
 
-    def test_portfolio_combines_members(self, quadratic):
-        portfolio = PortfolioTuner([RandomSearch(), LocalSearch(), GeneticAlgorithm()], seed=0)
-        result = run_tuning(portfolio, quadratic, max_evaluations=45)
-        assert result.num_evaluations == 45
-        assert "portfolio" in result.tuner
-
-    def test_portfolio_requires_members(self):
-        with pytest.raises(ValueError):
-            PortfolioTuner([])
-
-
-class TestPortfolioBudgetSlice:
-    """The portfolio's budget slice must satisfy the full bulk protocol."""
-
-    def test_bulk_charges_reach_the_parent_budget(self):
-        # Regression for the pre-fix hole: _BudgetSlice overrode charge() but
-        # inherited Budget.charge_bulk, so a bulk-accounted member would have
-        # charged the slice's own (unlimited) counters -- never the shared
-        # parent, never the slice cap.
-        from repro.tuners.portfolio import _BudgetSlice
-
-        parent = Budget(max_evaluations=20)
-        budget_slice = _BudgetSlice(parent, 10)
-        budget_slice.charge_bulk(4, simulated_seconds=[0.1] * 4, new_configs=4)
-        assert parent.evaluations_used == 4
-        assert parent.unique_used == 4
-        assert budget_slice._used_in_slice == 4
-        assert budget_slice.remaining_evaluations == 6
-        assert budget_slice.affordable_evaluations() == 6
-
-    def test_bulk_charge_clamps_to_the_slice(self):
-        from repro.core.errors import BudgetExhaustedError
-        from repro.tuners.portfolio import _BudgetSlice
-
-        parent = Budget(max_evaluations=100)
-        budget_slice = _BudgetSlice(parent, 10)
-        budget_slice.charge_bulk(10)  # exactly the slice
-        assert budget_slice.exhausted and not parent.exhausted
-        fresh = _BudgetSlice(Budget(max_evaluations=100), 10)
-        with pytest.raises(BudgetExhaustedError):
-            fresh.charge_bulk(11)
-        assert fresh._parent.evaluations_used == 0  # nothing leaked through
-
-    def test_scalar_charge_raises_when_slice_is_spent(self):
-        from repro.core.errors import BudgetExhaustedError
-        from repro.tuners.portfolio import _BudgetSlice
-
-        budget_slice = _BudgetSlice(Budget(max_evaluations=100), 1)
-        budget_slice.charge()
-        with pytest.raises(BudgetExhaustedError):
-            budget_slice.charge()
-
-    def test_affordable_follows_the_narrower_limit(self):
-        from repro.tuners.portfolio import _BudgetSlice
-
-        parent = Budget(max_evaluations=6)
-        budget_slice = _BudgetSlice(parent, 10)
-        assert budget_slice.affordable_evaluations() == 6  # parent narrower
-        assert _BudgetSlice(Budget(), 10).affordable_evaluations() == 10
-        # A parent that cannot precompute a prefix poisons the slice too.
-        seconds = Budget(max_simulated_seconds=1.0)
-        assert _BudgetSlice(seconds, 10).affordable_evaluations() is None
-
-    def test_bulk_member_charges_shared_budget_and_respects_slice(self,
-                                                                  benchmarks,
-                                                                  gpu_3090):
-        # End to end: generation-batched members inside a portfolio on a
-        # peekable replay problem take the bulk path against their slice.
-        cache = benchmarks["gemm"].build_cache(gpu_3090, sample_size=300, seed=4)
-        problem = cache.to_problem(strict=False)
-        assert problem.peekable
-        budget = Budget(max_evaluations=40)
-        portfolio = PortfolioTuner([GeneticAlgorithm(population_size=6),
-                                    DifferentialEvolution(population_size=6)],
-                                   seed=0)
-        result = portfolio.tune(problem, budget, seed=0)
-        assert budget.evaluations_used == 40  # every charge hit the parent
-        assert result.num_evaluations == 40
-
-
-class TestPortfolioMemberFailures:
-    class _Boom(RandomSearch):
-        name = "boom"
-
-        def _run(self, problem, budget, rng):
-            raise RuntimeError("member exploded")
-
-    class _SliceBurner(RandomSearch):
-        name = "burner"
-
-        def _run(self, problem, budget, rng):
-            # Evaluate straight past the slice so the budget itself raises.
-            for index in range(problem.space.cardinality):
-                self.evaluate_index(index)
-                self._budget.charge()  # force an over-slice charge
-
-    def test_misbehaving_member_warns_and_run_continues(self, pnpoly, gpu_3090):
-        portfolio = PortfolioTuner([self._Boom(), RandomSearch()], seed=0)
-        budget = Budget(max_evaluations=20)
-        with pytest.warns(RuntimeWarning, match="boom"):
-            result = portfolio.tune(pnpoly.problem(gpu_3090), budget, seed=0)
-        # The surviving member still ran its (and the failed member's) slice.
-        assert result.num_evaluations == 20
-
-    def test_budget_exhaustion_is_not_a_member_failure(self, pnpoly, gpu_3090,
-                                                       recwarn):
-        portfolio = PortfolioTuner([self._SliceBurner(), RandomSearch()], seed=0)
-        budget = Budget(max_evaluations=20)
-        result = portfolio.tune(pnpoly.problem(gpu_3090), budget, seed=0)
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, RuntimeWarning)]
-        # The burner's slice raised (half its charges were evaluation-free),
-        # the remaining member still consumed everything left in the budget.
-        assert budget.evaluations_used == 20
-        assert result.num_evaluations == 15
-
-
 class TestOnRealBenchmark:
     def test_all_registered_tuners_run_on_pnpoly(self, pnpoly_problem):
         for name, factory in all_tuners().items():
@@ -334,18 +238,6 @@ class TestOnRealBenchmark:
         assert set(matrix) == {("random", "pnpoly"), ("grid", "pnpoly")}
 
 
-class TestBudgetSemantics:
-    def test_simulated_time_budget_stops_early(self, pnpoly_problem):
-        budget = Budget(max_simulated_seconds=0.05, compile_overhead_seconds=1e-3)
-        result = run_tuning(RandomSearch(seed=0), pnpoly_problem, budget=budget)
-        assert 0 < result.num_evaluations < 60
-
-    def test_budget_object_is_not_mutated(self, quadratic):
-        budget = Budget(max_evaluations=10)
-        run_tuning(RandomSearch(seed=0), quadratic, budget=budget)
-        assert budget.evaluations_used == 0  # the runner works on a copy
-
-
 class TestAdapters:
     def test_space_to_choices(self, quadratic):
         choices = space_to_choices(quadratic)
@@ -366,26 +258,24 @@ class TestAdapters:
 
     @pytest.mark.parametrize("adapter_cls", [OptunaAdapter, SMAC3Adapter,
                                              KernelTunerAdapter, KTTAdapter])
-    def test_adapter_without_driver_imports_nothing(self, adapter_cls, quadratic,
-                                                    monkeypatch):
-        # No adapter overrides _run_external, so tune must not probe the framework.
-        from repro.tuners import adapters
-        imports = []
-        monkeypatch.setattr(adapters, "importlib", SimpleNamespace(
-            import_module=lambda name: imports.append(name) or importlib.import_module(name)))
+    def test_adapter_without_driver_imports_nothing(self, adapter_cls, quadratic):
+        # No adapter has a native driver, so tune must not import its framework.
+        framework = {OptunaAdapter: "optuna", SMAC3Adapter: "smac",
+                     KernelTunerAdapter: "kernel_tuner", KTTAdapter: "pyktt"}[adapter_cls]
+        before = set(sys.modules)
         result = run_tuning(adapter_cls(seed=0), quadratic, max_evaluations=20)
         assert result.num_evaluations == 20
-        assert imports == []
+        loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+        assert framework not in loaded
 
-    def test_adapter_with_driver_probes_the_framework(self, quadratic, monkeypatch):
-        from repro.tuners import adapters
-        imports = []
-        monkeypatch.setattr(adapters, "importlib", SimpleNamespace(import_module=imports.append))
-
-        class Driven(KTTAdapter):
-            def _run_external(self, problem, budget, rng):
-                raise NotImplementedError
-
-        result = run_tuning(Driven(seed=0), quadratic, max_evaluations=20)
-        assert result.num_evaluations == 20
-        assert imports == ["pyktt"]
+    @pytest.mark.parametrize("adapter_cls, stand_in", [
+        (OptunaAdapter, SurrogateSearch), (SMAC3Adapter, SurrogateSearch),
+        (KernelTunerAdapter, GeneticAlgorithm), (KTTAdapter, RandomSearch)])
+    def test_adapter_runs_its_stand_in(self, adapter_cls, stand_in):
+        adapted = run_tuning(adapter_cls(seed=3), _quadratic_problem(),
+                             max_evaluations=30).to_dict()
+        reference = run_tuning(stand_in(seed=3), _quadratic_problem(),
+                               max_evaluations=30).to_dict()
+        assert adapted.pop("tuner") == adapter_cls.name
+        assert reference.pop("tuner") == stand_in.name
+        assert adapted == reference
