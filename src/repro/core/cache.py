@@ -54,10 +54,12 @@ Columnar index table
 --------------------
 Replayed tuning campaigns perform millions of cache lookups.
 :meth:`EvaluationCache.index_table` is the ``space index -> row`` map over the
-cache's own columns: a dense ``row_of`` array for small spaces, an int->row hash (plus
-a lazily sorted key array for batch probes) for the huge sampled ones.  Values and
-failure flags are read from the columns, so an overwrite is visible at once and an
-appended row inserts one key.
+cache's own columns: a dense ``row_of`` array for small spaces and, for the huge
+sampled ones, one sorted int64 key array with each key's row beside it (binary
+search for scalar probes, :func:`numpy.searchsorted` for batches), so an attached,
+memory-mapped or JSON-loaded cache holds no Python object per stored row.  Values
+and failure flags are read from the columns, so an overwrite is visible at once and
+an appended row inserts one key.
 
 Cache formats
 -------------
@@ -91,6 +93,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -106,7 +109,7 @@ from repro.core.searchspace import SearchSpace
 __all__ = ["EvaluationCache", "CacheIndexTable"]
 
 #: Cardinality ceiling for the dense ``index -> row`` array of the columnar table
-#: (int32 rows: 4 MB per million points).  Above it, lookups go through a hash map.
+#: (int32 rows: 4 MB per million points).  Above it, lookups search a sorted key array.
 _DENSE_LOOKUP_MAX = 2_000_000
 
 #: Rows per text chunk of :meth:`EvaluationCache.iter_json`.
@@ -371,55 +374,60 @@ class CacheIndexTable:
     ``lookup_one`` answers a single integer-index probe without building any
     configuration dictionary; ``lookup`` is the batch form.  Values and failure
     flags are read from the cache's columns, so overwrites need no bookkeeping and
-    a fresh row inserts one key.  Batch lookups against hashed (above-dense-ceiling)
-    tables run through a lazily sorted key array and one :func:`numpy.searchsorted`
-    instead of a Python ``dict.get`` per probe; scalar probes keep the O(1) hash.
+    a fresh row inserts one key.
+
+    A space of at most ``_DENSE_LOOKUP_MAX`` points keeps a dense ``row_of``
+    array.  A larger (hashed) space keeps one store: its stored indices sorted
+    into an int64 key array, with each key's row beside it, built at
+    construction.  A batch lookup is one :func:`numpy.searchsorted`; a scalar
+    probe is one :func:`bisect.bisect_left` over a zero-copy ``memoryview`` of
+    the keys, so the table holds no Python object per stored row.  Keys inserted
+    since the last sort wait in a small pending map, which folds into the arrays
+    at the next batch lookup or once it outgrows them.
     """
 
-    __slots__ = ("_columns", "_cardinality", "_dense", "_row_of", "_sorted_keys",
-                 "_sorted_rows")
+    __slots__ = ("_columns", "_cardinality", "_dense", "_row_of", "_keys", "_rows",
+                 "_key_view", "_row_view", "_pending")
 
     def __init__(self, cardinality: int, columns: _Columns):
         indices = columns.indices[:columns.size]
-        n = indices.size
         self._columns = columns
         self._cardinality = cardinality
         self._dense = cardinality <= _DENSE_LOOKUP_MAX
         if self._dense:
-            self._row_of: Any = np.full(cardinality, -1, dtype=np.int32)
-            self._row_of[indices] = np.arange(n, dtype=np.int32)
+            self._row_of = np.full(cardinality, -1, dtype=np.int32)
+            self._row_of[indices] = np.arange(indices.size, dtype=np.int32)
         else:
-            self._row_of = dict(zip(indices.tolist(), range(n)))
-        # Hashed-path batch index: sorted key/row arrays for searchsorted lookups,
-        # rebuilt lazily after an insert.
-        self._sorted_keys: np.ndarray | None = None
-        self._sorted_rows: np.ndarray | None = None
+            self._pending: dict[int, int] = {}
+            order = np.argsort(indices)
+            self._store(indices[order], order)
 
     def __len__(self) -> int:
         return self._columns.size
 
+    def _store(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        """Adopt sorted int64 ``keys`` and their int64 ``rows`` as the hashed store."""
+        self._keys, self._rows = keys, rows
+        self._key_view, self._row_view = memoryview(keys), memoryview(rows)
+
+    def _fold(self) -> None:
+        """Merge the pending inserts into the sorted arrays."""
+        pending = self._pending
+        n = len(pending)
+        keys = np.concatenate([self._keys, np.fromiter(pending, np.int64, n)])
+        rows = np.concatenate([self._rows, np.fromiter(pending.values(), np.int64, n)])
+        order = np.argsort(keys)
+        self._store(keys[order], rows[order])
+        pending.clear()
+
     def insert(self, index: int, row: int) -> None:
         """Map the in-range ``index`` of a freshly appended row."""
-        self._row_of[index] = row
-        if not self._dense:
-            self._sorted_keys = self._sorted_rows = None
-
-    def _sorted_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted ``(keys, rows)`` arrays of the hashed store, built on demand.
-
-        One O(n log n) sort per insert burst replaces the per-probe Python
-        ``dict.get`` loop of batch lookups with a single :func:`numpy.searchsorted`
-        -- the ROADMAP's "searchsorted batch lookup for hashed cache tables".
-        """
-        if self._sorted_keys is None:
-            keys = np.fromiter(self._row_of.keys(), dtype=np.int64,
-                               count=len(self._row_of))
-            rows = np.fromiter(self._row_of.values(), dtype=np.int64,
-                               count=len(self._row_of))
-            order = np.argsort(keys)
-            self._sorted_keys = keys[order]
-            self._sorted_rows = rows[order]
-        return self._sorted_keys, self._sorted_rows
+        if self._dense:
+            self._row_of[index] = row
+            return
+        self._pending[index] = row
+        if len(self._pending) > self._keys.size:
+            self._fold()
 
     def row(self, index: int) -> int:
         """Row of one space index, or -1 when it is not stored.
@@ -430,7 +438,13 @@ class CacheIndexTable:
         if self._dense:
             return (int(self._row_of[index])
                     if 0 <= index < self._cardinality else -1)
-        return self._row_of.get(index, -1)
+        if self._pending:
+            row = self._pending.get(index)
+            if row is not None:
+                return row
+        keys = self._key_view
+        pos = bisect_left(keys, index)
+        return self._row_view[pos] if pos < len(keys) and keys[pos] == index else -1
 
     def lookup_one(self, index: int) -> tuple[float, bool, bool]:
         """``(value, failure, found)`` of one space index (misses as in :meth:`row`)."""
@@ -452,12 +466,14 @@ class CacheIndexTable:
             in_range = (idx >= 0) & (idx < self._cardinality)
             rows[in_range] = self._row_of[idx[in_range]]
         else:
-            keys, key_rows = self._sorted_index()
+            if self._pending:
+                self._fold()
+            keys = self._keys
             if keys.size:
                 pos = np.searchsorted(keys, idx)
                 pos[pos == keys.size] = 0
                 hit = keys[pos] == idx
-                rows[hit] = key_rows[pos[hit]]
+                rows[hit] = self._rows[pos[hit]]
         found = rows >= 0
         values = np.full(idx.size, math.inf, dtype=float)
         failure = np.ones(idx.size, dtype=bool)

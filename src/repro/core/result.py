@@ -70,7 +70,7 @@ class LazyConfig(Mapping):
         return repr(self._materialize())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """A single evaluated configuration.
 
@@ -112,16 +112,20 @@ class Observation:
              evaluation_index: int, gpu: str, benchmark: str) -> "Observation":
         """Allocation fast path for the index-native runtime.
 
-        Field-for-field identical to the dataclass constructor but writes the
-        instance dictionary directly, skipping the frozen-field ``__setattr__``
-        machinery and ``__post_init__`` -- the caller guarantees ``config`` is
-        already a :class:`LazyConfig` or a dictionary it owns.  Millions of
-        observations per campaign make this worth the byte of ugliness.
+        Field-for-field identical to the dataclass constructor but sets the seven
+        slots through their member descriptors, skipping the frozen-field
+        ``__setattr__`` machinery and ``__post_init__`` -- the caller guarantees
+        ``config`` is already a :class:`LazyConfig` or a dictionary it owns.
+        Millions of observations per campaign make this worth the byte of ugliness.
         """
-        obs = cls.__new__(cls)
-        obs.__dict__.update(config=config, value=value, valid=valid, error=error,
-                            evaluation_index=evaluation_index, gpu=gpu,
-                            benchmark=benchmark)
+        obs = object.__new__(cls)
+        _set_config(obs, config)
+        _set_value(obs, value)
+        _set_valid(obs, valid)
+        _set_error(obs, error)
+        _set_evaluation_index(obs, evaluation_index)
+        _set_gpu(obs, gpu)
+        _set_benchmark(obs, benchmark)
         return obs
 
     @property
@@ -159,6 +163,12 @@ class Observation:
             gpu=data.get("gpu", ""),
             benchmark=data.get("benchmark", ""),
         )
+
+
+#: Slot setters of :meth:`Observation.fast` (member descriptors bypass the
+#: frozen ``__setattr__``).
+(_set_config, _set_value, _set_valid, _set_error, _set_evaluation_index, _set_gpu,
+ _set_benchmark) = (getattr(Observation, name).__set__ for name in Observation.__slots__)
 
 
 class TuningResult:

@@ -308,7 +308,15 @@ class SearchSpace:
         if idx.size and (idx.min() < 0 or idx.max() >= self._cardinality):
             raise InvalidConfigurationError(
                 f"indices out of range [0, {self._cardinality})")
-        return (idx[:, None] // self._places) % self._radices
+        # Peel the digits most significant first with scalar divisors:
+        # q_j = idx // place_j and digit_j = q_j - q_{j-1} * radix_j.
+        out = np.empty((idx.size, len(self._place_values)), dtype=np.int64)
+        prev = None
+        for j, (place, radix) in enumerate(zip(self._place_values, self._radices.tolist())):
+            q = idx // place
+            out[:, j] = q if prev is None else q - prev * radix
+            prev = q
+        return out
 
     def digits_to_indices(self, digits: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`indices_to_digits` (one matrix--vector product)."""

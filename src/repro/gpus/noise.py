@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -92,39 +91,49 @@ def keyed_hashes(prefix: Sequence[Any], keys: Iterable[bytes]) -> list[int]:
         h.update(key)
         h.update(_SEPARATOR)
         digests.append(h.digest())
-    return list(struct.unpack(f"<{len(digests)}Q", b"".join(digests)))
+    return np.frombuffer(b"".join(digests), "<u8").tolist()
 
 
-def _uniform_from_hash(value: int) -> float:
-    """Map a 64-bit hash to a uniform float in (0, 1)."""
-    return (value % (2**53)) / float(2**53) or 0.5 / float(2**53)
+def _uniforms(hashes: np.ndarray) -> np.ndarray:
+    """Map 64-bit hashes to uniform floats in (0, 1): the low 53 bits scaled by
+    ``2**-53``, with 0 mapped to ``0.5 * 2**-53``."""
+    u = (hashes & np.uint64(2**53 - 1)).astype(np.float64) * 2.0**-53
+    u[u == 0.0] = 0.5 * 2.0**-53
+    return u
 
 
-def lognormal_factors(seed_hashes: Iterable[int], sigma: float) -> list[float]:
+def lognormal_factors(seed_hashes: Sequence[int] | np.ndarray, sigma: float) -> np.ndarray:
     """Deterministic lognormal(0, sigma) multiplicative factors, one per hash.
 
     Uses the Box-Muller transform on two uniforms derived from each hash, so the
     factors' distribution matches ``exp(N(0, sigma))`` over the space of inputs.  The
-    transcendentals run in scalar :mod:`math` per hash: NumPy's ``log``/``cos``/``exp``
-    round differently on a fraction of inputs.
+    second uniform comes from ``stable_hash(seed_hash, "second")``.  The
+    transcendentals run in scalar :mod:`math` per hash (NumPy's ``log``/``cos``/
+    ``exp`` round differently on a fraction of inputs); ``sqrt`` and the products,
+    which IEEE arithmetic rounds alike either way, run in NumPy in the scalar
+    formula's order.
     """
+    hashes = np.asarray(seed_hashes, dtype=np.uint64)
+    n = hashes.size
     if sigma <= 0:
-        return [1.0 for _ in seed_hashes]
-    blake2b = hashlib.blake2b
-    out = []
-    for seed_hash in seed_hashes:
-        u1 = _uniform_from_hash(seed_hash)
-        # stable_hash(seed_hash, "second"), rendered in one update.
-        second = blake2b(b"%d\x1f'second'\x1f" % seed_hash, digest_size=8).digest()
-        u2 = _uniform_from_hash(struct.unpack("<Q", second)[0])
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        out.append(math.exp(sigma * z))
-    return out
+        return np.ones(n)
+    copy = hashlib.blake2b(digest_size=8).copy
+    seconds = []
+    for seed_hash in hashes.tolist():
+        h = copy()
+        h.update(b"%d\x1f'second'\x1f" % seed_hash)
+        seconds.append(h.digest())
+    u1 = _uniforms(hashes)
+    u2 = _uniforms(np.frombuffer(b"".join(seconds), "<u8"))
+    log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, n)
+    cos_u2 = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64, n)
+    z = np.sqrt(-2.0 * log_u1) * cos_u2
+    return np.fromiter(map(math.exp, (sigma * z).tolist()), np.float64, n)
 
 
 def lognormal_factor(seed_hash: int, sigma: float) -> float:
     """A deterministic lognormal(0, sigma) multiplicative factor from a hash."""
-    return lognormal_factors((seed_hash,), sigma)[0]
+    return float(lognormal_factors((seed_hash,), sigma)[0])
 
 
 def config_noise(gpu_name: str, benchmark: str, config: Mapping[str, Any],

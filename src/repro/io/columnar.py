@@ -130,12 +130,9 @@ def encode_failure_codes(valid: Sequence[bool], errors: Sequence[str]
     order, so the encoding -- and therefore the file bytes -- is a pure function
     of the row sequence).
     """
-    table: dict[str, int] = {}
+    table = {error: slot for slot, error in enumerate(dict.fromkeys(errors))}
     n = len(errors)
-    # ``len(table)`` is read before ``setdefault`` inserts, so a new string
-    # takes the next slot.
-    slots = np.fromiter((table.setdefault(error, len(table)) for error in errors),
-                        dtype=np.int32, count=n)
+    slots = np.fromiter(map(table.__getitem__, errors), dtype=np.int32, count=n)
     is_valid = np.fromiter(map(bool, valid), dtype=bool, count=n)
     return np.where(is_valid, -slots - 1, slots), list(table)
 

@@ -112,7 +112,15 @@ def outcome(reader):
 
 def check_lookups(cache, oracle):
     probe = np.arange(SPACE.cardinality)
-    for got, want in zip(cache.index_table().lookup(probe), oracle.lookup_indices(probe)):
+    wanted = oracle.lookup_indices(probe)
+    # Scalar probes first: a batch lookup folds the hashed table's pending inserts.
+    table = cache.index_table()
+    for index in probe.tolist():
+        value, failure, found = table.lookup_one(index)
+        assert (type(value), type(failure), type(found)) == (float, bool, bool)
+        assert same_float(value, wanted[0][index])
+        assert (failure, found) == (wanted[1][index], wanted[2][index])
+    for got, want in zip(table.lookup(probe), wanted):
         assert same_array(got, want)
 
 

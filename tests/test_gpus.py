@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
+import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +19,8 @@ from repro.gpus.memory import (
     read_only_cache_factor,
     vector_access_efficiency,
 )
-from repro.gpus.noise import config_noise, lognormal_factor, stable_hash
+from repro.gpus.noise import (config_noise, lognormal_factor, lognormal_factors,
+                              stable_hash)
 from repro.gpus.occupancy import compute_occupancy
 from repro.gpus.perfmodel import (
     ilp_factor,
@@ -142,6 +147,28 @@ class TestNoise:
 
     def test_zero_sigma_is_identity(self):
         assert lognormal_factor(12345, 0.0) == 1.0
+
+    def test_lognormal_factors_equal_the_per_hash_loop(self):
+        def reference(seed_hash, sigma):
+            # The scalar Box-Muller loop the columnar form replaced.
+            def uniform(value):
+                return (value % (2**53)) / float(2**53) or 0.5 / float(2**53)
+
+            u1 = uniform(seed_hash)
+            second = hashlib.blake2b(b"%d\x1f'second'\x1f" % seed_hash,
+                                     digest_size=8).digest()
+            u2 = uniform(struct.unpack("<Q", second)[0])
+            z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+            return math.exp(sigma * z)
+
+        rng = random.Random(11)
+        hashes = [0, 1, 2**53 - 1, 2**53, 2**64 - 1]
+        hashes += [rng.getrandbits(64) for _ in range(2000)]
+        for sigma in (0.015, 0.7):
+            got = lognormal_factors(hashes, sigma)
+            assert [float(f).hex() for f in got] == \
+                [reference(h, sigma).hex() for h in hashes]
+            assert lognormal_factor(hashes[3], sigma).hex() == reference(hashes[3], sigma).hex()
 
 
 class TestPerfmodelHelpers:

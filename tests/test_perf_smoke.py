@@ -85,6 +85,10 @@ GRID_SWEEP_DEDISPERSION_CEILING_S = 2.0
 #: Traced-allocation ceiling of a short grid sweep over Dedispersion's 123,863,040
 #: points (an eagerly built index range alone is 991 MB).
 GRID_SWEEP_PEAK_BYTES = 64 * 2**20
+#: Traced bytes per stored row of a hashed index table (two int64 columns).
+HASHED_TABLE_BYTES_PER_ROW = 32
+#: Traced bytes per ``Observation.fast`` instance (seven slots, no ``__dict__``).
+OBSERVATION_BYTES = 128
 
 
 def _timed(fn):
@@ -486,6 +490,65 @@ def test_grid_sweep_streams_its_index_range(benchmarks, gpu_3090):
     assert elapsed < GRID_SWEEP_DEDISPERSION_CEILING_S, (
         f"a 150-evaluation grid sweep over Dedispersion took {elapsed:.2f}s "
         f"(ceiling {GRID_SWEEP_DEDISPERSION_CEILING_S}s)")
+
+
+def test_hashed_index_table_holds_no_object_per_row(benchmarks, gpu_3090, tmp_path):
+    """Traced bytes per stored row of the hashed index table of a memory-mapped
+    10k-row hotspot cache, gated at ``HASHED_TABLE_BYTES_PER_ROW``.
+
+    Replay opens the six sampled paper caches (cardinalities 9.7M-124M, above
+    ``_DENSE_LOOKUP_MAX``) and probes them through this table.  Its one store is
+    a sorted int64 key array and the rows beside it: 16 B per row here.  With
+    the Python ``int -> row`` dict it kept before, it read 93 B per row, so a
+    regression to per-row Python objects trips the gate.
+    """
+    import tracemalloc
+
+    from repro.core.cache import EvaluationCache
+
+    cache = benchmarks["hotspot"].build_cache(gpu_3090, sample_size=10_000, seed=1)
+    path = cache.to_columnar(tmp_path / "hashed.col")
+    loaded = EvaluationCache.from_columnar(path, space=cache.space)
+    tracemalloc.start()
+    try:
+        table = loaded.index_table()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not table._dense and len(table) == 10_000
+    per_row = held / len(table)
+    assert per_row <= HASHED_TABLE_BYTES_PER_ROW, (
+        f"the hashed index table of a 10k-row cache holds {per_row:.0f} B per row "
+        f"(gate {HASHED_TABLE_BYTES_PER_ROW} B); it has likely gone back to a "
+        f"Python object per stored row")
+
+
+def test_fast_observation_has_no_instance_dict():
+    """Traced bytes per ``Observation.fast`` instance, gated at
+    ``OBSERVATION_BYTES``.
+
+    Every tuner evaluation and every decoded cache row is one observation, and
+    ~13,600 of them are alive at the end of a replay pass.  A slotted instance
+    reads 88 B here; one with a ``__dict__`` read 328 B, so the gate trips if the
+    slots go.
+    """
+    import tracemalloc
+
+    from repro.core.result import Observation
+
+    config, n = {"x": 1}, 10_000
+    kept = [None] * n
+    tracemalloc.start()
+    try:
+        for i in range(n):
+            kept[i] = Observation.fast(config, 1.0, True, "", 0, "GPU", "bench")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    per_instance = held / n
+    assert per_instance <= OBSERVATION_BYTES, (
+        f"Observation.fast instances take {per_instance:.0f} B each "
+        f"(gate {OBSERVATION_BYTES} B); the observation has likely lost its slots")
 
 
 def test_exact_constrained_count_gemm_under_ceiling(benchmarks):

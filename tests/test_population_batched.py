@@ -245,12 +245,20 @@ class TestBatchCodecs:
             small_space.decode_index([0.0])
 
     def test_digits_of_index_is_public_and_matches_codec(self, benchmarks):
-        space = benchmarks["pnpoly"].space
+        # The first and last index of each space, and one-value parameters at
+        # the front, in the middle and at the end of the digit order.
+        one_value = SearchSpace([Parameter("a", (7,)), Parameter("b", (1, 2, 3)),
+                                 Parameter("c", ("x",)), Parameter("d", (4, 5)),
+                                 Parameter("e", (0,))])
         rng = np.random.default_rng(9)
-        indices = rng.integers(0, space.cardinality, size=20)
-        batch = space.indices_to_digits(indices)
-        for k, index in enumerate(indices.tolist()):
-            assert np.array_equal(space.digits_of_index(index), batch[k])
+        for space in (benchmarks["pnpoly"].space, one_value):
+            indices = np.concatenate([[0, space.cardinality - 1],
+                                      rng.integers(0, space.cardinality, size=20)])
+            batch = space.indices_to_digits(indices)
+            assert batch.dtype == np.int64 and batch.shape == (indices.size,
+                                                               space.dimensions)
+            for k, index in enumerate(indices.tolist()):
+                assert np.array_equal(space.digits_of_index(index), batch[k])
 
 
 # ------------------------------------------------- memoized feasibility fast paths

@@ -50,6 +50,24 @@ class TestObservation:
         assert restored.is_failure and restored.error == "boom"
 
 
+    def test_slotted_fast_path_equals_the_constructor(self):
+        import dataclasses
+        import pickle
+
+        config = {"x": 1, "y": 2}
+        fast = Observation.fast(config, 1.5, True, "", 3, "GPU", "bench")
+        built = Observation(config=config, value=1.5, valid=True, error="",
+                            evaluation_index=3, gpu="GPU", benchmark="bench")
+        assert not hasattr(fast, "__dict__") and not hasattr(built, "__dict__")
+        assert fast == built
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.value = 2.0
+        assert pickle.loads(pickle.dumps(fast)) == fast
+        replaced = dataclasses.replace(fast, value=2.5, valid=False, error="oom")
+        assert (replaced.value, replaced.valid, replaced.error) == (2.5, False, "oom")
+        assert dataclasses.replace(replaced, value=1.5, valid=True, error="") == fast
+
+
 class TestTuningResult:
     def _result(self, values):
         result = TuningResult(benchmark="b", gpu="g", tuner="t", seed=0)
