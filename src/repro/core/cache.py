@@ -73,7 +73,9 @@ Two on-disk formats carry a cache, with one compatibility guarantee between them
   :meth:`EvaluationCache.from_json_text` is its inverse: it reads text exactly as
   the writer renders a cache without override rows (every campaign export) back
   against the same fragments into adopted columns, without a generic JSON parse
-  of the rows, and returns None for any other text.  That text is parsed with
+  of the rows, and returns None for any other text.  It takes the text as a
+  stream of pieces and reads it a chunk of rows at a time, so a file is loaded
+  without its whole text ever being held.  That text is parsed with
   :func:`json.loads` and inserted one row at a time by
   :meth:`EvaluationCache.from_dict`, override rows included, so either way the
   cache re-exports the bytes it was loaded from.
@@ -139,10 +141,12 @@ _SEP = ', "'
 _ROW_OPEN, _VALUE_KEY = '{"config": {', '}, "value": '
 #: Where the reader cuts the rows of an export into chunks: a row's start.
 _ROW_CUT = ", " + _ROW_OPEN + '"'
-#: Characters of row text per reader chunk.  It bounds the reader's token
-#: lists: at this size the reader's traced peak stays below that of the text read
-#: itself, and larger chunks read no faster.
-_JSON_READ_CHUNK_CHARS = 1 << 19
+#: Characters of row text per reader chunk: with a streamed text, the chunk and
+#: its token lists are most of what the reader holds.  On the 17,956-row gemm
+#: export (4.3 MB of text read in 16 KB pieces) 2^16 peaks at 1.2 traced MB and
+#: loads in ~53 ms; 2^15 peaks at 0.9 MB, 2^17 at 1.9 MB and 2^19 at 6.0 MB,
+#: none of them faster.
+_JSON_READ_CHUNK_CHARS = 1 << 16
 #: The text between a cache's JSON header and its first row.
 _OBSERVATIONS = ', "observations": ['
 #: The keys of a JSON header, in the order :meth:`EvaluationCache._header` writes.
@@ -175,15 +179,45 @@ def _refuse_constant(name: str) -> float:
     raise ValueError(f"{name} is not a JSON number")
 
 
-def _json_row_columns(text: str, start: int, end: int, space: SearchSpace,
+def _json_row_chunks(text: str, pos: int, pieces: Iterator[str], footer: str
+                     ) -> Iterator[str | None]:
+    """The JSON rows of ``text[pos:]`` and the ``pieces`` after it, up to the
+    ``footer`` the text ends in, as chunks of about
+    :data:`_JSON_READ_CHUNK_CHARS` characters cut where a row starts
+    (:data:`_ROW_CUT`, whose ``", "`` no chunk holds).  When the text does not
+    end in ``footer``, the last item is None.
+
+    Chunks are sliced at a moving position, and a piece is appended only to
+    the text past the last cut, so a text given whole is sliced once per chunk
+    and never copied again.
+    """
+    while True:
+        cut = text.find(_ROW_CUT, pos + _JSON_READ_CHUNK_CHARS)
+        if cut >= 0:
+            yield text[pos:cut]
+            pos = cut + 2
+            continue
+        piece = next(pieces, None)
+        if piece is None:
+            break
+        text, pos = text[pos:], 0
+        text += piece
+    end = len(text) - len(footer)
+    if end < pos or not text.endswith(footer):
+        yield None
+    elif end > pos:
+        yield text[pos:end]
+
+
+def _json_row_columns(chunks: Iterable[str | None], space: SearchSpace,
                       gpu: Any, benchmark: Any
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]] | None:
-    """``(indices, values, codes, errors)`` of the JSON rows ``text[start:end]``
-    when they are exactly what :meth:`EvaluationCache.iter_json` renders for a
-    cache without override rows (a value may be any JSON number), else None.
+    """``(indices, values, codes, errors)`` of the JSON row ``chunks``
+    (:func:`_json_row_chunks`) when they are exactly what
+    :meth:`EvaluationCache.iter_json` renders for a cache without override rows
+    (a value may be any JSON number), else None.
 
-    The rows are read in chunks of about :data:`_JSON_READ_CHUNK_CHARS`, cut
-    where a row starts.  A chunk split on :data:`_SEP` has ``k + 5`` tokens per
+    A chunk split on :data:`_SEP` has ``k + 5`` tokens per
     row (``k`` parameters; a row's benchmark and the next row's first entry
     share one), so a strided slice gives each field.  Config tokens map to
     digits through dicts of the writer's fragments; the values of a chunk are
@@ -192,7 +226,8 @@ def _json_row_columns(text: str, start: int, end: int, space: SearchSpace,
     ``true`` or ``false``, and each distinct ``"error"`` token is parsed once
     and must re-render to its text; ``evaluation_index`` must be the row and
     gpu/benchmark this cache's.  Every token is checked where it stands, so the
-    chunk is the writer's text for the rows it returns.
+    chunk is the writer's text for the rows it returns.  A None chunk (text
+    that does not end as the writer's does) returns None.
     """
     try:
         entries, tail = _json_row_parts(space, gpu, benchmark)
@@ -222,12 +257,11 @@ def _json_row_columns(text: str, start: int, end: int, space: SearchSpace,
     errors: list[str] = []
     slot_of: dict[str, int] = {}  # error token -> slot in errors
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    row, pos = 0, start
-    while pos < end:
-        cut = text.find(_ROW_CUT, min(pos + _JSON_READ_CHUNK_CHARS, end), end)
-        cut = end if cut < 0 else cut
-        tokens = text[pos:cut].split(_SEP)
-        pos = cut + 2
+    row = 0
+    for text in chunks:
+        if text is None:
+            return None
+        tokens = text.split(_SEP)
         m, rest = divmod(len(tokens) - 1, stride)
         if rest or not m or tokens[-1] != last_token:
             return None
@@ -888,30 +922,41 @@ class EvaluationCache:
         yield "]}"
 
     @classmethod
-    def from_json_text(cls, text: str, space: SearchSpace | None = None,
+    def from_json_text(cls, text: str | Iterable[str], space: SearchSpace | None = None,
                        envelope: tuple[str, str] = ("", "")
                        ) -> "EvaluationCache | None":
         """The inverse of :meth:`iter_json`: the cache ``text`` renders, or None.
 
         ``text`` is the cache's JSON text between ``envelope[0]`` and
-        ``envelope[1]`` (what :func:`repro.io.cachefile.save_cache` wraps it in).
-        When that text is exactly what :meth:`iter_json` renders for a cache
-        without override rows -- a value may be any JSON number -- the cache is
+        ``envelope[1]`` (what :func:`repro.io.cachefile.save_cache` wraps it in),
+        given whole or as an iterable of consecutive pieces of any size, which
+        is read once and in order: no more than a chunk of rows
+        (:data:`_JSON_READ_CHUNK_CHARS`) and a piece is held at once.  When
+        that text is exactly what :meth:`iter_json` renders for a cache without
+        override rows -- a value may be any JSON number -- the cache is
         returned with its columns adopted (:meth:`attach_columns`), without a
         dict or an :class:`Observation` per row.  Any other text (a re-added or
         repeated config, foreign rows, another spelling or key order) returns
-        None; parsed as JSON and inserted by :meth:`from_dict`, it gives the
-        same cache.  The header must re-render to the same text, and the rows
-        are read against the writer's fragments (:func:`_json_row_columns`).
-        ``space`` may be supplied to reuse an existing space object.
+        None, possibly before the pieces are used up; parsed as JSON and
+        inserted by :meth:`from_dict`, it gives the same cache.  The header
+        must re-render to the same text, the rows are read against the
+        writer's fragments (:func:`_json_row_columns`) and the text must end in
+        ``"]}"`` and ``envelope[1]``.  ``space`` may be supplied to reuse an
+        existing space object.
         """
         prefix, suffix = envelope
-        end = len(text) - len(suffix) - len("]}")
-        mark = text.find(_OBSERVATIONS, len(prefix))
-        if (mark < 0 or mark + len(_OBSERVATIONS) > end or not text.startswith(prefix)
-                or not text.endswith("]}" + suffix)):
+        pieces = iter((text,) if isinstance(text, str) else text)
+        buffer, mark = "", -1
+        for piece in pieces:
+            seen = len(buffer)
+            buffer += piece
+            mark = buffer.find(_OBSERVATIONS,
+                               max(len(prefix), seen - len(_OBSERVATIONS) + 1))
+            if mark >= 0:
+                break
+        if mark < 0 or not buffer.startswith(prefix):
             return None
-        head = text[len(prefix):mark] + "}"
+        head = buffer[len(prefix):mark] + "}"
         try:
             header = json.loads(head)
         except ValueError:
@@ -928,8 +973,9 @@ class EvaluationCache:
         cache = cls(benchmark=header["benchmark"], gpu=header["gpu"], space=space,
                     exhaustive=header["exhaustive"])
         cache.metadata.update(header["metadata"])
-        columns = _json_row_columns(text, mark + len(_OBSERVATIONS), end, space,
-                                    cache.gpu, cache.benchmark)
+        chunks = _json_row_chunks(buffer, mark + len(_OBSERVATIONS), pieces, "]}" + suffix)
+        del buffer  # the chunks hold the only reference, so carved text is freed
+        columns = _json_row_columns(chunks, space, cache.gpu, cache.benchmark)
         if columns is None:
             return None
         try:

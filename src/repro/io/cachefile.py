@@ -15,10 +15,12 @@ cache's columns in row chunks (:meth:`~repro.core.cache.EvaluationCache.iter_jso
 and feeds them through one gzip writer, so no payload dict, whole string or
 in-memory gzip buffer is built, yet the file holds exactly those bytes.
 :func:`load_cache` reads such a file back as that method's inverse
-(:meth:`~repro.core.cache.EvaluationCache.from_json_text`): the text is read once
-(shared with :func:`read_json`) and the rows are matched against the writer's own
-fragments, so a campaign export is never parsed as generic JSON.  Any other
-cache file is parsed with :func:`json.loads` and loaded one row at a time.
+(:meth:`~repro.core.cache.EvaluationCache.from_json_text`): the file is read,
+inflated and decoded in bounded pieces (the one read path, which :func:`read_json`
+joins) and the rows are matched a chunk at a time against the writer's own
+fragments, so a campaign export is never parsed as generic JSON and neither its
+whole text nor its whole file is ever held.  Any other cache file is read again
+whole, parsed with :func:`json.loads` and loaded one row at a time.
 
 The module also provides the low-level persistence primitives the campaign-execution
 subsystem (:mod:`repro.exec`) builds on:
@@ -42,15 +44,17 @@ export format of final caches only.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import gzip
 import json
 import os
 import uuid
 import zlib
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.core.cache import EvaluationCache
 from repro.core.errors import SerializationError
@@ -138,27 +142,74 @@ def atomic_write_json(payload: Any, path: str | Path) -> Path:
 #: First two bytes of every gzip member (RFC 1952).
 _GZIP_MAGIC = b"\x1f\x8b"
 
+#: Bytes per read of a JSON file, and the most one piece inflates to.  The cap
+#: is on the inflated piece, not on the compressed read: gzip shrinks a campaign
+#: export ~16x, so one read would otherwise become ~256 KB of text.  Reads of
+#: 32-64 KB load the gemm export no faster and peak higher.
+_PIECE_BYTES = 1 << 14
 
-def _read_text(path: Path) -> str:
-    """The text of a JSON file, read once and gunzipped when it is gzip.
+
+def _inflate(blocks: Iterable[bytes]) -> Iterator[bytes]:
+    """The inflated bytes of the gzip stream ``blocks``, in pieces of at most
+    :data:`_PIECE_BYTES`.
+
+    As the :mod:`gzip` module does, it reads every member of the stream and skips
+    NUL padding between members; each member's CRC and length are checked.
+    Bytes after a member that do not start another raise :class:`zlib.error`,
+    and a stream that ends inside a member raises :class:`EOFError`.
+    """
+    inflater = None  # None between members
+    for block in blocks:
+        while block:
+            if inflater is None:
+                block = block.lstrip(b"\0")
+                if not block:
+                    break
+                inflater = zlib.decompressobj(wbits=31)  # gzip header and trailer
+            piece = inflater.decompress(block, _PIECE_BYTES)
+            if piece:
+                yield piece
+            if inflater.eof:
+                block, inflater = inflater.unused_data, None
+            else:
+                block = inflater.unconsumed_tail
+    if inflater is not None:
+        raise EOFError("compressed file ended before the end-of-stream marker was reached")
+
+
+def _text_pieces(path: Path) -> Iterator[str]:
+    """The text of a JSON file, in pieces of at most :data:`_PIECE_BYTES`
+    characters, gunzipped when it is gzip.
 
     Compression is detected by content (the gzip magic ``1f 8b``), not by
     suffix; a ``.gz`` file that is not gzip, a truncated or corrupt gzip stream
-    and bytes that are not UTF-8 raise :class:`SerializationError`.
+    and bytes that are not UTF-8 raise :class:`SerializationError` naming the
+    file, from the piece where the fault shows.  Neither the whole text nor the
+    whole file is ever held; close the generator to release the file early.
     """
     try:
-        data = path.read_bytes()
-        gzipped = data[:len(_GZIP_MAGIC)] == _GZIP_MAGIC
-        if path.suffix.lower() == ".gz" and not gzipped:
-            raise SerializationError(
-                f"{path} has a .gz suffix but does not start with the gzip "
-                f"magic bytes (found {data[:len(_GZIP_MAGIC)]!r}); the file is "
-                f"mislabelled or was damaged on disk")
-        if gzipped:
-            data = gzip.decompress(data)
-        return data.decode("utf-8")
+        with path.open("rb") as handle:
+            magic = handle.read(len(_GZIP_MAGIC))
+            gzipped = magic == _GZIP_MAGIC
+            if path.suffix.lower() == ".gz" and not gzipped:
+                raise SerializationError(
+                    f"{path} has a .gz suffix but does not start with the gzip "
+                    f"magic bytes (found {magic!r}); the file is "
+                    f"mislabelled or was damaged on disk")
+            blocks = chain([magic], iter(partial(handle.read, _PIECE_BYTES), b""))
+            decoder = codecs.getincrementaldecoder("utf-8")()
+            for block in _inflate(blocks) if gzipped else blocks:
+                text = decoder.decode(block)
+                if text:
+                    yield text
+            decoder.decode(b"", final=True)
     except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
         raise SerializationError(f"could not read {path}: {exc}") from exc
+
+
+def _read_text(path: Path) -> str:
+    """The whole text of a JSON file: the joined :func:`_text_pieces`."""
+    return "".join(_text_pieces(path))
 
 
 def _parse_json(text: str, path: Path) -> Any:
@@ -171,11 +222,11 @@ def _parse_json(text: str, path: Path) -> Any:
 def read_json(path: str | Path) -> Any:
     """Read a JSON payload written by :func:`atomic_write_json`.
 
-    The file is read as text the way :func:`load_cache` reads it -- once, with
-    gzip detected by its magic bytes, so a gzipped file with a wrong or
-    odd-cased extension still reads -- and parsed with :func:`json.loads`.  A
-    damaged file (see :func:`_read_text`) or text that is not JSON raises
-    :class:`SerializationError`.
+    The file is read through the same pieces :func:`load_cache` reads
+    (:func:`_text_pieces`: gzip detected by its magic bytes, so a gzipped file
+    with a wrong or odd-cased extension still reads), joined and parsed with
+    :func:`json.loads`.  A damaged file or text that is not JSON raises
+    :class:`SerializationError` naming the file.
     """
     path = Path(path)
     return _parse_json(_read_text(path), path)
@@ -218,14 +269,16 @@ def save_cache(cache: EvaluationCache, path: str | Path) -> Path:
 def load_cache(path: str | Path, space: SearchSpace | None = None) -> EvaluationCache:
     """Read a campaign cache written by :func:`save_cache`.
 
-    The file is read once as text (gzip sniffed as :func:`read_json` does).
-    Every campaign export -- the text :func:`save_cache` writes for a cache
-    without override rows -- is read back against the writer's own fragments
+    The file is streamed as text in bounded pieces (gzip sniffed as
+    :func:`read_json` does), so neither its whole text nor its whole bytes are
+    held.  Every campaign export -- the text :func:`save_cache` writes for a
+    cache without override rows -- is read back a chunk of rows at a time
+    against the writer's own fragments
     (:meth:`~repro.core.cache.EvaluationCache.from_json_text`) into adopted
     columns, with no generic JSON parse of the rows.  Any other file (a
     re-added config, foreign rows, ``1.0`` or ``true`` where the space holds
-    ``1``, other whitespace or key order) is parsed with :func:`json.loads` and
-    stored one row at a time
+    ``1``, other whitespace or key order) is read again whole, parsed with
+    :func:`json.loads` and stored one row at a time
     (:meth:`~repro.core.cache.EvaluationCache.from_dict`).  Either way the
     loaded cache re-saves to the same bytes.  A damaged file, the wrong format
     version, a payload that is not a cache, a malformed row or a config outside
@@ -242,10 +295,12 @@ def load_cache(path: str | Path, space: SearchSpace | None = None) -> Evaluation
         :class:`~repro.core.constraints.ConstraintSerializationWarning`.
     """
     path = Path(path)
-    text = _read_text(path)
-    cache = EvaluationCache.from_json_text(text, space=space, envelope=_CACHE_ENVELOPE)
+    with contextlib.closing(_text_pieces(path)) as pieces:
+        cache = EvaluationCache.from_json_text(pieces, space=space,
+                                               envelope=_CACHE_ENVELOPE)
     if cache is not None:
         return cache
+    text = _read_text(path)
     payload = _expect_payload(_parse_json(text, path), path, "cache", "format_version",
                               FORMAT_VERSION)
     del text
@@ -278,8 +333,9 @@ def load_manifest(path: str | Path) -> dict[str, Any]:
     """Read a manifest written by :func:`save_manifest`.
 
     Returns a dict with ``"plan"`` (the serialized shard plan) and
-    ``"fingerprints"`` (empty when the plan was bound without them).  A manifest that does not record the columnar fragment format
-    belongs to a JSON-fragment checkpoint of an earlier release and raises
+    ``"fingerprints"`` (empty when the plan was bound without them).  A
+    manifest that does not record the columnar fragment format belongs to a
+    JSON-fragment checkpoint of an earlier release and raises
     :class:`SerializationError`: its fragments cannot be read here.
     """
     path = Path(path)

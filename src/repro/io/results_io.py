@@ -6,14 +6,11 @@ random-search repetitions of a convergence experiment) in a single JSON file.
 
 from __future__ import annotations
 
-import gzip
-import json
 from pathlib import Path
 from typing import Sequence
 
-from repro.core.errors import SerializationError
 from repro.core.result import TuningResult
-from repro.io.cachefile import atomic_write_json
+from repro.io.cachefile import _expect_payload, atomic_write_json, read_json
 
 __all__ = ["save_results", "load_results"]
 
@@ -37,19 +34,15 @@ def save_results(results: Sequence[TuningResult] | TuningResult, path: str | Pat
 
 
 def load_results(path: str | Path) -> list[TuningResult]:
-    """Read tuning results written by :func:`save_results`."""
+    """Read tuning results written by :func:`save_results`.
+
+    The file is read like every JSON file of the suite
+    (:func:`~repro.io.cachefile.read_json`: gzip sniffed by content); a damaged
+    file, text that is not JSON or a payload that is not a results file of
+    this format version raises :class:`~repro.core.errors.SerializationError`
+    naming the file.
+    """
     path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
-    try:
-        with opener(path, "rt", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SerializationError(f"could not read results file {path}: {exc}") from exc
-    if not isinstance(payload, dict) or "results" not in payload:
-        raise SerializationError(f"{path} is not a results file (missing 'results' key)")
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise SerializationError(
-            f"{path} has unsupported results format version {version!r} "
-            f"(expected {FORMAT_VERSION})")
+    payload = _expect_payload(read_json(path), path, "results", "format_version",
+                              FORMAT_VERSION)
     return [TuningResult.from_dict(d) for d in payload["results"]]

@@ -286,6 +286,27 @@ class TestResultFiles:
         with pytest.raises(SerializationError):
             load_results(tmp_path / "missing.json")
 
+    def test_truncated_gzip_names_the_file(self, tmp_path):
+        path = save_results(self._result(), tmp_path / "runs.json.gz")
+        path.write_bytes(path.read_bytes()[:-12])  # no end-of-stream marker
+        with pytest.raises(SerializationError, match=re.escape(str(path))) as info:
+            load_results(path)
+        assert isinstance(info.value.__cause__, EOFError)
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "runs.json"
+        path.write_bytes(b'{"format_version": 1, "results": ["\xff\xfe"]}')
+        with pytest.raises(SerializationError, match=re.escape(str(path))) as info:
+            load_results(path)
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+    def test_gzipped_file_with_odd_cased_suffix_reads(self, tmp_path):
+        gz = save_results([self._result(), self._result()], tmp_path / "runs.json.gz")
+        odd = tmp_path / "runs.json.GZ"
+        odd.write_bytes(gz.read_bytes())
+        assert [r.to_dict() for r in load_results(odd)] == [
+            r.to_dict() for r in load_results(gz)]
+
     def test_repeated_saves_are_byte_identical(self, tmp_path, monkeypatch):
         # gzip headers carry neither the wall clock nor the file name.
         import time as _time

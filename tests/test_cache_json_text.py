@@ -21,13 +21,25 @@ recognise goes through :func:`json.loads` and the per-row
   (whitespace, key order, ``1.0`` for ``1``, ``NaN``/``Infinity``, ``1.50``,
   ``1e2``, a repeated config, a foreign ``evaluation_index`` or gpu, an extra
   field, a truncated row) loads equal to the oracle and re-saves what the
-  oracle saves; text that is not JSON is refused like the oracle refuses it.
+  oracle saves; text that is not JSON is refused like the oracle refuses it;
+* the streamed read (``load_cache`` reads, inflates and decodes a file in
+  bounded pieces and the reader carves them into row chunks): with pieces of a
+  few bytes, an export split into gzip members (NUL padding or not) and a
+  non-ASCII export take the reader, UTF-8 split between reads decodes whole, a
+  damaged gzip trailer or bytes after the last member are refused naming the
+  file, a foreign last row falls back with the file closed, and any split of a
+  text into pieces reads like the whole text.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gzip
+import inspect
 import json
 import math
+import re
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -367,3 +379,175 @@ def test_value_json_cannot_read_back_is_refused(tmp_path):
                                           envelope=cachefile._CACHE_ENVELOPE) is None
     with pytest.raises(SerializationError, match="observation 0 "):
         load_cache(path, space=space)
+
+
+# ------------------------------------------------------------- streamed reads
+
+
+#: Read and piece sizes in bytes: every byte its own piece, and a few odd
+#: sizes, so that pieces end inside the header, the observations opener, a
+#: row cut, a UTF-8 sequence, a gzip header or trailer and the footer.
+PIECES = (1, 2, 3, 7, 64)
+
+
+def load_streamed(path, piece, chunk=40, takes_reader=True):
+    """``load_cache(path)`` read in ``piece``-byte pieces and ``chunk``-character
+    row chunks; with ``takes_reader`` the per-row fallback must not run."""
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(cachefile, "_PIECE_BYTES", piece))
+        stack.enter_context(mock.patch.object(cache_module, "_JSON_READ_CHUNK_CHARS", chunk))
+        if takes_reader:
+            stack.enter_context(mock.patch.object(
+                EvaluationCache, "from_dict",
+                side_effect=AssertionError("fell back to from_dict")))
+        return load_cache(path)
+
+
+def unicode_cache():
+    space = SearchSpace([Parameter("mode", ("é", "€", "𝄞", "a€é𝄞")),
+                         Parameter("n", (1, 2, 3))], name="ünï")
+    cache = EvaluationCache("b€nch", "GPU é", space)
+    for index in range(space.cardinality):
+        cache.add(space.config_at(index), 1.5 + index, valid=index % 3 != 1,
+                  error=("é", "€", "𝄞 astral")[index % 3])
+    return cache
+
+
+@pytest.mark.parametrize("piece", PIECES)
+@pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+def test_non_ascii_export_read_in_small_pieces_takes_the_reader(piece, suffix, tmp_path):
+    # The writer escapes non-ASCII text (json.dumps' ensure_ascii), so the
+    # escapes of "é", "€" and an astral character straddle pieces and chunks.
+    path = save_cache(unicode_cache(), tmp_path / f"unicode{suffix}")
+    text = cachefile._read_text(path)
+    loaded = load_streamed(path, piece)
+    assert_same(loaded, oracle_of(text))
+    assert save_cache(loaded, tmp_path / f"again{suffix}").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("piece", PIECES)
+@pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+def test_utf8_straddling_reads_decodes(piece, suffix, tmp_path):
+    # Unescaped UTF-8 (1-4 bytes a character) split between reads decodes
+    # whole; it is not the writer's text, so the per-row path loads it.
+    text = json.dumps({"format_version": 1, "cache": unicode_cache().to_dict()},
+                      ensure_ascii=False)
+    data = text.encode()
+    assert {len(c.encode()) for c in text} == {1, 2, 3, 4}
+    path = tmp_path / f"utf8{suffix}"
+    path.write_bytes(gzip.compress(data, mtime=0) if suffix.endswith(".gz") else data)
+    with mock.patch.object(cachefile, "_PIECE_BYTES", piece):
+        assert cachefile._read_text(path) == text
+    assert_same(load_streamed(path, piece, takes_reader=False), oracle_of(text))
+
+
+@SETTINGS
+@hypothesis.given(cache=hand_caches(min_rows=1), at=st.floats(0, 1),
+                  padding=st.sampled_from((0, 1, 9)), piece=st.sampled_from(PIECES),
+                  chunk=st.sampled_from(CHUNKS))
+def test_export_split_into_gzip_members_takes_the_reader(cache, at, padding, piece,
+                                                         chunk, tmp_path):
+    # gzip.decompress reads every member of a stream and skips NUL padding
+    # between members; so does the streamed read, at any split byte.
+    data = json.dumps({"format_version": 1, "cache": cache.to_dict()}).encode()
+    k = int(at * len(data))
+    path = tmp_path / "members.json.gz"
+    path.write_bytes(gzip.compress(data[:k], mtime=0) + b"\0" * padding
+                     + gzip.compress(data[k:], mtime=0) + b"\0" * padding)
+    assert gzip.decompress(path.read_bytes()) == data
+    assert_same(load_streamed(path, piece, chunk), oracle_of(data.decode()))
+
+
+def gzip_export(tmp_path):
+    return save_cache(unicode_cache(), tmp_path / "export.json.gz")
+
+
+@pytest.mark.parametrize("byte", range(-8, 0))
+@pytest.mark.parametrize("piece", (1, 7, 1 << 14))
+def test_damaged_gzip_trailer_is_refused(byte, piece, tmp_path):
+    # The last eight bytes of a member are the CRC-32 and the length of its text.
+    path = gzip_export(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[byte] ^= 0x01
+    path.write_bytes(bytes(data))
+    with pytest.raises(SerializationError, match=re.escape(str(path))) as info:
+        load_streamed(path, piece, takes_reader=False)
+    assert isinstance(info.value.__cause__, zlib.error)
+
+
+@pytest.mark.parametrize("trailing", [b"x", b"\x1f", b"\x1f\x8b", b"\0\0junk",
+                                      b"PK\x03\x04"])
+@pytest.mark.parametrize("piece", (1, 7, 1 << 14))
+def test_bytes_after_the_gzip_member_are_refused(trailing, piece, tmp_path):
+    path = gzip_export(tmp_path)
+    path.write_bytes(path.read_bytes() + trailing)
+    with pytest.raises(SerializationError, match=re.escape(str(path))):
+        load_streamed(path, piece, takes_reader=False)
+
+
+@pytest.mark.parametrize("piece", (1, 7, 1 << 14))
+@pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+def test_text_ending_inside_a_utf8_sequence_is_refused(piece, suffix, tmp_path):
+    # What parses as JSON before the cut is no excuse: the last bytes are not UTF-8.
+    data = b'{"format_version": 1, "cache": {}}' + "€".encode()[:2]
+    path = tmp_path / f"cut{suffix}"
+    path.write_bytes(gzip.compress(data, mtime=0) if suffix.endswith(".gz") else data)
+    with pytest.raises(SerializationError, match=re.escape(str(path))) as info:
+        load_streamed(path, piece, takes_reader=False)
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+
+@pytest.mark.parametrize("piece", (1, 7, 1 << 14))
+@pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+def test_foreign_last_row_falls_back_and_closes_the_file(piece, suffix, tmp_path):
+    # The reader reads every row before it meets the foreign one, returns None,
+    # and its pieces are closed (the file with them) before the whole re-read.
+    cache = unicode_cache()
+    payload = {"format_version": 1, "cache": cache.to_dict()}
+    payload["cache"]["observations"][-1]["gpu"] = "OTHER"
+    path = tmp_path / f"foreign{suffix}"
+    cachefile.atomic_write_json(payload, path)
+    text_pieces, opened = cachefile._text_pieces, []
+
+    def spy(path):
+        opened.append(pieces := text_pieces(path))
+        return pieces
+
+    with mock.patch.object(cachefile, "_text_pieces", spy):
+        loaded = load_streamed(path, piece, takes_reader=False)
+    assert_same(loaded, oracle_of(json.dumps(payload)))
+    assert len(opened) == 2 and all(
+        inspect.getgeneratorstate(g) == inspect.GEN_CLOSED for g in opened)
+
+
+def split(text, cuts):
+    bounds = sorted({round(c * len(text)) for c in cuts} | {0, len(text)})
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+#: Text the reader must read the same whole or in pieces: canonical rows, a
+#: broken footer or header and trailing text.
+ENDINGS = {
+    "canonical": lambda t: t,
+    "footer cut": lambda t: t[:-1],
+    "footer doubled": lambda t: t + "]}",
+    "footer misspelled": lambda t: t[:-2] + "]}",
+    "text after the footer": lambda t: t + ', {"config": {"x',
+    "no rows or footer": lambda t: t[:t.index('"observations": [') + 18],
+    "header respelled": lambda t: t.replace('"gpu": ', '"gpu":  ', 1),
+}
+
+
+@SETTINGS
+@hypothesis.given(cache=hand_caches(), ending=st.sampled_from(sorted(ENDINGS)),
+                  cuts=st.lists(st.floats(0, 1), max_size=12),
+                  chunk=st.sampled_from(CHUNKS))
+def test_pieces_read_like_the_whole_text(cache, ending, cuts, chunk, tmp_path):
+    text = ENDINGS[ending](cachefile._read_text(save_cache(cache, tmp_path / "c.json")))
+    with mock.patch.object(cache_module, "_JSON_READ_CHUNK_CHARS", chunk):
+        whole = EvaluationCache.from_json_text(text, envelope=cachefile._CACHE_ENVELOPE)
+        streamed = EvaluationCache.from_json_text(iter(split(text, cuts)),
+                                                  envelope=cachefile._CACHE_ENVELOPE)
+    assert (whole is None) == (streamed is None) == (ending != "canonical")
+    if whole is not None:
+        assert_same(streamed, whole)

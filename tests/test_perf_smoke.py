@@ -52,7 +52,7 @@ CACHE_REPLAY_OPEN_CEILING_S = 2.0
 #: add_observation per row read 1.36-1.68.
 JSON_LOAD_VS_ORACLE_MAX_RATIO = 0.9
 #: Load vs the generic parse: load_cache (the text reader) vs
-#: read_json of the same file (gunzip + json.loads; the text read is shared).
+#: read_json of the same file (the same streamed read, joined, + json.loads).
 #: Readings: 0.55-0.76 in 22 runs of the gate alone (8 next to a busy-loop
 #: process) and 0.62-0.74 in 7 full tier-1 runs, but one more tier-1 run read
 #: 0.88 (five pairs), read_json taking 89 ms instead of ~120 ms in a heap where
@@ -72,6 +72,13 @@ JSON_LOAD_VS_READ_JSON_MAX_RATIO = 0.9
 #: level-9 gzip writer, 0.62-0.72 (deflate is the shared floor); a save that
 #: builds to_dict() again does the reference's work and read 0.89-1.07.
 JSON_SAVE_VS_DUMPS_MAX_RATIO = 0.8
+#: Traced peak of load_cache on the gemm RTX_3090 export over its gunzipped text
+#: (4.3 MB).  The file is inflated, decoded and read in bounded pieces, so no
+#: whole text is alive: 1.2 MB, 0.28x, in 64K-character row chunks.  Any whole
+#: copy of the text or of the gunzipped bytes costs 1.0x by itself; reading it
+#: whole as before peaked at 10.2 MB, 2.4x, and 2^19-character row chunks over
+#: streamed pieces at 6.0 MB, 1.4x.
+JSON_LOAD_PEAK_VS_TEXT_MAX_RATIO = 0.5
 #: ``to_dict`` of the 17,956-row gemm RTX_3090 cache opened from a columnar file
 #: (best of three).  Exported straight off the adopted columns it takes
 #: ~0.06-0.08 s on a 2-vCPU host; materialising one Observation per row first
@@ -384,8 +391,8 @@ def test_json_load_of_gemm_export_beats_the_per_row_oracle(gemm_export):
 def test_json_load_of_gemm_export_beats_json_loads(gemm_export):
     # load_cache reads the export back against the writer's fragments: one
     # split per chunk of rows, dict lookups per config column and one
-    # json.loads of each chunk's values.  read_json shares the text read and
-    # parses every row as generic JSON.
+    # json.loads of each chunk's values.  read_json joins the same streamed
+    # read and parses every row as generic JSON.
     _, path = gemm_export
     ratio, loaded, parsed = _paired_ratio_in_fresh_interpreter(
         "from repro.io import load_cache\nfrom repro.io.cachefile import read_json\n"
@@ -419,6 +426,30 @@ def test_json_load_of_gemm_export_peaks_no_higher_than_json_loads(gemm_export):
         f"{peaks['load_cache'] / 2**20:.1f} MB of traced allocations, read_json "
         f"at {peaks['read_json'] / 2**20:.1f} MB; the text reader has likely "
         f"stopped chunking its rows or fallen back to the generic parse")
+
+
+def test_json_load_of_gemm_export_holds_no_whole_text(gemm_export):
+    # load_cache streams the export: gzip pieces of bounded size, decoded
+    # incrementally and carved into row chunks, so its traced peak is a small
+    # fraction of the text it reads.
+    import gzip
+    import tracemalloc
+
+    from repro.io import load_cache
+
+    _, path = gemm_export
+    text_bytes = len(gzip.decompress(path.read_bytes()))
+    tracemalloc.start()
+    try:
+        load_cache(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < JSON_LOAD_PEAK_VS_TEXT_MAX_RATIO * text_bytes, (
+        f"load_cache of the 17,956-row gemm export peaked at {peak / 2**20:.1f} MB "
+        f"of traced allocations, {peak / text_bytes:.2f}x its "
+        f"{text_bytes / 2**20:.1f} MB of text (gate {JSON_LOAD_PEAK_VS_TEXT_MAX_RATIO}x); "
+        f"the read has likely stopped streaming or its chunks have grown")
 
 
 def test_streamed_save_of_gemm_cache_beats_json_dumps(gemm_export, tmp_path):
