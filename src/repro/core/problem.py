@@ -77,42 +77,30 @@ class TuningProblem:
         for ``evaluate_fn``.  Must be element-wise equivalent to
         ``evaluate_fn(space.config_at(index))``, including what it raises (cache
         replays supply one; see :meth:`repro.core.cache.EvaluationCache.to_problem`).
-    peek_index_fn:
-        Optional *side-effect-free* batch preview of the index objective:
-        ``index_array -> (values, failure, raises)`` where ``values[k]`` is exactly
-        what ``evaluate_index_fn`` would return for index ``k``, ``failure[k]`` is
-        True exactly when evaluating it would yield an invalid observation, and
-        ``raises[k]`` is True when the objective would raise (so the error string
-        cannot be derived from the value alone and the row must evaluate through
-        the scalar path).  Peeking consumes no budget, no memo and produces no
-        observations; only deterministic pure-lookup objectives (cache replays)
-        may supply it.  It is what lets tuners run whole neighbourhoods through
-        one array probe and then *evaluate* exactly the prefix the sequential
-        loop would have.
-    peek_one_fn:
-        Optional scalar twin of ``peek_index_fn``: ``index -> (value, failure,
-        raises)`` for a single index, element-wise identical to the batch peek.
-        Generation-batched population tuners peek one candidate at a time (each
-        candidate's construction depends on the previous one's value), so a
-        dictionary-probe scalar peek sidesteps the per-candidate array overhead
-        of the batch form.  When omitted, :meth:`peek_index` wraps the batch
-        peek with a one-element array.
+    lookup_indices_fn:
+        Optional *side-effect-free* batch lookup of the index objective, read
+        by :meth:`evaluate_indices` for pre-validated runs (grid sweeps, initial
+        populations): ``index_array -> (values, failure, raises)`` where
+        ``values[k]`` is exactly what ``evaluate_index_fn`` would return for index
+        ``k``, ``failure[k]`` is True exactly when evaluating it would yield an
+        invalid observation, and ``raises[k]`` is True when the objective would
+        raise (so the error string cannot be derived from the value alone and the
+        row must evaluate through the scalar path).  Only deterministic
+        pure-lookup objectives (cache replays) may supply it.
     """
 
     def __init__(self, name: str, space: SearchSpace,
                  evaluate_fn: Callable[[Mapping[str, Any]], float],
                  gpu: str = "", memoize: bool = True,
                  evaluate_index_fn: Callable[[int], float] | None = None,
-                 peek_index_fn: Callable[[Any], tuple[Any, Any]] | None = None,
-                 peek_one_fn: Callable[[int], tuple[float, bool, bool]] | None = None):
+                 lookup_indices_fn: Callable[[np.ndarray], tuple] | None = None):
         self.name = name
         self.space = space
         self.gpu = gpu
         self.memoize = memoize
         self._evaluate_fn = evaluate_fn
         self._evaluate_index_fn = evaluate_index_fn
-        self._peek_index_fn = peek_index_fn
-        self._peek_one_fn = peek_one_fn
+        self._lookup_indices_fn = lookup_indices_fn
         #: The memo: space index -> observation (configurations outside the space
         #: key by their canonical config tuple).
         self._memo: dict[int | tuple, Observation] = {}
@@ -229,60 +217,27 @@ class TuningProblem:
                 self.space.constraints.violated(config))
         return "configuration not a member of the search space"
 
-    def peek_indices(self, indices: np.ndarray | Sequence[int]
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Side-effect-free batch preview ``(values, failure, raises)`` of the
-        index objective, or None when the objective cannot be peeked (see
-        ``peek_index_fn``).  Peeking never counts as an evaluation."""
-        if self._peek_index_fn is None:
-            return None
-        return self._peek_index_fn(np.asarray(indices, dtype=np.int64))
-
-    @property
-    def peekable(self) -> bool:
-        """True when the objective supports side-effect-free previews."""
-        return self._peek_index_fn is not None or self._peek_one_fn is not None
-
-    def peek_index(self, index: int) -> tuple[float, bool, bool] | None:
-        """Scalar form of :meth:`peek_indices`: ``(value, failure, raises)`` of
-        one index, or None when the objective cannot be peeked.
-
-        Element-wise identical to the batch peek; the dedicated scalar callable
-        (when supplied) answers through a plain dictionary/array probe, which is
-        what makes peeking every candidate of a sequentially-constructed
-        population generation cheap.
-        """
-        if self._peek_one_fn is not None:
-            return self._peek_one_fn(index)
-        if self._peek_index_fn is None:
-            return None
-        values, failure, raises = self._peek_index_fn(
-            np.asarray([index], dtype=np.int64))
-        return float(values[0]), bool(failure[0]), bool(raises[0])
-
     def evaluate_indices(self, indices: np.ndarray | Sequence[int],
-                         valid_hint: bool | None = None,
-                         _peek: tuple | None = None) -> list[Observation]:
+                         valid_hint: bool | None = None) -> list[Observation]:
         """Batch form of :meth:`evaluate_index`, observation-identical to the loop.
 
         With ``valid_hint=None`` one truth-table static-validity mask covers the
         whole block; ``valid_hint=True`` asserts the caller already mask-checked
-        every index.  For peekable objectives and pre-validated indices the good
-        rows come from one array probe and skip the per-index objective dispatch
-        entirely -- the memo, ``evaluation_count`` and failure rows still flow
-        through the scalar path so the semantics cannot drift.
+        every index.  Pre-validated indices on an objective with a
+        ``lookup_indices_fn`` take their values from that one batch lookup and
+        skip the per-index objective dispatch -- the memo and
+        ``evaluation_count`` still advance row by row, and rows whose objective
+        raises take the scalar path, so the semantics cannot drift.
         """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             return []
-        if valid_hint is True and (_peek is not None
-                                   or self._peek_index_fn is not None):
-            values, failure, raises = (_peek if _peek is not None
-                                       else self._peek_index_fn(idx))
+        if valid_hint is True and self._lookup_indices_fn is not None:
+            values, failure, raises = self._lookup_indices_fn(idx)
             # ``tolist`` keeps values Python floats/bools (error strings repr them).
-            value_list = np.asarray(values).tolist()
-            failure_list = np.asarray(failure).tolist()
-            raises_list = np.asarray(raises).tolist()
+            value_list = values.tolist()
+            failure_list = failure.tolist()
+            raises_list = raises.tolist()
             memo = self._memo
             memo_get = memo.get
             memoize = self.memoize

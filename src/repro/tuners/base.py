@@ -26,6 +26,11 @@ problem's one memo (keyed by space index) decides whether it is measured again. 
 running best (index, value) pair is tracked in ``_track`` so index-native tuners that
 restart from the incumbent (greedy ILS) never have to recover an index from a
 configuration dictionary.
+
+Candidates settle one at a time through :meth:`Tuner.evaluate_index`.  A run of
+pre-validated indices known up front (a grid sweep, an initial population) settles
+through :meth:`Tuner.evaluate_index_run`: one budget charge and, on a cache replay,
+one batch lookup, recording the same observations as the per-index loop.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from repro.core.errors import BudgetExhaustedError, ReproError
 from repro.core.problem import TuningProblem
 from repro.core.result import Observation, TuningResult
 
-__all__ = ["GenerationRun", "Tuner"]
+__all__ = ["Tuner"]
 
 
 class Tuner(abc.ABC):
@@ -123,22 +128,21 @@ class Tuner(abc.ABC):
         self._account(index, observation)
         return observation
 
-    def evaluate_index(self, index: int, valid_hint: bool | None = None,
-                       ) -> Observation | None:
-        """Index-native twin of :meth:`evaluate`: evaluate one space index, record
-        it, and charge the budget.
+    def evaluate_index(self, index: int) -> Observation | None:
+        """Index-native twin of :meth:`evaluate`: evaluate one pre-validated space
+        index, record it, and charge the budget.
 
-        ``valid_hint=True`` is passed by tuners whose candidate already went through
-        the constraint truth-table mask (neighbourhood enumeration, valid sampling,
-        post-repair checks), skipping the redundant static check.  Returns None when
-        the budget is exhausted, like :meth:`evaluate`.
+        The candidate must already have passed the constraint truth-table mask
+        (neighbourhood enumeration, valid sampling, post-repair checks), so no
+        static check runs.  Returns None when the budget is exhausted, like
+        :meth:`evaluate`.
         """
         if self._problem is None or self._budget is None or self._result is None:
             raise RuntimeError("evaluate_index() called outside of tune()")
         if self._budget.exhausted:
             return None
         index = int(index)
-        observation = self._problem.evaluate_index(index, _valid_hint=valid_hint)
+        observation = self._problem.evaluate_index(index, _valid_hint=True)
         self._account(index, observation)
         return observation
 
@@ -151,8 +155,7 @@ class Tuner(abc.ABC):
             track[1] = observation.value
         self._result.record(observation)
 
-    def evaluate_index_run(self, indices: Any, _peek: tuple | None = None,
-                           ) -> list[Observation]:
+    def evaluate_index_run(self, indices: Any) -> list[Observation]:
         """Evaluate a run of pre-validated indices until the run or budget ends.
 
         The prefix the budget allows (:attr:`Budget.remaining_evaluations`) goes
@@ -170,10 +173,7 @@ class Tuner(abc.ABC):
         batch = index_list[:allowed]
         if not batch:
             return []
-        if _peek is not None and allowed < len(index_list):
-            _peek = tuple(col[:allowed] for col in _peek)
-        observations = self._problem.evaluate_indices(batch, valid_hint=True,
-                                                      _peek=_peek)
+        observations = self._problem.evaluate_indices(batch, valid_hint=True)
         track = self._track
         best_value = track[1]
         for index, obs in zip(batch, observations):
@@ -184,34 +184,6 @@ class Tuner(abc.ABC):
         self._budget.charge_bulk(len(batch))
         self._result.extend(observations)
         return observations
-
-    def generation_run(self) -> "GenerationRun":
-        """A :class:`GenerationRun` bound to this run's bookkeeping.
-
-        The population tuners' batching primitive: candidates are submitted one
-        at a time (peeked, never evaluated, on peekable problems) and settled
-        per generation with one bulk-accounted :meth:`evaluate_index_run`.
-        """
-        return GenerationRun(self)
-
-    def evaluate_generation(
-            self, candidates: "list[tuple[int, float, bool, bool]]") -> bool:
-        """Record one generation of peek-driven candidates in a single bulk run.
-
-        Each candidate is an ``(index, value, failure, raises)`` tuple holding
-        exactly what :meth:`TuningProblem.peek_indices` would have returned for
-        its index (the tuner collected them one candidate at a time while
-        simulating its generation).  The candidates settle through
-        :meth:`evaluate_index_run` with the peeked columns, so per observation
-        the bytes are identical to :meth:`evaluate_index` in a loop.  Returns
-        False when the budget truncated the generation or ran dry on its last
-        candidate, i.e. the run must stop.
-        """
-        if not candidates:
-            return not self.budget_exhausted
-        indices, values, failure, raises = zip(*candidates)
-        settled = self.evaluate_index_run(indices, _peek=(values, failure, raises))
-        return len(settled) == len(candidates) and not self.budget_exhausted
 
     def best_index_so_far(self) -> int | None:
         """Space index of the best valid observation so far (None before any).
@@ -268,86 +240,3 @@ class Tuner(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(seed={self.seed})"
-
-
-class GenerationRun:
-    """Generation-batched evaluation for population tuners.
-
-    The population tuners (genetic / differential evolution / particle swarm)
-    construct candidates sequentially -- every operator draw and every selection
-    decision may depend on the previous candidate's objective value -- so their
-    inner loops cannot be reordered without changing trajectories.  What *can*
-    move is the settlement: on peekable problems (cache replays) the objective
-    value of each candidate is revealed side-effect-free the moment it is
-    constructed, the tuner drives its population update off the peeked value, and
-    the whole generation is then evaluated in one bulk-accounted
-    :meth:`Tuner.evaluate_index_run` (one :meth:`Budget.charge_bulk`, one result
-    extend) instead of one :meth:`Tuner.evaluate_index` per candidate.  Per
-    observation the bytes are identical to the sequential loop.
-
-    On problems that cannot peek, :meth:`submit` simply evaluates the candidate
-    on the spot and :meth:`flush` is a budget check -- the tuner code is one loop
-    either way.
-
-    Usage, once per generation::
-
-        gen = self.generation_run()
-        for _ in range(generation_size):
-            ... draw operators, build candidate ...
-            fate = gen.submit(candidate_index)
-            if fate is None:
-                return                     # budget exhausted (sequential mode)
-            value, failed = fate
-            ... update population from (value, failed) ...
-        if not gen.flush():
-            return                         # generation truncated by the budget
-    """
-
-    __slots__ = ("_tuner", "_peek", "_pending")
-
-    def __init__(self, tuner: Tuner):
-        self._tuner = tuner
-        problem = tuner._problem
-        self._peek = (problem.peek_index
-                      if problem is not None and problem.peekable else None)
-        #: Queued ``(index, value, failure, raises)`` candidates of the current
-        #: generation (peeked mode only).
-        self._pending: list[tuple[int, float, bool, bool]] = []
-
-    def submit(self, index: int) -> tuple[float, bool] | None:
-        """Queue one pre-validated candidate; returns its ``(value, failed)`` fate.
-
-        The value is only meaningful when ``failed`` is False (failed
-        evaluations carry ``math.inf``, exactly like the observations they
-        become).  Returns None when the budget is exhausted -- only possible in
-        sequential mode, where submitting *is* evaluating; peeked generations
-        detect exhaustion at :meth:`flush`.
-        """
-        peek = self._peek
-        if peek is None:
-            obs = self._tuner.evaluate_index(index, valid_hint=True)
-            if obs is None:
-                return None
-            return obs.value, obs.is_failure
-        value, failed, raises = peek(index)
-        # The queue keeps the raw peeked value (the settle loop derives failure
-        # error strings from it); the returned fate carries what the eventual
-        # observation's ``value`` will be.
-        self._pending.append((index, value, failed, raises))
-        return (math.inf if failed else value), failed
-
-    def flush(self) -> bool:
-        """Settle the queued generation; False when the run must stop.
-
-        In peeked mode this is the one bulk evaluation of the generation; in
-        sequential mode everything is already settled and only the budget is
-        checked.  A False return means the budget ran out (possibly
-        mid-generation -- exactly the prefix the sequential loop would have
-        evaluated was recorded).
-        """
-        tuner = self._tuner
-        if self._peek is None or not self._pending:
-            return not tuner.budget_exhausted
-        pending = self._pending
-        self._pending = []
-        return tuner.evaluate_generation(pending)

@@ -10,13 +10,11 @@ The population state is array-native end to end: encoded position vectors come
 straight from the value columns (:meth:`~repro.core.searchspace.SearchSpace.encode_indices`),
 trial vectors snap to digit vectors through the padded encoded-value grid
 (:meth:`~repro.core.searchspace.SearchSpace.decode_index`, one broadcast argmin
-instead of a per-parameter scan), repair is one constraint check, and evaluation is
-generation-batched through :class:`~repro.tuners.base.GenerationRun`: on peekable
-problems each trial's value is revealed as it is constructed (selection must see it
-before the next trial exists -- replaced members can donate to later trials in the
-same sweep) and the whole generation settles in one bulk-accounted run.  The
-generator stream is consumed in exactly the sequential order, so trajectories are
-byte-identical to the per-candidate loop.
+instead of a per-parameter scan) and repair is one constraint check.  The initial
+population settles in one :meth:`~repro.tuners.base.Tuner.evaluate_index_run`;
+each trial settles through :meth:`~repro.tuners.base.Tuner.evaluate_index` as it is
+constructed, because selection must see its value before the next trial exists
+(replaced members can donate to later trials in the same sweep).
 """
 
 from __future__ import annotations
@@ -77,7 +75,6 @@ class DifferentialEvolution(Tuner):
         # the target itself), so the arrays feed ``rng.choice`` pre-built.
         donor_pool = [np.asarray([i for i in range(n) if i != target])
                       for target in range(n)]
-        gen = self.generation_run()
         while not self.budget_exhausted:
             for target in range(n):
                 a, b, c = rng.choice(donor_pool[target], size=3, replace=False)
@@ -88,13 +85,10 @@ class DifferentialEvolution(Tuner):
                 trial_index = space.decode_index(trial_vector)
                 if not space.index_is_feasible(trial_index):
                     trial_index = space.sample_one_index(rng=rng, valid_only=True)
-                fate = gen.submit(trial_index)
-                if fate is None:
+                obs = self.evaluate_index(trial_index)
+                if obs is None:
                     return
-                value, failed = fate
-                value = np.inf if failed else value
+                value = np.inf if obs.is_failure else obs.value
                 if value <= fitness[target]:
                     population[target] = space.encode_index(trial_index)
                     fitness[target] = value
-            if not gen.flush():
-                return

@@ -6,14 +6,13 @@ in the GPU-autotuning literature the paper builds on (Schoonhoven et al.), which
 this the primary "global optimizer" counterpart to the local searchers in the ablation
 benchmarks.
 
-The population is index-native and generation-batched: each individual is a
-mixed-radix digit vector plus its fitness, crossover is one sized draw of gene gates
-(digit-matrix surgery via :func:`numpy.where`), repair is one constraint check, and
-evaluation settles through :class:`~repro.tuners.base.GenerationRun` -- on peekable
-problems a whole generation's worth of children is revealed candidate by candidate
-and then bulk-accounted in one :meth:`~repro.core.budget.Budget.charge_bulk`.  The
-genetic operators consume the random stream in exactly the order the dictionary-based
-seed implementation did (genes in parameter order), so trajectories are byte-identical.
+The population is index-native: each individual is a mixed-radix digit vector plus
+its fitness, crossover is one sized draw of gene gates (digit-matrix surgery via
+:func:`numpy.where`), repair is one constraint check, the initial population settles
+in one :meth:`~repro.tuners.base.Tuner.evaluate_index_run` and each child through
+:meth:`~repro.tuners.base.Tuner.evaluate_index` as soon as it exists.  The genetic
+operators consume the random stream in exactly the order the dictionary-based seed
+implementation did (genes in parameter order), so trajectories are byte-identical.
 """
 
 from __future__ import annotations
@@ -153,22 +152,16 @@ class GeneticAlgorithm(Tuner):
             return
 
         radices = [p.cardinality for p in space.parameters]
-        gen = self.generation_run()
-        children = 0
-        # The budget check only matters at generation boundaries (in peeked mode
-        # nothing is charged between flushes; in sequential mode an exhausted
-        # budget surfaces as a None fate), so mid-generation children skip it.
-        while children or not self.budget_exhausted:
+        while not self.budget_exhausted:
             parent_a, parent_b = self._tournament_pair(population, rng)
             child_digits = self._crossover(parent_a, parent_b, rng)
             child_digits = self._mutate(radices, child_digits, rng)
             child_digits, child_index = self._repair(problem, child_digits, rng)
-            fate = gen.submit(child_index)
-            if fate is None:
+            obs = self.evaluate_index(child_index)
+            if obs is None:
                 return
-            value, failed = fate
-            if not failed:
-                child = _Individual(child_digits, child_index, value)
+            if not obs.is_failure:
+                child = _Individual(child_digits, child_index, obs.value)
                 # Steady-state replacement: the child ousts the current worst
                 # individual if it improves on it; elites are never replaced.
                 population.sort(key=_BY_VALUE)
@@ -179,10 +172,3 @@ class GeneticAlgorithm(Tuner):
                 elif len(population) < self.population_size:
                     rest.append(child)
                 population = protected + rest
-            children += 1
-            if children >= self.population_size:
-                # One population's worth of children is this steady-state GA's
-                # generation: settle it in one bulk evaluation.
-                children = 0
-                if not gen.flush():
-                    return

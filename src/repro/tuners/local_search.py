@@ -65,7 +65,7 @@ class LocalSearch(Tuner):
 
     def _climb(self, problem: TuningProblem, start: int,
                rng: np.random.Generator) -> None:
-        current = self.evaluate_index(start, valid_hint=True)
+        current = self.evaluate_index(start)
         if current is None:
             return
         current_index = start
@@ -75,73 +75,31 @@ class LocalSearch(Tuner):
             if not neighbors.size:
                 return
             permuted = neighbors[rng.permutation(neighbors.size)]
-            # Peekable objectives (cache replays) reveal every neighbour's fate in
-            # one array probe, so the step evaluates exactly the prefix the
-            # sequential loop would have -- same observations, batch accounting.
-            peek = problem.peek_indices(permuted)
-            if peek is not None:
-                step = self._step_peeked(current, permuted, peek)
-            else:
-                step = self._step_sequential(current, permuted)
+            step = self._step(current, permuted)
             if step is None:
                 return  # budget exhausted or local minimum reached
             current, current_index = step
 
-    def _step_peeked(self, current: Observation, permuted: np.ndarray,
-                     peek: tuple) -> tuple[Observation, int] | None:
-        values, failure = peek[0], peek[1]
-        improving = ~failure & (values < current.value)
-        if self.strategy == "first":
-            hits = np.nonzero(improving)[0]
-            stop = int(hits[0]) + 1 if hits.size else permuted.size
-            batch = permuted[:stop]
-            observations = self.evaluate_index_run(
-                batch, _peek=tuple(col[:stop] for col in peek))
-            if len(observations) < batch.size or not hits.size:
+    def _step(self, current: Observation, permuted: np.ndarray,
+              ) -> tuple[Observation, int] | None:
+        """The first (``"first"``) or best (``"best"``) improving neighbour and
+        its index; None at a local minimum or once the budget runs out."""
+        best: Observation | None = None
+        best_index = -1
+        for index in permuted.tolist():
+            obs = self.evaluate_index(index)
+            if obs is None:
                 return None
-            return observations[-1], int(batch[-1])
-        observations = self.evaluate_index_run(permuted, _peek=peek)
-        if len(observations) < permuted.size or not improving.any():
-            return None
-        # Best improvement: the first occurrence of the minimum value among the
-        # valid neighbours (matching the sequential strict-< update rule).
-        ok = np.nonzero(~failure)[0]
-        best_pos = int(ok[np.argmin(values[ok])])
-        if values[best_pos] >= current.value:
-            return None
-        return observations[best_pos], int(permuted[best_pos])
-
-    def _step_sequential(self, current: Observation, permuted: np.ndarray,
-                         ) -> tuple[Observation, int] | None:
-        improved: Observation | None = None
-        improved_index = -1
-        if self.strategy == "first":
-            for index in permuted.tolist():
-                obs = self.evaluate_index(index, valid_hint=True)
-                if obs is None:
-                    return None
-                if not obs.is_failure and obs.value < current.value:
-                    improved = obs
-                    improved_index = index
-                    break
-        else:
-            best: Observation | None = None
-            best_index = -1
-            for index in permuted.tolist():
-                obs = self.evaluate_index(index, valid_hint=True)
-                if obs is None:
-                    return None
-                if obs.is_failure:
-                    continue
-                if best is None or obs.value < best.value:
-                    best = obs
-                    best_index = index
-            if best is not None and best.value < current.value:
-                improved = best
-                improved_index = best_index
-        if improved is None:
-            return None
-        return improved, improved_index
+            if obs.is_failure:
+                continue
+            if self.strategy == "first":
+                if obs.value < current.value:
+                    return obs, index
+            elif best is None or obs.value < best.value:
+                best, best_index = obs, index
+        if best is not None and best.value < current.value:
+            return best, best_index
+        return None
 
 
 class GreedyILS(Tuner):

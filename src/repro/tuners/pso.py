@@ -6,14 +6,14 @@ velocity update uses the standard inertia + cognitive + social formulation.  PSO
 of the global optimizers commonly shipped by the autotuners the paper integrates with
 (Kernel Tuner in particular), which is why it is part of the portfolio.
 
-Like the other population tuners, the swarm is array-native and generation-batched:
-positions encode from the value columns, each particle's cognitive/social noise is
-one sized ``(2, dims)`` draw (stream-identical to the two per-vector draws of the
-seed implementation), snapping goes through the padded encoded-value grid straight
-to a space index, and evaluation settles through
-:class:`~repro.tuners.base.GenerationRun` -- the swarm's best must be current before
-the *next* particle moves, so values are peeked per candidate and the whole sweep is
-bulk-accounted in one run.  Trajectories are byte-identical to the per-candidate loop.
+Like the other population tuners, the swarm is array-native: positions encode from
+the value columns, each particle's cognitive/social noise is one sized ``(2, dims)``
+draw (stream-identical to the two per-vector draws of the seed implementation), and
+snapping goes through the padded encoded-value grid straight to a space index.  The
+initial swarm settles in one :meth:`~repro.tuners.base.Tuner.evaluate_index_run`;
+each later position settles through :meth:`~repro.tuners.base.Tuner.evaluate_index`
+as it is reached, because the swarm's best must be current before the *next*
+particle moves.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ class ParticleSwarm(Tuner):
 
         dims = positions.shape[1]
         inertia, cognitive, social = self.inertia, self.cognitive, self.social
-        gen = self.generation_run()
         while not self.budget_exhausted:
             for i in range(indices.size):
                 # One sized draw covers both noise vectors; the stream order is
@@ -92,16 +91,13 @@ class ParticleSwarm(Tuner):
                 if not space.index_is_feasible(candidate):
                     candidate = space.sample_one_index(rng=rng, valid_only=True)
                     positions[i] = space.encode_index(candidate)
-                fate = gen.submit(candidate)
-                if fate is None:
+                obs = self.evaluate_index(candidate)
+                if obs is None:
                     return
-                value, failed = fate
-                value = np.inf if failed else value
+                value = np.inf if obs.is_failure else obs.value
                 if value < personal_best_value[i]:
                     personal_best_value[i] = value
                     personal_best[i] = positions[i].copy()
                 if value < global_best_value:
                     global_best_value = value
                     global_best = positions[i].copy()
-            if not gen.flush():
-                return

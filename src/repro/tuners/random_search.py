@@ -46,5 +46,5 @@ class RandomSearch(Tuner):
         # run out of fresh valid configurations (small spaces under large budgets).
         for index in self.ask_random_indices(
                 problem.space, rng, without_replacement=self.without_replacement):
-            if self.evaluate_index(index, valid_hint=True) is None:
+            if self.evaluate_index(index) is None:
                 break

@@ -57,7 +57,7 @@ class SimulatedAnnealing(Tuner):
         space = problem.space
         while not self.budget_exhausted:
             current_index = space.sample_one_index(rng=rng, valid_only=True)
-            current = self.evaluate_index(current_index, valid_hint=True)
+            current = self.evaluate_index(current_index)
             if current is None:
                 return
             temperature = self.initial_temperature
@@ -68,7 +68,7 @@ class SimulatedAnnealing(Tuner):
                 if not options.size:
                     break
                 neighbor = int(options[int(rng.integers(0, options.size))])
-                candidate = self.evaluate_index(neighbor, valid_hint=True)
+                candidate = self.evaluate_index(neighbor)
                 if candidate is None:
                     return
                 temperature *= self.cooling_rate

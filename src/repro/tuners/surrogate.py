@@ -102,7 +102,7 @@ class SurrogateSearch(Tuner):
 
         def _record(index: int) -> bool:
             nonlocal capacity, X_buf, y_buf, n_rows
-            obs = self.evaluate_index(index, valid_hint=True)
+            obs = self.evaluate_index(index)
             if obs is None:
                 return False
             evaluated.add(index)

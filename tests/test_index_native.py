@@ -355,10 +355,10 @@ class TestEvaluateIndex:
         assert outside.to_dict() == again.to_dict()
         assert outside.error == "configuration not a member of the search space"
 
-        # The generation settle path is evaluate_index_run with peeked columns:
-        # on a memo-warm peekable problem both record the same observations,
-        # evaluation count and budget charge as evaluate_index in a loop,
-        # including scalar-path misses, duplicates and a budget-truncated tail.
+        # The bulk settle path, evaluate_index_run, records the same
+        # observations, evaluation count and budget charge as evaluate_index in
+        # a loop on a memo-warm replay, including scalar-path misses,
+        # duplicates and a budget-truncated tail.
         cache = benchmarks["pnpoly"].build_cache(gpu_3090, sample_size=50, seed=4)
         space = cache.space
         stored = space.indices_of_configs([dict(o.config) for o in cache])
@@ -374,25 +374,18 @@ class TestEvaluateIndex:
             tuner._budget = budget
             tuner._result = TuningResult()
             tuner._track = [None, math.inf]
-            if mode == "generation":
-                candidates = [(i, *tuner._problem.peek_index(i))
-                              for i in order.tolist()]
-                go_on = tuner.evaluate_generation(candidates)
-            else:
-                settled = (tuner.evaluate_index_run(order) if mode == "run"
-                           else [tuner.evaluate_index(i, valid_hint=True)
-                                 for i in order.tolist()])
-                settled = [obs for obs in settled if obs is not None]
-                go_on = len(settled) == order.size and not budget.exhausted
+            settled = (tuner.evaluate_index_run(order) if mode == "run"
+                       else [tuner.evaluate_index(i) for i in order.tolist()])
+            settled = [obs for obs in settled if obs is not None]
+            go_on = len(settled) == order.size and not budget.exhausted
             return (go_on, [o.to_dict() for o in tuner._result.observations],
                     tuner._problem.evaluation_count, budget.to_dict(),
                     tuner._track)
 
         for max_evaluations in (order.size + 5, order.size - 7):
-            generation = settle("generation", max_evaluations)
-            assert generation == settle("run", max_evaluations)
-            assert generation == settle("loop", max_evaluations)
-            assert generation[0] == (max_evaluations > order.size)
+            run = settle("run", max_evaluations)
+            assert run == settle("loop", max_evaluations)
+            assert run[0] == (max_evaluations > order.size)
 
     def test_batch_equals_sequential(self, benchmarks, gpu_3090):
         cache = benchmarks["hotspot"].build_cache(gpu_3090, sample_size=100, seed=3)
@@ -409,10 +402,10 @@ class TestEvaluateIndex:
         assert [o.to_dict() for o in a] == [o.to_dict() for o in b]
         assert sequential.evaluation_count == batched.evaluation_count
 
-    def test_peek_is_side_effect_free(self, benchmarks, gpu_3090):
+    def test_batch_lookup_is_side_effect_free(self, benchmarks, gpu_3090):
         cache = benchmarks["pnpoly"].build_cache(gpu_3090, sample_size=50, seed=4)
         problem = cache.to_problem()
-        values, failure, raises = problem.peek_indices(np.arange(20))
+        values, failure, raises = problem._lookup_indices_fn(np.arange(20))
         assert problem.evaluation_count == 0
         assert problem.cache_size == 0
         obs = problem.evaluate_index(int(np.arange(20)[~failure][0])
@@ -461,7 +454,7 @@ class TestIndexRunAccounting:
         seq_tuner, seq_budget = run()
         seq_obs = []
         for i in indices:
-            obs = seq_tuner.evaluate_index(i, valid_hint=True)
+            obs = seq_tuner.evaluate_index(i)
             if obs is None:
                 break
             seq_obs.append(obs)

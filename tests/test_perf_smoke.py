@@ -59,8 +59,8 @@ JSON_LOAD_VS_ORACLE_MAX_RATIO = 0.9
 #: json.loads paid little garbage collection.  Each arm now starts from a
 #: collected, frozen heap (``_timed_in_frozen_heap``): 0.61-0.74 in 12 runs of
 #: the gate alone and 0.70-0.73 in two full tier-1 runs.  Falling back to json.loads and
-#: the per-row from_dict reads ~4.5.  Traced peaks: 10.2 MB vs 16.5 MB; a
-#: reader without chunks peaked at 26.8 MB.  A frozen heap still carries the
+#: the per-row from_dict reads ~4.5.  Traced peaks: 1.2 MB vs 16.5 MB (the
+#: streamed read; three runs each).  A frozen heap still carries the
 #: allocator state the earlier tests leave: on a host reading ``host_speed``
 #: ~0.7, four full tier-1 runs of unchanged code read 0.81, 0.83, 0.92 and 1.10
 #: (the gate alone 0.70-0.85), with load_cache at 0.11-0.13 s instead of

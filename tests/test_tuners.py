@@ -137,10 +137,10 @@ class TestTunerContract:
     @pytest.mark.parametrize("tuner_cls", ALL_TUNER_CLASSES)
     def test_peekable_run_spends_exactly_its_budget(self, tuner_cls,
                                                     pnpoly_replay_cache):
-        # On a peekable replay every tuner settles through the bulk prefix; a
-        # budget that ends mid-batch must be charged exactly, never overdrawn.
+        # On a replay every tuner settles through evaluate_index or the bulk
+        # prefix of evaluate_index_run; a budget that ends mid-batch must be
+        # charged exactly, never overdrawn.
         problem = pnpoly_replay_cache.to_problem()
-        assert problem.peekable
         result = run_tuning(tuner_cls(seed=5), problem, max_evaluations=37)
         assert result.num_evaluations == 37
         assert result.metadata["budget"] == {"max_evaluations": 37,
