@@ -45,11 +45,7 @@ class Budget:
 
     @property
     def remaining_evaluations(self) -> int | float:
-        """Evaluations still allowed (``math.inf`` when unlimited).
-
-        A caller holding ``n`` candidates may evaluate ``min(n,
-        remaining_evaluations)`` of them and settle with one :meth:`charge_bulk`.
-        """
+        """Evaluations still allowed (``math.inf`` when unlimited)."""
         if self.max_evaluations is None:
             return math.inf
         return max(0, self.max_evaluations - self.evaluations_used)
@@ -68,28 +64,6 @@ class Budget:
             raise BudgetExhaustedError(
                 f"budget exhausted after {self.evaluations_used} evaluations")
         self.evaluations_used += 1
-
-    def charge_bulk(self, count: int) -> None:
-        """Record ``count`` evaluations in one call (the batch twin of :meth:`charge`).
-
-        End-state identical to ``count`` sequential :meth:`charge` calls.  Raises
-        like :meth:`charge` when the budget is already exhausted, and also when
-        ``count`` overshoots :attr:`remaining_evaluations` -- a miscomputed prefix
-        must fail loudly instead of silently recording more evaluations than the
-        run was allowed.
-        """
-        if count <= 0:
-            return
-        if self.exhausted:
-            raise BudgetExhaustedError(
-                f"budget exhausted after {self.evaluations_used} evaluations")
-        remaining = self.remaining_evaluations
-        if count > remaining:
-            raise BudgetExhaustedError(
-                f"bulk charge of {count} evaluations overshoots the remaining "
-                f"allowance of {remaining} (max_evaluations={self.max_evaluations}, "
-                f"used={self.evaluations_used})")
-        self.evaluations_used += count
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable form (limit and usage)."""

@@ -783,9 +783,7 @@ class EvaluationCache:
         ``evaluate_index_fn`` (one probe of :meth:`index_table`, no dictionary, no
         hashing of sorted item tuples) and the dictionary ``evaluate_fn``, which is
         that probe at ``space.index_of(config)`` -- one lookup path, so a tuner may
-        drive either form and record identical observations.  Its
-        ``lookup_indices_fn`` is the batch form of the probe, for runs of
-        pre-validated indices.
+        drive either form and record identical observations.
 
         Parameters
         ----------
@@ -808,23 +806,9 @@ class EvaluationCache:
         def _evaluate(config: Mapping[str, Any]) -> float:
             return _evaluate_index(self.space.index_of(config))
 
-        def _lookup_indices(indices: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            # Pure lookup, so free of side effects.  ``values`` is normalised to
-            # what ``_evaluate_index`` returns (inf for misses and stored
-            # failures), stored non-positive values are flagged exactly like the
-            # scalar evaluation path would invalidate them, and only strict
-            # misses raise (their error string is not value-derived).
-            values, failure, found = self.index_table().lookup(indices)
-            values = np.where(failure, math.inf, values)
-            raises = (~found if strict
-                      else np.zeros(indices.size, dtype=bool))
-            return values, failure | (values <= 0), raises
-
         return TuningProblem(name=self.benchmark, space=self.space, evaluate_fn=_evaluate,
                              gpu=self.gpu, memoize=memoize,
-                             evaluate_index_fn=_evaluate_index,
-                             lookup_indices_fn=_lookup_indices)
+                             evaluate_index_fn=_evaluate_index)
 
     # ------------------------------------------------------------------ serialization
 

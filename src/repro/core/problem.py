@@ -13,9 +13,9 @@ suite, and any benchmark that can produce one can be tuned by every optimizer.
 
 The ``evaluate_index`` contract
 -------------------------------
-:meth:`TuningProblem.evaluate_index` (and its batch form
-:meth:`TuningProblem.evaluate_indices`) is the index-native fast path of the tuner
-runtime: the candidate is identified by its mixed-radix space index, static validity
+:meth:`TuningProblem.evaluate_index` is the index-native path of the tuner
+runtime, and every tuner evaluation settles through it, one candidate at a time:
+the candidate is identified by its mixed-radix space index, static validity
 comes from the constraint truth-table mask, the objective is answered by
 ``evaluate_index_fn`` where one was supplied (cache replays), and the resulting
 :class:`~repro.core.result.Observation` carries a lazily-materialised
@@ -35,9 +35,7 @@ comes from the constraint truth-table mask, the objective is answered by
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Mapping, Sequence
-
-import numpy as np
+from typing import Any, Callable, Mapping
 
 from repro.core.errors import ReproError, ResourceLimitError
 from repro.core.result import LazyConfig, Observation
@@ -77,30 +75,18 @@ class TuningProblem:
         for ``evaluate_fn``.  Must be element-wise equivalent to
         ``evaluate_fn(space.config_at(index))``, including what it raises (cache
         replays supply one; see :meth:`repro.core.cache.EvaluationCache.to_problem`).
-    lookup_indices_fn:
-        Optional *side-effect-free* batch lookup of the index objective, read
-        by :meth:`evaluate_indices` for pre-validated runs (grid sweeps, initial
-        populations): ``index_array -> (values, failure, raises)`` where
-        ``values[k]`` is exactly what ``evaluate_index_fn`` would return for index
-        ``k``, ``failure[k]`` is True exactly when evaluating it would yield an
-        invalid observation, and ``raises[k]`` is True when the objective would
-        raise (so the error string cannot be derived from the value alone and the
-        row must evaluate through the scalar path).  Only deterministic
-        pure-lookup objectives (cache replays) may supply it.
     """
 
     def __init__(self, name: str, space: SearchSpace,
                  evaluate_fn: Callable[[Mapping[str, Any]], float],
                  gpu: str = "", memoize: bool = True,
-                 evaluate_index_fn: Callable[[int], float] | None = None,
-                 lookup_indices_fn: Callable[[np.ndarray], tuple] | None = None):
+                 evaluate_index_fn: Callable[[int], float] | None = None):
         self.name = name
         self.space = space
         self.gpu = gpu
         self.memoize = memoize
         self._evaluate_fn = evaluate_fn
         self._evaluate_index_fn = evaluate_index_fn
-        self._lookup_indices_fn = lookup_indices_fn
         #: The memo: space index -> observation (configurations outside the space
         #: key by their canonical config tuple).
         self._memo: dict[int | tuple, Observation] = {}
@@ -216,73 +202,6 @@ class TuningProblem:
             return "constraint violation: " + ", ".join(
                 self.space.constraints.violated(config))
         return "configuration not a member of the search space"
-
-    def evaluate_indices(self, indices: np.ndarray | Sequence[int],
-                         valid_hint: bool | None = None) -> list[Observation]:
-        """Batch form of :meth:`evaluate_index`, observation-identical to the loop.
-
-        With ``valid_hint=None`` one truth-table static-validity mask covers the
-        whole block; ``valid_hint=True`` asserts the caller already mask-checked
-        every index.  Pre-validated indices on an objective with a
-        ``lookup_indices_fn`` take their values from that one batch lookup and
-        skip the per-index objective dispatch -- the memo and
-        ``evaluation_count`` still advance row by row, and rows whose objective
-        raises take the scalar path, so the semantics cannot drift.
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size == 0:
-            return []
-        if valid_hint is True and self._lookup_indices_fn is not None:
-            values, failure, raises = self._lookup_indices_fn(idx)
-            # ``tolist`` keeps values Python floats/bools (error strings repr them).
-            value_list = values.tolist()
-            failure_list = failure.tolist()
-            raises_list = raises.tolist()
-            memo = self._memo
-            memo_get = memo.get
-            memoize = self.memoize
-            space, gpu, name = self.space, self.gpu, self.name
-            worst = math.inf
-            fast = Observation.fast
-            lazy = LazyConfig
-            count = self._evaluation_count
-            out: list[Observation] = []
-            append = out.append
-            for i, value, failed, raised in zip(idx.tolist(), value_list,
-                                                failure_list, raises_list):
-                if memoize:
-                    cached = memo_get(i)
-                    if cached is not None:
-                        append(cached)
-                        continue
-                if not failed:
-                    obs = fast(lazy(space, i), value, True, "", count, gpu, name)
-                elif raised:
-                    # Rows whose objective raises take the scalar path so error
-                    # strings (cache misses, resource limits) stay byte-identical.
-                    self._evaluation_count = count
-                    append(self.evaluate_index(i, _valid_hint=True))
-                    count = self._evaluation_count
-                    continue
-                else:
-                    # Non-raising failures carry the error string the scalar path
-                    # derives from the returned value alone.
-                    obs = fast(
-                        lazy(space, i), worst, False,
-                        f"objective returned non-positive/non-finite value "
-                        f"{value!r}", count, gpu, name)
-                count += 1
-                if memoize:
-                    memo[i] = obs
-                append(obs)
-            self._evaluation_count = count
-            return out
-        if valid_hint is None and idx.size >= 2:
-            hints: Sequence[bool | None] = self.space.satisfied_mask(idx).tolist()
-        else:
-            hints = [valid_hint] * idx.size
-        return [self.evaluate_index(i, _valid_hint=hint)
-                for i, hint in zip(idx.tolist(), hints)]
 
     def reset_cache(self) -> None:
         """Drop memoized observations and reset the evaluation counter."""

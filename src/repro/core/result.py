@@ -197,10 +197,6 @@ class TuningResult:
         """Append one observation."""
         self._observations.append(observation)
 
-    def extend(self, observations: Iterable[Observation]) -> None:
-        """Append many observations."""
-        self._observations.extend(observations)
-
     # ---------------------------------------------------------------------- queries
 
     @property

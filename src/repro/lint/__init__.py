@@ -1,8 +1,8 @@
 """Static contract checking: the ROADMAP's standing contracts as lint rules.
 
 Every determinism contract this repo depends on -- keyed-hash RNG only,
-byte-identical merges, atomic writes, the transient/permanent error taxonomy, the
-``remaining_evaluations`` budget prefix, JSON-pure benchmark specs -- is enforced
+byte-identical merges, atomic writes, the transient/permanent error taxonomy,
+JSON-pure benchmark specs, bit-exact scalar transcendentals -- is enforced
 dynamically by the differential and chaos suites.  Those suites only catch a
 violation when some test drives the offending path; this package catches the
 violation at the *source line*, before any test runs, by walking the AST of the
@@ -10,8 +10,9 @@ repo's own code.
 
 Layout:
 
-* :mod:`repro.lint.rules` -- the rule registry (``RPL001``..``RPL006``), each rule a
-  small AST check tied to one ROADMAP contract;
+* :mod:`repro.lint.rules` -- the rule registry (``RPL001``..``RPL004``, ``RPL006``,
+  ``RPL008``; retired codes are not reused), each rule a small AST check tied to
+  one ROADMAP contract;
 * :mod:`repro.lint.suppressions` -- inline ``# repro: allow[RPL###] reason``
   annotations (reasons mandatory, stale allows are themselves findings);
 * :mod:`repro.lint.baseline` -- the committed baseline of grandfathered findings,

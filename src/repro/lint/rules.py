@@ -379,40 +379,6 @@ class ExecErrorTaxonomy(Rule):
                            f"re-raise, or annotate why discarding is safe")
 
 
-# --------------------------------------------------------------------------- RPL005
-
-
-class BudgetOverridePairs(Rule):
-    """RPL005: narrowing ``Budget.exhausted`` requires ``remaining_evaluations``.
-
-    The tuner runtime sizes each bulk-accounted prefix by
-    ``remaining_evaluations`` instead of inspecting budget types; a subclass that
-    narrows ``exhausted`` but inherits the base ``remaining_evaluations`` answers
-    with the wider allowance, so generation-batched tuners overdraw the narrowed
-    cap in one bulk charge.  Flagged: any ``Budget`` subclass defining
-    ``exhausted`` without also defining ``remaining_evaluations``.
-    """
-
-    code = "RPL005"
-    name = "budget-override-pairs"
-    contract = "Budget accounting (remaining_evaluations sizes the bulk prefix)"
-
-    def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[Violation]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            bases = {_dotted(base).rpartition(".")[2] for base in node.bases}
-            if "Budget" not in bases:
-                continue
-            defined = {stmt.name for stmt in node.body
-                       if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
-            if "exhausted" in defined and "remaining_evaluations" not in defined:
-                yield (node.lineno, node.col_offset,
-                       f"class {node.name} overrides Budget.exhausted without "
-                       f"overriding remaining_evaluations; bulk charges would "
-                       f"trust the wider allowance and overdraw the narrowed cap")
-
-
 # --------------------------------------------------------------------------- RPL006
 
 
@@ -551,12 +517,13 @@ class NoNumpyTranscendentals(Rule):
 
 # -------------------------------------------------------------------------- registry
 
+# Retired codes are never reused: RPL005 (budget-override-pairs) guarded the bulk
+# budget charge, which no longer exists.
 RULES: tuple[type[Rule], ...] = (
     NoGlobalRandomness,
     NoWallClockValues,
     AtomicWritesOnly,
     ExecErrorTaxonomy,
-    BudgetOverridePairs,
     SerializableSpecKwargs,
     NoNumpyTranscendentals,
 )

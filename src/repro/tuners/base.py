@@ -19,25 +19,23 @@ stops the run defensively if a tuner ignores that signal.
 Index-native runtime
 --------------------
 The hot loop of every in-repo optimizer identifies candidates by their mixed-radix
-space index: :meth:`Tuner.evaluate_index` is the integer twin of :meth:`Tuner.evaluate`
-and :meth:`Tuner.ask_random_indices` streams batch-filtered random valid indices.
+space index: :meth:`Tuner.evaluate_index` is the integer twin of :meth:`Tuner.evaluate`.
 Every evaluation, through either path, charges one evaluation to the budget; the
 problem's one memo (keyed by space index) decides whether it is measured again.  The
 running best (index, value) pair is tracked in ``_track`` so index-native tuners that
 restart from the incumbent (greedy ILS) never have to recover an index from a
 configuration dictionary.
 
-Candidates settle one at a time through :meth:`Tuner.evaluate_index`.  A run of
-pre-validated indices known up front (a grid sweep, an initial population) settles
-through :meth:`Tuner.evaluate_index_run`: one budget charge and, on a cache replay,
-one batch lookup, recording the same observations as the per-index loop.
+Candidates settle one at a time through :meth:`Tuner.evaluate_index`;
+:meth:`Tuner.evaluate_index_run` is that loop over a run of pre-validated indices
+known up front (a grid block, an initial population).
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -156,33 +154,15 @@ class Tuner(abc.ABC):
         self._result.record(observation)
 
     def evaluate_index_run(self, indices: Any) -> list[Observation]:
-        """Evaluate a run of pre-validated indices until the run or budget ends.
-
-        The prefix the budget allows (:attr:`Budget.remaining_evaluations`) goes
-        through :meth:`TuningProblem.evaluate_indices` in one slice and is
-        accounted in one pass (one :meth:`Budget.charge_bulk`, one result
-        extend); per observation the semantics are identical to calling
-        :meth:`evaluate_index` in a loop.  A result shorter than ``indices``
-        means the budget ran out.
-        """
-        if self._problem is None or self._budget is None or self._result is None:
-            raise RuntimeError("evaluate_index_run() called outside of tune()")
-        index_list = (indices.tolist() if isinstance(indices, np.ndarray)
-                      else [int(i) for i in indices])
-        allowed = min(len(index_list), self._budget.remaining_evaluations)
-        batch = index_list[:allowed]
-        if not batch:
-            return []
-        observations = self._problem.evaluate_indices(batch, valid_hint=True)
-        track = self._track
-        best_value = track[1]
-        for index, obs in zip(batch, observations):
-            value = obs.value
-            if obs.valid and value < best_value:
-                track[0] = index
-                track[1] = best_value = value
-        self._budget.charge_bulk(len(batch))
-        self._result.extend(observations)
+        """:meth:`evaluate_index` over pre-validated ``indices`` in order, until the
+        run or the budget ends; a result shorter than ``indices`` means the budget
+        ran out."""
+        observations = []
+        for index in indices:
+            observation = self.evaluate_index(index)
+            if observation is None:
+                break
+            observations.append(observation)
         return observations
 
     def best_index_so_far(self) -> int | None:
@@ -203,40 +183,6 @@ class Tuner(abc.ABC):
         inner._budget = self._budget
         inner._result = self._result
         inner._track = self._track
-
-    def ask_random_indices(self, space: Any, rng: np.random.Generator,
-                           without_replacement: bool = True, batch_size: int = 512,
-                           max_consecutive_rejects: int | None = None) -> Iterator[int]:
-        """Stream uniformly-random valid space indices, batch-filtered.
-
-        This is the batch ``ask`` primitive shared by sampling-style tuners:
-        candidate indices are drawn in blocks and run through the space's
-        constraint truth-table mask, so per-candidate Python work only happens for
-        indices that are actually evaluated.  Candidates are yielded in draw
-        order, which keeps the evaluated sequence identical to drawing one index
-        at a time with the same generator.
-
-        The stream ends after ``max_consecutive_rejects`` consecutive
-        duplicate/invalid draws, the signal that the space has effectively run
-        out of fresh valid configurations.
-        """
-        if max_consecutive_rejects is None:
-            max_consecutive_rejects = max(10_000, 50 * space.dimensions)
-        drawn: set[int] = set()
-        consecutive_rejects = 0
-        while True:
-            draws = rng.integers(0, space.cardinality, size=batch_size)
-            mask = space.satisfied_mask(draws)
-            for index, ok in zip(draws.tolist(), mask.tolist()):
-                if not ok or (without_replacement and index in drawn):
-                    consecutive_rejects += 1
-                    if consecutive_rejects > max_consecutive_rejects:
-                        return
-                    continue
-                consecutive_rejects = 0
-                if without_replacement:
-                    drawn.add(index)
-                yield index
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(seed={self.seed})"

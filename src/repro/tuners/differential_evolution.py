@@ -10,10 +10,11 @@ The population state is array-native end to end: encoded position vectors come
 straight from the value columns (:meth:`~repro.core.searchspace.SearchSpace.encode_indices`),
 trial vectors snap to digit vectors through the padded encoded-value grid
 (:meth:`~repro.core.searchspace.SearchSpace.decode_index`, one broadcast argmin
-instead of a per-parameter scan) and repair is one constraint check.  The initial
-population settles in one :meth:`~repro.tuners.base.Tuner.evaluate_index_run`;
-each trial settles through :meth:`~repro.tuners.base.Tuner.evaluate_index` as it is
-constructed, because selection must see its value before the next trial exists
+instead of a per-parameter scan) and repair is one constraint check.  Every vector
+settles through :meth:`~repro.tuners.base.Tuner.evaluate_index`: the initial
+population in order (:meth:`~repro.tuners.base.Tuner.evaluate_index_run`), each
+trial as it is constructed, because selection must see its value before the next
+trial exists
 (replaced members can donate to later trials in the same sweep).
 """
 

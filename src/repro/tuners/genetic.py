@@ -8,9 +8,10 @@ benchmarks.
 
 The population is index-native: each individual is a mixed-radix digit vector plus
 its fitness, crossover is one sized draw of gene gates (digit-matrix surgery via
-:func:`numpy.where`), repair is one constraint check, the initial population settles
-in one :meth:`~repro.tuners.base.Tuner.evaluate_index_run` and each child through
-:meth:`~repro.tuners.base.Tuner.evaluate_index` as soon as it exists.  The genetic
+:func:`numpy.where`), repair is one constraint check, and every individual -- the
+initial population through :meth:`~repro.tuners.base.Tuner.evaluate_index_run`, each
+child as soon as it exists -- settles through
+:meth:`~repro.tuners.base.Tuner.evaluate_index`.  The genetic
 operators consume the random stream in exactly the order the dictionary-based seed
 implementation did (genes in parameter order), so trajectories are byte-identical.
 """
@@ -137,10 +138,9 @@ class GeneticAlgorithm(Tuner):
     def _run(self, problem: TuningProblem, budget: Budget, rng: np.random.Generator) -> None:
         space = problem.space
         population: list[_Individual] = []
-        # The initial population is one batched ``ask`` plus one bulk-accounted
-        # evaluation run: the space draws and constraint-filters the whole block
-        # of unique indices in array form, and the run settles with a single
-        # budget charge where the budget allows precomputing the prefix.
+        # The initial population is one batched ``ask``: the space draws and
+        # constraint-filters the whole block of unique indices in array form,
+        # and the run settles them in order until the budget ends.
         initial = space.sample_indices(self.population_size, rng=rng,
                                        valid_only=True, unique=True)
         observations = self.evaluate_index_run(initial)

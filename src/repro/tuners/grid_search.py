@@ -64,7 +64,7 @@ class GridSearch(Tuner):
         while start < n:
             if self.budget_exhausted:
                 return
-            remaining = self._budget.remaining_evaluations if self._budget else chunk
+            remaining = budget.remaining_evaluations
             block_size = chunk if not math.isfinite(remaining) else max(
                 min(chunk, int(remaining) * 4), 64)
             stop = min(start + block_size, n)
@@ -72,7 +72,6 @@ class GridSearch(Tuner):
                      else np.arange(start, stop, dtype=np.int64) * stride)
             start = stop
             feasible = block[space.satisfied_mask(block)]
-            # One batch evaluation per feasible block: a short result means the
-            # budget ran out mid-block, exactly like the per-index loop stopping.
+            # A short run means the budget ran out mid-block.
             if len(self.evaluate_index_run(feasible)) < feasible.size:
                 return

@@ -9,11 +9,11 @@ of the global optimizers commonly shipped by the autotuners the paper integrates
 Like the other population tuners, the swarm is array-native: positions encode from
 the value columns, each particle's cognitive/social noise is one sized ``(2, dims)``
 draw (stream-identical to the two per-vector draws of the seed implementation), and
-snapping goes through the padded encoded-value grid straight to a space index.  The
-initial swarm settles in one :meth:`~repro.tuners.base.Tuner.evaluate_index_run`;
-each later position settles through :meth:`~repro.tuners.base.Tuner.evaluate_index`
-as it is reached, because the swarm's best must be current before the *next*
-particle moves.
+snapping goes through the padded encoded-value grid straight to a space index.
+Every position settles through :meth:`~repro.tuners.base.Tuner.evaluate_index`: the
+initial swarm in order (:meth:`~repro.tuners.base.Tuner.evaluate_index_run`), each
+later position as it is reached, because the swarm's best must be current before
+the *next* particle moves.
 """
 
 from __future__ import annotations

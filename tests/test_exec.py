@@ -464,8 +464,8 @@ def _bound_tuner(problem, budget):
 
 class TestBatchEvaluatePaths:
     def test_evaluate_index_run_matches_dict_path(self, pnpoly, gpu_3090):
-        # The bulk index run and the scalar dictionary loop must record the same
-        # observations and charge the same budget, duplicates included.
+        # A pre-validated index run and the scalar dictionary loop must record
+        # the same observations and charge the same budget, duplicates included.
         configs = pnpoly.space.sample(40, rng=3)
         configs += configs[:5]  # duplicates
         indices = pnpoly.space.indices_of_configs(configs)
@@ -489,9 +489,8 @@ class TestBatchEvaluatePaths:
     @pytest.mark.parametrize("limit", [0, 1, 7, 45, None])
     def test_evaluate_index_run_stops_at_the_remaining_budget(self, pnpoly,
                                                               gpu_3090, limit):
-        # The prefix is sized by remaining_evaluations alone: a run evaluates
-        # min(len(run), remaining) indices, charges exactly that many, and a run
-        # after exhaustion evaluates nothing.
+        # A run evaluates min(len(run), remaining) indices, charges exactly that
+        # many, and a run after exhaustion evaluates nothing.
         indices = pnpoly.space.sample_indices(45, rng=8)
         budget = Budget(max_evaluations=limit)
         tuner = _bound_tuner(pnpoly.problem(gpu_3090), budget)
@@ -512,15 +511,16 @@ class TestBatchEvaluatePaths:
 
     def test_evaluate_indices_mask_matches_scalar_evaluate(self, benchmarks,
                                                            gpu_3090):
-        # Without a validity hint the batch path checks the constraints with
-        # one vectorized mask; it must agree with the scalar dictionary path,
-        # constraint violations and evaluation order included.
+        # Without a validity hint the index path checks the constraints itself;
+        # it must agree with the vectorized mask and with the scalar dictionary
+        # path, constraint violations and evaluation order included.
         convolution = benchmarks["convolution"]
         space = convolution.space
         indices = np.random.default_rng(11).integers(0, space.cardinality, 40)
         mask = space.satisfied_mask(indices)
         assert mask.any() and not mask.all()
-        batch = convolution.problem(gpu_3090).evaluate_indices(indices)
+        index_problem = convolution.problem(gpu_3090)
+        batch = [index_problem.evaluate_index(i) for i in indices.tolist()]
         scalar_problem = convolution.problem(gpu_3090)
         scalar = [scalar_problem.evaluate(space.config_at(i))
                   for i in indices.tolist()]

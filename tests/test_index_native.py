@@ -10,7 +10,7 @@ Three layers of protection:
   ``scripts/pin_golden_trajectories.py``.
 * **Pairwise path equivalence** -- the index-native primitives (digit-arithmetic
   neighbourhoods, columnar cache lookups, ``evaluate_index``, scalar feasibility
-  fast paths, tiled sweeps, bulk budget charging) agree element-wise with their
+  fast paths, tiled sweeps, pre-validated runs) agree element-wise with their
   dictionary-based counterparts on every kernel space.
 * **Lazy-configuration semantics** -- :class:`repro.core.result.LazyConfig` is
   observably identical to the dictionary it defers.
@@ -35,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.budget import Budget
 from repro.core.cache import EvaluationCache
 from repro.core import searchspace
-from repro.core.errors import BudgetExhaustedError, EmptySearchSpaceError
+from repro.core.errors import EmptySearchSpaceError
 from repro.core.parameter import Parameter
 from repro.core.result import LazyConfig, Observation, TuningResult
 from repro.core.runner import run_tuning
@@ -338,13 +338,12 @@ class TestEvaluateIndex:
         assert a.value == b.value == c.value == 1.0
         assert problem.evaluation_count == 1
         assert problem.cache_size == 1  # one memo entry, not one per path
-        # And the reverse order, plus the batch path.
+        # And the reverse order, plus the pre-validated form tuners settle with.
         problem.reset_cache()
         calls.clear()
         d = problem.evaluate_index(space.index_of({"x": 3}))
         e = problem.evaluate({"x": 3})
-        f = problem.evaluate_indices([space.index_of({"x": 3})],
-                                     valid_hint=True)[0]
+        f = problem.evaluate_index(space.index_of({"x": 3}), _valid_hint=True)
         assert len(calls) == 1
         assert d.value == e.value == f.value
         assert problem.cache_size == 1
@@ -355,10 +354,10 @@ class TestEvaluateIndex:
         assert outside.to_dict() == again.to_dict()
         assert outside.error == "configuration not a member of the search space"
 
-        # The bulk settle path, evaluate_index_run, records the same
+        # A pre-validated run, evaluate_index_run, records the same
         # observations, evaluation count and budget charge as evaluate_index in
-        # a loop on a memo-warm replay, including scalar-path misses,
-        # duplicates and a budget-truncated tail.
+        # a loop on a memo-warm replay, including misses, duplicates and a
+        # budget-truncated tail.
         cache = benchmarks["pnpoly"].build_cache(gpu_3090, sample_size=50, seed=4)
         space = cache.space
         stored = space.indices_of_configs([dict(o.config) for o in cache])
@@ -370,7 +369,8 @@ class TestEvaluateIndex:
             tuner = GeneticAlgorithm(seed=0)
             budget = Budget(max_evaluations=max_evaluations)
             tuner._problem = cache.to_problem(strict=True)
-            tuner._problem.evaluate_indices(warm, valid_hint=True)
+            for index in warm:
+                tuner._problem.evaluate_index(index, _valid_hint=True)
             tuner._budget = budget
             tuner._result = TuningResult()
             tuner._track = [None, math.inf]
@@ -386,32 +386,6 @@ class TestEvaluateIndex:
             run = settle("run", max_evaluations)
             assert run == settle("loop", max_evaluations)
             assert run[0] == (max_evaluations > order.size)
-
-    def test_batch_equals_sequential(self, benchmarks, gpu_3090):
-        cache = benchmarks["hotspot"].build_cache(gpu_3090, sample_size=100, seed=3)
-        space = cache.space
-        rng = np.random.default_rng(2)
-        stored = space.indices_of_configs([dict(o.config) for o in cache])[:30]
-        probes = np.concatenate([stored, rng.integers(0, space.cardinality, 30),
-                                 stored[:5]])  # repeats exercise the memo
-        sequential = cache.to_problem(strict=True)
-        batched = cache.to_problem(strict=True)
-        a = [sequential.evaluate_index(i, _valid_hint=True)
-             for i in probes.tolist()]
-        b = batched.evaluate_indices(probes, valid_hint=True)
-        assert [o.to_dict() for o in a] == [o.to_dict() for o in b]
-        assert sequential.evaluation_count == batched.evaluation_count
-
-    def test_batch_lookup_is_side_effect_free(self, benchmarks, gpu_3090):
-        cache = benchmarks["pnpoly"].build_cache(gpu_3090, sample_size=50, seed=4)
-        problem = cache.to_problem()
-        values, failure, raises = problem._lookup_indices_fn(np.arange(20))
-        assert problem.evaluation_count == 0
-        assert problem.cache_size == 0
-        obs = problem.evaluate_index(int(np.arange(20)[~failure][0])
-                                     if (~failure).any() else 0)
-        if not obs.is_failure:
-            assert obs.value == values[problem.space.index_of(obs.config)]
 
 
 class TestTunerConvergence:
@@ -431,48 +405,6 @@ class TestTunerConvergence:
                                   repetitions=5, budget=30, base_seed=3)
         assert np.array_equal(curve.median_relative_performance,
                               again.median_relative_performance)
-
-
-class TestIndexRunAccounting:
-    def test_bulk_budget_matches_sequential(self, benchmarks, gpu_3090):
-        cache = benchmarks["pnpoly"].build_cache(gpu_3090, sample_size=200, seed=6)
-        space = cache.space
-        indices = space.indices_of_configs([dict(o.config) for o in cache])[:50]
-        indices = np.concatenate([indices, indices[:10]])  # duplicates
-
-        def run():
-            tuner = RandomSearch(seed=0)
-            budget = Budget(max_evaluations=40)
-            tuner._problem = cache.to_problem()
-            tuner._budget = budget
-            tuner._result = TuningResult()
-            tuner._track = [None, math.inf]
-            return tuner, budget
-
-        bulk_tuner, bulk_budget = run()
-        bulk_obs = bulk_tuner.evaluate_index_run(indices)
-        seq_tuner, seq_budget = run()
-        seq_obs = []
-        for i in indices:
-            obs = seq_tuner.evaluate_index(i)
-            if obs is None:
-                break
-            seq_obs.append(obs)
-        assert len(bulk_obs) == len(seq_obs) == 40  # truncated by the budget
-        assert [o.to_dict() for o in bulk_obs] == [o.to_dict() for o in seq_obs]
-        assert bulk_budget.to_dict() == seq_budget.to_dict()
-        assert bulk_tuner._track == seq_tuner._track
-
-    def test_charge_bulk_equals_repeated_charges(self):
-        a = Budget(max_evaluations=10)
-        b = Budget(max_evaluations=10)
-        for _ in range(3):
-            a.charge()
-        b.charge_bulk(3)
-        assert a.to_dict() == b.to_dict()
-        exhausted = Budget(max_evaluations=0)
-        with pytest.raises(BudgetExhaustedError):
-            exhausted.charge_bulk(1)
 
 
 # ---------------------------------------------------------------- restart draws

@@ -128,29 +128,6 @@ RULE_FIXTURES = {
                     raise TransientExecutionError(f"task failed: {exc}") from exc
             """,
     },
-    "RPL005": {
-        "rel": "repro/tuners/budget_example.py",
-        "bad": """
-            from repro.core.budget import Budget
-
-            class CappedBudget(Budget):
-                @property
-                def exhausted(self):
-                    return self.evaluations_used >= 5
-            """,
-        "good": """
-            from repro.core.budget import Budget
-
-            class CappedBudget(Budget):
-                @property
-                def exhausted(self):
-                    return self.evaluations_used >= 5
-
-                @property
-                def remaining_evaluations(self):
-                    return max(0, 5 - self.evaluations_used)
-            """,
-    },
     "RPL006": {
         "rel": "repro/kernels/reg_example.py",
         "bad": """
@@ -303,22 +280,6 @@ class TestRuleFixtures:
                     return None
             """)
         assert codes(result) == ["RPL004"]
-
-    def test_rpl005_wants_remaining_evaluations_not_affordable(self, tmp_path):
-        # The bulk prefix is sized by remaining_evaluations; a narrowed budget
-        # that only answers the retired affordable_evaluations is still flagged.
-        result = run_lint(tmp_path, "repro/tuners/budget_old.py", """
-            from repro.core.budget import Budget
-
-            class CappedBudget(Budget):
-                @property
-                def exhausted(self):
-                    return self.evaluations_used >= 5
-
-                def affordable_evaluations(self):
-                    return max(0, 5 - self.evaluations_used)
-            """)
-        assert codes(result) == ["RPL005"]
 
     def test_rpl006_flags_unserializable_spec_kwargs(self, tmp_path):
         result = run_lint(tmp_path, "repro/kernels/reg2.py", """

@@ -530,7 +530,6 @@ class TestDictVsIndexPaths:
             dict_cache = EvaluationCache.from_dict(replay.to_dict(), space=space)
             dict_problem = dict_cache.to_problem(strict=False)
             dict_problem._evaluate_index_fn = None  # force the dictionary path
-            dict_problem._lookup_indices_fn = None
             dict_result = run_tuning(factory(), dict_problem,
                                      max_evaluations=40, seed=5)
             got = [[space.index_of(o.config), o.value, o.valid, o.error,

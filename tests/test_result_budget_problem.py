@@ -137,37 +137,14 @@ class TestBudget:
         assert budget.remaining_evaluations == 3
         budget.charge()
         assert budget.remaining_evaluations == 2
-        budget.charge_bulk(2)
+        budget.charge()
+        budget.charge()
         assert budget.remaining_evaluations == 0
         assert Budget().remaining_evaluations == math.inf
 
     def test_negative_limits_rejected(self):
         with pytest.raises(ValueError):
             Budget(max_evaluations=-1)
-
-    def test_charge_bulk_exactly_remaining_is_fine(self):
-        budget = Budget(max_evaluations=5)
-        budget.charge_bulk(3)
-        budget.charge_bulk(2)  # exactly the remaining allowance
-        assert budget.evaluations_used == 5
-        assert budget.exhausted
-
-    def test_charge_bulk_overshoot_raises(self):
-        budget = Budget(max_evaluations=5)
-        budget.charge_bulk(3)
-        with pytest.raises(BudgetExhaustedError):
-            budget.charge_bulk(3)  # one past the remaining allowance
-        # The failed bulk charge must not have recorded anything.
-        assert budget.evaluations_used == 3
-        fresh = Budget(max_evaluations=5)
-        with pytest.raises(BudgetExhaustedError):
-            fresh.charge_bulk(6)
-        assert fresh.evaluations_used == 0
-
-    def test_charge_bulk_unlimited_budget_never_overshoots(self):
-        budget = Budget()
-        budget.charge_bulk(10_000)
-        assert budget.evaluations_used == 10_000
 
     def test_unlimited_budget_is_never_exhausted(self):
         budget = Budget()
@@ -176,19 +153,10 @@ class TestBudget:
         assert not budget.exhausted
         assert budget.evaluations_used == 1000
 
-    def test_charge_bulk_of_nothing_is_a_no_op(self):
-        # An empty prefix settles nothing, even against a spent budget.
-        budget = Budget(max_evaluations=1)
-        budget.charge()
-        budget.charge_bulk(0)
-        budget.charge_bulk(-3)
-        assert budget.evaluations_used == 1
-        with pytest.raises(BudgetExhaustedError):
-            budget.charge_bulk(1)
-
     def test_to_dict_holds_limit_and_usage_only(self):
         budget = Budget(max_evaluations=4)
-        budget.charge_bulk(3)
+        for _ in range(3):
+            budget.charge()
         assert budget.to_dict() == {"max_evaluations": 4, "evaluations_used": 3}
         assert Budget().to_dict() == {"max_evaluations": None, "evaluations_used": 0}
 
@@ -203,8 +171,6 @@ class TestBudget:
         budget = Budget(max_evaluations=10)
         with pytest.raises(TypeError):
             budget.charge(simulated_seconds=0.1)
-        with pytest.raises(TypeError):
-            budget.charge_bulk(2, simulated_seconds=[0.1, 0.1])
         assert budget.evaluations_used == 0
 
 
@@ -288,7 +254,7 @@ class TestTuningProblem:
         space = problem.space
         indices = [space.index_of({"x": 1, "y": 1}), space.index_of({"x": 2, "y": 2}),
                    space.index_of({"x": 4, "y": 4})]  # the last violates x*y <= 12
-        observations = problem.evaluate_indices(indices)
+        observations = [problem.evaluate_index(i) for i in indices]
         assert [o.value for o in observations] == [11.0, 22.0, math.inf]
         assert [o.valid for o in observations] == [True, True, False]
         assert [o.evaluation_index for o in observations] == [0, 1, 2]

@@ -137,8 +137,8 @@ class TestTunerContract:
     @pytest.mark.parametrize("tuner_cls", ALL_TUNER_CLASSES)
     def test_peekable_run_spends_exactly_its_budget(self, tuner_cls,
                                                     pnpoly_replay_cache):
-        # On a replay every tuner settles through evaluate_index or the bulk
-        # prefix of evaluate_index_run; a budget that ends mid-batch must be
+        # On a replay every tuner settles each candidate through
+        # evaluate_index; a budget that ends mid-generation or mid-block must be
         # charged exactly, never overdrawn.
         problem = pnpoly_replay_cache.to_problem()
         result = run_tuning(tuner_cls(seed=5), problem, max_evaluations=37)
