@@ -265,19 +265,21 @@ def main() -> None:
         space = replay_cache.space
         probe = space.sample_indices(2048, rng=7, valid_only=True, unique=True)
 
+        def probe_all(cache):
+            table = cache.index_table()
+            return [table.lookup_one(index) for index in probe.tolist()]
+
         def open_json():
-            cache = load_cache(json_path, space=space)
-            return cache.index_table().lookup(probe)
+            return probe_all(load_cache(json_path, space=space))
 
         def open_columnar():
-            cache = EvaluationCache.from_columnar(col_path, space=space)
-            return cache.index_table().lookup(probe)
+            return probe_all(EvaluationCache.from_columnar(col_path, space=space))
 
         open_json(), open_columnar()  # warm the page cache for both files
         json_probe, t_json = timed_best(open_json)
         col_probe, t_col = timed_best(open_columnar)
         identical = (
-            all(np.array_equal(a, b) for a, b in zip(json_probe, col_probe))
+            json_probe == col_probe
             and json.dumps(load_cache(json_path, space=space).to_dict())
             == json.dumps(EvaluationCache.from_columnar(col_path,
                                                         space=space).to_dict()))

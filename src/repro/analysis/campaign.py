@@ -8,11 +8,13 @@ campaign caches.  The experimental design (Sec. V) is:
 * **10 000 unique random configurations** for Hotspot, Dedispersion and Expdist (their
   spaces have 1e7--1e8 points).
 
-:class:`Campaign` reproduces that design against the simulated GPUs, memoises the
+:class:`Campaign` reproduces that design against the simulated GPUs and memoises the
 caches in memory (so one pytest/benchmark session never evaluates the same campaign
-twice), and can persist/load them as cache files.  A ``scale`` parameter shrinks the
-sampled campaigns and swaps exhaustive enumeration for sampling above a cardinality
-limit, which is what the unit tests and the quick benchmark presets use.
+twice).  ``sample_size`` shrinks the sampled campaigns and ``exhaustive_limit`` swaps
+exhaustive enumeration for sampling above a cardinality limit, which is what the unit
+tests and the quick benchmark presets use.  The campaign CLI (``python -m repro.exec
+run --output-dir``) writes cache files and :func:`repro.io.cachefile.load_cache`
+reads them back.
 
 Execution is delegated to the :mod:`repro.exec` subsystem: the campaign's design
 decisions (which benchmarks are sampled, per-GPU seeds) live in
@@ -38,7 +40,6 @@ from repro.exec.planner import (
 )
 from repro.core.registry import benchmark_suite
 from repro.gpus.specs import GPUSpec, all_gpus
-from repro.io.cachefile import load_cache, save_cache
 from repro.kernels import KernelBenchmark
 
 __all__ = ["Campaign", "PAPER_SAMPLED_BENCHMARKS", "PAPER_SAMPLE_SIZE"]
@@ -146,29 +147,3 @@ class Campaign:
                    if (benchmark_name, gpu_name) not in self._caches]
         self._execute(missing)
         return dict(self._caches)
-
-    # ---------------------------------------------------------------- persistence
-
-    def save(self, directory: str | Path, compress: bool = True) -> list[Path]:
-        """Persist every built cache as ``<benchmark>_<gpu>.json[.gz]`` files."""
-        directory = Path(directory)
-        written: list[Path] = []
-        suffix = ".json.gz" if compress else ".json"
-        for (benchmark_name, gpu_name), cache in self._caches.items():
-            written.append(save_cache(cache, directory / f"{benchmark_name}_{gpu_name}{suffix}"))
-        return written
-
-    def load(self, directory: str | Path) -> int:
-        """Load previously saved caches from ``directory``; returns how many were loaded."""
-        directory = Path(directory)
-        loaded = 0
-        for benchmark_name, benchmark in self.benchmarks.items():
-            for gpu_name in self.gpus:
-                for suffix in (".json.gz", ".json"):
-                    path = directory / f"{benchmark_name}_{gpu_name}{suffix}"
-                    if path.exists():
-                        self._caches[(benchmark_name, gpu_name)] = load_cache(
-                            path, space=benchmark.space)
-                        loaded += 1
-                        break
-        return loaded

@@ -61,12 +61,6 @@ class ConvergenceCurve:
         hits = np.nonzero(self.median_relative_performance >= threshold)[0]
         return int(self.evaluations[hits[0]]) if hits.size else None
 
-    def at(self, evaluation: int) -> float:
-        """Median relative performance after ``evaluation`` evaluations."""
-        idx = np.searchsorted(self.evaluations, evaluation)
-        idx = min(int(idx), len(self.evaluations) - 1)
-        return float(self.median_relative_performance[idx])
-
     def to_dict(self) -> dict[str, object]:
         """JSON-friendly representation."""
         return {

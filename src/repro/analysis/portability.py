@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.cache import EvaluationCache
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, ResourceLimitError
 from repro.gpus.specs import GPUSpec
 from repro.kernels.base import KernelBenchmark
 
@@ -105,10 +105,11 @@ def portability_matrix(benchmark: KernelBenchmark,
                 transferred = cached.value
             else:
                 # Not in the target's cache (sampled campaign) or invalid there:
-                # evaluate through the model, falling back to "not portable at all".
+                # evaluate through the model; a configuration that cannot launch on
+                # the target is "not portable at all".
                 try:
                     transferred = benchmark.model.time_ms(source_config, gpus[target])
-                except Exception:
+                except ResourceLimitError:
                     transferred = float("inf")
             matrix[i, j] = target_best / transferred if np.isfinite(transferred) else 0.0
 

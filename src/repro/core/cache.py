@@ -28,7 +28,7 @@ Adopted arrays, memory-mapped read-only ones included, are copied on the first w
 Every reader answers from the columns: ``len``/``num_valid``/``num_invalid``,
 :meth:`~EvaluationCache.values`, :meth:`~EvaluationCache.best`/:meth:`~EvaluationCache.worst`,
 :meth:`~EvaluationCache.median`, :meth:`~EvaluationCache.optimum`,
-:meth:`~EvaluationCache.statistics`, :meth:`~EvaluationCache.get` (and ``lookup``/``in``),
+:meth:`~EvaluationCache.statistics`, :meth:`~EvaluationCache.get` (and ``in``),
 :meth:`~EvaluationCache.valid_arrays`, :meth:`~EvaluationCache.configs`,
 :meth:`~EvaluationCache.to_feature_matrix`, :meth:`~EvaluationCache.to_problem` replays,
 :meth:`~EvaluationCache.to_dict` and :meth:`~EvaluationCache.to_columnar`.
@@ -55,11 +55,10 @@ Columnar index table
 Replayed tuning campaigns perform millions of cache lookups.
 :meth:`EvaluationCache.index_table` is the ``space index -> row`` map over the
 cache's own columns: a dense ``row_of`` array for small spaces and, for the huge
-sampled ones, one sorted int64 key array with each key's row beside it (binary
-search for scalar probes, :func:`numpy.searchsorted` for batches), so an attached,
-memory-mapped or JSON-loaded cache holds no Python object per stored row.  Values
-and failure flags are read from the columns, so an overwrite is visible at once and
-an appended row inserts one key.
+sampled ones, one sorted int64 key array with each key's row beside it (one binary
+search per probe), so an attached, memory-mapped or JSON-loaded cache holds no
+Python object per stored row.  Values and failure flags are read from the columns,
+so an overwrite is visible at once and an appended row inserts one key.
 
 Cache formats
 -------------
@@ -406,18 +405,16 @@ class CacheIndexTable:
     """Columnar ``space index -> row`` map over an evaluation cache's columns.
 
     ``lookup_one`` answers a single integer-index probe without building any
-    configuration dictionary; ``lookup`` is the batch form.  Values and failure
-    flags are read from the cache's columns, so overwrites need no bookkeeping and
-    a fresh row inserts one key.
+    configuration dictionary.  Values and failure flags are read from the cache's
+    columns, so overwrites need no bookkeeping and a fresh row inserts one key.
 
     A space of at most ``_DENSE_LOOKUP_MAX`` points keeps a dense ``row_of``
     array.  A larger (hashed) space keeps one store: its stored indices sorted
     into an int64 key array, with each key's row beside it, built at
-    construction.  A batch lookup is one :func:`numpy.searchsorted`; a scalar
-    probe is one :func:`bisect.bisect_left` over a zero-copy ``memoryview`` of
-    the keys, so the table holds no Python object per stored row.  Keys inserted
-    since the last sort wait in a small pending map, which folds into the arrays
-    at the next batch lookup or once it outgrows them.
+    construction.  A probe is one :func:`bisect.bisect_left` over a zero-copy
+    ``memoryview`` of the keys, so the table holds no Python object per stored
+    row.  Keys inserted since the last sort wait in a small pending map, which
+    folds into the arrays once it outgrows them.
     """
 
     __slots__ = ("_columns", "_cardinality", "_dense", "_row_of", "_keys", "_rows",
@@ -487,33 +484,6 @@ class CacheIndexTable:
             return math.inf, True, False
         columns = self._columns
         return float(columns.values[row]), bool(columns.failure[row]), True
-
-    def lookup(self, indices: np.ndarray | Sequence[int]
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batch ``(values, failure, found)`` arrays for an index block.
-
-        Out-of-range indices are misses (see :meth:`lookup_one`).
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        rows = np.full(idx.size, -1, dtype=np.int64)
-        if self._dense:
-            in_range = (idx >= 0) & (idx < self._cardinality)
-            rows[in_range] = self._row_of[idx[in_range]]
-        else:
-            if self._pending:
-                self._fold()
-            keys = self._keys
-            if keys.size:
-                pos = np.searchsorted(keys, idx)
-                pos[pos == keys.size] = 0
-                hit = keys[pos] == idx
-                rows[hit] = self._rows[pos[hit]]
-        found = rows >= 0
-        values = np.full(idx.size, math.inf, dtype=float)
-        failure = np.ones(idx.size, dtype=bool)
-        values[found] = self._columns.values[rows[found]]
-        failure[found] = self._columns.failure[rows[found]]
-        return values, failure, found
 
 
 class EvaluationCache:
@@ -625,11 +595,6 @@ class EvaluationCache:
         else:
             self._overrides[row] = observation
 
-    def update(self, observations: Iterable[Observation]) -> None:
-        """Store many observations."""
-        for obs in observations:
-            self.add_observation(obs)
-
     # ------------------------------------------------------------- columnar lookups
 
     def index_table(self) -> CacheIndexTable:
@@ -667,14 +632,6 @@ class EvaluationCache:
             return None
         row = self.index_table().row(index)
         return None if row < 0 else self._observation_at(row)
-
-    def lookup(self, config: Mapping[str, Any]) -> Observation:
-        """Like :meth:`get` but raises :class:`CacheMissError` when absent."""
-        obs = self.get(config)
-        if obs is None:
-            raise CacheMissError(
-                f"configuration not in {self.benchmark}/{self.gpu} cache: {dict(config)}")
-        return obs
 
     @property
     def observations(self) -> tuple[Observation, ...]:
@@ -779,11 +736,11 @@ class EvaluationCache:
     def to_problem(self, strict: bool = True, memoize: bool = True) -> TuningProblem:
         """A :class:`TuningProblem` that answers evaluations from this cache.
 
-        The problem carries both objective forms: the index-native
-        ``evaluate_index_fn`` (one probe of :meth:`index_table`, no dictionary, no
-        hashing of sorted item tuples) and the dictionary ``evaluate_fn``, which is
-        that probe at ``space.index_of(config)`` -- one lookup path, so a tuner may
-        drive either form and record identical observations.
+        The problem measures through the index-native ``evaluate_index_fn`` (one
+        probe of :meth:`index_table`, no dictionary, no hashing of sorted item
+        tuples); its dictionary ``evaluate`` is a view of ``evaluate_index``.  The
+        ``evaluate_fn`` every :class:`TuningProblem` requires is the same probe at
+        ``space.index_of(config)``, so both objective forms answer alike.
 
         Parameters
         ----------

@@ -23,7 +23,7 @@ import ast
 import warnings
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from repro.core.errors import ConstraintViolationError, InvalidConfigurationError
+from repro.core.errors import InvalidConfigurationError
 
 __all__ = ["Constraint", "ConstraintSet", "ConstraintSerializationWarning"]
 
@@ -233,14 +233,6 @@ class ConstraintSet:
     def violated(self, config: Mapping[str, Any]) -> tuple[str, ...]:
         """Expressions of all constraints violated by ``config`` (empty if valid)."""
         return tuple(c.expression for c in self._constraints if not c.is_satisfied(config))
-
-    def check(self, config: Mapping[str, Any]) -> None:
-        """Raise :class:`ConstraintViolationError` if any constraint is violated."""
-        bad = self.violated(config)
-        if bad:
-            raise ConstraintViolationError(
-                f"configuration violates {len(bad)} constraint(s): {', '.join(bad)}",
-                violated=bad)
 
     # ------------------------------------------------------------------ serialization
 

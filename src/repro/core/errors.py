@@ -6,9 +6,9 @@ failure modes a kernel tuner actually encounters in the wild:
 
 * a configuration that is *malformed* (unknown parameter, value outside the allowed
   list) -- :class:`InvalidConfigurationError`;
-* a configuration that is well-formed but *cannot be compiled or launched* on the
-  target device (violates a constraint or exceeds a hardware resource limit) --
-  :class:`ConstraintViolationError` and :class:`ResourceLimitError`;
+* a configuration that is well-formed but *cannot be launched* on the target device
+  (exceeds a hardware resource limit) -- :class:`ResourceLimitError`; a constraint
+  violation is not raised but recorded as an invalid observation;
 * a failure of the tuning machinery itself (budget exhausted, empty search space,
   missing cache entry) -- the remaining classes.
 
@@ -29,17 +29,6 @@ class ReproError(Exception):
 
 class InvalidConfigurationError(ReproError):
     """A configuration references unknown parameters or disallowed values."""
-
-
-class ConstraintViolationError(ReproError):
-    """A configuration violates one of the search-space constraints.
-
-    The offending constraint expressions are available in :attr:`violated`.
-    """
-
-    def __init__(self, message: str, violated: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.violated = tuple(violated)
 
 
 class ResourceLimitError(ReproError):

@@ -133,20 +133,7 @@ class Parameter:
                 f"{value!r} is not an allowed value of parameter {self.name!r} "
                 f"(allowed: {self.values})") from None
 
-    def value_at(self, index: int) -> Any:
-        """Return the value at ``index`` (supports negative indices like a tuple)."""
-        try:
-            return self.values[index]
-        except IndexError:
-            raise InvalidConfigurationError(
-                f"index {index} out of range for parameter {self.name!r} "
-                f"with {self.cardinality} values") from None
-
     # ------------------------------------------------------------------------ sampling
-
-    def sample(self, rng: np.random.Generator) -> Any:
-        """Draw one allowed value uniformly at random."""
-        return self.values[int(rng.integers(0, len(self.values)))]
 
     def sample_index(self, rng: np.random.Generator) -> int:
         """Draw the index of an allowed value uniformly at random."""
@@ -218,12 +205,6 @@ class Parameter:
             cached.setflags(write=False)
             object.__setattr__(self, "_numeric_values", cached)
         return cached
-
-    def encode(self, value: Any) -> float:
-        """Encode one value as a float feature (the value itself, or its ordinal)."""
-        if self.is_numeric:
-            return float(value) if value in self._index else float(self.values[self.index_of(value)])
-        return float(self.index_of(value))
 
     # ------------------------------------------------------------------- serialization
 

@@ -11,25 +11,25 @@ configuration space and kernel handler classes providing for easy integration" (
 any optimizer that can consume a :class:`TuningProblem` can tune every benchmark in the
 suite, and any benchmark that can produce one can be tuned by every optimizer.
 
-The ``evaluate_index`` contract
--------------------------------
-:meth:`TuningProblem.evaluate_index` is the index-native path of the tuner
-runtime, and every tuner evaluation settles through it, one candidate at a time:
-the candidate is identified by its mixed-radix space index, static validity
-comes from the constraint truth-table mask, the objective is answered by
-``evaluate_index_fn`` where one was supplied (cache replays), and the resulting
+One measure path
+----------------
+:meth:`TuningProblem.evaluate_index` is the one measure path, and every tuner
+evaluation settles through it, one candidate at a time: the candidate is
+identified by its mixed-radix space index, static validity comes from the
+constraint truth-table mask, the objective is answered by ``evaluate_index_fn``
+where one was supplied (cache replays), else by ``evaluate_fn`` on the space's
+own spelling of the configuration, and the resulting
 :class:`~repro.core.result.Observation` carries a lazily-materialised
-:class:`~repro.core.result.LazyConfig`.  The contract with the dictionary path:
+:class:`~repro.core.result.LazyConfig`.  The problem keeps one memo keyed by
+space index.
 
-* ``evaluate_index(space.index_of(config))`` and ``evaluate(config)`` produce
-  observations that serialize to identical bytes (same value, validity, error
-  string, evaluation index) whenever the two paths see the problem in the same
-  memoization state;
-* both paths share one memo keyed by space index (only configurations outside
-  the space fall back to their canonical config tuple), so a configuration
-  evaluated through both paths on one memoized problem is measured exactly once,
-  with one ``evaluation_count`` entry and one memo entry, no matter how the paths
-  interleave.
+:meth:`TuningProblem.evaluate` is a view of that path: a configuration of the
+space, however the caller spells its values (``320.0`` for ``320``), settles
+through ``evaluate_index(space.index_of(config))`` and measures exactly what
+the index path and a campaign cache measure, once, whichever path asks first;
+the view only puts the caller's ``dict(config)`` on the observation.  A
+configuration outside the space is a violation, memoized by its canonical
+config tuple.
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ class TuningProblem:
         evaluation paths measured or re-read it)."""
         return len(self._memo)
 
-    def is_valid(self, config: Mapping[str, Any]) -> bool:
-        """Static validity (membership + constraints); does not call the objective."""
-        return self.space.is_valid(config)
-
     # ------------------------------------------------------------------- evaluation
 
     def evaluate(self, config: Mapping[str, Any]) -> Observation:
@@ -118,35 +114,25 @@ class TuningProblem:
         objective function that raises/returns a non-finite value) yield an
         observation with ``valid=False`` and ``value=inf`` -- they still count as an
         evaluation, exactly as a failed compilation costs time on real hardware.
+        A member of the space settles through :meth:`evaluate_index` (see the
+        module docstring); the observation carries the caller's configuration.
         """
         try:
-            key: int | tuple = self.space.index_of(config)
-            member = True
+            index = self.space.index_of(config)
         except ReproError:
-            key, member = config_key(config), False
-        if self.memoize:
-            cached = self._memo.get(key)
-            if cached is not None:
-                return Observation(config=dict(config), value=cached.value,
-                                   valid=cached.valid, error=cached.error,
-                                   evaluation_index=cached.evaluation_index,
-                                   gpu=self.gpu, benchmark=self.name)
-
-        # ``index_of`` succeeding is exactly the membership half of ``is_valid``.
-        if member and self.space.constraints.is_satisfied(config):
-            value, valid, error = self._measure(self._evaluate_fn, config)
+            key = config_key(config)
+            settled = self._memo.get(key) if self.memoize else None
+            if settled is None:
+                settled = self._record(key, dict(config), math.inf, False,
+                                       self._violation(config))
         else:
-            value, valid, error = math.inf, False, self._violation(config)
-        count = self._evaluation_count
-        self._evaluation_count = count + 1
-        obs = Observation(config=dict(config), value=value, valid=valid, error=error,
-                          evaluation_index=count, gpu=self.gpu, benchmark=self.name)
-        if self.memoize:
-            self._memo[key] = obs
-        return obs
+            settled = self.evaluate_index(index)
+        return Observation.fast(dict(config), settled.value, settled.valid,
+                                settled.error, settled.evaluation_index,
+                                self.gpu, self.name)
 
     def evaluate_index(self, index: int, _valid_hint: bool | None = None) -> Observation:
-        """Index-native form of :meth:`evaluate` (see the module docstring contract).
+        """Measure the configuration at space ``index`` (see the module docstring).
 
         The observation's configuration is a :class:`~repro.core.result.LazyConfig`
         that materialises from the space's value columns only if something reads it;
@@ -171,13 +157,17 @@ class TuningProblem:
         else:
             config = self.space.config_at(index)
             value, valid, error = self._measure(self._evaluate_fn, config)
+        return self._record(index, LazyConfig(self.space, index) if config is None
+                            else dict(config), value, valid, error)
+
+    def _record(self, key: int | tuple, config: Mapping[str, Any], value: float,
+                valid: bool, error: str) -> Observation:
+        """Count one fresh evaluation and memoize its observation under ``key``."""
         count = self._evaluation_count
         self._evaluation_count = count + 1
-        obs = Observation.fast(LazyConfig(self.space, index) if config is None
-                               else dict(config),
-                               value, valid, error, count, self.gpu, self.name)
+        obs = Observation.fast(config, value, valid, error, count, self.gpu, self.name)
         if self.memoize:
-            self._memo[index] = obs
+            self._memo[key] = obs
         return obs
 
     def _measure(self, objective: Callable[[Any], float],

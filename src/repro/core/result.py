@@ -129,11 +129,6 @@ class Observation:
         return obs
 
     @property
-    def key(self) -> tuple[tuple[str, Any], ...]:
-        """Hashable canonical key of the configuration."""
-        return config_key(self.config)
-
-    @property
     def is_failure(self) -> bool:
         """True when the configuration could not be measured."""
         return (not self.valid) or not math.isfinite(self.value)

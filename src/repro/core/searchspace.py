@@ -1001,11 +1001,6 @@ class SearchSpace:
 
     # --------------------------------------------------------------------- encoding
 
-    def encode(self, config: Mapping[str, Any]) -> np.ndarray:
-        """Encode one configuration as a float feature vector (column per parameter)."""
-        self.validate_membership(config)
-        return np.array([p.encode(config[p.name]) for p in self._parameters], dtype=float)
-
     def encode_batch(self, configs: Sequence[Mapping[str, Any]]) -> np.ndarray:
         """Encode many configurations as an ``(n, dimensions)`` float matrix.
 
@@ -1060,8 +1055,8 @@ class SearchSpace:
         """The ``(dimensions, max_radix)`` encoded-value grid, built once.
 
         Row ``j`` holds parameter ``j``'s numeric values (ordinals for
-        non-numeric parameters) -- exactly what :meth:`encode` produces per
-        coordinate -- padded to the widest radix.  The companion boolean mask
+        non-numeric parameters) -- exactly what :meth:`encode_indices` produces
+        per coordinate -- padded to the widest radix.  The companion boolean mask
         flags the padded cells (None when every radix is equal), so decode can
         force their distance to ``inf`` and a padded cell can never win the
         nearest-value argmin, whatever the query vector contains.
@@ -1081,12 +1076,10 @@ class SearchSpace:
     def decode_digits(self, vector: Sequence[float]) -> np.ndarray:
         """Digit vector of the member configuration nearest to a feature vector.
 
-        The per-parameter nearest-value rule (first minimum of ``|grid - x|``) is
-        exactly the one :meth:`decode` applies, so
-        ``config_at(digits_to_indices(decode_digits(v)[None, :])[0])`` equals
-        ``decode(v)``.  All parameters are resolved in one vectorized pass over
-        the padded encoded-value grid (padded cells are forced to infinite
-        distance), element-wise identical to the per-parameter scan.
+        Per parameter, the nearest value is the first minimum of ``|grid - x|``.
+        All parameters are resolved in one vectorized pass over the padded
+        encoded-value grid (padded cells are forced to infinite distance),
+        element-wise identical to a per-parameter scan.
         """
         if len(vector) != self.dimensions:
             raise InvalidConfigurationError(
@@ -1116,12 +1109,6 @@ class SearchSpace:
     def decode_index(self, vector: Sequence[float]) -> int:
         """Mixed-radix index of the member configuration nearest to ``vector``."""
         return int(self.decode_digits(vector) @ self._places)
-
-    def decode(self, vector: Sequence[float]) -> Config:
-        """Map a feature vector back to the nearest member configuration."""
-        digits = self.decode_digits(vector)
-        return {p.name: p.value_at(int(d))
-                for p, d in zip(self._parameters, digits)}
 
     # ------------------------------------------------------------------ serialization
 

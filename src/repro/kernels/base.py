@@ -62,10 +62,6 @@ class Workload:
     def __getitem__(self, key: str) -> Any:
         return self.sizes[key]
 
-    def get(self, key: str, default: Any = None) -> Any:
-        """Dictionary-style access with default."""
-        return self.sizes.get(key, default)
-
 
 class KernelBenchmark:
     """One tunable kernel benchmark of the suite.
@@ -211,8 +207,7 @@ class KernelBenchmark:
         """
         cache = self.new_cache(gpu, sample_size=sample_size)
         if sample_size is None:
-            indices = np.concatenate([np.empty(0, dtype=np.int64),
-                                      *self.space.enumerate_chunked(valid_only=True)])
+            indices = self.space.feasible_indices(force=True)
         else:
             indices = self.space.sample_indices(sample_size, rng=seed,
                                                 valid_only=True, unique=True)

@@ -5,42 +5,45 @@ A tuner receives a :class:`~repro.core.problem.TuningProblem` and a
 :class:`~repro.core.result.TuningResult`.  The base class handles everything that must
 be identical across optimizers for a fair comparison -- seeding, budget accounting,
 result recording, duplicate handling -- so a concrete tuner only implements
-:meth:`Tuner._run`, typically a loop of "propose configuration(s), call
-:meth:`Tuner.evaluate`".
-
-Budget semantics
-----------------
-Every call to :meth:`Tuner.evaluate` consumes one evaluation from the budget, whether
-or not the configuration turns out to be valid -- failed compilations cost time on real
-hardware, and the paper's convergence plots count them.  Once the budget is exhausted
-:meth:`Tuner.evaluate` returns None and the tuner should stop; the base class also
-stops the run defensively if a tuner ignores that signal.
+:meth:`Tuner._run`, typically a loop of "propose candidate(s), call
+:meth:`Tuner.evaluate_index`".
 
 Index-native runtime
 --------------------
-The hot loop of every in-repo optimizer identifies candidates by their mixed-radix
-space index: :meth:`Tuner.evaluate_index` is the integer twin of :meth:`Tuner.evaluate`.
-Every evaluation, through either path, charges one evaluation to the budget; the
-problem's one memo (keyed by space index) decides whether it is measured again.  The
-running best (index, value) pair is tracked in ``_track`` so index-native tuners that
-restart from the incumbent (greedy ILS) never have to recover an index from a
-configuration dictionary.
+A tuner identifies candidates by their mixed-radix space index and settles each
+one through :meth:`Tuner.evaluate_index`.  The index must already be valid: it
+comes from the constraint truth-table mask (valid sampling, neighbourhood
+enumeration, post-repair checks), so no static check runs.  A custom tuner that
+starts from configuration dictionaries turns them into indices first
+(``space.index_of``, ``space.indices_of_configs``) and keeps the valid ones
+(``space.index_is_feasible``).
 
-Candidates settle one at a time through :meth:`Tuner.evaluate_index`;
-:meth:`Tuner.evaluate_index_run` is that loop over a run of pre-validated indices
-known up front (a grid block, an initial population).
+Budget semantics
+----------------
+Every call to :meth:`Tuner.evaluate_index` consumes one evaluation from the
+budget, whether or not the configuration turns out to be valid -- failed
+compilations cost time on real hardware, and the paper's convergence plots count
+them.  The problem's one memo (keyed by space index) decides whether it is
+measured again.  Once the budget is exhausted :meth:`Tuner.evaluate_index`
+returns None and the tuner should stop; the base class also stops the run
+defensively if a tuner ignores that signal.  The running best (index, value)
+pair is tracked in ``_track`` so tuners that restart from the incumbent (greedy
+ILS) never have to recover an index from a configuration dictionary.
+
+:meth:`Tuner.evaluate_index_run` is the :meth:`Tuner.evaluate_index` loop over a
+run of pre-validated indices known up front (a grid block, an initial population).
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
 from repro.core.budget import Budget
-from repro.core.errors import BudgetExhaustedError, ReproError
+from repro.core.errors import BudgetExhaustedError
 from repro.core.problem import TuningProblem
 from repro.core.result import Observation, TuningResult
 
@@ -99,7 +102,7 @@ class Tuner(abc.ABC):
     @abc.abstractmethod
     def _run(self, problem: TuningProblem, budget: Budget,
              rng: np.random.Generator) -> None:
-        """Optimization loop; call :meth:`evaluate` for every candidate."""
+        """Optimization loop; call :meth:`evaluate_index` for every candidate."""
 
     # --------------------------------------------------------------------- helpers
 
@@ -108,32 +111,13 @@ class Tuner(abc.ABC):
         """True once no further evaluations are allowed."""
         return self._budget is None or self._budget.exhausted
 
-    def evaluate(self, config: Mapping[str, Any]) -> Observation | None:
-        """Evaluate one configuration, record it, and charge the budget.
-
-        Returns None (without evaluating) when the budget is exhausted, so tuner loops
-        can simply ``break`` on a None result.
-        """
-        if self._problem is None or self._budget is None or self._result is None:
-            raise RuntimeError("evaluate() called outside of tune()")
-        if self._budget.exhausted:
-            return None
-        observation = self._problem.evaluate(config)
-        try:
-            index: int | None = self._problem.space.index_of(config)
-        except ReproError:
-            index = None  # outside the space: never the incumbent
-        self._account(index, observation)
-        return observation
-
     def evaluate_index(self, index: int) -> Observation | None:
-        """Index-native twin of :meth:`evaluate`: evaluate one pre-validated space
-        index, record it, and charge the budget.
+        """Evaluate one pre-validated space index, record it, and charge the budget.
 
         The candidate must already have passed the constraint truth-table mask
         (neighbourhood enumeration, valid sampling, post-repair checks), so no
-        static check runs.  Returns None when the budget is exhausted, like
-        :meth:`evaluate`.
+        static check runs.  Returns None (without evaluating) when the budget is
+        exhausted, so tuner loops can simply ``break`` on a None result.
         """
         if self._problem is None or self._budget is None or self._result is None:
             raise RuntimeError("evaluate_index() called outside of tune()")
@@ -144,11 +128,10 @@ class Tuner(abc.ABC):
         self._account(index, observation)
         return observation
 
-    def _account(self, index: int | None, observation: Observation) -> None:
+    def _account(self, index: int, observation: Observation) -> None:
         self._budget.charge()
         track = self._track
-        if (index is not None and not observation.is_failure
-                and observation.value < track[1]):
+        if not observation.is_failure and observation.value < track[1]:
             track[0] = index
             track[1] = observation.value
         self._result.record(observation)

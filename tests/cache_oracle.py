@@ -67,7 +67,7 @@ class OracleCache:
             benchmark=self.benchmark)
 
     def add_observation(self, observation: Observation) -> None:
-        self._entries[observation.key] = observation
+        self._entries[config_key(observation.config)] = observation
 
     # ----------------------------------------------------------------- readers
 
@@ -147,7 +147,7 @@ class OracleCache:
 
     def lookup_indices(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                            np.ndarray]:
-        """``(values, failure, found)`` per space index, as ``index_table().lookup``."""
+        """``(values, failure, found)`` arrays of ``index_table().lookup_one`` per index."""
         by_index = {self.space.index_of(o.config): o for o in self._entries.values()}
         hits = [by_index.get(int(index)) for index in np.asarray(indices).tolist()]
         return (np.array([math.inf if o is None else o.value for o in hits], dtype=float),

@@ -12,8 +12,7 @@ import pytest
 
 from repro.core.cache import EvaluationCache
 from repro.core.constraints import ConstraintSerializationWarning, ConstraintSet
-from repro.core.errors import (CacheMissError, InvalidConfigurationError, ReproError,
-                               SerializationError)
+from repro.core.errors import InvalidConfigurationError, ReproError, SerializationError
 from repro.core.parameter import Parameter
 from repro.core.result import Observation, TuningResult
 from repro.core.searchspace import SearchSpace
@@ -35,14 +34,20 @@ class TestEvaluationCache:
     def test_lengths_and_lookup(self, toy_cache):
         assert len(toy_cache) == 6
         assert toy_cache.num_valid == 6
-        obs = toy_cache.lookup({"x": 1, "y": 1})
+        obs = toy_cache.get({"x": 1, "y": 1})
         assert obs.value == 3.0
         assert {"x": 1, "y": 1} in toy_cache
 
     def test_lookup_miss_raises(self, toy_cache):
-        with pytest.raises(CacheMissError):
-            toy_cache.lookup({"x": 99, "y": 1})
+        # get() answers a miss with None; a strict replay's lookup raises
+        # CacheMissError, which the problem records as a failed evaluation.
         assert toy_cache.get({"x": 99, "y": 1}) is None
+        partial = EvaluationCache("toy", "SIM_GPU", toy_cache.space)
+        partial.add({"x": 1, "y": 1}, 3.0)
+        obs = partial.to_problem(strict=True).evaluate({"x": 2, "y": 2})
+        assert obs.is_failure
+        assert obs.error == ("evaluation failed: configuration not present in "
+                             "toy/SIM_GPU cache")
 
     def test_statistics(self, toy_cache):
         stats = toy_cache.statistics()
@@ -75,7 +80,7 @@ class TestEvaluationCache:
 
     def test_overwrite_same_config(self, toy_cache):
         toy_cache.add({"x": 1, "y": 1}, 100.0)
-        assert toy_cache.lookup({"x": 1, "y": 1}).value == 100.0
+        assert toy_cache.get({"x": 1, "y": 1}).value == 100.0
         assert len(toy_cache) == 6
 
     def test_feature_matrix_alignment(self, toy_cache):
@@ -107,7 +112,7 @@ class TestEvaluationCache:
         problem = toy_cache.to_problem(strict=False)
         # A member configuration missing from the cache is reported invalid.
         obs = problem.evaluate({"x": 2, "y": 2})
-        assert obs.value == toy_cache.lookup({"x": 2, "y": 2}).value
+        assert obs.value == toy_cache.get({"x": 2, "y": 2}).value
 
     def test_dict_round_trip(self, toy_cache):
         restored = EvaluationCache.from_dict(toy_cache.to_dict())
@@ -399,7 +404,7 @@ class TestFailureCounters:
 
     def test_overwrite_valid_with_invalid(self, toy_cache):
         config = {"x": 1, "y": 1}
-        assert not toy_cache.lookup(config).is_failure
+        assert not toy_cache.get(config).is_failure
         toy_cache.add(config, math.inf, valid=False, error="oom")
         assert (toy_cache.num_valid, toy_cache.num_invalid) == self._scan(toy_cache)
         assert toy_cache.num_invalid == 1

@@ -32,6 +32,7 @@ from repro.analysis import (
 )
 from repro.analysis.convergence import tuner_convergence
 from repro.core.cache import EvaluationCache
+from repro.core.searchspace import config_key
 from repro.exec import ParallelExecutor, SerialExecutor, ShardPlanner, resume_campaign
 from repro.io import load_cache, save_cache
 from repro.tuners import all_tuners
@@ -98,7 +99,8 @@ def row_built(path):
     cache = EvaluationCache(mapped.benchmark, mapped.gpu, mapped.space,
                             mapped.exhaustive)
     cache.metadata.update(mapped.metadata)
-    cache.update(mapped.observations)
+    for observation in mapped.observations:
+        cache.add_observation(observation)
     return cache
 
 
@@ -226,7 +228,7 @@ class TestGet:
         if failed:
             cases["failed member"] = dict(failed[0].config)
         if sampled_absent:
-            stored = {o.key for o in observations}
+            stored = {config_key(o.config) for o in observations}
             rng = np.random.default_rng(0)
             for index in cache.space.sample_indices(64, rng=rng, valid_only=True).tolist():
                 absent = cache.space.config_at(int(index))

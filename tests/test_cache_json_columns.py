@@ -253,7 +253,7 @@ class TestFallbacks:
         FALLBACKS["repeated config"](payload["cache"]["observations"])
         loaded, _ = load_payload(payload, tmp_path)
         assert len(loaded) == len(toy) - 1
-        assert loaded.lookup({"x": 1, "y": 1}).evaluation_index == 3
+        assert loaded.get({"x": 1, "y": 1}).evaluation_index == 3
 
 
 #: Edits that put a row's config outside the toy space.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.constraints import Constraint, ConstraintSet
-from repro.core.errors import ConstraintViolationError, InvalidConfigurationError
+from repro.core.errors import InvalidConfigurationError
 
 
 class TestConstraint:
@@ -70,12 +70,6 @@ class TestConstraintSet:
         cs = ConstraintSet(["a > 0", "b > 0"])
         assert cs.violated({"a": -1, "b": -1}) == ("a > 0", "b > 0")
         assert cs.violated({"a": 1, "b": 1}) == ()
-
-    def test_check_raises_with_details(self):
-        cs = ConstraintSet(["a > 0"])
-        with pytest.raises(ConstraintViolationError) as exc:
-            cs.check({"a": -1})
-        assert "a > 0" in exc.value.violated
 
     def test_add_accepts_strings_callables_and_constraints(self):
         cs = ConstraintSet()

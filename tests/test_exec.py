@@ -464,27 +464,20 @@ def _bound_tuner(problem, budget):
 
 class TestBatchEvaluatePaths:
     def test_evaluate_index_run_matches_dict_path(self, pnpoly, gpu_3090):
-        # A pre-validated index run and the scalar dictionary loop must record
-        # the same observations and charge the same budget, duplicates included.
+        # A pre-validated index run must record what the problem's dictionary
+        # path measures, duplicates included, and charge one evaluation each.
         configs = pnpoly.space.sample(40, rng=3)
         configs += configs[:5]  # duplicates
         indices = pnpoly.space.indices_of_configs(configs)
-        fast_budget = Budget(max_evaluations=42)
-        fast = _bound_tuner(pnpoly.problem(gpu_3090), fast_budget)
-        fast_obs = fast.evaluate_index_run(indices)
-        slow_budget = Budget(max_evaluations=42)
-        slow = _bound_tuner(pnpoly.problem(gpu_3090), slow_budget)
-        slow_obs = []
-        for config in configs:
-            obs = slow.evaluate(config)
-            if obs is None:
-                break
-            slow_obs.append(obs)
-        assert len(fast_obs) == len(slow_obs) == 42
+        budget = Budget(max_evaluations=42)
+        fast_obs = _bound_tuner(pnpoly.problem(gpu_3090), budget).evaluate_index_run(indices)
+        problem = pnpoly.problem(gpu_3090)
+        slow_obs = [problem.evaluate(config) for config in configs[:42]]
+        assert len(fast_obs) == 42
         for a, b in zip(fast_obs, slow_obs):
             assert dict(a.config) == dict(b.config)
             assert (a.value, a.valid, a.error) == (b.value, b.valid, b.error)
-        assert fast_budget.to_dict() == slow_budget.to_dict()
+        assert budget.to_dict() == {"max_evaluations": 42, "evaluations_used": 42}
 
     @pytest.mark.parametrize("limit", [0, 1, 7, 45, None])
     def test_evaluate_index_run_stops_at_the_remaining_budget(self, pnpoly,

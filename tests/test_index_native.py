@@ -236,15 +236,14 @@ class TestColumnarCacheLookups:
         cache, indices = self._build_cache(small_space)
         table = cache.index_table()
         probe = np.concatenate([indices, [0, 1, 2, 3]])
-        values, failure, found = table.lookup(probe)
-        for index, value, fail, hit in zip(probe.tolist(), values, failure, found):
+        for index in probe.tolist():
+            value, fail, hit = table.lookup_one(index)
             obs = cache.get(small_space.config_at(index))
             assert hit == (obs is not None)
             if obs is not None:
                 assert fail == obs.is_failure
                 if not obs.is_failure:
                     assert value == obs.value
-            assert table.lookup_one(index) == (value, fail, hit)
 
     def test_mutations_after_build_stay_in_sync(self, small_space):
         cache, _ = self._build_cache(small_space)
@@ -264,11 +263,8 @@ class TestColumnarCacheLookups:
         for cache in (dense_cache, hashed_cache):
             table = cache.index_table()
             assert table.lookup_one(-1) == (math.inf, True, False)
-            assert table.lookup_one(cache.space.cardinality + 5) == \
-                (math.inf, True, False)
-            _, _, found = table.lookup(np.asarray([-1, -95,
-                                                   cache.space.cardinality]))
-            assert not found.any()
+            for index in (-95, cache.space.cardinality, cache.space.cardinality + 5):
+                assert table.lookup_one(index) == (math.inf, True, False)
 
     def test_duplicate_indices_in_one_batch_do_not_leak_rows(self, small_space):
         cache = EvaluationCache("bench", "GPU", small_space)
@@ -302,6 +298,29 @@ class TestEvaluateIndex:
             a = dict_problem.evaluate(benchmark.space.config_at(index))
             b = index_problem.evaluate_index(index)
             assert a.to_dict() == b.to_dict()
+
+    def test_spelling_is_one_measurement_in_either_call_order(self, pnpoly, gpu_3090,
+                                                                pnpoly_cache_3090):
+        # A member configuration spelled otherwise than the space declares it
+        # (320.0 for 320) is the same measurement through evaluate, through
+        # evaluate_index and in the campaign cache, whichever path asks first.
+        space, problem = pnpoly.space, pnpoly.problem(gpu_3090)
+        table = pnpoly_cache_3090.index_table()
+        for index, dict_first in ((1234, True), (1235, False)):
+            config = space.config_at(index)
+            spelled = dict(config, block_size_x=float(config["block_size_x"]))
+            if dict_first:
+                by_dict = problem.evaluate(spelled)
+                by_index = problem.evaluate_index(index)
+            else:
+                by_index = problem.evaluate_index(index)
+                by_dict = problem.evaluate(spelled)
+            value, failure, found = table.lookup_one(index)
+            assert found and not failure
+            assert by_dict.value == by_index.value == value, (index, dict_first)
+            assert by_dict.evaluation_index == by_index.evaluation_index
+            assert type(by_dict.config["block_size_x"]) is float  # the caller's dict
+        assert problem.evaluation_count == problem.cache_size == 2
 
     def test_replay_matches_dict_evaluation_including_misses(self, benchmarks,
                                                              gpu_3090):

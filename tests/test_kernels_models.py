@@ -161,7 +161,7 @@ class TestQualitativeLandmarks:
         def relative(gpu):
             target_cache = benchmark.build_cache(gpu)
             target_best = target_cache.best().value
-            transferred = target_cache.lookup(best).value
+            transferred = target_cache.get(best).value
             return target_best / transferred
 
         same_family = relative(RTX_3060)

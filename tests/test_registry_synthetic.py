@@ -756,20 +756,16 @@ class TestCodecFuzz:
                 stored,
                 np_rng.integers(0, space.cardinality, size=16),
                 np.asarray([-1, -7, space.cardinality, space.cardinality + 3]),
-                stored[:3],  # duplicates inside one batch
+                stored[:3],  # repeated probes
             ])
-            dense = dense_table.lookup(probes)
-            hashed = hashed_table.lookup(probes)
-            for a, b in zip(dense, hashed):
-                assert np.array_equal(a, b), round_number
-            # Batch and scalar paths agree probe for probe, and both agree with
+            # Dense and hashed tables agree probe for probe, and both agree with
             # the dict store.
-            for k, index in enumerate(probes.tolist()):
-                assert hashed_table.lookup_one(index) == \
-                    (dense[0][k], dense[1][k], dense[2][k]), round_number
+            for index in probes.tolist():
+                dense = dense_table.lookup_one(index)
+                assert hashed_table.lookup_one(index) == dense, round_number
                 obs = hashed_cache.get(space.config_at(index)) \
                     if 0 <= index < space.cardinality else None
-                assert dense[2][k] == (obs is not None), round_number
+                assert dense[2] == (obs is not None), round_number
 
     def test_hashed_table_mutations_invalidate_the_sorted_index(self, monkeypatch):
         space = _random_space(random.Random(7))
@@ -779,16 +775,14 @@ class TestCodecFuzz:
             cache.add(space.config_at(0), 1.0)
             table = cache.index_table()
         assert not table._dense
-        values, failure, found = table.lookup(np.asarray([0, 1]))
-        assert found.tolist() == [True, False]
+        assert [table.lookup_one(i)[2] for i in (0, 1)] == [True, False]
         # A fresh key after the sorted index was built must invalidate it...
         cache.add(space.config_at(1), 2.0)
-        values, failure, found = cache.index_table().lookup(np.asarray([0, 1]))
-        assert found.tolist() == [True, True] and values.tolist() == [1.0, 2.0]
+        assert [cache.index_table().lookup_one(i) for i in (0, 1)] == [
+            (1.0, False, True), (2.0, False, True)]
         # ...while a pure overwrite updates in place (rows are stable).
         cache.add(space.config_at(1), 3.0)
-        values, _, _ = cache.index_table().lookup(np.asarray([1]))
-        assert values.tolist() == [3.0]
+        assert cache.index_table().lookup_one(1) == (3.0, False, True)
         assert cache.index_table() is table
 
     def test_hashed_lookup_on_a_real_sampled_space(self, benchmarks, gpu_3090):
@@ -799,8 +793,8 @@ class TestCodecFuzz:
         space = cache.space
         stored = space.indices_of_configs([dict(o.config) for o in cache])
         probes = np.concatenate([stored, stored + 1, np.asarray([-5])])
-        values, failure, found = table.lookup(probes)
-        assert found[:stored.size].all()
+        values, failure, found = zip(*map(table.lookup_one, probes.tolist()))
+        assert all(found[:stored.size])
         for k, obs in enumerate(cache):
             assert failure[k] == obs.is_failure
             if not obs.is_failure:

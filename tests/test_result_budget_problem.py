@@ -11,7 +11,7 @@ from repro.core.budget import Budget
 from repro.core.errors import BudgetExhaustedError, ReproError, ResourceLimitError
 from repro.core.problem import TuningProblem
 from repro.core.result import Observation, TuningResult
-from repro.core.searchspace import SearchSpace
+from repro.core.searchspace import SearchSpace, config_key
 from repro.core.parameter import Parameter
 
 
@@ -29,7 +29,7 @@ class TestObservation:
         obs = Observation({"x": 1}, 2.5, evaluation_index=3, gpu="g", benchmark="b")
         assert obs.value == 2.5
         assert not obs.is_failure
-        assert obs.key == (("x", 1),)
+        assert config_key(obs.config) == (("x", 1),)
 
     def test_failure_detection(self):
         assert Observation({"x": 1}, math.inf).is_failure

@@ -225,17 +225,17 @@ class TestEncoding:
         configs = small_space.sample(8, rng=rng)
         batch = small_space.encode_batch(configs)
         assert batch.shape == (8, small_space.dimensions)
-        for i, c in enumerate(configs):
-            np.testing.assert_allclose(batch[i], small_space.encode(c))
+        np.testing.assert_array_equal(
+            batch, small_space.encode_indices(small_space.indices_of_configs(configs)))
 
     def test_decode_inverts_encode(self, small_space, rng):
-        for config in small_space.sample(10, rng=rng):
-            decoded = small_space.decode(small_space.encode(config))
-            assert decoded == config
+        for index in small_space.indices_of_configs(small_space.sample(10, rng=rng)):
+            vector = small_space.encode_indices([index])[0]
+            assert small_space.decode_index(vector) == index
 
     def test_decode_wrong_length(self, small_space):
         with pytest.raises(InvalidConfigurationError):
-            small_space.decode([1.0, 2.0])
+            small_space.decode_index([1.0, 2.0])
 
 
 class TestSerialization:

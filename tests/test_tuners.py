@@ -12,7 +12,7 @@ from repro.core.errors import ResourceLimitError
 from repro.core.parameter import Parameter
 from repro.core.problem import TuningProblem
 from repro.core.runner import run_matrix, run_tuning
-from repro.core.searchspace import SearchSpace
+from repro.core.searchspace import SearchSpace, config_key
 from repro.tuners import (
     DifferentialEvolution,
     GeneticAlgorithm,
@@ -155,7 +155,7 @@ class TestTunerContract:
 
     def test_evaluate_outside_tune_raises(self):
         with pytest.raises(RuntimeError):
-            RandomSearch(seed=0).evaluate({"a": 1})
+            RandomSearch(seed=0).evaluate_index(0)
 
 
 class TestSpecificTuners:
@@ -171,7 +171,7 @@ class TestSpecificTuners:
 
     def test_random_search_without_replacement_unique(self, quadratic):
         result = run_tuning(RandomSearch(seed=0), quadratic, max_evaluations=60)
-        assert len({o.key for o in result}) == result.num_evaluations
+        assert len({config_key(o.config) for o in result}) == result.num_evaluations
 
     def test_random_search_exhausts_small_space(self):
         space = SearchSpace([Parameter("a", (1, 2, 3)), Parameter("b", (1, 2))])
