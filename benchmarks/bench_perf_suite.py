@@ -6,8 +6,10 @@ re-creations of the seed repository's scalar/dictionary implementations (or the
 feasible-set sweep, the JSON load, or the serial reference executor), asserts that
 both produce identical results, and writes the timings to ``BENCH_perf.json`` so
 before/after comparisons survive the run.  The fitness-flow graph, PageRank, restart
-draw and GBDT entries are absolute costs per item (each has one implementation, so
-no ratio): a repeat-k median with a bootstrap 95% confidence interval of that median.
+draw, JSON export, feasible-set sweep and GBDT entries are absolute costs per item
+(each has one implementation, so no ratio): a repeat-k median with a bootstrap 95%
+confidence interval of that median.  The JSON export and the sweep also record the
+traced peak of one call, the transient working set a campaign pays for them.
 
 Usage::
 
@@ -25,6 +27,7 @@ import math
 import os
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +53,8 @@ CAMPAIGN_WORKERS = 4
 REPLAY_CACHE_POINTS = 100_000  # rows in the cache_replay_open cache
 GBDT_FIT_REPEATS = 21   # surrogate-shaped fits timed for gbdt_surrogate_fit
 PFI_REPEATS = 11        # PFI reports timed for pfi_gemm_shape
+JSON_EXPORT_REPEATS = 11  # save_cache calls timed for json_export_gemm
+FEASIBLE_REPEATS = 21   # fresh-space sweeps timed for feasible_gemm
 BOOTSTRAP_SAMPLES = 2000
 
 
@@ -119,6 +124,59 @@ def absolute_entry(description: str, unit: str, per_item: list[float], k: int) -
             "ci95": [round(low, 2), round(high, 2)], "repeats": k}
 
 
+def traced_peak_mb(fn) -> float:
+    """Peak traced allocations of one call of ``fn``, after a collection, in MB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+    finally:
+        tracemalloc.stop()
+
+
+def working_set_entries(benchmarks: dict) -> dict[str, dict]:
+    """The campaign's two transient working sets on gemm, its largest exhaustive
+    space: the JSON export of the RTX_3090 cache and the feasible-set sweep of a
+    fresh space (truth tables built outside the timer).  Each entry records the
+    traced peak of one call next to its time per item."""
+    cache = benchmarks["gemm"].build_cache(RTX_3090, seed=2023)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "gemm.json.gz"
+        save_cache(cache, path)
+        saves = repeat_timings(lambda: save_cache(cache, path), JSON_EXPORT_REPEATS)
+        save_peak = traced_peak_mb(lambda: save_cache(cache, path))
+
+    gemm = benchmarks["gemm"].space
+
+    def fresh_space() -> SearchSpace:
+        space = SearchSpace(gemm.parameters, gemm.constraints)
+        space.satisfied_mask([0])
+        return space
+
+    sweeps = []
+    for _ in range(FEASIBLE_REPEATS):
+        space = fresh_space()
+        gc.collect()
+        sweeps.append(timed(space.feasible_indices, force=True)[1])
+    space = fresh_space()
+    sweep_peak = traced_peak_mb(lambda: space.feasible_indices(force=True))
+    entries = {
+        "json_export_gemm": {**absolute_entry(
+            f"save_cache of the gemm RTX_3090 export ({len(cache)} rows, level-9 gzip): "
+            f"time per row", "us/row",
+            [t / len(cache) * 1e6 for t in saves], JSON_EXPORT_REPEATS),
+            "traced_peak_mb": save_peak},
+        "feasible_gemm": {**absolute_entry(
+            f"feasible_indices(force=True) of a fresh gemm space ({gemm.cardinality} "
+            f"raw points): time per raw point", "ns/point",
+            [t / gemm.cardinality * 1e9 for t in sweeps], FEASIBLE_REPEATS),
+            "traced_peak_mb": sweep_peak},
+    }
+    print_entries(entries)
+    return entries
+
+
 def graph_entries(benchmarks: dict) -> dict[str, dict]:
     """FFG build and PageRank at the Fig. 3 gemm RTX_3090 shape (the exhaustive
     cache).  PageRank runs a fixed number of steps (``tol=0``), so its cost per edge
@@ -166,8 +224,10 @@ def restart_entries(benchmarks: dict) -> dict[str, dict]:
 
 def print_entries(entries: dict[str, dict]) -> None:
     for name, entry in entries.items():
+        peak = entry.get("traced_peak_mb")
         print(f"{name:<22}: {entry['median']:9.2f} {entry['unit']}  "
-              f"95% CI [{entry['ci95'][0]:.2f}, {entry['ci95'][1]:.2f}]")
+              f"95% CI [{entry['ci95'][0]:.2f}, {entry['ci95'][1]:.2f}]"
+              + ("" if peak is None else f"  traced peak {peak:.2f} MB"))
 
 
 def gbdt_entries() -> dict[str, dict]:
@@ -229,6 +289,7 @@ def main() -> None:
     # ------------------------------ FFG build and PageRank, absolute costs (Fig. 3)
     report.update(graph_entries(benchmarks))
     report.update(restart_entries(benchmarks))
+    report.update(working_set_entries(benchmarks))
 
     # ------------------------------------------------- exact constrained counting
     # Variable elimination over the truth tables vs the sweep of the feasible set

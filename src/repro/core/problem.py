@@ -17,8 +17,8 @@ One measure path
 evaluation settles through it, one candidate at a time: the candidate is
 identified by its mixed-radix space index, static validity comes from the
 constraint truth-table mask, the objective is answered by ``evaluate_index_fn``
-where one was supplied (cache replays), else by ``evaluate_fn`` on the space's
-own spelling of the configuration, and the resulting
+where one was supplied (cache replays supply only that), else by ``evaluate_fn``
+on the space's own spelling of the configuration, and the resulting
 :class:`~repro.core.result.Observation` carries a lazily-materialised
 :class:`~repro.core.result.LazyConfig`.  The problem keeps one memo keyed by
 space index.
@@ -59,7 +59,8 @@ class TuningProblem:
         The constrained search space.
     evaluate_fn:
         Callable mapping a configuration to an objective value (kernel time in
-        milliseconds).  It may raise :class:`ResourceLimitError` (or any
+        milliseconds); optional when ``evaluate_index_fn`` is given, which then
+        answers every measurement.  It may raise :class:`ResourceLimitError` (or any
         ``repro`` exception) for configurations that cannot run on the device; the
         problem converts those into invalid observations rather than propagating,
         which is how real autotuners treat failed compilations.
@@ -72,15 +73,24 @@ class TuningProblem:
     evaluate_index_fn:
         Optional index-native objective ``space_index -> value`` used by
         :meth:`evaluate_index` instead of materialising a configuration dictionary
-        for ``evaluate_fn``.  Must be element-wise equivalent to
-        ``evaluate_fn(space.config_at(index))``, including what it raises (cache
-        replays supply one; see :meth:`repro.core.cache.EvaluationCache.to_problem`).
+        for ``evaluate_fn``.  Where both are given it must be element-wise
+        equivalent to ``evaluate_fn(space.config_at(index))``, including what it
+        raises (cache replays supply only this one; see
+        :meth:`repro.core.cache.EvaluationCache.to_problem`).
+
+    Raises
+    ------
+    ReproError
+        If neither ``evaluate_fn`` nor ``evaluate_index_fn`` is given.
     """
 
     def __init__(self, name: str, space: SearchSpace,
-                 evaluate_fn: Callable[[Mapping[str, Any]], float],
+                 evaluate_fn: Callable[[Mapping[str, Any]], float] | None = None,
                  gpu: str = "", memoize: bool = True,
                  evaluate_index_fn: Callable[[int], float] | None = None):
+        if evaluate_fn is None and evaluate_index_fn is None:
+            raise ReproError(f"problem {name!r} needs an objective: "
+                             f"evaluate_fn or evaluate_index_fn")
         self.name = name
         self.space = space
         self.gpu = gpu

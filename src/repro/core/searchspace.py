@@ -101,8 +101,14 @@ Config = dict[str, Any]
 #: the sampled spaces (1e7--1.2e8 points) stay streaming-only.
 MEMOIZE_THRESHOLD: int = 1_000_000
 
-#: Index-block length used by chunked enumeration, counting and masking.
-_CHUNK: int = 1 << 17
+#: Index-block length used by chunked enumeration, counting and masking.  A masked
+#: block keeps its index range and every digit column the truth tables read
+#: alive at once, so the block sets the sweep's working set: enumerating GEMM's
+#: 82,944 points peaks at 1.6 traced MB (7.75 MB at 2^17, one block).  Sweeps
+#: are no slower in smaller blocks, faster where the columns stay in cache:
+#: Dedispersion's 123,863,040 points in 0.98 s (2.04 s at 2^17), Hotspot's
+#: 22,200,000 in 0.43 s (0.72 s); 2^13 reads the same.
+_CHUNK: int = 1 << 14
 
 #: Largest cardinality an int64 mixed-radix index can address.
 _MAX_CARDINALITY: int = 2**63 - 1

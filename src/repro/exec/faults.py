@@ -42,7 +42,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.errors import (
     ExecutionError,
@@ -51,7 +51,6 @@ from repro.core.errors import (
     TransientExecutionError,
     WorkerCrashError,
 )
-from repro.exec.retry import unit_uniform
 from repro.io.columnar import peek_columnar_header
 
 __all__ = ["Fault", "FaultPlan", "corrupt_fragment",
@@ -131,9 +130,7 @@ class Fault:
 class FaultPlan:
     """An ordered collection of :class:`Fault`\\ s consulted by the executors.
 
-    Deterministic by construction: lookups are pure, and the :meth:`random`
-    constructor derives its choices from blake2b digests of the seed -- never from
-    ``random``/``numpy`` state.
+    Deterministic by construction: the plan lists its faults, and lookups are pure.
     """
 
     def __init__(self, faults: Iterable[Fault] = ()):
@@ -153,29 +150,6 @@ class FaultPlan:
         """Sorted shard ids the plan strikes (optionally at one site)."""
         return tuple(sorted({f.shard_id for f in self.faults
                              if site is None or f.site == site}))
-
-    @classmethod
-    def random(cls, seed: int, shard_ids: Sequence[int], rate: float = 0.25,
-               kinds: Sequence[str] = ("transient", "crash"),
-               attempts: tuple[int, ...] = (0,),
-               hang_seconds: float = 3600.0) -> "FaultPlan":
-        """Seeded chaos: each shard independently draws a fault with ``rate``.
-
-        Same ``(seed, shard_ids, rate, kinds)`` -> same plan, in every process.
-        """
-        if not 0.0 <= rate <= 1.0:
-            raise ReproError(f"rate must be in [0, 1], got {rate}")
-        if not kinds:
-            raise ReproError("kinds must not be empty")
-        faults = []
-        for shard_id in shard_ids:
-            if unit_uniform("fault-hit", seed, shard_id) >= rate:
-                continue
-            pick = int(unit_uniform("fault-kind", seed, shard_id) * len(kinds))
-            kind = kinds[min(pick, len(kinds) - 1)]
-            faults.append(Fault(site="worker", kind=kind, shard_id=shard_id,
-                                attempts=attempts, hang_seconds=hang_seconds))
-        return cls(faults)
 
     def to_dict(self) -> dict[str, object]:
         return {"faults": [f.to_dict() for f in self.faults]}

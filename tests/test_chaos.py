@@ -57,6 +57,27 @@ def cache_bytes(cache) -> str:
     return json.dumps(cache.to_dict())
 
 
+def random_fault_plan(seed: int, shard_ids, rate: float,
+                      kinds=("transient", "crash")) -> FaultPlan:
+    """Seeded chaos: each shard independently draws a first-attempt worker fault
+    with ``rate``.
+
+    Same ``(seed, shard_ids, rate, kinds)`` -> same plan, in every process: the
+    draws are blake2b digests of the seed (``unit_uniform``), never
+    ``random``/``numpy`` state.
+    """
+    if not 0.0 <= rate <= 1.0:
+        raise ReproError(f"rate must be in [0, 1], got {rate}")
+    faults = []
+    for shard_id in shard_ids:
+        if unit_uniform("fault-hit", seed, shard_id) >= rate:
+            continue
+        pick = int(unit_uniform("fault-kind", seed, shard_id) * len(kinds))
+        faults.append(Fault(site="worker", kind=kinds[min(pick, len(kinds) - 1)],
+                            shard_id=shard_id))
+    return FaultPlan(faults)
+
+
 @pytest.fixture(scope="module")
 def planner(benchmarks, gpus):
     """Two units (hotspot sampled, gemm sampled via the limit), 3 shards each."""
@@ -202,9 +223,9 @@ class TestWorkerFaultClasses:
                                                             reference):
         # Seeded chaos across the whole plan: half the shards draw a transient
         # or crash fault on their first attempt.  Retries absorb all of it.
-        fault_plan = FaultPlan.random(seed=11, shard_ids=[s.shard_id
-                                                          for s in plan.shards],
-                                      rate=0.5)
+        fault_plan = random_fault_plan(seed=11, shard_ids=[s.shard_id
+                                                           for s in plan.shards],
+                                       rate=0.5)
         assert len(fault_plan) > 0
         executor = ParallelExecutor(workers=2, retry_policy=FAST_RETRY,
                                     fault_plan=fault_plan)
@@ -455,8 +476,8 @@ class TestRetryPolicyDeterminism:
         for shard_id in range(50):
             policy.delays(shard_id)
             unit_uniform("probe", shard_id)
-        FaultPlan.random(seed=9, shard_ids=range(100), rate=0.5,
-                         kinds=("transient", "crash", "hang"))
+        random_fault_plan(seed=9, shard_ids=range(100), rate=0.5,
+                          kinds=("transient", "crash", "hang"))
 
         assert random.getstate() == py_state
         after = np.random.get_state()
@@ -477,12 +498,12 @@ class TestRetryPolicyDeterminism:
 
 class TestFaultPlanConstruction:
     def test_random_plan_is_seed_deterministic(self):
-        a = FaultPlan.random(seed=5, shard_ids=range(40), rate=0.3)
-        b = FaultPlan.random(seed=5, shard_ids=range(40), rate=0.3)
+        a = random_fault_plan(seed=5, shard_ids=range(40), rate=0.3)
+        b = random_fault_plan(seed=5, shard_ids=range(40), rate=0.3)
         assert a.to_dict() == b.to_dict()
-        c = FaultPlan.random(seed=6, shard_ids=range(40), rate=0.3)
+        c = random_fault_plan(seed=6, shard_ids=range(40), rate=0.3)
         assert a.to_dict() != c.to_dict()
-        assert len(FaultPlan.random(seed=5, shard_ids=range(40), rate=0.0)) == 0
+        assert len(random_fault_plan(seed=5, shard_ids=range(40), rate=0.0)) == 0
 
     def test_invalid_faults_are_rejected(self):
         with pytest.raises(ReproError):
@@ -492,7 +513,7 @@ class TestFaultPlanConstruction:
         with pytest.raises(ReproError):
             Fault(site="network", kind="crash", shard_id=0)
         with pytest.raises(ReproError):
-            FaultPlan.random(seed=1, shard_ids=[0], rate=2.0)
+            random_fault_plan(seed=1, shard_ids=[0], rate=2.0)
 
     def test_taxonomy_classification(self):
         assert is_transient(WorkerCrashError("x", exit_code=9))

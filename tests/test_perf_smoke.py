@@ -78,6 +78,12 @@ JSON_SAVE_VS_DUMPS_MAX_RATIO = 0.8
 #: whole as before peaked at 10.2 MB, 2.4x, and 2^19-character row chunks over
 #: streamed pieces at 6.0 MB, 1.4x.
 JSON_LOAD_PEAK_VS_TEXT_MAX_RATIO = 0.5
+#: Traced peak of save_cache of the gemm RTX_3090 export over its text (4.2 MB):
+#: iter_json renders _JSON_CHUNK_ROWS = 1024 rows at a time, and a chunk's row
+#: strings, their join and its encoded copy are what the save holds beyond the
+#: cache: 1.46 MB, 0.34x.  8192-row chunks peaked at 9.7 MB, 2.3x, and any whole
+#: copy of the text costs 1.0x by itself.
+JSON_SAVE_PEAK_VS_TEXT_MAX_RATIO = 0.5
 #: ``to_dict`` of the 17,956-row gemm RTX_3090 cache opened from a columnar file
 #: (best of three).  Exported straight off the adopted columns it takes
 #: ~0.06-0.08 s on a 2-vCPU host; materialising one Observation per row first
@@ -91,6 +97,11 @@ GRID_SWEEP_DEDISPERSION_CEILING_S = 2.0
 #: Traced-allocation ceiling of a short grid sweep over Dedispersion's 123,863,040
 #: points (an eagerly built index range alone is 991 MB).
 GRID_SWEEP_PEAK_BYTES = 64 * 2**20
+#: Traced-allocation ceiling of GEMM's feasible-set sweep (82,944 raw points,
+#: 17,956 feasible): the masked block's index range and digit columns, sized by
+#: searchspace._CHUNK = 2^14, peak at 1.6 MB; one 2^17 block over the whole
+#: space peaked at 7.75 MB, 2^16 blocks at 6.1 MB.
+FEASIBLE_GEMM_PEAK_BYTES = 4 * 2**20
 #: Traced bytes per stored row of a hashed index table (two int64 columns).
 HASHED_TABLE_BYTES_PER_ROW = 32
 #: Traced bytes per ``Observation.fast`` instance (seven slots, no ``__dict__``).
@@ -445,6 +456,38 @@ def test_streamed_save_of_gemm_cache_beats_json_dumps(gemm_export, tmp_path):
         f"has likely regressed to building the payload dict")
 
 
+def test_streamed_save_of_gemm_cache_holds_no_whole_text(gemm_export, tmp_path):
+    """Traced peak of ``save_cache`` of the 17,956-row gemm export, gated at
+    ``JSON_SAVE_PEAK_VS_TEXT_MAX_RATIO`` times its gunzipped text.
+
+    The campaign exports 14 caches one after another, so what one export holds
+    beyond its cache is a transient the campaign's peak memory pays for.  The
+    streamed render holds one chunk of rows at a time; the gate trips if the
+    chunks grow back to a multiple of the text or the save joins it whole.
+    """
+    import gzip
+    import tracemalloc
+
+    from repro.io import save_cache
+
+    cache, path = gemm_export
+    text_bytes = len(gzip.decompress(path.read_bytes()))
+    target = tmp_path / "peak.json.gz"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        save_cache(cache, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.read_bytes() == path.read_bytes()
+    assert peak < JSON_SAVE_PEAK_VS_TEXT_MAX_RATIO * text_bytes, (
+        f"save_cache of the 17,956-row gemm export peaked at {peak / 2**20:.2f} MB "
+        f"of traced allocations, {peak / text_bytes:.2f}x its "
+        f"{text_bytes / 2**20:.1f} MB of text (gate {JSON_SAVE_PEAK_VS_TEXT_MAX_RATIO}x); "
+        f"the render's row chunks have likely grown or the text is joined whole")
+
+
 def test_to_dict_of_attached_gemm_cache_under_ceiling(benchmarks, gpu_3090, tmp_path):
     # A JSON export of a column-backed cache reads its columns: one block decode
     # of the configurations and one dict literal per row, never the observation
@@ -551,6 +594,37 @@ def test_fast_observation_has_no_instance_dict():
     assert per_instance <= OBSERVATION_BYTES, (
         f"Observation.fast instances take {per_instance:.0f} B each "
         f"(gate {OBSERVATION_BYTES} B); the observation has likely lost its slots")
+
+
+def test_feasible_sweep_of_gemm_holds_one_small_block(benchmarks):
+    """Traced peak of ``feasible_indices(force=True)`` on a fresh GEMM space,
+    gated at ``FEASIBLE_GEMM_PEAK_BYTES``.
+
+    The campaign enumerates GEMM's feasible set while it plans its shards, and
+    the sweep masks the raw index range block by block: each block's index
+    range and digit columns are alive together, so the block length sets the
+    sweep's working set.  The gate trips if the space is masked in one block
+    again (the 82,944 points fit one 2^17 block).
+    """
+    import tracemalloc
+
+    from repro.core.searchspace import SearchSpace
+
+    gemm = benchmarks["gemm"].space
+    space = SearchSpace(gemm.parameters, gemm.constraints)
+    space.satisfied_mask([0])  # the truth tables are built once, outside the gate
+    gc.collect()
+    tracemalloc.start()
+    try:
+        feasible = space.feasible_indices(force=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feasible.size == 17_956
+    assert peak < FEASIBLE_GEMM_PEAK_BYTES, (
+        f"GEMM's feasible-set sweep peaked at {peak / 2**20:.2f} MB of traced "
+        f"allocations (ceiling {FEASIBLE_GEMM_PEAK_BYTES / 2**20:.0f} MB); the "
+        f"sweep's mask blocks have likely grown")
 
 
 def test_exact_constrained_count_gemm_under_ceiling(benchmarks):

@@ -517,19 +517,26 @@ class TestDictVsIndexPaths:
                                                                  gpu_3090):
         # The goldens discipline of test_index_native, applied to generated
         # scenarios: a migrated (index-native) tuner run on a replay problem is
-        # observation-identical to the same run against the dictionary objective
-        # only -- same indices, values, error strings, evaluation order.
+        # observation-identical to the same run against a dictionary objective
+        # only (a config lookup in a dict-loaded copy of the cache, misses and
+        # failures inf, as a non-strict replay answers) -- same indices,
+        # values, error strings, evaluation order.
+        from repro.core.problem import TuningProblem
         from repro.tuners import GreedyILS, LocalSearch, RandomSearch
 
         benchmark = scenarios[name]
         replay = benchmark.build_cache(gpu_3090)
         space = replay.space
+        dict_cache = EvaluationCache.from_dict(replay.to_dict(), space=space)
+
+        def lookup(config):
+            obs = dict_cache.get(config)
+            return obs.value if obs is not None and obs.valid else math.inf
+
         for factory in (RandomSearch, LocalSearch, GreedyILS):
             index_result = run_tuning(factory(), replay.to_problem(strict=False),
                                       max_evaluations=40, seed=5)
-            dict_cache = EvaluationCache.from_dict(replay.to_dict(), space=space)
-            dict_problem = dict_cache.to_problem(strict=False)
-            dict_problem._evaluate_index_fn = None  # force the dictionary path
+            dict_problem = TuningProblem(name, space, lookup, gpu=replay.gpu)
             dict_result = run_tuning(factory(), dict_problem,
                                      max_evaluations=40, seed=5)
             got = [[space.index_of(o.config), o.value, o.valid, o.error,

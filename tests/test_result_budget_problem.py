@@ -258,3 +258,27 @@ class TestTuningProblem:
         assert [o.value for o in observations] == [11.0, 22.0, math.inf]
         assert [o.valid for o in observations] == [True, True, False]
         assert [o.evaluation_index for o in observations] == [0, 1, 2]
+
+    def test_an_index_objective_alone_answers_both_calls(self):
+        # A cache replay supplies only evaluate_index_fn: evaluate(config) is a
+        # view of evaluate_index, and a non-member is a violation that no
+        # objective sees.
+        space = _toy_problem().space
+        calls = []
+
+        def objective(index):
+            calls.append(index)
+            return float(index + 1)
+
+        problem = TuningProblem("toy", space, gpu="SIM", evaluate_index_fn=objective)
+        index = space.index_of({"x": 2, "y": 3})
+        assert problem.evaluate({"x": 2.0, "y": 3}).value == index + 1
+        assert problem.evaluate_index(index).value == index + 1
+        outsider = problem.evaluate({"x": 5, "y": 1})
+        assert outsider.is_failure and not outsider.valid
+        assert calls == [index] and problem.evaluation_count == 2
+
+    def test_a_problem_without_an_objective_is_refused(self):
+        space = _toy_problem().space
+        with pytest.raises(ReproError, match="needs an objective"):
+            TuningProblem("toy", space)
