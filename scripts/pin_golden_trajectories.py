@@ -70,7 +70,7 @@ def problem_matrix() -> dict[str, object]:
     problems: dict[str, object] = {}
     for name, benchmark in benchmarks.items():
         problems[f"model:{name}"] = (
-            lambda b=benchmark: b.problem(RTX_3090, with_noise=True))
+            lambda b=benchmark: b.problem(RTX_3090))
     for name in ("hotspot", "gemm"):
         cache = benchmarks[name].build_cache(RTX_3090,
                                              sample_size=REPLAY_CACHE_POINTS, seed=5)

@@ -742,10 +742,9 @@ class EvaluationCache:
     def to_problem(self, strict: bool = True, memoize: bool = True) -> TuningProblem:
         """A :class:`TuningProblem` that answers evaluations from this cache.
 
-        The problem measures through the index-native ``evaluate_index_fn`` (one
-        probe of :meth:`index_table`, no dictionary, no hashing of sorted item
-        tuples); its dictionary ``evaluate`` is a view of ``evaluate_index``, so
-        the problem has no ``evaluate_fn``.
+        The problem's objective maps a space index to its row (one probe of
+        :meth:`index_table`, no dictionary, no hashing of sorted item tuples),
+        like every problem's (see :mod:`repro.core.problem`).
 
         Parameters
         ----------
@@ -765,8 +764,8 @@ class EvaluationCache:
                 return math.inf
             return value
 
-        return TuningProblem(name=self.benchmark, space=self.space, gpu=self.gpu,
-                             memoize=memoize, evaluate_index_fn=_evaluate_index)
+        return TuningProblem(self.benchmark, self.space, _evaluate_index, gpu=self.gpu,
+                             memoize=memoize)
 
     # ------------------------------------------------------------------ serialization
 

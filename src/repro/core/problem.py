@@ -13,15 +13,15 @@ suite, and any benchmark that can produce one can be tuned by every optimizer.
 
 One measure path
 ----------------
+A problem has one objective, ``evaluate_index_fn``: it maps a mixed-radix space
+index to a value (a live kernel problem runs the analytical model on the
+configuration at that index, a cache replay looks the index up).
 :meth:`TuningProblem.evaluate_index` is the one measure path, and every tuner
-evaluation settles through it, one candidate at a time: the candidate is
-identified by its mixed-radix space index, static validity comes from the
-constraint truth-table mask, the objective is answered by ``evaluate_index_fn``
-where one was supplied (cache replays supply only that), else by ``evaluate_fn``
-on the space's own spelling of the configuration, and the resulting
-:class:`~repro.core.result.Observation` carries a lazily-materialised
-:class:`~repro.core.result.LazyConfig`.  The problem keeps one memo keyed by
-space index.
+evaluation settles through it, one candidate at a time: static validity comes
+from the constraint truth-table mask, a feasible index is answered by the
+objective, and the resulting :class:`~repro.core.result.Observation` carries a
+lazily-materialised :class:`~repro.core.result.LazyConfig`.  The problem keeps
+one memo keyed by space index.
 
 :meth:`TuningProblem.evaluate` is a view of that path: a configuration of the
 space, however the caller spells its values (``320.0`` for ``320``), settles
@@ -57,45 +57,28 @@ class TuningProblem:
         Benchmark name (e.g. ``"gemm"``).
     space:
         The constrained search space.
-    evaluate_fn:
-        Callable mapping a configuration to an objective value (kernel time in
-        milliseconds); optional when ``evaluate_index_fn`` is given, which then
-        answers every measurement.  It may raise :class:`ResourceLimitError` (or any
-        ``repro`` exception) for configurations that cannot run on the device; the
-        problem converts those into invalid observations rather than propagating,
-        which is how real autotuners treat failed compilations.
+    evaluate_index_fn:
+        Callable mapping a space index to an objective value (kernel time in
+        milliseconds); it is only asked about indices that satisfy the space's
+        constraints.  It may raise :class:`ResourceLimitError` (or any ``repro``
+        exception) for configurations that cannot run on the device; the problem
+        converts those into invalid observations rather than propagating, which
+        is how real autotuners treat failed compilations.
     gpu:
         Device name used for bookkeeping.
     memoize:
         If True (default), repeated evaluations of the same configuration return the
-        cached observation without consuming another call to ``evaluate_fn``.  This
+        cached observation without another call to ``evaluate_index_fn``.  This
         mirrors real tuner caches and makes exhaustive analyses cheap.
-    evaluate_index_fn:
-        Optional index-native objective ``space_index -> value`` used by
-        :meth:`evaluate_index` instead of materialising a configuration dictionary
-        for ``evaluate_fn``.  Where both are given it must be element-wise
-        equivalent to ``evaluate_fn(space.config_at(index))``, including what it
-        raises (cache replays supply only this one; see
-        :meth:`repro.core.cache.EvaluationCache.to_problem`).
-
-    Raises
-    ------
-    ReproError
-        If neither ``evaluate_fn`` nor ``evaluate_index_fn`` is given.
     """
 
     def __init__(self, name: str, space: SearchSpace,
-                 evaluate_fn: Callable[[Mapping[str, Any]], float] | None = None,
-                 gpu: str = "", memoize: bool = True,
-                 evaluate_index_fn: Callable[[int], float] | None = None):
-        if evaluate_fn is None and evaluate_index_fn is None:
-            raise ReproError(f"problem {name!r} needs an objective: "
-                             f"evaluate_fn or evaluate_index_fn")
+                 evaluate_index_fn: Callable[[int], float],
+                 gpu: str = "", memoize: bool = True):
         self.name = name
         self.space = space
         self.gpu = gpu
         self.memoize = memoize
-        self._evaluate_fn = evaluate_fn
         self._evaluate_index_fn = evaluate_index_fn
         #: The memo: space index -> observation (configurations outside the space
         #: key by their canonical config tuple).
@@ -157,18 +140,13 @@ class TuningProblem:
             if cached is not None:
                 return cached
 
-        config: Mapping[str, Any] | None = None
         if not (self.space.index_is_feasible(index) if _valid_hint is None
                 else _valid_hint):
             config = self.space.config_at(index)
-            value, valid, error = math.inf, False, self._violation(config)
-        elif self._evaluate_index_fn is not None:
-            value, valid, error = self._measure(self._evaluate_index_fn, index)
-        else:
-            config = self.space.config_at(index)
-            value, valid, error = self._measure(self._evaluate_fn, config)
-        return self._record(index, LazyConfig(self.space, index) if config is None
-                            else dict(config), value, valid, error)
+            return self._record(index, dict(config), math.inf, False,
+                                self._violation(config))
+        value, valid, error = self._measure(index)
+        return self._record(index, LazyConfig(self.space, index), value, valid, error)
 
     def _record(self, key: int | tuple, config: Mapping[str, Any], value: float,
                 valid: bool, error: str) -> Observation:
@@ -180,12 +158,11 @@ class TuningProblem:
             self._memo[key] = obs
         return obs
 
-    def _measure(self, objective: Callable[[Any], float],
-                 argument: Any) -> tuple[float, bool, str]:
+    def _measure(self, index: int) -> tuple[float, bool, str]:
         """``(value, valid, error)`` of one objective call: objective failures
         behave like failed launches and carry ``math.inf``."""
         try:
-            value = float(objective(argument))
+            value = float(self._evaluate_index_fn(index))
         except ResourceLimitError as exc:
             return math.inf, False, f"resource limit exceeded: {exc}"
         except Exception as exc:

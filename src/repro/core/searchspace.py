@@ -43,8 +43,8 @@ so a constraint added after first use takes effect everywhere.
 *Feasible-set memoization.*  For spaces whose raw cardinality is at most
 :data:`MEMOIZE_THRESHOLD`, the sorted array of constraint-satisfying indices is computed
 once on demand and cached.  The memo turns enumeration into array slicing, lets
-:meth:`sample` detect infeasible requests up front, and guarantees sampling success
-whenever enough feasible points exist.  Spaces above the threshold (Hotspot,
+:meth:`sample_indices` detect infeasible requests up front, and guarantees sampling
+success whenever enough feasible points exist.  Spaces above the threshold (Hotspot,
 Dedispersion, Expdist) stream index blocks through the mask instead of materialising
 anything; a forced computation (``feasible_indices(force=True)``) on one of them
 returns the array without keeping it.  The memo is a pure cache -- it changes time and memory, never a result -- and
@@ -593,7 +593,7 @@ class SearchSpace:
             If True (default) only configurations satisfying the constraints are
             yielded.  Enumeration of the full product of very large spaces (Hotspot,
             Dedispersion, Expdist) is possible but typically undesirable; use
-            :meth:`sample` instead, as the paper does.
+            :meth:`sample_indices` instead, as the paper does.
         """
         for block in self.enumerate_chunked(valid_only=valid_only):
             yield from self.configs_at(block)
@@ -676,18 +676,28 @@ class SearchSpace:
     def sample_indices(self, n: int, rng: np.random.Generator | int | None = None,
                        valid_only: bool = True, unique: bool = True,
                        max_attempts_factor: int = 200) -> np.ndarray:
-        """Draw ``n`` random mixed-radix indices (the batch form of :meth:`sample`).
+        """Draw ``n`` random mixed-radix indices (:meth:`configs_at` decodes them).
 
-        Rejection sampling proceeds in blocks sized exactly to the number of indices
-        still needed, so the random stream consumed is identical to drawing one index
-        at a time: the same seed yields the same sample the scalar implementation
-        produced, and a generator shared with the caller stays in sync.
+        Sampling is O(1) in the size of the space and reproducible given a seed.
+        With ``unique=True`` the result contains no duplicate indices (the paper's
+        10 000-sample campaigns are without replacement).  Rejection sampling
+        proceeds in blocks sized exactly to the number of indices still needed, so
+        the random stream consumed is identical to drawing one index at a time: the
+        same seed yields the same sample the scalar implementation produced, and a
+        generator shared with the caller stays in sync.
 
         When the memoized feasible-index array exists, an impossible request
         (``n`` greater than the number of feasible points) fails immediately, and a
         request that merely exhausts its rejection patience is completed exactly from
         the remaining feasible indices -- no spurious
         :class:`~repro.core.errors.EmptySearchSpaceError` is possible.
+
+        Raises
+        ------
+        EmptySearchSpaceError
+            If not enough (unique, valid) indices can be found within
+            ``max_attempts_factor * n`` draws and the feasible set is not memoized,
+            or if ``n`` exceeds the number of feasible points of a memoized set.
         """
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         if n < 0:
@@ -798,28 +808,6 @@ class SearchSpace:
                     seen.add(idx)
                     out.append(idx)
         return np.asarray(out[:n], dtype=np.int64)
-
-    def sample(self, n: int, rng: np.random.Generator | int | None = None,
-               valid_only: bool = True, unique: bool = True,
-               max_attempts_factor: int = 200) -> list[Config]:
-        """Draw ``n`` random configurations.
-
-        Sampling is performed through the mixed-radix index so it is O(1) in the size
-        of the space and reproducible given a seed.  With ``unique=True`` the result
-        contains no duplicate configurations (the paper's 10 000-sample campaigns are
-        without replacement).
-
-        Raises
-        ------
-        EmptySearchSpaceError
-            If not enough (unique, valid) configurations can be found within
-            ``max_attempts_factor * n`` draws and the feasible set is not memoized
-            (with a memoized feasible set the draw either fails immediately --
-            ``n`` exceeds the number of feasible points -- or always succeeds).
-        """
-        indices = self.sample_indices(n, rng=rng, valid_only=valid_only, unique=unique,
-                                      max_attempts_factor=max_attempts_factor)
-        return self.configs_at(indices)
 
     def sample_one_index(self, rng: np.random.Generator | int | None = None,
                          valid_only: bool = True) -> int:

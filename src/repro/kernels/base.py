@@ -106,19 +106,19 @@ class KernelBenchmark:
 
     # ------------------------------------------------------------------ problems
 
-    def problem(self, gpu: GPUSpec, with_noise: bool = True,
-                memoize: bool = True) -> TuningProblem:
+    def problem(self, gpu: GPUSpec) -> TuningProblem:
         """A tuning problem for this benchmark on ``gpu``.
 
-        The objective function calls the analytical model; configurations that cannot
-        launch on the device raise :class:`ResourceLimitError` inside the model and
-        are turned into invalid observations by the problem.
+        Its objective runs the analytical model (noise included) on the
+        configuration at a space index; a configuration that cannot launch on the
+        device raises :class:`ResourceLimitError` inside the model and is turned
+        into an invalid observation by the problem.  Value and error text equal
+        the campaign's column evaluation of the index (:meth:`evaluate_indices`).
         """
-        def _evaluate(config: Mapping[str, Any]) -> float:
-            return self.model.time_ms(config, gpu, with_noise=with_noise)
+        def _evaluate_index(index: int) -> float:
+            return self.model.time_ms(self.space.config_at(index), gpu)
 
-        return TuningProblem(name=self.name, space=self.space, evaluate_fn=_evaluate,
-                             gpu=gpu.name, memoize=memoize)
+        return TuningProblem(self.name, self.space, _evaluate_index, gpu=gpu.name)
 
     # ------------------------------------------------------------------- validity
 

@@ -64,14 +64,6 @@ class PermutationImportanceResult:
         names = self.feature_names or tuple(str(i) for i in range(len(self.importances_mean)))
         return {name: float(v) for name, v in zip(names, self.importances_mean)}
 
-    def ranked(self) -> list[tuple[str, float]]:
-        """Features sorted by decreasing mean importance."""
-        return sorted(self.as_dict().items(), key=lambda kv: kv[1], reverse=True)
-
-    def total(self) -> float:
-        """Sum of the mean importances (values well above 1 signal interactions)."""
-        return float(self.importances_mean.sum())
-
 
 def shuffled_predictions(predict: Callable[[np.ndarray], np.ndarray], X: np.ndarray,
                          permutations: np.ndarray) -> Iterator[np.ndarray]:

@@ -59,7 +59,7 @@ def eager_build(benchmark, gpu, sample_size, seed):
     if sample_size is None:
         configs = list(space.enumerate(valid_only=True))
     else:
-        configs = space.sample(sample_size, rng=seed, valid_only=True, unique=True)
+        configs = space.configs_at(space.sample_indices(sample_size, rng=seed))
     template = benchmark.new_cache(gpu, sample_size=sample_size)
     cache = OracleCache(template.benchmark, template.gpu, template.space,
                         template.exhaustive)

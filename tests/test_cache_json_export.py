@@ -133,7 +133,8 @@ BIG_SPACE = SearchSpace([Parameter("a", tuple(range(64))),
                          Parameter("s", ("x", "ÿ", '"', "\\", "z"))], name="chunks")
 
 
-@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1],
+                         ids=["1", "chunk-1", "chunk", "chunk+1", "2chunk+1"])
 def test_row_counts_around_the_chunk_boundary(n, tmp_path):
     rng = np.random.default_rng(n)
     indices = rng.choice(BIG_SPACE.cardinality, size=n, replace=False)

@@ -289,13 +289,14 @@ class TestSampling:
     @pytest.mark.parametrize("seed", [0, 7, 2023])
     def test_sample_matches_seed_implementation(self, kernel_space, seed):
         n = 50
-        new = kernel_space.sample(n, rng=seed, valid_only=True, unique=True)
+        new = kernel_space.configs_at(
+            kernel_space.sample_indices(n, rng=seed, valid_only=True, unique=True))
         ref, _ = self._sample_reference(kernel_space, n, seed)
         assert new == ref
 
     def test_sample_preserves_generator_stream(self, kernel_space):
         rng_new = np.random.default_rng(99)
-        new = kernel_space.sample(30, rng=rng_new)
+        new = kernel_space.configs_at(kernel_space.sample_indices(30, rng=rng_new))
         ref, rng_ref = self._sample_reference(kernel_space, 30, 99)
         assert new == ref
         # A generator shared with the caller must end up at the same position.
@@ -309,8 +310,8 @@ class TestSampling:
             ConstraintSet(["a == b", "a < 4"]))
         feasible = space.feasible_indices()
         assert feasible is not None and feasible.size == 4
-        configs = space.sample(4, rng=0, valid_only=True, unique=True,
-                               max_attempts_factor=2)
+        configs = space.configs_at(space.sample_indices(
+            4, rng=0, valid_only=True, unique=True, max_attempts_factor=2))
         assert len({tuple(sorted(c.items())) for c in configs}) == 4
 
     def test_pathology_fix_needs_no_priming(self):
@@ -320,8 +321,8 @@ class TestSampling:
             [Parameter("a", tuple(range(8))), Parameter("b", tuple(range(8)))],
             ConstraintSet(["a == b", "a < 4"]))
         assert space._feasible is None
-        configs = space.sample(4, rng=0, valid_only=True, unique=True,
-                               max_attempts_factor=2)
+        configs = space.configs_at(space.sample_indices(
+            4, rng=0, valid_only=True, unique=True, max_attempts_factor=2))
         assert len(configs) == 4
 
     def test_infeasible_request_fails_fast_with_feasible_fraction(self):
@@ -330,7 +331,7 @@ class TestSampling:
             ConstraintSet(["a == b", "a < 4"]))
         space.feasible_indices()
         with pytest.raises(EmptySearchSpaceError, match="feasible fraction"):
-            space.sample(5, rng=0, valid_only=True, unique=True)
+            space.sample_indices(5, rng=0, valid_only=True, unique=True)
 
 
 def _grid_space(cls=SearchSpace, constraints=("a % 2 == 0 or b > 3",)):

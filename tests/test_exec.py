@@ -33,6 +33,8 @@ from repro.exec.cli import main as exec_main
 from repro.exec.planner import unit_indices
 from repro.tuners.random_search import RandomSearch
 
+from problem_oracle import assert_measures_like, campaign_measurement
+
 KERNEL_NAMES = ("pnpoly", "nbody", "convolution", "gemm", "expdist", "hotspot",
                 "dedispersion")
 
@@ -464,19 +466,18 @@ def _bound_tuner(problem, budget):
 
 class TestBatchEvaluatePaths:
     def test_evaluate_index_run_matches_dict_path(self, pnpoly, gpu_3090):
-        # A pre-validated index run must record what the problem's dictionary
+        # A pre-validated index run must record what the campaign's column
         # path measures, duplicates included, and charge one evaluation each.
-        configs = pnpoly.space.sample(40, rng=3)
-        configs += configs[:5]  # duplicates
-        indices = pnpoly.space.indices_of_configs(configs)
+        space = pnpoly.space
+        indices = space.sample_indices(40, rng=3).tolist()
+        indices += indices[:5]  # duplicates
         budget = Budget(max_evaluations=42)
         fast_obs = _bound_tuner(pnpoly.problem(gpu_3090), budget).evaluate_index_run(indices)
-        problem = pnpoly.problem(gpu_3090)
-        slow_obs = [problem.evaluate(config) for config in configs[:42]]
         assert len(fast_obs) == 42
-        for a, b in zip(fast_obs, slow_obs):
-            assert dict(a.config) == dict(b.config)
-            assert (a.value, a.valid, a.error) == (b.value, b.valid, b.error)
+        assert ([dict(o.config) for o in fast_obs]
+                == space.configs_at(np.asarray(indices[:42])))
+        assert_measures_like(fast_obs, indices[:42],
+                             campaign_measurement(pnpoly, gpu_3090, indices))
         assert budget.to_dict() == {"max_evaluations": 42, "evaluations_used": 42}
 
     @pytest.mark.parametrize("limit", [0, 1, 7, 45, None])
@@ -505,8 +506,9 @@ class TestBatchEvaluatePaths:
     def test_evaluate_indices_mask_matches_scalar_evaluate(self, benchmarks,
                                                            gpu_3090):
         # Without a validity hint the index path checks the constraints itself;
-        # it must agree with the vectorized mask and with the scalar dictionary
-        # path, constraint violations and evaluation order included.
+        # it must agree with the vectorized mask and with the campaign's column
+        # path, constraint violations, launch failures and evaluation order
+        # included.
         convolution = benchmarks["convolution"]
         space = convolution.space
         indices = np.random.default_rng(11).integers(0, space.cardinality, 40)
@@ -514,11 +516,10 @@ class TestBatchEvaluatePaths:
         assert mask.any() and not mask.all()
         index_problem = convolution.problem(gpu_3090)
         batch = [index_problem.evaluate_index(i) for i in indices.tolist()]
-        scalar_problem = convolution.problem(gpu_3090)
-        scalar = [scalar_problem.evaluate(space.config_at(i))
-                  for i in indices.tolist()]
-        for a, b, ok in zip(batch, scalar, mask.tolist()):
-            assert (a.value, a.valid, a.error) == (b.value, b.valid, b.error)
-            assert a.evaluation_index == b.evaluation_index
+        assert_measures_like(batch, indices.tolist(),
+                             campaign_measurement(convolution, gpu_3090, indices))
+        for a, ok in zip(batch, mask.tolist()):
             if not ok:
                 assert not a.valid and a.error.startswith("constraint violation")
+        # The sample holds launch failures too, so their texts are compared.
+        assert any(a.error.startswith("resource limit exceeded: ") for a in batch)

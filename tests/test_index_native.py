@@ -56,6 +56,7 @@ from repro.tuners import (
 
 from constraint_oracle import StreamingSpace, restart_draw_reference
 from neighbor_oracle import oracle_neighbors
+from problem_oracle import assert_measures_like, campaign_measurement, replay_measurement
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trajectories.json.gz"
 
@@ -86,7 +87,7 @@ def golden_problems(benchmarks):
     factories = {}
     for name, benchmark in benchmarks.items():
         factories[f"model:{name}"] = (
-            lambda b=benchmark: b.problem(RTX_3090, with_noise=True))
+            lambda b=benchmark: b.problem(RTX_3090))
     for name in ("hotspot", "gemm"):
         cache = benchmarks[name].build_cache(RTX_3090, sample_size=400, seed=5)
         factories[f"replay:{name}"] = (
@@ -217,7 +218,8 @@ class TestScalarFeasibilityFastPaths:
         for name in ("hotspot", "gemm"):
             space = benchmarks[name].space
             a = space.sample_one_index(rng=np.random.default_rng(3))
-            b = space.sample(1, rng=np.random.default_rng(3), unique=False)[0]
+            b = space.configs_at(space.sample_indices(
+                1, rng=np.random.default_rng(3), unique=False))[0]
             assert space.config_at(a) == b, name
 
 
@@ -289,15 +291,18 @@ class TestColumnarCacheLookups:
 
 class TestEvaluateIndex:
     def test_matches_dict_evaluation(self, benchmarks, gpu_3090):
+        # Both calls of the live problem equal the campaign's column path.
         benchmark = benchmarks["pnpoly"]
         rng = np.random.default_rng(5)
-        indices = rng.integers(0, benchmark.space.cardinality, size=40)
-        dict_problem = benchmark.problem(gpu_3090)
+        indices = rng.integers(0, benchmark.space.cardinality, size=40).tolist()
+        reference = campaign_measurement(benchmark, gpu_3090, indices)
         index_problem = benchmark.problem(gpu_3090)
-        for index in indices.tolist():
-            a = dict_problem.evaluate(benchmark.space.config_at(index))
-            b = index_problem.evaluate_index(index)
-            assert a.to_dict() == b.to_dict()
+        assert_measures_like([index_problem.evaluate_index(i) for i in indices],
+                             indices, reference)
+        dict_problem = benchmark.problem(gpu_3090)
+        assert_measures_like(
+            [dict_problem.evaluate(benchmark.space.config_at(i)) for i in indices],
+            indices, reference)
 
     def test_spelling_is_one_measurement_in_either_call_order(self, pnpoly, gpu_3090,
                                                                 pnpoly_cache_3090):
@@ -328,14 +333,18 @@ class TestEvaluateIndex:
         space = cache.space
         stored = space.indices_of_configs([dict(o.config) for o in cache])[:20]
         rng = np.random.default_rng(1)
-        probes = np.concatenate([stored, rng.integers(0, space.cardinality, 20)])
+        probes = np.concatenate([stored,
+                                 rng.integers(0, space.cardinality, 20)]).tolist()
         for strict in (True, False):
-            dict_problem = cache.to_problem(strict=strict)
+            # Both calls of a replay equal a dictionary-loaded copy of the cache.
+            reference = replay_measurement(cache, strict)
             index_problem = cache.to_problem(strict=strict)
-            for index in probes.tolist():
-                a = dict_problem.evaluate(space.config_at(index))
-                b = index_problem.evaluate_index(index)
-                assert a.to_dict() == b.to_dict(), (strict, index)
+            assert_measures_like([index_problem.evaluate_index(i) for i in probes],
+                                 probes, reference)
+            dict_problem = cache.to_problem(strict=strict)
+            assert_measures_like(
+                [dict_problem.evaluate(space.config_at(i)) for i in probes],
+                probes, reference)
 
     def test_mixed_paths_share_one_memo(self, benchmarks, gpu_3090):
         # A config evaluated through the dict path then the index path (or the
@@ -344,8 +353,8 @@ class TestEvaluateIndex:
         space = SearchSpace([Parameter("x", (1, 2, 3, 4))])
         calls = []
 
-        def noisy(config):
-            calls.append(dict(config))
+        def noisy(index):
+            calls.append(index)
             return float(len(calls))
 
         from repro.core.problem import TuningProblem

@@ -24,7 +24,8 @@ def suite():
 
 
 def _sample_valid(benchmark, gpu, n=30, seed=0):
-    configs = benchmark.space.sample(n, rng=seed, valid_only=True, unique=True)
+    space = benchmark.space
+    configs = space.configs_at(space.sample_indices(n, rng=seed))
     out = []
     for config in configs:
         try:
@@ -42,7 +43,8 @@ class TestModelBasics:
 
     def test_deterministic(self, suite, name):
         benchmark = suite[name]
-        config = benchmark.space.sample(1, rng=3, unique=False)[0]
+        config = benchmark.space.config_at(
+            benchmark.space.sample_one_index(rng=3))
         try:
             a = benchmark.model.time_ms(config, RTX_3090)
             b = benchmark.model.time_ms(config, RTX_3090)
@@ -90,7 +92,8 @@ class TestModelBasics:
 
     def test_is_valid_on_consistent_with_model(self, suite, name):
         benchmark = suite[name]
-        for config in benchmark.space.sample(20, rng=11, valid_only=True, unique=True):
+        space = benchmark.space
+        for config in space.configs_at(space.sample_indices(20, rng=11)):
             valid = benchmark.is_valid_on(config, RTX_2080_TI)
             try:
                 benchmark.model.time_ms(config, RTX_2080_TI)

@@ -29,6 +29,11 @@ def suite():
     return all_benchmarks()
 
 
+def _sampled_configs(space, n, seed):
+    """``n`` distinct valid configurations of ``space``, drawn with ``seed``."""
+    return space.configs_at(space.sample_indices(n, rng=seed))
+
+
 # ----------------------------------------------------------------------------- GEMM
 
 
@@ -49,7 +54,7 @@ class TestGemmReference:
 
     def test_all_tilings_agree(self, suite, rng):
         reference = None
-        for config in suite["gemm"].space.sample(6, rng=1, valid_only=True, unique=True):
+        for config in _sampled_configs(suite["gemm"].space, 6, 1):
             result = suite["gemm"].run_reference(config, rng=7, matrix_size=64)
             if reference is None:
                 reference = result
@@ -80,7 +85,7 @@ class TestNbodyReference:
 
     def test_all_configs_agree(self, suite):
         reference = None
-        for config in suite["nbody"].space.sample(6, rng=2, valid_only=True, unique=True):
+        for config in _sampled_configs(suite["nbody"].space, 6, 2):
             result = suite["nbody"].run_reference(config, rng=3, n_bodies=64)
             if reference is None:
                 reference = result
@@ -119,7 +124,7 @@ class TestHotspotReference:
 
     def test_driver_configs_agree(self, suite):
         reference = None
-        for config in suite["hotspot"].space.sample(5, rng=4, valid_only=True, unique=True):
+        for config in _sampled_configs(suite["hotspot"].space, 5, 4):
             result = suite["hotspot"].run_reference(config, rng=5, grid_size=20, iterations=6)
             if reference is None:
                 reference = result
@@ -153,7 +158,7 @@ class TestPnpolyReference:
 
     def test_tiled_matches_untiled(self, suite, rng):
         reference = None
-        for config in suite["pnpoly"].space.sample(6, rng=6, valid_only=True, unique=True):
+        for config in _sampled_configs(suite["pnpoly"].space, 6, 6):
             result = suite["pnpoly"].run_reference(config, rng=9, num_points=400)
             if reference is None:
                 reference = result
@@ -189,7 +194,7 @@ class TestConvolutionReference:
 
     def test_driver_configs_agree(self, suite):
         reference = None
-        for config in suite["convolution"].space.sample(6, rng=8, valid_only=True, unique=True):
+        for config in _sampled_configs(suite["convolution"].space, 6, 8):
             result = suite["convolution"].run_reference(config, rng=2, image_size=48,
                                                         filter_size=7)
             if reference is None:
@@ -232,7 +237,7 @@ class TestExpdistReference:
 
     def test_driver_configs_agree(self, suite):
         reference = None
-        for config in suite["expdist"].space.sample(6, rng=10, valid_only=True, unique=True):
+        for config in _sampled_configs(suite["expdist"].space, 6, 10):
             result = suite["expdist"].run_reference(config, rng=11, num_localizations=80)
             if reference is None:
                 reference = result
@@ -287,7 +292,7 @@ class TestDedispersionReference:
 
     def test_driver_configs_agree(self, suite):
         reference = None
-        for config in suite["dedispersion"].space.sample(5, rng=12, valid_only=True, unique=True):
+        for config in _sampled_configs(suite["dedispersion"].space, 5, 12):
             result = suite["dedispersion"].run_reference(config, rng=13, num_channels=16,
                                                          num_dms=8, num_output_samples=32)
             if reference is None:

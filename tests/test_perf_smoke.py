@@ -117,7 +117,8 @@ def _timed(fn):
 def test_batched_sampling_10k_dedispersion_under_ceiling(benchmarks):
     space = benchmarks["dedispersion"].space
     configs, elapsed = _timed(
-        lambda: space.sample(10_000, rng=2023, valid_only=True, unique=True))
+        lambda: space.configs_at(space.sample_indices(10_000, rng=2023, valid_only=True,
+                                                      unique=True)))
     assert len(configs) == 10_000
     assert elapsed < SAMPLE_10K_DEDISPERSION_CEILING_S, (
         f"sampling 10k Dedispersion configurations took {elapsed:.2f}s "

@@ -18,15 +18,26 @@ library's methods: ``str.encode``, a decoder's ``.decode``, ``dict.update``,
 ``dict.get`` or ``random.Random.sample`` each kept a dead twin here
 (``SearchSpace.encode``/``decode``, ``EvaluationCache.update``,
 ``Workload.get``, ``Parameter.sample``), as did ``np.bitwise_or.at`` for
-``ConvergenceCurve.at``.  A method whose name is that common needs its callers
-found by reading the receivers, not by this scan.
+``ConvergenceCurve.at``, ``random.Random.sample`` for ``SearchSpace.sample`` and
+bench's ``PassTiming.total`` for ``PermutationImportanceResult.total``.
+
+So a method whose name another receiver also answers to -- an attribute of a
+builtin type, NumPy, ``random.Random`` or ``pathlib.Path``, or another public
+method in ``src/repro`` or a caller directory -- has its caller found by
+reading the receivers: :data:`CALLERS` names, for each such bare name, one
+caller outside ``tests/`` as ``path:line: receiver.name``, whose receiver is the
+suite's own.  The guard parses that line, so a new shared name, a moved or
+deleted caller (``np.median`` where ``cache.median`` was), or an entry whose
+name is no longer shared fails and names the method.
 """
 
 from __future__ import annotations
 
 import ast
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,6 +83,54 @@ ALLOWED: dict[str, str] = {
         "- Functional references: `KernelBenchmark.run_reference`",
     "repro.kernels.reference.dedispersion_reference:dedisperse":
         "- Functional references: `KernelBenchmark.run_reference`",
+}
+
+
+#: The types whose attribute names make a public method's name shared.
+FOREIGN = (object, str, bytes, bytearray, int, float, complex, list, tuple, dict,
+           set, frozenset, np, np.ndarray, np.random.Generator, random.Random, Path)
+
+#: Each shared method name (see the module docstring) mapped to one caller
+#: outside ``tests/``, ``path:line: receiver.name``, whose receiver is of the
+#: suite's own type (read by hand).  A name with several owners is witnessed
+#: for one of them; an override family (the model methods, the lint rules'
+#: ``check``) shares its base method's caller.
+CALLERS: dict[str, str] = {
+    "add": "bench/traced.py:142: cache.add",
+    "as_dict": "bench/traced.py:291: pfi.as_dict",
+    "cardinality": "src/repro/tuners/grid_search.py:50: space.cardinality",
+    "check": "src/repro/lint/engine.py:110: rule.check",
+    "compute_efficiency": "src/repro/gpus/perfmodel.py:353: self.compute_efficiency",
+    "estimate": "src/repro/gpus/perfmodel.py:445: self.estimate",
+    "evaluate": "src/repro/tuners/adapters.py:61: problem.evaluate",
+    "evaluate_index": "src/repro/tuners/base.py:127: self._problem.evaluate_index",
+    "evaluations_to_reach": "examples/compare_tuners.py:55: result.evaluations_to_reach",
+    "feature_importances_":
+        "src/repro/analysis/importance.py:124: model.feature_importances_",
+    "fit": "src/repro/analysis/importance.py:115: model.fit",
+    "flops": "src/repro/gpus/perfmodel.py:351: self.flops",
+    "from_dict": "src/repro/core/cache.py:948: Observation.from_dict",
+    "get": "src/repro/analysis/portability.py:103: caches[target].get",
+    "index_of": "src/repro/core/problem.py:114: self.space.index_of",
+    "insert": "src/repro/core/cache.py:598: table.insert",
+    "is_sampled": "src/repro/exec/planner.py:348: self.is_sampled",
+    "is_satisfied": "src/repro/core/searchspace.py:397: constraint.is_satisfied",
+    "launch_config": "src/repro/gpus/perfmodel.py:321: self.launch_config",
+    "launch_errors": "src/repro/kernels/base.py:134: self.model.launch_errors",
+    "load": "src/repro/lint/cli.py:96: Baseline.load",
+    "median": "src/repro/analysis/speedup.py:42: cache.median",
+    "n_configs": "src/repro/exec/cli.py:321: plan.n_configs",
+    "num_valid": "src/repro/exec/cli.py:379: cache.num_valid",
+    "observations": "scripts/pin_golden_trajectories.py:84: result.observations",
+    "predict": "src/repro/tuners/surrogate.py:137: model.predict",
+    "record": "src/repro/tuners/base.py:137: self._result.record",
+    "resolve": "src/repro/core/registry.py:164: self.resolve",
+    "row": "src/repro/core/cache.py:590: table.row",
+    "save": "src/repro/lint/cli.py:117: snapshot.save",
+    "time_ms": "src/repro/analysis/portability.py:111: benchmark.model.time_ms",
+    "to_dict": "src/repro/core/cache.py:780: self.space.to_dict",
+    "traffic": "src/repro/gpus/perfmodel.py:352: self.traffic",
+    "values": "src/repro/analysis/convergence.py:94: cache.values",
 }
 
 
@@ -136,6 +195,55 @@ def _test_only() -> dict[str, str]:
         if not outside:
             found[key] = f"{path.relative_to(ROOT)}:{first}"
     return found
+
+
+def _shared_method_names() -> dict[str, list[str]]:
+    """Public ``src/repro`` method names another receiver also answers to, each
+    mapped to the keys of the methods that own it."""
+    owners: dict[str, list[str]] = {}
+    for key, (name, method, *_) in _definitions().items():
+        if method:
+            owners.setdefault(name, []).append(key)
+    foreign = {attr for kind in FOREIGN for attr in dir(kind)}
+    for folder in CALLER_DIRS[1:]:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ClassDef):
+                    foreign.update(member.name for member in node.body
+                                   if isinstance(member, ast.FunctionDef))
+    return {name: keys for name, keys in owners.items()
+            if len(keys) > 1 or name in foreign}
+
+
+def _attribute_reads(path: Path) -> set[tuple[int, str]]:
+    """``(line, "receiver.name")`` of every attribute read in ``path``."""
+    return {(node.lineno, ast.unparse(node))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_shared_method_name_has_its_caller():
+    problems = []
+    for name, keys in sorted(_shared_method_names().items()):
+        caller = CALLERS.get(name)
+        if caller is None:
+            problems.append(f"{', '.join(keys)}: no CALLERS entry for {name!r}")
+            continue
+        where, read = caller.split(": ", 1)
+        path, line = where.rsplit(":", 1)
+        source = ROOT / path
+        if (path.split("/")[0] not in CALLER_DIRS or not read.endswith(f".{name}")
+                or not source.is_file()
+                or (int(line), read) not in _attribute_reads(source)):
+            problems.append(f"{', '.join(keys)}: {where} does not read {read}")
+    assert not problems, (
+        "shared method names without a caller read by receiver (name one caller "
+        "per name in CALLERS, or delete the method):\n  " + "\n  ".join(problems))
+
+
+def test_callers_are_current():
+    stale = sorted(set(CALLERS) - set(_shared_method_names()))
+    assert not stale, f"CALLERS entries whose name is no longer shared: {stale}"
 
 
 def test_every_public_name_has_a_caller_outside_tests():

@@ -58,6 +58,8 @@ from repro.exec.cli import main as exec_main
 from repro.kernels import synthetic
 from repro.kernels.synthetic import FACTORY_SPEC, create_benchmark, scenario_specs
 
+from problem_oracle import assert_measures_like, campaign_measurement, replay_measurement
+
 #: One scenario per structural corner: unconstrained, densely constrained with a
 #: high failure rate, coupled family, and an explicit radix profile.
 SCENARIOS: dict[str, dict] = {
@@ -476,22 +478,25 @@ class TestDifferentialExecution:
 
 
 class TestDictVsIndexPaths:
-    """The two evaluation currencies agree on every synthetic scenario family."""
+    """Both calls of a problem equal an independent reference on every
+    synthetic scenario family: the campaign's column path for a live problem, a
+    dict-loaded copy of the cache for a replay."""
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_model_problem_paths_agree(self, name, scenarios, gpu_3090):
+        # Same values, same validity, same error strings (constraint
+        # violations, synthetic resource limits), same evaluation order.
         benchmark = scenarios[name]
         space = benchmark.space
         rng = np.random.default_rng(17)
-        indices = rng.integers(0, space.cardinality, size=40)
-        dict_problem = benchmark.problem(gpu_3090)
+        indices = rng.integers(0, space.cardinality, size=40).tolist()
+        reference = campaign_measurement(benchmark, gpu_3090, indices)
         index_problem = benchmark.problem(gpu_3090)
-        for index in indices.tolist():
-            a = dict_problem.evaluate(space.config_at(index))
-            b = index_problem.evaluate_index(index)
-            # Same values, same validity, same error strings (constraint
-            # violations, synthetic resource limits), same evaluation order.
-            assert a.to_dict() == b.to_dict(), (name, index)
+        assert_measures_like([index_problem.evaluate_index(i) for i in indices],
+                             indices, reference)
+        dict_problem = benchmark.problem(gpu_3090)
+        assert_measures_like([dict_problem.evaluate(space.config_at(i))
+                              for i in indices], indices, reference)
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_replay_problem_paths_agree_including_misses(self, name, scenarios,
@@ -502,14 +507,15 @@ class TestDictVsIndexPaths:
         stored = space.indices_of_configs([dict(o.config) for o in cache])[:20]
         rng = np.random.default_rng(23)
         probes = np.concatenate([stored,
-                                 rng.integers(0, space.cardinality, size=20)])
+                                 rng.integers(0, space.cardinality, size=20)]).tolist()
         for strict in (True, False):
-            dict_problem = cache.to_problem(strict=strict)
+            reference = replay_measurement(cache, strict)
             index_problem = cache.to_problem(strict=strict)
-            for index in probes.tolist():
-                a = dict_problem.evaluate(space.config_at(index))
-                b = index_problem.evaluate_index(index)
-                assert a.to_dict() == b.to_dict(), (name, strict, index)
+            assert_measures_like([index_problem.evaluate_index(i) for i in probes],
+                                 probes, reference)
+            dict_problem = cache.to_problem(strict=strict)
+            assert_measures_like([dict_problem.evaluate(space.config_at(i))
+                                  for i in probes], probes, reference)
 
     @pytest.mark.parametrize("name", ["syn_sep_hard", "syn_coupled"])
     def test_tuner_trajectories_replay_identically_on_both_paths(self, name,
@@ -517,10 +523,10 @@ class TestDictVsIndexPaths:
                                                                  gpu_3090):
         # The goldens discipline of test_index_native, applied to generated
         # scenarios: a migrated (index-native) tuner run on a replay problem is
-        # observation-identical to the same run against a dictionary objective
-        # only (a config lookup in a dict-loaded copy of the cache, misses and
-        # failures inf, as a non-strict replay answers) -- same indices,
-        # values, error strings, evaluation order.
+        # observation-identical to the same run against an objective that looks
+        # each index's configuration up in a dict-loaded copy of the cache
+        # (misses and failures inf, as a non-strict replay answers) -- same
+        # indices, values, error strings, evaluation order.
         from repro.core.problem import TuningProblem
         from repro.tuners import GreedyILS, LocalSearch, RandomSearch
 
@@ -529,8 +535,8 @@ class TestDictVsIndexPaths:
         space = replay.space
         dict_cache = EvaluationCache.from_dict(replay.to_dict(), space=space)
 
-        def lookup(config):
-            obs = dict_cache.get(config)
+        def lookup(index):
+            obs = dict_cache.get(space.config_at(index))
             return obs.value if obs is not None and obs.valid else math.inf
 
         for factory in (RandomSearch, LocalSearch, GreedyILS):

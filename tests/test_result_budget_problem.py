@@ -16,12 +16,14 @@ from repro.core.parameter import Parameter
 
 
 def _toy_problem(evaluate=None, memoize=True):
+    """A problem whose index objective is ``evaluate`` of the index's config."""
     space = SearchSpace([Parameter("x", (1, 2, 3, 4)), Parameter("y", (1, 2, 3, 4))],
                         ["x * y <= 12"])
     if evaluate is None:
         def evaluate(cfg):
             return float(cfg["x"] * 10 + cfg["y"])
-    return TuningProblem("toy", space, evaluate, gpu="SIM", memoize=memoize)
+    return TuningProblem("toy", space, lambda i: evaluate(space.config_at(i)),
+                         gpu="SIM", memoize=memoize)
 
 
 class TestObservation:
@@ -218,7 +220,7 @@ class TestTuningProblem:
         # The objective is always minimized; an unread direction= must not be accepted.
         space = _toy_problem().space
         with pytest.raises(TypeError):
-            TuningProblem("toy", space, lambda cfg: 1.0, direction="maximize")
+            TuningProblem("toy", space, lambda i: 1.0, direction="maximize")
 
     def test_memoization_counts_distinct_calls_once(self):
         calls = []
@@ -260,9 +262,8 @@ class TestTuningProblem:
         assert [o.evaluation_index for o in observations] == [0, 1, 2]
 
     def test_an_index_objective_alone_answers_both_calls(self):
-        # A cache replay supplies only evaluate_index_fn: evaluate(config) is a
-        # view of evaluate_index, and a non-member is a violation that no
-        # objective sees.
+        # evaluate(config) is a view of evaluate_index, and a non-member is a
+        # violation that no objective sees.
         space = _toy_problem().space
         calls = []
 
@@ -270,15 +271,10 @@ class TestTuningProblem:
             calls.append(index)
             return float(index + 1)
 
-        problem = TuningProblem("toy", space, gpu="SIM", evaluate_index_fn=objective)
+        problem = TuningProblem("toy", space, objective, gpu="SIM")
         index = space.index_of({"x": 2, "y": 3})
         assert problem.evaluate({"x": 2.0, "y": 3}).value == index + 1
         assert problem.evaluate_index(index).value == index + 1
         outsider = problem.evaluate({"x": 5, "y": 1})
         assert outsider.is_failure and not outsider.valid
         assert calls == [index] and problem.evaluation_count == 2
-
-    def test_a_problem_without_an_objective_is_refused(self):
-        space = _toy_problem().space
-        with pytest.raises(ReproError, match="needs an objective"):
-            TuningProblem("toy", space)

@@ -96,28 +96,29 @@ class TestEnumerationAndCounting:
 
 class TestSampling:
     def test_sample_unique_and_valid(self, small_space, rng):
-        configs = small_space.sample(20, rng=rng, valid_only=True, unique=True)
+        configs = small_space.configs_at(
+            small_space.sample_indices(20, rng=rng, valid_only=True, unique=True))
         assert len(configs) == 20
         keys = {config_key(c) for c in configs}
         assert len(keys) == 20
         assert all(small_space.is_valid(c) for c in configs)
 
     def test_sample_reproducible(self, small_space):
-        a = small_space.sample(10, rng=5)
-        b = small_space.sample(10, rng=5)
+        a = small_space.configs_at(small_space.sample_indices(10, rng=5))
+        b = small_space.configs_at(small_space.sample_indices(10, rng=5))
         assert a == b
 
     def test_sample_zero(self, small_space):
-        assert small_space.sample(0) == []
+        assert small_space.configs_at(small_space.sample_indices(0)) == []
 
     def test_sample_negative_raises(self, small_space):
         with pytest.raises(InvalidConfigurationError):
-            small_space.sample(-1)
+            small_space.sample_indices(-1)
 
     def test_sample_too_many_unique_raises(self):
         space = SearchSpace([Parameter("a", (1, 2))])
         with pytest.raises(EmptySearchSpaceError):
-            space.sample(5, rng=0, unique=True, max_attempts_factor=10)
+            space.sample_indices(5, rng=0, unique=True, max_attempts_factor=10)
 
 
 class TestNeighborhoods:
@@ -222,14 +223,14 @@ class TestConstraintSetGrowth:
 
 class TestEncoding:
     def test_encode_batch_matches_encode(self, small_space, rng):
-        configs = small_space.sample(8, rng=rng)
+        configs = small_space.configs_at(small_space.sample_indices(8, rng=rng))
         batch = small_space.encode_batch(configs)
         assert batch.shape == (8, small_space.dimensions)
         np.testing.assert_array_equal(
             batch, small_space.encode_indices(small_space.indices_of_configs(configs)))
 
     def test_decode_inverts_encode(self, small_space, rng):
-        for index in small_space.indices_of_configs(small_space.sample(10, rng=rng)):
+        for index in small_space.sample_indices(10, rng=rng).tolist():
             vector = small_space.encode_indices([index])[0]
             assert small_space.decode_index(vector) == index
 

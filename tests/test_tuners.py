@@ -60,7 +60,8 @@ def _quadratic_problem(evaluate=_quadratic):
         ["a * b <= 64"],
         name="quadratic",
     )
-    return TuningProblem("quadratic", space, evaluate, gpu="SIM")
+    return TuningProblem("quadratic", space, lambda i: evaluate(space.config_at(i)),
+                         gpu="SIM")
 
 
 @pytest.fixture()
@@ -175,7 +176,8 @@ class TestSpecificTuners:
 
     def test_random_search_exhausts_small_space(self):
         space = SearchSpace([Parameter("a", (1, 2, 3)), Parameter("b", (1, 2))])
-        problem = TuningProblem("tiny", space, lambda c: float(c["a"] + c["b"]))
+        problem = TuningProblem(
+            "tiny", space, lambda i: float(sum(space.config_at(i).values())))
         result = run_tuning(RandomSearch(seed=0), problem, max_evaluations=100)
         # Only 6 unique configurations exist; the tuner stops instead of spinning.
         assert result.num_evaluations == 6
