@@ -98,12 +98,6 @@ class Campaign:
             with_noise=self.with_noise)
         self._caches: dict[tuple[str, str], EvaluationCache] = {}
 
-    # ------------------------------------------------------------------- protocol
-
-    def is_sampled(self, benchmark_name: str) -> bool:
-        """True when the campaign for this benchmark uses random sampling."""
-        return self._planner.is_sampled(benchmark_name)
-
     # --------------------------------------------------------------------- caches
 
     def _execute(self, keys: Iterable[tuple[str, str]]) -> None:

@@ -22,8 +22,8 @@ CENTRALITY_BENCHMARKS: tuple[str, ...] = ("gemm", "convolution", "pnpoly")
 
 def centrality_study(caches: Mapping[tuple[str, str], EvaluationCache],
                      benchmark_names: Sequence[str] = CENTRALITY_BENCHMARKS,
-                     proportions: Sequence[float] = DEFAULT_PROPORTIONS,
-                     damping: float = 0.85) -> dict[tuple[str, str], CentralityReport]:
+                     proportions: Sequence[float] = DEFAULT_PROPORTIONS
+                     ) -> dict[tuple[str, str], CentralityReport]:
     """Fig. 3: proportion of centrality for the selected benchmarks on every GPU.
 
     Parameters
@@ -34,9 +34,9 @@ def centrality_study(caches: Mapping[tuple[str, str], EvaluationCache],
         Which benchmarks to analyse (the paper's three by default; the huge sampled
         campaigns are excluded exactly as the paper excludes them for lack of
         resources).
-    proportions / damping:
+    proportions:
         Forwarded to :func:`repro.graph.centrality.proportion_of_centrality`.
     """
     selected = {key: cache for key, cache in caches.items() if key[0] in set(benchmark_names)}
-    return {key: proportion_of_centrality(cache, proportions=proportions, damping=damping)
+    return {key: proportion_of_centrality(cache, proportions=proportions)
             for key, cache in selected.items()}

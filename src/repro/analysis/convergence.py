@@ -115,7 +115,7 @@ def random_search_convergence(cache: EvaluationCache, repetitions: int = 100,
 
 def tuner_convergence(cache: EvaluationCache, tuner_factory: Callable[..., object],
                       repetitions: int = 100, budget: int = 100,
-                      base_seed: int = 0, strict: bool = False) -> ConvergenceCurve:
+                      base_seed: int = 0) -> ConvergenceCurve:
     """Convergence of a *real* optimizer replayed against a campaign cache.
 
     The tuner-ablation twin of :func:`random_search_convergence`: each repetition
@@ -126,9 +126,9 @@ def tuner_convergence(cache: EvaluationCache, tuner_factory: Callable[..., objec
     index-native runtime, so a 100-repetition campaign is dominated by the
     optimizer logic itself rather than dictionary plumbing.
 
-    ``strict=False`` (default) treats configurations missing from a sampled cache
-    as failed launches instead of raising, which is what lets local searchers walk
-    off the sampled subset without aborting the run.
+    Configurations missing from a sampled cache count as failed launches instead
+    of raising (``to_problem(strict=False)``), which is what lets local searchers
+    walk off the sampled subset without aborting the run.
     """
     from repro.core.budget import Budget
 
@@ -138,7 +138,7 @@ def tuner_convergence(cache: EvaluationCache, tuner_factory: Callable[..., objec
 
     trajectories = np.empty((repetitions, budget))
     for r in range(repetitions):
-        problem = cache.to_problem(strict=strict, memoize=True)
+        problem = cache.to_problem(strict=False, memoize=True)
         result = tuner_factory().tune(problem, Budget(max_evaluations=budget),
                                       seed=base_seed + r)
         trace = result.best_value_trace()

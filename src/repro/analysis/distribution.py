@@ -25,6 +25,9 @@ from repro.core.errors import ReproError
 
 __all__ = ["DistributionSummary", "distribution_summary"]
 
+#: Bins of the Fig. 1 relative-performance histogram.
+HISTOGRAM_BINS = 50
+
 
 @dataclass
 class DistributionSummary:
@@ -78,7 +81,7 @@ class DistributionSummary:
         }
 
 
-def distribution_summary(cache: EvaluationCache, bins: int = 50) -> DistributionSummary:
+def distribution_summary(cache: EvaluationCache) -> DistributionSummary:
     """Compute the Fig. 1 distribution summary of one campaign cache."""
     runtimes = cache.values(valid_only=True)
     if runtimes.size == 0:
@@ -87,7 +90,7 @@ def distribution_summary(cache: EvaluationCache, bins: int = 50) -> Distribution
     median = float(np.median(runtimes))
     relative = median / runtimes
 
-    density, edges = np.histogram(relative, bins=bins, density=True)
+    density, edges = np.histogram(relative, bins=HISTOGRAM_BINS, density=True)
     centred = relative - relative.mean()
     std = float(relative.std())
     skewness = float(np.mean(centred ** 3) / std ** 3) if std > 0 else 0.0

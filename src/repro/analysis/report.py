@@ -79,14 +79,18 @@ def format_distribution(summaries: Sequence[DistributionSummary]) -> str:
         rows, title="Fig. 1 - performance distribution of configurations")
 
 
-def format_convergence(curves: Sequence[ConvergenceCurve],
-                       thresholds: Sequence[float] = (0.8, 0.9, 0.95, 0.99)) -> str:
+#: Relative-performance thresholds of the Fig. 2 evaluations-to-threshold table.
+CONVERGENCE_THRESHOLDS: tuple[float, ...] = (0.8, 0.9, 0.95, 0.99)
+
+
+def format_convergence(curves: Sequence[ConvergenceCurve]) -> str:
     """Render the Fig. 2 convergence study as evaluations-to-threshold."""
-    headers = ["Benchmark", "GPU"] + [f"evals to {int(t*100)}%" for t in thresholds]
+    headers = ["Benchmark", "GPU"] + [f"evals to {int(t*100)}%"
+                                      for t in CONVERGENCE_THRESHOLDS]
     rows = []
     for c in curves:
         row = [c.benchmark, c.gpu]
-        for t in thresholds:
+        for t in CONVERGENCE_THRESHOLDS:
             needed = c.evaluations_to_reach(t)
             row.append(str(needed) if needed is not None else f">{c.budget}")
         rows.append(row)

@@ -996,7 +996,7 @@ class EvaluationCache:
 
     @classmethod
     def from_columnar(cls, path: str | Path, space: SearchSpace | None = None,
-                      mmap: bool = True, verify: bool = True) -> "EvaluationCache":
+                      mmap: bool = True) -> "EvaluationCache":
         """Open a columnar cache file; the inverse of :meth:`to_columnar`.
 
         With ``mmap=True`` (default) the index/value/code columns are adopted as
@@ -1008,7 +1008,7 @@ class EvaluationCache:
         """
         from repro.io import columnar
 
-        payload = columnar.read_columnar(path, mmap=mmap, verify=verify)
+        payload = columnar.read_columnar(path, mmap=mmap)
         if payload.kind != "cache":
             raise SerializationError(
                 f"{path} is a columnar {payload.kind} file, not a cache")

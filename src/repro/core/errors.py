@@ -40,12 +40,9 @@ class ResourceLimitError(ReproError):
     like real tuners do.
     """
 
-    def __init__(self, message: str, resource: str = "", requested: float = 0.0,
-                 limit: float = 0.0):
+    def __init__(self, message: str, resource: str = ""):
         super().__init__(message)
         self.resource = resource
-        self.requested = requested
-        self.limit = limit
 
 
 class BudgetExhaustedError(ReproError):

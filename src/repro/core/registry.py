@@ -186,9 +186,15 @@ def _builtin_spec(name: str) -> BenchmarkSpec:
 
 def register_benchmark(name: str,
                        factory: BenchmarkSpec | str | Mapping[str, Any] | Callable[..., Any],
-                       /, overwrite: bool = False, validate: bool = True,
+                       /, overwrite: bool = False,
                        **kwargs: Any) -> BenchmarkSpec:
     """Register a custom benchmark under ``name``.
+
+    The benchmark is built once now, which catches a broken factory at
+    registration time, and the built benchmark's ``name`` must match the
+    registry key: caches, plan units and output files all carry that name, so a
+    mismatch would mislabel campaign data (and distinct registrations of a
+    name-defaulting factory would silently share one noise/failure identity).
 
     Parameters
     ----------
@@ -203,18 +209,11 @@ def register_benchmark(name: str,
         executors) can rebuild the benchmark by spec alone.
     overwrite:
         Allow replacing an existing custom registration.
-    validate:
-        Build the benchmark once now (catching broken factories at registration
-        time) and require the built benchmark's ``name`` to match the registry
-        key -- caches, plan units and output files all carry that name, so a
-        mismatch would mislabel campaign data (and distinct registrations of a
-        name-defaulting factory would silently share one noise/failure identity).
     **kwargs:
         JSON-serializable keyword arguments stored in the spec and passed to the
-        factory on every build.  A factory whose own keywords collide with
-        ``overwrite``/``validate`` can always be registered through the explicit
-        spec form instead: ``register_benchmark(name, {"factory": ...,
-        "kwargs": {...}})``.
+        factory on every build.  A factory whose own keyword is ``overwrite``
+        can always be registered through the explicit spec form instead:
+        ``register_benchmark(name, {"factory": ..., "kwargs": {...}})``.
 
     Returns
     -------
@@ -235,8 +234,7 @@ def register_benchmark(name: str,
             f"benchmark {name!r} is already registered "
             f"(pass overwrite=True to replace it)")
     spec = BenchmarkSpec.parse(factory, **kwargs)
-    if validate:
-        _require_matching_name(key, spec.build())
+    _require_matching_name(key, spec.build())
     _CUSTOM_SPECS[key] = spec
     return spec
 

@@ -960,8 +960,8 @@ class SearchSpace:
 
     # ------------------------------------------------------------------- reduction
 
-    def reduced(self, keep: Sequence[str], fixed: Mapping[str, Any] | None = None,
-                name: str | None = None) -> "SearchSpace":
+    def reduced(self, keep: Sequence[str],
+                fixed: Mapping[str, Any] | None = None) -> "SearchSpace":
         """Reduced space keeping only the parameters in ``keep`` (Table VIII 'Reduced').
 
         The remaining parameters are frozen to the values in ``fixed`` (default: their
@@ -991,7 +991,7 @@ class SearchSpace:
         reduced_constraints = ConstraintSet(c.frozen(fixed_values)
                                             for c in self._constraints)
         return SearchSpace(kept_params, reduced_constraints,
-                           name=name or (self.name + "_reduced" if self.name else "reduced"))
+                           name=self.name + "_reduced" if self.name else "reduced")
 
     # --------------------------------------------------------------------- encoding
 
@@ -1010,16 +1010,14 @@ class SearchSpace:
                 out[:, j] = [float(p.index_of(c[p.name])) for c in configs]
         return out
 
-    def encode_indices(self, indices: np.ndarray | Sequence[int], *,
-                       digits: np.ndarray | None = None) -> np.ndarray:
+    def encode_indices(self, indices: np.ndarray | Sequence[int]) -> np.ndarray:
         """Index-native form of :meth:`encode_batch`: feature rows straight from the
         value columns, no configuration dictionaries.
 
         Numeric parameters contribute their value, all others their ordinal digit --
         element-wise identical to encoding the materialised configurations.
         """
-        if digits is None:
-            digits = self.indices_to_digits(indices)
+        digits = self.indices_to_digits(indices)
         out = np.empty((digits.shape[0], self.dimensions), dtype=float)
         for j, (p, col) in enumerate(zip(self._parameters, self._value_columns)):
             if p.is_numeric:

@@ -240,7 +240,7 @@ def _make_executor(args: argparse.Namespace) -> Executor:
     if args.workers > 1:
         return ParallelExecutor(workers=args.workers, retry_policy=retry_policy,
                                 shard_timeout=args.shard_timeout)
-    return SerialExecutor(retry_policy=retry_policy, shard_timeout=args.shard_timeout)
+    return SerialExecutor(retry_policy=retry_policy)
 
 
 def _parse_benchmark_spec(raw: str) -> tuple[str, BenchmarkSpec]:

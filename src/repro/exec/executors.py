@@ -147,11 +147,6 @@ class Executor(abc.ABC):
         With a policy, transient failures are retried on its deterministic
         backoff schedule and exhausted/permanent failures quarantine their shard
         instead of aborting the campaign.
-    shard_timeout:
-        Optional wall-clock seconds one shard attempt may take.  Enforced by the
-        :class:`ParallelExecutor` (the hung worker is killed and the shard
-        charged a transient :class:`~repro.core.errors.ShardTimeoutError`); the
-        in-process :class:`SerialExecutor` cannot preempt itself and ignores it.
     fault_plan:
         Optional :class:`~repro.exec.faults.FaultPlan` for chaos testing;
         consulted per shard attempt (``"worker"`` site) and per fragment save
@@ -169,12 +164,8 @@ class Executor(abc.ABC):
     """
 
     def __init__(self, retry_policy: RetryPolicy | None = None,
-                 shard_timeout: float | None = None,
                  fault_plan: FaultPlan | None = None):
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise ReproError(f"shard_timeout must be positive, got {shard_timeout}")
         self.retry_policy = retry_policy
-        self.shard_timeout = shard_timeout
         self.fault_plan = fault_plan
         self._reset_run_state()
 
@@ -553,13 +544,14 @@ class ParallelExecutor(Executor):
         Pool size (the paper-scale campaign saturates at ~#physical-cores).  A
         run that would start more workers than this process has usable cores
         says so in one progress line; the count is kept as given.
-    mp_context:
-        Optional :mod:`multiprocessing` context (e.g. ``get_context("spawn")``).
-    retry_policy / shard_timeout / fault_plan:
-        See :class:`Executor`.  This executor is where ``shard_timeout`` has
-        teeth: every in-flight shard carries a wall-clock deadline, and a worker
-        that blows it is killed and respawned while its shard is charged a
-        transient failure.
+    retry_policy / fault_plan:
+        See :class:`Executor`.
+    shard_timeout:
+        Optional wall-clock seconds one shard attempt may take: every in-flight
+        shard carries this deadline, and a worker that blows it is killed and
+        respawned while its shard is charged a transient
+        :class:`~repro.core.errors.ShardTimeoutError`.  The in-process
+        :class:`SerialExecutor` cannot preempt itself, so it has no timeout.
 
     Notes
     -----
@@ -578,16 +570,16 @@ class ParallelExecutor(Executor):
     """
 
     def __init__(self, workers: int = 4,
-                 mp_context: Any = None,
                  retry_policy: RetryPolicy | None = None,
                  shard_timeout: float | None = None,
                  fault_plan: FaultPlan | None = None):
-        super().__init__(retry_policy=retry_policy, shard_timeout=shard_timeout,
-                         fault_plan=fault_plan)
+        super().__init__(retry_policy=retry_policy, fault_plan=fault_plan)
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
+        if shard_timeout is not None and shard_timeout <= 0:
+            raise ReproError(f"shard_timeout must be positive, got {shard_timeout}")
         self.workers = int(workers)
-        self.mp_context = mp_context
+        self.shard_timeout = shard_timeout
 
     @staticmethod
     def _worker_specs(tasks: list[_ShardTask]) -> dict[str, dict[str, Any]]:
@@ -625,7 +617,7 @@ class ParallelExecutor(Executor):
 
     def _run_shards(self, tasks, on_complete):
         benchmark_specs = self._worker_specs(tasks)
-        ctx = self.mp_context if self.mp_context is not None else mp.get_context()
+        ctx = mp.get_context()
         slots, cores = min(self.workers, len(tasks)), _usable_cores()
         if slots > cores:
             self._note(f"{slots} worker processes on {cores} usable core(s): they "

@@ -146,10 +146,9 @@ class FaultPlan:
                 return fault
         return None
 
-    def shard_ids(self, site: str | None = None) -> tuple[int, ...]:
-        """Sorted shard ids the plan strikes (optionally at one site)."""
-        return tuple(sorted({f.shard_id for f in self.faults
-                             if site is None or f.site == site}))
+    def shard_ids(self) -> tuple[int, ...]:
+        """Sorted shard ids the plan strikes, at either site."""
+        return tuple(sorted({f.shard_id for f in self.faults}))
 
     def to_dict(self) -> dict[str, object]:
         return {"faults": [f.to_dict() for f in self.faults]}

@@ -237,9 +237,10 @@ class ShardPlanner:
     """Splits a campaign into deterministic shards.
 
     Parameters mirror :class:`~repro.analysis.campaign.Campaign` (which delegates its
-    design decisions here): ``sampled_benchmarks`` are always sampled,
-    ``exhaustive_limit`` forces sampling above a cardinality ceiling, and each GPU's
-    sampled stream is seeded ``seed + index`` with GPUs in sorted-name order.
+    design decisions here): the :data:`PAPER_SAMPLED_BENCHMARKS` are always
+    sampled, ``exhaustive_limit`` forces sampling above a cardinality ceiling, and
+    each GPU's sampled stream is seeded ``seed + index`` with GPUs in sorted-name
+    order.
 
     Parameters
     ----------
@@ -276,7 +277,6 @@ class ShardPlanner:
                  exhaustive_limit: int | None = None,
                  seed: int = 2023, with_noise: bool = True,
                  shard_size: int = DEFAULT_SHARD_SIZE,
-                 sampled_benchmarks: frozenset[str] = PAPER_SAMPLED_BENCHMARKS,
                  specs: Mapping[str, Any] | None = None):
         if benchmarks is None:
             from repro.core.registry import benchmark_suite
@@ -293,7 +293,6 @@ class ShardPlanner:
         self.seed = int(seed)
         self.with_noise = with_noise
         self.shard_size = int(shard_size)
-        self.sampled_benchmarks = frozenset(sampled_benchmarks)
         self.specs = {name: BenchmarkSpec.parse(spec)
                       for name, spec in (specs or {}).items()}
         self._exhaustive_counts: dict[str, int] = {}
@@ -303,13 +302,13 @@ class ShardPlanner:
     def is_sampled(self, benchmark_name: str) -> bool:
         """True when the campaign for this benchmark uses random sampling.
 
-        Paper kernels follow the paper design exactly (the ``sampled_benchmarks``
-        list, or an explicit ``exhaustive_limit``).  Custom benchmarks above
+        Paper kernels follow the paper design exactly (the
+        :data:`PAPER_SAMPLED_BENCHMARKS`, or an explicit ``exhaustive_limit``).  Custom benchmarks above
         :data:`CUSTOM_EXHAUSTIVE_LIMIT` are sampled by default -- a registered
         scenario with a huge space must opt *in* to exhaustive enumeration via
         ``exhaustive_limit``, not hang plan time by accident.
         """
-        if benchmark_name in self.sampled_benchmarks:
+        if benchmark_name in PAPER_SAMPLED_BENCHMARKS:
             return True
         if self.exhaustive_limit is not None:
             return self.benchmarks[benchmark_name].space.cardinality > self.exhaustive_limit

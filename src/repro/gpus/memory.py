@@ -104,8 +104,11 @@ def read_only_cache_factor(gpu: GPUSpec, use_read_only: Any) -> Any:
                     1.0)[()]
 
 
-def bank_conflict_factor(gpu: GPUSpec, block_size_x: Any, use_padding: Any,
-                         banks: int = 32) -> Any:
+#: Shared-memory banks per streaming multiprocessor (32 on every modelled GPU).
+SHARED_MEMORY_BANKS = 32
+
+
+def bank_conflict_factor(gpu: GPUSpec, block_size_x: Any, use_padding: Any) -> Any:
     """Shared-memory slowdown factor caused by bank conflicts (>= 1).
 
     Mirrors the Convolution kernel's padding optimisation: when ``block_size_x`` is
@@ -114,8 +117,9 @@ def bank_conflict_factor(gpu: GPUSpec, block_size_x: Any, use_padding: Any,
     """
     block_size_x = np.asarray(block_size_x, dtype=np.int64)
     # Conflict degree grows as the stride's gcd with the bank count shrinks.
-    degree = banks // np.gcd(block_size_x, banks)
-    return np.where(np.asarray(use_padding, dtype=bool) | (block_size_x % banks == 0),
+    degree = SHARED_MEMORY_BANKS // np.gcd(block_size_x, SHARED_MEMORY_BANKS)
+    return np.where(np.asarray(use_padding, dtype=bool)
+                    | (block_size_x % SHARED_MEMORY_BANKS == 0),
                     1.0, 1.0 + 0.05 * np.minimum(degree, 8))[()]
 
 

@@ -304,16 +304,15 @@ def peek_columnar_header(path: str | Path) -> dict[str, Any]:
     return header
 
 
-def read_columnar(path: str | Path, mmap: bool = True,
-                  verify: bool = True) -> ColumnarPayload:
+def read_columnar(path: str | Path, mmap: bool = True) -> ColumnarPayload:
     """Open a columnar file written by :func:`write_columnar`.
 
     With ``mmap=True`` (default) the columns are zero-copy read-only views of the
     memory-mapped file; ``mmap=False`` reads the bytes into process memory
-    instead (still read-only views).  ``verify=True`` checks every column's
-    SHA-256 against the directory and the row count against the column shapes;
-    any damage -- truncation, bit rot, tampered values -- raises
-    :class:`~repro.core.errors.FragmentIntegrityError`.
+    instead (still read-only views).  Every open checks each column's SHA-256
+    against the directory, the row count against the column shapes and a cache's
+    identity digest against its header; any damage -- truncation, bit rot,
+    tampered values -- raises :class:`~repro.core.errors.FragmentIntegrityError`.
     """
     path = Path(path)
     header = peek_columnar_header(path)
@@ -345,13 +344,12 @@ def read_columnar(path: str | Path, mmap: bool = True,
             raise FragmentIntegrityError(
                 f"{path} is truncated: column {entry['name']!r} needs bytes "
                 f"[{start}, {start + nbytes}) but the file has {data.size}")
-        if verify:
-            actual = hashlib.sha256(blob.tobytes()).hexdigest()
-            if actual != entry["sha256"]:
-                raise FragmentIntegrityError(
-                    f"{path} column {entry['name']!r} fails its checksum "
-                    f"(stored {entry['sha256'][:12]}..., recomputed "
-                    f"{actual[:12]}...); the file was altered on disk")
+        actual = hashlib.sha256(blob.tobytes()).hexdigest()
+        if actual != entry["sha256"]:
+            raise FragmentIntegrityError(
+                f"{path} column {entry['name']!r} fails its checksum "
+                f"(stored {entry['sha256'][:12]}..., recomputed "
+                f"{actual[:12]}...); the file was altered on disk")
         column = blob.view(np.dtype(entry["dtype"]))
         if column.size != row_count:
             raise FragmentIntegrityError(
@@ -359,7 +357,7 @@ def read_columnar(path: str | Path, mmap: bool = True,
                 f"header says {row_count}")
         column.flags.writeable = False
         columns[entry["name"]] = column
-    if verify and header["kind"] == "cache":
+    if header["kind"] == "cache":
         stated = header.get("digest")
         actual = cache_digest(header.get("benchmark", ""), header.get("gpu", ""),
                               header.get("space", {}))
@@ -392,7 +390,7 @@ def save_columnar_fragment_columns(path: str | Path, shard: Mapping[str, Any],
                           {"value": values, "code": codes}, errors)
 
 
-def load_columnar_fragment_columns(path: str | Path, verify: bool = True
+def load_columnar_fragment_columns(path: str | Path
                                    ) -> tuple[dict[str, Any], np.ndarray,
                                               np.ndarray, list[str]]:
     """Raw ``(shard, values, codes, errors)`` of a columnar fragment.
@@ -400,7 +398,7 @@ def load_columnar_fragment_columns(path: str | Path, verify: bool = True
     The no-decode form :func:`concat_fragment_columns` merges; rows never become
     Python tuples.
     """
-    payload = read_columnar(path, mmap=False, verify=verify)
+    payload = read_columnar(path, mmap=False)
     if payload.kind != "fragment":
         raise SerializationError(
             f"{path} is a columnar {payload.kind} file, not a fragment")

@@ -76,6 +76,9 @@ FACTORY_SPEC = "repro.kernels.synthetic:create_benchmark"
 #: :meth:`SyntheticKernelModel.launch_errors`).
 _FAILURE_BUCKETS = 2**32
 
+#: Amplitude of the per-device optimum shift in normalized coordinates.
+_DEVICE_SHIFT = 0.35
+
 
 class SyntheticKernelModel(AnalyticalKernelModel):
     """Analytical value model of one generated scenario.
@@ -101,20 +104,16 @@ class SyntheticKernelModel(AnalyticalKernelModel):
         Fraction of (configuration, device) pairs that fail to launch.
     base_time_ms:
         Runtime scale of the scenario.
-    device_shift:
-        Amplitude of the per-device optimum shift in normalized coordinates.
     """
 
     def __init__(self, name: str, family: str, parameters: Sequence[Parameter],
                  weights: Sequence[float], ripples: Sequence[float],
                  frequencies: Sequence[int], failure_rate: float,
-                 base_time_ms: float, device_shift: float = 0.35,
-                 noise_sigma: float = 0.015):
-        super().__init__(name, occupancy_saturation=0.45, noise_sigma=noise_sigma)
+                 base_time_ms: float):
+        super().__init__(name, occupancy_saturation=0.45, noise_sigma=0.015)
         self.family = family
         self.failure_rate = float(failure_rate)
         self.base_time_ms = float(base_time_ms)
-        self.device_shift = float(device_shift)
         self._weights = tuple(float(w) for w in weights)
         self._ripples = tuple(float(r) for r in ripples)
         self._frequencies = tuple(int(k) for k in frequencies)
@@ -139,7 +138,7 @@ class SyntheticKernelModel(AnalyticalKernelModel):
     def _device_center(self, gpu: GPUSpec, j: int) -> float:
         """Optimum location of parameter ``j`` on ``gpu`` (deterministic)."""
         draw = stable_hash("synthetic-center", gpu.name, self.name, j) % _FAILURE_BUCKETS
-        offset = (draw / _FAILURE_BUCKETS - 0.5) * 2.0 * self.device_shift
+        offset = (draw / _FAILURE_BUCKETS - 0.5) * 2.0 * _DEVICE_SHIFT
         return min(max(0.5 + offset, 0.0), 1.0)
 
     # --------------------------------------------------------------- value surface

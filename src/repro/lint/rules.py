@@ -401,7 +401,7 @@ class SerializableSpecKwargs(Rule):
 
     _REGISTRATION_FUNCS = frozenset({"register_benchmark", "temporary_benchmark",
                                      "BenchmarkSpec"})
-    _CONTROL_KWARGS = frozenset({"overwrite", "validate"})
+    _CONTROL_KWARGS = frozenset({"overwrite"})
 
     def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[Violation]:
         for node in ast.walk(tree):

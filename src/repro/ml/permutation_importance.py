@@ -48,7 +48,7 @@ class PermutationImportanceResult:
     importances:
         Full ``(n_features, n_repeats)`` matrix of metric drops.
     baseline_score:
-        Metric of the unshuffled predictions.
+        R² of the unshuffled predictions.
     feature_names:
         Optional names aligned with the feature axis.
     """
@@ -79,9 +79,12 @@ def shuffled_predictions(predict: Callable[[np.ndarray], np.ndarray], X: np.ndar
 
 def permutation_importance(model, X: np.ndarray, y: np.ndarray, n_repeats: int = 5,
                            random_state: int | None = 0,
-                           scoring: Callable[[np.ndarray, np.ndarray], float] = r2_score,
                            feature_names: Sequence[str] = ()) -> PermutationImportanceResult:
     """Compute PFI of a fitted regression model.
+
+    A feature's importance is the drop of :func:`~repro.ml.metrics.r2_score`
+    when its column is shuffled (``baseline - shuffled``), so higher means more
+    important.
 
     Parameters
     ----------
@@ -95,9 +98,6 @@ def permutation_importance(model, X: np.ndarray, y: np.ndarray, n_repeats: int =
         Both must be finite.
     n_repeats:
         Number of independent shuffles per feature.
-    scoring:
-        Metric function ``scoring(y_true, y_pred)``; importance is
-        ``baseline - shuffled`` so higher means more important.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -121,8 +121,8 @@ def permutation_importance(model, X: np.ndarray, y: np.ndarray, n_repeats: int =
     else:
         predicted = model.predict(X)
         shuffled = shuffled_predictions(model.predict, X, permutations)
-    baseline = float(scoring(y, predicted))
-    drops = np.array([baseline - float(scoring(y, prediction)) for prediction in shuffled])
+    baseline = float(r2_score(y, predicted))
+    drops = np.array([baseline - float(r2_score(y, prediction)) for prediction in shuffled])
     drops = drops.reshape(n_features, n_repeats)
 
     return PermutationImportanceResult(

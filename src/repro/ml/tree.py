@@ -207,12 +207,13 @@ class _TreeArrays:
 class DecisionTreeRegressor:
     """CART-style regression tree with exact histogram split search.
 
+    A node needs at least two samples, with targets not all equal, to be
+    considered for splitting.
+
     Parameters
     ----------
     max_depth:
         Maximum tree depth (root = depth 0).
-    min_samples_split:
-        Minimum number of samples a node needs to be considered for splitting.
     min_samples_leaf:
         Minimum number of samples each child must retain.
     max_bins:
@@ -220,12 +221,11 @@ class DecisionTreeRegressor:
         values are quantile-binned down to this many.
     """
 
-    def __init__(self, max_depth: int = 6, min_samples_split: int = 2,
+    def __init__(self, max_depth: int = 6,
                  min_samples_leaf: int = 1, max_bins: int = 64):
         if max_depth < 1:
             raise ValueError("max_depth must be at least 1")
         self.max_depth = int(max_depth)
-        self.min_samples_split = max(int(min_samples_split), 2)
         self.min_samples_leaf = max(int(min_samples_leaf), 1)
         self.max_bins = max(int(max_bins), 2)
         self._tree: _TreeArrays | None = None
@@ -298,7 +298,7 @@ class DecisionTreeRegressor:
             if depth == self.max_depth or width < 2:
                 break
             starts = bounds[:-1]
-            splittable = ((sizes >= self.min_samples_split)
+            splittable = ((sizes >= 2)
                           & (np.minimum.reduceat(level[3], starts)
                              != np.maximum.reduceat(level[3], starts)))
             n_split = int(np.count_nonzero(splittable))

@@ -52,12 +52,6 @@ class TestCampaign:
         assert PAPER_SAMPLE_SIZE == 10_000
         assert PAPER_SAMPLED_BENCHMARKS == {"hotspot", "dedispersion", "expdist"}
 
-    def test_sampling_policy(self, small_campaign):
-        assert small_campaign.is_sampled("hotspot")
-        assert not small_campaign.is_sampled("pnpoly")
-        # exhaustive_limit forces convolution (18 432 > 10 000) into sampling too.
-        assert small_campaign.is_sampled("convolution")
-
     def test_caches_are_memoized(self, small_campaign):
         a = small_campaign.cache("pnpoly", "RTX_3090")
         b = small_campaign.cache("pnpoly", "RTX_3090")
@@ -76,7 +70,7 @@ class TestDistribution:
         assert summary.histogram_density.shape[0] == summary.histogram_edges.shape[0] - 1
 
     def test_histogram_is_a_density(self, pnpoly_cache_3090):
-        summary = distribution_summary(pnpoly_cache_3090, bins=40)
+        summary = distribution_summary(pnpoly_cache_3090)
         widths = np.diff(summary.histogram_edges)
         assert float(np.sum(summary.histogram_density * widths)) == pytest.approx(1.0)
 

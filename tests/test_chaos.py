@@ -493,7 +493,7 @@ class TestRetryPolicyDeterminism:
         with pytest.raises(ReproError):
             RetryPolicy(base_delay=1.0, max_delay=0.5)
         with pytest.raises(ReproError):
-            SerialExecutor(shard_timeout=0.0)
+            ParallelExecutor(shard_timeout=0.0)
 
 
 class TestFaultPlanConstruction:

@@ -242,14 +242,6 @@ class TestIntegrity:
         with pytest.raises(FragmentIntegrityError):
             peek_columnar_header(path)
 
-    def test_verify_false_skips_checksums(self, campaign_cache, tmp_path):
-        path = tmp_path / "cache.col"
-        campaign_cache.to_columnar(path)
-        corrupt_fragment(path, "tamper")
-        loaded = EvaluationCache.from_columnar(path, space=campaign_cache.space,
-                                               verify=False)
-        assert len(loaded) == len(campaign_cache)
-
     def test_out_of_range_failure_code_detected(self):
         with pytest.raises(FragmentIntegrityError):
             decode_failure_strings(np.array([5], dtype=np.int32), ["only-slot"])

@@ -89,11 +89,14 @@ class TestShardPlanner:
 
     def test_paper_design_decisions(self, planner):
         # The three huge spaces are always sampled; pnpoly fits under the
-        # exhaustive limit and is enumerated.
+        # exhaustive limit and is enumerated, and the limit forces convolution
+        # (18 432 > 5 000), which the paper enumerates, into sampling.
         assert planner.is_sampled("hotspot")
         assert planner.is_sampled("dedispersion")
         assert planner.is_sampled("expdist")
         assert not planner.is_sampled("pnpoly")
+        assert planner.is_sampled("convolution")
+        assert not ShardPlanner(gpus=planner.gpus).is_sampled("convolution")
         unit = planner.unit_for("pnpoly", "RTX_3090")
         assert unit.exhaustive and unit.n_configs == 4_092
 
@@ -140,7 +143,7 @@ class TestParallelExecutor:
 
         planner = ShardPlanner({"custom": FakeBenchmark()},
                                {"RTX_3090": gpus["RTX_3090"]}, sample_size=2,
-                               sampled_benchmarks=frozenset({"custom"}))
+                               exhaustive_limit=1)
         with pytest.raises(ReproError, match="registry"):
             ParallelExecutor(workers=2).run(planner.plan(),
                                             benchmarks=planner.benchmarks,

@@ -159,7 +159,7 @@ def test_sharded_campaign_execution_under_ceiling(benchmarks, gpus):
 def test_fault_tolerant_happy_path_overhead_under_ceiling(benchmarks, gpus,
                                                           tmp_path):
     # The same 10k-sample campaign with the fault-tolerance layer fully armed
-    # (retry policy, shard timeout, checkpointing with checksummed fragments)
+    # (retry policy, checkpointing with checksummed fragments)
     # but no fault ever firing.  The machinery's no-fault overhead is a few
     # dict lookups per shard plus one SHA-256 per fragment; anything that makes
     # it per-config (or re-hashes rows per retry check) blows the ceiling.
@@ -168,8 +168,7 @@ def test_fault_tolerant_happy_path_overhead_under_ceiling(benchmarks, gpus,
     selected = {"hotspot": benchmarks["hotspot"]}
     gpu = {"RTX_3090": gpus["RTX_3090"]}
     planner = ShardPlanner(selected, gpu, sample_size=10_000, seed=2023)
-    executor = SerialExecutor(retry_policy=RetryPolicy(max_retries=3),
-                              shard_timeout=600.0)
+    executor = SerialExecutor(retry_policy=RetryPolicy(max_retries=3))
     caches, elapsed = _timed(lambda: executor.run(
         planner.plan(), benchmarks=selected, gpus=gpu,
         checkpoint=CheckpointStore(tmp_path / "ckpt")))

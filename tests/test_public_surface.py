@@ -29,6 +29,17 @@ caller outside ``tests/`` as ``path:line: receiver.name``, whose receiver is the
 suite's own.  The guard parses that line, so a new shared name, a moved or
 deleted caller (``np.median`` where ``cache.median`` was), or an entry whose
 name is no longer shared fails and names the method.
+
+Options get the same guard below the tuners: in :data:`OPTION_PACKAGES`, every
+defaulted parameter of a public function, method or class constructor must be
+passed -- by keyword or by position -- by some call outside ``tests/``, or be
+listed in :data:`OPTIONS_ALLOWED` with a README "Public API notes" line that
+names it and says who needs it.  A default no caller overrides is a constant
+spelled as an option.  Callees match by bare name (``C(...)`` reaches
+``C.__init__``, ``cls(...)`` the enclosing class), a ``super().__init__(...)``
+call reaches each base of its class, and ``*args``/``**kwargs`` forwarding
+counts as passing every parameter it could carry.  A call inside the callable's
+own body does not count.
 """
 
 from __future__ import annotations
@@ -86,6 +97,42 @@ ALLOWED: dict[str, str] = {
 }
 
 
+#: The layers whose options the option guard scans; the tuner options were cut
+#: by hand, and the tuner hyperparameters stay.
+OPTION_PACKAGES = ("core", "io", "exec", "analysis", "graph", "ml", "gpus")
+
+#: Defaulted parameters kept although no call outside ``tests/`` passes them,
+#: ``"module:qualname(parameter)"`` mapped to the text that opens their README
+#: "Public API notes" line.
+OPTIONS_ALLOWED: dict[str, str] = {
+    "repro.analysis.campaign:Campaign(executor)":
+        "- `Campaign(executor=, checkpoint=, exhaustive_limit=)` —",
+    "repro.analysis.campaign:Campaign(checkpoint)":
+        "- `Campaign(executor=, checkpoint=, exhaustive_limit=)` —",
+    "repro.analysis.campaign:Campaign(exhaustive_limit)":
+        "- `Campaign(executor=, checkpoint=, exhaustive_limit=)` —",
+    "repro.analysis.convergence:evaluations_to_reach(threshold)":
+        "- `evaluations_to_reach(threshold=)` —",
+    "repro.core.cache:EvaluationCache.configs(valid_only)":
+        "- `EvaluationCache.configs(valid_only=)` and "
+        "`SearchSpace.neighbors(strategy=, valid_only=)` —",
+    "repro.core.searchspace:SearchSpace.neighbors(strategy)":
+        "- `EvaluationCache.configs(valid_only=)` and "
+        "`SearchSpace.neighbors(strategy=, valid_only=)` —",
+    "repro.core.searchspace:SearchSpace.neighbors(valid_only)":
+        "- `EvaluationCache.configs(valid_only=)` and "
+        "`SearchSpace.neighbors(strategy=, valid_only=)` —",
+    "repro.core.searchspace:SearchSpace.sample_indices(max_attempts_factor)":
+        "- `SearchSpace.sample_indices(max_attempts_factor=)` —",
+    "repro.exec.cli:main(argv)": "- `repro.exec.cli.main(argv=, out=)` —",
+    "repro.exec.cli:main(out)": "- `repro.exec.cli.main(argv=, out=)` —",
+    "repro.exec.progress:ShardProgressReporter(clock)":
+        "- `ShardProgressReporter(clock=)` —",
+    "repro.graph.pagerank:pagerank(personalization)":
+        "- `pagerank(personalization=)` —",
+}
+
+
 #: The types whose attribute names make a public method's name shared.
 FOREIGN = (object, str, bytes, bytearray, int, float, complex, list, tuple, dict,
            set, frozenset, np, np.ndarray, np.random.Generator, random.Random, Path)
@@ -113,7 +160,6 @@ CALLERS: dict[str, str] = {
     "get": "src/repro/analysis/portability.py:103: caches[target].get",
     "index_of": "src/repro/core/problem.py:114: self.space.index_of",
     "insert": "src/repro/core/cache.py:598: table.insert",
-    "is_sampled": "src/repro/exec/planner.py:348: self.is_sampled",
     "is_satisfied": "src/repro/core/searchspace.py:397: constraint.is_satisfied",
     "launch_config": "src/repro/gpus/perfmodel.py:321: self.launch_config",
     "launch_errors": "src/repro/kernels/base.py:134: self.model.launch_errors",
@@ -270,6 +316,168 @@ def test_each_allowed_name_has_its_readme_line():
     missing = sorted(key for key, line in ALLOWED.items()
                      if line not in notes or f"`{key.split(':')[1]}`" not in notes)
     assert not missing, f"ALLOWED entries without a README 'Public API notes' line: {missing}"
+
+
+def _defaulted(function: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None, str | None]]:
+    """``(name, position, keyword)`` of each defaulted parameter of ``function``.
+
+    The position counts the call's positional arguments (after ``self``/``cls``
+    when ``bound``) and is None for a keyword-only parameter; the keyword is None
+    for a positional-only one."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    out = [(arg.arg, i - bound, None if i < len(args.posonlyargs) else arg.arg)
+           for i, arg in enumerate(positional) if i >= first_default]
+    out += [(arg.arg, None, arg.arg)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None]
+    return out
+
+
+def _options(files) -> dict[str, tuple[str, int | None, str | None, Path, int, int]]:
+    """``{"module:qualname(parameter)": (callee, position, keyword, path, first
+    line, last line)}`` of every defaulted parameter of a public function, a
+    public method or a public class's ``__init__`` (callee: the class name) in
+    ``files``, an iterable of ``(module, path)``."""
+    out = {}
+    for module, path in files:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and _public(node.name):
+                callables = [(node.name, node.name, node, False)]
+            elif isinstance(node, ast.ClassDef) and _public(node.name):
+                callables = [
+                    (node.name, node.name, member, True) if member.name == "__init__"
+                    else (member.name, f"{node.name}.{member.name}", member,
+                          not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                  for d in member.decorator_list))
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef)
+                    and (member.name == "__init__" or _public(member.name))]
+            else:
+                continue
+            for callee, qualname, function, bound in callables:
+                for name, position, keyword in _defaulted(function, bound):
+                    out[f"{module}:{qualname}({name})"] = (
+                        callee, position, keyword, path, function.lineno,
+                        function.end_lineno)
+    return out
+
+
+def _bare(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _calls(paths) -> dict[str, list[tuple[int, bool, set[str], bool, Path, int]]]:
+    """``(positional count, *args, keywords, **kwargs, path, line)`` of every call,
+    keyed by the bare name of its callee."""
+    out: dict[str, list[tuple[int, bool, set[str], bool, Path, int]]] = {}
+
+    def visit(node: ast.AST, path: Path, cls: ast.ClassDef | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls = node
+        if isinstance(node, ast.Call):
+            func, skipped = node.func, 0
+            if isinstance(func, ast.Attribute) and func.attr == "__init__":
+                if isinstance(func.value, ast.Call) and _bare(func.value.func) == "super":
+                    names = [_bare(base) for base in cls.bases] if cls else []
+                else:  # Base.__init__(self, ...)
+                    names, skipped = [_bare(func.value)], 1
+            elif isinstance(func, ast.Name) and func.id == "cls" and cls is not None:
+                names = [cls.name]
+            else:
+                names = [_bare(func)]
+            starred = [isinstance(arg, ast.Starred) for arg in node.args]
+            positional = (starred.index(True) if any(starred) else len(starred)) - skipped
+            keywords = {keyword.arg for keyword in node.keywords if keyword.arg}
+            forwards = any(keyword.arg is None for keyword in node.keywords)
+            for name in names:
+                if name:
+                    out.setdefault(name, []).append(
+                        (positional, any(starred), keywords, forwards, path, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, cls)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    return out
+
+
+def _unpassed_options(files, caller_paths, root: Path) -> dict[str, str]:
+    """The options of ``files`` (see :func:`_options`) that no call in
+    ``caller_paths`` outside their own callable passes, mapped to the callable's
+    ``path:line`` (relative to ``root``)."""
+    calls = _calls(caller_paths)
+    found: dict[str, str] = {}
+    for key, (callee, position, keyword, path, first, last) in _options(files).items():
+        if not any((position is not None and (position < positional or starred))
+                   or (keyword is not None and (keyword in keywords or forwards))
+                   for positional, starred, keywords, forwards, where, line
+                   in calls.get(callee, ())
+                   if not (where == path and first <= line <= last)):
+            found[key] = f"{path.relative_to(root)}:{first}"
+    return found
+
+
+def _unpassed_suite_options() -> dict[str, str]:
+    files = [(".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts), path)
+             for folder in OPTION_PACKAGES
+             for path in sorted((PACKAGE / folder).rglob("*.py"))]
+    callers = [path for folder in CALLER_DIRS for path in sorted((ROOT / folder).rglob("*.py"))]
+    return _unpassed_options(files, callers, ROOT)
+
+
+def test_every_option_is_passed_outside_tests():
+    unexplained = {key: where for key, where in _unpassed_suite_options().items()
+                   if key not in OPTIONS_ALLOWED}
+    assert not unexplained, (
+        "defaulted parameters no call outside tests/ passes (make each a constant, "
+        "give it a caller, or add it to OPTIONS_ALLOWED with a README 'Public API "
+        "notes' line):\n"
+        + "\n".join(f"  {key}  ({where})" for key, where in sorted(unexplained.items())))
+
+
+def test_options_allowlist_is_current():
+    stale = sorted(set(OPTIONS_ALLOWED) - set(_unpassed_suite_options()))
+    assert not stale, f"OPTIONS_ALLOWED entries some caller now passes, or gone: {stale}"
+
+
+def test_each_allowed_option_has_its_readme_line():
+    text = README.read_text(encoding="utf-8")
+    notes = text.split("## Public API notes", 1)[1].split("\n## ", 1)[0]
+    # The line must exist and name the parameter as ``parameter=``.
+    missing = sorted(key for key, line in OPTIONS_ALLOWED.items()
+                     if line not in notes or f"{key.rsplit('(', 1)[1][:-1]}=" not in line)
+    assert not missing, f"OPTIONS_ALLOWED entries without a README line: {missing}"
+
+
+@pytest.mark.parametrize("source, passed", [
+    ("f(1, 2)\n", {"f(a)", "f(b)"}),
+    ("f(1)\n", {"f(a)"}),
+    ("f(b=2)\n", {"f(b)"}),
+    ("f(0, *args)\n", {"f(a)", "f(b)"}),
+    ("f(**kwargs)\n", {"f(a)", "f(b)"}),
+    ("F(b=1)\n", {"F(b)"}),
+    ("class G(F):\n    def __init__(self):\n        super().__init__(b=1)\n", {"F(b)"}),
+    ("F.__init__(self, 1)\n", {"F(a)"}),
+    ("C().m(1)\n", {"C.m(a)"}),
+    ("C.s(1)\n", {"C.s(a)"}),
+    ("g(1, 2)\n", set()),
+])
+def test_option_scan_counts_positions_keywords_and_forwarding(tmp_path, source, passed):
+    # f's call of itself passes both of its options, and counts for neither.
+    module = tmp_path / "mod.py"
+    module.write_text("def f(a=0, b=0):\n    return f(a, b)\n\n"
+                      "class F:\n    def __init__(self, a=0, b=0):\n        pass\n\n"
+                      "class C:\n    def m(self, a=0):\n        pass\n\n"
+                      "    @staticmethod\n    def s(a=0):\n        pass\n", encoding="utf-8")
+    caller = tmp_path / "caller.py"
+    caller.write_text(source, encoding="utf-8")
+    options = _options([("mod", module)])
+    unpassed = _unpassed_options([("mod", module)], [module, caller], tmp_path)
+    assert {key.split(":", 1)[1] for key in set(options) - set(unpassed)} == passed
 
 
 @pytest.mark.parametrize("filename, source, counted", [
