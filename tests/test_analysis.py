@@ -52,6 +52,14 @@ class TestCampaign:
         assert PAPER_SAMPLE_SIZE == 10_000
         assert PAPER_SAMPLED_BENCHMARKS == {"hotspot", "dedispersion", "expdist"}
 
+    def test_sampling_policy(self, small_campaign):
+        assert not small_campaign.cache("hotspot", "RTX_3090").exhaustive
+        assert small_campaign.cache("pnpoly", "RTX_3090").exhaustive
+        # exhaustive_limit forces convolution (18 432 > 10 000) into sampling too.
+        convolution = small_campaign.cache("convolution", "RTX_3090")
+        assert not convolution.exhaustive
+        assert len(convolution) == small_campaign.sample_size
+
     def test_caches_are_memoized(self, small_campaign):
         a = small_campaign.cache("pnpoly", "RTX_3090")
         b = small_campaign.cache("pnpoly", "RTX_3090")
